@@ -206,8 +206,9 @@ class OptimizerConfig:
     #: Allow equality conjuncts to prune data files through secondary
     #: indexes (beyond zone maps).
     index_pruning: bool = True
-    #: Rows per block for the block-nested-loop operator (cost model and
-    #: executor agree on this).
+    #: Rows per block assumed when pricing a block-nested-loop join.  A
+    #: cost-model constant only: the operator's output and work do not
+    #: depend on it.
     block_nl_rows: int = 256
     #: Feedback correction factors are clamped to [1/cap, cap].
     feedback_factor_cap: float = 1000.0

@@ -2,16 +2,20 @@
 
 Single-node execution (the role SQL Server plays on each BE node) works on
 column batches — dicts of numpy arrays — with materialized operators:
-filter, project, hash join, grouped aggregation, sort, limit.  Plans are
-built programmatically (:mod:`planner`); a T-SQL parser is out of scope
-for the reproduction, so the 22 TPC-H queries in
-:mod:`repro.workloads.tpch.queries` construct plans directly.
+filter, project, the join zoo (hash, sort-merge, index- and block-nested
+loop), grouped aggregation, sort, limit.  Plans (:mod:`planner`) are
+built programmatically — the 22 TPC-H queries in
+:mod:`repro.workloads.tpch.queries` do — or bound from SQL text by
+:mod:`repro.sql`; either way a statement is compiled once and
+:func:`repro.engine.executor.execute_plan` is the only interpreter of
+the resulting tree.  :mod:`explain` renders plans and, through the
+executor's per-operator observer, EXPLAIN ANALYZE.
 
-Distributed execution (:mod:`distributed`) lowers a plan into a DCP
-workflow DAG: one scan task per data cell (with projection, predicate and
-deletion-vector merge pushed down), then a root task running the rest of
-the plan over the concatenated partials — mirroring the single-phase
-compilation in the SQL FE described in Section 3.3.
+Distributed execution lives in :mod:`repro.fe.read_path`: one DCP
+workflow DAG per base-table scan (one task per data cell, with
+projection, predicate and deletion-vector merge pushed down), then the
+rest of the plan over the concatenated partials at the root — mirroring
+the single-phase compilation in the SQL FE described in Section 3.3.
 """
 
 from repro.engine.batch import Batch, concat_batches, empty_batch, num_rows

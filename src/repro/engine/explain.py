@@ -4,22 +4,23 @@
 scans' pushed-down projections, predicates and pruning conjuncts — the
 compiled-plan view the SQL FE would show for a statement.
 
-``explain_analyze(plan, scan_source)`` *executes* the plan and annotates
-every operator with rows produced and simulated time; scans additionally
+``explain_analyze(plan, scan_source)`` *executes* the plan through
+:func:`repro.engine.executor.execute_plan` with an observer that records,
+per operator, rows produced and simulated time; scans additionally
 report file- and row-group-level pruning counts when the scan source
-provides them (the FE read path does).  The result carries the output
-batch, the annotated text, and the per-operator stats.
+provides them (the FE read path does).  The resulting
+:class:`PlanProfile` carries the output batch and the per-operator
+stats, and renders the annotated text on demand.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import PlanError
-from repro.engine import operators
 from repro.engine.batch import Batch, num_rows
+from repro.engine.executor import execute_plan
 
 from repro.engine.expressions import (
     BinOp,
@@ -43,6 +44,8 @@ from repro.engine.planner import (
     Project,
     Sort,
     TableScan,
+    children,
+    preorder,
 )
 
 
@@ -99,39 +102,48 @@ class OperatorStats:
 
 
 @dataclass
-class AnalyzeResult:
-    """Outcome of :func:`explain_analyze`: output plus annotations."""
+class PlanProfile:
+    """One observed execution of a plan: output plus per-operator stats.
+
+    What the query store captures on *every* execution and what EXPLAIN
+    ANALYZE shows; the annotated plan rendering — the expensive,
+    human-facing half — happens only when :attr:`text` is read.
+    """
 
     batch: Batch
-    text: str
+    #: The physical plan actually executed (after cost-based optimizer
+    #: rewrites).
+    plan: Plan
     #: Per-operator stats keyed by ``id(plan_node)``.
     stats: Dict[int, OperatorStats]
     #: Planner-estimated output rows keyed by ``id(plan_node)`` (empty
     #: when the caller supplied no estimates).
     estimates: Dict[int, int] = field(default_factory=dict)
+    #: Estimate provenance (``stats`` / ``default``) per node id.
+    provenance: Dict[int, str] = field(default_factory=dict)
+    #: Optimizer cost units (cumulative per subtree) per node id.
+    costs: Dict[int, float] = field(default_factory=dict)
 
     def stats_for(self, node: Plan) -> OperatorStats:
         """The stats recorded for one plan node."""
         return self.stats[id(node)]
 
-
-@dataclass
-class PlanProfile:
-    """Lightweight per-run profile: stats without the rendered text.
-
-    What the query store captures on *every* execution — the same
-    measurements as :class:`AnalyzeResult` minus the annotated plan
-    rendering, which is the expensive, human-facing half.
-    """
-
-    batch: Batch
-    #: Per-operator stats keyed by ``id(plan_node)``.
-    stats: Dict[int, OperatorStats]
-    #: Planner-estimated output rows keyed by ``id(plan_node)``.
-    estimates: Dict[int, int] = field(default_factory=dict)
-    #: The physical plan actually executed (after cost-based optimizer
-    #: rewrites); None when the caller's plan ran unmodified.
-    plan: Optional[Plan] = None
+    @property
+    def text(self) -> str:
+        """The operator tree annotated with this run's observations."""
+        lines: List[str] = []
+        _walk(
+            self.plan,
+            0,
+            lines,
+            annotate=lambda node: _annotation(
+                self.stats.get(id(node)),
+                self.estimates.get(id(node)),
+                self.provenance.get(id(node)),
+                self.costs.get(id(node)),
+            ),
+        )
+        return "\n".join(lines)
 
 
 def misestimate_ratio(est_rows: float, actual_rows: float) -> float:
@@ -144,101 +156,6 @@ def misestimate_ratio(est_rows: float, actual_rows: float) -> float:
     est = max(float(est_rows), 1.0)
     actual = max(float(actual_rows), 1.0)
     return max(actual / est, est / actual)
-
-
-@dataclass(frozen=True)
-class DefaultSelectivity:
-    """Textbook fallback selectivities, used only without collected stats.
-
-    The classic System R defaults: a predicate keeps one third of its
-    input, zone-map pruning keeps one half, a grouped aggregate emits
-    ``sqrt(input)`` groups.  The cost-based optimizer replaces every one
-    of these with histogram/NDV-derived numbers once ``ANALYZE`` has run
-    on the tables involved (:mod:`repro.optimizer.cardinality`); when it
-    does, the per-node provenance map records ``stats`` instead of
-    ``default`` so EXPLAIN shows which path produced each estimate.
-    """
-
-    #: Fraction of input rows assumed to survive a predicate.
-    predicate: float = 1.0 / 3.0
-    #: Fraction of a scan's rows assumed to survive zone-map pruning.
-    prune: float = 0.5
-
-    def group_count(self, input_rows: float) -> float:
-        """Assumed distinct-group count of a grouped aggregate."""
-        return math.ceil(math.sqrt(input_rows))
-
-
-#: The shared default-selectivity table.
-DEFAULT_SELECTIVITY = DefaultSelectivity()
-
-#: Estimate-provenance tags recorded per plan node: ``default`` means a
-#: :class:`DefaultSelectivity` guess, ``stats`` means collected ANALYZE
-#: statistics drove the number.
-PROVENANCE_DEFAULT = "default"
-PROVENANCE_STATS = "stats"
-
-
-def clamp_estimate(value: float) -> int:
-    """Round an estimate; a nonzero fraction means "some rows", never zero."""
-    if value >= 1.0:
-        return int(round(value))
-    return 1 if value > 0 else 0
-
-
-def estimate_cardinalities(
-    plan: Plan,
-    scan_rows: Dict[int, float],
-    provenance: Optional[Dict[int, str]] = None,
-    selectivity: DefaultSelectivity = DEFAULT_SELECTIVITY,
-) -> Dict[int, int]:
-    """First-order estimated output rows per operator, keyed by id(node).
-
-    ``scan_rows`` maps ``id(scan_node)`` to the table's live row count
-    (file rows minus deletion-vector cardinalities) — the statistic the
-    snapshot manifest maintains without any ANALYZE.  The
-    :class:`DefaultSelectivity` table covers the rest: predicates keep
-    1/3 of rows, pruning keeps 1/2, joins carry the larger input,
-    grouped aggregates emit ``sqrt(input)`` groups.  The point is not
-    precision — it is producing an estimate the query store can compare
-    against actuals, turning misestimates into recorded feedback.
-
-    Every node's estimate is tagged :data:`PROVENANCE_DEFAULT` in
-    ``provenance`` (when given); the stats-driven estimator in
-    :mod:`repro.optimizer.cardinality` is the path that tags
-    :data:`PROVENANCE_STATS`.
-    """
-    estimates: Dict[int, int] = {}
-
-    def walk(node: Plan) -> float:
-        if isinstance(node, TableScan):
-            value = float(scan_rows.get(id(node), 0.0))
-            if node.prune:
-                value *= selectivity.prune
-            if node.predicate is not None:
-                value *= selectivity.predicate
-        elif isinstance(node, Filter):
-            value = walk(node.child) * selectivity.predicate
-        elif isinstance(node, Project):
-            value = walk(node.child)
-        elif isinstance(node, Join):
-            value = max(walk(node.left), walk(node.right))
-        elif isinstance(node, Aggregate):
-            child = walk(node.child)
-            value = selectivity.group_count(child) if node.group_keys else 1.0
-        elif isinstance(node, Sort):
-            value = walk(node.child)
-        elif isinstance(node, Limit):
-            value = min(walk(node.child), float(node.count))
-        else:
-            raise PlanError(f"unknown plan node {node!r}")
-        estimates[id(node)] = clamp_estimate(value)
-        if provenance is not None:
-            provenance[id(node)] = PROVENANCE_DEFAULT
-        return value
-
-    walk(plan)
-    return estimates
 
 
 #: Display names of the physical join algorithms (plan text, operator
@@ -267,7 +184,7 @@ def operator_labels(plan: Plan) -> List[Tuple[int, Plan, str]]:
     keys per-operator aggregates on — same plan shape, same ids.
     """
     labeled: List[Tuple[int, Plan, str]] = []
-    for index, node in enumerate(_preorder(plan)):
+    for index, node in enumerate(preorder(plan)):
         if isinstance(node, TableScan):
             label = f"Scan {node.table}"
         elif isinstance(node, Filter):
@@ -321,156 +238,53 @@ def operator_summaries(
     return records
 
 
-def _preorder(plan: Plan) -> Iterator[Plan]:
-    yield plan
-    if isinstance(plan, TableScan):
-        return
-    if isinstance(plan, Join):
-        yield from _preorder(plan.left)
-        yield from _preorder(plan.right)
-        return
-    if isinstance(plan, (Filter, Project, Aggregate, Sort, Limit)):
-        yield from _preorder(plan.child)
-        return
-    raise PlanError(f"unknown plan node {plan!r}")
-
-
 def explain_analyze(
     plan: Plan,
     scan_source: Callable[[TableScan], Batch],
     *,
-    clock=None,
     cost_model=None,
     scan_details: Optional[Dict[int, Dict[str, Any]]] = None,
     estimates: Optional[Dict[int, int]] = None,
     provenance: Optional[Dict[int, str]] = None,
     costs: Optional[Dict[int, float]] = None,
-) -> AnalyzeResult:
-    """Execute ``plan`` and annotate each operator with observed stats.
+) -> PlanProfile:
+    """Execute ``plan`` and record each operator's observed stats.
 
     ``scan_source`` resolves scans exactly as in
-    :func:`repro.engine.executor.execute_plan`.  Scan timing comes from
-    ``scan_details[id(scan)]["sim_time_s"]`` when the caller pre-measured
-    it (the FE read path), else from ``clock`` deltas around the scan
-    call.  Root-side operators are costed with ``cost_model`` over their
-    input rows — the same first-order model the FE charges the clock with.
-    ``estimates`` (from :func:`estimate_cardinalities`) adds an
-    ``est=``/``ratio=`` column per operator so cardinality misestimates
-    are visible interactively.  ``provenance`` (node id → ``stats`` /
-    ``default``) and ``costs`` (node id → optimizer cost units) add
-    ``stats=`` and ``cost=`` columns when the cost-based optimizer
-    supplied them.
+    :func:`repro.engine.executor.execute_plan`, which is what runs the
+    plan.  Scan timing and pruning counters come from
+    ``scan_details[id(scan)]`` when the caller pre-measured them (the FE
+    read path).  Root-side operators are costed with ``cost_model`` over
+    their input rows — the same first-order model the FE charges the
+    clock with.  ``estimates`` (from
+    :func:`repro.optimizer.cardinality.estimate_with_stats`) adds an
+    ``est=``/``ratio=`` column per operator to the rendered text so
+    cardinality misestimates are visible interactively.  ``provenance``
+    (node id → ``stats`` / ``default``) and ``costs`` (node id →
+    optimizer cost units) add ``stats=`` and ``cost=`` columns when the
+    cost-based optimizer supplied them.
     """
+    scan_details = scan_details or {}
     stats: Dict[int, OperatorStats] = {}
-    batch = _run_analyzed(
-        plan, scan_source, stats, clock, cost_model, scan_details or {}
-    )
-    estimates = estimates or {}
-    provenance = provenance or {}
-    costs = costs or {}
-    lines: List[str] = []
-    _walk(
-        plan,
-        0,
-        lines,
-        annotate=lambda node: _annotation(
-            stats.get(id(node)),
-            estimates.get(id(node)),
-            provenance.get(id(node)),
-            costs.get(id(node)),
-        ),
-    )
-    return AnalyzeResult(
-        batch=batch, text="\n".join(lines), stats=stats, estimates=estimates
-    )
 
-
-def run_with_stats(
-    plan: Plan,
-    scan_source: Callable[[TableScan], Batch],
-    *,
-    clock=None,
-    cost_model=None,
-    scan_details: Optional[Dict[int, Dict[str, Any]]] = None,
-) -> Tuple[Batch, Dict[int, OperatorStats]]:
-    """Execute ``plan`` collecting per-operator stats, skipping the text.
-
-    The measurement half of :func:`explain_analyze` — what the query
-    store runs on every statement; rendering the annotated tree is left
-    to the interactive path that wants it.
-    """
-    stats: Dict[int, OperatorStats] = {}
-    batch = _run_analyzed(
-        plan, scan_source, stats, clock, cost_model, scan_details or {}
-    )
-    return batch, stats
-
-
-def _run_analyzed(
-    plan: Plan,
-    scan_source: Callable[[TableScan], Batch],
-    stats: Dict[int, OperatorStats],
-    clock,
-    cost_model,
-    scan_details: Dict[int, Dict[str, Any]],
-) -> Batch:
-    def recurse(node: Plan) -> Batch:
-        return _run_analyzed(
-            node, scan_source, stats, clock, cost_model, scan_details
+    def observe(node: Plan, result: Batch, inputs: List[Batch]) -> None:
+        details = dict(scan_details.get(id(node), {}))
+        sim_time_s = details.pop("sim_time_s", None)
+        if inputs and cost_model is not None:
+            input_rows = sum(num_rows(child) for child in inputs)
+            sim_time_s = cost_model.task_duration(input_rows, 0, 0)
+        stats[id(node)] = OperatorStats(
+            rows=num_rows(result), sim_time_s=sim_time_s, details=details
         )
 
-    if isinstance(plan, TableScan):
-        started = clock.now if clock is not None else None
-        batch = scan_source(plan)
-        missing = [c for c in plan.columns if c not in batch]
-        if missing:
-            raise PlanError(f"scan of {plan.table!r} missing columns {missing}")
-        out = {name: batch[name] for name in plan.columns}
-        details = dict(scan_details.get(id(plan), {}))
-        elapsed = details.pop("sim_time_s", None)
-        if elapsed is None and started is not None:
-            elapsed = clock.now - started
-        stats[id(plan)] = OperatorStats(
-            rows=num_rows(out), sim_time_s=elapsed, details=details
-        )
-        return out
-
-    if isinstance(plan, Filter):
-        children = [recurse(plan.child)]
-        result = operators.filter_batch(children[0], plan.predicate)
-    elif isinstance(plan, Project):
-        children = [recurse(plan.child)]
-        result = operators.project(children[0], plan.outputs)
-    elif isinstance(plan, Join):
-        children = [recurse(plan.left), recurse(plan.right)]
-        result = operators.join(
-            children[0],
-            children[1],
-            plan.left_keys,
-            plan.right_keys,
-            plan.how,
-            plan.algorithm,
-        )
-    elif isinstance(plan, Aggregate):
-        children = [recurse(plan.child)]
-        result = operators.aggregate(children[0], plan.group_keys, plan.aggs)
-    elif isinstance(plan, Sort):
-        children = [recurse(plan.child)]
-        result = operators.sort(children[0], plan.keys)
-    elif isinstance(plan, Limit):
-        children = [recurse(plan.child)]
-        result = operators.limit(children[0], plan.count)
-    else:
-        raise PlanError(f"unknown plan node {plan!r}")
-
-    input_rows = sum(num_rows(child) for child in children)
-    est = (
-        cost_model.task_duration(input_rows, 0, 0)
-        if cost_model is not None
-        else None
+    return PlanProfile(
+        batch=execute_plan(plan, scan_source, observe),
+        plan=plan,
+        stats=stats,
+        estimates=estimates or {},
+        provenance=provenance or {},
+        costs=costs or {},
     )
-    stats[id(plan)] = OperatorStats(rows=num_rows(result), sim_time_s=est)
-    return result
 
 
 def _annotation(
@@ -514,54 +328,46 @@ def _walk(
     lines: List[str],
     annotate: Optional[Callable[[Plan], str]] = None,
 ) -> None:
-    pad = "  " * depth
     suffix = annotate(plan) if annotate is not None else ""
+    lines.append("  " * depth + _describe(plan) + suffix)
+    for child in children(plan):
+        _walk(child, depth + 1, lines, annotate)
+
+
+def _describe(plan: Plan) -> str:
+    """One operator's line of plan text (no indentation, no annotation)."""
     if isinstance(plan, TableScan):
-        line = f"{pad}Scan {plan.table} [{', '.join(plan.columns)}]"
+        line = f"Scan {plan.table} [{', '.join(plan.columns)}]"
         if plan.predicate is not None:
             line += f" filter={format_expr(plan.predicate)}"
         if plan.prune:
             conjuncts = " AND ".join(f"{c} {op} {v!r}" for c, op, v in plan.prune)
             line += f" prune=({conjuncts})"
-        lines.append(line + suffix)
-        return
+        return line
     if isinstance(plan, Filter):
-        lines.append(f"{pad}Filter {format_expr(plan.predicate)}" + suffix)
-        _walk(plan.child, depth + 1, lines, annotate)
-        return
+        return f"Filter {format_expr(plan.predicate)}"
     if isinstance(plan, Project):
         outputs = ", ".join(
             f"{name}={format_expr(expr)}" for name, expr in plan.outputs.items()
         )
-        lines.append(f"{pad}Project [{outputs}]" + suffix)
-        _walk(plan.child, depth + 1, lines, annotate)
-        return
+        return f"Project [{outputs}]"
     if isinstance(plan, Join):
         keys = ", ".join(
             f"{l}={r}" for l, r in zip(plan.left_keys, plan.right_keys)
         )
-        lines.append(f"{pad}{join_label(plan)}[{plan.how}] on ({keys})" + suffix)
-        _walk(plan.left, depth + 1, lines, annotate)
-        _walk(plan.right, depth + 1, lines, annotate)
-        return
+        return f"{join_label(plan)}[{plan.how}] on ({keys})"
     if isinstance(plan, Aggregate):
         keys = ", ".join(plan.group_keys) if plan.group_keys else "<global>"
         aggs = ", ".join(
             f"{name}={func}({format_expr(expr) if expr is not None else '*'})"
             for name, (func, expr) in plan.aggs.items()
         )
-        lines.append(f"{pad}Aggregate group=[{keys}] [{aggs}]" + suffix)
-        _walk(plan.child, depth + 1, lines, annotate)
-        return
+        return f"Aggregate group=[{keys}] [{aggs}]"
     if isinstance(plan, Sort):
         keys = ", ".join(
             f"{column} {'ASC' if asc else 'DESC'}" for column, asc in plan.keys
         )
-        lines.append(f"{pad}Sort [{keys}]" + suffix)
-        _walk(plan.child, depth + 1, lines, annotate)
-        return
+        return f"Sort [{keys}]"
     if isinstance(plan, Limit):
-        lines.append(f"{pad}Limit {plan.count}" + suffix)
-        _walk(plan.child, depth + 1, lines, annotate)
-        return
+        return f"Limit {plan.count}"
     raise TypeError(f"unknown plan node {plan!r}")

@@ -201,12 +201,13 @@ def block_nested_loop_join(
     left_keys: Sequence[str],
     right_keys: Sequence[str],
     how: str = "inner",
-    block_rows: int = 256,
 ) -> Batch:
-    """Block nested-loop join: compare each left block against all right rows.
+    """Block nested-loop join: compare every left row against all right rows.
 
     The quadratic fallback — only sensible when one side is tiny.  Output
-    is byte-identical to :func:`hash_join` (left-major pair order).
+    is byte-identical to :func:`hash_join` (left-major pair order).  The
+    block size exists only in the optimizer's cost formula: over
+    materialized batches, blocking changes neither rows nor work.
     """
     _check_join_keys(left_keys, right_keys)
     left_rows = batch_mod.num_rows(left)
@@ -215,17 +216,12 @@ def block_nested_loop_join(
     left_cols = [left[k] for k in left_keys]
     left_indices: List[int] = []
     right_indices: List[int] = []
-    for start in range(0, left_rows, block_rows):
-        stop = min(start + block_rows, left_rows)
-        block = [
-            (row, tuple(col[row] for col in left_cols))
-            for row in range(start, stop)
-        ]
-        for row, key in block:
-            for r in range(right_rows):
-                if right_tuples[r] == key:
-                    left_indices.append(row)
-                    right_indices.append(r)
+    for row in range(left_rows):
+        key = tuple(col[row] for col in left_cols)
+        for r in range(right_rows):
+            if right_tuples[r] == key:
+                left_indices.append(row)
+                right_indices.append(r)
     li = np.asarray(left_indices, dtype=np.int64)
     ri = np.asarray(right_indices, dtype=np.int64)
     return _pairs_to_output(left, right, li, ri, how)
@@ -341,20 +337,24 @@ def sort(batch: Batch, keys: Sequence[Tuple[str, bool]]) -> Batch:
     if rows == 0:
         return batch
     order = np.arange(rows)
-    # Stable sorts applied from least-significant key to most-significant.
+    # Stable sorts applied from least-significant key to most-significant;
+    # a descending pass must keep ties in input order too, or it undoes
+    # the less significant keys.
     for column, ascending in reversed(list(keys)):
         values = batch[column][order]
         if values.dtype.kind == "O":
             perm = np.array(
-                sorted(range(len(values)), key=lambda i: values[i]), dtype=np.int64
+                sorted(
+                    range(rows), key=lambda i: values[i], reverse=not ascending
+                ),
+                dtype=np.int64,
             )
-        else:
+        elif ascending:
             perm = np.argsort(values, kind="stable")
-        if not ascending:
-            perm = perm[::-1]
-            # Reversal breaks stability for equal keys; restore it by a
-            # stable re-sort of the reversed ties only when needed.  For
-            # benchmark workloads ties on a descending key are harmless.
+        else:
+            # Stable descending: sort the reversed array ascending, then
+            # reverse the permutation and map it back to input positions.
+            perm = rows - 1 - np.argsort(values[::-1], kind="stable")[::-1]
         order = order[perm]
     return batch_mod.take(batch, order)
 

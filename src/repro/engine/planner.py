@@ -16,8 +16,8 @@ produces byte-identical output, so the choice only affects cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common.errors import PlanError
 from repro.engine.expressions import Expr
@@ -104,26 +104,52 @@ Plan = Union[TableScan, Filter, Project, Join, Aggregate, Sort, Limit]
 _UNARY_NODES = (Filter, Project, Aggregate, Sort, Limit)
 
 
-def scans_of(plan: Plan) -> List[TableScan]:
-    """All TableScan leaves of a plan, left-to-right.
+def children(node: Plan) -> Tuple["Plan", ...]:
+    """The direct subplans of ``node``, left to right.
 
-    Raises :class:`PlanError` on an unknown node type instead of
-    guessing a traversal — misattributing a scan would silently corrupt
-    cardinality estimates and snapshot resolution downstream.
+    The one place that knows the tree's shape.  Raises
+    :class:`PlanError` on an unknown node type instead of guessing a
+    traversal — misattributing a scan would silently corrupt cardinality
+    estimates and snapshot resolution downstream.
     """
-    if isinstance(plan, TableScan):
-        return [plan]
-    if isinstance(plan, Join):
-        return scans_of(plan.left) + scans_of(plan.right)
-    if isinstance(plan, _UNARY_NODES):
-        return scans_of(plan.child)
-    raise PlanError(f"unknown plan node {plan!r}")
+    if isinstance(node, TableScan):
+        return ()
+    if isinstance(node, Join):
+        return (node.left, node.right)
+    if isinstance(node, _UNARY_NODES):
+        return (node.child,)
+    raise PlanError(f"unknown plan node {node!r}")
+
+
+def map_children(node: Plan, fn: Callable[["Plan"], "Plan"]) -> Plan:
+    """A copy of ``node`` with ``fn`` applied to each direct subplan.
+
+    Scans have no subplans and are returned as they are.
+    """
+    subplans = children(node)
+    if not subplans:
+        return node
+    if isinstance(node, Join):
+        return replace(node, left=fn(node.left), right=fn(node.right))
+    return replace(node, child=fn(node.child))
+
+
+def preorder(plan: Plan) -> Iterator[Plan]:
+    """Every node of ``plan``, parents before children, left to right."""
+    yield plan
+    for child in children(plan):
+        yield from preorder(child)
+
+
+def scans_of(plan: Plan) -> List[TableScan]:
+    """All TableScan leaves of a plan, left-to-right."""
+    return [node for node in preorder(plan) if isinstance(node, TableScan)]
 
 
 def tables_of(plan: Plan) -> List[str]:
     """Distinct base tables referenced, in first-occurrence order.
 
-    Inherits the loud-failure behavior of :func:`scans_of` for unknown
+    Inherits the loud-failure behavior of :func:`children` for unknown
     plan node types.
     """
     tables: List[str] = []

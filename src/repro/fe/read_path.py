@@ -13,20 +13,14 @@ autonomous compaction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.dcp.cells import cells_for_snapshot
 from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
 from repro.engine.batch import Batch, concat_batches, empty_batch, num_rows
 from repro.engine.executor import execute_plan
-from repro.engine.explain import (
-    AnalyzeResult,
-    PlanProfile,
-    estimate_cardinalities,
-    explain_analyze,
-    run_with_stats,
-)
+from repro.engine.explain import PlanProfile, explain_analyze
 from repro.engine.operators import filter_batch
 from repro.engine.planner import Plan, TableScan, scans_of
 from repro.engine.statistics import collect_stats
@@ -36,6 +30,10 @@ from repro.fe.timetravel import snapshot_as_of
 from repro.fe.transaction import PolarisTransaction
 from repro.fe.write_path import _load_dv, _open_data_file
 from repro.lst.snapshot import TableSnapshot
+from repro.optimizer.cardinality import estimate_with_stats
+
+if TYPE_CHECKING:
+    from repro.optimizer.manager import PlanCatalog
 
 
 def scan_table(
@@ -149,30 +147,96 @@ def scan_table(
 
 
 def optimize_plan(
-    context: ServiceContext, txn: PolarisTransaction, plan: Plan
-) -> Plan:
-    """Run the cost-based rewrite pass over ``plan`` (identity without
-    statistics for every referenced table, or with the optimizer off)."""
-    if context.optimizer is None:
-        return plan
-    rewritten, _ = context.optimizer.rewrite(txn, plan)
-    return rewritten
-
-
-def _annotations(
     context: ServiceContext,
     txn: PolarisTransaction,
     plan: Plan,
-    scan_details: "Dict[int, Dict[str, Any]]",
-):
-    """(estimates, provenance, costs) for EXPLAIN-style rendering."""
-    scan_rows = {
-        scan_id: float(report.get("est_rows", 0))
-        for scan_id, report in scan_details.items()
-    }
-    if context.optimizer is not None:
-        return context.optimizer.annotate(txn, plan, scan_rows)
-    return estimate_cardinalities(plan, scan_rows), None, None
+    catalog: "Optional[PlanCatalog]" = None,
+) -> Plan:
+    """Run the cost-based rewrite pass over ``plan`` (identity without
+    statistics for every referenced table, or with the optimizer off).
+
+    ``catalog`` is the statement's ``optimizer.catalog_inputs`` when the
+    caller has already read them.
+    """
+    if context.optimizer is None:
+        return plan
+    rewritten, _ = context.optimizer.rewrite(txn, plan, catalog)
+    return rewritten
+
+
+def _run_query(
+    context: ServiceContext,
+    txn: PolarisTransaction,
+    plan: Plan,
+    as_of: "float | None",
+    observed: bool,
+) -> PlanProfile:
+    """The one query driver behind every ``execute_query*`` entry point.
+
+    The plan first passes through the cost-based optimizer (a no-op
+    until statistics exist); each base scan then runs as its own
+    distributed DAG; the residual plan (joins, aggregation, sort) runs
+    at the root, with its CPU cost charged to the simulated clock.  With
+    ``as_of``, every scan reads the tables' state at that timestamp
+    instead (Query As Of).  ``observed`` changes nothing about what runs
+    or what the clock is charged: it additionally has every scan fill a
+    pruning/row report and every operator record its stats, and prices
+    the plan's estimates from the same catalog statistics the rewrite
+    used (read once per statement).
+    """
+    optimizer = context.optimizer
+    catalog = None
+    if observed and optimizer is not None:
+        catalog = optimizer.catalog_inputs(txn, plan)
+    plan = optimize_plan(context, txn, plan, catalog)
+    scanned: Dict[int, Batch] = {}
+    scan_details: Dict[int, Dict[str, Any]] = {}
+    scan_rows = 0
+
+    def source(scan: TableScan) -> Batch:
+        return scanned[id(scan)]
+
+    for scan in scans_of(plan):
+        override = None
+        if as_of is not None:
+            table_row = describe_table(txn.root, scan.table)
+            override = snapshot_as_of(context, table_row["table_id"], as_of)
+        started = context.clock.now
+        report: Optional[Dict[str, Any]] = {} if observed else None
+        batch = scan_table(
+            context, txn, scan, snapshot_override=override, report=report
+        )
+        if report is not None:
+            report["sim_time_s"] = context.clock.now - started
+            scan_details[id(scan)] = report
+        scanned[id(scan)] = batch
+        scan_rows += num_rows(batch)
+
+    if observed:
+        base_rows = {
+            scan_id: float(report.get("est_rows", 0))
+            for scan_id, report in scan_details.items()
+        }
+        if optimizer is not None:
+            estimates, provenance, costs = optimizer.annotate(
+                plan, base_rows, catalog.stats
+            )
+        else:
+            estimates = estimate_with_stats(plan, base_rows, {})
+            provenance = costs = None
+        profile = explain_analyze(
+            plan,
+            source,
+            cost_model=context.cost_model,
+            scan_details=scan_details,
+            estimates=estimates,
+            provenance=provenance,
+            costs=costs,
+        )
+    else:
+        profile = PlanProfile(batch=execute_plan(plan, source), plan=plan, stats={})
+    context.clock.advance(context.cost_model.task_duration(scan_rows, 0, 0))
+    return profile
 
 
 def execute_query(
@@ -181,91 +245,9 @@ def execute_query(
     plan: Plan,
     as_of: "float | None" = None,
 ) -> Batch:
-    """Execute a full query plan within ``txn``'s snapshot.
-
-    The plan first passes through the cost-based optimizer (a no-op
-    until statistics exist); each base scan then runs as its own
-    distributed DAG; the residual plan (joins, aggregation, sort) runs
-    at the root, with its CPU cost charged to the simulated clock.  With
-    ``as_of``, every scan reads the tables' state at that timestamp
-    instead (Query As Of).
-    """
-    plan = optimize_plan(context, txn, plan)
-    scanned: Dict[int, Batch] = {}
-    scan_rows = 0
-
-    def source(scan: TableScan) -> Batch:
-        batch = scanned[id(scan)]
-        return batch
-
-    for scan in scans_of(plan):
-        override = None
-        if as_of is not None:
-            table_row = describe_table(txn.root, scan.table)
-            override = snapshot_as_of(context, table_row["table_id"], as_of)
-        batch = scan_table(context, txn, scan, snapshot_override=override)
-        scanned[id(scan)] = batch
-        scan_rows += num_rows(batch)
-
-    result = execute_plan(plan, source)
-    root_cost = context.cost_model.task_duration(scan_rows, 0, 0)
-    context.clock.advance(root_cost)
-    return result
-
-
-def execute_query_analyzed(
-    context: ServiceContext,
-    txn: PolarisTransaction,
-    plan: Plan,
-    as_of: "float | None" = None,
-) -> AnalyzeResult:
-    """EXPLAIN ANALYZE: run ``plan`` like :func:`execute_query`, annotated.
-
-    Identical execution path — optimizer rewrite, distributed scans
-    through the DCP, residual plan at the root, root CPU cost charged to
-    the clock — but every scan collects a pruning/row report and every
-    operator is timed, so the result carries the annotated operator tree
-    alongside the batch (estimates tagged with their ``stats``/``default``
-    provenance and optimizer cost when statistics exist).
-    """
-    plan = optimize_plan(context, txn, plan)
-    scanned: Dict[int, Batch] = {}
-    scan_details: Dict[int, Dict[str, Any]] = {}
-    scan_rows = 0
-
-    def source(scan: TableScan) -> Batch:
-        return scanned[id(scan)]
-
-    for scan in scans_of(plan):
-        override = None
-        if as_of is not None:
-            table_row = describe_table(txn.root, scan.table)
-            override = snapshot_as_of(context, table_row["table_id"], as_of)
-        started = context.clock.now
-        report: Dict[str, Any] = {}
-        batch = scan_table(
-            context, txn, scan, snapshot_override=override, report=report
-        )
-        report["sim_time_s"] = context.clock.now - started
-        scanned[id(scan)] = batch
-        scan_details[id(scan)] = report
-        scan_rows += num_rows(batch)
-
-    estimates, provenance, costs = _annotations(
-        context, txn, plan, scan_details
-    )
-    result = explain_analyze(
-        plan,
-        source,
-        cost_model=context.cost_model,
-        scan_details=scan_details,
-        estimates=estimates,
-        provenance=provenance,
-        costs=costs,
-    )
-    root_cost = context.cost_model.task_duration(scan_rows, 0, 0)
-    context.clock.advance(root_cost)
-    return result
+    """Execute a full query plan within ``txn``'s snapshot (see
+    :func:`_run_query`); with ``as_of``, time-travel the scans."""
+    return _run_query(context, txn, plan, as_of, observed=False).batch
 
 
 def execute_query_profiled(
@@ -274,46 +256,28 @@ def execute_query_profiled(
     plan: Plan,
     as_of: "float | None" = None,
 ) -> PlanProfile:
-    """Run ``plan`` collecting per-operator stats without rendering text.
+    """Run ``plan`` like :func:`execute_query`, observed.
 
-    The query-store execution path: identical clock charges to
-    :func:`execute_query` (distributed scans, root CPU cost), plus the
-    same pruning reports and operator stats as
-    :func:`execute_query_analyzed` minus the annotated-tree rendering —
-    cheap enough to run on every statement.  The returned profile
-    carries the *optimized* plan so the query store fingerprints what
-    actually ran.
+    The query-store execution path: identical results and clock
+    charges, plus pruning reports and per-operator stats — cheap enough
+    to run on every statement, since the annotated text is rendered
+    only if someone reads it.  The returned profile carries the
+    *optimized* plan so the query store fingerprints what actually ran.
     """
-    plan = optimize_plan(context, txn, plan)
-    scanned: Dict[int, Batch] = {}
-    scan_details: Dict[int, Dict[str, Any]] = {}
-    scan_rows = 0
+    return _run_query(context, txn, plan, as_of, observed=True)
 
-    def source(scan: TableScan) -> Batch:
-        return scanned[id(scan)]
 
-    for scan in scans_of(plan):
-        override = None
-        if as_of is not None:
-            table_row = describe_table(txn.root, scan.table)
-            override = snapshot_as_of(context, table_row["table_id"], as_of)
-        started = context.clock.now
-        report: Dict[str, Any] = {}
-        batch = scan_table(
-            context, txn, scan, snapshot_override=override, report=report
-        )
-        report["sim_time_s"] = context.clock.now - started
-        scanned[id(scan)] = batch
-        scan_details[id(scan)] = report
-        scan_rows += num_rows(batch)
-
-    estimates, _, _ = _annotations(context, txn, plan, scan_details)
-    batch, stats = run_with_stats(
-        plan, source, cost_model=context.cost_model, scan_details=scan_details
-    )
-    root_cost = context.cost_model.task_duration(scan_rows, 0, 0)
-    context.clock.advance(root_cost)
-    return PlanProfile(batch=batch, stats=stats, estimates=estimates, plan=plan)
+def execute_query_analyzed(
+    context: ServiceContext,
+    txn: PolarisTransaction,
+    plan: Plan,
+    as_of: "float | None" = None,
+) -> PlanProfile:
+    """EXPLAIN ANALYZE: the same observed run as
+    :func:`execute_query_profiled`; the caller reads ``.text`` for the
+    annotated operator tree (estimates tagged with their ``stats`` /
+    ``default`` provenance and optimizer cost when statistics exist)."""
+    return _run_query(context, txn, plan, as_of, observed=True)
 
 
 def _prune_snapshot(snapshot: TableSnapshot, prune) -> TableSnapshot:

@@ -208,11 +208,11 @@ class Session:
 
     def explain_analyze(
         self, plan: Plan, as_of: Optional[float] = None
-    ) -> "read_path.AnalyzeResult":
+    ) -> "read_path.PlanProfile":
         """EXPLAIN ANALYZE: execute ``plan`` and annotate its operators.
 
         Runs exactly like :meth:`query` (same DCP scans, same clock
-        charges) but returns an :class:`~repro.engine.explain.AnalyzeResult`
+        charges) but returns a :class:`~repro.engine.explain.PlanProfile`
         whose ``text`` shows per-operator rows, simulated time, and file /
         row-group pruning counts, with the output batch on ``.batch``.
         """

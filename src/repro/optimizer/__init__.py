@@ -7,8 +7,9 @@ The subsystem that makes plan choice data-driven (top ROADMAP item):
   with the snapshot sequence in the ``TableStats`` catalog table.
 * :mod:`repro.optimizer.indexes` — sorted-run secondary index files
   over the pagefile format, with covered-file staleness defence.
-* :mod:`repro.optimizer.cardinality` — stats-aware estimates with
-  ``stats``/``default`` provenance per plan node.
+* :mod:`repro.optimizer.cardinality` — the one cardinality estimator:
+  stats-aware, named defaults without stats, ``stats``/``default``
+  provenance per plan node.
 * :mod:`repro.optimizer.cost` — the cost model pricing scans, the join
   zoo (hash / sort-merge / index-nested-loop / block-nested-loop) and
   aggregates.

@@ -1,10 +1,11 @@
-"""Statistics-aware cardinality estimation.
+"""Cardinality estimation: the one estimator, with or without statistics.
 
-Mirrors the walk of :func:`repro.engine.explain.estimate_cardinalities`
-but consults collected :class:`~repro.optimizer.statistics.TableStatistics`
-wherever they exist, falling back to the named
-:class:`~repro.engine.explain.DefaultSelectivity` table per *table* (not
-per query) when they don't.  Every estimate records its provenance —
+:func:`estimate_with_stats` walks a plan once and prices every node from
+collected :class:`~repro.optimizer.statistics.TableStatistics` wherever
+they exist, falling back to the named :class:`DefaultSelectivity` table
+per *table* (not per query) when they don't — so
+``estimate_with_stats(plan, scan_rows, {})`` is the stats-free default
+every deployment starts from.  Every estimate records its provenance —
 ``stats`` or ``default`` — so EXPLAIN can show which path produced it.
 
 Formulas (System-R lineage, see ``docs/OPTIMIZER.md``):
@@ -16,16 +17,11 @@ Formulas (System-R lineage, see ``docs/OPTIMIZER.md``):
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import PlanError
-from repro.engine.explain import (
-    DEFAULT_SELECTIVITY,
-    PROVENANCE_DEFAULT,
-    PROVENANCE_STATS,
-    DefaultSelectivity,
-    clamp_estimate,
-)
 from repro.engine.expressions import BinOp, BoolOp, Col, InList, Lit, Not
 from repro.engine.planner import (
     Aggregate,
@@ -38,6 +34,48 @@ from repro.engine.planner import (
     TableScan,
 )
 from repro.optimizer.statistics import ColumnStatistics, TableStatistics
+
+
+@dataclass(frozen=True)
+class DefaultSelectivity:
+    """Textbook fallback selectivities, used only without collected stats.
+
+    The classic System R defaults: a predicate keeps one third of its
+    input, each zone-map pruning conjunct keeps one half, a join carries
+    its larger input (a semi/anti join at most its left input), a
+    grouped aggregate emits ``sqrt(input)`` groups.  Histogram/NDV-derived
+    numbers replace every one of these once ``ANALYZE`` has run on the
+    tables involved; when they do, the per-node provenance map records
+    ``stats`` instead of ``default`` so EXPLAIN shows which path
+    produced each estimate.
+    """
+
+    #: Fraction of input rows assumed to survive a predicate.
+    predicate: float = 1.0 / 3.0
+    #: Fraction of a scan's rows assumed to survive one pruning conjunct.
+    prune: float = 0.5
+
+    def group_count(self, input_rows: float) -> float:
+        """Assumed distinct-group count of a grouped aggregate."""
+        return math.ceil(math.sqrt(input_rows))
+
+
+#: The shared default-selectivity table.
+DEFAULT_SELECTIVITY = DefaultSelectivity()
+
+#: Estimate-provenance tags recorded per plan node: ``default`` means a
+#: :class:`DefaultSelectivity` guess, ``stats`` means collected ANALYZE
+#: statistics drove the number.
+PROVENANCE_DEFAULT = "default"
+PROVENANCE_STATS = "stats"
+
+
+def clamp_estimate(value: float) -> int:
+    """Round an estimate; a nonzero fraction means "some rows", never zero."""
+    if value >= 1.0:
+        return int(round(value))
+    return 1 if value > 0 else 0
+
 
 #: Maps every column name to its table's statistics (TPC-H column names
 #: are globally unique, which the binder already relies on).
@@ -181,11 +219,15 @@ def estimate_with_stats(
 ) -> Dict[int, int]:
     """Per-node output estimates, stats-driven where stats exist.
 
-    ``scan_rows`` supplies the default-path base cardinality per scan id
-    (live snapshot rows, as in the stats-free estimator); tables present
-    in ``stats_by_table`` use their collected row counts, histograms and
-    feedback factors instead.  ``provenance`` (node id → ``stats`` /
-    ``default``) records which path priced each node.
+    ``scan_rows`` supplies the default-path base cardinality per scan id:
+    the table's live row count (file rows minus deletion-vector
+    cardinalities), the statistic the snapshot manifest maintains
+    without any ANALYZE.  Tables present in ``stats_by_table`` use their
+    collected row counts, histograms and feedback factors instead.
+    ``provenance`` (node id → ``stats`` / ``default``) records which
+    path priced each node.  Without statistics the point is not
+    precision — it is producing an estimate the query store can compare
+    against actuals, turning misestimates into recorded feedback.
     """
     columns = column_map(stats_by_table)
     estimates: Dict[int, int] = {}

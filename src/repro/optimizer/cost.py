@@ -19,7 +19,7 @@ Every formula is documented in ``docs/OPTIMIZER.md``.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.common.errors import PlanError
 from repro.engine.planner import (
@@ -100,18 +100,13 @@ def choose_join_algorithm(
 
 
 def plan_costs(
-    plan: Plan,
-    estimates: Dict[int, int],
-    indexed_keys: Optional[Set[Tuple[str, str]]] = None,
-    block_rows: int = 256,
+    plan: Plan, estimates: Dict[int, int], block_rows: int = 256
 ) -> Dict[int, float]:
     """Cumulative (subtree) cost per plan node, keyed by ``id(node)``.
 
     ``estimates`` comes from the cardinality estimator (stats-aware or
-    default); ``indexed_keys`` holds ``(table, column)`` pairs that have
-    a secondary index, which makes ``index_nl`` pricing honest.
+    default).
     """
-    indexed = indexed_keys or set()
     costs: Dict[int, float] = {}
 
     def rows(node: Plan) -> float:
@@ -146,8 +141,3 @@ def plan_costs(
 
     walk(plan)
     return costs
-
-
-def scan_has_index(scan: Plan, key: str, indexed: Set[Tuple[str, str]]) -> bool:
-    """Whether ``scan`` is a base-table scan with an index on ``key``."""
-    return isinstance(scan, TableScan) and (scan.table, key) in indexed

@@ -22,7 +22,7 @@ correction factor into the new statistics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,6 +45,15 @@ from repro.storage.paths import index_file_path
 if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
     from repro.fe.transaction import PolarisTransaction
+
+
+class PlanCatalog(NamedTuple):
+    """What the catalog knows about one statement's base tables."""
+
+    #: Newest visible statistics per table name (absent ones omitted).
+    stats: Dict[str, TableStatistics]
+    #: ``(table, column)`` pairs that have a secondary index.
+    indexed: Set[Tuple[str, str]]
 
 
 class QueryOptimizer:
@@ -218,42 +227,45 @@ class QueryOptimizer:
 
     # -- plan rewriting -------------------------------------------------------
 
-    def statistics_for_plan(
+    def catalog_inputs(
         self, txn: "PolarisTransaction", plan: Plan
-    ) -> Dict[str, TableStatistics]:
-        """Newest visible statistics per base table (absent ones omitted)."""
+    ) -> "PlanCatalog":
+        """Read what the catalog knows about ``plan``'s base tables.
+
+        One pass per statement: the rewrite and the EXPLAIN annotation
+        of the same statement share the result (a rewrite never changes
+        which tables a plan references).
+        """
         from repro.fe.catalog import describe_table
 
-        out: Dict[str, TableStatistics] = {}
+        stats: Dict[str, TableStatistics] = {}
+        indexed: Set[Tuple[str, str]] = set()
         for table in tables_of(plan):
             table_id = describe_table(txn.root, table)["table_id"]
             sequence = txn.visible_sequence(table_id)
             row = catalog.latest_table_stats(txn.root, table_id, sequence)
             if row is not None:
-                out[table] = TableStatistics.from_row(row)
-        return out
-
-    def indexed_keys(
-        self, txn: "PolarisTransaction", plan: Plan
-    ) -> Set[Tuple[str, str]]:
-        """``(table, column)`` pairs with a secondary index, plan-wide."""
-        from repro.fe.catalog import describe_table
-
-        out: Set[Tuple[str, str]] = set()
-        for table in tables_of(plan):
-            table_id = describe_table(txn.root, table)["table_id"]
-            for row in catalog.indexes_for_table(txn.root, table_id):
-                out.add((table, row["column"]))
-        return out
+                stats[table] = TableStatistics.from_row(row)
+            for index_row in catalog.indexes_for_table(txn.root, table_id):
+                indexed.add((table, index_row["column"]))
+        return PlanCatalog(stats, indexed)
 
     def rewrite(
-        self, txn: "PolarisTransaction", plan: Plan
+        self,
+        txn: "PolarisTransaction",
+        plan: Plan,
+        inputs: "Optional[PlanCatalog]" = None,
     ) -> Tuple[Plan, RewriteInfo]:
-        """Cost-based rewrite of ``plan`` (identity without full stats)."""
+        """Cost-based rewrite of ``plan`` (identity without full stats).
+
+        ``inputs`` are the statement's already-read :meth:`catalog_inputs`,
+        if the caller has them.
+        """
         if not self._config.enabled:
             return plan, RewriteInfo()
-        stats = self.statistics_for_plan(txn, plan)
-        indexed = self.indexed_keys(txn, plan)
+        if inputs is None:
+            inputs = self.catalog_inputs(txn, plan)
+        stats, indexed = inputs
         new_plan, info = rewrite_plan(plan, stats, indexed, self._config)
         tel = self._context.telemetry
         if tel.metering and info.applied:
@@ -272,22 +284,16 @@ class QueryOptimizer:
 
     def annotate(
         self,
-        txn: "PolarisTransaction",
         plan: Plan,
         scan_rows: Dict[int, float],
+        stats: Dict[str, TableStatistics],
     ) -> Tuple[Dict[int, int], Dict[int, str], Dict[int, float]]:
         """Estimates, provenance and costs for EXPLAIN annotation."""
-        stats = self.statistics_for_plan(txn, plan)
         provenance: Dict[int, str] = {}
         estimates = cardinality.estimate_with_stats(
             plan, scan_rows, stats, provenance=provenance
         )
-        costs = plan_costs(
-            plan,
-            estimates,
-            self.indexed_keys(txn, plan),
-            self._config.block_nl_rows,
-        )
+        costs = plan_costs(plan, estimates, self._config.block_nl_rows)
         return estimates, provenance, costs
 
     # -- index pruning --------------------------------------------------------

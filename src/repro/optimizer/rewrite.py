@@ -31,12 +31,13 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.config import OptimizerConfig
-from repro.engine.explain import DEFAULT_SELECTIVITY
 from repro.engine.planner import (
     Join,
     Plan,
     TableScan,
-    _UNARY_NODES,
+    children,
+    map_children,
+    preorder,
     tables_of,
 )
 from repro.optimizer import cardinality
@@ -128,11 +129,7 @@ def _propagate_equalities(
                 return node
             info.transitive_conjuncts += len(extra)
             return replace(node, prune=node.prune + tuple(extra))
-        if isinstance(node, Join):
-            return replace(node, left=apply(node.left), right=apply(node.right))
-        if isinstance(node, _UNARY_NODES):
-            return replace(node, child=apply(node.child))
-        return node
+        return map_children(node, apply)
 
     return apply(plan)
 
@@ -153,17 +150,10 @@ def _equivalence_classes(plan: Plan) -> List[Set[str]]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    def walk(node: Plan) -> None:
-        if isinstance(node, Join):
-            if node.how == "inner":
-                for l_key, r_key in zip(node.left_keys, node.right_keys):
-                    union(l_key, r_key)
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, _UNARY_NODES):
-            walk(node.child)
-
-    walk(plan)
+    for node in preorder(plan):
+        if isinstance(node, Join) and node.how == "inner":
+            for l_key, r_key in zip(node.left_keys, node.right_keys):
+                union(l_key, r_key)
     groups: Dict[str, Set[str]] = {}
     for col in parent:
         groups.setdefault(find(col), set()).add(col)
@@ -182,12 +172,11 @@ def _inner_scans(plan: Plan) -> List[TableScan]:
     def walk(node: Plan) -> None:
         if isinstance(node, TableScan):
             out.append(node)
-        elif isinstance(node, Join):
+        elif isinstance(node, Join) and node.how != "inner":
             walk(node.left)
-            if node.how == "inner":
-                walk(node.right)
-        elif isinstance(node, _UNARY_NODES):
-            walk(node.child)
+        else:
+            for child in children(node):
+                walk(child)
 
     walk(plan)
     return out
@@ -233,8 +222,6 @@ def _reorder_joins(
     """Greedily reorder every maximal inner-join tree in the plan."""
 
     def walk(node: Plan) -> Plan:
-        if isinstance(node, TableScan):
-            return node
         if isinstance(node, Join):
             tree = _flatten_joins(node)
             if tree is not None and len(tree.leaves) > 1:
@@ -244,10 +231,7 @@ def _reorder_joins(
                         info.reordered = True
                         return rebuilt
                     return node
-            return replace(node, left=walk(node.left), right=walk(node.right))
-        if isinstance(node, _UNARY_NODES):
-            return replace(node, child=walk(node.child))
-        return node
+        return map_children(node, walk)
 
     return walk(plan)
 
@@ -267,9 +251,7 @@ def _greedy_order(
         stats = stats_by_table.get(leaf.table)
         if stats is None:
             return None, False
-        leaf_est[id(leaf)] = cardinality.scan_estimate(
-            leaf, stats, DEFAULT_SELECTIVITY
-        )
+        leaf_est[id(leaf)] = cardinality.scan_estimate(leaf, stats)
     # Which leaf owns which condition columns (column names are unique
     # across tables, enforced by the binder).
     owner: Dict[str, TableScan] = {}
@@ -356,8 +338,6 @@ def _choose_algorithms(
     estimates = cardinality.estimate_with_stats(plan, {}, stats_by_table)
 
     def walk(node: Plan) -> Plan:
-        if isinstance(node, TableScan):
-            return node
         if isinstance(node, Join):
             left = walk(node.left)
             right = walk(node.right)
@@ -378,8 +358,6 @@ def _choose_algorithms(
             return replace(
                 node, left=left, right=right, algorithm=algorithm
             )
-        if isinstance(node, _UNARY_NODES):
-            return replace(node, child=walk(node.child))
-        return node
+        return map_children(node, walk)
 
     return walk(plan)

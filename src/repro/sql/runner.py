@@ -9,11 +9,7 @@ import numpy as np
 
 from repro.engine.batch import Batch, num_rows
 from repro.engine.executor import dict_scan_source, execute_plan
-from repro.engine.explain import (
-    AnalyzeResult,
-    explain as explain_plan,
-    operator_summaries,
-)
+from repro.engine.explain import explain as explain_plan, operator_summaries
 from repro.engine.expressions import Lit
 from repro.fe.catalog import describe_table, table_schema
 from repro.fe.session import Session
@@ -146,8 +142,7 @@ class SqlSession:
             # Plain EXPLAIN shows what *would* run: the plan after the
             # cost-based optimizer's rewrite (a no-op without statistics).
             return explain_plan(self.session.optimized_plan(plan))
-        result: AnalyzeResult = self.session.explain_analyze(plan)
-        return result.text
+        return self.session.explain_analyze(plan).text
 
     # -- statement kinds ------------------------------------------------------
 
@@ -169,10 +164,11 @@ class SqlSession:
             profile = self.session.query_profiled(plan)
             # Fingerprint the plan that actually ran — the optimizer may
             # have rewritten join order/algorithms before execution.
-            executed = profile.plan if profile.plan is not None else plan
             pending.record_plan(
-                explain_plan(executed),
-                operator_summaries(executed, profile.stats, profile.estimates),
+                explain_plan(profile.plan),
+                operator_summaries(
+                    profile.plan, profile.stats, profile.estimates
+                ),
             )
             return profile.batch
         return self.session.query(plan)

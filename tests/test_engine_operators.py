@@ -167,6 +167,29 @@ class TestSortLimit:
             (1, 1), (1, 2), (2, 0), (2, 1)
         ]
 
+    @pytest.mark.parametrize("as_object", [False, True])
+    @pytest.mark.parametrize("minor_ascending", [True, False])
+    @pytest.mark.parametrize("major_ascending", [True, False])
+    def test_multi_key_sort_with_duplicate_major_keys(
+        self, major_ascending, minor_ascending, as_object
+    ):
+        # Every major key repeats, so a descending pass that reverses
+        # ties would scramble the minor key inside each group.
+        rows = [(a, b) for b in (2, 0, 3, 1) for a in (1, 3, 2)]
+        if as_object:
+            rows = [(f"k{a}", f"k{b}") for a, b in rows]
+        batch = from_rows(["a", "b"], rows)
+        assert (batch["a"].dtype.kind == "O") == as_object
+        out = sort(batch, [("a", major_ascending), ("b", minor_ascending)])
+        expected = sorted(rows, key=lambda r: r[1], reverse=not minor_ascending)
+        expected.sort(key=lambda r: r[0], reverse=not major_ascending)
+        assert list(zip(out["a"].tolist(), out["b"].tolist())) == expected
+
+    def test_descending_sort_keeps_ties_in_input_order(self):
+        batch = from_rows(["k", "pos"], [(1, 0), (2, 1), (1, 2), (2, 3)])
+        out = sort(batch, [("k", False)])
+        assert out["pos"].tolist() == [1, 3, 0, 2]
+
     def test_sort_strings(self):
         out = sort(RIGHT, [("name", True)])
         assert out["name"].tolist() == ["four", "one", "two"]

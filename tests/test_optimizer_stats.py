@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from repro import Schema, Warehouse
+from repro.engine.expressions import BinOp, Col, Lit
+from repro.engine.planner import Aggregate, Join, TableScan
+from repro.optimizer.cardinality import (
+    PROVENANCE_DEFAULT,
+    PROVENANCE_STATS,
+    estimate_with_stats,
+)
 from repro.optimizer.statistics import (
     ColumnStatistics,
     TableStatistics,
@@ -216,6 +223,55 @@ class TestAnalyzeStatement:
         session.sql("ANALYZE t")
         names = session.sql("SELECT name FROM sys.dm_metrics")["name"]
         assert "optimizer.analyze.runs" in set(str(n) for n in names)
+
+
+class TestStatsFreeEstimator:
+    """``estimate_with_stats(plan, scan_rows, {})``: the one default path."""
+
+    def estimate(self, plan, scan_rows):
+        provenance = {}
+        estimates = estimate_with_stats(
+            plan,
+            {id(scan): float(rows) for scan, rows in scan_rows},
+            {},
+            provenance=provenance,
+        )
+        return estimates, provenance
+
+    def test_scan_charges_prune_default_once_per_conjunct(self):
+        scan = TableScan(
+            "t",
+            ("id",),
+            predicate=BinOp("<", Col("id"), Lit(50)),
+            prune=(("id", ">=", 10), ("id", "<", 50)),
+        )
+        estimates, provenance = self.estimate(scan, [(scan, 1200)])
+        # 1200 x 1/2 x 1/2 (two conjuncts) x 1/3 (residual predicate).
+        assert estimates[id(scan)] == 100
+        assert provenance[id(scan)] == PROVENANCE_DEFAULT
+
+    def test_join_carries_larger_input_and_semi_anti_cap_at_left(self):
+        small = TableScan("a", ("ak",))
+        large = TableScan("b", ("bk",))
+        rows = [(small, 10), (large, 1000)]
+        for how, expected in (("inner", 1000), ("left-semi", 10), ("left-anti", 10)):
+            join = Join(small, large, ("ak",), ("bk",), how=how)
+            estimates, provenance = self.estimate(join, rows)
+            assert estimates[id(join)] == expected, how
+            assert provenance[id(join)] == PROVENANCE_DEFAULT
+
+    def test_aggregates(self):
+        scan = TableScan("t", ("g", "v"))
+        grouped = Aggregate(scan, ("g",), {"n": ("count", None)})
+        estimates, provenance = self.estimate(grouped, [(scan, 400)])
+        assert estimates[id(grouped)] == 20  # sqrt(input) groups
+        assert provenance[id(grouped)] == PROVENANCE_DEFAULT
+        # A global aggregate emits exactly one row whatever is known.
+        total = Aggregate(scan, (), {"n": ("count", None)})
+        estimates, provenance = self.estimate(total, [(scan, 400)])
+        assert estimates[id(total)] == 1
+        assert provenance[id(total)] == PROVENANCE_STATS
+        assert provenance[id(scan)] == PROVENANCE_DEFAULT
 
 
 class TestExplainProvenance:

@@ -5,6 +5,11 @@ memory (plain executor, no storage involved) and once through the full
 Polaris stack (LST files on the object store, distributed scans, snapshot
 reconstruction) — and the results must match row for row.  This validates
 the entire storage and read path against a trusted oracle.
+
+A second, metamorphic check runs every query through the three read
+entry points (plain, profiled for the query store, EXPLAIN ANALYZE) on
+three identically built warehouses: observing a run must change neither
+a byte of the result nor a tick of the simulated clock.
 """
 
 import numpy as np
@@ -13,6 +18,7 @@ import pytest
 from repro import Warehouse
 from repro.engine.batch import num_rows
 from repro.engine.executor import dict_scan_source, execute_plan
+from repro.engine.planner import preorder
 from repro.workloads.tpch import TPCH_QUERIES, TpchGenerator
 from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
 from tests.conftest import small_config
@@ -21,15 +27,28 @@ SCALE = 0.05
 
 
 @pytest.fixture(scope="module")
-def setup():
-    generator = TpchGenerator(scale_factor=SCALE, seed=42)
-    tables = generator.all_tables()
+def tables():
+    return TpchGenerator(scale_factor=SCALE, seed=42).all_tables()
+
+
+def loaded_warehouse(tables) -> Warehouse:
     dw = Warehouse(config=small_config(), auto_optimize=False)
     session = dw.session()
     for name, batch in tables.items():
         session.create_table(name, TPCH_SCHEMAS[name], TPCH_DISTRIBUTION[name])
         session.insert(name, batch)
-    return session, dict_scan_source(tables)
+    return dw
+
+
+@pytest.fixture(scope="module")
+def setup(tables):
+    return loaded_warehouse(tables).session(), dict_scan_source(tables)
+
+
+@pytest.fixture(scope="module")
+def triplet(tables):
+    """Three warehouses with identical histories, one per entry point."""
+    return [loaded_warehouse(tables) for _ in range(3)]
 
 
 def canonical(batch):
@@ -62,3 +81,33 @@ def test_query_equivalence(qnum, setup):
         assert num_rows(actual) == num_rows(expected)
     else:
         assert canonical(actual) == canonical(expected)
+
+
+def assert_byte_identical(actual, expected):
+    assert list(actual) == list(expected), "column names or order differ"
+    for name, want in expected.items():
+        got = actual[name]
+        assert got.dtype == want.dtype, name
+        if want.dtype.kind == "O":
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("qnum", sorted(TPCH_QUERIES))
+def test_observed_runs_match_plain_run(qnum, triplet):
+    plain_dw, profiled_dw, analyzed_dw = triplet
+    plan = TPCH_QUERIES[qnum]()
+    plain = plain_dw.session().query(plan)
+    profile = profiled_dw.session().query_profiled(plan)
+    analyzed = analyzed_dw.session().explain_analyze(plan)
+    assert_byte_identical(profile.batch, plain)
+    assert_byte_identical(analyzed.batch, plain)
+    # Identical histories, so not just the elapsed time but the absolute
+    # simulated clocks must agree, to the last bit.
+    assert profiled_dw.clock.now == plain_dw.clock.now
+    assert analyzed_dw.clock.now == plain_dw.clock.now
+    # Every operator of the executed plan was observed (stats are keyed
+    # by node identity; several queries reuse a subplan object).
+    for result in (profile, analyzed):
+        assert set(result.stats) == {id(node) for node in preorder(result.plan)}
