@@ -1,9 +1,10 @@
 """Vectorized query engine.
 
 Single-node execution (the role SQL Server plays on each BE node) works on
-column batches — dicts of numpy arrays — with materialized operators:
-filter, project, the join zoo (hash, sort-merge, index- and block-nested
-loop), grouped aggregation, sort, limit.  Plans (:mod:`planner`) are
+column batches — dicts of numpy arrays — with materialized,
+column-at-a-time operators: filter, project, equi-join (one kernel under
+the four algorithm names the optimizer prices: hash, sort-merge, index-
+and block-nested loop), grouped aggregation, sort, limit.  Plans (:mod:`planner`) are
 built programmatically — the 22 TPC-H queries in
 :mod:`repro.workloads.tpch.queries` do — or bound from SQL text by
 :mod:`repro.sql`; either way a statement is compiled once and

@@ -10,6 +10,7 @@ comparisons are plain integer operations.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple, Union
@@ -101,6 +102,9 @@ class Substr:
 
 Expr = Union[Col, Lit, BinOp, BoolOp, Not, Like, InList, Case, Year, Substr]
 
+#: ``date.toordinal()`` of 1970-01-01, the zero of numpy's ``datetime64``.
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
 
 def and_(*args: Expr) -> Expr:
     """Convenience n-ary AND."""
@@ -147,20 +151,21 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
     if isinstance(expr, Not):
         return ~_as_bool(_eval(expr.arg, batch, rows))
     if isinstance(expr, Like):
+        # One regex call per string; waits for dictionary-coded strings
+        # from the pagefile item (match once per dictionary entry).
         values = _eval(expr.arg, batch, rows)
-        regex = _like_regex(expr.pattern)
+        match = _like_regex(expr.pattern).fullmatch
         return np.fromiter(
-            (regex.fullmatch(str(v)) is not None for v in values),
-            dtype=bool,
-            count=len(values),
+            map(bool, map(match, _as_strings(values))), dtype=bool, count=rows
         )
     if isinstance(expr, InList):
         values = _eval(expr.arg, batch, rows)
-        allowed = set(expr.values)
         if values.dtype.kind in ("i", "u", "f", "b"):
-            return np.isin(values, list(allowed))
+            return np.isin(values, expr.values)
+        # One set probe per string; waits for dictionary-coded strings too.
+        allowed = frozenset(expr.values)
         return np.fromiter(
-            (v in allowed for v in values), dtype=bool, count=len(values)
+            map(allowed.__contains__, values), dtype=bool, count=rows
         )
     if isinstance(expr, Case):
         cond = _as_bool(_eval(expr.cond, batch, rows))
@@ -168,20 +173,17 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
         orelse = _eval(expr.orelse, batch, rows)
         return np.where(cond, then, orelse)
     if isinstance(expr, Year):
-        days = _eval(expr.arg, batch, rows)
-        return np.fromiter(
-            (datetime.date.fromordinal(int(d)).year for d in days),
-            dtype=np.int64,
-            count=len(days),
-        )
+        days = _eval(expr.arg, batch, rows).astype(np.int64) - _EPOCH_ORDINAL
+        years = days.astype("datetime64[D]").astype("datetime64[Y]")
+        return years.astype(np.int64) + 1970
     if isinstance(expr, Substr):
+        # One slice per string; waits for dictionary-coded strings too.
         values = _eval(expr.arg, batch, rows)
         lo = expr.start - 1
-        hi = lo + expr.length
-        out = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            out[i] = str(v)[lo:hi]
-        return out
+        piece = operator.itemgetter(slice(lo, lo + expr.length))
+        return np.fromiter(
+            map(piece, _as_strings(values)), dtype=object, count=rows
+        )
     raise PlanError(f"unknown expression node {expr!r}")
 
 
@@ -216,23 +218,15 @@ def _binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     if op in _ARITHMETIC:
         return _ARITHMETIC[op](left, right)
     if op in _COMPARISONS:
-        if left.dtype.kind == "O" or right.dtype.kind == "O":
-            # Object (string) comparison: numpy ufuncs on object arrays
-            # fall back to Python semantics anyway; make it explicit.
-            pairs = zip(left, right)
-            py_op = {
-                "==": lambda a, b: a == b,
-                "!=": lambda a, b: a != b,
-                "<": lambda a, b: a < b,
-                "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b,
-                ">=": lambda a, b: a >= b,
-            }[op]
-            return np.fromiter(
-                (py_op(a, b) for a, b in pairs), dtype=bool, count=len(left)
-            )
+        # On object (string) columns the comparison ufuncs apply Python's
+        # operator per element themselves and still return a bool array.
         return _COMPARISONS[op](left, right)
     raise PlanError(f"unknown binary operator {op!r}")
+
+
+def _as_strings(values: np.ndarray) -> np.ndarray:
+    """String operands as they are; anything else by its ``str()``."""
+    return values if values.dtype.kind == "O" else values.astype(str)
 
 
 def _as_bool(values: np.ndarray) -> np.ndarray:

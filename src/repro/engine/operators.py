@@ -1,10 +1,15 @@
-"""Materialized relational operators over column batches."""
+"""Materialized relational operators over column batches.
+
+Joins and GROUP BY share one *key factoriser*: 1..n key columns become
+one ``int64`` code array in which equal keys — and only equal keys — have
+equal codes.  One pair kernel (:func:`_equi_pairs`) serves every join
+algorithm name and one grouping kernel serves :func:`aggregate`; both
+work a column at a time, never a Python tuple per row.
+"""
 
 from __future__ import annotations
 
-import bisect
-from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,29 +44,119 @@ def project(batch: Batch, outputs: Dict[str, Expr]) -> Batch:
     return {name: evaluate(expr, batch) for name, expr in outputs.items()}
 
 
-def _check_join_keys(
-    left_keys: Sequence[str], right_keys: Sequence[str]
-) -> None:
+#: Mixed-radix key codes stay below this; a column that would push the
+#: product past it is re-densified first (then radix <= rows per column).
+_MAX_RADIX = 1 << 62
+
+
+def _densify(codes: np.ndarray, equal_nan: bool = True) -> Tuple[np.ndarray, int]:
+    """Dense ranks of ``codes`` and how many distinct values there are."""
+    distinct, ranks = np.unique(codes, return_inverse=True, equal_nan=equal_nan)
+    return ranks, len(distinct)
+
+
+def _column_codes(values: np.ndarray, equal_nan: bool) -> Tuple[np.ndarray, int]:
+    """``(codes, radix)`` for one key column, ``0 <= codes < radix``.
+
+    Equal values get equal codes and unequal values unequal codes; a float
+    NaN equals other NaNs only when ``equal_nan``.
+    """
+    rows = len(values)
+    kind = values.dtype.kind
+    if rows == 0:
+        return np.empty(0, dtype=np.int64), 1
+    if kind == "O":
+        # The one per-value Python pass in the operators: a string's code
+        # is the row it first appears in.  Waits for dictionary-coded
+        # string columns from the pagefile item.
+        first_row: Dict[Any, int] = {}
+        codes = np.fromiter(
+            map(first_row.setdefault, values, range(rows)),
+            dtype=np.int64,
+            count=rows,
+        )
+        return codes, rows
+    if kind == "b":
+        return values.astype(np.int64), 2
+    if kind == "i":
+        wide = values.astype(np.int64, copy=False)
+        low, high = int(wide.min()), int(wide.max())
+        if high - low < _MAX_RADIX:
+            return wide - low, high - low + 1
+    return _densify(values, equal_nan)
+
+
+def _factorize(
+    columns: Sequence[np.ndarray], rows: int, equal_nan: bool
+) -> np.ndarray:
+    """One ``int64`` code per row over 0..n key columns (mixed radix)."""
+    code, radix = np.zeros(rows, dtype=np.int64), 1
+    for values in columns:
+        digit, base = _column_codes(values, equal_nan)
+        if radix * base > _MAX_RADIX:
+            code, radix = _densify(code)
+            digit, base = _densify(digit)
+        # radix 1 means every code so far is 0: the digit is the code.
+        code = digit if radix == 1 else code * base + digit
+        radix *= base
+    return code
+
+
+def _equi_pairs(
+    lcodes: np.ndarray, rcodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All ``(li, ri)`` with ``lcodes[li] == rcodes[ri]``.
+
+    Pairs come left-major — ascending left row, and for one left row
+    ascending right row — the order a probe of an insertion-ordered hash
+    index in left-row order would emit them.
+    """
+    order = np.argsort(rcodes, kind="stable")
+    ordered = rcodes[order]
+    first = np.searchsorted(ordered, lcodes, side="left")
+    counts = np.searchsorted(ordered, lcodes, side="right") - first
+    li = np.repeat(np.arange(len(lcodes)), counts)
+    # Output slot j of left row l reads ordered position first[l] + (j -
+    # start of l's run in the output); expand the per-row shift, add slots.
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    shift += np.arange(len(li))
+    return li, order[shift]
+
+
+def _equi_join(
+    left: Batch,
+    right: Batch,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+    how: str,
+) -> Batch:
+    """The one equi-join kernel behind every name in :data:`JOIN_ALGORITHMS`.
+
+    Both sides' key columns are factorised *jointly* (so an ``int64`` key
+    meets a ``float64`` key on value), then matched on codes.  A NaN key
+    matches nothing, itself included: inner and semi joins drop the row,
+    an anti join keeps it.
+    """
     if len(left_keys) != len(right_keys):
         raise PlanError("join key lists must have equal length")
-
-
-def _semi_anti(left: Batch, keep_match: np.ndarray, how: str) -> Batch:
-    """Shared left-semi/left-anti tail: mask left rows by match flags."""
-    if how == "left-anti":
-        keep_match = ~keep_match
-    return batch_mod.mask(left, keep_match)
-
-
-def _gather_join(
-    left: Batch, right: Batch, li: np.ndarray, ri: np.ndarray
-) -> Batch:
-    """Materialize inner-join output from matched row-index pairs."""
+    if how not in ("inner", "left-semi", "left-anti"):
+        raise PlanError(f"unsupported join type {how!r}")
+    left_rows = batch_mod.num_rows(left)
+    joint = [
+        np.concatenate([left[lk], right[rk]])
+        for lk, rk in zip(left_keys, right_keys)
+    ]
+    codes = _factorize(joint, left_rows + batch_mod.num_rows(right), equal_nan=False)
+    lcodes, rcodes = codes[:left_rows], codes[left_rows:]
+    if how != "inner":
+        matched = np.isin(lcodes, rcodes)
+        return batch_mod.mask(left, matched if how == "left-semi" else ~matched)
     overlap = set(left) & set(right)
     if overlap:
         raise PlanError(f"join output would duplicate columns {sorted(overlap)}")
-    out: Batch = {name: values[li] for name, values in left.items()}
-    out.update({name: values[ri] for name, values in right.items()})
+    li, ri = _equi_pairs(lcodes, rcodes)
+    out = batch_mod.take(left, li)
+    out.update(batch_mod.take(right, ri))
     return out
 
 
@@ -72,110 +167,18 @@ def hash_join(
     right_keys: Sequence[str],
     how: str = "inner",
 ) -> Batch:
-    """Hash join.  ``how`` is ``inner``, ``left-semi`` or ``left-anti``.
+    """Equi-join.  ``how`` is ``inner``, ``left-semi`` or ``left-anti``.
 
     Column-name collisions between the two inputs are a plan bug and raise
     :class:`PlanError` (for inner joins; semi/anti keep only left columns).
+
+    The four join functions are distinct names for one kernel
+    (:func:`_equi_join`): same rows, same row order, same work.  They
+    differ only in the price :mod:`repro.optimizer.cost` puts on the name
+    — until the cost-model item makes the clock charge what ran and thins
+    the names the benchmark cannot tell apart.
     """
-    _check_join_keys(left_keys, right_keys)
-    index: Dict[Tuple[Any, ...], List[int]] = defaultdict(list)
-    right_key_cols = [right[k] for k in right_keys]
-    for row in range(batch_mod.num_rows(right)):
-        index[tuple(col[row] for col in right_key_cols)].append(row)
-
-    left_rows = batch_mod.num_rows(left)
-    left_key_cols = [left[k] for k in left_keys]
-
-    if how in ("left-semi", "left-anti"):
-        matched = np.fromiter(
-            (
-                tuple(col[row] for col in left_key_cols) in index
-                for row in range(left_rows)
-            ),
-            dtype=bool,
-            count=left_rows,
-        )
-        return _semi_anti(left, matched, how)
-
-    if how != "inner":
-        raise PlanError(f"unsupported join type {how!r}")
-    left_indices: List[int] = []
-    right_indices: List[int] = []
-    for row in range(left_rows):
-        matches = index.get(tuple(col[row] for col in left_key_cols))
-        if matches:
-            left_indices.extend([row] * len(matches))
-            right_indices.extend(matches)
-    li = np.asarray(left_indices, dtype=np.int64)
-    ri = np.asarray(right_indices, dtype=np.int64)
-    return _gather_join(left, right, li, ri)
-
-
-def _match_pairs_sorted(
-    left: Batch,
-    right: Batch,
-    left_keys: Sequence[str],
-    right_keys: Sequence[str],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All matching (li, ri) pairs in (li, ri) order via a merge scan.
-
-    Both inputs are key-sorted (stable, so equal keys keep row order),
-    then merged.  Emitting pairs left-major with ascending right indices
-    inside each key group makes the output *byte-identical* to
-    :func:`hash_join`, which probes left rows in order against an
-    insertion-ordered build index.
-    """
-    left_rows = batch_mod.num_rows(left)
-    right_rows = batch_mod.num_rows(right)
-    left_tuples = _key_tuples(left, left_keys, left_rows)
-    right_tuples = _key_tuples(right, right_keys, right_rows)
-    lorder = sorted(range(left_rows), key=lambda i: (left_tuples[i], i))
-    rorder = sorted(range(right_rows), key=lambda i: (right_tuples[i], i))
-    pairs: List[Tuple[int, int]] = []
-    ri = 0
-    for li_pos in range(left_rows):
-        li = lorder[li_pos]
-        key = left_tuples[li]
-        while ri < right_rows and right_tuples[rorder[ri]] < key:
-            ri += 1
-        scan = ri
-        while scan < right_rows and right_tuples[rorder[scan]] == key:
-            pairs.append((li, rorder[scan]))
-            scan += 1
-    pairs.sort()
-    if not pairs:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    li_arr = np.array([p[0] for p in pairs], dtype=np.int64)
-    ri_arr = np.array([p[1] for p in pairs], dtype=np.int64)
-    return li_arr, ri_arr
-
-
-def _key_tuples(
-    batch: Batch, keys: Sequence[str], rows: int
-) -> List[Tuple[Any, ...]]:
-    cols = [batch[k] for k in keys]
-    return [tuple(col[row] for col in cols) for row in range(rows)]
-
-
-def _pairs_to_output(
-    left: Batch,
-    right: Batch,
-    li: np.ndarray,
-    ri: np.ndarray,
-    how: str,
-) -> Batch:
-    """Turn matched index pairs into the requested join output."""
-    if how in ("left-semi", "left-anti"):
-        matched = np.zeros(batch_mod.num_rows(left), dtype=bool)
-        if len(li):
-            matched[li] = True
-        return _semi_anti(left, matched, how)
-    if how != "inner":
-        raise PlanError(f"unsupported join type {how!r}")
-    return _gather_join(left, right, li, ri)
+    return _equi_join(left, right, left_keys, right_keys, how)
 
 
 def sort_merge_join(
@@ -185,14 +188,9 @@ def sort_merge_join(
     right_keys: Sequence[str],
     how: str = "inner",
 ) -> Batch:
-    """Sort-merge join: sort both inputs on the keys, merge-scan matches.
-
-    Output rows and ordering are byte-identical to :func:`hash_join`;
-    only the cost profile differs (n log n sorts, linear merge).
-    """
-    _check_join_keys(left_keys, right_keys)
-    li, ri = _match_pairs_sorted(left, right, left_keys, right_keys)
-    return _pairs_to_output(left, right, li, ri, how)
+    """:func:`hash_join` under the name the optimizer prices as two sorts
+    plus a linear merge."""
+    return _equi_join(left, right, left_keys, right_keys, how)
 
 
 def block_nested_loop_join(
@@ -202,29 +200,9 @@ def block_nested_loop_join(
     right_keys: Sequence[str],
     how: str = "inner",
 ) -> Batch:
-    """Block nested-loop join: compare every left row against all right rows.
-
-    The quadratic fallback — only sensible when one side is tiny.  Output
-    is byte-identical to :func:`hash_join` (left-major pair order).  The
-    block size exists only in the optimizer's cost formula: over
-    materialized batches, blocking changes neither rows nor work.
-    """
-    _check_join_keys(left_keys, right_keys)
-    left_rows = batch_mod.num_rows(left)
-    right_rows = batch_mod.num_rows(right)
-    right_tuples = _key_tuples(right, right_keys, right_rows)
-    left_cols = [left[k] for k in left_keys]
-    left_indices: List[int] = []
-    right_indices: List[int] = []
-    for row in range(left_rows):
-        key = tuple(col[row] for col in left_cols)
-        for r in range(right_rows):
-            if right_tuples[r] == key:
-                left_indices.append(row)
-                right_indices.append(r)
-    li = np.asarray(left_indices, dtype=np.int64)
-    ri = np.asarray(right_indices, dtype=np.int64)
-    return _pairs_to_output(left, right, li, ri, how)
+    """:func:`hash_join` under the name the optimizer prices as a blocked
+    quadratic scan (cheapest only when one side is tiny)."""
+    return _equi_join(left, right, left_keys, right_keys, how)
 
 
 def index_nested_loop_join(
@@ -234,37 +212,14 @@ def index_nested_loop_join(
     right_keys: Sequence[str],
     how: str = "inner",
 ) -> Batch:
-    """Index nested-loop join: probe a sorted index over the right input.
-
-    Models probing a secondary index: the right side's key column is
-    sorted once (the "index build" the optimizer assumes already paid
-    for by a ``CREATE INDEX``) and each left row binary-searches it.
-    Output is byte-identical to :func:`hash_join`.
-    """
-    _check_join_keys(left_keys, right_keys)
-    left_rows = batch_mod.num_rows(left)
-    right_rows = batch_mod.num_rows(right)
-    right_tuples = _key_tuples(right, right_keys, right_rows)
-    rorder = sorted(range(right_rows), key=lambda i: (right_tuples[i], i))
-    sorted_keys = [right_tuples[i] for i in rorder]
-    left_cols = [left[k] for k in left_keys]
-    left_indices: List[int] = []
-    right_indices: List[int] = []
-    for row in range(left_rows):
-        key = tuple(col[row] for col in left_cols)
-        lo = bisect.bisect_left(sorted_keys, key)
-        hi = bisect.bisect_right(sorted_keys, key)
-        for pos in range(lo, hi):
-            left_indices.append(row)
-            right_indices.append(rorder[pos])
-    li = np.asarray(left_indices, dtype=np.int64)
-    ri = np.asarray(right_indices, dtype=np.int64)
-    return _pairs_to_output(left, right, li, ri, how)
+    """:func:`hash_join` under the name the optimizer prices as probes of
+    a ``CREATE INDEX`` secondary index over the right input."""
+    return _equi_join(left, right, left_keys, right_keys, how)
 
 
 #: The physical join algorithms a :class:`repro.engine.planner.Join`
-#: node may carry, mapped to their operator implementations.  Every
-#: algorithm returns byte-identical output for the same inputs.
+#: node may carry.  All four execute :func:`_equi_join`, so output is
+#: byte-identical by construction; only the optimizer's price differs.
 JOIN_ALGORITHMS = {
     "hash": hash_join,
     "sort_merge": sort_merge_join,
@@ -294,40 +249,71 @@ AggSpec = Dict[str, Tuple[str, Optional[Expr]]]
 
 _AGG_FUNCS = ("sum", "min", "max", "count", "avg", "count_distinct")
 
+#: The reduction behind each aggregate: over a whole column (no group
+#: keys), and per group via ``ufunc.reduceat`` (``avg`` is sum / count).
+_WHOLE_COLUMN = {"sum": np.sum, "min": np.min, "max": np.max, "avg": np.mean}
+_PER_GROUP = {"sum": np.add, "avg": np.add, "min": np.minimum, "max": np.maximum}
+
 
 def aggregate(batch: Batch, group_keys: Sequence[str], aggs: AggSpec) -> Batch:
-    """Grouped (or, with no keys, global) aggregation."""
-    for name, (func, __) in aggs.items():
+    """Grouped (or, with no keys, global) aggregation.
+
+    Groups come out in order of first appearance; NaN keys form one group.
+    Integer and bool inputs sum in ``int64``.  **Float rule:** a group's
+    ``sum`` adds its rows in input-row order (``avg`` is that sum over the
+    count), so a result depends only on the input batch — identical
+    across join algorithm names and across the plain / profiled /
+    analyzed paths — but may differ in the last ulps (<= 1e-12 relative)
+    from numpy's pairwise ``values[rows].sum()``.
+    """
+    for name, (func, expr) in aggs.items():
         if func not in _AGG_FUNCS:
             raise PlanError(f"unknown aggregate {func!r} for output {name!r}")
+        if expr is None and func != "count":
+            raise PlanError(f"aggregate {func!r} requires an input expression")
     rows = batch_mod.num_rows(batch)
     inputs = {
         name: (evaluate(expr, batch) if expr is not None else None)
         for name, (__, expr) in aggs.items()
     }
     if not group_keys:
-        out: Batch = {}
-        everything = np.arange(rows)
-        for name, (func, __) in aggs.items():
-            out[name] = np.array([_fold(func, inputs[name], everything, rows)])
+        return {
+            name: np.array([_fold_all(func, inputs[name], rows)])
+            for name, (func, __) in aggs.items()
+        }
+    if rows == 0:
+        out: Batch = {key: batch[key][:0] for key in group_keys}
+        out.update({name: np.empty(0, dtype=object) for name in aggs})
         return out
 
-    groups: Dict[Tuple[Any, ...], List[int]] = defaultdict(list)
-    key_cols = [batch[k] for k in group_keys]
-    for row in range(rows):
-        groups[tuple(col[row] for col in key_cols)].append(row)
+    code = _factorize([batch[key] for key in group_keys], rows, equal_nan=True)
+    # One stable sort puts each group's rows side by side, still in input
+    # order; a run therefore starts at its group's first row, and ranking
+    # the runs by that row is first-appearance order.
+    order = np.argsort(code, kind="stable")
+    ordered = code[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, rows))
+    appearance = np.argsort(order[starts])
+    first_rows = order[starts][appearance]
 
-    ordered = list(groups.items())
-    out = {}
-    for pos, key_name in enumerate(group_keys):
-        values = [key[pos] for key, __ in ordered]
-        out[key_name] = _column_from_list(values, batch[key_name].dtype)
+    out = {key: batch[key][first_rows] for key in group_keys}
     for name, (func, __) in aggs.items():
-        values = [
-            _fold(func, inputs[name], np.asarray(indices, dtype=np.int64), rows)
-            for __, indices in ordered
-        ]
-        out[name] = _column_from_list(values, None)
+        values = inputs[name]
+        if func == "count":
+            per_run = counts
+        elif func == "count_distinct":
+            run = np.repeat(np.arange(len(starts)), counts)
+            pair = _factorize([run, values[order]], rows, equal_nan=True)
+            __, pair_rows = np.unique(pair, return_index=True)
+            per_run = np.bincount(run[pair_rows], minlength=len(starts))
+        else:
+            if func in ("sum", "avg") and values.dtype.kind in "biu":
+                values = values.astype(np.int64)
+            per_run = _widen(_PER_GROUP[func].reduceat(values[order], starts))
+            if func == "avg":
+                per_run = per_run / counts
+        out[name] = per_run[appearance]
     return out
 
 
@@ -342,14 +328,7 @@ def sort(batch: Batch, keys: Sequence[Tuple[str, bool]]) -> Batch:
     # the less significant keys.
     for column, ascending in reversed(list(keys)):
         values = batch[column][order]
-        if values.dtype.kind == "O":
-            perm = np.array(
-                sorted(
-                    range(rows), key=lambda i: values[i], reverse=not ascending
-                ),
-                dtype=np.int64,
-            )
-        elif ascending:
+        if ascending:
             perm = np.argsort(values, kind="stable")
         else:
             # Stable descending: sort the reversed array ascending, then
@@ -361,41 +340,29 @@ def sort(batch: Batch, keys: Sequence[Tuple[str, bool]]) -> Batch:
 
 def limit(batch: Batch, count: int) -> Batch:
     """Keep the first ``count`` rows."""
+    if count < 0:
+        raise PlanError(f"LIMIT must not be negative, got {count}")
     return {name: values[:count] for name, values in batch.items()}
 
 
-def _fold(func: str, values: Optional[np.ndarray], indices: np.ndarray, rows: int) -> Any:
+def _fold_all(func: str, values: Optional[np.ndarray], rows: int) -> Any:
+    """One aggregate over the whole column (the global, no-keys case)."""
     if func == "count":
-        return int(len(indices))
-    if values is None:
-        raise PlanError(f"aggregate {func!r} requires an input expression")
-    selected = values[indices]
+        return rows
     if func == "count_distinct":
-        return int(len(set(selected.tolist())))
-    if len(selected) == 0:
-        return 0 if func in ("sum",) else None
-    if func == "sum":
-        result = selected.sum()
-    elif func == "min":
-        result = selected.min()
-    elif func == "max":
-        result = selected.max()
-    elif func == "avg":
-        result = selected.mean()
-    else:  # pragma: no cover - guarded in aggregate()
-        raise PlanError(func)
-    if isinstance(result, np.generic):
-        return result.item()
-    return result
+        return len(np.unique(_column_codes(values, equal_nan=True)[0]))
+    if rows == 0:
+        return 0 if func == "sum" else None
+    result = _WHOLE_COLUMN[func](values)
+    return result.item() if isinstance(result, np.generic) else result
 
 
-def _column_from_list(values: List[Any], like_dtype: Optional[np.dtype]) -> np.ndarray:
-    if like_dtype is not None and like_dtype.kind != "O":
-        return np.array(values, dtype=like_dtype)
-    if values and isinstance(values[0], bool):
-        return np.array(values, dtype=bool)
-    if values and isinstance(values[0], int):
-        return np.array(values, dtype=np.int64)
-    if values and isinstance(values[0], float):
-        return np.array(values, dtype=np.float64)
-    return np.array(values, dtype=object)
+def _widen(values: np.ndarray) -> np.ndarray:
+    """Per-group results in the engine's output dtypes: ``int64`` for
+    integers, ``float64`` for floats; bools and objects as they are."""
+    kind = values.dtype.kind
+    if kind in "iu":
+        return values.astype(np.int64, copy=False)
+    if kind == "f":
+        return values.astype(np.float64, copy=False)
+    return values

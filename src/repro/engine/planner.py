@@ -97,6 +97,10 @@ class Limit:
     child: "Plan"
     count: int
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise PlanError(f"LIMIT must not be negative, got {self.count}")
+
 
 Plan = Union[TableScan, Filter, Project, Join, Aggregate, Sort, Limit]
 

@@ -28,15 +28,8 @@ def _rank_normalize(values: np.ndarray) -> np.ndarray:
     """
     if len(values) <= 1:
         return np.zeros(len(values), dtype=np.uint64)
-    if values.dtype.kind == "O":
-        lookup = {v: i for i, v in enumerate(sorted(set(values.tolist())))}
-        ranks = np.fromiter(
-            (lookup[v] for v in values), dtype=np.int64, count=len(values)
-        )
-        distinct = len(lookup)
-    else:
-        __, ranks = np.unique(values, return_inverse=True)
-        distinct = int(ranks.max()) + 1
+    distinct_values, ranks = np.unique(values, return_inverse=True)
+    distinct = len(distinct_values)
     if distinct <= 1:
         return np.zeros(len(values), dtype=np.uint64)
     scale = ((1 << _BITS) - 1) / (distinct - 1)

@@ -20,3 +20,21 @@ def test_trace_target_resolves_to_a_callable(span, target):
     for part in qualified.split("."):
         resolved = getattr(resolved, part)
     assert callable(resolved), f"{span}: {target} is not callable"
+
+
+def test_tpch_power_seed0_matches_the_committed_answers():
+    """One full-SF power run against ``expected/tpch_sf1_seed0.json``.
+
+    ``--quick`` (what ``pytest benchmarks/e2e`` runs) skips the committed
+    answers, so without this a kernel change that moves a result past the
+    checksum's 2**-20 float quantum — or changes a row count — would first
+    fail at the benchmark gate.  The expected file is never regenerated
+    to make this pass.
+    """
+    from benchmarks.e2e.workloads.tpch_power import TpchPower
+
+    workload = TpchPower(seed=0)
+    workload.run_round(workload.setup(), 0)
+    workload.final_check()
+    assert len(workload.answers) == 22
+    assert workload.problems == []

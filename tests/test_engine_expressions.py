@@ -177,3 +177,47 @@ def test_substr_mid():
 def test_empty_batch():
     empty = {"a": np.empty(0, dtype=np.int64)}
     assert len(evaluate(BinOp(">", Col("a"), Lit(0)), empty)) == 0
+
+
+def test_year_matches_the_calendar_on_every_boundary():
+    """``Year`` is datetime64 arithmetic on ordinal days; it must agree
+    with ``datetime.date`` across leap years, centuries and before 1970."""
+    import datetime
+
+    days = np.array(
+        [
+            datetime.date(year, month, day).toordinal()
+            for year in (1899, 1900, 1969, 1970, 1992, 1999, 2000, 2024, 2100)
+            for month, day in ((1, 1), (2, 28), (3, 1), (12, 31))
+        ],
+        dtype=np.int64,
+    )
+    expected = [datetime.date.fromordinal(int(d)).year for d in days]
+    out = evaluate(Year(Col("d")), {"d": days})
+    assert out.dtype == np.int64
+    assert out.tolist() == expected
+
+
+@pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+def test_string_comparisons_follow_python_and_return_bool(op):
+    import operator
+
+    py_op = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+             "<=": operator.le, ">": operator.gt, ">=": operator.ge}[op]
+    left = np.array(["b", "a", "", "zz", "a"], dtype=object)
+    right = np.array(["a", "a", "x", "z", "b"], dtype=object)
+    out = evaluate(BinOp(op, Col("l"), Col("r")), {"l": left, "r": right})
+    assert out.dtype == bool
+    assert out.tolist() == [py_op(a, b) for a, b in zip(left, right)]
+
+
+def test_like_and_substr_over_non_string_columns_use_str():
+    batch = {"n": np.array([10, 215, 31], dtype=np.int64)}
+    np.testing.assert_array_equal(
+        evaluate(Like(Col("n"), "%1%"), batch), [True, True, True]
+    )
+    np.testing.assert_array_equal(
+        evaluate(Like(Col("n"), "2%"), batch), [False, True, False]
+    )
+    out = evaluate(Substr(Col("n"), 1, 2), batch)
+    assert out.dtype == object and out.tolist() == ["10", "21", "31"]

@@ -18,12 +18,13 @@ from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
 from tests.conftest import small_config
 
 
-def canonical(batch):
-    names = sorted(batch)
-    return sorted(
-        tuple(batch[name][i] for name in names)
-        for i in range(num_rows(batch))
-    )
+def assert_identical(candidate, reference):
+    """Same columns in the same order, same dtypes, same rows *in order*
+    (sorting rows first would hide an algorithm that emits another order)."""
+    assert list(candidate) == list(reference)
+    for name in reference:
+        assert candidate[name].dtype == reference[name].dtype, name
+        assert np.array_equal(candidate[name], reference[name]), name
 
 
 def left_batch(rng, n):
@@ -53,7 +54,7 @@ class TestAlgorithmEquivalence:
         candidate = operators.join(
             left, right, ("a",), ("b",), how, algorithm=algorithm
         )
-        assert canonical(candidate) == canonical(reference)
+        assert_identical(candidate, reference)
 
     @pytest.mark.parametrize("algorithm", sorted(JOIN_ALGORITHMS))
     def test_empty_inputs(self, algorithm):
@@ -86,7 +87,7 @@ class TestAlgorithmEquivalence:
         candidate = operators.join(
             left, right, ("a", "c"), ("b", "d"), "inner", algorithm=algorithm
         )
-        assert canonical(candidate) == canonical(reference)
+        assert_identical(candidate, reference)
 
 
 class TestCostModel:
@@ -195,7 +196,7 @@ class TestPlanChoiceOnTpch:
         for qnum in JOIN_QUERIES:
             optimized = session.sql(TPCH_SQL_QUERIES[qnum])
             plain = vanilla.sql(TPCH_SQL_QUERIES[qnum])
-            assert canonical(optimized) == canonical(plain)
+            assert_identical(optimized, plain)
 
     def test_explain_analyze_annotates_cost_and_provenance(self, tpch):
         _, session = tpch
