@@ -797,12 +797,21 @@ def _with_call_ids(func_node: ast.AST) -> Set[int]:
 
 
 def _escaped_names(func_node: ast.AST) -> Set[str]:
-    """Variable names whose value escapes the function's ownership."""
+    """Variable names whose value escapes the function's ownership.
+
+    A ``@contextmanager`` generator resumes after its ``yield``, so what
+    it yields is lent to the ``with`` body, not handed off: it still
+    owes the release.
+    """
     escaped: Set[str] = set()
+    lends = any(
+        getattr(deco, "attr", getattr(deco, "id", None)) == "contextmanager"
+        for deco in getattr(func_node, "decorator_list", [])
+    )
     for node in _own_nodes(func_node):
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Name):
             escaped.add(node.value.id)
-        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)) and not lends:
             value = node.value
             if isinstance(value, ast.Name):
                 escaped.add(value.id)

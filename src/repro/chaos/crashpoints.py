@@ -130,18 +130,12 @@ CRASHPOINTS: Dict[str, str] = {
         "missed publishes not yet completed"
     ),
     "recovery.publish.after_complete": (
-        "recovery: missed publishes completed, gateway not yet scavenged"
+        "recovery: missed publishes completed, no participant's process "
+        "state scavenged yet"
     ),
-    "recovery.gateway.after_scavenge": (
-        "recovery: gateway scavenged, query store not yet scavenged"
-    ),
-    "recovery.querystore.after_scavenge": (
-        "recovery: query store scavenged, open wait scopes not yet "
-        "discarded"
-    ),
-    "recovery.waits.after_scavenge": (
-        "recovery: open waits discarded, orchestrator trigger state not "
-        "yet rebound"
+    "recovery.participant.after_scavenge": (
+        "recovery: one participant's process state scavenged (hit once "
+        "per registered participant), the next one's not yet"
     ),
 }
 

@@ -94,6 +94,8 @@ def chaos_config(seed: int = 0) -> PolarisConfig:
     Small cells make every insert produce unhealthy (compactable) files;
     a high checkpoint threshold keeps checkpoints an explicit workload
     step; a short retention period lets the workload age files past it.
+    Query store and wait stats are on (neither advances the clock) so
+    recovery's participant loop always has collectors to scavenge.
     """
     config = PolarisConfig()
     config.seed = seed
@@ -104,6 +106,8 @@ def chaos_config(seed: int = 0) -> PolarisConfig:
     config.sto.checkpoint_manifest_threshold = 999
     config.sto.retention_period_s = 3600.0
     config.dcp.fixed_nodes = 2
+    config.telemetry.query_store_enabled = True
+    config.telemetry.wait_stats_enabled = True
     return config
 
 
@@ -395,7 +399,10 @@ def _recover_with_crashes(
 
     The double-crash scenario: the process died mid-protocol, the restart
     began repairing, and then *that* process died too — at every possible
-    step boundary in turn.  Each partial pass is abandoned where its armed
+    step boundary in turn.  A site is crashed at its first hit, then its
+    second, ... until a pass gets through it (the participant site is hit
+    once per registered participant, so every gap between two scavenges
+    is a crash instant).  Each partial pass is abandoned where its armed
     site fires; the next pass must be able to re-enter over whatever the
     previous one left behind (every recovery step is idempotent).  The
     final pass runs with nothing armed and its report is returned.
@@ -406,18 +413,22 @@ def _recover_with_crashes(
     problems: List[str] = []
     manager = RecoveryManager(context, sto=sto, strict=False)
     for site in RECOVERY_SITES:
-        controller = ChaosController(
-            seed=seed, telemetry=context.telemetry
-        ).arm(site)
-        with controller:
-            try:
-                manager.recover()
-            except SimulatedCrash:
-                continue
-        problems.append(
-            f"{site}: armed but never fired — recovery no longer reaches "
-            "this site"
-        )
+        crashes = 0
+        while True:
+            controller = ChaosController(
+                seed=seed, telemetry=context.telemetry
+            ).arm(site, hits=crashes + 1)
+            with controller:
+                try:
+                    manager.recover()
+                    break
+                except SimulatedCrash:
+                    crashes += 1
+        if not crashes:
+            problems.append(
+                f"{site}: armed but never fired — recovery no longer "
+                "reaches this site"
+            )
     return manager.recover(), problems
 
 
@@ -448,7 +459,7 @@ class SiteResult:
             else (
                 f"c{rec.in_doubt_committed}/a{rec.in_doubt_aborted}"
                 f"/s{rec.staged_blocks_discarded}/p{rec.publishes_completed}"
-                f"/g{rec.gateway_requests_scavenged}"
+                f"/g{rec.scavenged.get('gateway', 0)}"
             )
         )
         counts = ",".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
@@ -569,9 +580,9 @@ def run_gateway_site(
     # Double-crash partial passes already scavenged before the final
     # pass's report was taken, so the exact-count oracle only applies to
     # the single-recovery mode; the stuck/queued checks below hold always.
-    if not double_crash and report.gateway_requests_scavenged != in_flight:
+    if not double_crash and report.scavenged["gateway"] != in_flight:
         result.problems.append(
-            f"scavenge reconciled {report.gateway_requests_scavenged} "
+            f"scavenge reconciled {report.scavenged['gateway']} "
             f"request(s), ledger had {in_flight} in flight"
         )
     stuck = gateway.requests_with_status("queued", "running")

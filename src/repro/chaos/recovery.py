@@ -8,7 +8,10 @@ process did before it (staged blocks, private files, WriteSets buffers)
 must be scavenged or left for GC; whatever it failed to do after it
 (publish steps, bookkeeping) must be completed idempotently.
 
-Recovery steps, in order:
+The protocol is two parts.
+
+**Five durable-state steps, in this order** — each repairs what the next
+one reads, so the order *is* the protocol:
 
 1. **In-doubt transactions** — every transaction still in the engine's
    active registry belonged to the dead process.  Ones whose writes
@@ -26,16 +29,21 @@ Recovery steps, in order:
 5. **Publish completion** — committed manifests newer than the last
    published Delta version are (re)published, after re-deriving the
    publisher's state from the ``_delta_log`` blobs themselves.
-6. **Gateway scavenge** — admitted-but-unfinished gateway requests are
-   marked ``scavenged`` and pooled sessions closed (a dead front door
-   cannot complete them; what their statements committed is durable).
-7. **Query-store scavenge** — in-flight query-store executions are
-   discarded (a crashed statement never reported; a half-measured
-   profile must not reach the aggregates).
-8. **Wait-stats scavenge** — wait scopes still open at the crash are
-   discarded (the dead process never stopped waiting; phantom stall
-   time must not reach the wait aggregates).
-9. **Trigger state** — the orchestrator's pending work is reset.
+
+**Then the participant loop** — everything else a dead front end held
+(requests it had admitted but not finished, measurements it had opened
+but not closed) is process state that can only be discarded: what its
+statements committed is durable and steps 1–5 already reconciled it.
+Holders of such state join ``ServiceContext.participants`` under a name;
+recovery calls each one's ``scavenge()`` and reports the count under that
+name, without knowing who they are.  A participant must guarantee three
+things: ``scavenge`` is **idempotent** (a second call finds nothing and
+returns 0), it touches **only its own state** (so participants commute
+and their order is not part of the protocol), and it **returns how many
+in-flight records it discarded** (never folding one into an aggregate —
+a half-measured record is dropped, not counted).
+
+Last, the orchestrator's trigger state is rebound to the context.
 """
 
 from __future__ import annotations
@@ -75,14 +83,8 @@ class RecoveryReport:
     orphan_index_blobs_deleted: List[str] = field(default_factory=list)
     #: Delta publishes completed/replayed for missing sequences.
     publishes_completed: int = 0
-    #: Gateway requests found queued/running and marked ``scavenged``.
-    gateway_requests_scavenged: int = 0
-    #: In-flight query-store executions discarded (started by the dead
-    #: process, never finished — they must not reach the aggregates).
-    querystore_profiles_discarded: int = 0
-    #: Open wait scopes discarded (the dead process never stopped
-    #: waiting; a half-measured wait must not reach the wait stats).
-    open_waits_discarded: int = 0
+    #: Participant name -> in-flight records its ``scavenge()`` discarded.
+    scavenged: Dict[str, int] = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -97,9 +99,7 @@ class RecoveryReport:
             and not self.index_rows_dropped
             and not self.orphan_index_blobs_deleted
             and self.publishes_completed == 0
-            and self.gateway_requests_scavenged == 0
-            and self.querystore_profiles_discarded == 0
-            and self.open_waits_discarded == 0
+            and not any(self.scavenged.values())
         )
 
 
@@ -141,12 +141,10 @@ class RecoveryManager:
             context.cache.invalidate()
             self._complete_publishes(report)
             crashpoint("recovery.publish.after_complete")
-            self._scavenge_gateway(report)
-            crashpoint("recovery.gateway.after_scavenge")
-            self._scavenge_querystore(report)
-            crashpoint("recovery.querystore.after_scavenge")
-            self._scavenge_waits(report)
-            crashpoint("recovery.waits.after_scavenge")
+            # Process state commutes: any participant order is correct.
+            for name, scavenge in context.participants.items():
+                report.scavenged[name] = scavenge()
+                crashpoint("recovery.participant.after_scavenge")
             if self._sto is not None:
                 self._sto.rebind(context)
         if tel.metering:
@@ -164,24 +162,17 @@ class RecoveryManager:
             metrics.counter("recovery.publishes_completed").inc(
                 report.publishes_completed
             )
-            metrics.counter("recovery.gateway_requests_scavenged").inc(
-                report.gateway_requests_scavenged
-            )
-            metrics.counter("recovery.querystore_discarded").inc(
-                report.querystore_profiles_discarded
-            )
-            metrics.counter("recovery.waits_discarded").inc(
-                report.open_waits_discarded
-            )
+            for name, count in report.scavenged.items():
+                metrics.counter("recovery.scavenged", participant=name).inc(
+                    count
+                )
         context.bus.publish(
             "recovery.completed",
             in_doubt_committed=report.in_doubt_committed,
             in_doubt_aborted=report.in_doubt_aborted,
             staged_blocks_discarded=report.staged_blocks_discarded,
             publishes_completed=report.publishes_completed,
-            gateway_requests_scavenged=report.gateway_requests_scavenged,
-            querystore_profiles_discarded=report.querystore_profiles_discarded,
-            open_waits_discarded=report.open_waits_discarded,
+            scavenged=dict(report.scavenged),
         )
         if self.strict and report.missing_manifests:
             raise RecoveryError(
@@ -266,46 +257,6 @@ class RecoveryManager:
                 if blob.path not in referenced_indexes:
                     store.delete(blob.path)
                     report.orphan_index_blobs_deleted.append(blob.path)
-
-    def _scavenge_gateway(self, report: RecoveryReport) -> None:
-        """Step 5b: no admitted request may stay queued/running after death.
-
-        The gateway's queues and in-flight dispatch are process state of
-        the dead front door: whatever its FE statements committed before
-        the crash is durable (steps 1–5 already reconciled that), but the
-        requests themselves can never complete.  Mark them ``scavenged``
-        in the ledger and close every pooled session, so
-        ``sys.dm_requests`` reconciles instead of showing phantom
-        in-flight work.
-        """
-        gateway = self._context.gateway
-        if gateway is not None:
-            report.gateway_requests_scavenged = gateway.scavenge()
-
-    def _scavenge_querystore(self, report: RecoveryReport) -> None:
-        """Step 5c: discard query-store executions the dead process left
-        in flight.
-
-        A statement that crashed mid-execution never reported its latency
-        or rows; folding a half-measured record would corrupt the
-        per-fingerprint aggregates, so the pending records are dropped —
-        discarded, never double-counted.
-        """
-        store = self._context.telemetry.querystore
-        if store is not None:
-            report.querystore_profiles_discarded = store.scavenge()
-
-    def _scavenge_waits(self, report: RecoveryReport) -> None:
-        """Step 5d: discard wait scopes the dead process left open.
-
-        A crashed waiter never stopped waiting; folding the scope would
-        charge phantom stall time (and an arbitrary duration) to the
-        aggregates, so open waits are discarded — never counted as
-        completed waits.
-        """
-        waits = self._context.telemetry.waits
-        if waits is not None:
-            report.open_waits_discarded = waits.scavenge()
 
     def _complete_publishes(self, report: RecoveryReport) -> None:
         """Step 5: republish committed sequences the dead publisher missed."""

@@ -98,29 +98,18 @@ class TelemetryConfig:
     enabled: bool = False
     #: Keep the metrics registry recording (independent of tracing).
     metrics: bool = True
-    #: Record one span per object-store request (can be voluminous).
-    capture_storage_spans: bool = True
-    #: Mirror every EventBus event into the active span / metrics.
-    capture_bus_events: bool = True
     #: Hard cap on retained finished spans (overflow counts as dropped).
     max_spans: int = 250_000
-    #: Reservoir size per histogram (percentiles are exact below this).
-    histogram_max_samples: int = 4096
-    #: SQL statement text is truncated to this many chars in span attrs.
-    sql_text_limit: int = 200
     #: Metrics time-series sampling interval in simulated seconds.  0 (the
     #: default) disables the sampler entirely: no ring buffer is allocated
     #: and no clock watcher is armed.
     sample_interval_s: float = 0.0
-    #: Ring-buffer capacity of retained metric samples.
-    sample_capacity: int = 512
     #: Evaluate the default watchdog rules over the sampled series
     #: (requires ``sample_interval_s`` > 0).
     watchdog_enabled: bool = False
     #: Enable the query store: fingerprinted per-statement profiles with
     #: per-operator cardinality feedback, surfaced as sys.dm_exec_* views.
-    #: Off (the default) means no store is constructed and the SQL runner
-    #: pays a single attribute check per statement.
+    #: Off (the default) means no store is constructed.
     query_store_enabled: bool = False
     #: Sliding window of recent latencies per fingerprint; the regression
     #: detector compares its p95 against the stored baseline.
@@ -128,15 +117,12 @@ class TelemetryConfig:
     #: Executions before a fingerprint's baseline p95 is frozen; no
     #: regression can fire earlier.
     query_store_min_history: int = 8
-    #: A fingerprint regresses when recent p95 >= factor * baseline p95.
-    query_store_regression_factor: float = 2.0
     #: Enable wait statistics: every blocking point (commit lock, admission
     #: queues, retry backoff, task dispatch, ...) records how long it
     #: stalled the simulated clock, attributed per tenant, workload class
     #: and query fingerprint, surfaced as ``sys.dm_wait_stats`` and
     #: ``sys.dm_exec_query_waits``.  Off (the default) means no collector
-    #: is constructed and every instrumented site pays a single attribute
-    #: check.
+    #: is constructed and every instrumented site records into a no-op.
     wait_stats_enabled: bool = False
 
 
@@ -268,12 +254,8 @@ class PolarisConfig:
             raise ValueError("rows_per_cell must be positive")
         if self.telemetry.max_spans <= 0:
             raise ValueError("telemetry.max_spans must be positive")
-        if self.telemetry.histogram_max_samples <= 0:
-            raise ValueError("telemetry.histogram_max_samples must be positive")
         if self.telemetry.sample_interval_s < 0:
             raise ValueError("telemetry.sample_interval_s must be >= 0")
-        if self.telemetry.sample_capacity <= 0:
-            raise ValueError("telemetry.sample_capacity must be positive")
         if self.telemetry.watchdog_enabled and self.telemetry.sample_interval_s <= 0:
             raise ValueError(
                 "telemetry.watchdog_enabled requires sample_interval_s > 0"
@@ -284,10 +266,6 @@ class PolarisConfig:
             raise ValueError("telemetry.query_store_recent_window must be positive")
         if self.telemetry.query_store_min_history < 2:
             raise ValueError("telemetry.query_store_min_history must be >= 2")
-        if self.telemetry.query_store_regression_factor <= 1.0:
-            raise ValueError(
-                "telemetry.query_store_regression_factor must be > 1"
-            )
         for op, rate in self.storage.operation_failure_rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(

@@ -184,10 +184,10 @@ class Scheduler:
             start = max(node.slot_free_at[slot], ready)
             if first_start is None:
                 first_start = start
-            if tel is not None and tel.waits is not None and start > ready:
+            if tel is not None and start > ready:
                 # The task was ready but every slot was busy: the gap is
                 # scheduling wait, not compute.
-                tel.waits.record_wait("dcp_dispatch", start - ready)
+                tel.record_wait("dcp_dispatch", start - ready)
             span = (
                 # Task spans are named by the caller-supplied task label
                 # (one per DAG node), not a fixed vocabulary entry.

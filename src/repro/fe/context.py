@@ -9,7 +9,7 @@ every test hermetic — two warehouses never share state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import PolarisConfig
@@ -23,7 +23,6 @@ from repro.lst.cache import SnapshotCache
 from repro.sqldb.engine import SqlDbEngine
 from repro.storage.object_store import ObjectStore
 from repro.telemetry.facade import Telemetry
-from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
 
 if TYPE_CHECKING:
     from repro.optimizer.manager import QueryOptimizer
@@ -58,8 +57,14 @@ class ServiceContext:
     optimizer: "Optional[QueryOptimizer]" = None
     #: The multi-tenant gateway fronting this deployment, if one was
     #: constructed (it attaches itself; ``sys.dm_sessions`` /
-    #: ``sys.dm_requests`` read it and recovery scavenges it).
+    #: ``sys.dm_requests`` read it).
     gateway: "Optional[Gateway]" = None
+    #: Crash-volatile process state, name -> ``scavenge() -> int``
+    #: (how many in-flight records it discarded).  Whoever holds state a
+    #: dead front end cannot finish — the gateway, each telemetry
+    #: collector — joins under its name (re-joining replaces), and
+    #: recovery scavenges every entry without knowing any of them.
+    participants: Dict[str, Callable[[], int]] = field(default_factory=dict)
     #: Whether the deployment sizes pools per statement (serverless Fabric
     #: model) or keeps the fixed provisioned size (Synapse SQL DW model) —
     #: the contrast of Figure 8.
@@ -81,18 +86,23 @@ class ServiceContext:
         config = config or PolarisConfig()
         config.validate()
         clock = SimulatedClock()
-        telemetry = Telemetry(clock, config.telemetry, seed=config.seed)
+        bus = EventBus()
+        participants: Dict[str, Callable[[], int]] = {}
+        telemetry = Telemetry(
+            clock, config.telemetry, config.seed, bus, participants
+        )
         store = ObjectStore(
             clock=clock, config=config.storage, telemetry=telemetry
         )
         sqldb = SqlDbEngine(clock=clock)
+        # The engine builds its own commit lock; the contention model and
+        # the lock's telemetry sinks are bound onto it here.
+        sqldb.commit_lock.configure(config.txn.commit_hold_s, telemetry)
         cost_model = CostModel(config.dcp, config.storage)
         scheduler = Scheduler(
             clock, store, cost_model, config.dcp, telemetry=telemetry
         )
         wlm = WorkloadManager(config.dcp, separate_pools=separate_pools)
-        bus = EventBus()
-        telemetry.attach_bus(bus)
         context = cls(
             database=database,
             config=config,
@@ -107,6 +117,7 @@ class ServiceContext:
             guids=GuidGenerator(seed=config.seed),
             bus=bus,
             telemetry=telemetry,
+            participants=participants,
             elastic=elastic,
         )
         # The cache's loaders need the context (store + sqldb), so it is
@@ -124,45 +135,4 @@ class ServiceContext:
         from repro.optimizer.manager import QueryOptimizer
 
         context.optimizer = QueryOptimizer(context)
-        if config.telemetry.query_store_enabled:
-            from repro.telemetry.querystore import QueryStore
-
-            telemetry.querystore = QueryStore(
-                clock,
-                config.telemetry,
-                metrics=telemetry.metrics if telemetry.metering else None,
-                bus=bus,
-                seed=config.seed,
-            )
-        if config.telemetry.wait_stats_enabled:
-            from repro.telemetry.waits import WaitStats
-
-            telemetry.waits = WaitStats(
-                clock,
-                config.telemetry,
-                metrics=telemetry.metrics if telemetry.metering else None,
-                tracer=telemetry.tracer if telemetry.tracing else None,
-                seed=config.seed,
-            )
-        # The engine (and its commit lock) predates telemetry wiring, so
-        # the contention model and its sinks are bound afterwards.
-        sqldb.commit_lock.configure(
-            hold_s=config.txn.commit_hold_s,
-            waits=telemetry.waits,
-            metrics=telemetry.metrics if telemetry.metering else None,
-        )
-        if telemetry.metering and config.telemetry.sample_interval_s > 0:
-            sampler = MetricsSampler(
-                clock,
-                telemetry.metrics,
-                interval_s=config.telemetry.sample_interval_s,
-                capacity=config.telemetry.sample_capacity,
-            )
-            telemetry.sampler = sampler
-            if config.telemetry.watchdog_enabled:
-                telemetry.watchdog = Watchdog(
-                    telemetry.metrics, bus, rules=default_rules()
-                )
-                sampler.subscribe(telemetry.watchdog.observe)
-            sampler.start()
         return context

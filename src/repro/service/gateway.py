@@ -13,11 +13,12 @@ the ``sys.dm_requests`` view reads, and the whole gateway runs on the
 deployment's simulated clock — no wall time, no threads.
 
 Crash behaviour: the three ``service.*`` crashpoints model a gateway
-process death with requests still queued or mid-flight.  After a crash,
-:meth:`Gateway.scavenge` (called by
-:class:`repro.chaos.RecoveryManager`) marks every queued/running request
-``scavenged`` and closes all pooled sessions, so the ledger never shows
-a request stuck ``queued``/``running`` after recovery.
+process death with requests still queued or mid-flight.  The gateway
+joins the deployment's recovery participants, so after a crash
+:class:`repro.chaos.RecoveryManager` calls :meth:`Gateway.scavenge`,
+which marks every queued/running request ``scavenged`` and closes all
+pooled sessions: the ledger never shows a request stuck
+``queued``/``running`` after recovery.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class Request:
         self.error = ""
         #: The terminal exception (``failed`` / ``timed_out`` / ``shed`` /
         #: ``scavenged``); :meth:`outcome` raises it.
-        self.exception: Optional[PolarisError] = None
+        self.exception: Optional[Exception] = None
         #: The work's return value once ``completed``.
         self.result: Any = None
 
@@ -104,7 +105,7 @@ class Request:
         Returns :attr:`result` once ``completed``.  Raises the recorded
         terminal exception otherwise — :class:`RequestTimeoutError` for a
         queue-deadline expiry, :class:`RequestSheddedError` for a shed
-        request, the original :class:`PolarisError` for a ``failed`` one,
+        request, whatever the work raised for a ``failed`` one,
         and :class:`ServiceError` for ``scavenged``.  A request still
         ``queued``/``running`` raises :class:`ServiceError`: drive
         :meth:`Gateway.run` first.
@@ -165,6 +166,7 @@ class Gateway:
         self._finished_totals: Dict[Tuple[str, str], int] = {}
         self._dispatcher: Optional[Tasklet] = None
         context.gateway = self
+        context.participants["gateway"] = self.scavenge
 
     @property
     def context(self) -> "ServiceContext":
@@ -214,16 +216,14 @@ class Gateway:
             if metering:
                 metrics.counter("service.shed", reason=reason).inc()
                 metrics.histogram("service.retry_after_s").observe(retry_after_s)
-            waits = self._telemetry.waits
-            if waits is not None:
-                # The retry-after hint is the stall a well-behaved client
-                # honors before resubmitting — the throttle's real cost.
-                waits.record_wait(
-                    "throttle",
-                    retry_after_s,
-                    tenant=tenant,
-                    workload_class=workload_class,
-                )
+            # The retry-after hint is the stall a well-behaved client
+            # honors before resubmitting — the throttle's real cost.
+            self._telemetry.record_wait(
+                "throttle",
+                retry_after_s,
+                tenant=tenant,
+                workload_class=workload_class,
+            )
             raise request.exception
         self._record(request)
         if metering:
@@ -255,7 +255,6 @@ class Gateway:
         """The dispatcher tasklet: pop, execute, account, repeat."""
         while True:
             request, expired = self.admission.next_request()
-            waits = self._telemetry.waits
             for timed_out in expired:
                 self._finish(timed_out, "timed_out")
                 if self._telemetry.metering:
@@ -263,16 +262,15 @@ class Gateway:
                         "service.timeouts",
                         workload_class=timed_out.workload_class,
                     ).inc()
-                if waits is not None:
-                    # The expired request's whole queue wait bought
-                    # nothing; attribute it explicitly (the dispatcher is
-                    # expiring someone else's request).
-                    waits.record_wait(
-                        "queue_deadline",
-                        self._context.clock.now - timed_out.submitted_at,
-                        tenant=timed_out.tenant,
-                        workload_class=timed_out.workload_class,
-                    )
+                # The expired request's whole queue wait bought nothing;
+                # attribute it explicitly (the dispatcher is expiring
+                # someone else's request).
+                self._telemetry.record_wait(
+                    "queue_deadline",
+                    self._context.clock.now - timed_out.submitted_at,
+                    tenant=timed_out.tenant,
+                    workload_class=timed_out.workload_class,
+                )
             if self._telemetry.metering:
                 self._telemetry.metrics.gauge("service.queue_depth").set(
                     self.admission.queue_depth()
@@ -288,33 +286,23 @@ class Gateway:
     def _execute(self, request: Request) -> None:
         """Run one admitted request on a pooled session and account it."""
         crashpoint("service.dispatch.before_execute")
-        metrics = self._telemetry.metrics
-        metering = self._telemetry.metering
-        querystore = self._telemetry.querystore
-        waits = self._telemetry.waits
-        attributed = False
-        waits_attributed = False
+        tel = self._telemetry
+        metrics = tel.metrics
+        metering = tel.metering
         try:
             gateway_session = self.pool.acquire(request.tenant)
         except PolarisError as error:
             # An acquisition failure (e.g. SessionQuotaError) fails the
             # request, never the dispatcher.
-            request.error = type(error).__name__
-            request.exception = error
-            self._finish(request, "failed")
-            if metering:
-                metrics.counter(
-                    "service.failures", error=type(error).__name__
-                ).inc()
-            if waits is not None:
-                # Acquisition never blocks — it fails fast on quota — so
-                # this wait kind is count-only starvation evidence.
-                waits.record_wait(
-                    "session_pool",
-                    0.0,
-                    tenant=request.tenant,
-                    workload_class=request.workload_class,
-                )
+            self._fail(request, error)
+            # Acquisition never blocks — it fails fast on quota — so this
+            # wait kind is count-only starvation evidence.
+            tel.record_wait(
+                "session_pool",
+                0.0,
+                tenant=request.tenant,
+                workload_class=request.workload_class,
+            )
             return
         # The session is held from here on: everything, including the
         # pre-execution accounting, runs under the releasing ``finally``.
@@ -327,78 +315,69 @@ class Gateway:
             request.session_id = gateway_session.session_id
             request.started_at = self._context.clock.now
             request.queue_wait_s = request.started_at - request.submitted_at
-            if querystore is not None:
-                # Statements executed by this request fold into the query
-                # store attributed to the request's tenant/workload class.
-                querystore.push_attribution(
-                    request.tenant, request.workload_class
-                )
-                attributed = True
-            if waits is not None:
-                waits.push_attribution(
-                    request.tenant, request.workload_class
-                )
-                waits_attributed = True
+            # Statements this request executes and waits it suffers are
+            # attributed to its tenant and workload class.
+            with tel.request_scope(request.tenant, request.workload_class):
                 if request.queue_wait_s > 0:
-                    waits.record_wait(
-                        "admission_queue", request.queue_wait_s
-                    )
-            try:
-                with self._telemetry.span(
-                    "service.request",
-                    "service",
-                    tenant=request.tenant,
+                    tel.record_wait("admission_queue", request.queue_wait_s)
+                try:
+                    with tel.span(
+                        "service.request",
+                        "service",
+                        tenant=request.tenant,
+                        workload_class=request.workload_class,
+                        request_id=request.request_id,
+                    ):
+                        if isinstance(request.work, str):
+                            request.result = gateway_session.session.sql(
+                                request.work
+                            )
+                        else:
+                            request.result = request.work(
+                                gateway_session.session
+                            )
+                    crashpoint("service.dispatch.after_execute")
+                except Exception as error:  # repro: ignore[no-swallowed-errors]
+                    # Not swallowed: whatever the work raised fails this
+                    # request and Request.outcome() re-raises it; only the
+                    # dispatcher must survive (a SimulatedCrash is a
+                    # BaseException and still unwinds).
+                    self._fail(request, error)
+                    return
+            self._finish(request, "completed")
+            if metering:
+                metrics.counter(
+                    "service.completions",
                     workload_class=request.workload_class,
-                    request_id=request.request_id,
-                ):
-                    if isinstance(request.work, str):
-                        request.result = gateway_session.session.sql(
-                            request.work
-                        )
-                    else:
-                        request.result = request.work(gateway_session.session)
-                crashpoint("service.dispatch.after_execute")
-            except PolarisError as error:
-                request.error = type(error).__name__
-                request.exception = error
-                self._finish(request, "failed")
-                if metering:
-                    metrics.counter(
-                        "service.failures", error=type(error).__name__
-                    ).inc()
-            else:
-                self._finish(request, "completed")
-                if metering:
-                    metrics.counter(
-                        "service.completions",
-                        workload_class=request.workload_class,
-                    ).inc()
-                    metrics.histogram(
-                        "service.queue_wait_s",
-                        workload_class=request.workload_class,
-                    ).observe(request.queue_wait_s)
-                    metrics.histogram(
-                        "service.request_latency_s",
-                        workload_class=request.workload_class,
-                    ).observe(request.finished_at - request.submitted_at)
+                ).inc()
+                metrics.histogram(
+                    "service.queue_wait_s",
+                    workload_class=request.workload_class,
+                ).observe(request.queue_wait_s)
+                metrics.histogram(
+                    "service.request_latency_s",
+                    workload_class=request.workload_class,
+                ).observe(request.finished_at - request.submitted_at)
         finally:
-            try:
-                if attributed:
-                    querystore.pop_attribution()
-                if waits_attributed:
-                    waits.pop_attribution()
-            finally:
-                # The release must survive a pop_attribution failure.
-                self.pool.release(gateway_session)
-                if metering:
-                    metrics.gauge("service.sessions_open").set(
-                        self.pool.open_count
-                    )
+            self.pool.release(gateway_session)
+            if metering:
+                metrics.gauge("service.sessions_open").set(
+                    self.pool.open_count
+                )
 
     # -- bookkeeping -------------------------------------------------------
 
     def _record(self, request: Request) -> None:
         self._requests[request.request_id] = request
+
+    def _fail(self, request: Request, error: Exception) -> None:
+        request.error = type(error).__name__
+        request.exception = error
+        self._finish(request, "failed")
+        if self._telemetry.metering:
+            self._telemetry.metrics.counter(
+                "service.failures", error=request.error
+            ).inc()
 
     def _finish(self, request: Request, status: str) -> None:
         request.status = status
@@ -437,8 +416,8 @@ class Gateway:
         """Reconcile the ledger after a crash: no request stays in flight.
 
         Drains the admission queues, marks every ``queued``/``running``
-        request ``scavenged``, and closes all pooled sessions.  Called by
-        :class:`repro.chaos.RecoveryManager` during restart recovery;
+        request ``scavenged``, and closes all pooled sessions.  Called
+        during restart recovery (the gateway is a recovery participant);
         returns the number of requests scavenged.
         """
         self.admission.drain()

@@ -57,50 +57,20 @@ class SqlSession:
             # enters the query store.
             return self._explain(text[match.end():], analyze=bool(match.group(1)))
         statement = parse(text)
-        tel = self.session._context.telemetry
-        store = tel.querystore
-        waits = tel.waits
         kind = type(statement).__name__.replace("Statement", "").lower()
-        if waits is not None:
-            # Waits suffered while this statement runs (commit lock, retry
-            # backoff, task dispatch) attribute to its fingerprint in
-            # sys.dm_exec_query_waits.  ``fingerprint`` is the same hash
-            # the query store assigns, so the two views join when both
-            # subsystems are enabled.
-            from repro.telemetry.querystore import fingerprint
-
-            waits.push_query(fingerprint(text))
-        pending = store.start(text, kind) if store is not None else None
-        try:
-            try:
-                if not tel.tracing:
-                    result = self._dispatch(statement, pending)
-                else:
-                    clipped = text.strip()[: tel.config.sql_text_limit]
-                    with tel.span("sql." + kind, "sql", sql=clipped):
-                        result = self._dispatch(statement, pending)
+        # One scope per statement: its fingerprint frame, its query-store
+        # execution (``pending``; None with the store off) and its span.
+        # An error inside the body — row extraction included — finishes
+        # the execution as failed; a SimulatedCrash leaves it in flight.
+        with self.session._context.telemetry.statement(text, kind) as pending:
+            result = self._dispatch(statement, pending)
+            if pending is not None and kind in (
+                "select", "insert", "delete", "update"
+            ):
                 # CREATE TABLE returns a table id, BEGIN/COMMIT return None
                 # — only row-producing statements feed the rows aggregate.
-                # Row extraction runs inside the try: if it fails, the
-                # pending record is finished with the error, not leaked.
-                rows = (
-                    _result_rows(result)
-                    if kind in ("select", "insert", "delete", "update")
-                    else 0
-                )
-            except Exception as error:
-                # SimulatedCrash is a BaseException: a dead process reports
-                # nothing, so its pending record stays in flight until
-                # recovery scavenges it.
-                if pending is not None:
-                    store.finish(pending, error=error)
-                raise
-            if pending is not None:
-                store.finish(pending, rows=rows)
-            return result
-        finally:
-            if waits is not None:
-                waits.pop_query()
+                pending.rows = _result_rows(result)
+        return result
 
     def _dispatch(self, statement, pending=None):
         if isinstance(statement, SelectStatement):

@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
+    from repro.telemetry.facade import Telemetry
     from repro.telemetry.metrics import MetricsRegistry
-    from repro.telemetry.waits import WaitStats
 
 
 class CommitLock:
@@ -40,28 +40,25 @@ class CommitLock:
         #: Simulated instant until which the lock is modeled busy.
         self.busy_until = 0.0
         self._acquired_at = 0.0
-        self._waits: "Optional[WaitStats]" = None
+        self._telemetry: "Optional[Telemetry]" = None
         self._metrics: "Optional[MetricsRegistry]" = None
         # Local aggregates so sys.dm_commit_lock works without metrics.
         self.total_wait_s = 0.0
         self.total_hold_s = 0.0
 
     def configure(
-        self,
-        hold_s: float = 0.0,
-        waits: "Optional[WaitStats]" = None,
-        metrics: "Optional[MetricsRegistry]" = None,
+        self, hold_s: float = 0.0, telemetry: "Optional[Telemetry]" = None
     ) -> None:
-        """Bind the contention model and instrumentation sinks.
+        """Bind the contention model and the telemetry that observes it.
 
-        Called by :meth:`repro.fe.context.ServiceContext.create` after
-        telemetry exists (the engine — and this lock — is constructed
-        first); all parameters are optional so a bare engine keeps the
-        idealized lock.
+        Called by :meth:`repro.fe.context.ServiceContext.create`; both
+        parameters are optional so a bare engine keeps the idealized,
+        unobserved lock.
         """
         self.hold_s = float(hold_s)
-        self._waits = waits
-        self._metrics = metrics
+        self._telemetry = telemetry
+        metering = telemetry is not None and telemetry.metering
+        self._metrics = telemetry.metrics if metering else None
 
     @contextmanager
     def held(self, txid: int) -> Iterator[None]:
@@ -81,8 +78,8 @@ class CommitLock:
             if wait_s > 0:
                 clock.advance(wait_s)
                 self.total_wait_s += wait_s
-                if self._waits is not None:
-                    self._waits.record_wait("commit_lock", wait_s)
+                if self._telemetry is not None:
+                    self._telemetry.record_wait("commit_lock", wait_s)
                 if self._metrics is not None:
                     self._metrics.histogram("sqldb.commit_lock_wait_s").observe(
                         wait_s

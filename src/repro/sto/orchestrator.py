@@ -268,15 +268,14 @@ class SystemTaskOrchestrator:
 
     def _drain_compactions(self) -> None:
         now = self._context.clock.now
-        waits = self._context.telemetry.waits
+        tel = self._context.telemetry
         due = [tid for tid, when in self._pending_compactions.items() if when <= now]
         for table_id in sorted(due):
-            if waits is not None:
-                # Lag between the trigger's due time and this tick: time
-                # the table stayed unhealthy waiting for the scheduler.
-                waits.record_wait(
-                    "sto_schedule", now - self._pending_compactions[table_id]
-                )
+            # Lag between the trigger's due time and this tick: time the
+            # table stayed unhealthy waiting for the scheduler.
+            tel.record_wait(
+                "sto_schedule", now - self._pending_compactions[table_id]
+            )
             del self._pending_compactions[table_id]
             self.run_compaction(table_id, trigger="health")
 

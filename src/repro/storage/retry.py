@@ -102,11 +102,10 @@ def with_retries(
             if telemetry is not None:
                 telemetry.retry_attempt(label, attempt, exc, backoff_s=backoff_s)
             if clock is not None and backoff_s > 0:
-                waits = telemetry.waits if telemetry is not None else None
-                if waits is not None:
+                if telemetry is not None:
                     # The backoff is a stall the caller genuinely suffers;
                     # charge it to the wait stats as the clock advances.
-                    with waits.waiting("storage_retry"):
+                    with telemetry.waiting("storage_retry"):
                         clock.advance(backoff_s)
                 else:
                     clock.advance(backoff_s)

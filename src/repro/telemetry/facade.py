@@ -1,24 +1,36 @@
 """The per-deployment telemetry facade.
 
 One :class:`Telemetry` object per :class:`~repro.fe.context.ServiceContext`
-bundles the span tracer, the metrics registry, and the domain hooks the
-instrumented layers call (storage requests, latency charges, retries, bus
-events).  Every entry point fast-paths to a no-op when the corresponding
-``TelemetryConfig`` switch is off, so a deployment that never enables
-telemetry pays only attribute checks.
+bundles the span tracer, the metrics registry, the optional collectors
+(query store, wait statistics, metrics sampler, watchdog — built here,
+from ``TelemetryConfig``, and nowhere else), the request scope they
+attribute by, and the domain hooks the instrumented layers call (storage
+requests, latency charges, retries, waits, statements, bus events).
+Every entry point fast-paths to a no-op — the scoped ones to one shared
+null scope — when the corresponding ``TelemetryConfig`` switch is off, so
+instrumented sites never test whether a collector exists.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import TelemetryConfig
 from repro.common.events import Event, EventBus, WILDCARD
 from repro.telemetry import exporters
 from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.querystore import (
+    SQL_TEXT_LIMIT,
+    QueryStore,
+    normalize_and_hash,
+)
+from repro.telemetry.scope import RequestScope
 from repro.telemetry.spans import Span, SpanEvent, Tracer
+from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
+from repro.telemetry.waits import WaitStats
 
 #: Live Telemetry instances in creation order (weakly held; the benchmark
 #: harness exports combined traces/metrics from these after a run).
@@ -41,7 +53,7 @@ def tracing_instances() -> "List[Telemetry]":
 
 
 class _NullScope:
-    """Shared no-op stand-in for span/activate scopes when tracing is off."""
+    """Shared no-op stand-in for any scope whose switch is off."""
 
     __slots__ = ()
 
@@ -56,39 +68,150 @@ _NULL_SCOPE = _NullScope()
 
 
 class Telemetry:
-    """Tracing + metrics for one deployment, gated by its config."""
+    """Tracing, metrics and the optional collectors of one deployment.
+
+    ``bus`` is mirrored into metrics/spans and handed to the collectors
+    that publish on it; ``participants`` is the deployment's registry of
+    crash-volatile state (``ServiceContext.participants``), which every
+    collector holding in-flight records joins.
+    """
 
     def __init__(
         self,
         clock: SimulatedClock,
         config: Optional[TelemetryConfig] = None,
         seed: int = Histogram.DEFAULT_SEED,
+        bus: Optional[EventBus] = None,
+        participants: Optional[Dict[str, Callable[[], int]]] = None,
     ) -> None:
-        self.config = config or TelemetryConfig()
+        config = self.config = config or TelemetryConfig()
         self.clock = clock
         #: Span tracing on/off (the expensive half).
-        self.tracing = self.config.enabled
+        self.tracing = config.enabled
         #: Metrics registry recording on/off (cheap dict increments).
-        self.metering = self.config.metrics or self.config.enabled
-        self.metrics = MetricsRegistry(self.config.histogram_max_samples, seed=seed)
-        self.tracer = Tracer(clock, max_spans=self.config.max_spans)
-        self._bus: Optional[EventBus] = None
+        self.metering = config.metrics or config.enabled
+        self.metrics = MetricsRegistry(seed=seed)
+        self.tracer = Tracer(clock, max_spans=config.max_spans)
+        if bus is not None and (self.metering or self.tracing):
+            # Mirror every bus event (wildcard) into metrics/spans.
+            bus.subscribe(WILDCARD, self._on_bus_event)
+        #: The only attribution state: (tenant, workload class, query
+        #: fingerprint) frames the collectors read.
+        self.scope = RequestScope()
+        self._participants = participants if participants is not None else {}
+        #: Whether any collector reads :attr:`scope` (the scoped entry
+        #: points are the shared null scope otherwise).
+        self._collecting = False
+        metrics = self.metrics if self.metering else None
+        #: Query store folding per-fingerprint execution profiles (None
+        #: unless ``TelemetryConfig.query_store_enabled``).
+        self.querystore = None
+        if config.query_store_enabled:
+            self.querystore = self._collector(
+                "querystore",
+                QueryStore(clock, config, metrics, bus, seed, self.scope),
+            )
+        #: Wait-statistics collector attributing every stalled simulated
+        #: second (None unless ``TelemetryConfig.wait_stats_enabled``).
+        self.waits = None
+        if config.wait_stats_enabled:
+            self.waits = self._collector(
+                "waits",
+                WaitStats(
+                    clock,
+                    metrics,
+                    self.tracer if self.tracing else None,
+                    seed,
+                    self.scope,
+                ),
+            )
+            # Bound once, so an enabled site reaches the collector with
+            # no forwarding hop (the class-level methods are the no-ops).
+            self.record_wait = self.waits.record_wait
+            self.waiting = self.waits.waiting
         #: Time-series sampler over :attr:`metrics` (None unless
         #: ``TelemetryConfig.sample_interval_s`` > 0 — the disabled path
         #: allocates nothing and arms no clock watcher).
         self.sampler = None
         #: Threshold watchdog fed by :attr:`sampler` (None unless enabled).
         self.watchdog = None
-        #: Query store folding per-fingerprint execution profiles (None
-        #: unless ``TelemetryConfig.query_store_enabled`` — the disabled
-        #: path costs the SQL runner one attribute check per statement).
-        self.querystore = None
-        #: Wait-statistics collector attributing every stalled simulated
-        #: second (None unless ``TelemetryConfig.wait_stats_enabled`` —
-        #: the disabled path costs each blocking point one attribute
-        #: check).
-        self.waits = None
+        if self.metering and config.sample_interval_s > 0:
+            self.sampler = MetricsSampler(
+                clock, self.metrics, config.sample_interval_s
+            )
+            if config.watchdog_enabled:
+                self.watchdog = Watchdog(self.metrics, bus, rules=default_rules())
+                self.sampler.subscribe(self.watchdog.observe)
+            self.sampler.start()
         _INSTANCES.append(weakref.ref(self))
+
+    def _collector(self, name: str, collector):
+        """Wire one collector that reads the scope and holds in-flight
+        records: it joins the recovery participants under ``name``."""
+        self._collecting = True
+        self._participants[name] = collector.scavenge
+        return collector
+
+    # -- request scope, waits, statements (null scopes when nothing collects) --
+
+    def request_scope(
+        self, tenant: Optional[str] = None, workload_class: Optional[str] = None
+    ):
+        """Attribute what the ``with`` body records to one request."""
+        if not self._collecting:
+            return _NULL_SCOPE
+        return self.scope.enter(tenant, workload_class)
+
+    def record_wait(self, kind: str, wait_s: float, **overrides: Any) -> None:
+        """Record one completed wait (:meth:`WaitStats.record_wait`);
+        a no-op unless wait statistics are enabled."""
+
+    def waiting(self, kind: str, **overrides: Any):
+        """Charge the body's clock delta as a wait
+        (:meth:`WaitStats.waiting`); the null scope unless wait
+        statistics are enabled."""
+        return _NULL_SCOPE
+
+    def statement(self, text: str, kind: str):
+        """Scope of one SQL statement: frame, query-store record, span.
+
+        Yields the statement's in-flight
+        :class:`~repro.telemetry.querystore.PendingExecution` (None with
+        the query store off).  Leaving the body folds the execution; an
+        ``Exception`` records it as an error; a ``BaseException`` — a
+        simulated crash — leaves it in flight for recovery to scavenge.
+        The shared null scope when tracing and every collector are off.
+        """
+        if not (self._collecting or self.tracing):
+            return _NULL_SCOPE
+        return self._statement(text, kind)
+
+    @contextmanager
+    def _statement(self, text: str, kind: str) -> Iterator[Any]:
+        store = self.querystore
+        fingerprinted = query_hash = None
+        if self._collecting:
+            # Fingerprinted once: the same hash keys the query store's
+            # profile and the waits suffered while the statement runs, so
+            # sys.dm_exec_query_waits joins sys.dm_exec_query_stats.
+            fingerprinted = normalize_and_hash(text)
+            query_hash = fingerprinted[1]
+        with self.scope.enter(query_hash=query_hash):
+            pending = (
+                store.start(text, kind, fingerprinted)
+                if store is not None
+                else None
+            )
+            try:
+                clipped = text.strip()[:SQL_TEXT_LIMIT]
+                with self.span("sql." + kind, "sql", sql=clipped):
+                    yield pending
+            except Exception as error:
+                if pending is not None:
+                    store.finish(pending, error=error)
+                raise
+            if pending is not None:
+                store.finish(pending, rows=pending.rows)
 
     # -- span API (no-ops when tracing is off) -------------------------------
 
@@ -176,7 +299,7 @@ class Telemetry:
             metrics.histogram("storage.request_latency_s", op=operation).observe(
                 cost
             )
-        if self.tracing and self.config.capture_storage_spans:
+        if self.tracing:
             start, end = self.tracer.child_window(cost)
             span = self.tracer.start_span(
                 "store." + operation,
@@ -272,21 +395,6 @@ class Telemetry:
             self.tracer.add_event("retry.exhausted", label=label, attempts=attempts)
 
     # -- event-bus tap ---------------------------------------------------------
-
-    def attach_bus(self, bus: EventBus) -> None:
-        """Subscribe to every bus topic (wildcard) to mirror events."""
-        if self._bus is not None or not self.config.capture_bus_events:
-            return
-        if not (self.metering or self.tracing):
-            return
-        bus.subscribe(WILDCARD, self._on_bus_event)
-        self._bus = bus
-
-    def detach_bus(self) -> None:
-        """Remove the wildcard subscription (e.g. before a restore)."""
-        if self._bus is not None:
-            self._bus.unsubscribe(WILDCARD, self._on_bus_event)
-            self._bus = None
 
     def _on_bus_event(self, event: Event) -> None:
         if self.metering:

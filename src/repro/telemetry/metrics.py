@@ -30,6 +30,20 @@ def format_key(key: LabelKey) -> str:
     return f"{name}{{{inner}}}"
 
 
+def percentile(values: List[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) with linear interpolation."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    frac = rank - low
+    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+
+
 class Counter:
     """A monotonically increasing total."""
 
@@ -105,16 +119,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0..100) over the retained samples."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        frac = rank - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        return percentile(self._samples, q)
 
     def summary(self) -> Dict[str, float]:
         """count/sum/min/mean/max plus p50, p95 and p99."""
@@ -138,12 +143,7 @@ class MetricsRegistry:
     with the same config report identical percentile estimates.
     """
 
-    def __init__(
-        self,
-        histogram_max_samples: int = 4096,
-        seed: int = Histogram.DEFAULT_SEED,
-    ) -> None:
-        self._histogram_max_samples = histogram_max_samples
+    def __init__(self, seed: int = Histogram.DEFAULT_SEED) -> None:
         self._seed = seed
         self._counters: Dict[LabelKey, Counter] = {}
         self._gauges: Dict[LabelKey, Gauge] = {}
@@ -172,9 +172,7 @@ class MetricsRegistry:
         key = _key(name, labels)
         histogram = self._histograms.get(key)
         if histogram is None:
-            histogram = self._histograms[key] = Histogram(
-                self._histogram_max_samples, seed=self._seed
-            )
+            histogram = self._histograms[key] = Histogram(seed=self._seed)
         return histogram
 
     # -- reading -------------------------------------------------------------

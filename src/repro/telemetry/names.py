@@ -64,21 +64,16 @@ METRIC_NAMES: Dict[str, str] = {
     "querystore.recorded": (
         "Statement executions folded into the query store, by kind."
     ),
-    "recovery.gateway_requests_scavenged": (
-        "Admitted-but-unfinished gateway requests scavenged on restart."
-    ),
-    "recovery.querystore_discarded": (
-        "Crashed in-flight query-store executions discarded on restart."
-    ),
-    "recovery.waits_discarded": (
-        "Open wait scopes discarded on restart (never counted as waits)."
-    ),
     "recovery.in_doubt_aborted": "In-doubt transactions aborted by recovery.",
     "recovery.in_doubt_committed": (
         "In-doubt transactions resolved committed by recovery."
     ),
     "recovery.publishes_completed": "Missed Delta publishes completed.",
     "recovery.runs": "Recovery passes executed.",
+    "recovery.scavenged": (
+        "In-flight process-state records discarded on restart, labeled by "
+        "recovery participant."
+    ),
     "recovery.staged_blocks_discarded": "Staged blocks scavenged on restart.",
     "service.admitted": "Requests admitted into a class queue.",
     "service.completions": "Requests completed, labeled by workload class.",

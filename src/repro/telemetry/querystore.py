@@ -14,8 +14,9 @@ substrate for the Polaris reproduction:
   per fingerprint: executions, errors, p50/p95/p99 simulated latency,
   rows, bytes read, plan-text hashes, per-operator estimated-vs-actual
   cardinality records (the feedback a cost-based optimizer consumes),
-  and per-tenant/workload-class attribution when the statement arrived
-  through the gateway.
+  and per-tenant/workload-class attribution — read from the deployment's
+  :class:`~repro.telemetry.scope.RequestScope` — when the statement
+  arrived through the gateway.
 * A per-fingerprint latency-regression detector increments the
   ``querystore.plan_regressions`` counter the ``plan_latency_regression``
   watchdog rule (:func:`repro.telemetry.timeseries.default_rules`) fires
@@ -41,7 +42,8 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 from repro.common.config import TelemetryConfig
 from repro.engine.explain import misestimate_ratio
 from repro.sql.lexer import tokenize
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, percentile
+from repro.telemetry.scope import RequestScope
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
@@ -51,6 +53,13 @@ if TYPE_CHECKING:
 #: Hex digits of SHA-256 kept as a query/plan hash (cross-run stable,
 #: unlike Python's ``hash``).
 HASH_LENGTH = 16
+
+#: SQL text is truncated to this many chars in span attributes and in
+#: ``sys.dm_exec_query_stats.query_text``.
+SQL_TEXT_LIMIT = 200
+
+#: A fingerprint regresses when recent p95 >= factor * baseline p95.
+REGRESSION_FACTOR = 2.0
 
 #: Single-quoted string literals inside rendered plan text.
 _PLAN_STRING_RE = re.compile(r"'[^']*'")
@@ -98,10 +107,16 @@ def normalize_sql(text: str) -> str:
     return " ".join(collapsed)
 
 
+def normalize_and_hash(text: str) -> Tuple[str, str]:
+    """``(normalized text, query_hash)`` of one statement."""
+    normalized = normalize_sql(text)
+    digest = hashlib.sha256(normalized.encode("utf-8")).hexdigest()
+    return normalized, digest[:HASH_LENGTH]
+
+
 def fingerprint(text: str) -> str:
     """The stable ``query_hash`` of one statement's normalized form."""
-    normalized = normalize_sql(text)
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:HASH_LENGTH]
+    return normalize_and_hash(text)[1]
 
 
 def plan_fingerprint(plan_text: str) -> str:
@@ -114,20 +129,6 @@ def plan_fingerprint(plan_text: str) -> str:
     """
     normalized = _PLAN_NUMBER_RE.sub("?", _PLAN_STRING_RE.sub("?", plan_text))
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:HASH_LENGTH]
-
-
-def _percentile(values: List[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) with linear interpolation."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 class PendingExecution:
@@ -151,6 +152,7 @@ class PendingExecution:
         "workload_class",
         "plan_text",
         "operators",
+        "rows",
     )
 
     def __init__(
@@ -176,6 +178,9 @@ class PendingExecution:
         self.workload_class = workload_class
         self.plan_text: Optional[str] = None
         self.operators: List[Dict[str, Any]] = []
+        #: Rows the statement produced; set by the runner before the
+        #: statement scope closes.
+        self.rows = 0
 
     def record_plan(
         self, plan_text: str, operators: List[Dict[str, Any]]
@@ -207,7 +212,7 @@ class QueryProfile:
         self.total_rows = 0
         self.total_bytes_read = 0
         #: Seeded reservoir over successful-execution latencies.
-        self.latency = Histogram(config.histogram_max_samples, seed=seed)
+        self.latency = Histogram(seed=seed)
         #: Sliding window feeding the regression detector.
         self.recent: Deque[float] = deque(maxlen=config.query_store_recent_window)
         #: Frozen once ``query_store_min_history`` executions accumulate.
@@ -221,7 +226,6 @@ class QueryProfile:
         #: (tenant, workload_class) -> executions attributed.
         self.attribution: Dict[Tuple[str, str], int] = {}
         self._min_history = config.query_store_min_history
-        self._factor = config.query_store_regression_factor
 
     # -- folding --------------------------------------------------------------
 
@@ -285,12 +289,12 @@ class QueryProfile:
 
     def _check_regression(self) -> bool:
         if self.executions == self._min_history:
-            self.baseline_p95_s = _percentile(list(self.recent), 95.0)
+            self.baseline_p95_s = percentile(list(self.recent), 95.0)
             return False
         if self.executions < self._min_history or self.baseline_p95_s <= 0:
             return False
-        recent_p95 = _percentile(list(self.recent), 95.0)
-        regressed = recent_p95 >= self._factor * self.baseline_p95_s
+        recent_p95 = percentile(list(self.recent), 95.0)
+        regressed = recent_p95 >= REGRESSION_FACTOR * self.baseline_p95_s
         if regressed and not self._in_regression:
             self._in_regression = True
             self.regressions += 1
@@ -303,7 +307,7 @@ class QueryProfile:
 
     def recent_p95_s(self) -> float:
         """p95 over the sliding recent-latency window."""
-        return _percentile(list(self.recent), 95.0)
+        return percentile(list(self.recent), 95.0)
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic JSON-serializable view of this profile."""
@@ -340,10 +344,11 @@ class QueryProfile:
 class QueryStore:
     """Per-deployment query store over the simulated clock.
 
-    Constructed by :meth:`repro.fe.context.ServiceContext.create` when
+    Constructed by :class:`~repro.telemetry.facade.Telemetry` when
     ``telemetry.query_store_enabled`` is on and reachable as
-    ``context.telemetry.querystore`` (None when disabled, so the SQL
-    runner's fast path pays one attribute check).
+    ``context.telemetry.querystore`` (None when disabled).  ``scope`` is
+    the deployment's request scope; a store constructed standalone gets
+    a private one.
     """
 
     def __init__(
@@ -353,39 +358,35 @@ class QueryStore:
         metrics: "Optional[MetricsRegistry]" = None,
         bus: "Optional[EventBus]" = None,
         seed: int = 0,
+        scope: Optional[RequestScope] = None,
     ) -> None:
         self._clock = clock
         self._config = config or TelemetryConfig()
         self._metrics = metrics
         self._bus = bus
         self._seed = seed
+        self._scope = scope if scope is not None else RequestScope()
         self._profiles: Dict[str, QueryProfile] = {}
         self._inflight: Dict[int, PendingExecution] = {}
         self._next_token = 0
-        self._attribution: List[Tuple[str, str]] = []
-
-    # -- attribution ----------------------------------------------------------
-
-    def push_attribution(self, tenant: str, workload_class: str) -> None:
-        """Attribute statements started from here on to a gateway request."""
-        self._attribution.append((tenant, workload_class))
-
-    def pop_attribution(self) -> None:
-        """End the innermost gateway attribution scope."""
-        if self._attribution:
-            self._attribution.pop()
 
     # -- execution lifecycle --------------------------------------------------
 
-    def start(self, text: str, statement_kind: str) -> PendingExecution:
-        """Open one in-flight execution record for a parsed statement."""
-        normalized = normalize_sql(text)
-        query_hash = hashlib.sha256(normalized.encode("utf-8")).hexdigest()[
-            :HASH_LENGTH
-        ]
-        tenant, workload = (
-            self._attribution[-1] if self._attribution else ("", "")
-        )
+    def start(
+        self,
+        text: str,
+        statement_kind: str,
+        fingerprinted: Optional[Tuple[str, str]] = None,
+    ) -> PendingExecution:
+        """Open one in-flight execution record for a parsed statement.
+
+        ``fingerprinted`` is ``normalize_and_hash(text)`` when the caller
+        already has it (a statement is fingerprinted once, by whoever
+        enters its scope frame); tenant and workload class come from the
+        current frame.
+        """
+        normalized, query_hash = fingerprinted or normalize_and_hash(text)
+        frame = self._scope.current
         self._next_token += 1
         pending = PendingExecution(
             token=self._next_token,
@@ -395,8 +396,8 @@ class QueryStore:
             normalized_text=normalized,
             started_at=self._clock.now,
             bytes_read_before=self._bytes_read(),
-            tenant=tenant,
-            workload_class=workload,
+            tenant=frame.tenant,
+            workload_class=frame.workload_class,
         )
         self._inflight[pending.token] = pending
         return pending
@@ -485,7 +486,6 @@ class QueryStore:
     def query_stats_rows(self) -> List[Dict[str, Any]]:
         """``sys.dm_exec_query_stats`` rows, one per fingerprint."""
         rows = []
-        limit = self._config.sql_text_limit
         for profile in self.profiles():
             summary = profile.latency.summary()
             tenants = sorted({t for t, _ in profile.attribution if t})
@@ -494,7 +494,7 @@ class QueryStore:
                 {
                     "query_hash": profile.query_hash,
                     "statement_kind": profile.statement_kind,
-                    "query_text": profile.normalized_text[:limit],
+                    "query_text": profile.normalized_text[:SQL_TEXT_LIMIT],
                     "executions": profile.executions,
                     "errors": profile.errors,
                     "total_rows": profile.total_rows,

@@ -9,12 +9,12 @@ clock through one :class:`WaitStats` collector, under a registered wait
 kind (:data:`repro.telemetry.names.WAIT_NAMES`, enforced by the
 ``wait-naming`` lint rule).
 
-Waits are attributed three ways at once, reusing the query store's
-attribution discipline: per wait kind (``sys.dm_wait_stats``), per
-(tenant, workload class) — the gateway pushes a scope around request
-execution — and per query fingerprint (``sys.dm_exec_query_waits``,
-joinable with ``sys.dm_exec_query_stats``) — the SQL runner pushes the
-statement's fingerprint around dispatch.
+Waits are attributed three ways at once: per wait kind
+(``sys.dm_wait_stats``), and per (tenant, workload class) and query
+fingerprint (``sys.dm_exec_query_waits``, joinable with
+``sys.dm_exec_query_stats``) — all three read from the innermost frame
+of the deployment's one :class:`~repro.telemetry.scope.RequestScope`,
+which the gateway enters per request and the SQL runner per statement.
 
 Two recording styles:
 
@@ -29,20 +29,20 @@ Two recording styles:
   applies to in-flight executions.
 
 The collector is only constructed when
-``TelemetryConfig.wait_stats_enabled`` is on; every instrumented site
-guards on ``telemetry.waits is not None``, so a disabled deployment pays
-one attribute check per blocking point.
+``TelemetryConfig.wait_stats_enabled`` is on; instrumented sites call
+``Telemetry.record_wait`` / ``Telemetry.waiting``, which are no-ops on a
+disabled deployment.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.common.config import TelemetryConfig
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.names import WAIT_NAMES
+from repro.telemetry.scope import Frame, RequestScope
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
@@ -54,33 +54,14 @@ if TYPE_CHECKING:
 WAITS_TRACK = "waits"
 
 
-class PendingWait:
+class PendingWait(NamedTuple):
     """One open :meth:`WaitStats.waiting` scope (not yet folded)."""
 
-    __slots__ = (
-        "token",
-        "kind",
-        "started_at",
-        "tenant",
-        "workload_class",
-        "query_hash",
-    )
-
-    def __init__(
-        self,
-        token: int,
-        kind: str,
-        started_at: float,
-        tenant: str,
-        workload_class: str,
-        query_hash: str,
-    ) -> None:
-        self.token = token
-        self.kind = kind
-        self.started_at = started_at
-        self.tenant = tenant
-        self.workload_class = workload_class
-        self.query_hash = query_hash
+    token: int
+    kind: str
+    started_at: float
+    #: Attribution resolved when the scope opened.
+    frame: Frame
 
 
 class _KindAggregate:
@@ -88,17 +69,14 @@ class _KindAggregate:
 
     __slots__ = ("count", "total_s", "max_s", "reservoir", "attribution")
 
-    def __init__(self, max_samples: int, seed: int, kind: str) -> None:
+    def __init__(self, seed: int, kind: str) -> None:
         self.count = 0
         self.total_s = 0.0
         self.max_s = 0.0
         # Seeded per-kind reservoir, like every other percentile source,
         # so p95 is deterministic across same-seed runs (crc32, not
         # hash(): string hashing is randomized per process).
-        self.reservoir = Histogram(
-            max_samples=max_samples,
-            seed=seed ^ zlib.crc32(kind.encode("utf-8")),
-        )
+        self.reservoir = Histogram(seed=seed ^ zlib.crc32(kind.encode("utf-8")))
         #: (tenant, workload_class) -> [count, total_s]
         self.attribution: Dict[Tuple[str, str], List[float]] = {}
 
@@ -116,52 +94,32 @@ class _KindAggregate:
 class WaitStats:
     """Per-deployment wait-statistics collector over the simulated clock.
 
-    Constructed by :meth:`repro.fe.context.ServiceContext.create` when
+    Constructed by :class:`~repro.telemetry.facade.Telemetry` when
     ``telemetry.wait_stats_enabled`` is on and reachable as
-    ``context.telemetry.waits`` (None when disabled, so instrumented
-    blocking points pay one attribute check).
+    ``context.telemetry.waits`` (None when disabled).  ``scope`` is the
+    deployment's request scope; a collector constructed standalone gets
+    a private one.
     """
 
     def __init__(
         self,
         clock: "SimulatedClock",
-        config: Optional[TelemetryConfig] = None,
         metrics: "Optional[MetricsRegistry]" = None,
         tracer: "Optional[Tracer]" = None,
         seed: int = 0,
+        scope: Optional[RequestScope] = None,
     ) -> None:
         self._clock = clock
-        self._config = config or TelemetryConfig()
         self._metrics = metrics
         self._tracer = tracer
         self._seed = seed
+        #: Where unattributed waits get their tenant / class / fingerprint.
+        self.scope = scope if scope is not None else RequestScope()
         self._kinds: Dict[str, _KindAggregate] = {}
         #: (query_hash, kind) -> [count, total_s, max_s]
         self._query_waits: Dict[Tuple[str, str], List[float]] = {}
         self._inflight: Dict[int, PendingWait] = {}
         self._next_token = 0
-        self._attribution: List[Tuple[str, str]] = []
-        self._query_stack: List[str] = []
-
-    # -- attribution ----------------------------------------------------------
-
-    def push_attribution(self, tenant: str, workload_class: str) -> None:
-        """Attribute waits recorded from here on to a gateway request."""
-        self._attribution.append((tenant, workload_class))
-
-    def pop_attribution(self) -> None:
-        """End the innermost gateway attribution scope."""
-        if self._attribution:
-            self._attribution.pop()
-
-    def push_query(self, query_hash: str) -> None:
-        """Attribute waits recorded from here on to a query fingerprint."""
-        self._query_stack.append(query_hash)
-
-    def pop_query(self) -> None:
-        """End the innermost query-fingerprint attribution scope."""
-        if self._query_stack:
-            self._query_stack.pop()
 
     # -- recording ------------------------------------------------------------
 
@@ -178,8 +136,8 @@ class WaitStats:
         ``kind`` must be registered in :data:`WAIT_NAMES` (the
         ``wait-naming`` lint rule enforces literal registered names at
         call sites; this check catches dynamic callers).  Attribution
-        defaults to the innermost pushed scopes; explicit ``tenant`` /
-        ``workload_class`` / ``query_hash`` override them for waits
+        defaults to the current request-scope frame; explicit ``tenant``
+        / ``workload_class`` / ``query_hash`` override it for waits
         recorded outside the stalled request's own control flow (e.g.
         the dispatcher expiring someone else's queued request).
         """
@@ -187,15 +145,8 @@ class WaitStats:
             raise ValueError(f"unregistered wait kind {kind!r}")
         if wait_s < 0:
             raise ValueError(f"negative wait {wait_s!r} for {kind!r}")
-        if tenant is None or workload_class is None:
-            stacked = self._attribution[-1] if self._attribution else ("", "")
-            tenant = stacked[0] if tenant is None else tenant
-            workload_class = (
-                stacked[1] if workload_class is None else workload_class
-            )
-        if query_hash is None:
-            query_hash = self._query_stack[-1] if self._query_stack else ""
-        self._fold(kind, wait_s, tenant, workload_class, query_hash)
+        frame = self.scope.current.override(tenant, workload_class, query_hash)
+        self._fold(kind, wait_s, *frame)
 
     def waiting(
         self,
@@ -214,47 +165,17 @@ class WaitStats:
         """
         if kind not in WAIT_NAMES:
             raise ValueError(f"unregistered wait kind {kind!r}")
-        return _WaitScope(
-            self, self._begin(kind, tenant, workload_class, query_hash)
-        )
-
-    def _begin(
-        self,
-        kind: str,
-        tenant: Optional[str],
-        workload_class: Optional[str],
-        query_hash: Optional[str],
-    ) -> PendingWait:
-        if tenant is None or workload_class is None:
-            stacked = self._attribution[-1] if self._attribution else ("", "")
-            tenant = stacked[0] if tenant is None else tenant
-            workload_class = (
-                stacked[1] if workload_class is None else workload_class
-            )
-        if query_hash is None:
-            query_hash = self._query_stack[-1] if self._query_stack else ""
+        frame = self.scope.current.override(tenant, workload_class, query_hash)
         self._next_token += 1
-        pending = PendingWait(
-            token=self._next_token,
-            kind=kind,
-            started_at=self._clock.now,
-            tenant=tenant,
-            workload_class=workload_class,
-            query_hash=query_hash,
-        )
+        pending = PendingWait(self._next_token, kind, self._clock.now, frame)
         self._inflight[pending.token] = pending
-        return pending
+        return _WaitScope(self, pending)
 
     def _end(self, pending: PendingWait) -> None:
         if self._inflight.pop(pending.token, None) is None:
             return  # already scavenged; never double-count
-        self._fold(
-            pending.kind,
-            max(self._clock.now - pending.started_at, 0.0),
-            pending.tenant,
-            pending.workload_class,
-            pending.query_hash,
-        )
+        wait_s = max(self._clock.now - pending.started_at, 0.0)
+        self._fold(pending.kind, wait_s, *pending.frame)
 
     def _fold(
         self,
@@ -266,9 +187,7 @@ class WaitStats:
     ) -> None:
         aggregate = self._kinds.get(kind)
         if aggregate is None:
-            aggregate = self._kinds[kind] = _KindAggregate(
-                self._config.histogram_max_samples, self._seed, kind
-            )
+            aggregate = self._kinds[kind] = _KindAggregate(self._seed, kind)
         aggregate.fold(wait_s, tenant, workload_class)
         if query_hash:
             slot = self._query_waits.setdefault(
@@ -362,7 +281,7 @@ class WaitStats:
     def query_waits_rows(self) -> List[Dict[str, Any]]:
         """``sys.dm_exec_query_waits`` rows, one per fingerprint x kind.
 
-        Only waits that happened under a pushed query fingerprint appear
+        Only waits that happened inside a statement's scope frame appear
         here (unattributed waits are still in ``sys.dm_wait_stats``); the
         ``query_hash`` column joins against ``sys.dm_exec_query_stats``.
         """

@@ -329,6 +329,43 @@ def test_resource_leak_passing_to_non_releasing_helper_still_leaks(tmp_path):
     assert rules_of(check_resource_leaks(program)) == ["resource-leak"]
 
 
+def test_resource_leak_contextmanager_yield_lends_not_escapes(tmp_path):
+    program = load(
+        tmp_path,
+        {
+            "pkg/__init__.py": "",
+            "pkg/svc.py": """
+                from contextlib import contextmanager
+
+
+                def hands_off(store):
+                    pending = store.start("SELECT 1", "select")
+                    yield pending
+
+
+                @contextmanager
+                def scoped(store):
+                    pending = store.start("SELECT 1", "select")
+                    try:
+                        yield pending
+                    finally:
+                        store.finish(pending)
+
+
+                @contextmanager
+                def leaky_scope(store):
+                    leaked = store.start("SELECT 1", "select")
+                    yield leaked
+            """,
+        },
+    )
+    # A plain generator hands its token to the consumer; a context
+    # manager resumes after the yield and still owes the release.
+    findings = check_resource_leaks(program)
+    assert rules_of(findings) == ["resource-leak"]
+    assert "'leaked'" in findings[0].message
+
+
 def test_resource_leak_discarded_acquire(tmp_path):
     program = load(
         tmp_path,

@@ -57,6 +57,17 @@ class TestRegistry:
         for name, description in CRASHPOINTS.items():
             assert description.strip(), name
 
+    def test_robustness_doc_names_every_recovery_site(self):
+        doc = (
+            Path(__file__).resolve().parents[1] / "docs" / "ROBUSTNESS.md"
+        ).read_text(encoding="utf-8")
+        missing = [
+            site
+            for site in CRASHPOINTS
+            if site.startswith("recovery.") and f"`{site}`" not in doc
+        ]
+        assert not missing, f"docs/ROBUSTNESS.md omits {missing}"
+
     def test_every_registered_site_is_instrumented_exactly_once(self):
         sites = all_call_sites()
         names = [name for name, __ in sites]

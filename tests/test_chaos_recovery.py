@@ -10,7 +10,11 @@ from repro.chaos import (
     RecoveryManager,
     SimulatedCrash,
 )
+from repro.chaos.harness import RECOVERY_SITES, _recover_with_crashes
+from repro.service import Gateway
+from repro.sql.runner import SqlSession
 from repro.sqldb import system_tables as catalog
+from repro.telemetry import fingerprint
 from repro.storage import paths
 
 SCHEMA = Schema.of(("id", "int64"), ("v", "float64"))
@@ -34,6 +38,19 @@ def loaded(dw):
     table_id = session.create_table("t", SCHEMA, distribution_column="id")
     session.insert("t", batch(0, 100))
     return dw, session, table_id
+
+
+@pytest.fixture
+def collecting(config):
+    """A loaded warehouse with both scavengeable collectors enabled."""
+    config.telemetry.query_store_enabled = True
+    config.telemetry.wait_stats_enabled = True
+    wh = Warehouse(config=config, auto_optimize=False)
+    wh.sto.auto_publish = True
+    session = wh.session()
+    session.create_table("t", SCHEMA, distribution_column="id")
+    session.insert("t", batch(0, 100))
+    return wh, session
 
 
 def crash_at(dw, site, thunk, hits=1):
@@ -211,24 +228,101 @@ class TestIdempotence:
         after = {b.path: b.data for b in dw.store.list("")}
         assert after == before
 
-    def test_crashed_recovery_passes_converge(self, loaded):
-        """Recovery can die at any of its own crashpoints; the next pass
+    def test_crashed_recovery_passes_converge(self, collecting):
+        """Recovery can die at any of its own crashpoints — the
+        participant site once per registered participant; the next pass
         finishes the job and ends clean."""
-        from repro.chaos.harness import RECOVERY_SITES
-
-        dw, session, _ = loaded
+        dw, session = collecting
         crash_at(
             dw,
             "fe.write.before_manifest_flush",
             lambda: session.insert("t", batch(100, 50)),
         )
+        assert list(dw.context.participants) == ["querystore", "waits"]
         manager = RecoveryManager(dw.context, sto=dw.sto)
         for site in RECOVERY_SITES:
-            controller = ChaosController(seed=0).arm(site)
-            with controller:
-                with pytest.raises(SimulatedCrash):
-                    manager.recover()
-            assert controller.crashes == [site]
+            hits = 2 if site == "recovery.participant.after_scavenge" else 1
+            for hit in range(1, hits + 1):
+                controller = ChaosController(seed=0).arm(site, hits=hit)
+                with controller:
+                    with pytest.raises(SimulatedCrash):
+                        manager.recover()
+                assert controller.crashes == [site]
+                assert controller.hits[site] == hit
+        assert manager.recover().clean
+
+    def test_double_crash_scavenges_real_volatile_state(self, collecting):
+        """A statement in flight, a wait scope open and requests queued
+        at the crash: however often recovery itself dies, every record
+        is discarded exactly once and none reaches an aggregate."""
+        dw, _ = collecting
+        tel = dw.telemetry
+        gateway = Gateway(dw.context)
+        for _ in range(3):
+            gateway.submit("acme", "transactional", lambda session: None)
+        sql = SqlSession(dw.session())
+        insert = "INSERT INTO t (id, v) VALUES (1, 1.0)"
+        with ChaosController(seed=0).arm("fe.write.before_manifest_flush"):
+            with pytest.raises(SimulatedCrash):
+                with tel.waiting("storage_retry"):
+                    dw.context.clock.advance(1.0)
+                    sql.execute(insert)
+        assert tel.querystore.inflight_count == 1
+        assert tel.waits.inflight_count == 1
+
+        # Sum what every scavenge() call discards, partial passes included.
+        discarded = {}
+        for name, scavenge in list(dw.context.participants.items()):
+
+            def counting(name=name, scavenge=scavenge):
+                count = scavenge()
+                discarded[name] = discarded.get(name, 0) + count
+                return count
+
+            dw.context.participants[name] = counting
+        report, problems = _recover_with_crashes(dw.context, dw.sto, seed=0)
+        assert not problems
+        assert report.clean  # the final pass found nothing left
+        assert discarded == {"querystore": 1, "waits": 1, "gateway": 3}
+        assert tel.querystore.inflight_count == 0
+        assert tel.waits.inflight_count == 0
+        assert not gateway.requests_with_status("queued", "running")
+        assert tel.querystore.profile(fingerprint(insert)) is None
+        assert tel.waits.wait_count("storage_retry") == 0
+
+    def test_any_registered_participant_is_scavenged(self, loaded):
+        """The protocol, with no edit to chaos/recovery.py: a participant
+        registered on the context is scavenged, reported under its name,
+        counted, makes the pass unclean, and is crash-swept."""
+        dw, _, _ = loaded
+
+        class Fake:
+            inflight = 2
+
+            def scavenge(self):
+                count, self.inflight = self.inflight, 0
+                return count
+
+        fake = Fake()
+        dw.context.participants["fake"] = fake.scavenge
+        manager = RecoveryManager(dw.context, sto=dw.sto)
+        report = manager.recover()
+        assert report.scavenged == {"fake": 2}
+        assert not report.clean
+        assert (
+            dw.telemetry.metrics.value("recovery.scavenged", participant="fake")
+            == 2.0
+        )
+        assert manager.recover().clean
+
+        fake.inflight = 1
+        site = "recovery.participant.after_scavenge"
+        controller = ChaosController(seed=0).arm(site)
+        with controller:
+            with pytest.raises(SimulatedCrash):
+                manager.recover()
+        assert controller.crashes == [site]
+        assert fake.inflight == 0
         assert manager.recover().clean
 
     def test_recovery_on_healthy_warehouse_is_clean(self, loaded):

@@ -45,8 +45,13 @@ class TestCrashSweep:
 
 class TestDoubleCrash:
     def test_recovery_sites_registered(self):
-        assert len(RECOVERY_SITES) == 7
-        assert all(site.startswith("recovery.") for site in RECOVERY_SITES)
+        assert RECOVERY_SITES == (
+            "recovery.catalog.after_reconcile",
+            "recovery.in_doubt.after_resolve",
+            "recovery.participant.after_scavenge",
+            "recovery.publish.after_complete",
+            "recovery.staged.after_discard",
+        )
 
     def test_double_crash_workload_site_recovers(self):
         result = run_site("fe.commit.after_sqldb_commit", seed=0, double_crash=True)

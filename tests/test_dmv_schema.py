@@ -268,25 +268,66 @@ def test_wait_views_sql_queryable_when_disabled(config):
         assert len(first) == 0
 
 
-def test_wait_views_dtypes_through_sql(config):
-    """With waits enabled and rows present, SQL output keeps schema dtypes."""
+#: Views the ``populated`` deployment fills with at least one row.
+POPULATED_VIEWS = (
+    "sys.dm_exec_operator_stats",
+    "sys.dm_exec_query_plans",
+    "sys.dm_exec_query_stats",
+    "sys.dm_exec_query_waits",
+    "sys.dm_metrics_history",
+    "sys.dm_storage_health",
+    "sys.dm_storage_integrity",
+    "sys.dm_transactions",
+    "sys.dm_wait_stats",
+)
+
+
+@pytest.fixture(scope="module")
+def populated():
+    """One deployment with every optional collector on and real rows:
+    SQL statements (query store), an attributed wait, sampled metrics,
+    and a bit-flipped checkpoint the scrubber repaired."""
+    config = PolarisConfig()
+    config.telemetry.sample_interval_s = 1.0
+    config.telemetry.query_store_enabled = True
     config.telemetry.wait_stats_enabled = True
     dw = Warehouse(config=config, auto_optimize=False)
-    waits = dw.telemetry.waits
-    assert waits is not None
-    waits.record_wait(
+    session = dw.session()
+    session.sql("CREATE TABLE t (id BIGINT, v DOUBLE)")
+    session.sql("INSERT INTO t (id, v) VALUES (1, 1.0), (2, 2.0)")
+    session.sql("SELECT id FROM t WHERE v > 1.5")
+    dw.telemetry.waits.record_wait(
         "commit_lock", 0.25, tenant="acme", workload_class="etl",
         query_hash="abc123",
     )
-    session = dw.session()
-    for view in ("sys.dm_wait_stats", "sys.dm_exec_query_waits"):
-        batch = session.sql(f"SELECT * FROM {view}")
-        schema = Introspector.schema(view)
-        assert list(batch) == [f.name for f in schema.fields]
-        first = next(iter(batch.values()))
-        assert len(first) == 1
-        for field in schema.fields:
-            assert batch[field.name].dtype == np.dtype(field.numpy_dtype)
+    (table,) = session.sql("SELECT table_id FROM sys.dm_storage_health")["table_id"]
+    checkpoint = dw.sto.run_checkpoint(int(table))
+    dw.store.damage(checkpoint.path, "bit_flip")
+    assert dw.sto.run_scrub().repaired == 1
+    dw.clock.advance(5.0)
+    return dw, session, checkpoint
+
+
+@pytest.mark.parametrize("view", POPULATED_VIEWS)
+def test_populated_view_keeps_dtypes_through_sql(populated, view):
+    """With rows present, SQL output keeps every declared column dtype."""
+    __, session, __ = populated
+    batch = session.sql(f"SELECT * FROM {view}")
+    schema = Introspector.schema(view)
+    assert list(batch) == [f.name for f in schema.fields]
+    assert len(next(iter(batch.values()))) > 0, f"{view} returned no rows"
+    for field in schema.fields:
+        assert batch[field.name].dtype == np.dtype(field.numpy_dtype)
+
+
+def test_scrub_repair_row_reaches_the_integrity_view(populated):
+    dw, session, checkpoint = populated
+    batch = session.sql("SELECT * FROM sys.dm_storage_integrity")
+    assert batch["kind"].tolist() == ["checkpoint"]
+    assert batch["action"].tolist() == ["repaired"]
+    assert batch["path"].tolist() == [checkpoint.path]
+    (quarantine_path,) = batch["quarantine_path"].tolist()
+    assert dw.store.exists(quarantine_path), quarantine_path
 
 
 def test_dm_commit_lock_reflects_lock_state(config):

@@ -175,6 +175,38 @@ class TestDisabledFlag:
         assert len(stats["query_hash"]) == 0
 
 
+class TestFingerprintedOnce:
+    @pytest.mark.parametrize("collectors_on, per_statement", [(True, 1), (False, 0)])
+    def test_normalize_sql_calls_per_statement(
+        self, monkeypatch, collectors_on, per_statement
+    ):
+        """Query store + wait stats share one fingerprint per statement;
+        with both off nothing is fingerprinted at all."""
+        from repro.telemetry import querystore
+
+        calls = []
+        real = querystore.normalize_sql
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(querystore, "normalize_sql", counting)
+        config = PolarisConfig()
+        config.telemetry.query_store_enabled = collectors_on
+        config.telemetry.wait_stats_enabled = collectors_on
+        dw = Warehouse(config=config, auto_optimize=False)
+        sql = SqlSession(dw.session())
+        statements = [
+            "CREATE TABLE t (id BIGINT, v DOUBLE)",
+            "INSERT INTO t (id, v) VALUES (1, 1.5)",
+            "SELECT id FROM t",
+        ]
+        for text in statements:
+            sql.execute(text)
+        assert len(calls) == per_statement * len(statements)
+
+
 class TestGatewayAttribution:
     def test_tenant_and_workload_class_flow_into_stats(self):
         config = store_config()
@@ -303,11 +335,16 @@ class TestCrashHygiene:
         assert store.profile(insert_hash) is None
 
         report = RecoveryManager(dw.context, sto=dw.sto).recover()
-        assert report.querystore_profiles_discarded == 1
+        assert report.scavenged == {"querystore": 1}
         assert store.inflight_count == 0
         # Discarded for good: no profile row, no partial aggregates.
         assert store.profile(insert_hash) is None
-        assert dw.telemetry.metrics.value("recovery.querystore_discarded") == 1.0
+        assert (
+            dw.telemetry.metrics.value(
+                "recovery.scavenged", participant="querystore"
+            )
+            == 1.0
+        )
 
         # The same statement after recovery profiles normally.
         sql2 = SqlSession(dw.session())

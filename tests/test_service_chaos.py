@@ -25,7 +25,7 @@ def test_crash_mid_queue_recovers_clean(site):
     assert result.crashed_at_step == "gateway", f"{site} never fired"
     assert result.ok, "\n".join(result.problems)
     # The crash left real mid-queue state for recovery to reconcile.
-    assert result.recovery.gateway_requests_scavenged >= 1
+    assert result.recovery.scavenged["gateway"] >= 1
     assert result.counts["ingest"] >= 50  # the post-recovery probe landed
 
 
@@ -52,7 +52,7 @@ def test_recovery_scavenges_queued_requests_without_a_crash():
         for __ in range(3)
     ]
     report = RecoveryManager(dw.context, sto=dw.sto, strict=False).recover()
-    assert report.gateway_requests_scavenged == 3
+    assert report.scavenged["gateway"] == 3
     assert [r.status for r in queued] == ["scavenged"] * 3
     assert not gateway.requests_with_status("queued", "running")
     rows = dw.session().sql("SELECT status FROM sys.dm_requests")
@@ -84,7 +84,7 @@ def test_recovery_scavenges_with_finished_ledger_at_cap():
         for __ in range(3)
     ]
     report = RecoveryManager(dw.context, sto=dw.sto, strict=False).recover()
-    assert report.gateway_requests_scavenged == 3
+    assert report.scavenged["gateway"] == 3
     assert [r.status for r in queued] == ["scavenged"] * 3
     assert not gateway.requests_with_status("queued", "running")
     assert gateway.finished_count("scavenged") == 3
@@ -97,5 +97,5 @@ def test_recovery_scavenges_with_finished_ledger_at_cap():
 def test_recovery_without_gateway_reports_zero():
     dw = Warehouse(config=chaos_config(0), auto_optimize=False)
     report = RecoveryManager(dw.context, sto=dw.sto, strict=False).recover()
-    assert report.gateway_requests_scavenged == 0
+    assert "gateway" not in report.scavenged
     assert report.clean

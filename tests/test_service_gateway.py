@@ -255,6 +255,30 @@ class TestGateway:
         assert bad.error
         assert good.status == "completed"
 
+    def test_non_polaris_error_fails_the_request_not_the_dispatcher(self):
+        """Regression: work raising anything but PolarisError used to kill
+        the dispatcher tasklet — the request stayed ``running`` forever
+        and every later request stayed ``queued``."""
+        dw, gateway, __ = gateway_warehouse()
+
+        def buggy(session):
+            raise ValueError("client bug")
+
+        bad = gateway.submit("tenant_a", "transactional", buggy)
+        good = gateway.submit(
+            "tenant_a", "transactional", "CREATE TABLE u (id BIGINT, v DOUBLE)"
+        )
+        gateway.run()
+        assert bad.status == "failed"
+        assert bad.error == "ValueError"
+        with pytest.raises(ValueError, match="client bug"):
+            bad.outcome()
+        assert good.status == "completed"
+        # The failed request's session went back to the pool and was reused.
+        assert [row["state"] for row in gateway.session_rows()] == ["idle"]
+        rows = dw.session().sql("SELECT status FROM sys.dm_requests")
+        assert list(rows["status"]) == ["failed", "completed"]
+
     def test_queue_deadline_times_requests_out(self):
         dw, gateway, __ = gateway_warehouse(queue_deadline_s=5.0)
         stale = gateway.submit("tenant_a", "transactional", lambda s: None)

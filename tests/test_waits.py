@@ -14,11 +14,15 @@ import pytest
 
 from repro import PolarisConfig, Warehouse
 from repro.chaos import RecoveryManager, SimulatedCrash
+from repro.common.errors import PolarisError
 from repro.common.clock import SimulatedClock
+from repro.common.config import TelemetryConfig
+from repro.service import Gateway
 from repro.sql.runner import SqlSession
 from repro.sqldb.locks import CommitLock
-from repro.telemetry import WAIT_NAMES, WaitStats, fingerprint
+from repro.telemetry import WAIT_NAMES, Telemetry, WaitStats, fingerprint
 from repro.telemetry.names import NAME_RE
+from repro.telemetry.scope import Frame
 
 
 def waits_config(**overrides):
@@ -87,11 +91,12 @@ class TestRecording:
 
     def test_attribution_stacks(self):
         stats = WaitStats(SimulatedClock())
-        stats.push_attribution("acme", "etl")
-        stats.push_query("deadbeef")
-        stats.record_wait("commit_lock", 1.0)
-        stats.pop_query()
-        stats.pop_attribution()
+        with stats.scope.enter(tenant="acme", workload_class="etl"):
+            with stats.scope.enter(query_hash="deadbeef") as frame:
+                # A frame inherits whatever it does not set.
+                assert frame == Frame("acme", "etl", "deadbeef")
+                stats.record_wait("commit_lock", 1.0)
+        assert stats.scope.current == Frame()
         stats.record_wait("commit_lock", 2.0)  # unattributed
         (row,) = stats.wait_stats_rows()
         assert row["tenants"] == "acme"
@@ -103,10 +108,10 @@ class TestRecording:
 
     def test_explicit_attribution_overrides_stack(self):
         stats = WaitStats(SimulatedClock())
-        stats.push_attribution("acme", "etl")
-        stats.record_wait(
-            "queue_deadline", 3.0, tenant="other", workload_class="adhoc"
-        )
+        with stats.scope.enter(tenant="acme", workload_class="etl"):
+            stats.record_wait(
+                "queue_deadline", 3.0, tenant="other", workload_class="adhoc"
+            )
         (row,) = stats.wait_stats_rows()
         assert row["tenants"] == "other"
         assert row["workload_classes"] == "adhoc"
@@ -123,12 +128,18 @@ class TestRecording:
         assert run(7) == run(7)
 
 
+def observed_lock(hold_s):
+    """A commit lock observed by a wait-stats-only Telemetry."""
+    clock = SimulatedClock()
+    telemetry = Telemetry(clock, TelemetryConfig(wait_stats_enabled=True))
+    lock = CommitLock(clock=clock)
+    lock.configure(hold_s, telemetry)
+    return clock, telemetry.waits, lock
+
+
 class TestCommitLockHorizon:
     def test_hold_zero_never_waits(self):
-        clock = SimulatedClock()
-        stats = WaitStats(clock)
-        lock = CommitLock(clock=clock)
-        lock.configure(hold_s=0.0, waits=stats)
+        clock, stats, lock = observed_lock(0.0)
         for txid in range(1, 5):
             with lock.held(txid):
                 pass
@@ -136,10 +147,7 @@ class TestCommitLockHorizon:
         assert lock.total_wait_s == 0.0
 
     def test_back_to_back_commits_queue_on_the_hold(self):
-        clock = SimulatedClock()
-        stats = WaitStats(clock)
-        lock = CommitLock(clock=clock)
-        lock.configure(hold_s=0.5, waits=stats)
+        clock, stats, lock = observed_lock(0.5)
         with lock.held(1):
             pass
         # The second commit arrives inside the first's busy horizon and
@@ -154,10 +162,7 @@ class TestCommitLockHorizon:
         assert lock.total_hold_s == pytest.approx(1.0)
 
     def test_spaced_commits_do_not_wait(self):
-        clock = SimulatedClock()
-        stats = WaitStats(clock)
-        lock = CommitLock(clock=clock)
-        lock.configure(hold_s=0.5, waits=stats)
+        clock, stats, lock = observed_lock(0.5)
         with lock.held(1):
             pass
         clock.advance(1.0)  # past the busy horizon
@@ -212,6 +217,50 @@ class TestEndToEnd:
         )
         assert insert_hash in list(stats["query_hash"])
 
+    def test_one_wait_carries_tenant_class_and_fingerprint(self):
+        """Inside a gateway request's SQL statement one wait record holds
+        all three attributions; a second statement of the same request
+        keeps the tenant and gets its own fingerprint; failures leave the
+        scope empty."""
+        config = waits_config(
+            enabled=True,
+            telemetry__query_store_enabled=True,
+            txn__commit_hold_s=0.5,
+        )
+        dw = Warehouse(config=config, auto_optimize=False)
+        scope = dw.telemetry.scope
+        gateway = Gateway(dw.context)
+        insert = "INSERT INTO t (id, v) VALUES (1, 1.0)"
+        delete = "DELETE FROM t WHERE id = 1"
+
+        def two_statements(session):
+            session.sql(insert)
+            session.sql(delete)
+
+        gateway.submit("acme", "transactional", "CREATE TABLE t (id BIGINT, v DOUBLE)")
+        request = gateway.submit("acme", "transactional", two_statements)
+        gateway.run()
+        assert request.status == "completed"
+        by_hash = {
+            span.attributes["query_hash"]: span.attributes
+            for span in dw.telemetry.spans
+            if span.name == "wait.commit_lock"
+        }
+        assert fingerprint(insert) != fingerprint(delete)
+        for text in (insert, delete):
+            record = by_hash[fingerprint(text)]
+            assert record["tenant"] == "acme"
+            assert record["workload_class"] == "transactional"
+        assert scope.current == Frame()
+
+        with pytest.raises(PolarisError):
+            SqlSession(dw.session()).execute("SELECT nope FROM t")
+        assert scope.current == Frame()
+        failed = gateway.submit("acme", "transactional", "SELECT nope FROM t")
+        gateway.run()
+        assert failed.status == "failed"
+        assert scope.current == Frame()
+
     def test_waits_metrics_mirrored(self):
         config = waits_config(
             metrics=True, txn__commit_hold_s=0.5
@@ -247,12 +296,14 @@ class TestCrashHygiene:
         assert waits.wait_count("storage_retry") == 0
 
         report = RecoveryManager(dw.context, sto=dw.sto).recover()
-        assert report.open_waits_discarded == 1
+        assert report.scavenged == {"waits": 1}
+        assert not report.clean
         assert waits.inflight_count == 0
         # Discarded for good: the aggregates never saw the orphan.
         assert waits.wait_count("storage_retry") == 0
         assert (
-            dw.telemetry.metrics.value("recovery.waits_discarded") == 1.0
+            dw.telemetry.metrics.value("recovery.scavenged", participant="waits")
+            == 1.0
         )
 
     def test_scavenged_scope_never_double_counts(self):
@@ -269,4 +320,5 @@ class TestCrashHygiene:
     def test_clean_recovery_reports_zero(self):
         dw = Warehouse(config=waits_config(), auto_optimize=False)
         report = RecoveryManager(dw.context, sto=dw.sto).recover()
-        assert report.open_waits_discarded == 0
+        assert report.scavenged == {"waits": 0}
+        assert report.clean
