@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one polaris-bench workload.
+
+    python scripts/bench_pairs.py PARENT_DIR --workload tpch_power --pairs 10
+
+``PARENT_DIR`` is a checkout of the parent commit (``git clone`` it; the
+benchmark imports the tree it runs in).  Pair ``i`` runs seed ``SEED + i``
+once in each tree — the parent first on even pairs, this working tree
+first on odd ones, so drift of the machine cancels — appending the
+results to ``A.jsonl`` (parent) and ``B.jsonl`` (change) under ``--out``.
+It then prints, per end-to-end metric, in how many pairs the change read
+better than the parent, and hands both files to ``python -m
+benchmarks.e2e compare`` for the medians, spreads and bounds, exiting 1
+if any metric of the workload regressed past its bound.  A gain may be
+claimed when the change wins at least nine tenths of the pairs and the
+medians differ by more than the parent's interquartile spread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+
+from benchmarks.e2e.compare import load_set  # noqa: E402
+from benchmarks.e2e.harness import load_spec  # noqa: E402
+
+
+def run_once(tree: str, workload: str, seed: int, sink: str) -> None:
+    """One untraced benchmark run inside ``tree``, appended to ``sink``."""
+    command = [
+        sys.executable, "-m", "benchmarks.e2e", "run", "--workload", workload,
+        "--seed", str(seed), "--trace", "0", "--append", sink,
+    ]
+    subprocess.run(command, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_dir", help="checkout of the parent commit")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=100, help="seed of pair 0")
+    parser.add_argument(
+        "--out", default=os.path.join(REPO, "bench_pairs"),
+        help="directory of A.jsonl / B.jsonl (appended to, so runs accumulate)",
+    )
+    args = parser.parse_args()
+    os.makedirs(args.out, exist_ok=True)
+    sinks = {
+        os.path.abspath(args.parent_dir): os.path.join(args.out, "A.jsonl"),
+        REPO: os.path.join(args.out, "B.jsonl"),
+    }
+    for pair in range(args.pairs):
+        order = list(sinks) if pair % 2 == 0 else list(sinks)[::-1]
+        for tree in order:
+            run_once(tree, args.workload, args.seed + pair, sinks[tree])
+        print(f"pair {pair + 1}/{args.pairs} (seed {args.seed + pair}) done", flush=True)
+
+    parent, change = (load_set(sink) for sink in sinks.values())
+    print(f"\n{args.workload}: pairs the change wins (ties count for neither)")
+    for entry in load_spec()["end_to_end"]:
+        key, sign = (args.workload, entry["name"]), 1 if entry["better"] == "higher" else -1
+        a, b = parent.get(key, {}), change.get(key, {})
+        gains = [sign * (b[seed] - a[seed]) for seed in sorted(set(a) & set(b))]
+        wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+        print(f"  {entry['name']:<16} wins {wins:>2}  losses {losses:>2}  of {len(gains)}")
+    print()
+    # ``compare`` lists every workload of BENCHMARK.json; the ones not run
+    # into these files only say "missing", so show this workload's rows.
+    report = subprocess.run(
+        [sys.executable, "-m", "benchmarks.e2e", "compare", *sinks.values()],
+        cwd=REPO, stdout=subprocess.PIPE, text=True,
+    ).stdout.splitlines()
+    rows = [line for line in report if line.startswith(args.workload)]
+    print("\n".join(report[:1] + rows))
+    return int(any(line.endswith("regressed") for line in rows))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

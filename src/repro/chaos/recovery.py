@@ -25,7 +25,8 @@ one reads, so the order *is* the protocol:
    whose blob is missing is dropped (checkpoints are an optimization);
    a checkpoint blob with no row is deleted so a re-run checkpoint can
    write the same path again.
-4. **Cold caches** — snapshot caches are process state; invalidate.
+4. **Cold caches** — the snapshot cache and the decompressed-chunk
+   cache are process state; drop both.
 5. **Publish completion** — committed manifests newer than the last
    published Delta version are (re)published, after re-deriving the
    publisher's state from the ``_delta_log`` blobs themselves.
@@ -139,6 +140,7 @@ class RecoveryManager:
             self._reconcile_catalog(report)
             crashpoint("recovery.catalog.after_reconcile")
             context.cache.invalidate()
+            context.chunk_cache.clear()
             self._complete_publishes(report)
             crashpoint("recovery.publish.after_complete")
             # Process state commutes: any participant order is correct.

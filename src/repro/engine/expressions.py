@@ -151,8 +151,8 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
     if isinstance(expr, Not):
         return ~_as_bool(_eval(expr.arg, batch, rows))
     if isinstance(expr, Like):
-        # One regex call per string; waits for dictionary-coded strings
-        # from the pagefile item (match once per dictionary entry).
+        # One regex call per string; once batches carry the page file's
+        # dictionary codes (ROADMAP follow-on) this matches once per entry.
         values = _eval(expr.arg, batch, rows)
         match = _like_regex(expr.pattern).fullmatch
         return np.fromiter(

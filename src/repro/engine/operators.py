@@ -67,8 +67,9 @@ def _column_codes(values: np.ndarray, equal_nan: bool) -> Tuple[np.ndarray, int]
         return np.empty(0, dtype=np.int64), 1
     if kind == "O":
         # The one per-value Python pass in the operators: a string's code
-        # is the row it first appears in.  Waits for dictionary-coded
-        # string columns from the pagefile item.
+        # is the row it first appears in.  RPF2 page files already store
+        # low-NDV strings as such codes; carrying them into the batch is
+        # the ROADMAP follow-on that removes this pass.
         first_row: Dict[Any, int] = {}
         codes = np.fromiter(
             map(first_row.setdefault, values, range(rows)),

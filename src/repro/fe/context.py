@@ -20,6 +20,7 @@ from repro.dcp.costmodel import CostModel
 from repro.dcp.scheduler import Scheduler
 from repro.dcp.wlm import WorkloadManager
 from repro.lst.cache import SnapshotCache
+from repro.pagefile.cache import ChunkCache
 from repro.sqldb.engine import SqlDbEngine
 from repro.storage.object_store import ObjectStore
 from repro.telemetry.facade import Telemetry
@@ -65,6 +66,10 @@ class ServiceContext:
     #: collector — joins under its name (re-joining replaces), and
     #: recovery scavenges every entry without knowing any of them.
     participants: Dict[str, Callable[[], int]] = field(default_factory=dict)
+    #: Decompressed column chunks of the immutable data files this
+    #: deployment has scanned (process memory, like ``cache``; per
+    #: context because etags and GUID paths repeat across stores).
+    chunk_cache: ChunkCache = field(default_factory=ChunkCache)
     #: Whether the deployment sizes pools per statement (serverless Fabric
     #: model) or keeps the fixed provisioned size (Synapse SQL DW model) —
     #: the contrast of Figure 8.
@@ -118,6 +123,9 @@ class ServiceContext:
             bus=bus,
             telemetry=telemetry,
             participants=participants,
+            chunk_cache=ChunkCache(
+                metrics=telemetry.metrics if telemetry.metering else None
+            ),
             elastic=elastic,
         )
         # The cache's loaders need the context (store + sqldb), so it is

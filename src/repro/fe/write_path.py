@@ -147,11 +147,15 @@ def _open_data_file(context: ServiceContext, info: DataFileInfo) -> PageFileRead
     checksum; the cross-check here verifies against the manifest's
     mirrored checksum (catching a swapped blob whose metadata was
     rewritten); and the reader gets the blob path so format errors are
-    self-describing.
+    self-describing.  Both run on every open: the chunk cache is handed
+    over only once they have passed, and a hit in it saves the reader a
+    ``zlib.decompress``, never the fetch or a check.
     """
     blob = context.store.get(info.path)
     verify_checksum(info.path, blob.data, info.checksum, telemetry=context.telemetry)
-    return PageFileReader(blob.data, source=info.path)
+    return PageFileReader(
+        blob.data, source=info.path, cache=context.chunk_cache, etag=blob.etag
+    )
 
 
 def _load_dv(

@@ -52,13 +52,11 @@ class DataFileInfo:
 
         Conservative: True unless the file's zone maps prove otherwise.
         """
-        from repro.pagefile.stats import ColumnStats
+        from repro.pagefile.stats import may_contain
 
         for column, op, literal in prune:
             bounds = self.stats_for(column)
-            if bounds is None:
-                continue
-            if not ColumnStats(bounds[0], bounds[1]).may_contain(op, literal):
+            if bounds is not None and not may_contain(*bounds, op, literal):
                 return False
         return True
 

@@ -1,112 +1,128 @@
-"""The binary layout of a page file.
+"""The binary layout of a page file (format revision ``RPF2``).
 
 Layout (all little-endian)::
 
-    +--------------------------------------+
-    | magic "RPF1" (4 bytes)               |
-    | row group 0: column chunks, in order |
-    | row group 1: ...                     |
-    | footer: JSON metadata (schema, row   |
-    |   groups, chunk offsets, stats)      |
-    | footer length (uint32)               |
-    | magic "RPF1" (4 bytes)               |
-    +--------------------------------------+
+    +----------------------------------------------+
+    | magic "RPF2" (4 bytes)                       |
+    | row group 0: column chunks, in schema order  |
+    | row group 1: ...                             |
+    | footer (flat binary, below)                  |
+    | footer length (uint32), footer crc32 (uint32)|
+    | magic "RPF2" (4 bytes)                       |
+    +----------------------------------------------+
 
-Readers fetch the footer first (by slicing from the end), then fetch only
-the chunks they need — mirroring how engines read Parquet from object
-stores.
+The footer is flat arrays, not an object tree, so opening a file is a
+fixed handful of calls whatever the number of chunks::
+
+    header   uint32 columns C, uint32 row groups G, uint64 rows
+    types    uint8[C]      index into the supported type names
+    names    text block of C strings (see repro.pagefile.encoding)
+    layout   int64[G + 2GC + C], one array after the other:
+             rows[G]       row count of each row group
+             offsets[G*C]  chunk offsets, row group by row group
+             lengths[G*C]  chunk lengths, likewise
+             zones[C]      where each column's zone map starts
+    zone maps, one per column:
+             uint8[G] known, then minimum[G] and maximum[G] in the
+             column's type — for strings one text block of the G minima
+             followed by the G maxima
+
+The layout block is read with one ``struct.unpack_from`` (Python ints are
+what the reader indexes and slices with, and for the one- or two-group
+files a warehouse mostly writes that is cheaper than ``np.frombuffer``
+plus ``tolist``).  Zone maps are parsed only for the columns a scan
+prunes on (:meth:`PageFile.zone_map`).  Readers fetch the footer first
+(by slicing from the end), then only the chunks they need — mirroring
+how engines read Parquet from object stores.  The crc32 covers the
+footer; each chunk is a zlib stream and carries zlib's own checksum.
 """
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+import zlib
+from dataclasses import dataclass
+from operator import add
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import FileFormatError
-from repro.pagefile.encoding import encode_column
-from repro.pagefile.schema import Schema
-from repro.pagefile.stats import ColumnStats, compute_stats
+from repro.common.errors import FileFormatError, SchemaMismatchError
+from repro.pagefile.encoding import decode_text, encode_column, encode_text
+from repro.pagefile.schema import SUPPORTED_TYPES, Schema
+from repro.pagefile.stats import ColumnStats
 
-MAGIC = b"RPF1"
+MAGIC = b"RPF2"
 DEFAULT_ROW_GROUP_SIZE = 65_536
 
+_HEADER = struct.Struct("<IIQ")  # columns, row groups, rows
+_TRAILER = struct.Struct("<II4s")  # footer length, footer crc32, magic
+#: ``struct`` codes of the fixed-width zone-map bounds, by field type.
+_BOUND_CODES = {"int64": "q", "float64": "d", "bool": "?"}
 
-@dataclass
-class ChunkMeta:
-    """Location and statistics of one column chunk inside the file."""
-
-    offset: int
-    length: int
-    stats: ColumnStats
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (footer metadata)."""
-        return {"offset": self.offset, "length": self.length, "stats": self.stats.to_dict()}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ChunkMeta":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            offset=raw["offset"],
-            length=raw["length"],
-            stats=ColumnStats.from_dict(raw["stats"]),
-        )
-
-
-@dataclass
-class RowGroupMeta:
-    """Row count and per-column chunks of one row group."""
-
-    num_rows: int
-    chunks: Dict[str, ChunkMeta] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (footer metadata)."""
-        return {
-            "num_rows": self.num_rows,
-            "chunks": {name: chunk.to_dict() for name, chunk in self.chunks.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "RowGroupMeta":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            num_rows=raw["num_rows"],
-            chunks={
-                name: ChunkMeta.from_dict(chunk)
-                for name, chunk in raw["chunks"].items()
-            },
-        )
+#: One row group's ``(minimum, maximum)`` of a column; ``(None, None)``
+#: when unknown (an empty chunk, or floats that are all NaN).
+Bounds = Tuple[Optional[Any], Optional[Any]]
 
 
 @dataclass
 class PageFile:
     """Parsed footer of a page file: everything needed to plan reads."""
 
-    schema: Schema
+    #: Column names and logical types, in schema order.
+    names: List[str]
+    types: List[str]
     num_rows: int
-    row_groups: List[RowGroupMeta]
+    #: Row count of each row group.
+    group_rows: Tuple[int, ...]
+    #: Chunk offsets and lengths, row group by row group: the chunk of
+    #: column ``c`` in row group ``g`` is entry ``g * len(names) + c``.
+    offsets: Tuple[int, ...]
+    lengths: Tuple[int, ...]
+    #: Column name -> position in the schema.
+    positions: Dict[str, int]
+    #: ``"<blob path>: "`` (or empty): the prefix of every error raised
+    #: about this file, so reports name the exact blob.
+    origin: str
+    _footer: bytes
+    _zones: Tuple[int, ...]
 
-    def to_footer_dict(self) -> Dict[str, Any]:
-        """JSON-serializable footer contents."""
-        return {
-            "schema": self.schema.to_dict(),
-            "num_rows": self.num_rows,
-            "row_groups": [rg.to_dict() for rg in self.row_groups],
-        }
+    @property
+    def schema(self) -> Schema:
+        """The file's schema (built on demand: opening a file does not)."""
+        return Schema.of(*zip(self.names, self.types))
 
-    @classmethod
-    def from_footer_dict(cls, raw: Dict[str, Any]) -> "PageFile":
-        """Inverse of :meth:`to_footer_dict`."""
-        return cls(
-            schema=Schema.from_dict(raw["schema"]),
-            num_rows=raw["num_rows"],
-            row_groups=[RowGroupMeta.from_dict(rg) for rg in raw["row_groups"]],
-        )
+    def position(self, column: str) -> int:
+        """Schema position of a column; raises :class:`SchemaMismatchError`."""
+        try:
+            return self.positions[column]
+        except KeyError:
+            raise SchemaMismatchError(
+                f"{self.origin}no field named {column!r}"
+            ) from None
+
+    def zone_map(self, column: str) -> List[Bounds]:
+        """``(minimum, maximum)`` of ``column`` per row group, in file order."""
+        position = self.position(column)
+        groups = len(self.group_rows)
+        footer, start = self._footer, self._zones[position]
+        try:
+            known = footer[start : start + groups]
+            if len(known) != groups:
+                raise FileFormatError("truncated")
+            code = _BOUND_CODES.get(self.types[position])
+            if code is None:
+                bounds = decode_text(footer, start + groups, 2 * groups)[0]
+            else:
+                bounds = struct.unpack_from(f"<{2 * groups}{code}", footer, start + groups)
+        except (struct.error, UnicodeDecodeError, FileFormatError) as exc:
+            raise FileFormatError(
+                f"{self.origin}corrupt zone map of column {column!r} ({exc})"
+            ) from None
+        return [
+            (lo, hi) if flag else (None, None)
+            for flag, lo, hi in zip(known, bounds[:groups], bounds[groups:])
+        ]
 
 
 def write_page_file(
@@ -119,28 +135,46 @@ def write_page_file(
     if row_group_size <= 0:
         raise ValueError("row_group_size must be positive")
     body = bytearray(MAGIC)
-    row_groups: List[RowGroupMeta] = []
+    group_rows: List[int] = []
+    offsets: List[int] = []
+    lengths: List[int] = []
+    zone_maps: List[List[ColumnStats]] = [[] for _ in schema]
     starts = range(0, num_rows, row_group_size) if num_rows else [0]
     for start in starts:
         stop = min(start + row_group_size, num_rows)
-        group = RowGroupMeta(num_rows=stop - start)
-        for fld in schema:
-            values = columns[fld.name][start:stop]
-            payload = encode_column(fld, values)
-            group.chunks[fld.name] = ChunkMeta(
-                offset=len(body),
-                length=len(payload),
-                stats=compute_stats(fld, values),
-            )
+        group_rows.append(stop - start)
+        for fld, zone_map in zip(schema, zone_maps):
+            payload, stats = encode_column(fld, columns[fld.name][start:stop])
+            offsets.append(len(body))
+            lengths.append(len(payload))
+            zone_map.append(stats)
             body.extend(payload)
-        row_groups.append(group)
-    footer = json.dumps(
-        PageFile(schema=schema, num_rows=num_rows, row_groups=row_groups).to_footer_dict()
-    ).encode("utf-8")
+    types = [fld.type for fld in schema]
+    sections = [
+        _HEADER.pack(len(types), len(group_rows), num_rows),
+        bytes(map(SUPPORTED_TYPES.index, types)),
+        encode_text(schema.names),
+    ]
+    maps = [_encode_zone_map(*pair) for pair in zip(types, zone_maps)]
+    layout = group_rows + offsets + lengths
+    at = sum(map(len, sections)) + 8 * (len(layout) + len(maps))
+    for encoded in maps:
+        layout.append(at)
+        at += len(encoded)
+    footer = b"".join(sections + [struct.pack(f"<{len(layout)}q", *layout)] + maps)
     body.extend(footer)
-    body.extend(struct.pack("<I", len(footer)))
-    body.extend(MAGIC)
+    body.extend(_TRAILER.pack(len(footer), zlib.crc32(footer), MAGIC))
     return bytes(body)
+
+
+def _encode_zone_map(type_: str, zone_map: List[ColumnStats]) -> bytes:
+    known = bytes(stats.minimum is not None for stats in zone_map)
+    blank = "" if type_ == "string" else 0
+    bounds = [blank if stats.minimum is None else stats.minimum for stats in zone_map]
+    bounds += [blank if stats.maximum is None else stats.maximum for stats in zone_map]
+    if type_ == "string":
+        return known + encode_text(bounds)
+    return known + struct.pack(f"<{len(bounds)}{_BOUND_CODES[type_]}", *bounds)
 
 
 def read_footer(data: bytes, source: "str | None" = None) -> PageFile:
@@ -151,19 +185,64 @@ def read_footer(data: bytes, source: "str | None" = None) -> PageFile:
     scrubber or quarantine log names the exact blob, not just "a file".
     """
     origin = f"{source}: " if source else ""
-    if len(data) < 12 or data[:4] != MAGIC or data[-4:] != MAGIC:
+    size = len(data)
+    if size < len(MAGIC) + _TRAILER.size or data[:4] != MAGIC or data[-4:] != MAGIC:
         head = bytes(data[:4])
-        tail = bytes(data[-4:]) if len(data) >= 4 else b""
+        tail = bytes(data[-4:]) if size >= 4 else b""
         raise FileFormatError(
             f"{origin}not a page file (bad magic: expected {MAGIC!r} at both "
-            f"ends, got head {head!r} / tail {tail!r} over {len(data)} bytes)"
+            f"ends, got head {head!r} / tail {tail!r} over {size} bytes)"
         )
-    (footer_len,) = struct.unpack_from("<I", data, len(data) - 8)
-    footer_start = len(data) - 8 - footer_len
-    if footer_start < 4:
+    footer_len, crc, __ = _TRAILER.unpack_from(data, size - _TRAILER.size)
+    footer_start = size - _TRAILER.size - footer_len
+    if footer_start < len(MAGIC):
         raise FileFormatError(
             f"{origin}corrupt page file footer (footer length {footer_len} "
-            f"exceeds file size {len(data)})"
+            f"exceeds file size {size})"
         )
-    raw = json.loads(data[footer_start : footer_start + footer_len].decode("utf-8"))
-    return PageFile.from_footer_dict(raw)
+    footer = data[footer_start : footer_start + footer_len]
+    if zlib.crc32(footer) != crc:
+        raise FileFormatError(
+            f"{origin}corrupt page file footer (crc32 {zlib.crc32(footer):08x} "
+            f"where the trailer records {crc:08x})"
+        )
+    try:
+        return _parse_footer(footer, footer_start, origin)
+    except (struct.error, UnicodeDecodeError, FileFormatError) as exc:
+        raise FileFormatError(f"{origin}corrupt page file footer ({exc})") from None
+
+
+def _parse_footer(footer: bytes, body_end: int, origin: str) -> PageFile:
+    columns, groups, num_rows = _HEADER.unpack_from(footer)
+    codes = footer[_HEADER.size : _HEADER.size + columns]
+    names, at = decode_text(footer, _HEADER.size + columns, columns)
+    positions = {name: position for position, name in enumerate(names)}
+    if len(positions) != columns or max(codes, default=0) >= len(SUPPORTED_TYPES):
+        raise FileFormatError(f"bad schema: names {names}, type codes {list(codes)}")
+    chunks = groups * columns
+    layout = struct.unpack_from(f"<{groups + 2 * chunks + columns}q", footer, at)
+    group_rows = layout[:groups]
+    offsets = layout[groups : groups + chunks]
+    lengths = layout[groups + chunks : groups + 2 * chunks]
+    if min(layout, default=0) < 0:
+        raise FileFormatError("negative row count, chunk offset or chunk length")
+    if sum(group_rows) != num_rows:
+        raise FileFormatError(
+            f"row groups hold {sum(group_rows)} rows, header says {num_rows}"
+        )
+    if chunks and (
+        min(offsets) < len(MAGIC) or max(map(add, offsets, lengths)) > body_end
+    ):
+        raise FileFormatError(f"a chunk lies outside the file body [4, {body_end})")
+    return PageFile(
+        names=names,
+        types=[SUPPORTED_TYPES[code] for code in codes],
+        num_rows=num_rows,
+        group_rows=group_rows,
+        offsets=offsets,
+        lengths=lengths,
+        positions=positions,
+        origin=origin,
+        _footer=footer,
+        _zones=layout[groups + 2 * chunks :],
+    )

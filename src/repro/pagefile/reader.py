@@ -6,9 +6,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.errors import FileFormatError
+from repro.pagefile.cache import ChunkCache
 from repro.pagefile.deletion_vector import DeletionVector
-from repro.pagefile.encoding import decode_column
+from repro.pagefile.encoding import decode_column, inflate
 from repro.pagefile.file_format import PageFile, read_footer
+from repro.pagefile.schema import NUMPY_DTYPES
+from repro.pagefile.stats import may_contain
 
 
 class PageFileReader:
@@ -17,11 +21,24 @@ class PageFileReader:
     ``prune`` predicates are ``(column, op, literal)`` triples checked
     against row-group zone maps; a row group is skipped only when the
     statistics prove no row can match.
+
+    With a ``cache`` the decompressed bytes of each chunk are kept under
+    ``(source, etag, chunk offset)`` — the identity of the immutable blob
+    ``data`` came from — and a later reader of the same blob skips
+    ``zlib.decompress`` for them.  Arrays are decoded afresh either way.
     """
 
-    def __init__(self, data: bytes, source: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        data: bytes,
+        source: Optional[str] = None,
+        cache: Optional[ChunkCache] = None,
+        etag: int = 0,
+    ) -> None:
         self._data = data
         self._meta = read_footer(data, source=source)
+        self._cache = cache if source else None
+        self._blob = (source, etag)
 
     @property
     def meta(self) -> PageFile:
@@ -47,26 +64,26 @@ class PageFileReader:
         carries a ``__pos__`` column of physical row positions, which the
         delete/update path uses to build new deletion vectors.
         """
-        wanted = list(columns) if columns is not None else self._meta.schema.names
+        meta = self._meta
+        wanted = list(columns) if columns is not None else meta.names
+        picked = [(name, meta.position(name)) for name in wanted]
+        types = meta.types
         parts: Dict[str, List[np.ndarray]] = {name: [] for name in wanted}
         position_parts: List[np.ndarray] = []
         row_start = 0
-        for group in self._meta.row_groups:
-            group_rows = group.num_rows
-            if self._skip_group(group, prune):
+        for group, skip in enumerate(self._skipped(prune)):
+            group_rows = meta.group_rows[group]
+            if skip:
                 row_start += group_rows
                 continue
             keep = self._keep_mask(deletion_vector, row_start, group_rows)
             if keep is not None and not keep.any():
                 row_start += group_rows
                 continue
-            for name in wanted:
-                chunk = group.chunks[name]
-                fld = self._meta.schema.field(name)
-                values = decode_column(
-                    fld,
-                    self._data[chunk.offset : chunk.offset + chunk.length],
-                    group_rows,
+            first = group * len(types)
+            for name, position in picked:
+                values = self._chunk(
+                    name, types[position], first + position, group_rows
                 )
                 parts[name].append(values[keep] if keep is not None else values)
             if with_positions:
@@ -74,8 +91,8 @@ class PageFileReader:
                 position_parts.append(positions[keep] if keep is not None else positions)
             row_start += group_rows
         result = {
-            name: _concat(self._meta.schema.field(name).numpy_dtype, chunks)
-            for name, chunks in parts.items()
+            name: _concat(NUMPY_DTYPES[types[position]], parts[name])
+            for name, position in picked
         }
         if with_positions:
             result["__pos__"] = _concat(np.dtype(np.int64), position_parts)
@@ -89,12 +106,8 @@ class PageFileReader:
         Used by EXPLAIN ANALYZE to report zone-map effectiveness without
         altering the read itself.
         """
-        if not prune:
-            return len(self._meta.row_groups), 0
-        pruned = sum(
-            1 for group in self._meta.row_groups if self._skip_group(group, prune)
-        )
-        return len(self._meta.row_groups) - pruned, pruned
+        pruned = sum(self._skipped(prune))
+        return len(self._meta.group_rows) - pruned, pruned
 
     def live_row_count(self, deletion_vector: Optional[DeletionVector]) -> int:
         """Row count after subtracting deleted rows."""
@@ -102,18 +115,32 @@ class PageFileReader:
             return self._meta.num_rows
         return self._meta.num_rows - deletion_vector.cardinality
 
-    def _skip_group(
-        self,
-        group: "RowGroupMeta",
-        prune: Optional[List[Tuple[str, str, Any]]],
-    ) -> bool:
-        if not prune:
-            return False
-        for column, op, literal in prune:
-            chunk = group.chunks.get(column)
-            if chunk is not None and not chunk.stats.may_contain(op, literal):
-                return True
-        return False
+    def _chunk(self, column: str, type_: str, chunk: int, rows: int) -> np.ndarray:
+        """Decode chunk number ``chunk`` (``rows`` values of ``column``),
+        inflating it unless the cache has it."""
+        meta, cache = self._meta, self._cache
+        offset = meta.offsets[chunk]
+        key = (*self._blob, offset)
+        try:
+            raw = cache.get(key) if cache is not None else None
+            if raw is None:
+                raw = inflate(self._data[offset : offset + meta.lengths[chunk]])
+                if cache is not None:
+                    cache.put(key, raw)
+            return decode_column(type_, raw, rows)
+        except FileFormatError as exc:
+            raise FileFormatError(f"{meta.origin}column {column!r}: {exc}") from None
+
+    def _skipped(self, prune: Optional[List[Tuple[str, str, Any]]]) -> List[bool]:
+        """Per row group: whether its zone maps prove no row can match."""
+        skipped = [False] * len(self._meta.group_rows)
+        for column, op, literal in prune or ():
+            if column not in self._meta.positions:
+                continue
+            for group, (lo, hi) in enumerate(self._meta.zone_map(column)):
+                if not may_contain(lo, hi, op, literal):
+                    skipped[group] = True
+        return skipped
 
     @staticmethod
     def _keep_mask(

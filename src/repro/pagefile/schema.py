@@ -8,7 +8,7 @@ type       numpy in-memory dtype           notes
 int64      ``int64``                       also used for dates (epoch days)
 float64    ``float64``
 bool       ``bool``
-string     ``object`` (Python ``str``)     dictionary-free UTF-8 on disk
+string     ``object`` (Python ``str``)     dictionary-coded when NDV is low
 =========  ==============================  =======================
 """
 
@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.common.errors import SchemaMismatchError
 
-_SUPPORTED_TYPES = ("int64", "float64", "bool", "string")
+SUPPORTED_TYPES = ("int64", "float64", "bool", "string")
 
-_NUMPY_DTYPES = {
+NUMPY_DTYPES = {
     "int64": np.dtype(np.int64),
     "float64": np.dtype(np.float64),
     "bool": np.dtype(np.bool_),
@@ -39,7 +39,7 @@ class Field:
     type: str
 
     def __post_init__(self) -> None:
-        if self.type not in _SUPPORTED_TYPES:
+        if self.type not in SUPPORTED_TYPES:
             raise SchemaMismatchError(
                 f"unsupported type {self.type!r} for field {self.name!r}"
             )
@@ -47,7 +47,7 @@ class Field:
     @property
     def numpy_dtype(self) -> np.dtype:
         """The numpy dtype used for this field's in-memory arrays."""
-        return _NUMPY_DTYPES[self.type]
+        return NUMPY_DTYPES[self.type]
 
 
 class Schema:

@@ -9,60 +9,77 @@ range-based retrieval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, List
 
 import numpy as np
 
 from repro.pagefile.schema import Field
 
 
+def may_contain(minimum: Any, maximum: Any, op: str, literal: Any) -> bool:
+    """Whether rows matching ``column <op> literal`` can exist in a chunk
+    whose values lie in ``[minimum, maximum]``.
+
+    Conservative: returns True whenever pruning is not provably safe —
+    unknown bounds (``None``) and operators other than the five
+    comparisons never prune.
+    """
+    if minimum is None or maximum is None:
+        return True
+    if op == "==":
+        return minimum <= literal <= maximum
+    if op == "<":
+        return minimum < literal
+    if op == "<=":
+        return minimum <= literal
+    if op == ">":
+        return maximum > literal
+    if op == ">=":
+        return maximum >= literal
+    return True
+
+
 @dataclass(frozen=True)
 class ColumnStats:
-    """Min/max statistics for one column within one row group."""
+    """Min/max statistics for one column within one row group.
+
+    ``None``/``None`` means "unknown" (an empty chunk, or a float chunk
+    holding nothing but NaN): such a chunk is never pruned.
+    """
 
     minimum: Any
     maximum: Any
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form."""
-        return {"min": self.minimum, "max": self.maximum}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ColumnStats":
-        """Inverse of :meth:`to_dict`."""
-        return cls(minimum=raw["min"], maximum=raw["max"])
-
     def may_contain(self, op: str, literal: Any) -> bool:
-        """Whether rows matching ``column <op> literal`` can exist here.
+        """:func:`may_contain` over this chunk's bounds."""
+        return may_contain(self.minimum, self.maximum, op, literal)
 
-        Conservative: returns True whenever pruning is not provably safe.
-        """
-        if self.minimum is None or self.maximum is None:
-            return True
-        if op == "==":
-            return self.minimum <= literal <= self.maximum
-        if op == "<":
-            return self.minimum < literal
-        if op == "<=":
-            return self.minimum <= literal
-        if op == ">":
-            return self.maximum > literal
-        if op == ">=":
-            return self.maximum >= literal
-        return True
+
+def string_items(values: np.ndarray) -> List[str]:
+    """A string column's values as a list of ``str`` (anything else is
+    rendered with ``str()``, as the writer always has)."""
+    items = np.asarray(values, dtype=object).tolist()
+    if set(map(type, items)) - {str}:
+        items = list(map(str, items))
+    return items
 
 
 def compute_stats(field: Field, values: np.ndarray) -> ColumnStats:
-    """Compute min/max for a column chunk (None for empty chunks)."""
+    """Compute min/max for a column chunk (None for empty chunks).
+
+    Float min/max ignore NaN — a NaN bound would make every comparison in
+    :meth:`ColumnStats.may_contain` false and prune live rows.
+    """
     if len(values) == 0:
         return ColumnStats(minimum=None, maximum=None)
     if field.type == "string":
-        ordered = sorted(str(v) for v in values)
-        return ColumnStats(minimum=ordered[0], maximum=ordered[-1])
-    minimum = values.min()
-    maximum = values.max()
+        items = string_items(values)
+        return ColumnStats(minimum=min(items), maximum=max(items))
     if field.type == "float64":
-        return ColumnStats(minimum=float(minimum), maximum=float(maximum))
+        minimum = float(np.fmin.reduce(values))
+        if minimum != minimum:  # nothing but NaN
+            return ColumnStats(minimum=None, maximum=None)
+        return ColumnStats(minimum=minimum, maximum=float(np.fmax.reduce(values)))
     if field.type == "bool":
-        return ColumnStats(minimum=bool(minimum), maximum=bool(maximum))
-    return ColumnStats(minimum=int(minimum), maximum=int(maximum))
+        return ColumnStats(minimum=bool(values.min()), maximum=bool(values.max()))
+    return ColumnStats(minimum=int(values.min()), maximum=int(values.max()))

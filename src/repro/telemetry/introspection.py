@@ -890,6 +890,11 @@ class Introspector:
             f"{int(metrics.value('storage.bytes_read'))} B read, "
             f"{int(metrics.value('storage.bytes_written'))} B written"
         )
+        chunks = self._context.chunk_cache.stats
+        lines.append(
+            f"chunk cache: {chunks.hits} hits, {chunks.misses} misses, "
+            f"{chunks.evictions} evictions, {chunks.resident_bytes} B resident"
+        )
         lines.append(f"checkpoints: {len(self._dm_checkpoints())}")
         lines.append(f"recovery runs: {len(self._dm_recovery_history())}")
         alerts = sum(

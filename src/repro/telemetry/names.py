@@ -58,6 +58,16 @@ METRIC_NAMES: Dict[str, str] = {
     "optimizer.plan.transitive_conjuncts": (
         "Scan predicates added by transitive equality propagation."
     ),
+    "pagefile.chunk_cache.evictions": (
+        "Decompressed chunks evicted from the chunk cache (LRU, byte budget)."
+    ),
+    "pagefile.chunk_cache.hits": (
+        "Column chunks served from the chunk cache (zlib.decompress skipped)."
+    ),
+    "pagefile.chunk_cache.misses": "Column chunks inflated on a cache miss.",
+    "pagefile.chunk_cache.resident_bytes": (
+        "Gauge: payload bytes plus per-entry overhead the chunk cache holds."
+    ),
     "querystore.plan_regressions": (
         "Fingerprints whose recent p95 regressed past their baseline."
     ),

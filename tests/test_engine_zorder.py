@@ -133,11 +133,9 @@ class TestCompositeSortKeys:
             total = matching = 0
             for info in snapshot.files.values():
                 reader = PageFileReader(dw.store.get(info.path).data)
-                for group in reader.meta.row_groups:
-                    total += 1
-                    if group.chunks["x"].stats.may_contain("<", 8) and \
-                            group.chunks["y"].stats.may_contain("<", 8):
-                        matching += 1
+                scanned, pruned = reader.prune_counts([("x", "<", 8), ("y", "<", 8)])
+                total += scanned + pruned
+                matching += scanned
             return matching, total
 
         z_match, z_total = overlapping_groups(["x", "y"], "zord")

@@ -120,6 +120,40 @@ class TestFilePruning:
         assert delta.requests.get("get", 0) <= 8
 
 
+class TestNanNeverPrunesLiveRows:
+    """Regression: ``compute_stats`` recorded NaN as the min/max of any
+    chunk holding a NaN, every zone-map comparison was then false, and both
+    the manifest-level and the row-group check dropped the file."""
+
+    def load(self, dw):
+        from repro.sql import SqlSession
+
+        sql = SqlSession(dw.session())
+        sql.execute("CREATE TABLE t (k bigint, x double)")
+        x = np.arange(200, dtype=np.float64)
+        x[::10] = np.nan
+        sql.session.insert("t", {"k": np.arange(200, dtype=np.int64), "x": x})
+        return sql
+
+    @pytest.mark.parametrize("where", ["x < 1000.0", "x >= 0.0"])
+    def test_sql_count_sees_every_non_nan_row(self, dw, where):
+        sql = self.load(dw)
+        out = sql.execute(f"SELECT COUNT(*) AS n FROM t WHERE {where}")
+        assert out["n"].tolist() == [180]
+
+    def test_manifest_zone_maps_ignore_nan(self, dw):
+        sql = self.load(dw)
+        sql.session.insert(
+            "t", {"k": np.arange(4, dtype=np.int64), "x": np.full(4, np.nan)}
+        )
+        for info in sql.session.table_snapshot("t").files.values():
+            bounds = info.stats_for("x")
+            if bounds is None:  # an all-NaN file records no bounds: never pruned
+                assert info.may_match((("x", "<", 0.0),))
+            else:
+                assert 0.0 <= bounds[0] <= bounds[1] <= 199.0
+
+
 class TestSortColumn:
     def test_sort_column_orders_rows_in_file(self, dw):
         session = dw.session()

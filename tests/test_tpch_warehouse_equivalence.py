@@ -9,7 +9,10 @@ the entire storage and read path against a trusted oracle.
 A second, metamorphic check runs every query through the three read
 entry points (plain, profiled for the query store, EXPLAIN ANALYZE) on
 three identically built warehouses: observing a run must change neither
-a byte of the result nor a tick of the simulated clock.
+a byte of the result nor a tick of the simulated clock.  The same three
+warehouses also differ in the state of their decompressed-chunk cache —
+warm, cleared before every query, zero budget — which must change
+neither as well.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from repro import Warehouse
 from repro.engine.batch import num_rows
 from repro.engine.executor import dict_scan_source, execute_plan
 from repro.engine.planner import preorder
+from repro.pagefile.cache import ChunkCache
 from repro.workloads.tpch import TPCH_QUERIES, TpchGenerator
 from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
 from tests.conftest import small_config
@@ -47,8 +51,19 @@ def setup(tables):
 
 @pytest.fixture(scope="module")
 def triplet(tables):
-    """Three warehouses with identical histories, one per entry point."""
-    return [loaded_warehouse(tables) for _ in range(3)]
+    """Three warehouses with identical histories, one per entry point.
+
+    Each also gets one state of the chunk cache: the plain one is warm
+    (every warehouse runs all 22 queries once here, so the histories stay
+    identical), the profiled one is cleared before every query, the
+    analyzed one has a zero budget and never holds anything.
+    """
+    warehouses = [loaded_warehouse(tables) for _ in range(3)]
+    warehouses[2].context.chunk_cache = ChunkCache(budget_bytes=0)
+    for dw in warehouses:
+        for qnum in sorted(TPCH_QUERIES):
+            dw.session().query(TPCH_QUERIES[qnum]())
+    return warehouses
 
 
 def canonical(batch):
@@ -97,12 +112,19 @@ def assert_byte_identical(actual, expected):
 @pytest.mark.parametrize("qnum", sorted(TPCH_QUERIES))
 def test_observed_runs_match_plain_run(qnum, triplet):
     plain_dw, profiled_dw, analyzed_dw = triplet
+    warm, cold, off = (dw.context.chunk_cache for dw in triplet)
+    cold.clear()
+    warm_misses, cold_misses = warm.stats.misses, cold.stats.misses
     plan = TPCH_QUERIES[qnum]()
     plain = plain_dw.session().query(plan)
     profile = profiled_dw.session().query_profiled(plan)
     analyzed = analyzed_dw.session().explain_analyze(plan)
     assert_byte_identical(profile.batch, plain)
     assert_byte_identical(analyzed.batch, plain)
+    # The three runs really were warm / cold / uncached.
+    assert warm.stats.misses == warm_misses and warm.stats.hits > 0
+    assert cold.stats.misses > cold_misses
+    assert len(off) == 0 and off.stats.hits == 0
     # Identical histories, so not just the elapsed time but the absolute
     # simulated clocks must agree, to the last bit.
     assert profiled_dw.clock.now == plain_dw.clock.now
