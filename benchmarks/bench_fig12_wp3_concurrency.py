@@ -200,5 +200,4 @@ if __name__ == "__main__":
         test_fig12_wp3_concurrency,
         test_service_gateway_throughput,
         test_service_saturation,
-        report_file="BENCH_service.json",
     )

@@ -13,10 +13,8 @@ Every benchmark module is also directly runnable as a script::
 ``--trace`` enables span tracing on every warehouse the benchmark creates
 and writes one combined Chrome trace (load it at https://ui.perfetto.dev);
 ``--metrics`` prints the metrics-registry snapshot after the run;
-``--report`` prints each warehouse's DMV-based health report and writes
-``BENCH_observability.json`` with per-benchmark run totals
-(``scripts/bench_compare.py`` diffs two such files for CI regression
-gating).
+``--report`` prints each warehouse's DMV-based health report (it writes
+nothing; regression gating is polaris-bench, ``benchmarks/e2e``).
 """
 
 from __future__ import annotations
@@ -24,21 +22,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import time
 from typing import Iterable, List, Sequence
 
 from repro import PolarisConfig, Warehouse
 from repro.telemetry import combined_chrome_trace, instances, tracing_instances
 from repro.telemetry.introspection import instances as introspector_instances
-
-#: Summary fields accumulated across every warehouse one benchmark creates.
-_SUMMARY_FIELDS = (
-    "bytes_read",
-    "bytes_written",
-    "txns_committed",
-    "txns_aborted",
-    "txns_active",
-)
 
 #: Set by :func:`bench_main` when ``--trace`` / ``--metrics`` are given;
 #: :func:`bench_config` reads it so every warehouse a benchmark creates is
@@ -118,16 +106,13 @@ class _ScriptBenchmark:
         return fn(*args, **kwargs)
 
 
-def bench_main(*bench_fns, report_file: str = "BENCH_observability.json") -> None:
+def bench_main(*bench_fns) -> None:
     """Script entry point for a benchmark module.
 
     Runs each ``bench_fn(benchmark)`` with a fake benchmark fixture, then
     honours ``--trace OUT`` (write one combined Chrome trace covering all
-    warehouses the run created) and ``--metrics`` (print the registries'
-    snapshots).  ``--report`` writes ``report_file``; numeric scalars a
-    benchmark put into ``benchmark.extra_info`` are merged into its
-    totals, so workload-specific measures (goodput, shed counts, p99)
-    land in the same regression-gated JSON.
+    warehouses the run created), ``--metrics`` (print the registries'
+    snapshots) and ``--report`` (print every warehouse's health report).
     """
     parser = argparse.ArgumentParser(description=bench_fns[0].__doc__)
     parser.add_argument(
@@ -144,10 +129,7 @@ def bench_main(*bench_fns, report_file: str = "BENCH_observability.json") -> Non
     parser.add_argument(
         "--report",
         action="store_true",
-        help=(
-            "print DMV-based health reports and write "
-            f"{report_file} with per-benchmark run totals"
-        ),
+        help="print each warehouse's DMV-based health report",
     )
     args = parser.parse_args()
     if args.trace is not None:
@@ -165,52 +147,19 @@ def bench_main(*bench_fns, report_file: str = "BENCH_observability.json") -> Non
         # telemetry and introspector instances after the workloads ran.
         # Warehouses sit in reference cycles, so they die at whatever
         # moment the cyclic collector happens to run — which would make
-        # the enumeration (and the --report totals) timing-dependent.
-        # Hold collection until every summary has been taken.
+        # the enumeration (which warehouses get a report, a trace group)
+        # timing-dependent.  Hold collection until every output is taken.
         gc.disable()
     try:
         traced_before = len(tracing_instances())
         metered_before = len(instances())
-        observability = {}
         for fn in bench_fns:
             intro_before = len(introspector_instances())
-            fixture = _ScriptBenchmark()
-            started = time.perf_counter()
-            fn(fixture)
-            wall_s = time.perf_counter() - started
+            fn(_ScriptBenchmark())
             if args.report:
-                created = introspector_instances()[intro_before:]
-                totals = {
-                    "warehouses": len(created),
-                    "wall_s": round(wall_s, 3),
-                    "simulated_s": 0.0,
-                }
-                totals.update({field: 0 for field in _SUMMARY_FIELDS})
-                for intro in created:
-                    summary = intro.summary()
-                    totals["simulated_s"] += summary["simulated_s"]
-                    for field in _SUMMARY_FIELDS:
-                        totals[field] += summary[field]
-                totals["simulated_s"] = round(totals["simulated_s"], 6)
-                for key, value in sorted(fixture.extra_info.items()):
-                    if isinstance(value, bool) or not isinstance(
-                        value, (int, float)
-                    ):
-                        continue
-                    totals[key] = round(value, 6)
-                observability[fn.__name__] = totals
-                for intro in created:
+                for intro in introspector_instances()[intro_before:]:
                     print()
                     print(intro.report())
-
-        if args.report:
-            with open(report_file, "w", encoding="utf-8") as fh:
-                json.dump(observability, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(
-                f"\nwrote {report_file} "
-                f"({len(observability)} benchmark(s))"
-            )
 
         if args.trace is not None:
             traced = tracing_instances()[traced_before:]

@@ -170,13 +170,12 @@ class OptimizerConfig:
     """Cost-based optimizer knobs (statistics, indexes, join planning).
 
     With ``enabled`` on but no collected statistics, the optimizer is an
-    identity transform: plans keep the binder's join order and the
-    default ``hash`` algorithm, so behaviour (and every byte of output)
-    is unchanged until someone runs ``ANALYZE``.
+    identity transform: plans keep the binder's join order, so behaviour
+    (and every byte of output) is unchanged until someone runs ``ANALYZE``.
     """
 
-    #: Master switch for cost-based plan rewrites (reordering, algorithm
-    #: choice, transitive predicate pushdown, index pruning).
+    #: Master switch for cost-based plan rewrites (join reordering,
+    #: transitive predicate pushdown, index pruning).
     enabled: bool = True
     #: Buckets per equi-depth histogram collected by ANALYZE.
     histogram_buckets: int = 8
@@ -187,15 +186,9 @@ class OptimizerConfig:
     #: STO auto-analyze: re-collect a table's statistics once this many
     #: rows were ingested since the last ANALYZE.  0 disables the job.
     auto_analyze_rows: int = 0
-    #: Allow the optimizer to swap join inputs / reorder join chains.
-    join_reordering: bool = True
     #: Allow equality conjuncts to prune data files through secondary
     #: indexes (beyond zone maps).
     index_pruning: bool = True
-    #: Rows per block assumed when pricing a block-nested-loop join.  A
-    #: cost-model constant only: the operator's output and work do not
-    #: depend on it.
-    block_nl_rows: int = 256
     #: Feedback correction factors are clamped to [1/cap, cap].
     feedback_factor_cap: float = 1000.0
 
@@ -307,7 +300,5 @@ class PolarisConfig:
             raise ValueError("optimizer.misestimate_threshold must be >= 1")
         if self.optimizer.auto_analyze_rows < 0:
             raise ValueError("optimizer.auto_analyze_rows must be >= 0")
-        if self.optimizer.block_nl_rows < 1:
-            raise ValueError("optimizer.block_nl_rows must be >= 1")
         if self.optimizer.feedback_factor_cap < 1.0:
             raise ValueError("optimizer.feedback_factor_cap must be >= 1")

@@ -2,10 +2,9 @@
 
 Single-node execution (the role SQL Server plays on each BE node) works on
 column batches — dicts of numpy arrays — with materialized,
-column-at-a-time operators: filter, project, equi-join (one kernel under
-the four algorithm names the optimizer prices: hash, sort-merge, index-
-and block-nested loop), grouped aggregation, sort, limit.  Plans (:mod:`planner`) are
-built programmatically — the 22 TPC-H queries in
+column-at-a-time operators: filter, project, one equi-join, grouped
+aggregation, sort, limit.  Plans (:mod:`planner`) are built
+programmatically — the 22 TPC-H queries in
 :mod:`repro.workloads.tpch.queries` do — or bound from SQL text by
 :mod:`repro.sql`; either way a statement is compiled once and
 :func:`repro.engine.executor.execute_plan` is the only interpreter of

@@ -55,12 +55,7 @@ def execute_plan(
         result = operators.project(inputs[0], plan.outputs)
     elif isinstance(plan, Join):
         result = operators.join(
-            inputs[0],
-            inputs[1],
-            plan.left_keys,
-            plan.right_keys,
-            plan.how,
-            plan.algorithm,
+            inputs[0], inputs[1], plan.left_keys, plan.right_keys, plan.how
         )
     elif isinstance(plan, Aggregate):
         result = operators.aggregate(inputs[0], plan.group_keys, plan.aggs)

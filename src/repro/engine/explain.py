@@ -158,23 +158,9 @@ def misestimate_ratio(est_rows: float, actual_rows: float) -> float:
     return max(actual / est, est / actual)
 
 
-#: Display names of the physical join algorithms (plan text, operator
-#: labels, DMV rows).  ``hash`` keeps its historical ``HashJoin`` label
-#: so default plan hashes are unchanged.
-JOIN_ALGORITHM_LABELS = {
-    "hash": "HashJoin",
-    "sort_merge": "SortMergeJoin",
-    "index_nl": "IndexNLJoin",
-    "block_nl": "BlockNLJoin",
-}
-
-
-def join_label(node: Join) -> str:
-    """Display name of one Join node's chosen algorithm."""
-    try:
-        return JOIN_ALGORITHM_LABELS[node.algorithm]
-    except KeyError:
-        raise PlanError(f"unknown join algorithm {node.algorithm!r}") from None
+#: The one join's display name (plan text, operator labels, DMV rows).
+#: Query-store plan hashes are taken over this text.
+JOIN_LABEL = "HashJoin"
 
 
 def operator_labels(plan: Plan) -> List[Tuple[int, Plan, str]]:
@@ -192,7 +178,7 @@ def operator_labels(plan: Plan) -> List[Tuple[int, Plan, str]]:
         elif isinstance(node, Project):
             label = "Project"
         elif isinstance(node, Join):
-            label = f"{join_label(node)}[{node.how}]"
+            label = f"{JOIN_LABEL}[{node.how}]"
         elif isinstance(node, Aggregate):
             label = "Aggregate"
         elif isinstance(node, Sort):
@@ -355,7 +341,7 @@ def _describe(plan: Plan) -> str:
         keys = ", ".join(
             f"{l}={r}" for l, r in zip(plan.left_keys, plan.right_keys)
         )
-        return f"{join_label(plan)}[{plan.how}] on ({keys})"
+        return f"{JOIN_LABEL}[{plan.how}] on ({keys})"
     if isinstance(plan, Aggregate):
         keys = ", ".join(plan.group_keys) if plan.group_keys else "<global>"
         aggs = ", ".join(

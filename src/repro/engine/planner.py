@@ -7,11 +7,10 @@ read path.  Scan nodes carry an optional pushed-down predicate of
 ``(column, op, literal)`` conjuncts used for row-group pruning at the
 storage layer, in addition to the full residual predicate tree.
 
-The :class:`Join` node is *physical* as well as logical: it names the
-join algorithm the executor must run (``hash`` by default; the
-cost-based optimizer in :mod:`repro.optimizer` may rewrite it to
-``sort_merge``, ``index_nl`` or ``block_nl``).  Every algorithm
-produces byte-identical output, so the choice only affects cost.
+A :class:`Join` says what to join on and how (inner, semi, anti), never
+with which algorithm: the engine has one equi-join
+(:func:`repro.engine.operators.hash_join`) and the cost-based optimizer
+in :mod:`repro.optimizer` only reorders joins.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.common.errors import PlanError
 from repro.engine.expressions import Expr
-from repro.engine.operators import JOIN_ALGORITHMS, AggSpec
+from repro.engine.operators import JOIN_TYPES, AggSpec
 
 
 @dataclass(frozen=True)
@@ -54,23 +53,20 @@ class Project:
 
 @dataclass(frozen=True)
 class Join:
-    """Equi-join of two subplans under a named physical algorithm.
-
-    ``algorithm`` is one of :data:`repro.engine.operators.JOIN_ALGORITHMS`
-    (``hash``, ``sort_merge``, ``index_nl``, ``block_nl``).  All produce
-    the same rows in the same order; the optimizer picks the cheapest.
-    """
+    """Equi-join of two subplans; ``how`` is one of
+    :data:`repro.engine.operators.JOIN_TYPES`."""
 
     left: "Plan"
     right: "Plan"
     left_keys: Tuple[str, ...]
     right_keys: Tuple[str, ...]
     how: str = "inner"
-    algorithm: str = "hash"
 
     def __post_init__(self) -> None:
-        if self.algorithm not in JOIN_ALGORITHMS:
-            raise PlanError(f"unknown join algorithm {self.algorithm!r}")
+        if self.how not in JOIN_TYPES:
+            raise PlanError(f"unsupported join type {self.how!r}")
+        if len(self.left_keys) != len(self.right_keys):
+            raise PlanError("join key lists must have equal length")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from repro.lst.snapshot import TableSnapshot
 from repro.optimizer.cardinality import estimate_with_stats
 
 if TYPE_CHECKING:
-    from repro.optimizer.manager import PlanCatalog
+    from repro.optimizer.statistics import TableStatistics
 
 
 def scan_table(
@@ -150,7 +150,7 @@ def optimize_plan(
     context: ServiceContext,
     txn: PolarisTransaction,
     plan: Plan,
-    catalog: "Optional[PlanCatalog]" = None,
+    catalog: "Optional[Dict[str, TableStatistics]]" = None,
 ) -> Plan:
     """Run the cost-based rewrite pass over ``plan`` (identity without
     statistics for every referenced table, or with the optimizer off).
@@ -219,7 +219,7 @@ def _run_query(
         }
         if optimizer is not None:
             estimates, provenance, costs = optimizer.annotate(
-                plan, base_rows, catalog.stats
+                plan, base_rows, catalog
             )
         else:
             estimates = estimate_with_stats(plan, base_rows, {})

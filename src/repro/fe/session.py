@@ -252,8 +252,8 @@ class Session:
     def optimized_plan(self, plan: Plan) -> Plan:
         """The plan after the cost-based rewrite (EXPLAIN's view).
 
-        Opens a throwaway read transaction to resolve statistics and
-        indexes; the plan is not executed.
+        Opens a throwaway read transaction to resolve statistics; the
+        plan is not executed.
         """
         txn = PolarisTransaction(self._context)
         try:

@@ -10,11 +10,10 @@ The subsystem that makes plan choice data-driven (top ROADMAP item):
 * :mod:`repro.optimizer.cardinality` — the one cardinality estimator:
   stats-aware, named defaults without stats, ``stats``/``default``
   provenance per plan node.
-* :mod:`repro.optimizer.cost` — the cost model pricing scans, the join
-  zoo (hash / sort-merge / index-nested-loop / block-nested-loop) and
-  aggregates.
-* :mod:`repro.optimizer.rewrite` — equality transitivity, greedy join
-  reordering and algorithm choice; identity without full statistics.
+* :mod:`repro.optimizer.cost` — the cost model pricing scans, the one
+  join and aggregates.
+* :mod:`repro.optimizer.rewrite` — equality transitivity and greedy join
+  reordering; identity without full statistics.
 * :mod:`repro.optimizer.manager` — the per-deployment façade wired into
   :class:`repro.fe.context.ServiceContext`.
 """

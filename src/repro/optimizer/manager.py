@@ -22,7 +22,7 @@ correction factor into the new statistics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,15 +45,6 @@ from repro.storage.paths import index_file_path
 if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
     from repro.fe.transaction import PolarisTransaction
-
-
-class PlanCatalog(NamedTuple):
-    """What the catalog knows about one statement's base tables."""
-
-    #: Newest visible statistics per table name (absent ones omitted).
-    stats: Dict[str, TableStatistics]
-    #: ``(table, column)`` pairs that have a secondary index.
-    indexed: Set[Tuple[str, str]]
 
 
 class QueryOptimizer:
@@ -229,8 +220,9 @@ class QueryOptimizer:
 
     def catalog_inputs(
         self, txn: "PolarisTransaction", plan: Plan
-    ) -> "PlanCatalog":
-        """Read what the catalog knows about ``plan``'s base tables.
+    ) -> Dict[str, TableStatistics]:
+        """The newest visible statistics of ``plan``'s base tables, by
+        table name (tables never analyzed are absent).
 
         One pass per statement: the rewrite and the EXPLAIN annotation
         of the same statement share the result (a rewrite never changes
@@ -239,22 +231,19 @@ class QueryOptimizer:
         from repro.fe.catalog import describe_table
 
         stats: Dict[str, TableStatistics] = {}
-        indexed: Set[Tuple[str, str]] = set()
         for table in tables_of(plan):
             table_id = describe_table(txn.root, table)["table_id"]
             sequence = txn.visible_sequence(table_id)
             row = catalog.latest_table_stats(txn.root, table_id, sequence)
             if row is not None:
                 stats[table] = TableStatistics.from_row(row)
-            for index_row in catalog.indexes_for_table(txn.root, table_id):
-                indexed.add((table, index_row["column"]))
-        return PlanCatalog(stats, indexed)
+        return stats
 
     def rewrite(
         self,
         txn: "PolarisTransaction",
         plan: Plan,
-        inputs: "Optional[PlanCatalog]" = None,
+        inputs: Optional[Dict[str, TableStatistics]] = None,
     ) -> Tuple[Plan, RewriteInfo]:
         """Cost-based rewrite of ``plan`` (identity without full stats).
 
@@ -265,17 +254,12 @@ class QueryOptimizer:
             return plan, RewriteInfo()
         if inputs is None:
             inputs = self.catalog_inputs(txn, plan)
-        stats, indexed = inputs
-        new_plan, info = rewrite_plan(plan, stats, indexed, self._config)
+        new_plan, info = rewrite_plan(plan, inputs, self._config)
         tel = self._context.telemetry
         if tel.metering and info.applied:
             tel.metrics.counter("optimizer.plan.rewrites").inc()
             if info.reordered:
                 tel.metrics.counter("optimizer.plan.reorders").inc()
-            if info.algorithm_switches:
-                tel.metrics.counter("optimizer.plan.algorithm_switches").inc(
-                    info.algorithm_switches
-                )
             if info.transitive_conjuncts:
                 tel.metrics.counter(
                     "optimizer.plan.transitive_conjuncts"
@@ -293,7 +277,7 @@ class QueryOptimizer:
         estimates = cardinality.estimate_with_stats(
             plan, scan_rows, stats, provenance=provenance
         )
-        costs = plan_costs(plan, estimates, self._config.block_nl_rows)
+        costs = plan_costs(plan, estimates)
         return estimates, provenance, costs
 
     # -- index pruning --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cost-based plan rewrites: reordering, algorithm choice, transitivity.
+"""Cost-based plan rewrites: transitivity and join reordering.
 
 The pass is an identity transform unless *every* base table of the plan
 has collected statistics — that invariant keeps stats-free deployments
@@ -15,14 +15,10 @@ applies, in order:
    equi-joins over base scans, start from the smallest estimated leaf,
    and repeatedly attach the connected leaf minimizing the estimated
    join output.
-3. **Algorithm choice** — replace each join's ``hash`` default with the
-   cheapest member of the zoo under the cost model, considering
-   ``index_nl`` only when a catalog index exists on the right key.
 
-Reordering and algorithm choice change row *order* (every algorithm is
-byte-identical for a fixed join node, but swapping inputs is not); SQL
-result sets are unordered unless sorted, and the choices themselves are
-fully deterministic for a given catalog state.
+Reordering changes row *order* (swapping a join's inputs does); SQL
+result sets are unordered unless sorted, and the order chosen is fully
+deterministic for a given catalog state.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from repro.engine.planner import (
     tables_of,
 )
 from repro.optimizer import cardinality
-from repro.optimizer.cost import choose_join_algorithm
 from repro.optimizer.statistics import TableStatistics
 
 
@@ -51,23 +46,12 @@ class RewriteInfo:
 
     applied: bool = False
     reordered: bool = False
-    algorithm_switches: int = 0
     transitive_conjuncts: int = 0
-
-    @property
-    def changed(self) -> bool:
-        """Whether the plan differs from the input at all."""
-        return (
-            self.reordered
-            or self.algorithm_switches > 0
-            or self.transitive_conjuncts > 0
-        )
 
 
 def rewrite_plan(
     plan: Plan,
     stats_by_table: Dict[str, TableStatistics],
-    indexed_keys: Set[Tuple[str, str]],
     config: OptimizerConfig,
 ) -> Tuple[Plan, RewriteInfo]:
     """Apply the cost-based rewrites; see the module docstring."""
@@ -80,11 +64,7 @@ def rewrite_plan(
     info.applied = True
     columns = cardinality.column_map(stats_by_table)
     plan = _propagate_equalities(plan, columns, info)
-    if config.join_reordering:
-        plan = _reorder_joins(plan, stats_by_table, info)
-    plan = _choose_algorithms(
-        plan, stats_by_table, indexed_keys, config, info
-    )
+    plan = _reorder_joins(plan, stats_by_table, info)
     return plan, info
 
 
@@ -322,42 +302,3 @@ def _connecting(
         elif r_table in current_tables and l_table == leaf.table:
             out.append((r_col, l_col))
     return out
-
-
-# -- algorithm choice ---------------------------------------------------------
-
-
-def _choose_algorithms(
-    plan: Plan,
-    stats_by_table: Dict[str, TableStatistics],
-    indexed_keys: Set[Tuple[str, str]],
-    config: OptimizerConfig,
-    info: RewriteInfo,
-) -> Plan:
-    """Bottom-up, pick the cheapest algorithm for every join."""
-    estimates = cardinality.estimate_with_stats(plan, {}, stats_by_table)
-
-    def walk(node: Plan) -> Plan:
-        if isinstance(node, Join):
-            left = walk(node.left)
-            right = walk(node.right)
-            right_index = (
-                len(node.right_keys) == 1
-                and isinstance(node.right, TableScan)
-                and (node.right.table, node.right_keys[0]) in indexed_keys
-            )
-            algorithm, _ = choose_join_algorithm(
-                float(estimates.get(id(node.left), 0)),
-                float(estimates.get(id(node.right), 0)),
-                float(estimates.get(id(node), 0)),
-                right_index=right_index,
-                block_rows=config.block_nl_rows,
-            )
-            if algorithm != node.algorithm:
-                info.algorithm_switches += 1
-            return replace(
-                node, left=left, right=right, algorithm=algorithm
-            )
-        return map_children(node, walk)
-
-    return walk(plan)

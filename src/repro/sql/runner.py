@@ -133,7 +133,7 @@ class SqlSession:
         if pending is not None:
             profile = self.session.query_profiled(plan)
             # Fingerprint the plan that actually ran — the optimizer may
-            # have rewritten join order/algorithms before execution.
+            # have reordered its joins before execution.
             pending.record_plan(
                 explain_plan(profile.plan),
                 operator_summaries(

@@ -839,21 +839,6 @@ class Introspector:
 
     # -- end-of-run report ----------------------------------------------------
 
-    def summary(self) -> Dict[str, Any]:
-        """Machine-readable run totals (the benchmark harness exports these)."""
-        statuses: Dict[str, int] = {}
-        for row in self._dm_transactions():
-            statuses[row["status"]] = statuses.get(row["status"], 0) + 1
-        metrics = self._context.telemetry.metrics
-        return {
-            "simulated_s": self._context.clock.now,
-            "bytes_read": int(metrics.value("storage.bytes_read")),
-            "bytes_written": int(metrics.value("storage.bytes_written")),
-            "txns_committed": statuses.get("committed", 0),
-            "txns_aborted": statuses.get("aborted", 0),
-            "txns_active": statuses.get("active", 0),
-        }
-
     def report(self) -> str:
         """A human-readable end-of-run health report built from the DMVs."""
         lines = [f"=== observability report ({self._context.database}) ==="]

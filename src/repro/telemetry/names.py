@@ -50,9 +50,6 @@ METRIC_NAMES: Dict[str, str] = {
         "Data files skipped because an index proved they cannot match."
     ),
     "optimizer.index.lookups": "Equality probes answered by an index.",
-    "optimizer.plan.algorithm_switches": (
-        "Join operators whose algorithm the cost model changed."
-    ),
     "optimizer.plan.reorders": "Plans whose join order the optimizer changed.",
     "optimizer.plan.rewrites": "Plans changed by the cost-based rewrite pass.",
     "optimizer.plan.transitive_conjuncts": (

@@ -3,9 +3,7 @@
 The plan-builder twins live in :mod:`repro.workloads.tpch.queries`;
 ``tests/test_sql_tpch.py`` asserts text and plan produce identical
 results through the full warehouse stack.  The texts also serve as the
-query-store fingerprint corpus (distinct shapes must never collide) and
-drive the query-store overhead benchmark
-(``benchmarks/bench_querystore_overhead.py``).
+query-store fingerprint corpus (distinct shapes must never collide).
 """
 
 from __future__ import annotations

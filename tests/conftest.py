@@ -7,6 +7,28 @@ import pytest
 
 from repro import PolarisConfig, Schema, Warehouse
 from repro.analysis.si import HistoryRecorder, check_history, format_violations
+from repro.engine import operators
+from repro.workloads.tpch import TpchGenerator
+from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
+
+#: The four join callables ``benchmarks/e2e/trace.py::TARGETS`` resolves by
+#: name (two of them timed by ``unit_*_join_ms_100k``), keyed by the short
+#: names their test ids carry.
+CONTRACT_JOINS = {
+    "block_nl": operators.block_nested_loop_join,
+    "hash": operators.hash_join,
+    "index_nl": operators.index_nested_loop_join,
+    "sort_merge": operators.sort_merge_join,
+}
+
+
+def assert_identical(candidate, reference):
+    """Same columns in the same order, same dtypes, same rows *in order*
+    (sorting rows first would hide a path that emits another order)."""
+    assert list(candidate) == list(reference)
+    for name in reference:
+        assert candidate[name].dtype == reference[name].dtype, name
+        assert np.array_equal(candidate[name], reference[name]), name
 
 
 def small_config() -> PolarisConfig:
@@ -21,6 +43,17 @@ def small_config() -> PolarisConfig:
     config.sto.retention_period_s = 3600.0
     config.dcp.fixed_nodes = 2
     return config
+
+
+def tpch_warehouse(config: PolarisConfig) -> Warehouse:
+    """A warehouse holding the seeded SF 0.05 TPC-H tables."""
+    dw = Warehouse(config=config, auto_optimize=False)
+    session = dw.session()
+    generator = TpchGenerator(scale_factor=0.05, seed=42)
+    for name, batch in generator.all_tables().items():
+        session.create_table(name, TPCH_SCHEMAS[name], TPCH_DISTRIBUTION[name])
+        session.insert(name, batch)
+    return dw
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """The array kernels against the per-row reference, in order and by dtype.
 
 ``tests/reference_operators.py`` holds the per-row ``hash_join`` and
-``aggregate`` the engine shipped before it was vectorised.  Every join
-algorithm name × join type, and every aggregate function, must reproduce
+``aggregate`` the engine shipped before it was vectorised.  Every
+benchmark-contract join callable × join type, ``operators.join``, and
+every aggregate function, must reproduce
 the reference **column by column, in row order, with equal dtypes and
 column order** — not merely the same set of rows.  The two deliberate
 departures (NaN keys, float summation order) have their own tests below.
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 from repro.common.errors import PlanError
 from repro.engine import operators
 from repro.engine.expressions import Col
-from repro.engine.operators import JOIN_ALGORITHMS
-from repro.engine.planner import Limit, TableScan
+from repro.engine.planner import Join, Limit, TableScan
 from tests import reference_operators as reference
+from tests.conftest import CONTRACT_JOINS
 
 HOWS = ("inner", "left-semi", "left-anti")
-ALGORITHMS = sorted(JOIN_ALGORITHMS)
+ALGORITHMS = sorted(CONTRACT_JOINS)
 
 #: Float SUM/AVG may differ from the reference's pairwise sums by this
 #: relative error (the rule in ``operators.aggregate``); all else is exact.
@@ -155,9 +156,9 @@ class TestJoinKernelMatchesReference:
     def test_generated_batches(self, algorithm, how, inputs):
         left, right, left_keys, right_keys = inputs
         want = reference.hash_join(left, right, left_keys, right_keys, how)
-        got = operators.join(left, right, left_keys, right_keys, how, algorithm)
+        got = operators.join(left, right, left_keys, right_keys, how)
         assert_same_batch(got, want)
-        direct = JOIN_ALGORITHMS[algorithm](left, right, left_keys, right_keys, how)
+        direct = CONTRACT_JOINS[algorithm](left, right, left_keys, right_keys, how)
         assert_same_batch(direct, want)
 
     @pytest.mark.parametrize("how", HOWS)
@@ -189,7 +190,7 @@ class TestJoinKernelMatchesReference:
     def test_no_keys_is_a_cross_join(self, algorithm):
         left = {"x": np.arange(3)}
         right = {"y": np.arange(2) * 10}
-        got = operators.join(left, right, [], [], "inner", algorithm)
+        got = CONTRACT_JOINS[algorithm](left, right, [], [], "inner")
         assert_same_batch(got, reference.hash_join(left, right, [], []))
         assert got["x"].tolist() == [0, 0, 1, 1, 2, 2]
 
@@ -205,7 +206,7 @@ class TestNanJoinKeys:
     RIGHT = {"b": np.array([np.nan, 1.0]), "rrow": np.array([0, 1])}
 
     def join(self, how, algorithm):
-        return operators.join(self.LEFT, self.RIGHT, ["a"], ["b"], how, algorithm)
+        return CONTRACT_JOINS[algorithm](self.LEFT, self.RIGHT, ["a"], ["b"], how)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_inner_drops_nan(self, algorithm):
@@ -232,7 +233,7 @@ class TestNanJoinKeys:
             "lrow": np.arange(3),
         }
         right = {"b": np.array([np.nan, 1.0, np.nan]), "d": np.array([7, 7, 8])}
-        out = operators.join(left, right, ["a", "c"], ["b", "d"], how, algorithm)
+        out = CONTRACT_JOINS[algorithm](left, right, ["a", "c"], ["b", "d"], how)
         assert out["lrow"].tolist() == rows
 
 
@@ -346,3 +347,25 @@ class TestNegativeLimit:
         with pytest.raises(PolarisError):
             session.sql("SELECT id FROM t LIMIT -1")
         assert len(session.sql("SELECT id FROM t LIMIT 3")["id"]) == 3
+
+
+class TestInvalidJoin:
+    """An unsupported join type or unequal key lists used to fail only
+    inside the kernel — after both scans had run and been charged."""
+
+    SCANS = (TableScan("a", ("k", "k2")), TableScan("b", ("rk",)))
+
+    def test_plan_node_rejects_unknown_join_type(self):
+        with pytest.raises(PlanError, match="unsupported join type 'outer'"):
+            Join(*self.SCANS, ("k",), ("rk",), how="outer")
+
+    def test_plan_node_rejects_unequal_key_lists(self):
+        with pytest.raises(PlanError, match="equal length"):
+            Join(*self.SCANS, ("k", "k2"), ("rk",))
+
+    def test_kernel_keeps_its_own_checks(self):
+        left, right = {"k": np.arange(3)}, {"rk": np.arange(3)}
+        with pytest.raises(PlanError, match="unsupported join type"):
+            operators.hash_join(left, right, ["k"], ["rk"], "outer")
+        with pytest.raises(PlanError, match="equal length"):
+            operators.hash_join(left, right, ["k"], [], "inner")

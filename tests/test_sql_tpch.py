@@ -9,11 +9,10 @@ warehouse stack.
 import numpy as np
 import pytest
 
-from repro import SqlSession, Warehouse
+from repro import SqlSession
 from repro.engine.batch import num_rows
-from repro.workloads.tpch import TPCH_QUERIES, TPCH_SQL_QUERIES, TpchGenerator
-from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
-from tests.conftest import small_config
+from repro.workloads.tpch import TPCH_QUERIES, TPCH_SQL_QUERIES
+from tests.conftest import assert_identical, small_config, tpch_warehouse
 
 #: The SQL texts live in repro.workloads.tpch.queries_sql so the
 #: query store's fingerprint corpus and benchmarks share them.
@@ -22,13 +21,34 @@ SQL_QUERIES = TPCH_SQL_QUERIES
 
 @pytest.fixture(scope="module")
 def sql():
-    dw = Warehouse(config=small_config(), auto_optimize=False)
-    session = dw.session()
-    generator = TpchGenerator(scale_factor=0.05, seed=42)
-    for name, batch in generator.all_tables().items():
-        session.create_table(name, TPCH_SCHEMAS[name], TPCH_DISTRIBUTION[name])
-        session.insert(name, batch)
-    return SqlSession(session)
+    return SqlSession(tpch_warehouse(small_config()).session())
+
+
+def test_collectors_cost_no_simulated_time_and_change_no_answer():
+    """Query store + wait stats on vs every collector off: the same
+    clock to the last bit, the same bytes, one profile per fingerprint."""
+    runs = 3
+    off, on = small_config(), small_config()
+    off.telemetry.metrics = False
+    on.telemetry.query_store_enabled = True
+    on.telemetry.wait_stats_enabled = True
+    plain, observed = tpch_warehouse(off), tpch_warehouse(on)
+    plain_sql = SqlSession(plain.session())
+    observed_sql = SqlSession(observed.session())
+    for _ in range(runs):
+        for qnum in sorted(SQL_QUERIES):
+            assert_identical(
+                observed_sql.execute(SQL_QUERIES[qnum]),
+                plain_sql.execute(SQL_QUERIES[qnum]),
+            )
+    assert observed.clock.now == plain.clock.now
+    assert observed.telemetry.waits.inflight_count == 0
+    stats = observed_sql.execute(
+        "SELECT query_hash, executions FROM sys.dm_exec_query_stats "
+        "WHERE statement_kind = 'select'"
+    )
+    assert len(set(stats["query_hash"])) == len(SQL_QUERIES)
+    assert stats["executions"].tolist() == [runs] * len(SQL_QUERIES)
 
 
 def canonical(batch):

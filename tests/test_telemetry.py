@@ -242,8 +242,10 @@ class TestExport:
         x = [e for e in events if e["ph"] == "X"]
         assert x
         for event in x:
+            assert {"name", "cat", "pid", "tid", "ts", "dur"} <= event.keys(), event
             assert event["dur"] >= 0
             assert isinstance(event["pid"], int) and isinstance(event["tid"], int)
+        assert {"txn", "statement", "dcp.task", "storage"} <= {e["cat"] for e in x}
         names = {
             e["args"]["name"]
             for e in events
