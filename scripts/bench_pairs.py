@@ -14,11 +14,20 @@ benchmarks.e2e compare`` for the medians, spreads and bounds, exiting 1
 if any metric of the workload regressed past its bound.  A gain may be
 claimed when the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile spread.
+
+    python scripts/bench_pairs.py PARENT_DIR --workload tpch_power --traced
+
+is the other half of the method: one ``--trace 1`` run of seed ``SEED``
+(default 100) in each tree, printed side by side — self time per layer,
+then every per-layer metric — exiting 1 if any per-layer metric counted in
+``count``, ``B`` or ``sim-s`` differs, since those repeat exactly per seed
+and a change that claims only speed must not move them.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -30,13 +39,50 @@ from benchmarks.e2e.compare import load_set  # noqa: E402
 from benchmarks.e2e.harness import load_spec  # noqa: E402
 
 
-def run_once(tree: str, workload: str, seed: int, sink: str) -> None:
-    """One untraced benchmark run inside ``tree``, appended to ``sink``."""
+#: Units of the per-layer metrics that repeat exactly for one seed.
+EXACT_UNITS = ("count", "B", "sim-s")
+
+
+def run_once(tree: str, workload: str, seed: int, *options: str) -> None:
+    """One benchmark run inside ``tree`` with the given ``run`` options."""
     command = [
         sys.executable, "-m", "benchmarks.e2e", "run", "--workload", workload,
-        "--seed", str(seed), "--trace", "0", "--append", sink,
+        "--seed", str(seed), *options,
     ]
     subprocess.run(command, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+
+
+def traced_pair(parent_dir: str, workload: str, seed: int, out: str) -> int:
+    """One traced run per tree; 1 if an exactly-repeating metric differs."""
+    results = []
+    for label, tree in (("parent", parent_dir), ("change", REPO)):
+        directory = os.path.join(out, f"traced-{label}")
+        run_once(tree, workload, seed, "--trace", "1", "--out", directory)
+        with open(
+            os.path.join(directory, f"{workload}-trace1.json"), encoding="utf-8"
+        ) as handle:
+            results.append(json.load(handle))
+    parent, change = results
+    print(f"{workload} seed {seed}, traced: parent | change")
+    print("self ms per round, by layer")
+    layers = parent["layer_self_ms_per_round"], change["layer_self_ms_per_round"]
+    for layer in sorted(set(layers[0]) | set(layers[1])):
+        a, b = (side.get(layer, 0.0) for side in layers)
+        print(f"  {layer:<38} {a:>14.2f} {b:>14.2f}")
+    print("per-layer metrics")
+    moved = []
+    for name, entry in parent["metrics"].items():
+        a, b = entry["value"], change["metrics"][name]["value"]
+        differs = entry["unit"] in EXACT_UNITS and a != b
+        if differs:
+            moved.append(name)
+        flag = "  DIFFERS" if differs else ""
+        print(f"  {name:<38} {a:>14.4f} {b:>14.4f} {entry['unit']}{flag}")
+    print(
+        f"\nexactly-repeating metrics ({', '.join(EXACT_UNITS)}): "
+        + (f"{len(moved)} differ: {', '.join(moved)}" if moved else "all equal")
+    )
+    return int(bool(moved))
 
 
 def main() -> int:
@@ -46,11 +92,20 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=100, help="seed of pair 0")
     parser.add_argument(
+        "--traced", action="store_true",
+        help="instead of the pairs: one --trace 1 run of SEED per tree, "
+        "side by side; exit 1 if a count / B / sim-s metric differs",
+    )
+    parser.add_argument(
         "--out", default=os.path.join(REPO, "bench_pairs"),
         help="directory of A.jsonl / B.jsonl (appended to, so runs accumulate)",
     )
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
+    if args.traced:
+        return traced_pair(
+            os.path.abspath(args.parent_dir), args.workload, args.seed, args.out
+        )
     sinks = {
         os.path.abspath(args.parent_dir): os.path.join(args.out, "A.jsonl"),
         REPO: os.path.join(args.out, "B.jsonl"),
@@ -58,7 +113,10 @@ def main() -> int:
     for pair in range(args.pairs):
         order = list(sinks) if pair % 2 == 0 else list(sinks)[::-1]
         for tree in order:
-            run_once(tree, args.workload, args.seed + pair, sinks[tree])
+            run_once(
+                tree, args.workload, args.seed + pair,
+                "--trace", "0", "--append", sinks[tree],
+            )
         print(f"pair {pair + 1}/{args.pairs} (seed {args.seed + pair}) done", flush=True)
 
     parent, change = (load_set(sink) for sink in sinks.values())

@@ -11,6 +11,13 @@ programmatically — the 22 TPC-H queries in
 the resulting tree.  :mod:`explain` renders plans and, through the
 executor's per-operator observer, EXPLAIN ANALYZE.
 
+A string column scanned from dictionary-encoded chunks arrives as a
+:class:`repro.pagefile.encoding.DictArray`: the ``str`` values as ever,
+plus the codes and dictionary the page file stored.  The key factoriser
+takes those codes as they are and string predicates run once per
+dictionary entry; :mod:`batch`'s ``take`` / ``mask`` / ``concat_batches``
+carry the hint along, anything else drops it, and no result depends on it.
+
 Distributed execution lives in :mod:`repro.fe.read_path`: one DCP
 workflow DAG per base-table scan (one task per data cell, with
 projection, predicate and deletion-vector merge pushed down), then the

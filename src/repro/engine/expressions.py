@@ -5,6 +5,14 @@ column references, literals, arithmetic, comparisons, boolean connectives,
 ``LIKE`` patterns, ``IN`` lists and ``CASE WHEN``.  Dates are represented
 as int64 epoch days throughout the engine, so date arithmetic and
 comparisons are plain integer operations.
+
+Anything that is a function of each string alone — ``LIKE``, ``IN``,
+``SUBSTRING``, a comparison against a literal — is computed once per
+dictionary entry and gathered through the codes when the column carries
+a dictionary hint (:func:`repro.engine.batch.dictionary_of`), and once
+per row, as ever, when it does not.  A literal under a ``BinOp`` stays a
+numpy scalar and is broadcast by the ufunc itself; only a bare literal
+becomes a column.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from typing import Any, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.common.errors import PlanError
-from repro.engine.batch import Batch
+from repro.engine.batch import Batch, dictionary_of
+from repro.pagefile.encoding import dict_array
 
 
 @dataclass(frozen=True)
@@ -139,8 +148,10 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
     if isinstance(expr, Lit):
         return _broadcast(expr.value, rows)
     if isinstance(expr, BinOp):
-        left = _eval(expr.left, batch, rows)
-        right = _eval(expr.right, batch, rows)
+        left = _operand(expr.left, batch, rows)
+        right = _operand(expr.right, batch, rows)
+        if not (isinstance(left, np.ndarray) or isinstance(right, np.ndarray)):
+            left = _broadcast(left, rows)
         return _binop(expr.op, left, right)
     if isinstance(expr, BoolOp):
         parts = [_as_bool(_eval(arg, batch, rows)) for arg in expr.args]
@@ -151,21 +162,25 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
     if isinstance(expr, Not):
         return ~_as_bool(_eval(expr.arg, batch, rows))
     if isinstance(expr, Like):
-        # One regex call per string; once batches carry the page file's
-        # dictionary codes (ROADMAP follow-on) this matches once per entry.
-        values = _eval(expr.arg, batch, rows)
         match = _like_regex(expr.pattern).fullmatch
-        return np.fromiter(
-            map(bool, map(match, _as_strings(values))), dtype=bool, count=rows
+        return _per_entry(
+            _eval(expr.arg, batch, rows),
+            lambda strings: np.fromiter(
+                map(bool, map(match, _as_strings(strings))),
+                dtype=bool,
+                count=len(strings),
+            ),
         )
     if isinstance(expr, InList):
         values = _eval(expr.arg, batch, rows)
         if values.dtype.kind in ("i", "u", "f", "b"):
             return np.isin(values, expr.values)
-        # One set probe per string; waits for dictionary-coded strings too.
         allowed = frozenset(expr.values)
-        return np.fromiter(
-            map(allowed.__contains__, values), dtype=bool, count=rows
+        return _per_entry(
+            values,
+            lambda strings: np.fromiter(
+                map(allowed.__contains__, strings), dtype=bool, count=len(strings)
+            ),
         )
     if isinstance(expr, Case):
         cond = _as_bool(_eval(expr.cond, batch, rows))
@@ -177,24 +192,58 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
         years = days.astype("datetime64[D]").astype("datetime64[Y]")
         return years.astype(np.int64) + 1970
     if isinstance(expr, Substr):
-        # One slice per string; waits for dictionary-coded strings too.
         values = _eval(expr.arg, batch, rows)
         lo = expr.start - 1
         piece = operator.itemgetter(slice(lo, lo + expr.length))
-        return np.fromiter(
-            map(piece, _as_strings(values)), dtype=object, count=rows
-        )
+
+        def pieces(strings: np.ndarray) -> np.ndarray:
+            return np.fromiter(
+                map(piece, _as_strings(strings)), dtype=object, count=len(strings)
+            )
+
+        hint = dictionary_of(values)
+        if hint is None:
+            return pieces(values)
+        # Entries that differ only past the slice become equal entries,
+        # which the hint allows.
+        codes, dictionary = hint
+        return dict_array(codes, pieces(dictionary))
     raise PlanError(f"unknown expression node {expr!r}")
 
 
 def _broadcast(value: Any, rows: int) -> np.ndarray:
-    if isinstance(value, bool):
-        return np.full(rows, value, dtype=bool)
-    if isinstance(value, int):
-        return np.full(rows, value, dtype=np.int64)
-    if isinstance(value, float):
-        return np.full(rows, value, dtype=np.float64)
-    return np.full(rows, value, dtype=object)
+    """A bare literal as a column: a ``str`` in ``object`` dtype, anything
+    else in the dtype numpy gives the value itself — ``int64`` /
+    ``float64`` / ``bool`` for Python and numpy scalars alike."""
+    return np.full(rows, value, dtype=object if isinstance(value, str) else None)
+
+
+#: The numpy scalar type of each Python scalar, as :func:`_broadcast`
+#: types its column.
+_SCALAR_TYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+
+
+def _operand(expr: Expr, batch: Batch, rows: int) -> Any:
+    """A ``BinOp`` operand: a literal stays a scalar for the ufunc to
+    broadcast, typed as its column would be (a bare Python ``2`` would
+    leave an ``int32`` column ``int32``; ``np.int64(2)`` promotes it
+    exactly as the ``int64`` column did)."""
+    if isinstance(expr, Lit):
+        value = expr.value
+        cast = _SCALAR_TYPES.get(type(value))
+        return value if cast is None else cast(value)
+    return _eval(expr, batch, rows)
+
+
+def _per_entry(values: np.ndarray, compute: Any) -> np.ndarray:
+    """``compute(values)`` for a ``compute`` that maps each string on its
+    own: over the dictionary entries, then gathered through the codes,
+    when ``values`` carries a dictionary hint."""
+    hint = dictionary_of(values)
+    if hint is None:
+        return compute(values)
+    codes, dictionary = hint
+    return compute(dictionary)[codes]
 
 
 _COMPARISONS = {
@@ -214,13 +263,25 @@ _ARITHMETIC = {
 }
 
 
-def _binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _binop(op: str, left: Any, right: Any) -> np.ndarray:
+    """``left <op> right`` where at most one side is a scalar."""
     if op in _ARITHMETIC:
         return _ARITHMETIC[op](left, right)
     if op in _COMPARISONS:
         # On object (string) columns the comparison ufuncs apply Python's
-        # operator per element themselves and still return a bool array.
-        return _COMPARISONS[op](left, right)
+        # operator per element themselves and still return a bool array —
+        # per dictionary entry when the other side is a literal.
+        compare = _COMPARISONS[op]
+        left_is_column = isinstance(left, np.ndarray)
+        if left_is_column and isinstance(right, np.ndarray):
+            return compare(left, right)
+        hint = dictionary_of(left if left_is_column else right)
+        if hint is None:
+            return compare(left, right)
+        codes, dictionary = hint
+        if left_is_column:
+            return compare(dictionary, right)[codes]
+        return compare(left, dictionary)[codes]
     raise PlanError(f"unknown binary operator {op!r}")
 
 

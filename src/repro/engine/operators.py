@@ -1,9 +1,12 @@
 """Materialized relational operators over column batches.
 
 Joins and GROUP BY share one *key factoriser*: 1..n key columns become
-one ``int64`` code array in which equal keys — and only equal keys — have
-equal codes.  One pair kernel (:func:`_equi_pairs`) serves the one join
-(:func:`hash_join`) and one grouping kernel serves :func:`aggregate`; both
+one integer code array in ``[0, radix)`` in which equal keys — and only
+equal keys — have equal codes; a dictionary-hinted string column
+contributes the codes it was stored with.  One pair kernel
+(:func:`_equi_pairs`, a per-code table lookup) serves the one join
+(:func:`hash_join`) and one grouping kernel (a stable sort of the codes,
+in the narrowest width the radix allows) serves :func:`aggregate`; both
 work a column at a time, never a Python tuple per row.
 """
 
@@ -17,6 +20,7 @@ from repro.common.errors import PlanError
 from repro.engine import batch as batch_mod
 from repro.engine.batch import Batch
 from repro.engine.expressions import Col, Expr, evaluate
+from repro.pagefile.encoding import concat, select
 
 
 def filter_batch(batch: Batch, predicate: Expr) -> Batch:
@@ -48,11 +52,32 @@ def project(batch: Batch, outputs: Dict[str, Expr]) -> Batch:
 #: product past it is re-densified first (then radix <= rows per column).
 _MAX_RADIX = 1 << 62
 
+#: The pair kernel builds a table with one slot per code; past this many
+#: slots per input row it re-densifies the codes first (one ``np.unique``).
+#: Measured at 16k rows with repeated right keys: the table path takes
+#: 0.4 ms at 4 slots per row, 1.2 ms at 8 and 1.7 ms at 16 (it leaves
+#: cache, and each fresh allocation page-faults) against 0.7 ms
+#: re-densified; the bound also keeps the table under 64 bytes per row.
+_MAX_TABLE_SLOTS_PER_ROW = 8
+
 
 def _densify(codes: np.ndarray, equal_nan: bool = True) -> Tuple[np.ndarray, int]:
     """Dense ranks of ``codes`` and how many distinct values there are."""
     distinct, ranks = np.unique(codes, return_inverse=True, equal_nan=equal_nan)
     return ranks, len(distinct)
+
+
+def _first_rows(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Each value coded by the row it first appears in, and how many
+    distinct values there are — one ``dict.setdefault`` per value, so only
+    for a dictionary's entries or a column that has no dictionary."""
+    first_row: Dict[Any, int] = {}
+    codes = np.fromiter(
+        map(first_row.setdefault, values, range(len(values))),
+        dtype=np.int64,
+        count=len(values),
+    )
+    return codes, len(first_row)
 
 
 def _column_codes(values: np.ndarray, equal_nan: bool) -> Tuple[np.ndarray, int]:
@@ -66,17 +91,16 @@ def _column_codes(values: np.ndarray, equal_nan: bool) -> Tuple[np.ndarray, int]
     if rows == 0:
         return np.empty(0, dtype=np.int64), 1
     if kind == "O":
-        # The one per-value Python pass in the operators: a string's code
-        # is the row it first appears in.  RPF2 page files already store
-        # low-NDV strings as such codes; carrying them into the batch is
-        # the ROADMAP follow-on that removes this pass.
-        first_row: Dict[Any, int] = {}
-        codes = np.fromiter(
-            map(first_row.setdefault, values, range(rows)),
-            dtype=np.int64,
-            count=rows,
-        )
-        return codes, rows
+        hint = batch_mod.dictionary_of(values)
+        if hint is None:
+            return _first_rows(values)[0], rows
+        # The column's own codes, unless entries repeat (after ``Substr``,
+        # say): then an entry's code is that of its first equal entry.
+        codes, dictionary = hint
+        entry_codes, distinct = _first_rows(dictionary)
+        if distinct < len(dictionary):
+            codes = entry_codes[codes]
+        return codes, len(dictionary)
     if kind == "b":
         return values.astype(np.int64), 2
     if kind == "i":
@@ -89,18 +113,35 @@ def _column_codes(values: np.ndarray, equal_nan: bool) -> Tuple[np.ndarray, int]
 
 def _factorize(
     columns: Sequence[np.ndarray], rows: int, equal_nan: bool
-) -> np.ndarray:
-    """One ``int64`` code per row over 0..n key columns (mixed radix)."""
+) -> Tuple[np.ndarray, int]:
+    """``(codes, radix)`` over 0..n key columns: one integer code per row,
+    ``0 <= codes < radix``, mixed radix over the columns' own codes."""
     code, radix = np.zeros(rows, dtype=np.int64), 1
     for values in columns:
         digit, base = _column_codes(values, equal_nan)
         if radix * base > _MAX_RADIX:
             code, radix = _densify(code)
             digit, base = _densify(digit)
-        # radix 1 means every code so far is 0: the digit is the code.
-        code = digit if radix == 1 else code * base + digit
+        # radix 1 means every code so far is 0: the digit is the code.  A
+        # digit may be a page file's narrow unsigned codes; the product is
+        # taken in int64.
+        if radix == 1:
+            code = digit
+        else:
+            code = code.astype(np.int64, copy=False) * base + digit
         radix *= base
-    return code
+    return code, radix
+
+
+def _sortable(codes: np.ndarray, radix: int) -> np.ndarray:
+    """``codes`` in the narrowest unsigned dtype that holds ``radix``
+    values: numpy's stable sort of 8- and 16-bit integers is a radix sort,
+    several times faster than the merge sort ``int64`` gets."""
+    if radix <= 1 << 8:
+        return codes.astype(np.uint8, copy=False)
+    if radix <= 1 << 16:
+        return codes.astype(np.uint16, copy=False)
+    return codes
 
 
 #: The join types a ``Join`` plan node and :func:`hash_join` accept.
@@ -108,24 +149,37 @@ JOIN_TYPES = ("inner", "left-semi", "left-anti")
 
 
 def _equi_pairs(
-    lcodes: np.ndarray, rcodes: np.ndarray
+    lcodes: np.ndarray, rcodes: np.ndarray, radix: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``(li, ri)`` with ``lcodes[li] == rcodes[ri]``.
+    """All ``(li, ri)`` with ``lcodes[li] == rcodes[ri]``; every code is
+    in ``[0, radix)``.
 
     Pairs come left-major — ascending left row, and for one left row
     ascending right row — the order a probe of an insertion-ordered hash
     index in left-row order would emit them.
     """
-    order = np.argsort(rcodes, kind="stable")
-    ordered = rcodes[order]
-    first = np.searchsorted(ordered, lcodes, side="left")
-    counts = np.searchsorted(ordered, lcodes, side="right") - first
-    li = np.repeat(np.arange(len(lcodes)), counts)
-    # Output slot j of left row l reads ordered position first[l] + (j -
-    # start of l's run in the output); expand the per-row shift, add slots.
-    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
-    shift += np.arange(len(li))
-    return li, order[shift]
+    if radix > _MAX_TABLE_SLOTS_PER_ROW * (len(lcodes) + len(rcodes)):
+        joint, radix = _densify(np.concatenate([lcodes, rcodes]))
+        lcodes, rcodes = joint[: len(lcodes)], joint[len(lcodes) :]
+    per_code = np.bincount(rcodes, minlength=radix)  # right rows per code
+    counts = per_code[lcodes]
+    matched = np.flatnonzero(counts)
+    if per_code.max(initial=0) <= 1:
+        # Unique right keys (every primary-key join): a code names its one
+        # right row outright, and nothing needs sorting.
+        row_of = np.empty(radix, dtype=np.intp)
+        row_of[rcodes] = np.arange(len(rcodes))
+        return matched, row_of[lcodes[matched]]
+    lcodes, counts = lcodes[matched], counts[matched]
+    # A code's right rows are a run of the right rows sorted (stably) by
+    # code; output slot j of a left row reads sorted position run_start[its
+    # code] + (j - start of its own run in the output).  Expand the per-row
+    # shift, add slots.
+    run_start = np.cumsum(per_code) - per_code
+    order = np.argsort(_sortable(rcodes, radix), kind="stable")
+    shift = np.repeat(run_start[lcodes] - (np.cumsum(counts) - counts), counts)
+    shift += np.arange(len(shift))
+    return np.repeat(matched, counts), order[shift]
 
 
 def hash_join(
@@ -150,11 +204,10 @@ def hash_join(
     if how not in JOIN_TYPES:
         raise PlanError(f"unsupported join type {how!r}")
     left_rows = batch_mod.num_rows(left)
-    joint = [
-        np.concatenate([left[lk], right[rk]])
-        for lk, rk in zip(left_keys, right_keys)
-    ]
-    codes = _factorize(joint, left_rows + batch_mod.num_rows(right), equal_nan=False)
+    joint = [concat([left[lk], right[rk]]) for lk, rk in zip(left_keys, right_keys)]
+    codes, radix = _factorize(
+        joint, left_rows + batch_mod.num_rows(right), equal_nan=False
+    )
     lcodes, rcodes = codes[:left_rows], codes[left_rows:]
     if how != "inner":
         matched = np.isin(lcodes, rcodes)
@@ -162,7 +215,7 @@ def hash_join(
     overlap = set(left) & set(right)
     if overlap:
         raise PlanError(f"join output would duplicate columns {sorted(overlap)}")
-    li, ri = _equi_pairs(lcodes, rcodes)
+    li, ri = _equi_pairs(lcodes, rcodes, radix)
     out = batch_mod.take(left, li)
     out.update(batch_mod.take(right, ri))
     return out
@@ -245,10 +298,12 @@ def aggregate(batch: Batch, group_keys: Sequence[str], aggs: AggSpec) -> Batch:
         out.update({name: np.empty(0, dtype=object) for name in aggs})
         return out
 
-    code = _factorize([batch[key] for key in group_keys], rows, equal_nan=True)
+    keys = [batch[key] for key in group_keys]
+    code, radix = _factorize(keys, rows, equal_nan=True)
     # One stable sort puts each group's rows side by side, still in input
     # order; a run therefore starts at its group's first row, and ranking
     # the runs by that row is first-appearance order.
+    code = _sortable(code, radix)
     order = np.argsort(code, kind="stable")
     ordered = code[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
@@ -256,14 +311,14 @@ def aggregate(batch: Batch, group_keys: Sequence[str], aggs: AggSpec) -> Batch:
     appearance = np.argsort(order[starts])
     first_rows = order[starts][appearance]
 
-    out = {key: batch[key][first_rows] for key in group_keys}
+    out = batch_mod.take({key: batch[key] for key in group_keys}, first_rows)
     for name, (func, __) in aggs.items():
         values = inputs[name]
         if func == "count":
             per_run = counts
         elif func == "count_distinct":
             run = np.repeat(np.arange(len(starts)), counts)
-            pair = _factorize([run, values[order]], rows, equal_nan=True)
+            pair = _factorize([run, select(values, order)], rows, equal_nan=True)[0]
             __, pair_rows = np.unique(pair, return_index=True)
             per_run = np.bincount(run[pair_rows], minlength=len(starts))
         else:

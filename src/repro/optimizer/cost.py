@@ -4,8 +4,9 @@ Costs are abstract *row operations* (not simulated seconds): the unit a
 plan node charges per row it touches.  The absolute scale is irrelevant —
 only comparisons between alternatives matter.  There is one join formula
 because there is one join kernel (:func:`repro.engine.operators.hash_join`):
-its right input pays a per-row surcharge for the stable sort of its key
-codes, its left input one binary search per row, and every output row is
+its right input pays a per-row surcharge for the per-code table (and,
+when right keys repeat, the stable sort) built over its key codes, its
+left input one table lookup per row, and every output row is
 materialised once.  The kernel has no spill path, so neither has the
 formula.
 

@@ -27,13 +27,21 @@ slices of the resulting ``str`` and non-ASCII needs no byte map.
 
 Decoding always builds fresh arrays: nothing returned aliases ``raw``,
 which may be an entry of the shared chunk cache.
+
+A ``DICT`` chunk decodes to a :class:`DictArray`: the same object array of
+``str`` as ever, which additionally remembers its codes and dictionary so
+the engine can work once per dictionary entry instead of once per row.
+The hint survives exactly three operations — :func:`dict_array`
+(construct), :func:`select` (rows) and :func:`concat` — and every other
+numpy operation drops it, so it can change how fast an answer comes, never
+the answer.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +64,94 @@ _UINTS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 def _narrowest(limit: int) -> np.dtype:
     """The narrowest unsigned dtype holding ``limit`` (below 2**32)."""
     return _UINTS[1 if limit < 1 << 8 else 2 if limit < 1 << 16 else 4]
+
+
+class DictArray(np.ndarray):
+    """An object array of ``str`` that may carry a dictionary hint.
+
+    With the hint set, ``values[i] == dictionary[codes[i]]`` for every row
+    — the one invariant; ``dictionary`` may hold equal entries more than
+    once.  ``__array_finalize__`` runs for every array numpy derives from
+    this one (a slice, ``.copy()``, a ufunc result, ``np.where``) and
+    leaves the new array *without* a hint: only the three helpers below
+    attach one, each from codes it selected or merged itself; assigning
+    into the array drops it too.
+    """
+
+    codes: Optional[np.ndarray]
+    dictionary: Optional[np.ndarray]
+
+    def __array_finalize__(self, obj: Optional[np.ndarray]) -> None:
+        self.codes = None
+        self.dictionary = None
+
+    def __array_wrap__(
+        self, array: np.ndarray, context: Any = None, return_scalar: bool = False
+    ) -> Any:
+        """What a ufunc over this array returns — a comparison's mask, a
+        reduction's value — is the plain array or scalar a plain object
+        array would have given."""
+        return array[()] if return_scalar else array
+
+    def __iter__(self) -> Iterator[Any]:
+        # numpy walks a subclass through ``__getitem__``, 17x slower than
+        # the base class's own iterator (100k values: 18 ms against 1 ms).
+        return iter(self.view(np.ndarray))
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        self.codes = None
+        self.dictionary = None
+        super().__setitem__(key, value)
+
+
+def dict_array(
+    codes: np.ndarray, dictionary: np.ndarray, values: Optional[np.ndarray] = None
+) -> DictArray:
+    """Construct the hinted column ``dictionary[codes]`` (``values``, when
+    the caller already holds that array)."""
+    out = (dictionary[codes] if values is None else values).view(DictArray)
+    out.codes, out.dictionary = codes, dictionary
+    return out
+
+
+def select(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values[rows]`` (an index array or a boolean mask), hint kept."""
+    codes = getattr(values, "codes", None)
+    if codes is None:
+        return values[rows]
+    return dict_array(codes[rows], values.dictionary, values[rows])
+
+
+def concat(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate(parts)``; hinted when every part is.
+
+    Parts sharing one dictionary object keep it.  Otherwise the
+    dictionaries are merged by one pass over their *entries* (equal
+    entries collapse to the first) and each part's codes are gathered
+    through its entry → merged-code table.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    values = np.concatenate(parts)
+    if values.dtype.kind != "O" or any(
+        getattr(part, "codes", None) is None for part in parts
+    ):
+        return values
+    dictionary = parts[0].dictionary
+    if all(part.dictionary is dictionary for part in parts):
+        return dict_array(
+            np.concatenate([part.codes for part in parts]), dictionary, values
+        )
+    merged: Dict[str, int] = {}
+    tables = [
+        [merged.setdefault(entry, len(merged)) for entry in part.dictionary.tolist()]
+        for part in parts
+    ]
+    dtype = _narrowest(len(merged))
+    codes = np.concatenate(
+        [np.array(table, dtype)[part.codes] for table, part in zip(tables, parts)]
+    )
+    return dict_array(codes, np.fromiter(merged, object, count=len(merged)), values)
 
 
 def encode_column(field: Field, values: np.ndarray) -> Tuple[bytes, ColumnStats]:
@@ -170,8 +266,10 @@ def _decode_dict(type_: str, raw: bytes, num_rows: int) -> Tuple[np.ndarray, int
         raise FileFormatError(
             f"dictionary code {int(codes.max())} outside a dictionary of {size}"
         )
-    # Equal values share one ``str`` object: the dictionary entry.
-    return np.fromiter(items, object, count=size)[codes], end + codes.nbytes
+    # Equal values share one ``str`` object: the dictionary entry.  The
+    # codes are copied — ``raw`` may be a cache entry.
+    dictionary = np.fromiter(items, object, count=size)
+    return dict_array(codes.copy(), dictionary), end + codes.nbytes
 
 
 def encode_text(items: List[str]) -> bytes:

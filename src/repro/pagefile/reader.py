@@ -9,7 +9,7 @@ import numpy as np
 from repro.common.errors import FileFormatError
 from repro.pagefile.cache import ChunkCache
 from repro.pagefile.deletion_vector import DeletionVector
-from repro.pagefile.encoding import decode_column, inflate
+from repro.pagefile.encoding import concat, decode_column, inflate, select
 from repro.pagefile.file_format import PageFile, read_footer
 from repro.pagefile.schema import NUMPY_DTYPES
 from repro.pagefile.stats import may_contain
@@ -26,6 +26,11 @@ class PageFileReader:
     ``(source, etag, chunk offset)`` — the identity of the immutable blob
     ``data`` came from — and a later reader of the same blob skips
     ``zlib.decompress`` for them.  Arrays are decoded afresh either way.
+
+    A string column whose chunks are all ``DICT``-encoded comes back as a
+    hinted :class:`~repro.pagefile.encoding.DictArray` (the deletion-vector
+    mask and the row-group concatenation go through ``select`` / ``concat``
+    and keep the hint); any ``PLAIN`` chunk makes it a plain object array.
     """
 
     def __init__(
@@ -85,7 +90,9 @@ class PageFileReader:
                 values = self._chunk(
                     name, types[position], first + position, group_rows
                 )
-                parts[name].append(values[keep] if keep is not None else values)
+                if keep is not None:
+                    values = select(values, keep)
+                parts[name].append(values)
             if with_positions:
                 positions = np.arange(row_start, row_start + group_rows, dtype=np.int64)
                 position_parts.append(positions[keep] if keep is not None else positions)
@@ -157,8 +164,8 @@ class PageFileReader:
 
 
 def _concat(dtype: np.dtype, chunks: List[np.ndarray]) -> np.ndarray:
+    """One column of a read from its row groups' chunks (a string column
+    stays dictionary-hinted when every chunk was ``DICT``)."""
     if not chunks:
         return np.empty(0, dtype=dtype)
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.concatenate(chunks)
+    return concat(chunks)

@@ -8,8 +8,9 @@ uniform for inserts, updates and deletes.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Sentinel value for deleted rows.  Distinct from None so callers can store
 #: None-valued payloads if they wish.
@@ -39,10 +40,16 @@ class VersionedStore:
 
     def __init__(self) -> None:
         self._chains: Dict[Key, List[Version]] = {}
+        #: Table name -> its keys in key order; a key is inserted when its
+        #: chain is created, so a scan neither walks other tables nor sorts.
+        self._table_keys: Dict[str, List[Key]] = {}
 
     def install(self, key: Key, commit_seq: int, value: Any, txid: int) -> None:
         """Append a committed version (commit sequences arrive in order)."""
-        chain = self._chains.setdefault(key, [])
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = []
+            insort(self._table_keys.setdefault(key[0], []), key)
         if chain and chain[-1].commit_seq >= commit_seq:
             raise AssertionError(
                 f"out-of-order install at {key}: {commit_seq} after "
@@ -93,11 +100,11 @@ class VersionedStore:
                     best = version.commit_seq
         return best
 
-    def keys_of_table(self, table: str) -> Iterator[Key]:
-        """All keys ever written for ``table`` (any visibility)."""
-        for key in self._chains:
-            if key[0] == table:
-                yield key
+    def keys_of_table(self, table: str) -> List[Key]:
+        """All keys ever written for ``table`` (any visibility), in key
+        order — a snapshot, so a suspended scan is not disturbed by a
+        commit that installs a new key."""
+        return list(self._table_keys.get(table, ()))
 
     def table_changed_since(self, table: str, seq: int) -> bool:
         """Whether any key of ``table`` has a version newer than ``seq``.
@@ -106,5 +113,5 @@ class VersionedStore:
         """
         return any(
             self._chains[key][-1].commit_seq > seq
-            for key in self.keys_of_table(table)
+            for key in self._table_keys.get(table, ())
         )

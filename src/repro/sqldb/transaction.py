@@ -90,7 +90,7 @@ class SqlDbTransaction:
         self._read_tables.add(table)
         read_seq = self._read_seq()
         seen: Set[Key] = set()
-        for key in sorted(self._engine.store.keys_of_table(table)):
+        for key in self._engine.store.keys_of_table(table):
             seen.add(key)
             if key in self._writes:
                 value = self._writes[key]

@@ -50,7 +50,8 @@ shows the query itself).
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -101,6 +102,8 @@ class TransactionLedger:
     def __init__(self, bus: "EventBus", clock: "SimulatedClock") -> None:
         self._clock = clock
         self._records: Dict[int, Dict[str, Any]] = {}
+        #: Finished txids, oldest finish first: what ``_finish`` trims.
+        self._finished: Deque[int] = deque()
         self._recoveries: List[Dict[str, Any]] = []
         bus.subscribe("txn.begin", self._on_begin)
         bus.subscribe("txn.committed", self._on_table_commit)
@@ -144,20 +147,18 @@ class TransactionLedger:
 
     def _on_finished(self, event) -> None:
         record = self._record(event.payload["txid"])
-        record["status"] = "committed"
         commit_seq = event.payload["commit_seq"]
         record["commit_seq"] = commit_seq if commit_seq is not None else 0
         record["units"] = len(event.payload["units"])
         for table_id in event.payload["tables"]:
             if table_id not in record["tables"]:
                 record["tables"].append(table_id)
-        self._trim()
+        self._finish(record, "committed")
 
     def _on_aborted(self, event) -> None:
         record = self._record(event.payload["txid"])
-        record["status"] = "aborted"
         record["reason"] = event.payload["reason"]
-        self._trim()
+        self._finish(record, "aborted")
 
     def _on_recovery(self, event) -> None:
         entry = dict(event.payload)
@@ -165,14 +166,14 @@ class TransactionLedger:
         entry["at"] = self._clock.now
         self._recoveries.append(entry)
 
-    def _trim(self) -> None:
-        finished = [
-            txid
-            for txid, record in self._records.items()
-            if record["status"] != "active"
-        ]
-        for txid in finished[: max(0, len(finished) - FINISHED_HISTORY_CAP)]:
-            del self._records[txid]
+    def _finish(self, record: Dict[str, Any], status: str) -> None:
+        """Mark ``record`` finished and forget the oldest finished records
+        past :data:`FINISHED_HISTORY_CAP`."""
+        if record["status"] == "active":
+            self._finished.append(record["txid"])
+        record["status"] = status
+        while len(self._finished) > FINISHED_HISTORY_CAP:
+            del self._records[self._finished.popleft()]
 
     # -- reading --------------------------------------------------------------
 

@@ -1,7 +1,11 @@
 """Tests for expression evaluation."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import PlanError
 from repro.engine.expressions import (
@@ -20,6 +24,14 @@ from repro.engine.expressions import (
     or_,
 )
 from repro.workloads.tpch.schema import date_days
+from tests.dictionary_hints import (
+    WORDS,
+    assert_hint_consistent,
+    hint_of,
+    read_strings,
+    string_batch,
+    strip,
+)
 
 BATCH = {
     "a": np.array([1, 2, 3, 4], dtype=np.int64),
@@ -221,3 +233,180 @@ def test_like_and_substr_over_non_string_columns_use_str():
     )
     out = evaluate(Substr(Col("n"), 1, 2), batch)
     assert out.dtype == object and out.tolist() == ["10", "21", "31"]
+
+
+# -- literals -------------------------------------------------------------------------
+
+
+class TestLiteralTyping:
+    """A literal is typed by numpy's own rule for the value, Python or numpy
+    scalar alike; at the parent ``isinstance(value, int)`` missed
+    ``np.int64`` and the whole result column went ``object``."""
+
+    @pytest.mark.parametrize(
+        "value,dtype",
+        [
+            (np.int64(2), np.int64),
+            (np.float64(2.0), np.float64),
+            (np.bool_(True), np.bool_),
+            (2, np.int64),
+            (2.0, np.float64),
+            (True, np.bool_),
+        ],
+    )
+    def test_numpy_scalar_literals_keep_their_dtype(self, value, dtype):
+        assert evaluate(Lit(value), BATCH).dtype == dtype
+        product = evaluate(BinOp("*", Col("a"), Lit(value)), BATCH)
+        assert product.dtype == (BATCH["a"] * np.full(4, value)).dtype
+        assert product.dtype != object
+        assert product.tolist() == (BATCH["a"] * value).tolist()
+
+    def test_the_natural_plan_api_idiom(self):
+        """``Lit(result["n"][0])`` — a literal taken from a result."""
+        count = np.array([3], dtype=np.int64)[0]
+        out = evaluate(BinOp("*", Col("a"), Lit(count)), BATCH)
+        assert out.dtype == np.int64 and out.tolist() == [3, 6, 9, 12]
+        assert out.sum().dtype == np.int64
+
+    def test_an_int_literal_still_widens_a_narrow_column(self):
+        """``int32 * Lit(2)`` was ``int32 * int64 column``: ``int64``."""
+        batch = {"n": np.array([2**30, 5], dtype=np.int32)}
+        out = evaluate(BinOp("*", Col("n"), Lit(4)), batch)
+        assert out.dtype == np.int64 and out.tolist() == [2**32, 20]
+        assert evaluate(BinOp("/", Col("n"), Lit(2)), batch).dtype == np.float64
+        assert evaluate(BinOp("+", Col("n"), Lit(0.5)), batch).dtype == np.float64
+
+    def test_literal_op_literal_is_a_column(self):
+        out = evaluate(BinOp("+", Lit(1), Lit(2)), BATCH)
+        assert out.dtype == np.int64 and out.tolist() == [3, 3, 3, 3]
+        out = evaluate(BinOp("<", Lit(1.5), Lit(np.int64(2))), BATCH)
+        assert out.dtype == bool and out.tolist() == [True] * 4
+        out = evaluate(BinOp("+", Lit("a"), Lit("b")), BATCH)
+        assert out.dtype == object and out.tolist() == ["ab"] * 4
+        assert len(evaluate(BinOp("+", Lit(1), Lit(2)), {"a": BATCH["a"][:0]})) == 0
+
+    def test_bare_literals_in_project_and_as_a_filter(self):
+        from repro.engine import operators
+
+        out = operators.project(
+            BATCH, {"one": Lit(np.int64(1)), "name": Lit("x"), "half": Lit(0.5)}
+        )
+        assert [out[name].dtype for name in out] == [np.int64, object, np.float64]
+        assert out["name"].tolist() == ["x"] * 4
+        kept = operators.filter_batch(BATCH, Lit(True))
+        assert kept["a"].tolist() == [1, 2, 3, 4]
+        assert operators.filter_batch(BATCH, Lit(np.bool_(False)))["a"].tolist() == []
+
+    def test_a_literal_on_the_left(self):
+        out = evaluate(BinOp("-", Lit(10), Col("a")), BATCH)
+        assert out.dtype == np.int64 and out.tolist() == [9, 8, 7, 6]
+        out = evaluate(BinOp(">", Lit("banana"), Col("s")), BATCH)
+        assert out.tolist() == [True, False, False, False]
+
+
+# -- dictionary hints -----------------------------------------------------------------
+
+_PY_COMPARE = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _like_oracle(value, pattern):
+    """``LIKE`` by recursion on the pattern, without ``re``."""
+    if not pattern:
+        return not value
+    if pattern[0] == "%":
+        return any(
+            _like_oracle(value[skip:], pattern[1:]) for skip in range(len(value) + 1)
+        )
+    return bool(value) and pattern[0] in ("_", value[0]) and _like_oracle(
+        value[1:], pattern[1:]
+    )
+
+
+class TestStringExpressionsIgnoreTheHint:
+    """Every string expression over hinted columns, over the same columns
+    stripped, and by a per-row Python oracle: same values, same dtype."""
+
+    @staticmethod
+    def check(expr, batch, oracle):
+        got = evaluate(expr, batch)
+        plain = evaluate(expr, strip(batch))
+        assert type(plain) is np.ndarray
+        assert got.dtype == plain.dtype, expr
+        assert got.tolist() == plain.tolist(), expr
+        assert got.tolist() == oracle, expr
+        assert_hint_consistent(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=string_batch(),
+        word=st.sampled_from(WORDS),
+        op=st.sampled_from(sorted(_PY_COMPARE)),
+    )
+    def test_comparisons(self, batch, word, op):
+        left, right = batch["s"].tolist(), batch["t"].tolist()
+        compare = _PY_COMPARE[op]
+        self.check(
+            BinOp(op, Col("s"), Lit(word)), batch, [compare(v, word) for v in left]
+        )
+        self.check(
+            BinOp(op, Lit(word), Col("s")), batch, [compare(word, v) for v in left]
+        )
+        self.check(
+            BinOp(op, Col("s"), Col("t")),
+            batch,
+            [compare(a, b) for a, b in zip(left, right)],
+        )
+        self.check(
+            BinOp(op, Substr(Col("s"), 2, 2), Lit(word[:2])),
+            batch,
+            [compare(v[1:3], word[:2]) for v in left],
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=string_batch(),
+        pattern=st.sampled_from(
+            ["%", "", "a%", "%a%", "_", "a_c", "%本%", "brass", "%s%s", "__%"]
+        ),
+        allowed=st.lists(st.sampled_from(WORDS), max_size=4),
+        start=st.integers(min_value=1, max_value=4),
+        length=st.integers(min_value=0, max_value=3),
+    )
+    def test_like_in_list_substr_case(self, batch, pattern, allowed, start, length):
+        values = batch["s"].tolist()
+        self.check(
+            Like(Col("s"), pattern), batch, [_like_oracle(v, pattern) for v in values]
+        )
+        self.check(
+            InList(Col("s"), tuple(allowed)), batch, [v in allowed for v in values]
+        )
+        pieces = [v[start - 1 : start - 1 + length] for v in values]
+        self.check(Substr(Col("s"), start, length), batch, pieces)
+        self.check(
+            Like(Substr(Col("s"), start, length), pattern),
+            batch,
+            [_like_oracle(piece, pattern) for piece in pieces],
+        )
+        self.check(
+            Case(InList(Col("s"), tuple(allowed)), Col("s"), Col("t")),
+            batch,
+            [a if a in allowed else b for a, b in zip(values, batch["t"].tolist())],
+        )
+        self.check(
+            Case(Like(Col("s"), pattern), Lit("hit"), Substr(Col("t"), 1, 1)),
+            batch,
+            [
+                "hit" if _like_oracle(a, pattern) else b[:1]
+                for a, b in zip(values, batch["t"].tolist())
+            ],
+        )
+
+    def test_substr_of_a_hinted_column_is_hinted(self):
+        column = read_strings(["ab1", "ab2", "zz", "ab1", "ab2", "zz"], 6)
+        out = evaluate(Substr(Col("s"), 1, 2), {"s": column})
+        codes, dictionary = hint_of(out)
+        assert dictionary.tolist() == ["ab", "ab", "zz"]
+        assert out.tolist() == ["ab", "ab", "zz", "ab", "ab", "zz"]

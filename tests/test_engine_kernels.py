@@ -7,6 +7,12 @@ every aggregate function, must reproduce
 the reference **column by column, in row order, with equal dtypes and
 column order** — not merely the same set of rows.  The two deliberate
 departures (NaN keys, float summation order) have their own tests below.
+
+A string column may carry a dictionary hint (``tests/dictionary_hints.py``).
+The last sections demand that no operator's output depends on it, that
+numpy operations outside the three hint helpers never leave a false hint
+behind, and that the pair kernel agrees with a brute-force oracle on dense
+and on sparse codes.
 """
 
 import numpy as np
@@ -15,11 +21,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import PlanError
+from repro.engine import batch as batch_mod
 from repro.engine import operators
-from repro.engine.expressions import Col
+from repro.engine.expressions import BinOp, Col, InList, Like, Lit, Substr
 from repro.engine.planner import Join, Limit, TableScan
+from repro.pagefile import encoding
+from repro.pagefile.encoding import DictArray, concat, dict_array, select
 from tests import reference_operators as reference
 from tests.conftest import CONTRACT_JOINS
+from tests.dictionary_hints import (
+    assert_hint_consistent,
+    hint_of,
+    read_strings,
+    string_batch,
+    string_column,
+    strip,
+)
 
 HOWS = ("inner", "left-semi", "left-anti")
 ALGORITHMS = sorted(CONTRACT_JOINS)
@@ -369,3 +386,294 @@ class TestInvalidJoin:
             operators.hash_join(left, right, ["k"], ["rk"], "outer")
         with pytest.raises(PlanError, match="equal length"):
             operators.hash_join(left, right, ["k"], [], "inner")
+
+
+# -- dictionary hints ----------------------------------------------------------------
+
+
+def _renamed(batch, suffix):
+    return {f"{name}{suffix}": values for name, values in batch.items()}
+
+
+class TestHintNeverChangesAnAnswer:
+    """Every operator over hinted columns against the same columns
+    stripped to plain arrays (and against the per-row reference where
+    there is one): values, dtypes, row order and column order."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(batch=string_batch(), word=st.sampled_from(["a", "brass", "日本", ""]))
+    def test_filter_project_sort_limit(self, batch, word):
+        plain = strip(batch)
+        predicates = [
+            BinOp("==", Col("s"), Lit(word)),
+            BinOp(">=", Col("t"), Lit(word)),
+            BinOp("!=", Col("s"), Col("t")),
+            Like(Col("s"), "%a%"),
+            InList(Substr(Col("t"), 1, 2), ("ab", "br", "日本", "")),
+            Lit(True),
+        ]
+        for predicate in predicates:
+            got = operators.filter_batch(batch, predicate)
+            assert_same_batch(got, operators.filter_batch(plain, predicate))
+            for values in got.values():
+                assert_hint_consistent(values)
+        outputs = {
+            "s": Col("s"),
+            "head": Substr(Col("s"), 1, 2),
+            "same": BinOp("==", Col("s"), Col("t")),
+            "lit": Lit("x"),
+        }
+        got = operators.project(batch, outputs)
+        assert_same_batch(got, operators.project(plain, outputs))
+        assert_hint_consistent(got["head"])
+        for keys in ([("s", True)], [("t", False), ("s", True)]):
+            assert_same_batch(operators.sort(batch, keys), operators.sort(plain, keys))
+        assert_same_batch(operators.limit(batch, 3), operators.limit(plain, 3))
+
+    @pytest.mark.parametrize("how", HOWS)
+    @settings(max_examples=80, deadline=None)
+    @given(left=string_batch(), right=string_batch(names=("s",)))
+    def test_join_of_two_differently_dictionaried_columns(self, how, left, right):
+        left, right = _renamed(left, "_l"), _renamed(right, "_r")
+        for left_keys, right_keys in (
+            (["s_l"], ["s_r"]),
+            (["s_l", "t_l"], ["s_r", "s_r"]),
+            (["s_l"], ["row_r"]),  # string ⋈ int: no row matches
+            (["row_l", "t_l"], ["row_r", "s_r"]),
+        ):
+            got = operators.join(left, right, left_keys, right_keys, how)
+            stripped = operators.join(
+                strip(left), strip(right), left_keys, right_keys, how
+            )
+            assert_same_batch(got, stripped)
+            assert_same_batch(
+                got, reference.hash_join(left, right, left_keys, right_keys, how)
+            )
+            for values in got.values():
+                assert_hint_consistent(values)
+
+    @settings(max_examples=120, deadline=None)
+    @given(batch=string_batch(names=("s", "t", "u")))
+    def test_aggregate_every_function_grouped_by_strings(self, batch):
+        aggs = {
+            "n": ("count", None),
+            "distinct": ("count_distinct", Col("u")),
+            "distinct_head": ("count_distinct", Substr(Col("u"), 1, 1)),
+            "low": ("min", Col("u")),
+            "high": ("max", Col("u")),
+            "total": ("sum", Col("x")),
+            "mean": ("avg", Col("x")),
+            "rows": ("sum", Col("row")),
+        }
+        for keys in (["s"], ["s", "t"], ["row", "t"], []):
+            got = operators.aggregate(batch, keys, aggs)
+            assert_same_batch(got, operators.aggregate(strip(batch), keys, aggs))
+            assert_same_batch(
+                got,
+                reference.aggregate(batch, keys, aggs),
+                float_rtol_columns={"total", "mean"},
+            )
+
+    def test_scanned_columns_mixing_dict_and_plain_row_groups(self):
+        """Row group 1 is DICT (2 distinct of 4), row group 2 PLAIN (4 of
+        4): the column comes back plain; all-DICT comes back hinted."""
+        mixed = read_strings(["a", "b", "a", "b", "c", "d", "e", "f"], 4)
+        assert hint_of(mixed) is None
+        assert mixed.tolist() == ["a", "b", "a", "b", "c", "d", "e", "f"]
+        both = read_strings(["a", "b", "a", "b", "c", "d", "c", "d"], 4)
+        codes, dictionary = hint_of(both)
+        assert dictionary.tolist() == ["a", "b", "c", "d"]
+        assert codes.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
+        batch = {"s": both, "row": np.arange(8)}
+        out = operators.aggregate(batch, ["s"], {"n": ("count", None)})
+        assert out["s"].tolist() == ["a", "b", "c", "d"]
+        assert out["n"].tolist() == [2, 2, 2, 2]
+
+    def test_dictionary_at_and_just_above_the_threshold(self):
+        """NDV == rows / 2 is the last DICT chunk; one more is PLAIN."""
+        at = read_strings(["a", "b", "c", "a", "b", "c"], 6)
+        above = read_strings(["a", "b", "c", "d", "b", "c"], 6)
+        assert hint_of(at) is not None and hint_of(above) is None
+
+    def test_duplicate_entries_group_and_join_as_one_value(self):
+        """``Substr`` maps distinct entries onto equal ones; equal values
+        must still land in one group and match each other."""
+        column = dict_array(
+            np.array([0, 1, 2, 1, 0], dtype=np.uint8),
+            np.array(["ab1", "ab2", "zz"], dtype=object),
+        )
+        batch = {"s": column, "row": np.arange(5)}
+        projected = operators.project(
+            batch, {"head": Substr(Col("s"), 1, 2), "row": Col("row")}
+        )
+        assert hint_of(projected["head"])[1].tolist() == ["ab", "ab", "zz"]
+        out = operators.aggregate(projected, ["head"], {"n": ("count", None)})
+        assert out["head"].tolist() == ["ab", "zz"] and out["n"].tolist() == [4, 1]
+        other = {"k": np.array(["ab"], dtype=object)}
+        joined = operators.hash_join(projected, other, ["head"], ["k"])
+        assert joined["row"].tolist() == [0, 1, 3, 4]
+
+    def test_a_dictionary_larger_than_the_column_falls_back_per_row(self):
+        """A selective filter leaves few rows and the whole dictionary:
+        the engine then ignores the hint (still the same answer)."""
+        column = dict_array(
+            np.array([5, 5, 9], dtype=np.uint8),
+            np.array([f"w{i}" for i in range(10)], dtype=object),
+        )
+        assert batch_mod.dictionary_of(column) is None
+        out = operators.aggregate({"s": column}, ["s"], {"n": ("count", None)})
+        assert out["s"].tolist() == ["w5", "w9"] and out["n"].tolist() == [2, 1]
+
+
+class TestHintHelpers:
+    """``dict_array`` / ``select`` / ``concat`` keep the invariant; every
+    other way of deriving an array drops the hint."""
+
+    COLUMN_ARGS = (
+        np.array([2, 0, 1, 0, 2, 2], dtype=np.uint8),
+        np.array(["x", "żółć", ""], dtype=object),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(min_value=0, max_value=20))
+    def test_numpy_operations_never_leave_a_false_hint(self, data, rows):
+        values = data.draw(string_column(rows))
+        mask = np.arange(rows) % 2 == 0
+        derived = [
+            values[::2],
+            values[mask],
+            values[np.arange(rows)[::-1]],
+            values.copy(),
+            values.view(),
+            values[:0],
+            np.where(mask, values, values[::-1]),
+            np.concatenate([values, values]),
+            np.sort(values),
+            values.astype(object),
+            select(values, mask),
+            select(values, np.flatnonzero(mask)),
+            concat([values, values[::-1].copy(), values]),
+        ]
+        for result in derived:
+            assert_hint_consistent(result)
+        if hint_of(values) is not None:
+            assert all(hint_of(result) is None for result in derived[:10])
+            assert all(hint_of(result) is not None for result in derived[10:12])
+
+    def test_inheriting_the_parents_codes_would_be_caught(self, monkeypatch):
+        """Sabotage check: a ``__array_finalize__`` that copies the hint
+        to derived arrays leaves ``values[::2]`` claiming six codes for
+        three rows, and the consistency check above must say so."""
+
+        def inherit(self, obj):
+            self.codes = getattr(obj, "codes", None)
+            self.dictionary = getattr(obj, "dictionary", None)
+
+        monkeypatch.setattr(DictArray, "__array_finalize__", inherit)
+        values = dict_array(*self.COLUMN_ARGS)
+        with pytest.raises(AssertionError):
+            assert_hint_consistent(values[::2])
+        with pytest.raises(AssertionError):
+            assert_hint_consistent(values[np.array([5, 0])])
+
+    def test_iteration_yields_the_values(self):
+        values = dict_array(*self.COLUMN_ARGS)
+        assert list(values) == values.tolist() == ["", "x", "żółć", "x", "", ""]
+        assert list(map(len, values[::2])) == [0, 4, 0]
+
+    def test_assignment_drops_the_hint(self):
+        values = dict_array(*self.COLUMN_ARGS)
+        values[0] = "changed"
+        assert hint_of(values) is None and values[0] == "changed"
+
+    def test_concat_keeps_a_shared_dictionary_and_merges_different_ones(self):
+        values = dict_array(*self.COLUMN_ARGS)
+        halves = concat([select(values, np.arange(3)), select(values, np.arange(3, 6))])
+        assert halves.dictionary is values.dictionary
+        assert halves.codes.tolist() == values.codes.tolist()
+        other = dict_array(
+            np.array([0, 1], dtype=np.uint16), np.array(["new", "x"], dtype=object)
+        )
+        merged = concat([values, other])
+        assert merged.dictionary.tolist() == ["x", "żółć", "", "new"]
+        assert merged.codes.tolist() == [2, 0, 1, 0, 2, 2, 3, 0]
+        assert merged.codes.dtype.itemsize <= 4
+        assert merged.tolist() == values.tolist() + other.tolist()
+        plain = np.array(["p"], dtype=object)
+        assert hint_of(concat([values, plain])) is None
+        assert concat([values, plain]).tolist() == values.tolist() + ["p"]
+        assert concat([values]) is values
+
+    def test_decoded_codes_do_not_alias_the_chunk_payload(self):
+        items = np.array(["a", "b"] * 4, dtype=object)
+        payload, __ = encoding.encode_column(
+            encoding.Field("s", "string"), items
+        )
+        raw = encoding.inflate(payload)
+        first = encoding.decode_column("string", raw, 8)
+        assert first.codes.flags.owndata and first.codes.flags.writeable
+        first.codes[:] = 1
+        again = encoding.decode_column("string", raw, 8)
+        assert again.codes.tolist() == [0, 1] * 4 and again.tolist() == items.tolist()
+
+
+# -- the pair kernel -----------------------------------------------------------------
+
+
+def _brute_force_pairs(lcodes, rcodes):
+    pairs = [
+        (li, ri)
+        for li, left in enumerate(lcodes.tolist())
+        for ri, right in enumerate(rcodes.tolist())
+        if left == right
+    ]
+    li = np.array([pair[0] for pair in pairs], dtype=np.int64)
+    ri = np.array([pair[1] for pair in pairs], dtype=np.int64)
+    return li, ri
+
+
+class TestEquiPairs:
+    """``_equi_pairs`` against all-pairs comparison: left-major order,
+    ascending right row, over dense codes (the table is used as is) and
+    sparse ones (re-densified first), unique right codes and repeated."""
+
+    @staticmethod
+    def check(lcodes, rcodes, radix):
+        li, ri = operators._equi_pairs(lcodes, rcodes, radix)
+        want_li, want_ri = _brute_force_pairs(lcodes, rcodes)
+        assert li.tolist() == want_li.tolist()
+        assert ri.tolist() == want_ri.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radix=st.sampled_from([1, 2, 7, 300, 70_000, 1 << 40, operators._MAX_RADIX]),
+        left=st.lists(st.integers(0, 11), max_size=25),
+        right=st.lists(st.integers(0, 11), max_size=25),
+        unique_right=st.booleans(),
+        width=st.sampled_from([np.uint8, np.int64]),
+    )
+    def test_generated_codes(self, radix, left, right, unique_right, width):
+        # Twelve code values spread over [0, radix): dense for a small
+        # radix, the int64 extremes for the largest.
+        spread = np.unique(np.linspace(0, radix - 1, 12).astype(np.int64))
+        if unique_right:
+            right = sorted(set(right), reverse=True)
+        dtype = width if radix <= 256 else np.int64
+        lcodes = spread[np.array(left, dtype=np.int64) % len(spread)].astype(dtype)
+        rcodes = spread[np.array(right, dtype=np.int64) % len(spread)].astype(dtype)
+        self.check(lcodes, rcodes, radix)
+
+    def test_int64_extremes_with_radix_far_above_the_rows(self):
+        top = operators._MAX_RADIX - 1
+        lcodes = np.array([top, 0, 5, top, 7], dtype=np.int64)
+        rcodes = np.array([5, top, top, 0, 5], dtype=np.int64)
+        self.check(lcodes, rcodes, operators._MAX_RADIX)
+
+    def test_narrow_sort_widths(self):
+        """Radix 256 sorts as ``uint8``, 65536 as ``uint16``, above that
+        as it is — every width must give the same pairs."""
+        rng = np.random.default_rng(3)
+        for radix in (256, 257, 1 << 16, (1 << 16) + 1):
+            lcodes = rng.integers(0, radix, 300)
+            rcodes = np.concatenate([lcodes[:100], rng.integers(0, radix, 200)])
+            self.check(lcodes, rcodes, radix)

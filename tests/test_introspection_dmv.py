@@ -202,3 +202,31 @@ class TestGuards:
         assert "observability report" in report
         assert "2 committed" in report
         assert " 0 B written" not in report
+
+
+class TestLedgerHistoryCap:
+    """The ledger forgets finished transactions past the cap — oldest
+    finish first — and never an active one."""
+
+    def test_only_the_newest_finished_records_are_kept(self, monkeypatch):
+        from repro.common.clock import SimulatedClock
+        from repro.common.events import EventBus
+        from repro.telemetry import introspection
+
+        monkeypatch.setattr(introspection, "FINISHED_HISTORY_CAP", 3)
+        bus = EventBus()
+        ledger = introspection.TransactionLedger(bus, SimulatedClock())
+        for txid in range(1, 8):
+            bus.publish(
+                "txn.begin", txid=txid, isolation="snapshot", begin_seq=0, begin_ts=0.0
+            )
+        for txid in (2, 1, 4):
+            bus.publish("txn.finished", txid=txid, commit_seq=txid, units=[], tables=[])
+        bus.publish("txn.aborted", txid=5, reason="conflict")
+        bus.publish("txn.aborted", txid=5, reason="conflict")  # finishes once
+        bus.publish("txn.finished", txid=6, commit_seq=9, units=[], tables=[])
+        status = {record["txid"]: record["status"] for record in ledger.records()}
+        # 2 and 1 finished first and are gone; 3 and 7 never finished.
+        assert status == {
+            3: "active", 4: "committed", 5: "aborted", 6: "committed", 7: "active",
+        }

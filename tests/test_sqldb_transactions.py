@@ -140,6 +140,34 @@ class TestSnapshotIsolation:
         txn = engine.begin()
         assert len(list(txn.scan("T", lambda r: r["v"] >= 3))) == 2
 
+    def test_scan_is_in_key_order_whatever_the_install_order(self, engine):
+        """Keys installed out of order, over several commits and beside
+        another table's, come back sorted — from ``scan`` and
+        ``dump_table`` alike (the store keeps each table's keys ordered)."""
+        for batch in ([(5, "b"), (1, "z")], [(3, "a")], [(1, "a"), (4, "c")]):
+            txn = engine.begin()
+            for pk in batch:
+                txn.put("T", pk, {"pk": pk})
+                txn.put("Other", pk[::-1], {"pk": pk})
+            txn.commit()
+        want = [(1, "a"), (1, "z"), (3, "a"), (4, "c"), (5, "b")]
+        assert [row["pk"] for row in engine.begin().scan("T")] == want
+        assert [row["pk"] for row in engine.dump_table("T")] == want
+        assert len(engine.dump_table("Other")) == 5
+
+    def test_a_suspended_scan_is_not_disturbed_by_a_later_commit(self, engine):
+        setup = engine.begin()
+        for i in (2, 4, 6):
+            setup.put("T", (i,), {"v": i})
+        setup.commit()
+        rows = engine.begin().scan("T")
+        assert next(rows)["v"] == 2
+        writer = engine.begin()
+        writer.put("T", (1,), {"v": 1})
+        writer.put("T", (3,), {"v": 3})
+        writer.commit()
+        assert [row["v"] for row in rows] == [4, 6]
+
 
 class TestWriteConflicts:
     def test_first_committer_wins(self, engine):
