@@ -9,7 +9,9 @@ once in each tree — the parent first on even pairs, this working tree
 first on odd ones, so drift of the machine cancels — appending the
 results to ``A.jsonl`` (parent) and ``B.jsonl`` (change) under ``--out``.
 It then prints, per end-to-end metric, in how many pairs the change read
-better than the parent, and hands both files to ``python -m
+better than the parent, for each end-to-end metric that repeats exactly
+per seed on how many seeds the two trees are identical, and hands both
+files to ``python -m
 benchmarks.e2e compare`` for the medians, spreads and bounds, exiting 1
 if any metric of the workload regressed past its bound.  A gain may be
 claimed when the change wins at least nine tenths of the pairs and the
@@ -41,6 +43,9 @@ from benchmarks.e2e.harness import load_spec  # noqa: E402
 
 #: Units of the per-layer metrics that repeat exactly for one seed.
 EXACT_UNITS = ("count", "B", "sim-s")
+
+#: End-to-end metrics that repeat exactly for one seed.
+REPEATING_METRICS = ("sim_s_per_op", "sim_p95_s", "write_amp", "space_amp")
 
 
 def run_once(tree: str, workload: str, seed: int, *options: str) -> None:
@@ -127,6 +132,14 @@ def main() -> int:
         gains = [sign * (b[seed] - a[seed]) for seed in sorted(set(a) & set(b))]
         wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
         print(f"  {entry['name']:<16} wins {wins:>2}  losses {losses:>2}  of {len(gains)}")
+    # ``compare`` pools the seeds, so it can call a metric "unresolved"
+    # that is bit-equal on every seed; say per seed what it cannot.
+    print(f"\n{args.workload}: exactly-repeating metrics, parent vs change")
+    for name in REPEATING_METRICS:
+        a, b = parent.get((args.workload, name), {}), change.get((args.workload, name), {})
+        seeds = sorted(set(a) & set(b))
+        same = sum(a[seed] == b[seed] for seed in seeds)
+        print(f"  {name:<16} identical per seed: {same} of {len(seeds)}")
     print()
     # ``compare`` lists every workload of BENCHMARK.json; the ones not run
     # into these files only say "missing", so show this workload's rows.

@@ -14,6 +14,7 @@ everything else just reads it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Tuple
 
 
@@ -60,6 +61,15 @@ class SimulatedClock:
         the past fire on the next advance.
         """
         self._watchers.append((instant, callback))
+
+    def next_watch(self) -> float:
+        """The earliest instant a :meth:`call_at` watcher waits for.
+
+        ``math.inf`` when no watcher is registered.  A watcher registered
+        for the past reports its (past) instant: it fires on the next
+        advance, whatever the target.
+        """
+        return min((instant for instant, __ in self._watchers), default=math.inf)
 
     def _fire_watchers(self) -> None:
         due = [(t, cb) for t, cb in self._watchers if t <= self._now]

@@ -9,6 +9,7 @@ laptop scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -274,22 +275,27 @@ class PolarisConfig:
             raise ValueError("service.max_sessions_per_tenant must be positive")
         if self.service.queue_capacity <= 0:
             raise ValueError("service.queue_capacity must be positive")
-        if self.service.queue_deadline_s <= 0:
-            raise ValueError("service.queue_deadline_s must be positive")
-        if self.service.tokens_per_s <= 0:
-            raise ValueError("service.tokens_per_s must be positive")
-        if self.service.token_burst <= 0:
-            raise ValueError("service.token_burst must be positive")
-        if self.service.transactional_token_cost <= 0:
-            raise ValueError(
-                "service.transactional_token_cost must be positive"
-            )
-        if self.service.analytical_token_cost <= 0:
-            raise ValueError("service.analytical_token_cost must be positive")
+        # Every gateway duration and rate ends up on the tasklet clock: a
+        # NaN or an infinity there corrupts the wake order or never wakes.
+        for name in (
+            "session_idle_timeout_s",
+            "queue_deadline_s",
+            "tokens_per_s",
+            "token_burst",
+            "transactional_token_cost",
+            "analytical_token_cost",
+            "retry_after_base_s",
+        ):
+            value = getattr(self.service, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"service.{name} must be positive and finite")
+        if not (
+            math.isfinite(self.service.dispatch_interval_s)
+            and self.service.dispatch_interval_s >= 0
+        ):
+            raise ValueError("service.dispatch_interval_s must be finite and >= 0")
         if self.service.transactional_share < 1:
             raise ValueError("service.transactional_share must be >= 1")
-        if self.service.retry_after_base_s <= 0:
-            raise ValueError("service.retry_after_base_s must be positive")
         if not 0.0 <= self.service.retry_after_jitter <= 1.0:
             raise ValueError("service.retry_after_jitter must be in [0, 1]")
         if self.service.finished_history_cap <= 0:

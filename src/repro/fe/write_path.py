@@ -52,6 +52,7 @@ from repro.pagefile.schema import Schema
 from repro.pagefile.stats import compute_stats
 from repro.storage import paths
 from repro.storage.integrity import CHECKSUM_KEY, verify_checksum
+from repro.storage.object_store import Blob
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -140,19 +141,34 @@ def _write_dv_file(
     )
 
 
+def _get_cross_checked(context: ServiceContext, path: str, expected: str) -> Blob:
+    """Fetch a blob and verify it against the manifest's mirrored checksum.
+
+    The store's ``get`` verifies the bytes against the blob's own metadata
+    checksum; the cross-check catches a swapped blob whose metadata was
+    rewritten to match.  When the manifest's checksum *is* the metadata
+    checksum, ``get`` has just proven the crc32 of these bytes equals it,
+    so the cross-check holds without computing it a second time; any
+    other pair (a legacy blob without metadata, a rewritten one) is
+    recomputed and compared.
+    """
+    blob = context.store.get(path)
+    if not expected or expected != blob.metadata.get(CHECKSUM_KEY):
+        verify_checksum(path, blob.data, expected, telemetry=context.telemetry)
+    return blob
+
+
 def _open_data_file(context: ServiceContext, info: DataFileInfo) -> PageFileReader:
     """Open one data file with both verification layers applied.
 
-    The store's ``get`` verifies the blob against its own metadata
-    checksum; the cross-check here verifies against the manifest's
-    mirrored checksum (catching a swapped blob whose metadata was
-    rewritten); and the reader gets the blob path so format errors are
+    The blob is verified against its own metadata checksum and against
+    the manifest's (:func:`_get_cross_checked`: both checks, one crc32),
+    and the reader gets the blob path so format errors are
     self-describing.  Both run on every open: the chunk cache is handed
     over only once they have passed, and a hit in it saves the reader a
     ``zlib.decompress``, never the fetch or a check.
     """
-    blob = context.store.get(info.path)
-    verify_checksum(info.path, blob.data, info.checksum, telemetry=context.telemetry)
+    blob = _get_cross_checked(context, info.path, info.checksum)
     return PageFileReader(
         blob.data, source=info.path, cache=context.chunk_cache, etag=blob.etag
     )
@@ -163,11 +179,7 @@ def _load_dv(
 ) -> Optional[DeletionVector]:
     if info is None:
         return None
-    blob = context.store.get(info.path)
-    # Cross-check against the manifest's mirrored checksum: the store's own
-    # metadata already verified, but a swapped blob would pass that and
-    # fail here.
-    verify_checksum(info.path, blob.data, info.checksum, telemetry=context.telemetry)
+    blob = _get_cross_checked(context, info.path, info.checksum)
     return DeletionVector.from_bytes(blob.data)
 
 

@@ -54,7 +54,8 @@ if TYPE_CHECKING:
 #: Work a client submits: a SQL text, or a callable taking the FE session.
 RequestWork = Union[str, Callable[["Session"], Any]]
 
-#: Dispatcher sleep while both class queues are empty (simulated seconds).
+#: Grid on which the idle dispatcher polls the class queues (simulated
+#: seconds); it wakes only at grid instants where something can have changed.
 IDLE_POLL_S = 0.01
 
 
@@ -252,7 +253,15 @@ class Gateway:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch_body(self):
-        """The dispatcher tasklet: pop, execute, account, repeat."""
+        """The dispatcher tasklet: pop, execute, account, repeat.
+
+        Idle, it polls the queues on the ``IDLE_POLL_S`` grid, but wakes
+        only at the first grid instant at which another tasklet, a clock
+        watcher or the end of the current run can have changed anything
+        (:meth:`TaskletScheduler.next_poll`): every poll it skips would
+        have found both queues empty, so dispatch instants and deadline
+        expiries are those of polling every grid instant.
+        """
         while True:
             request, expired = self.admission.next_request()
             for timed_out in expired:
@@ -278,7 +287,9 @@ class Gateway:
             if request is None:
                 if self.scheduler.pending == 0:
                     return None
-                yield IDLE_POLL_S
+                yield self.scheduler.next_poll(
+                    self._context.clock.now + IDLE_POLL_S, IDLE_POLL_S
+                )
                 continue
             self._execute(request)
             yield self._config.dispatch_interval_s

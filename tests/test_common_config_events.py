@@ -1,5 +1,7 @@
 """Tests for configuration validation and the event bus."""
 
+import math
+
 import pytest
 
 from repro.common.config import PolarisConfig
@@ -38,6 +40,36 @@ class TestConfig:
     def test_file_granularity_accepted(self):
         config = PolarisConfig()
         config.txn.conflict_granularity = "file"
+        config.validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dispatch_interval_s", math.nan),
+            ("dispatch_interval_s", -1.0),
+            ("dispatch_interval_s", math.inf),
+            ("queue_deadline_s", math.nan),
+            ("queue_deadline_s", math.inf),
+            ("retry_after_base_s", math.inf),
+            ("retry_after_base_s", math.nan),
+            ("tokens_per_s", math.nan),
+            ("token_burst", math.inf),
+            ("transactional_token_cost", math.nan),
+            ("analytical_token_cost", math.inf),
+            ("session_idle_timeout_s", math.nan),
+            ("session_idle_timeout_s", 0.0),
+            ("retry_after_jitter", math.nan),
+        ],
+    )
+    def test_validate_rejects_non_finite_service_timings(self, field, value):
+        config = PolarisConfig()
+        setattr(config.service, field, value)
+        with pytest.raises(ValueError, match=f"service.{field}"):
+            config.validate()
+
+    def test_zero_dispatch_interval_is_valid(self):
+        config = PolarisConfig()
+        config.service.dispatch_interval_s = 0.0
         config.validate()
 
 

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 from repro import PolarisConfig, Schema, Warehouse
 from repro.chaos.recovery import RecoveryManager
 from repro.common.errors import BlobNotFoundError, IntegrityError
+from repro.engine.expressions import BinOp, Col, Lit
 from repro.engine.planner import TableScan
-from repro.fe.write_path import _open_data_file
+from repro.fe.write_path import _load_dv, _open_data_file
 from repro.pagefile.cache import BUDGET_BYTES, ENTRY_OVERHEAD_BYTES, ChunkCache
+from repro.storage import integrity
+from repro.storage.integrity import CHECKSUM_KEY
 from tests.conftest import small_config
 
 KIB = ENTRY_OVERHEAD_BYTES
@@ -164,6 +167,62 @@ class TestWarmCacheMasksNothing:
         warm.store.delete(_files(warm)[0].path)
         with pytest.raises(BlobNotFoundError):
             _scan(warm)
+
+
+class TestOneCrcPerOpen:
+    """Both checks run on every open, but the crc32 is computed once."""
+
+    @pytest.fixture
+    def crc_calls(self, monkeypatch):
+        calls = []
+        original = integrity.compute_checksum
+
+        def counting(data):
+            calls.append(len(data))
+            return original(data)
+
+        monkeypatch.setattr(integrity, "compute_checksum", counting)
+        return calls
+
+    def test_data_file_open_computes_one_checksum(self, warm, crc_calls):
+        _open_data_file(warm.context, _files(warm)[0])
+        assert len(crc_calls) == 1
+
+    def test_dv_load_computes_one_checksum(self, warm, crc_calls):
+        warm.session().delete("t", BinOp("<", Col("k"), Lit(10)))
+        snapshot = warm.session().table_snapshot("t")
+        dv_info = next(iter(snapshot.dvs.values()))
+        del crc_calls[:]
+        assert _load_dv(warm.context, dv_info).cardinality > 0
+        assert len(crc_calls) == 1
+
+    def test_metadata_less_blob_is_still_cross_checked(self, warm, crc_calls):
+        # A legacy blob without a metadata checksum passes ``get``
+        # trivially; the manifest's checksum must then be computed.
+        first, second = _files(warm)[:2]
+        swapped = warm.store.get(second.path).data
+        warm.store.put(
+            first.path, swapped, metadata={CHECKSUM_KEY: ""}, overwrite=True
+        )
+        del crc_calls[:]
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            _open_data_file(warm.context, first)
+        assert len(crc_calls) == 1
+
+    def test_unswapped_metadata_less_blob_opens(self, warm):
+        info = _files(warm)[0]
+        data = warm.store.get(info.path).data
+        warm.store.put(info.path, data, metadata={CHECKSUM_KEY: ""}, overwrite=True)
+        assert len(_open_data_file(warm.context, info).read()["k"]) == info.num_rows
+
+    def test_swapped_blob_with_rewritten_metadata_raises(self, warm):
+        first, second = _files(warm)[:2]
+        swapped = warm.store.get(second.path)
+        warm.store.put(
+            first.path, swapped.data, metadata=dict(swapped.metadata), overwrite=True
+        )
+        with pytest.raises(IntegrityError, match=f"{first.path}: checksum mismatch"):
+            _open_data_file(warm.context, first)
 
 
 class TestSameCostWarmColdOrOff:
