@@ -25,8 +25,8 @@ one reads, so the order *is* the protocol:
    whose blob is missing is dropped (checkpoints are an optimization);
    a checkpoint blob with no row is deleted so a re-run checkpoint can
    write the same path again.
-4. **Cold caches** — the snapshot cache and the decompressed-chunk
-   cache are process state; drop both.
+4. **Cold caches** — the snapshot cache, the decompressed-chunk cache
+   and the plan cache are process state; drop all three.
 5. **Publish completion** — committed manifests newer than the last
    published Delta version are (re)published, after re-deriving the
    publisher's state from the ``_delta_log`` blobs themselves.
@@ -141,6 +141,7 @@ class RecoveryManager:
             crashpoint("recovery.catalog.after_reconcile")
             context.cache.invalidate()
             context.chunk_cache.clear()
+            context.plan_cache.clear()
             self._complete_publishes(report)
             crashpoint("recovery.publish.after_complete")
             # Process state commutes: any participant order is correct.

@@ -72,6 +72,9 @@ def restore_backup(
     from repro.fe.manifest_io import make_snapshot_cache
 
     context.cache = make_snapshot_cache(context)
+    # Plans were bound against the replaced engine's Tables rows, whose
+    # install sequence the fresh engine restarts.
+    context.plan_cache.clear()
     while context.table_ids.last <= max_table_id:
         context.table_ids.next()
 

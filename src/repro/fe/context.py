@@ -28,6 +28,7 @@ from repro.telemetry.facade import Telemetry
 if TYPE_CHECKING:
     from repro.optimizer.manager import QueryOptimizer
     from repro.service.gateway import Gateway
+    from repro.sql.plan_cache import PlanCache
     from repro.telemetry.introspection import Introspector
 
 
@@ -70,6 +71,9 @@ class ServiceContext:
     #: deployment has scanned (process memory, like ``cache``; per
     #: context because etags and GUID paths repeat across stores).
     chunk_cache: ChunkCache = field(default_factory=ChunkCache)
+    #: Bound plans of the SELECT shapes this deployment has compiled
+    #: (process memory, like ``cache``; attached after construction).
+    plan_cache: "Optional[PlanCache]" = None
     #: Whether the deployment sizes pools per statement (serverless Fabric
     #: model) or keeps the fixed provisioned size (Synapse SQL DW model) —
     #: the contrast of Figure 8.
@@ -143,4 +147,9 @@ class ServiceContext:
         from repro.optimizer.manager import QueryOptimizer
 
         context.optimizer = QueryOptimizer(context)
+        from repro.sql.plan_cache import PlanCache
+
+        context.plan_cache = PlanCache(
+            metrics=telemetry.metrics if telemetry.metering else None
+        )
         return context

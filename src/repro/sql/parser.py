@@ -36,9 +36,21 @@ _COMPARISONS = {"=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=",
                 ">": ">", ">=": ">="}
 
 
-def parse(text: str) -> Statement:
-    """Parse one SQL statement; raises :class:`SqlSyntaxError`."""
-    return _Parser(tokenize(text)).parse_statement()
+def parse(text: str, tokens: Optional[List[Token]] = None) -> Statement:
+    """Parse one SQL statement; raises :class:`SqlSyntaxError`.
+
+    ``tokens`` is ``tokenize(text)`` when the caller already lexed it, so
+    a statement is lexed once however many consumers read its tokens.
+    """
+    return _Parser(tokenize(text) if tokens is None else tokens).parse_statement()
+
+
+def literal_of(token: Token) -> Any:
+    """The constant a ``number`` or ``string`` token denotes: an int, a
+    float when the number has a decimal point, or the string itself."""
+    if token.kind == "string":
+        return token.value
+    return float(token.value) if "." in token.value else int(token.value)
 
 
 class _Parser:
@@ -410,13 +422,9 @@ class _Parser:
 
     def _primary(self):
         token = self._peek()
-        if token.kind == "number":
+        if token.kind in ("number", "string"):
             self._next()
-            value = float(token.value) if "." in token.value else int(token.value)
-            return SLiteral(value)
-        if token.kind == "string":
-            self._next()
-            return SLiteral(token.value)
+            return SLiteral(literal_of(token))
         if self._accept_keyword("TRUE"):
             return SLiteral(True)
         if self._accept_keyword("FALSE"):

@@ -25,8 +25,10 @@ from repro.sql.ast_nodes import (
     UpdateStatement,
 )
 from repro.sql.binder import Binder
-from repro.sql.lexer import SqlSyntaxError
+from repro.sql.lexer import SqlSyntaxError, tokenize
 from repro.sql.parser import parse
+from repro.sql.plan_cache import Shape
+from repro.sqldb.system_tables import TABLES
 
 
 class SqlSession:
@@ -36,6 +38,15 @@ class SqlSession:
     >>> sql.execute("CREATE TABLE t (id bigint, v double)")
     >>> sql.execute("INSERT INTO t (id, v) VALUES (1, 2.5), (2, 3.5)")
     >>> sql.execute("SELECT id, v FROM t WHERE v > 3")
+
+    Each statement is lexed once; the parser and the query-store
+    fingerprint read the same tokens.  A user-table ``SELECT`` whose
+    tokens match an earlier one's except in literal values reuses that
+    statement's bound plan from the deployment's
+    :class:`~repro.sql.plan_cache.PlanCache`, with the new literals put in:
+    parse, the schema read and bind are skipped, while the optimizer
+    rewrite, execution and every charge run as for a compiled plan.
+    ``EXPLAIN``, ``sys.*`` views and every other statement always compile.
     """
 
     _EXPLAIN_RE = re.compile(r"^\s*EXPLAIN(\s+ANALYZE)?\s+", re.IGNORECASE)
@@ -56,14 +67,26 @@ class SqlSession:
             # EXPLAIN is a diagnostic, not a workload statement: it never
             # enters the query store.
             return self._explain(text[match.end():], analyze=bool(match.group(1)))
-        statement = parse(text)
-        kind = type(statement).__name__.replace("Statement", "").lower()
+        tokens = tokenize(text)
+        shape = Shape.of(tokens)
+        plan = None
+        if shape is not None:
+            plan = self.session._context.plan_cache.get(shape, self._tables_seq())
+        if plan is None:
+            statement = parse(text, tokens)
+            kind = type(statement).__name__.replace("Statement", "").lower()
+        else:
+            kind = "select"
         # One scope per statement: its fingerprint frame, its query-store
         # execution (``pending``; None with the store off) and its span.
         # An error inside the body — row extraction included — finishes
         # the execution as failed; a SimulatedCrash leaves it in flight.
-        with self.session._context.telemetry.statement(text, kind) as pending:
-            result = self._dispatch(statement, pending)
+        telemetry = self.session._context.telemetry
+        with telemetry.statement(text, kind, tokens) as pending:
+            if plan is None:
+                result = self._dispatch(statement, pending, shape)
+            else:
+                result = self._run_select(plan, pending)
             if pending is not None and kind in (
                 "select", "insert", "delete", "update"
             ):
@@ -72,9 +95,9 @@ class SqlSession:
                 pending.rows = _result_rows(result)
         return result
 
-    def _dispatch(self, statement, pending=None):
+    def _dispatch(self, statement, pending=None, shape: Optional[Shape] = None):
         if isinstance(statement, SelectStatement):
-            return self._select(statement, pending)
+            return self._select(statement, pending, shape)
         if isinstance(statement, InsertStatement):
             return self._insert(statement)
         if isinstance(statement, DeleteStatement):
@@ -116,6 +139,11 @@ class SqlSession:
 
     # -- statement kinds ------------------------------------------------------
 
+    def _tables_seq(self) -> int:
+        """Commit sequence of the newest ``Tables`` row install: a bound
+        plan stays valid while it is unchanged."""
+        return self.session._context.sqldb.store.last_install_seq(TABLES)
+
     def _schemas_for(self, tables: List[str]) -> Dict[str, Schema]:
         txn = self.session._context.sqldb.begin()
         try:
@@ -125,11 +153,20 @@ class SqlSession:
         finally:
             txn.abort()
 
-    def _select(self, stmt: SelectStatement, pending=None) -> Batch:
+    def _select(
+        self, stmt: SelectStatement, pending=None, shape: Optional[Shape] = None
+    ) -> Batch:
         tables = [stmt.table] + [j.table for j in stmt.joins]
         if any(_is_system_name(t) for t in tables):
             return self._select_system(stmt, tables, pending)
+        tables_seq = self._tables_seq()
         plan = Binder(self._schemas_for(tables)).bind_select(stmt)
+        if shape is not None:
+            self.session._context.plan_cache.put(shape, tables_seq, plan)
+        return self._run_select(plan, pending)
+
+    def _run_select(self, plan, pending=None) -> Batch:
+        """Optimize and execute a bound user-table plan."""
         if pending is not None:
             profile = self.session.query_profiled(plan)
             # Fingerprint the plan that actually ran — the optimizer may

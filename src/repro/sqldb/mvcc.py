@@ -8,7 +8,7 @@ uniform for inserts, updates and deletes.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,6 +43,8 @@ class VersionedStore:
         #: Table name -> its keys in key order; a key is inserted when its
         #: chain is created, so a scan neither walks other tables nor sorts.
         self._table_keys: Dict[str, List[Key]] = {}
+        #: Table name -> commit sequence of its newest installed version.
+        self._last_install: Dict[str, int] = {}
 
     def install(self, key: Key, commit_seq: int, value: Any, txid: int) -> None:
         """Append a committed version (commit sequences arrive in order)."""
@@ -56,6 +58,7 @@ class VersionedStore:
                 f"{chain[-1].commit_seq}"
             )
         chain.append(Version(commit_seq=commit_seq, value=value, txid=txid))
+        self._last_install[key[0]] = commit_seq
 
     def visible(self, key: Key, as_of_seq: int) -> Optional[Version]:
         """Newest version of ``key`` with ``commit_seq <= as_of_seq``.
@@ -106,12 +109,23 @@ class VersionedStore:
         commit that installs a new key."""
         return list(self._table_keys.get(table, ()))
 
+    def keys_with_prefix(self, table: str, prefix: Tuple[Any, ...]) -> List[Key]:
+        """The keys of ``table`` whose primary key starts with ``prefix``,
+        in key order — :meth:`keys_of_table` bisected to that range."""
+        keys = self._table_keys.get(table, [])
+        width = len(prefix)
+        start = bisect_left(keys, (table, prefix))
+        end = bisect_right(keys, prefix, lo=start, key=lambda key: key[1][:width])
+        return keys[start:end]
+
+    def last_install_seq(self, table: str) -> int:
+        """Commit sequence of the newest version installed into ``table``
+        (0 if none): it changes exactly when some row of ``table`` does."""
+        return self._last_install.get(table, 0)
+
     def table_changed_since(self, table: str, seq: int) -> bool:
         """Whether any key of ``table`` has a version newer than ``seq``.
 
         Used for serializable-mode phantom protection at table scope.
         """
-        return any(
-            self._chains[key][-1].commit_seq > seq
-            for key in self._table_keys.get(table, ())
-        )
+        return self.last_install_seq(table) > seq

@@ -124,15 +124,13 @@ def manifests_for_table(
     """Visible manifests of ``table_id`` in ``(min_seq, max_seq]``, ordered."""
 
     def in_range(row: Dict[str, Any]) -> bool:
-        if row["table_id"] != table_id:
-            return False
         if row["sequence_id"] <= min_seq_exclusive:
             return False
         if max_seq_inclusive is not None and row["sequence_id"] > max_seq_inclusive:
             return False
         return True
 
-    rows = list(txn.scan(MANIFESTS, in_range))
+    rows = list(txn.scan(MANIFESTS, in_range, prefix=(table_id,)))
     rows.sort(key=lambda r: r["sequence_id"])
     return rows
 
@@ -195,8 +193,8 @@ def latest_checkpoint(
     best: Optional[Dict[str, Any]] = None
     for row in txn.scan(
         CHECKPOINTS,
-        lambda r: r["table_id"] == table_id
-        and r["sequence_id"] <= max_seq_inclusive,
+        lambda r: r["sequence_id"] <= max_seq_inclusive,
+        prefix=(table_id,),
     ):
         if best is None or row["sequence_id"] > best["sequence_id"]:
             best = row
@@ -207,7 +205,7 @@ def checkpoints_for_table(
     txn: SqlDbTransaction, table_id: int
 ) -> List[Dict[str, Any]]:
     """All visible checkpoints of a table, ordered by sequence."""
-    rows = list(txn.scan(CHECKPOINTS, lambda r: r["table_id"] == table_id))
+    rows = list(txn.scan(CHECKPOINTS, prefix=(table_id,)))
     rows.sort(key=lambda r: r["sequence_id"])
     return rows
 
@@ -242,8 +240,8 @@ def latest_table_stats(
     best: Optional[Dict[str, Any]] = None
     for row in txn.scan(
         TABLE_STATS,
-        lambda r: r["table_id"] == table_id
-        and r["sequence_id"] <= max_seq_inclusive,
+        lambda r: r["sequence_id"] <= max_seq_inclusive,
+        prefix=(table_id,),
     ):
         if best is None or row["sequence_id"] > best["sequence_id"]:
             best = row
@@ -254,7 +252,7 @@ def stats_for_table(
     txn: SqlDbTransaction, table_id: int
 ) -> List[Dict[str, Any]]:
     """All visible statistics versions of a table, ordered by sequence."""
-    rows = list(txn.scan(TABLE_STATS, lambda r: r["table_id"] == table_id))
+    rows = list(txn.scan(TABLE_STATS, prefix=(table_id,)))
     rows.sort(key=lambda r: r["sequence_id"])
     return rows
 
@@ -307,7 +305,7 @@ def indexes_for_table(
     txn: SqlDbTransaction, table_id: int
 ) -> List[Dict[str, Any]]:
     """All visible indexes of a table, ordered by name."""
-    rows = list(txn.scan(INDEXES, lambda r: r["table_id"] == table_id))
+    rows = list(txn.scan(INDEXES, prefix=(table_id,)))
     rows.sort(key=lambda r: r["index_name"])
     return rows
 

@@ -84,18 +84,31 @@ class SqlDbTransaction:
         self,
         table: str,
         predicate: Optional[Callable[[Dict[str, Any]], bool]] = None,
+        prefix: Tuple[Any, ...] = (),
     ) -> Iterator[Dict[str, Any]]:
-        """Iterate visible rows of ``table`` (own writes overlaid)."""
+        """Iterate visible rows of ``table`` (own writes overlaid).
+
+        With ``prefix`` only rows whose primary key starts with it are
+        visited — a bisected key range, not a filter over every row.  The
+        read still covers the whole table for serializable validation.
+        """
         self._require_active()
         self._read_tables.add(table)
         read_seq = self._read_seq()
         seen: Set[Key] = set()
-        for key in self._engine.store.keys_of_table(table):
+        store = self._engine.store
+        keys = (
+            store.keys_with_prefix(table, prefix)
+            if prefix
+            else store.keys_of_table(table)
+        )
+        width = len(prefix)
+        for key in keys:
             seen.add(key)
             if key in self._writes:
                 value = self._writes[key]
             else:
-                version = self._engine.store.visible(key, read_seq)
+                version = store.visible(key, read_seq)
                 value = version.value if version is not None else TOMBSTONE
             if value is TOMBSTONE:
                 continue
@@ -104,6 +117,8 @@ class SqlDbTransaction:
                 yield row
         for key, value in sorted(self._writes.items()):
             if key[0] != table or key in seen or value is TOMBSTONE:
+                continue
+            if key[1][:width] != prefix:
                 continue
             row = dict(value)
             if predicate is None or predicate(row):

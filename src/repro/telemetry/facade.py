@@ -172,8 +172,11 @@ class Telemetry:
         statistics are enabled."""
         return _NULL_SCOPE
 
-    def statement(self, text: str, kind: str):
+    def statement(self, text: str, kind: str, tokens: Optional[list] = None):
         """Scope of one SQL statement: frame, query-store record, span.
+
+        ``tokens`` is ``tokenize(text)`` when the caller already lexed the
+        statement; the fingerprint then reuses it instead of lexing again.
 
         Yields the statement's in-flight
         :class:`~repro.telemetry.querystore.PendingExecution` (None with
@@ -184,17 +187,19 @@ class Telemetry:
         """
         if not (self._collecting or self.tracing):
             return _NULL_SCOPE
-        return self._statement(text, kind)
+        return self._statement(text, kind, tokens)
 
     @contextmanager
-    def _statement(self, text: str, kind: str) -> Iterator[Any]:
+    def _statement(
+        self, text: str, kind: str, tokens: Optional[list]
+    ) -> Iterator[Any]:
         store = self.querystore
         fingerprinted = query_hash = None
         if self._collecting:
             # Fingerprinted once: the same hash keys the query store's
             # profile and the waits suffered while the statement runs, so
             # sys.dm_exec_query_waits joins sys.dm_exec_query_stats.
-            fingerprinted = normalize_and_hash(text)
+            fingerprinted = normalize_and_hash(text, tokens)
             query_hash = fingerprinted[1]
         with self.scope.enter(query_hash=query_hash):
             pending = (

@@ -96,6 +96,11 @@ METRIC_NAMES: Dict[str, str] = {
     "service.sessions_reaped": "Idle sessions closed by the reaper.",
     "service.shed": "Requests refused by admission, labeled by reason.",
     "service.timeouts": "Requests expired past their queue deadline.",
+    "sql.plan_cache.hits": (
+        "SELECTs that reused a cached bound plan (parse, schema read and "
+        "bind skipped)."
+    ),
+    "sql.plan_cache.misses": "SELECTs compiled from their text.",
     "sqldb.commit_lock_acquisitions": "Commit-lock acquisitions.",
     "sqldb.commit_lock_hold_s": (
         "Commit-lock hold durations (measured critical section plus the "

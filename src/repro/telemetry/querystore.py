@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.common.config import TelemetryConfig
 from repro.engine.explain import misestimate_ratio
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import Token, tokenize
 from repro.telemetry.metrics import Histogram, percentile
 from repro.telemetry.scope import RequestScope
 
@@ -68,7 +68,7 @@ _PLAN_STRING_RE = re.compile(r"'[^']*'")
 _PLAN_NUMBER_RE = re.compile(r"(?<![\w.'])\d+(?:\.\d+)?(?:e[+-]?\d+)?")
 
 
-def normalize_sql(text: str) -> str:
+def normalize_sql(text: str, tokens: Optional[List[Token]] = None) -> str:
     """Literal-stripped canonical form of one SQL statement.
 
     Numbers and strings become ``?``; identifiers are lowercased
@@ -77,9 +77,10 @@ def normalize_sql(text: str) -> str:
     one ``?`` (IN-lists) and repeated ``( ? )`` groups collapse to one
     (multi-row VALUES).  Two statements differing only in literals,
     case, whitespace, or list arity therefore normalize identically.
+    ``tokens`` is ``tokenize(text)`` when the caller already lexed it.
     """
     out: List[str] = []
-    for token in tokenize(text):
+    for token in tokenize(text) if tokens is None else tokens:
         if token.kind == "eof":
             break
         if token.kind in ("number", "string"):
@@ -107,9 +108,12 @@ def normalize_sql(text: str) -> str:
     return " ".join(collapsed)
 
 
-def normalize_and_hash(text: str) -> Tuple[str, str]:
-    """``(normalized text, query_hash)`` of one statement."""
-    normalized = normalize_sql(text)
+def normalize_and_hash(
+    text: str, tokens: Optional[List[Token]] = None
+) -> Tuple[str, str]:
+    """``(normalized text, query_hash)`` of one statement (``tokens`` as
+    in :func:`normalize_sql`)."""
+    normalized = normalize_sql(text, tokens)
     digest = hashlib.sha256(normalized.encode("utf-8")).hexdigest()
     return normalized, digest[:HASH_LENGTH]
 

@@ -187,9 +187,9 @@ class TestFingerprintedOnce:
         calls = []
         real = querystore.normalize_sql
 
-        def counting(text):
+        def counting(text, tokens=None):
             calls.append(text)
-            return real(text)
+            return real(text, tokens)
 
         monkeypatch.setattr(querystore, "normalize_sql", counting)
         config = PolarisConfig()
@@ -205,6 +205,84 @@ class TestFingerprintedOnce:
         for text in statements:
             sql.execute(text)
         assert len(calls) == per_statement * len(statements)
+
+    def test_each_statement_is_lexed_once(self, monkeypatch):
+        """The parser, the plan cache key and the fingerprint share one
+        token list: one lex per statement, a plan-cache hit included."""
+        from repro.sql import lexer
+
+        lexed = []
+        real = lexer._tokens
+
+        def counting(text):
+            lexed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(lexer, "_tokens", counting)
+        dw = Warehouse(config=store_config(wait_stats_enabled=True), auto_optimize=False)
+        sql = SqlSession(dw.session())
+        statements = [
+            "CREATE TABLE t (id BIGINT, v DOUBLE)",
+            "INSERT INTO t (id, v) VALUES (1, 1.5), (2, 2.5)",
+            "SELECT id FROM t WHERE id = 1",
+            "SELECT id FROM t WHERE id = 2",
+        ]
+        for text in statements:
+            sql.execute(text)
+        assert lexed == statements
+        assert dw.context.plan_cache.stats.hits == 1
+
+
+class TestFingerprintCorpus:
+    #: sha256 of ``[text, normalized, query_hash]`` over :func:`_corpus`,
+    #: as computed when ``normalize_sql`` lexed its own text.
+    DIGEST = "b155443ded9c2b3300adf79211c10a3e6743663d1df8961b8889632eb0e977cc"
+
+    @staticmethod
+    def _corpus():
+        """The 22 TPC-H texts and the benchmark workloads' statements."""
+        from types import SimpleNamespace
+
+        from benchmarks.e2e.workloads.sql_point_lookup import SqlPointLookup
+        from benchmarks.e2e.workloads.txn_contention import (
+            TOTALS_SQL,
+            _transaction,
+        )
+
+        texts = [TPCH_SQL_QUERIES[name] for name in sorted(TPCH_SQL_QUERIES)]
+        state = SimpleNamespace(
+            customers=50,
+            order_keys=np.arange(1, 201, dtype=np.int64),
+            sorted_order_custkeys=np.sort(np.arange(200) % 50 + 1),
+            sorted_line_orderkeys=np.repeat(np.arange(1, 201), 3),
+            sorted_shipdates=np.arange(9000, 9600, dtype=np.int64),
+        )
+        lookups = SqlPointLookup(seed=0, quick=True)
+        for k in range(2):
+            texts += [text for text, _ in lookups.statements(state, k)]
+        accounts = SimpleNamespace(next_id=200)
+        for key in (0, 7, 123):
+            texts += _transaction(accounts, key)
+        texts += [TOTALS_SQL, "BEGIN", "COMMIT", "ROLLBACK",
+                  "SELECT COUNT(*) AS n FROM lineitem"]
+        return texts
+
+    def test_fingerprints_are_unchanged(self):
+        import hashlib
+        import json
+
+        from repro.sql.lexer import tokenize
+        from repro.telemetry.querystore import normalize_and_hash
+
+        texts = self._corpus()
+        assert len(texts) == 52
+        for fingerprint_of in (
+            normalize_and_hash,
+            lambda text: normalize_and_hash(text, tokenize(text)),
+        ):
+            rows = [[text, *fingerprint_of(text)] for text in texts]
+            digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+            assert digest == self.DIGEST
 
 
 class TestGatewayAttribution:
