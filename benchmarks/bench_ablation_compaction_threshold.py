@@ -57,17 +57,13 @@ def run_policy(policy: str):
             prune=[("id", ">=", lo), ("id", "<", hi)],
         )
         if policy == "every-statement":
-            before = dw.telemetry.metrics.value("storage.bytes_written")
+            before = dw.store.meter.bytes_written
             dw.sto.run_compaction(tid)
-            compaction_bytes += int(
-                dw.telemetry.metrics.value("storage.bytes_written") - before
-            )
+            compaction_bytes += dw.store.meter.bytes_written - before
     if policy == "at-end":
-        before = dw.telemetry.metrics.value("storage.bytes_written")
+        before = dw.store.meter.bytes_written
         dw.sto.run_compaction(tid)
-        compaction_bytes += int(
-            dw.telemetry.metrics.value("storage.bytes_written") - before
-        )
+        compaction_bytes += dw.store.meter.bytes_written - before
 
     dw.context.cache.invalidate()
     start = dw.clock.now

@@ -26,8 +26,6 @@ import numpy as np
 
 from repro import Schema, Warehouse
 
-from repro.telemetry import snapshot_delta
-
 from benchmarks.support import bench_config, print_series, run_once
 
 BATCHES = 20
@@ -48,18 +46,13 @@ def run_inserts(enforce: bool):
     # externally-generated identifiers): every insert's key range overlaps
     # every existing file, so zone maps cannot prune the duplicate check.
     all_keys = rng.permutation(BATCHES * ROWS_PER_BATCH).astype(np.int64)
-    before = dw.telemetry.metrics.snapshot()
+    before = dw.store.meter.bytes_read
     start = dw.clock.now
     for b in range(BATCHES):
         keys = all_keys[b * ROWS_PER_BATCH : (b + 1) * ROWS_PER_BATCH]
         session.insert("t", {"id": keys, "v": np.zeros(ROWS_PER_BATCH)})
     elapsed = dw.clock.now - start
-    reads = int(
-        snapshot_delta(dw.telemetry.metrics.snapshot(), before).get(
-            "storage.bytes_read", 0
-        )
-    )
-    return elapsed, reads
+    return elapsed, dw.store.meter.bytes_read - before
 
 
 def test_ablation_unique_constraints(benchmark):

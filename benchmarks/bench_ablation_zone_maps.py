@@ -25,8 +25,6 @@ import numpy as np
 
 from repro import Aggregate, BinOp, Col, Lit, Schema, TableScan, and_
 
-from repro.telemetry import snapshot_delta
-
 from benchmarks.support import fresh_warehouse, print_series, run_once
 
 ROWS = 40_000
@@ -70,13 +68,12 @@ def run_layout(sorted_layout: bool):
         (),
         {"n": ("count", None)},
     )
-    before = dw.telemetry.metrics.snapshot()
+    before = dw.store.meter.bytes_read
     start = dw.clock.now
     out = session.query(plan)
     elapsed = dw.clock.now - start
-    delta = snapshot_delta(dw.telemetry.metrics.snapshot(), before)
     assert out["n"][0] == hi - lo
-    return elapsed, int(delta.get("storage.bytes_read", 0))
+    return elapsed, dw.store.meter.bytes_read - before
 
 
 def test_ablation_zone_maps(benchmark):

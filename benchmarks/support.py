@@ -28,10 +28,10 @@ from repro import PolarisConfig, Warehouse
 from repro.telemetry import combined_chrome_trace, instances, tracing_instances
 from repro.telemetry.introspection import instances as introspector_instances
 
-#: Set by :func:`bench_main` when ``--trace`` / ``--metrics`` are given;
-#: :func:`bench_config` reads it so every warehouse a benchmark creates is
-#: instrumented without the benchmark knowing about telemetry.
-_SCRIPT_TELEMETRY = {"trace": False, "metrics": False}
+#: Set by :func:`bench_main` when ``--trace`` is given; :func:`bench_config`
+#: reads it so every warehouse a benchmark creates is traced without the
+#: benchmark knowing about telemetry.
+_SCRIPT_TELEMETRY = {"trace": False}
 
 
 def run_once(benchmark, fn):
@@ -65,8 +65,6 @@ def bench_config(**overrides) -> PolarisConfig:
     config.sto.poll_interval_s = 60.0
     if _SCRIPT_TELEMETRY["trace"]:
         config.telemetry.enabled = True
-    if _SCRIPT_TELEMETRY["metrics"]:
-        config.telemetry.metrics = True
     for key, value in overrides.items():
         section, __, attr = key.partition("__")
         if attr:
@@ -137,11 +135,8 @@ def bench_main(*bench_fns) -> None:
         with open(args.trace, "w", encoding="utf-8"):
             pass
     _SCRIPT_TELEMETRY["trace"] = args.trace is not None
-    # The report's byte/request totals come from the metrics registry, so
-    # --report implies metering (printing still requires --metrics).
-    _SCRIPT_TELEMETRY["metrics"] = args.metrics or args.report
 
-    instrumented = args.trace is not None or _SCRIPT_TELEMETRY["metrics"]
+    instrumented = args.trace is not None or args.metrics or args.report
     if instrumented:
         # The trace/metrics/report outputs enumerate weakly-registered
         # telemetry and introspector instances after the workloads ran.
@@ -152,7 +147,7 @@ def bench_main(*bench_fns) -> None:
         gc.disable()
     try:
         traced_before = len(tracing_instances())
-        metered_before = len(instances())
+        telemetry_before = len(instances())
         for fn in bench_fns:
             intro_before = len(introspector_instances())
             fn(_ScriptBenchmark())
@@ -176,7 +171,7 @@ def bench_main(*bench_fns) -> None:
                 "(load at ui.perfetto.dev)"
             )
         if args.metrics:
-            for i, tel in enumerate(instances()[metered_before:], start=1):
+            for i, tel in enumerate(instances()[telemetry_before:], start=1):
                 snapshot = tel.metrics.snapshot()
                 if not snapshot:
                     continue

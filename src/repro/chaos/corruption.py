@@ -318,15 +318,11 @@ def _run_at_rest(kind: str, fault: str, seed: int) -> CorruptionScenario:
             scenario.problems.append(
                 "unrepairable user-data loss did not flag the table RED"
             )
-        tel = context.telemetry
-        if tel.metering:
-            lost = sum(
-                tel.metrics.values("storage.integrity_unrepairable").values()
+        metrics = context.telemetry.metrics
+        if sum(metrics.values("storage.integrity_unrepairable").values()) < 1:
+            scenario.problems.append(
+                "storage.integrity_unrepairable counter never moved"
             )
-            if lost < 1:
-                scenario.problems.append(
-                    "storage.integrity_unrepairable counter never moved"
-                )
 
     _check_control_readable(warehouse, scenario.problems)
     return scenario

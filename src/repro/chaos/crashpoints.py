@@ -257,8 +257,7 @@ class ChaosController:
         self.crashes.append(site)
         telemetry = self.telemetry
         if telemetry is not None:
-            if telemetry.metering:
-                telemetry.metrics.counter("chaos.crashes", site=site).inc()
+            telemetry.metrics.counter("chaos.crashes", site=site).inc()
             if telemetry.tracing:
                 telemetry.add_event("chaos.crash", site=site)
         raise SimulatedCrash(site)

@@ -871,11 +871,10 @@ def run_longevity(
     # The soak is over; the integrity battery must observe the store
     # without new faults being injected into its own reads.
     warehouse.context.store.faults.quiesce()
-    telemetry = warehouse.context.telemetry
-    if telemetry.metering:
-        result.faults_injected = int(
-            sum(telemetry.metrics.values("storage.faults_injected").values())
-        )
+    metrics = warehouse.context.telemetry.metrics
+    result.faults_injected = int(
+        sum(metrics.values("storage.faults_injected").values())
+    )
     __, problems = _observed_counts(warehouse.context)
     result.problems.extend(problems)
     result.problems.extend(_check_gc_safety(warehouse))

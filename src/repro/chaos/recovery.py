@@ -150,25 +150,20 @@ class RecoveryManager:
                 crashpoint("recovery.participant.after_scavenge")
             if self._sto is not None:
                 self._sto.rebind(context)
-        if tel.metering:
-            metrics = tel.metrics
-            metrics.counter("recovery.runs").inc()
-            metrics.counter("recovery.in_doubt_committed").inc(
-                report.in_doubt_committed
-            )
-            metrics.counter("recovery.in_doubt_aborted").inc(
-                report.in_doubt_aborted
-            )
-            metrics.counter("recovery.staged_blocks_discarded").inc(
-                report.staged_blocks_discarded
-            )
-            metrics.counter("recovery.publishes_completed").inc(
-                report.publishes_completed
-            )
-            for name, count in report.scavenged.items():
-                metrics.counter("recovery.scavenged", participant=name).inc(
-                    count
-                )
+        metrics = tel.metrics
+        metrics.counter("recovery.runs").inc()
+        metrics.counter("recovery.in_doubt_committed").inc(
+            report.in_doubt_committed
+        )
+        metrics.counter("recovery.in_doubt_aborted").inc(report.in_doubt_aborted)
+        metrics.counter("recovery.staged_blocks_discarded").inc(
+            report.staged_blocks_discarded
+        )
+        metrics.counter("recovery.publishes_completed").inc(
+            report.publishes_completed
+        )
+        for name, count in report.scavenged.items():
+            metrics.counter("recovery.scavenged", participant=name).inc(count)
         context.bus.publish(
             "recovery.completed",
             in_doubt_committed=report.in_doubt_committed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 
-@dataclass
+@dataclass(slots=True)
 class StorageConfig:
     """Latency/cost model of the simulated object store (OneLake/ADLS)."""
 
@@ -38,7 +38,7 @@ class StorageConfig:
     retry_jitter: float = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class DcpConfig:
     """Cost model and scheduling parameters of the compute platform."""
 
@@ -64,7 +64,7 @@ class DcpConfig:
     task_failure_seed: int = 13
 
 
-@dataclass
+@dataclass(slots=True)
 class StoConfig:
     """Trigger thresholds for autonomous storage optimizations (Section 5)."""
 
@@ -84,21 +84,20 @@ class StoConfig:
     scrub_interval_s: float = 12 * 3600.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TelemetryConfig:
-    """End-to-end observability knobs (tracing, metrics, trace capture).
+    """End-to-end observability knobs (tracing, sampling, collectors).
 
-    ``enabled`` turns on the hierarchical span tracer.  ``metrics`` keeps
-    the counters/gauges/histograms registry recording even when tracing is
-    off (cheap dict increments; the benchmarks read IO/latency totals from
-    it).  With both off the telemetry layer degrades to a handful of
-    attribute checks per operation — near-zero cost.
+    The metrics registry always records (cheap dict increments), so no
+    switch here governs it.  ``enabled`` turns on the hierarchical span
+    tracer; the sampler, the watchdog, the query store and wait statistics
+    are each built only when their own knob asks for them.  With all of
+    them off, an instrumented site costs a counter update and a few
+    attribute checks.
     """
 
     #: Master switch for hierarchical span tracing.
     enabled: bool = False
-    #: Keep the metrics registry recording (independent of tracing).
-    metrics: bool = True
     #: Hard cap on retained finished spans (overflow counts as dropped).
     max_spans: int = 250_000
     #: Metrics time-series sampling interval in simulated seconds.  0 (the
@@ -127,7 +126,7 @@ class TelemetryConfig:
     wait_stats_enabled: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceConfig:
     """Multi-tenant gateway knobs (sessions, admission, load shedding).
 
@@ -166,7 +165,7 @@ class ServiceConfig:
     finished_history_cap: int = 2048
 
 
-@dataclass
+@dataclass(slots=True)
 class OptimizerConfig:
     """Cost-based optimizer knobs (statistics, indexes, join planning).
 
@@ -194,7 +193,7 @@ class OptimizerConfig:
     feedback_factor_cap: float = 1000.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TransactionConfig:
     """Transaction-manager behaviour (Section 4)."""
 
@@ -214,7 +213,7 @@ class TransactionConfig:
     commit_hold_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PolarisConfig:
     """Top-level configuration bundle for a warehouse instance."""
 

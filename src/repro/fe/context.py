@@ -50,6 +50,10 @@ class ServiceContext:
     bus: EventBus
     #: Span tracing + metrics for the whole deployment.
     telemetry: Telemetry
+    #: Decompressed column chunks of the immutable data files this
+    #: deployment has scanned (process memory, like ``cache``; per
+    #: context because etags and GUID paths repeat across stores).
+    chunk_cache: ChunkCache
     #: Resolves ``sys.dm_*`` system-view names (attached after
     #: construction, like the cache — it subscribes to the bus).
     introspection: "Optional[Introspector]" = None
@@ -67,10 +71,6 @@ class ServiceContext:
     #: collector — joins under its name (re-joining replaces), and
     #: recovery scavenges every entry without knowing any of them.
     participants: Dict[str, Callable[[], int]] = field(default_factory=dict)
-    #: Decompressed column chunks of the immutable data files this
-    #: deployment has scanned (process memory, like ``cache``; per
-    #: context because etags and GUID paths repeat across stores).
-    chunk_cache: ChunkCache = field(default_factory=ChunkCache)
     #: Bound plans of the SELECT shapes this deployment has compiled
     #: (process memory, like ``cache``; attached after construction).
     plan_cache: "Optional[PlanCache]" = None
@@ -127,9 +127,7 @@ class ServiceContext:
             bus=bus,
             telemetry=telemetry,
             participants=participants,
-            chunk_cache=ChunkCache(
-                metrics=telemetry.metrics if telemetry.metering else None
-            ),
+            chunk_cache=ChunkCache(telemetry.metrics),
             elastic=elastic,
         )
         # The cache's loaders need the context (store + sqldb), so it is
@@ -149,7 +147,5 @@ class ServiceContext:
         context.optimizer = QueryOptimizer(context)
         from repro.sql.plan_cache import PlanCache
 
-        context.plan_cache = PlanCache(
-            metrics=telemetry.metrics if telemetry.metering else None
-        )
+        context.plan_cache = PlanCache(telemetry.metrics)
         return context

@@ -266,17 +266,15 @@ class PolarisTransaction:
             # validation failure) keeps its span — marked failed, never
             # dropped — so conflict storms are visible in traces.
             self._end_span("error", **{"error.type": type(exc).__name__})
-            if tel.metering:
-                tel.metrics.counter(
-                    "txn.commit_failures", error=type(exc).__name__
-                ).inc()
+            tel.metrics.counter(
+                "txn.commit_failures", error=type(exc).__name__
+            ).inc()
             self._context.bus.publish(
                 "txn.aborted", txid=self.txid, reason=type(exc).__name__
             )
             raise
         self._end_span("ok", commit_seq=commit_seq)
-        if tel.metering:
-            tel.metrics.counter("txn.commits").inc()
+        tel.metrics.counter("txn.commits").inc()
         return commit_seq
 
     def _validate_and_commit(self) -> Optional[int]:
@@ -361,8 +359,7 @@ class PolarisTransaction:
         if self.root.state is TxnState.ACTIVE:
             self.root.abort()
             self._end_span("rollback")
-            if self._context.telemetry.metering:
-                self._context.telemetry.metrics.counter("txn.rollbacks").inc()
+            self._context.telemetry.metrics.counter("txn.rollbacks").inc()
             self._context.bus.publish(
                 "txn.aborted", txid=self.txid, reason="rollback"
             )

@@ -97,12 +97,9 @@ class QueryOptimizer:
         from repro.fe.optimizer_path import persist_table_stats
 
         persist_table_stats(txn, table_id, stats)
-        tel = self._context.telemetry
-        if tel.metering:
-            tel.metrics.counter("optimizer.analyze.runs", source=source).inc()
-            tel.metrics.counter("optimizer.analyze.rows_scanned").inc(
-                stats.row_count
-            )
+        metrics = self._context.telemetry.metrics
+        metrics.counter("optimizer.analyze.runs", source=source).inc()
+        metrics.counter("optimizer.analyze.rows_scanned").inc(stats.row_count)
         return stats
 
     def _feedback_factor(self, table_name: str) -> float:
@@ -187,10 +184,9 @@ class QueryOptimizer:
         self._index_usage.setdefault(
             (table_id, index_name), {"lookups": 0, "files_pruned": 0}
         )
-        tel = self._context.telemetry
-        if tel.metering:
-            tel.metrics.counter("optimizer.index.builds").inc()
-            tel.metrics.counter("optimizer.index.entries").inc(entries)
+        metrics = self._context.telemetry.metrics
+        metrics.counter("optimizer.index.builds").inc()
+        metrics.counter("optimizer.index.entries").inc(entries)
         return payload
 
     def refresh_indexes(self, txn: "PolarisTransaction", table_id: int) -> int:
@@ -255,15 +251,15 @@ class QueryOptimizer:
         if inputs is None:
             inputs = self.catalog_inputs(txn, plan)
         new_plan, info = rewrite_plan(plan, inputs, self._config)
-        tel = self._context.telemetry
-        if tel.metering and info.applied:
-            tel.metrics.counter("optimizer.plan.rewrites").inc()
+        if info.applied:
+            metrics = self._context.telemetry.metrics
+            metrics.counter("optimizer.plan.rewrites").inc()
             if info.reordered:
-                tel.metrics.counter("optimizer.plan.reorders").inc()
+                metrics.counter("optimizer.plan.reorders").inc()
             if info.transitive_conjuncts:
-                tel.metrics.counter(
-                    "optimizer.plan.transitive_conjuncts"
-                ).inc(info.transitive_conjuncts)
+                metrics.counter("optimizer.plan.transitive_conjuncts").inc(
+                    info.transitive_conjuncts
+                )
         return new_plan, info
 
     def annotate(
@@ -304,7 +300,7 @@ class QueryOptimizer:
         if not rows:
             return snapshot
         drop: Set[str] = set()
-        tel = self._context.telemetry
+        metrics = self._context.telemetry.metrics
         for row in rows:
             for column, literal in equalities:
                 if row["column"] != column:
@@ -318,11 +314,8 @@ class QueryOptimizer:
                 usage["lookups"] += 1
                 usage["files_pruned"] += len(pruned)
                 drop |= pruned
-                if tel.metering:
-                    tel.metrics.counter("optimizer.index.lookups").inc()
-                    tel.metrics.counter("optimizer.index.files_pruned").inc(
-                        len(pruned)
-                    )
+                metrics.counter("optimizer.index.lookups").inc()
+                metrics.counter("optimizer.index.files_pruned").inc(len(pruned))
         if not drop:
             return snapshot
         kept = {

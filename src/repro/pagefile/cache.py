@@ -20,8 +20,7 @@ warehouses with the same seed generate the same paths.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.telemetry.metrics import MetricsRegistry
@@ -36,45 +35,25 @@ ENTRY_OVERHEAD_BYTES = 1 << 10
 ChunkKey = Tuple[str, int, int]
 
 
-@dataclass
-class ChunkCacheStats:
-    """Hit/miss accounting for one cache instance."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    #: Cost currently held: payload bytes plus the per-entry overhead.
-    resident_bytes: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for reporting."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "resident_bytes": self.resident_bytes,
-        }
-
-
 class ChunkCache:
-    """LRU map of chunk key -> decompressed (still encoded) chunk bytes."""
+    """LRU map of chunk key -> decompressed (still encoded) chunk bytes.
+
+    Hits, misses, evictions and the resident cost are counted only in
+    ``metrics``, as the ``pagefile.chunk_cache.*`` instruments.
+    """
 
     def __init__(
-        self,
-        budget_bytes: int = BUDGET_BYTES,
-        metrics: "Optional[MetricsRegistry]" = None,
+        self, metrics: "MetricsRegistry", budget_bytes: int = BUDGET_BYTES
     ) -> None:
         self.budget_bytes = budget_bytes
         self._entries: "OrderedDict[ChunkKey, bytes]" = OrderedDict()
-        self.stats = ChunkCacheStats()
-        #: The stats mirrored as ``pagefile.chunk_cache.*`` instruments,
-        #: bound once (a get is per chunk: no registry lookup on it).
-        self._metered = metrics is not None
-        if metrics is not None:
-            self._hits = metrics.counter("pagefile.chunk_cache.hits")
-            self._misses = metrics.counter("pagefile.chunk_cache.misses")
-            self._evictions = metrics.counter("pagefile.chunk_cache.evictions")
-            self._resident = metrics.gauge("pagefile.chunk_cache.resident_bytes")
+        #: Cost currently held: payload bytes plus the per-entry overhead.
+        self.resident_bytes = 0
+        # Bound once: a get is per chunk, so no registry lookup on it.
+        self.hits = metrics.counter("pagefile.chunk_cache.hits")
+        self.misses = metrics.counter("pagefile.chunk_cache.misses")
+        self.evictions = metrics.counter("pagefile.chunk_cache.evictions")
+        self._resident = metrics.gauge("pagefile.chunk_cache.resident_bytes")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -83,14 +62,10 @@ class ChunkCache:
         """The cached payload of ``key`` (now most recently used), or None."""
         raw = self._entries.get(key)
         if raw is None:
-            self.stats.misses += 1
-            if self._metered:
-                self._misses.inc()
+            self.misses.inc()
             return None
         self._entries.move_to_end(key)
-        self.stats.hits += 1
-        if self._metered:
-            self._hits.inc()
+        self.hits.inc()
         return raw
 
     def put(self, key: ChunkKey, raw: bytes) -> None:
@@ -101,22 +76,18 @@ class ChunkCache:
         cost = len(raw) + ENTRY_OVERHEAD_BYTES
         if cost > self.budget_bytes or key in self._entries:
             return
-        stats = self.stats
         evicted = 0
-        while stats.resident_bytes + cost > self.budget_bytes:
+        while self.resident_bytes + cost > self.budget_bytes:
             __, old = self._entries.popitem(last=False)
-            stats.resident_bytes -= len(old) + ENTRY_OVERHEAD_BYTES
+            self.resident_bytes -= len(old) + ENTRY_OVERHEAD_BYTES
             evicted += 1
         self._entries[key] = raw
-        stats.resident_bytes += cost
-        stats.evictions += evicted
-        if self._metered:
-            self._evictions.inc(evicted)
-            self._resident.set(stats.resident_bytes)
+        self.resident_bytes += cost
+        self.evictions.inc(evicted)
+        self._resident.set(self.resident_bytes)
 
     def clear(self) -> None:
         """Drop every entry (process restart: the cache is process memory)."""
         self._entries.clear()
-        self.stats.resident_bytes = 0
-        if self._metered:
-            self._resident.set(0)
+        self.resident_bytes = 0
+        self._resident.set(0)

@@ -192,11 +192,9 @@ class Gateway:
         if workload_class not in WORKLOAD_CLASSES:
             raise PolarisError(f"unknown workload class {workload_class!r}")
         metrics = self._telemetry.metrics
-        metering = self._telemetry.metering
-        if metering:
-            metrics.counter(
-                "service.requests", tenant=tenant, workload_class=workload_class
-            ).inc()
+        metrics.counter(
+            "service.requests", tenant=tenant, workload_class=workload_class
+        ).inc()
         request = Request(
             self._next_request_id,
             tenant,
@@ -214,9 +212,8 @@ class Gateway:
             request.exception = RequestSheddedError(reason, retry_after_s)
             self._record(request)
             self._finish(request, "shed")
-            if metering:
-                metrics.counter("service.shed", reason=reason).inc()
-                metrics.histogram("service.retry_after_s").observe(retry_after_s)
+            metrics.counter("service.shed", reason=reason).inc()
+            metrics.histogram("service.retry_after_s").observe(retry_after_s)
             # The retry-after hint is the stall a well-behaved client
             # honors before resubmitting — the throttle's real cost.
             self._telemetry.record_wait(
@@ -227,11 +224,8 @@ class Gateway:
             )
             raise request.exception
         self._record(request)
-        if metering:
-            metrics.counter(
-                "service.admitted", workload_class=workload_class
-            ).inc()
-            metrics.gauge("service.queue_depth").set(self.admission.queue_depth())
+        metrics.counter("service.admitted", workload_class=workload_class).inc()
+        metrics.gauge("service.queue_depth").set(self.admission.queue_depth())
         crashpoint("service.admit.after_enqueue")
         return request
 
@@ -266,11 +260,9 @@ class Gateway:
             request, expired = self.admission.next_request()
             for timed_out in expired:
                 self._finish(timed_out, "timed_out")
-                if self._telemetry.metering:
-                    self._telemetry.metrics.counter(
-                        "service.timeouts",
-                        workload_class=timed_out.workload_class,
-                    ).inc()
+                self._telemetry.metrics.counter(
+                    "service.timeouts", workload_class=timed_out.workload_class
+                ).inc()
                 # The expired request's whole queue wait bought nothing;
                 # attribute it explicitly (the dispatcher is expiring
                 # someone else's request).
@@ -280,10 +272,9 @@ class Gateway:
                     tenant=timed_out.tenant,
                     workload_class=timed_out.workload_class,
                 )
-            if self._telemetry.metering:
-                self._telemetry.metrics.gauge("service.queue_depth").set(
-                    self.admission.queue_depth()
-                )
+            self._telemetry.metrics.gauge("service.queue_depth").set(
+                self.admission.queue_depth()
+            )
             if request is None:
                 if self.scheduler.pending == 0:
                     return None
@@ -299,7 +290,6 @@ class Gateway:
         crashpoint("service.dispatch.before_execute")
         tel = self._telemetry
         metrics = tel.metrics
-        metering = tel.metering
         try:
             gateway_session = self.pool.acquire(request.tenant)
         except PolarisError as error:
@@ -318,10 +308,7 @@ class Gateway:
         # The session is held from here on: everything, including the
         # pre-execution accounting, runs under the releasing ``finally``.
         try:
-            if metering:
-                metrics.gauge("service.sessions_open").set(
-                    self.pool.open_count
-                )
+            metrics.gauge("service.sessions_open").set(self.pool.open_count)
             request.status = "running"
             request.session_id = gateway_session.session_id
             request.started_at = self._context.clock.now
@@ -356,25 +343,19 @@ class Gateway:
                     self._fail(request, error)
                     return
             self._finish(request, "completed")
-            if metering:
-                metrics.counter(
-                    "service.completions",
-                    workload_class=request.workload_class,
-                ).inc()
-                metrics.histogram(
-                    "service.queue_wait_s",
-                    workload_class=request.workload_class,
-                ).observe(request.queue_wait_s)
-                metrics.histogram(
-                    "service.request_latency_s",
-                    workload_class=request.workload_class,
-                ).observe(request.finished_at - request.submitted_at)
+            metrics.counter(
+                "service.completions", workload_class=request.workload_class
+            ).inc()
+            metrics.histogram(
+                "service.queue_wait_s", workload_class=request.workload_class
+            ).observe(request.queue_wait_s)
+            metrics.histogram(
+                "service.request_latency_s",
+                workload_class=request.workload_class,
+            ).observe(request.finished_at - request.submitted_at)
         finally:
             self.pool.release(gateway_session)
-            if metering:
-                metrics.gauge("service.sessions_open").set(
-                    self.pool.open_count
-                )
+            metrics.gauge("service.sessions_open").set(self.pool.open_count)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -385,10 +366,9 @@ class Gateway:
         request.error = type(error).__name__
         request.exception = error
         self._finish(request, "failed")
-        if self._telemetry.metering:
-            self._telemetry.metrics.counter(
-                "service.failures", error=request.error
-            ).inc()
+        self._telemetry.metrics.counter(
+            "service.failures", error=request.error
+        ).inc()
 
     def _finish(self, request: Request, status: str) -> None:
         request.status = status
@@ -417,7 +397,7 @@ class Gateway:
     def reap_sessions(self) -> int:
         """Close idle-expired sessions; returns how many were reaped."""
         reaped = self.pool.reap_idle()
-        if reaped and self._telemetry.metering:
+        if reaped:
             metrics = self._telemetry.metrics
             metrics.counter("service.sessions_reaped").inc(reaped)
             metrics.gauge("service.sessions_open").set(self.pool.open_count)
@@ -444,10 +424,9 @@ class Gateway:
                 scavenged += 1
         self.pool.close_all()
         self._dispatcher = None
-        if self._telemetry.metering:
-            metrics = self._telemetry.metrics
-            metrics.gauge("service.queue_depth").set(0)
-            metrics.gauge("service.sessions_open").set(0)
+        metrics = self._telemetry.metrics
+        metrics.gauge("service.queue_depth").set(0)
+        metrics.gauge("service.sessions_open").set(0)
         return scavenged
 
     # -- introspection -----------------------------------------------------

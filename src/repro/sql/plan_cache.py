@@ -96,24 +96,17 @@ class _Entry:
     constants: FrozenSet[Any]
 
 
-@dataclass
-class PlanCacheStats:
-    """Hit/miss accounting for one cache instance."""
-
-    hits: int = 0
-    misses: int = 0
-
-
 class PlanCache:
-    """LRU map of SELECT shape -> bound plan."""
+    """LRU map of SELECT shape -> bound plan.
 
-    def __init__(self, metrics: "Optional[MetricsRegistry]" = None) -> None:
+    Hits and misses are counted only in ``metrics``, as the
+    ``sql.plan_cache.*`` counters.
+    """
+
+    def __init__(self, metrics: "MetricsRegistry") -> None:
         self._entries: "OrderedDict[Tuple[Any, ...], _Entry]" = OrderedDict()
-        self.stats = PlanCacheStats()
-        self._metered = metrics is not None
-        if metrics is not None:
-            self._hits = metrics.counter("sql.plan_cache.hits")
-            self._misses = metrics.counter("sql.plan_cache.misses")
+        self.hits = metrics.counter("sql.plan_cache.hits")
+        self.misses = metrics.counter("sql.plan_cache.misses")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -126,14 +119,10 @@ class PlanCache:
             or entry.tables_seq != tables_seq
             or any(value in entry.constants for value in shape.literals)
         ):
-            self.stats.misses += 1
-            if self._metered:
-                self._misses.inc()
+            self.misses.inc()
             return None
         self._entries.move_to_end(shape.key)
-        self.stats.hits += 1
-        if self._metered:
-            self._hits.inc()
+        self.hits.inc()
         swap = {
             (type(old), old): new
             for old, new in zip(entry.literals, shape.literals)

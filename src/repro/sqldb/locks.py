@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterator, Optional
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
     from repro.telemetry.facade import Telemetry
-    from repro.telemetry.metrics import MetricsRegistry
 
 
 class CommitLock:
@@ -41,8 +40,7 @@ class CommitLock:
         self.busy_until = 0.0
         self._acquired_at = 0.0
         self._telemetry: "Optional[Telemetry]" = None
-        self._metrics: "Optional[MetricsRegistry]" = None
-        # Local aggregates so sys.dm_commit_lock works without metrics.
+        # Local aggregates, so sys.dm_commit_lock needs no collector.
         self.total_wait_s = 0.0
         self.total_hold_s = 0.0
 
@@ -57,8 +55,6 @@ class CommitLock:
         """
         self.hold_s = float(hold_s)
         self._telemetry = telemetry
-        metering = telemetry is not None and telemetry.metering
-        self._metrics = telemetry.metrics if metering else None
 
     @contextmanager
     def held(self, txid: int) -> Iterator[None]:
@@ -73,17 +69,17 @@ class CommitLock:
                 f"commit lock re-entered: txn {txid} while held by {self._holder}"
             )
         clock = self._clock
+        telemetry = self._telemetry
         if clock is not None:
             wait_s = self.busy_until - clock.now
             if wait_s > 0:
                 clock.advance(wait_s)
                 self.total_wait_s += wait_s
-                if self._telemetry is not None:
-                    self._telemetry.record_wait("commit_lock", wait_s)
-                if self._metrics is not None:
-                    self._metrics.histogram("sqldb.commit_lock_wait_s").observe(
-                        wait_s
-                    )
+                if telemetry is not None:
+                    telemetry.record_wait("commit_lock", wait_s)
+                    telemetry.metrics.histogram(
+                        "sqldb.commit_lock_wait_s"
+                    ).observe(wait_s)
             self._acquired_at = clock.now
         self._holder = txid
         self.acquisitions += 1
@@ -95,11 +91,10 @@ class CommitLock:
                 hold = (clock.now - self._acquired_at) + self.hold_s
                 self.busy_until = self._acquired_at + hold
                 self.total_hold_s += hold
-                if self._metrics is not None:
-                    self._metrics.counter("sqldb.commit_lock_acquisitions").inc()
-                    self._metrics.histogram("sqldb.commit_lock_hold_s").observe(
-                        hold
-                    )
+                if telemetry is not None:
+                    telemetry.metrics.histogram(
+                        "sqldb.commit_lock_hold_s"
+                    ).observe(hold)
 
     @property
     def is_held(self) -> bool:

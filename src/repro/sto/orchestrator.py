@@ -203,11 +203,9 @@ class SystemTaskOrchestrator:
     def _observe_health(self, stats) -> None:
         """Record one stats observation and refresh the health gauge."""
         self.health.observe(stats, self._context.clock.now)
-        tel = self._context.telemetry
-        if tel.metering:
-            tel.metrics.gauge("sto.unhealthy_tables").set(
-                self.health.unhealthy_count
-            )
+        self._context.telemetry.metrics.gauge("sto.unhealthy_tables").set(
+            self.health.unhealthy_count
+        )
 
     def _on_stats(self, event: Event) -> None:
         stats = event.payload["stats"]
@@ -261,8 +259,7 @@ class SystemTaskOrchestrator:
                 self.iceberg.publish_commit(
                     table["name"], table_id, last["manifest_path"], last["sequence_id"]
                 )
-        if tel.metering:
-            tel.metrics.counter("sto.publishes").inc()
+        tel.metrics.counter("sto.publishes").inc()
 
     # -- manual / periodic operations -------------------------------------------------
 
@@ -316,10 +313,9 @@ class SystemTaskOrchestrator:
         tel = self._context.telemetry
         with tel.span("sto.compaction", "sto", table_id=table_id, trigger=trigger):
             result = run_compaction(self._context, table_id)
-        if tel.metering:
-            outcome = "committed" if result.committed else "aborted"
-            tel.metrics.counter("sto.compactions", outcome=outcome).inc()
-            tel.metrics.counter("sto.files_rewritten").inc(result.files_rewritten)
+        outcome = "committed" if result.committed else "aborted"
+        tel.metrics.counter("sto.compactions", outcome=outcome).inc()
+        tel.metrics.counter("sto.files_rewritten").inc(result.files_rewritten)
         self.compactions.append(result)
         if result.committed and result.files_rewritten:
             snapshot = self._context.cache.get(
@@ -345,7 +341,7 @@ class SystemTaskOrchestrator:
         tel = self._context.telemetry
         with tel.span("sto.checkpoint", "sto", table_id=table_id, trigger=trigger):
             result = run_checkpoint(self._context, table_id)
-        if tel.metering and result is not None:
+        if result is not None:
             tel.metrics.counter("sto.checkpoints").inc()
             tel.metrics.counter("sto.manifests_collapsed").inc(
                 result.manifests_collapsed
@@ -357,9 +353,8 @@ class SystemTaskOrchestrator:
         tel = self._context.telemetry
         with tel.span("sto.gc", "sto"):
             report = run_garbage_collection(self._context)
-        if tel.metering:
-            tel.metrics.counter("sto.gc_runs").inc()
-            tel.metrics.counter("sto.gc_files_deleted").inc(report.deleted_total)
+        tel.metrics.counter("sto.gc_runs").inc()
+        tel.metrics.counter("sto.gc_files_deleted").inc(report.deleted_total)
         self.gc_reports.append(report)
         return report
 
@@ -368,19 +363,13 @@ class SystemTaskOrchestrator:
         tel = self._context.telemetry
         with tel.span("sto.scrub", "sto"):
             report = run_scrub(self._context, self.health)
-        if tel.metering:
-            tel.metrics.counter("storage.integrity_blobs_verified").inc(
-                report.blobs_verified
-            )
-            tel.metrics.counter("storage.integrity_quarantined").inc(
-                report.quarantined
-            )
-            tel.metrics.counter("storage.integrity_repaired").inc(
-                report.repaired
-            )
-            tel.metrics.counter("storage.integrity_unrepairable").inc(
-                report.unrepairable
-            )
+        metrics = tel.metrics
+        metrics.counter("storage.integrity_blobs_verified").inc(
+            report.blobs_verified
+        )
+        metrics.counter("storage.integrity_quarantined").inc(report.quarantined)
+        metrics.counter("storage.integrity_repaired").inc(report.repaired)
+        metrics.counter("storage.integrity_unrepairable").inc(report.unrepairable)
         self.scrub_reports.append(report)
         return report
 

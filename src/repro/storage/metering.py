@@ -2,7 +2,10 @@
 
 Every request is metered so benchmarks can report request counts and bytes
 moved alongside simulated time — useful for the ablation benches, where the
-interesting trade-off is often IO amplification rather than latency.
+interesting trade-off is often IO amplification rather than latency.  A
+deployment's meter is its only copy of these counts:
+``sys.dm_store_operations``, the health report and the query store read
+it too.
 """
 
 from __future__ import annotations

@@ -84,17 +84,13 @@ class ObjectStore:
     ) -> None:
         self.clock = clock or SimulatedClock()
         self.config = config or StorageConfig()
-        self.meter = IoMeter()
+        #: Request counts and bytes moved: the deployment's one copy,
+        #: shared with the telemetry that observes this store.
+        self.meter = telemetry.meter if telemetry is not None else IoMeter()
         self.faults = FaultInjector(self.config)
         self.telemetry = telemetry
-        # Gate flags are fixed at construction, so cache one bool for the
-        # per-request fast path and only install the latency hook when it
-        # would record something — disabled telemetry costs ~nothing.
-        self._tel_active = telemetry is not None and (
-            telemetry.metering or telemetry.tracing
-        )
         self._latency = LatencyModel(self.clock, self.config)
-        if telemetry is not None and telemetry.metering:
+        if telemetry is not None:
             self._latency.on_charge = telemetry.latency_charged
         self._blobs: Dict[str, Blob] = {}
         self._blocks: Dict[str, _BlockState] = {}
@@ -122,8 +118,8 @@ class ObjectStore:
     ) -> None:
         """Charge latency and meter one request through every accounting sink.
 
-        IO bytes flow into the meter and the metrics registry from here
-        (and only here); simulated latency flows from the latency model's
+        Request counts and IO bytes flow into the meter from here (and
+        only here); simulated latency flows from the latency model's
         ``on_charge`` hook — each is booked exactly once.
         """
         cost = (
@@ -132,7 +128,7 @@ class ObjectStore:
         self.meter.record(
             operation, read_bytes=read_bytes, written_bytes=written_bytes
         )
-        if self._tel_active:
+        if self.telemetry is not None:
             self.telemetry.storage_request(
                 operation, path, read_bytes, written_bytes, cost
             )

@@ -5,8 +5,9 @@ The subsystem has three parts:
 * :mod:`repro.telemetry.spans` — a hierarchical span tracer over the
   simulated clock (contextvar-propagated parents, per-span attributes and
   events);
-* :mod:`repro.telemetry.metrics` — a registry of counters, gauges and
-  p50/p95/p99 histograms that unifies IO and latency accounting;
+* :mod:`repro.telemetry.metrics` — an always-on registry of counters,
+  gauges and p50/p95/p99 histograms (object-store request and byte
+  totals stay in ``store.meter``, the deployment's one copy);
 * :mod:`repro.telemetry.exporters` — JSONL span dumps and Chrome
   trace-event files (loadable in Perfetto, one process row per DCP node).
 

@@ -13,6 +13,7 @@ instrumented sites never test whether a collector exists.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -20,6 +21,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from repro.common.clock import SimulatedClock
 from repro.common.config import TelemetryConfig
 from repro.common.events import Event, EventBus, WILDCARD
+from repro.storage.metering import IoMeter
 from repro.telemetry import exporters
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.querystore import (
@@ -32,19 +34,18 @@ from repro.telemetry.spans import Span, SpanEvent, Tracer
 from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
 from repro.telemetry.waits import WaitStats
 
-#: Live Telemetry instances in creation order (weakly held; the benchmark
-#: harness exports combined traces/metrics from these after a run).
-_INSTANCES: "List[weakref.ref[Telemetry]]" = []
+#: Live Telemetry instances keyed by creation order (weakly held, so a
+#: dead instance drops out; the benchmark harness exports combined
+#: traces/metrics from these after a run).
+_INSTANCES: "weakref.WeakValueDictionary[int, Telemetry]" = (
+    weakref.WeakValueDictionary()
+)
+_CREATED = itertools.count()
 
 
 def instances() -> "List[Telemetry]":
     """All live Telemetry instances, oldest first."""
-    out: List[Telemetry] = []
-    for ref in _INSTANCES:
-        instance = ref()
-        if instance is not None:
-            out.append(instance)
-    return out
+    return [instance for __, instance in sorted(_INSTANCES.items())]
 
 
 def tracing_instances() -> "List[Telemetry]":
@@ -88,11 +89,13 @@ class Telemetry:
         self.clock = clock
         #: Span tracing on/off (the expensive half).
         self.tracing = config.enabled
-        #: Metrics registry recording on/off (cheap dict increments).
-        self.metering = config.metrics or config.enabled
+        #: The metrics registry, always recording (cheap dict increments).
         self.metrics = MetricsRegistry(seed=seed)
+        #: The deployment's object-store traffic totals; the store this
+        #: telemetry observes adopts it as ``ObjectStore.meter``.
+        self.meter = IoMeter()
         self.tracer = Tracer(clock, max_spans=config.max_spans)
-        if bus is not None and (self.metering or self.tracing):
+        if bus is not None:
             # Mirror every bus event (wildcard) into metrics/spans.
             bus.subscribe(WILDCARD, self._on_bus_event)
         #: The only attribution state: (tenant, workload class, query
@@ -102,14 +105,21 @@ class Telemetry:
         #: Whether any collector reads :attr:`scope` (the scoped entry
         #: points are the shared null scope otherwise).
         self._collecting = False
-        metrics = self.metrics if self.metering else None
         #: Query store folding per-fingerprint execution profiles (None
         #: unless ``TelemetryConfig.query_store_enabled``).
         self.querystore = None
         if config.query_store_enabled:
             self.querystore = self._collector(
                 "querystore",
-                QueryStore(clock, config, metrics, bus, seed, self.scope),
+                QueryStore(
+                    clock,
+                    config,
+                    self.metrics,
+                    self.meter,
+                    bus,
+                    seed,
+                    self.scope,
+                ),
             )
         #: Wait-statistics collector attributing every stalled simulated
         #: second (None unless ``TelemetryConfig.wait_stats_enabled``).
@@ -119,7 +129,7 @@ class Telemetry:
                 "waits",
                 WaitStats(
                     clock,
-                    metrics,
+                    self.metrics,
                     self.tracer if self.tracing else None,
                     seed,
                     self.scope,
@@ -135,7 +145,7 @@ class Telemetry:
         self.sampler = None
         #: Threshold watchdog fed by :attr:`sampler` (None unless enabled).
         self.watchdog = None
-        if self.metering and config.sample_interval_s > 0:
+        if config.sample_interval_s > 0:
             self.sampler = MetricsSampler(
                 clock, self.metrics, config.sample_interval_s
             )
@@ -143,7 +153,7 @@ class Telemetry:
                 self.watchdog = Watchdog(self.metrics, bus, rules=default_rules())
                 self.sampler.subscribe(self.watchdog.observe)
             self.sampler.start()
-        _INSTANCES.append(weakref.ref(self))
+        _INSTANCES[next(_CREATED)] = self
 
     def _collector(self, name: str, collector):
         """Wire one collector that reads the scope and holds in-flight
@@ -293,17 +303,14 @@ class Telemetry:
         written_bytes: int,
         cost: float,
     ) -> None:
-        """Account one object-store request (called by ``ObjectStore``)."""
-        if self.metering:
-            metrics = self.metrics
-            metrics.counter("storage.requests", op=operation).inc()
-            if read_bytes:
-                metrics.counter("storage.bytes_read").inc(read_bytes)
-            if written_bytes:
-                metrics.counter("storage.bytes_written").inc(written_bytes)
-            metrics.histogram("storage.request_latency_s", op=operation).observe(
-                cost
-            )
+        """Account one object-store request (called by ``ObjectStore``).
+
+        Counts and bytes are the store's :attr:`meter`; this records the
+        request's latency and, when tracing, its span.
+        """
+        self.metrics.histogram("storage.request_latency_s", op=operation).observe(
+            cost
+        )
         if self.tracing:
             start, end = self.tracer.child_window(cost)
             span = self.tracer.start_span(
@@ -321,17 +328,15 @@ class Telemetry:
 
     def storage_fault(self, operation: str, path: str) -> None:
         """Account one injected transient storage fault."""
-        if self.metering:
-            self.metrics.counter("storage.faults_injected", op=operation).inc()
+        self.metrics.counter("storage.faults_injected", op=operation).inc()
         if self.tracing:
             self.tracer.add_event("storage.fault", op=operation, path=path)
 
     def integrity_corruption(self, kind: str, operation: str, path: str) -> None:
         """Account one injected corruption fault (wrong bytes, no error)."""
-        if self.metering:
-            self.metrics.counter(
-                "storage.integrity_corruptions_injected", kind=kind, op=operation
-            ).inc()
+        self.metrics.counter(
+            "storage.integrity_corruptions_injected", kind=kind, op=operation
+        ).inc()
         if self.tracing:
             self.tracer.add_event(
                 "storage.corruption", kind=kind, op=operation, path=path
@@ -339,8 +344,7 @@ class Telemetry:
 
     def integrity_violation(self, path: str, detail: str) -> None:
         """Account one detected checksum mismatch (a corrupt read caught)."""
-        if self.metering:
-            self.metrics.counter("storage.integrity_errors").inc()
+        self.metrics.counter("storage.integrity_errors").inc()
         if self.tracing:
             self.tracer.add_event(
                 "storage.integrity_violation", path=path, detail=detail
@@ -354,11 +358,10 @@ class Telemetry:
         the two are reported separately so IO latency is never counted
         twice.
         """
-        if self.metering:
-            mode = "clock" if charged else "node_timeline"
-            self.metrics.counter(
-                "storage.sim_latency_s", op=operation or "unknown", mode=mode
-            ).inc(cost)
+        mode = "clock" if charged else "node_timeline"
+        self.metrics.counter(
+            "storage.sim_latency_s", op=operation or "unknown", mode=mode
+        ).inc(cost)
 
     # -- retry hooks ----------------------------------------------------------
 
@@ -374,12 +377,11 @@ class Telemetry:
         ``backoff_s`` is the simulated backoff charged before the next
         attempt (0 for the final failure, which has no next attempt).
         """
-        if self.metering:
-            self.metrics.counter("storage.retry_attempts", label=label).inc()
-            if backoff_s > 0:
-                self.metrics.histogram(
-                    "storage.retry_backoff_s", label=label
-                ).observe(backoff_s)
+        self.metrics.counter("storage.retry_attempts", label=label).inc()
+        if backoff_s > 0:
+            self.metrics.histogram("storage.retry_backoff_s", label=label).observe(
+                backoff_s
+            )
         if self.tracing:
             self.tracer.add_event(
                 "retry",
@@ -391,19 +393,17 @@ class Telemetry:
 
     def retry_outcome(self, label: str, attempts: int, succeeded: bool) -> None:
         """Account the final outcome of a retried operation."""
-        if self.metering:
-            outcome = "ok" if succeeded else "exhausted"
-            self.metrics.counter(
-                "storage.retry_outcomes", label=label, outcome=outcome
-            ).inc()
+        outcome = "ok" if succeeded else "exhausted"
+        self.metrics.counter(
+            "storage.retry_outcomes", label=label, outcome=outcome
+        ).inc()
         if self.tracing and not succeeded:
             self.tracer.add_event("retry.exhausted", label=label, attempts=attempts)
 
     # -- event-bus tap ---------------------------------------------------------
 
     def _on_bus_event(self, event: Event) -> None:
-        if self.metering:
-            self.metrics.counter("bus.events", topic=event.topic).inc()
+        self.metrics.counter("bus.events", topic=event.topic).inc()
         if self.tracing:
             scalars = {
                 key: value

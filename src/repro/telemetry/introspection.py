@@ -49,6 +49,7 @@ shows the query itself).
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
@@ -68,19 +69,18 @@ if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
     from repro.sto.orchestrator import SystemTaskOrchestrator
 
-#: Live Introspector instances in creation order (weakly held; the
-#: benchmark harness prints ``--report`` summaries from these).
-_INSTANCES: "List[weakref.ref[Introspector]]" = []
+#: Live Introspector instances keyed by creation order (weakly held, so a
+#: dead instance drops out; the benchmark harness prints ``--report``
+#: summaries from these).
+_INSTANCES: "weakref.WeakValueDictionary[int, Introspector]" = (
+    weakref.WeakValueDictionary()
+)
+_CREATED = itertools.count()
 
 
 def instances() -> "List[Introspector]":
     """All live Introspector instances, oldest first."""
-    out: List["Introspector"] = []
-    for ref in _INSTANCES:
-        instance = ref()
-        if instance is not None:
-            out.append(instance)
-    return out
+    return [instance for __, instance in sorted(_INSTANCES.items())]
 
 
 #: Finished-transaction records retained by the ledger (active records
@@ -448,7 +448,7 @@ class Introspector:
         self._context = context
         self._sto: "Optional[SystemTaskOrchestrator]" = None
         self.ledger = TransactionLedger(context.bus, context.clock)
-        _INSTANCES.append(weakref.ref(self))
+        _INSTANCES[next(_CREATED)] = self
 
     def bind_sto(self, sto: "SystemTaskOrchestrator") -> None:
         """Attach the orchestrator (pending compactions feed RED state)."""
@@ -643,13 +643,13 @@ class Introspector:
                 },
             )
 
+        for operation, count in self._context.store.meter.requests.items():
+            slot(operation)["requests"] = count
         for kind, name, labels, instrument in (
             self._context.telemetry.metrics.instruments()
         ):
             del kind
-            if name == "storage.requests":
-                slot(labels.get("op", "?"))["requests"] = int(instrument.value)
-            elif name == "storage.faults_injected":
+            if name == "storage.faults_injected":
                 slot(labels.get("op", "?"))["faults"] = int(instrument.value)
             elif name == "storage.request_latency_s":
                 row = slot(labels.get("op", "?"))
@@ -868,24 +868,25 @@ class Introspector:
                 or "no tables"
             )
         )
-        ops = self._dm_store_operations()
-        requests = sum(row["requests"] for row in ops)
-        metrics = self._context.telemetry.metrics
+        meter = self._context.store.meter
         lines.append(
-            f"object store: {requests} requests, "
-            f"{int(metrics.value('storage.bytes_read'))} B read, "
-            f"{int(metrics.value('storage.bytes_written'))} B written"
+            f"object store: {meter.total_requests} requests, "
+            f"{meter.bytes_read} B read, {meter.bytes_written} B written"
         )
-        chunks = self._context.chunk_cache.stats
+        chunks = self._context.chunk_cache
         lines.append(
-            f"chunk cache: {chunks.hits} hits, {chunks.misses} misses, "
-            f"{chunks.evictions} evictions, {chunks.resident_bytes} B resident"
+            f"chunk cache: {int(chunks.hits.value)} hits, "
+            f"{int(chunks.misses.value)} misses, "
+            f"{int(chunks.evictions.value)} evictions, "
+            f"{chunks.resident_bytes} B resident"
         )
         lines.append(f"checkpoints: {len(self._dm_checkpoints())}")
         lines.append(f"recovery runs: {len(self._dm_recovery_history())}")
         alerts = sum(
             instrument.value
-            for kind, name, labels, instrument in metrics.instruments()
+            for kind, name, labels, instrument in (
+                self._context.telemetry.metrics.instruments()
+            )
             if name == "watchdog.alerts"
         )
         lines.append(f"watchdog alerts: {int(alerts)}")

@@ -1,10 +1,10 @@
 """The metrics registry: counters, gauges, and histograms.
 
-One :class:`MetricsRegistry` per deployment unifies the accounting that
-used to live in ad-hoc structures (``IoMeter`` request/byte totals, the
-latency model's charged time): every instrument is addressed by a name
-plus a label set, so the same counter family can be sliced per operation
-kind, per pool, or per table.  Histograms keep a bounded sample reservoir
+One :class:`MetricsRegistry` per deployment, always recording: every
+instrument is addressed by a name plus a label set, so the same counter
+family can be sliced per operation kind, per pool, or per table.  A count
+a stats object already keeps (``IoMeter`` request/byte totals, the commit
+lock's acquisitions) has no second copy here.  Histograms keep a bounded sample reservoir
 and report p50/p95/p99 summaries — the percentile view the paper's
 evaluation (and any production dashboard) leans on.
 """

@@ -101,7 +101,6 @@ METRIC_NAMES: Dict[str, str] = {
         "bind skipped)."
     ),
     "sql.plan_cache.misses": "SELECTs compiled from their text.",
-    "sqldb.commit_lock_acquisitions": "Commit-lock acquisitions.",
     "sqldb.commit_lock_hold_s": (
         "Commit-lock hold durations (measured critical section plus the "
         "modeled txn.commit_hold_s service time)."
@@ -119,8 +118,6 @@ METRIC_NAMES: Dict[str, str] = {
     "sto.unhealthy_tables": (
         "Gauge: tables currently below the storage-health thresholds."
     ),
-    "storage.bytes_read": "Bytes read from the object store.",
-    "storage.bytes_written": "Bytes written to the object store.",
     "storage.faults_injected": "Injected transient faults, labeled by op.",
     "storage.integrity_blobs_verified": "Blobs audited by scrub passes.",
     "storage.integrity_corruptions_injected": (
@@ -135,7 +132,6 @@ METRIC_NAMES: Dict[str, str] = {
         "Corrupt blobs with no redundant source to repair from."
     ),
     "storage.request_latency_s": "Per-request simulated latency, by op.",
-    "storage.requests": "Object-store requests, labeled by op.",
     "storage.retry_attempts": "Failed attempts inside with_retries.",
     "storage.retry_backoff_s": "Simulated backoff charged between retries.",
     "storage.retry_outcomes": "Retried operations, by label and outcome.",

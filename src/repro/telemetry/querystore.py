@@ -42,13 +42,13 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 from repro.common.config import TelemetryConfig
 from repro.engine.explain import misestimate_ratio
 from repro.sql.lexer import Token, tokenize
-from repro.telemetry.metrics import Histogram, percentile
+from repro.storage.metering import IoMeter
+from repro.telemetry.metrics import Histogram, MetricsRegistry, percentile
 from repro.telemetry.scope import RequestScope
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
     from repro.common.events import EventBus
-    from repro.telemetry.metrics import MetricsRegistry
 
 #: Hex digits of SHA-256 kept as a query/plan hash (cross-run stable,
 #: unlike Python's ``hash``).
@@ -167,7 +167,7 @@ class PendingExecution:
         query_hash: str,
         normalized_text: str,
         started_at: float,
-        bytes_read_before: float,
+        bytes_read_before: int,
         tenant: str,
         workload_class: str,
     ) -> None:
@@ -350,9 +350,10 @@ class QueryStore:
 
     Constructed by :class:`~repro.telemetry.facade.Telemetry` when
     ``telemetry.query_store_enabled`` is on and reachable as
-    ``context.telemetry.querystore`` (None when disabled).  ``scope`` is
-    the deployment's request scope; a store constructed standalone gets
-    a private one.
+    ``context.telemetry.querystore`` (None when disabled).  ``metrics``,
+    ``meter`` and ``scope`` are the deployment's registry, object-store
+    meter (per-statement bytes read) and request scope; a store
+    constructed standalone gets private ones.
     """
 
     def __init__(
@@ -360,13 +361,15 @@ class QueryStore:
         clock: "SimulatedClock",
         config: Optional[TelemetryConfig] = None,
         metrics: "Optional[MetricsRegistry]" = None,
+        meter: "Optional[IoMeter]" = None,
         bus: "Optional[EventBus]" = None,
         seed: int = 0,
         scope: Optional[RequestScope] = None,
     ) -> None:
         self._clock = clock
         self._config = config or TelemetryConfig()
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self._meter = meter if meter is not None else IoMeter()
         self._bus = bus
         self._seed = seed
         self._scope = scope if scope is not None else RequestScope()
@@ -399,7 +402,7 @@ class QueryStore:
             query_hash=query_hash,
             normalized_text=normalized,
             started_at=self._clock.now,
-            bytes_read_before=self._bytes_read(),
+            bytes_read_before=self._meter.bytes_read,
             tenant=frame.tenant,
             workload_class=frame.workload_class,
         )
@@ -434,12 +437,11 @@ class QueryStore:
             profile.fold_error(pending, self._clock.now)
             return
         latency = self._clock.now - pending.started_at
-        bytes_read = int(self._bytes_read() - pending.bytes_read_before)
-        regressed = profile.fold(pending, latency, rows, max(bytes_read, 0))
-        if self._metrics is not None:
-            self._metrics.counter(
-                "querystore.recorded", kind=pending.statement_kind
-            ).inc()
+        bytes_read = self._meter.bytes_read - pending.bytes_read_before
+        regressed = profile.fold(pending, latency, rows, bytes_read)
+        self._metrics.counter(
+            "querystore.recorded", kind=pending.statement_kind
+        ).inc()
         if regressed:
             self._on_regression(profile)
 
@@ -459,16 +461,10 @@ class QueryStore:
         """How many executions are currently in flight."""
         return len(self._inflight)
 
-    def _bytes_read(self) -> float:
-        if self._metrics is None:
-            return 0.0
-        return self._metrics.value("storage.bytes_read")
-
     def _on_regression(self, profile: QueryProfile) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(
-                "querystore.plan_regressions", query_hash=profile.query_hash
-            ).inc()
+        self._metrics.counter(
+            "querystore.plan_regressions", query_hash=profile.query_hash
+        ).inc()
         if self._bus is not None:
             self._bus.publish(
                 "querystore.regression",

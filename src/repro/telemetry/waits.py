@@ -40,13 +40,12 @@ import json
 import zlib
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.telemetry.metrics import Histogram
+from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.names import WAIT_NAMES
 from repro.telemetry.scope import Frame, RequestScope
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
-    from repro.telemetry.metrics import MetricsRegistry
     from repro.telemetry.spans import Tracer
 
 #: Track name wait spans are emitted on, so Perfetto/Chrome traces show
@@ -96,9 +95,9 @@ class WaitStats:
 
     Constructed by :class:`~repro.telemetry.facade.Telemetry` when
     ``telemetry.wait_stats_enabled`` is on and reachable as
-    ``context.telemetry.waits`` (None when disabled).  ``scope`` is the
-    deployment's request scope; a collector constructed standalone gets
-    a private one.
+    ``context.telemetry.waits`` (None when disabled).  ``metrics`` and
+    ``scope`` are the deployment's registry and request scope; a
+    collector constructed standalone gets private ones.
     """
 
     def __init__(
@@ -110,7 +109,7 @@ class WaitStats:
         scope: Optional[RequestScope] = None,
     ) -> None:
         self._clock = clock
-        self._metrics = metrics
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
         self._seed = seed
         #: Where unattributed waits get their tenant / class / fingerprint.
@@ -197,9 +196,8 @@ class WaitStats:
             slot[1] += wait_s
             if wait_s > slot[2]:
                 slot[2] = wait_s
-        if self._metrics is not None:
-            self._metrics.counter("waits.recorded", kind=kind).inc()
-            self._metrics.histogram("waits.wait_s", kind=kind).observe(wait_s)
+        self._metrics.counter("waits.recorded", kind=kind).inc()
+        self._metrics.histogram("waits.wait_s", kind=kind).observe(wait_s)
         tracer = self._tracer
         if tracer is not None and wait_s > 0:
             # A closed interval span on the dedicated waits track, ending

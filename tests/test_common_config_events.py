@@ -72,6 +72,20 @@ class TestConfig:
         config.service.dispatch_interval_s = 0.0
         config.validate()
 
+    def test_every_section_rejects_unknown_names(self):
+        """A misspelt knob fails loudly instead of setting nothing."""
+        config = PolarisConfig()
+        sections = [config] + [
+            getattr(config, name)
+            for name in ("storage", "dcp", "sto", "txn", "telemetry", "service", "optimizer")
+        ]
+        assert len({type(section) for section in sections}) == 8
+        for section in sections:
+            with pytest.raises(AttributeError):
+                section.no_such_knob = True
+        with pytest.raises(AttributeError):
+            config.telemetry.metrics = False
+
 
 class TestEventBus:
     def test_publish_reaches_subscriber(self):

@@ -16,7 +16,6 @@ def batch(start, count):
 
 @pytest.fixture
 def metered_dw(config):
-    config.telemetry.metrics = True
     config.telemetry.sample_interval_s = 1.0
     return Warehouse(config=config, auto_optimize=False)
 
@@ -67,7 +66,6 @@ class TestMidFlight:
         assert int(degraded["dv_count"][0]) > 0
 
     def test_pending_compaction_reports_red(self, config):
-        config.telemetry.metrics = True
         dw = Warehouse(config=config, auto_optimize=True)
         session = dw.session()
         session.create_table("t", SCHEMA)

@@ -21,47 +21,52 @@ from repro.fe.write_path import _load_dv, _open_data_file
 from repro.pagefile.cache import BUDGET_BYTES, ENTRY_OVERHEAD_BYTES, ChunkCache
 from repro.storage import integrity
 from repro.storage.integrity import CHECKSUM_KEY
+from repro.telemetry.metrics import MetricsRegistry
 from tests.conftest import small_config
 
 KIB = ENTRY_OVERHEAD_BYTES
 
 
+def _cache(budget_bytes: int = BUDGET_BYTES) -> ChunkCache:
+    return ChunkCache(MetricsRegistry(), budget_bytes)
+
+
 class TestBookkeeping:
     def test_hit_miss_and_lru_eviction(self):
-        cache = ChunkCache(budget_bytes=3 * (100 + KIB))
+        cache = _cache(3 * (100 + KIB))
         for offset in (1, 2, 3):
             cache.put(("p", 1, offset), bytes(100))
         assert cache.get(("p", 1, 1)) == bytes(100)  # 1 is now most recent
         cache.put(("p", 1, 4), bytes(100))  # evicts 2, the least recent
         assert cache.get(("p", 1, 2)) is None
         assert cache.get(("p", 1, 1)) is not None
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (2, 1, 1)
-        assert stats.resident_bytes == 3 * (100 + KIB) and len(cache) == 3
+        counts = (cache.hits.value, cache.misses.value, cache.evictions.value)
+        assert counts == (2, 1, 1)
+        assert cache.resident_bytes == 3 * (100 + KIB) and len(cache) == 3
 
     def test_same_path_other_etag_is_another_blob(self):
-        cache = ChunkCache()
+        cache = _cache()
         cache.put(("p", 1, 4), b"old")
         assert cache.get(("p", 2, 4)) is None
 
     def test_entry_larger_than_budget_is_not_kept(self):
-        cache = ChunkCache(budget_bytes=2 * KIB)
+        cache = _cache(2 * KIB)
         cache.put(("p", 1, 1), bytes(10))
         cache.put(("p", 1, 2), bytes(2 * KIB))
-        assert len(cache) == 1 and cache.stats.evictions == 0
+        assert len(cache) == 1 and cache.evictions.value == 0
 
     def test_zero_budget_keeps_nothing(self):
-        cache = ChunkCache(budget_bytes=0)
+        cache = _cache(0)
         cache.put(("p", 1, 1), b"")
         assert len(cache) == 0 and cache.get(("p", 1, 1)) is None
 
     def test_clear_empties_and_keeps_counters(self):
-        cache = ChunkCache()
+        cache = _cache()
         cache.put(("p", 1, 1), bytes(10))
         cache.get(("p", 1, 1))
         cache.clear()
-        assert len(cache) == 0 and cache.stats.resident_bytes == 0
-        assert cache.stats.hits == 1
+        assert len(cache) == 0 and cache.resident_bytes == 0
+        assert cache.hits.value == 1
 
     def test_default_budget_bounds_the_entry_count(self):
         # The per-entry overhead is what stops a tiny-file workload from
@@ -74,12 +79,12 @@ class TestBookkeeping:
     )
     @settings(max_examples=100, deadline=None)
     def test_cost_never_exceeds_budget(self, budget, operations):
-        cache = ChunkCache(budget_bytes=budget)
+        cache = _cache(budget)
         for offset, size in operations:
             if cache.get(("p", 1, offset)) is None:
                 cache.put(("p", 1, offset), bytes(size))
             held = sum(len(raw) + KIB for raw in cache._entries.values())
-            assert cache.stats.resident_bytes == held <= budget
+            assert cache.resident_bytes == held <= budget
 
 
 # -- the rule, through a real warehouse ---------------------------------------
@@ -118,9 +123,9 @@ def warm():
     """A warehouse whose every chunk of ``t`` is cached."""
     dw = _loaded()
     _scan(dw)
-    before = dw.context.chunk_cache.stats.misses
+    before = dw.context.chunk_cache.misses.value
     _scan(dw)
-    assert dw.context.chunk_cache.stats.misses == before, "second scan must be all hits"
+    assert dw.context.chunk_cache.misses.value == before, "second scan must be all hits"
     return dw
 
 
@@ -230,13 +235,13 @@ class TestSameCostWarmColdOrOff:
         # Three identical histories, so the absolute clocks and meters
         # must agree to the last bit whatever the cache did.
         warm, cleared, off = _loaded(), _loaded(), _loaded()
-        off.context.chunk_cache = ChunkCache(budget_bytes=0)
+        off.context.chunk_cache = _cache(0)
         for dw in (warm, cleared, off):
             _scan(dw)
         cleared.context.chunk_cache.clear()
         batches = [_scan(dw) for dw in (warm, cleared, off)]
-        assert warm.context.chunk_cache.stats.hits > 0
-        assert cleared.context.chunk_cache.stats.hits == 0
+        assert warm.context.chunk_cache.hits.value > 0
+        assert cleared.context.chunk_cache.hits.value == 0
         assert len(off.context.chunk_cache) == 0
         for dw, batch in zip((cleared, off), batches[1:]):
             assert dw.clock.now == warm.clock.now
@@ -252,7 +257,7 @@ class TestLifecycle:
         cache = warm.context.chunk_cache
         assert len(cache) > 0
         RecoveryManager(warm.context, sto=warm.sto).recover()
-        assert len(cache) == 0 and cache.stats.resident_bytes == 0
+        assert len(cache) == 0 and cache.resident_bytes == 0
         assert len(_scan(warm)["k"]) == ROWS
 
     def test_mutating_a_returned_array_does_not_change_the_next_read(self, warm):
@@ -275,29 +280,20 @@ class TestLifecycle:
 
 class TestVisibility:
     def test_stats_are_mirrored_to_metrics_and_the_health_report(self):
-        config = small_config()
-        config.telemetry.metrics = True
-        dw = _loaded(config)
+        dw = _loaded()
         _scan(dw)
         _scan(dw)
-        stats = dw.context.chunk_cache.stats
+        cache = dw.context.chunk_cache
         metrics = dw.telemetry.metrics
-        assert stats.hits > 0 and stats.misses > 0
-        assert metrics.value("pagefile.chunk_cache.hits") == stats.hits
-        assert metrics.value("pagefile.chunk_cache.misses") == stats.misses
-        assert metrics.value("pagefile.chunk_cache.evictions") == stats.evictions
-        assert metrics.value("pagefile.chunk_cache.resident_bytes") == stats.resident_bytes
+        # The cache counts into the deployment's registry and nowhere else.
+        assert cache.hits is metrics.counter("pagefile.chunk_cache.hits")
+        assert cache.misses is metrics.counter("pagefile.chunk_cache.misses")
+        assert cache.evictions is metrics.counter("pagefile.chunk_cache.evictions")
+        hits, misses = int(cache.hits.value), int(cache.misses.value)
+        assert hits > 0 and misses > 0
+        assert metrics.value("pagefile.chunk_cache.resident_bytes") == cache.resident_bytes
         line = (
-            f"chunk cache: {stats.hits} hits, {stats.misses} misses, "
-            f"{stats.evictions} evictions, {stats.resident_bytes} B resident"
+            f"chunk cache: {hits} hits, {misses} misses, "
+            f"{int(cache.evictions.value)} evictions, {cache.resident_bytes} B resident"
         )
         assert line in dw.context.introspection.report()
-
-    def test_metering_off_records_no_metrics(self):
-        config = small_config()
-        config.telemetry.metrics = False
-        dw = _loaded(config)
-        _scan(dw)
-        _scan(dw)
-        assert dw.context.chunk_cache.stats.hits > 0
-        assert dw.telemetry.metrics.value("pagefile.chunk_cache.hits") == 0

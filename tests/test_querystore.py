@@ -230,7 +230,20 @@ class TestFingerprintedOnce:
         for text in statements:
             sql.execute(text)
         assert lexed == statements
-        assert dw.context.plan_cache.stats.hits == 1
+        assert dw.context.plan_cache.hits.value == 1
+
+    def test_bytes_read_is_the_io_meter_delta_of_the_statement(self):
+        dw = Warehouse(config=store_config(), auto_optimize=False)
+        sql = SqlSession(dw.session())
+        sql.execute("CREATE TABLE t (id BIGINT, v DOUBLE)")
+        sql.execute("INSERT INTO t (id, v) VALUES (1, 1.5), (2, 2.5), (3, 3.5)")
+        text = "SELECT id, v FROM t WHERE id > 1"
+        before = dw.store.meter.bytes_read
+        sql.execute(text)
+        read = dw.store.meter.bytes_read - before
+        rows = rows_of(sql.execute("SELECT * FROM sys.dm_exec_query_stats"))
+        (row,) = [r for r in rows if r["query_hash"] == fingerprint(text)]
+        assert read > 0 and row["total_bytes_read"] == read
 
 
 class TestFingerprintCorpus:

@@ -28,21 +28,18 @@ class PollingGateway(Gateway):
             request, expired = self.admission.next_request()
             for timed_out in expired:
                 self._finish(timed_out, "timed_out")
-                if self._telemetry.metering:
-                    self._telemetry.metrics.counter(
-                        "service.timeouts",
-                        workload_class=timed_out.workload_class,
-                    ).inc()
+                self._telemetry.metrics.counter(
+                    "service.timeouts", workload_class=timed_out.workload_class
+                ).inc()
                 self._telemetry.record_wait(
                     "queue_deadline",
                     self._context.clock.now - timed_out.submitted_at,
                     tenant=timed_out.tenant,
                     workload_class=timed_out.workload_class,
                 )
-            if self._telemetry.metering:
-                self._telemetry.metrics.gauge("service.queue_depth").set(
-                    self.admission.queue_depth()
-                )
+            self._telemetry.metrics.gauge("service.queue_depth").set(
+                self.admission.queue_depth()
+            )
             if request is None:
                 if self.scheduler.pending == 0:
                     return None

@@ -27,6 +27,7 @@ from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
 from repro.sql.plan_cache import PlanCache, Shape
 from repro.sqldb import system_tables
+from repro.telemetry.metrics import MetricsRegistry
 from tests.conftest import assert_identical, small_config
 
 CUSTOMERS = 100
@@ -277,7 +278,7 @@ class TestOracle:
         sql = SqlSession(loaded.session())
         cache = sql.session._context.plan_cache
         cache.clear()
-        before = (cache.stats.hits, cache.stats.misses)
+        before = (cache.hits.value, cache.misses.value)
         for template, literals in (
             (CUSTOMER_BY_KEY, [(3,), (4,)]),
             (LINES_BY_ORDER, [(10,), (11,)]),
@@ -287,7 +288,7 @@ class TestOracle:
         ):
             assert run(sql, template.format(*literals[0]))[1] is None
             assert run(sql, template.format(*literals[1]))[1] is not None
-        assert (cache.stats.hits, cache.stats.misses) == (
+        assert (cache.hits.value, cache.misses.value) == (
             before[0] + 5,
             before[1] + 5,
         )
@@ -353,11 +354,11 @@ class TestAlwaysCompiles:
     def test_non_select_statements_skip_the_cache(self, fresh_dw):
         sql = SqlSession(fresh_dw.session())
         cache = sql.session._context.plan_cache
-        before = (cache.stats.hits, cache.stats.misses)
+        before = (cache.hits.value, cache.misses.value)
         sql.execute("INSERT INTO acct (id, bal, grp) VALUES (900, 1.0, 1)")
         sql.execute("UPDATE acct SET bal = bal + 1.0 WHERE id = 900")
         sql.execute("DELETE FROM acct WHERE id = 900")
-        assert (cache.stats.hits, cache.stats.misses) == before
+        assert (cache.hits.value, cache.misses.value) == before
 
 
 class TestValidity:
@@ -480,14 +481,14 @@ class TestPlanCacheUnit:
         return Shape.of(tokenize(text)), plan
 
     def test_substitutes_lit_and_prune(self):
-        cache = PlanCache()
+        cache = PlanCache(MetricsRegistry())
         shape, plan = self._lookup(5)
         cache.put(shape, 1, plan)
         variant, expected = self._lookup(9)
         assert cache.get(variant, 1) == expected
 
     def test_other_tables_seq_misses(self):
-        cache = PlanCache()
+        cache = PlanCache(MetricsRegistry())
         shape, plan = self._lookup(5)
         cache.put(shape, 1, plan)
         assert cache.get(self._lookup(9)[0], 2) is None
@@ -495,7 +496,7 @@ class TestPlanCacheUnit:
     def test_lru_keeps_capacity_entries(self, monkeypatch):
         assert plan_cache.CAPACITY == 256
         monkeypatch.setattr(plan_cache, "CAPACITY", 2)
-        cache = PlanCache()
+        cache = PlanCache(MetricsRegistry())
         shapes = []
         for column in ("a", "b", "c"):
             text = f"SELECT {column} FROM t WHERE {column} = 1"
@@ -510,9 +511,7 @@ class TestPlanCacheUnit:
         assert cache.get(shapes[2], 0) is not None
 
     def test_counts_hits_and_misses_as_metrics(self):
-        config = PolarisConfig()
-        config.telemetry.metrics = True
-        dw = Warehouse(config=config, auto_optimize=False)
+        dw = Warehouse(config=PolarisConfig(), auto_optimize=False)
         sql = SqlSession(dw.session())
         sql.execute("CREATE TABLE t (id BIGINT)")
         sql.execute("INSERT INTO t (id) VALUES (1), (2)")

@@ -29,7 +29,6 @@ def test_collectors_cost_no_simulated_time_and_change_no_answer():
     clock to the last bit, the same bytes, one profile per fingerprint."""
     runs = 3
     off, on = small_config(), small_config()
-    off.telemetry.metrics = False
     on.telemetry.query_store_enabled = True
     on.telemetry.wait_stats_enabled = True
     plain, observed = tpch_warehouse(off), tpch_warehouse(on)
@@ -42,6 +41,7 @@ def test_collectors_cost_no_simulated_time_and_change_no_answer():
                 plain_sql.execute(SQL_QUERIES[qnum]),
             )
     assert observed.clock.now == plain.clock.now
+    assert observed.store.meter == plain.store.meter
     assert observed.telemetry.waits.inflight_count == 0
     stats = observed_sql.execute(
         "SELECT query_hash, executions FROM sys.dm_exec_query_stats "

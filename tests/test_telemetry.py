@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
 from repro import Schema, Warehouse, WriteConflictError
+from repro.engine.planner import TableScan
 from repro.telemetry import (
     MetricsRegistry,
     chrome_trace,
     combined_chrome_trace,
+    facade,
+    instances,
+    introspection,
     snapshot_delta,
     spans_to_jsonl,
 )
@@ -201,18 +206,27 @@ class TestMetrics:
         delta = snapshot_delta(registry.snapshot(), before)
         assert delta["c"] == 2
 
-    def test_storage_metrics_match_io_meter(self, dw, tsession):
+    def test_store_operations_view_reads_the_io_meter(self, dw, tsession):
         tsession.insert("t", ids(50))
-        meter = dw.store.meter.snapshot()
-        metrics = dw.telemetry.metrics
-        assert metrics.value("storage.bytes_written") == meter.bytes_written
-        assert metrics.value("storage.bytes_read") == meter.bytes_read
-        total_requests = sum(
-            metrics.values("storage.requests").values()
+        tsession.query(TableScan("t", ["id", "v"]))
+        meter = dw.store.meter
+        assert meter is dw.telemetry.meter
+        rows = dw.context.introspection.rows("sys.dm_store_operations")
+        assert {row["operation"]: row["requests"] for row in rows} == meter.requests
+        assert meter.requests["get"] > 0 and meter.requests["put"] > 0
+        for row in rows:
+            assert row["latency_count"] == row["requests"]
+
+    def test_report_object_store_line_reads_the_io_meter(self, dw, tsession):
+        tsession.insert("t", ids(50))
+        tsession.query(TableScan("t", ["id", "v"]))
+        meter = dw.store.meter
+        line = (
+            f"object store: {meter.total_requests} requests, "
+            f"{meter.bytes_read} B read, {meter.bytes_written} B written"
         )
-        assert total_requests == meter.total_requests
-        for op, count in meter.requests.items():
-            assert metrics.value("storage.requests", op=op) == count
+        assert meter.bytes_read > 0 and meter.bytes_written > 0
+        assert line in dw.context.introspection.report().splitlines()
 
     def test_latency_never_double_booked(self, dw, tsession):
         tsession.insert("t", ids(50))
@@ -286,19 +300,6 @@ class TestDisabled:
         assert warehouse.telemetry.spans == []
         assert warehouse.telemetry.current_span is None
 
-    def test_fully_disabled_records_nothing(self):
-        config = small_config()
-        config.telemetry.metrics = False
-        dw = Warehouse(config=config, auto_optimize=False)
-        session = dw.session()
-        session.create_table(
-            "t", Schema.of(("id", "int64"), ("v", "float64")),
-            distribution_column="id",
-        )
-        session.insert("t", ids(20))
-        assert dw.telemetry.spans == []
-        assert dw.telemetry.metrics.snapshot() == {}
-
     def test_span_cap_drops_not_grows(self):
         config = small_config()
         config.telemetry.enabled = True
@@ -312,6 +313,26 @@ class TestDisabled:
         session.insert("t", ids(50))
         assert len(dw.telemetry.spans) == 5
         assert dw.telemetry.tracer.dropped > 0
+
+
+class TestInstanceRegistries:
+    def test_dead_warehouses_leave_both_registries(self):
+        gc.collect()
+        before = (len(facade._INSTANCES), len(introspection._INSTANCES))
+        for _ in range(50):
+            Warehouse(config=small_config(), auto_optimize=False)
+        gc.collect()
+        assert (len(facade._INSTANCES), len(introspection._INSTANCES)) == before
+
+    def test_live_instances_keep_creation_order(self):
+        first, second = (
+            Warehouse(config=small_config(), auto_optimize=False) for _ in range(2)
+        )
+        assert instances()[-2:] == [first.telemetry, second.telemetry]
+        assert introspection.instances()[-2:] == [
+            first.context.introspection,
+            second.context.introspection,
+        ]
 
 
 class TestStoSpans:

@@ -23,6 +23,7 @@ from repro.engine.batch import num_rows
 from repro.engine.executor import dict_scan_source, execute_plan
 from repro.engine.planner import preorder
 from repro.pagefile.cache import ChunkCache
+from repro.telemetry.metrics import MetricsRegistry
 from repro.workloads.tpch import TPCH_QUERIES, TpchGenerator
 from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
 from tests.conftest import small_config
@@ -59,7 +60,7 @@ def triplet(tables):
     analyzed one has a zero budget and never holds anything.
     """
     warehouses = [loaded_warehouse(tables) for _ in range(3)]
-    warehouses[2].context.chunk_cache = ChunkCache(budget_bytes=0)
+    warehouses[2].context.chunk_cache = ChunkCache(MetricsRegistry(), budget_bytes=0)
     for dw in warehouses:
         for qnum in sorted(TPCH_QUERIES):
             dw.session().query(TPCH_QUERIES[qnum]())
@@ -114,7 +115,7 @@ def test_observed_runs_match_plain_run(qnum, triplet):
     plain_dw, profiled_dw, analyzed_dw = triplet
     warm, cold, off = (dw.context.chunk_cache for dw in triplet)
     cold.clear()
-    warm_misses, cold_misses = warm.stats.misses, cold.stats.misses
+    warm_misses, cold_misses = warm.misses.value, cold.misses.value
     plan = TPCH_QUERIES[qnum]()
     plain = plain_dw.session().query(plan)
     profile = profiled_dw.session().query_profiled(plan)
@@ -122,9 +123,9 @@ def test_observed_runs_match_plain_run(qnum, triplet):
     assert_byte_identical(profile.batch, plain)
     assert_byte_identical(analyzed.batch, plain)
     # The three runs really were warm / cold / uncached.
-    assert warm.stats.misses == warm_misses and warm.stats.hits > 0
-    assert cold.stats.misses > cold_misses
-    assert len(off) == 0 and off.stats.hits == 0
+    assert warm.misses.value == warm_misses and warm.hits.value > 0
+    assert cold.misses.value > cold_misses
+    assert len(off) == 0 and off.hits.value == 0
     # Identical histories, so not just the elapsed time but the absolute
     # simulated clocks must agree, to the last bit.
     assert profiled_dw.clock.now == plain_dw.clock.now

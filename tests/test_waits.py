@@ -262,9 +262,7 @@ class TestEndToEnd:
         assert scope.current == Frame()
 
     def test_waits_metrics_mirrored(self):
-        config = waits_config(
-            metrics=True, txn__commit_hold_s=0.5
-        )
+        config = waits_config(txn__commit_hold_s=0.5)
         dw = Warehouse(config=config, auto_optimize=False)
         sql = SqlSession(dw.session())
         sql.execute("CREATE TABLE t (id BIGINT, v DOUBLE)")
@@ -273,7 +271,9 @@ class TestEndToEnd:
         metrics = dw.telemetry.metrics
         recorded = metrics.value("waits.recorded", kind="commit_lock")
         assert recorded and recorded >= 2
-        assert metrics.value("sqldb.commit_lock_acquisitions") >= 3
+        acquisitions = dw.context.sqldb.commit_lock.acquisitions
+        assert acquisitions >= 3
+        assert metrics.histogram("sqldb.commit_lock_hold_s").count == acquisitions
 
     def test_disabled_means_none_and_no_rows(self):
         dw = Warehouse(config=PolarisConfig(), auto_optimize=False)
@@ -284,7 +284,7 @@ class TestEndToEnd:
 
 class TestCrashHygiene:
     def test_crash_leaves_scope_open_and_recovery_scavenges(self):
-        dw = Warehouse(config=waits_config(metrics=True), auto_optimize=False)
+        dw = Warehouse(config=waits_config(), auto_optimize=False)
         waits = dw.telemetry.waits
         clock = dw.context.clock
         with pytest.raises(SimulatedCrash):
