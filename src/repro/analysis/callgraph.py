@@ -75,11 +75,6 @@ class FunctionInfo:
         """Definition line."""
         return getattr(self.node, "lineno", 1)
 
-    @property
-    def is_public(self) -> bool:
-        """Whether the function's own name is public (no leading ``_``)."""
-        return not self.name.startswith("_")
-
 
 @dataclass(frozen=True)
 class CallSite:

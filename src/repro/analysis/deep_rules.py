@@ -1,13 +1,8 @@
 """The whole-program ("deep") analyses: ``python -m repro.analysis --deep``.
 
-Five analyses run over a :class:`~repro.analysis.callgraph.Program`
+Three analyses run over a :class:`~repro.analysis.callgraph.Program`
 instead of one module at a time:
 
-``lock-order``
-    builds the global lock-order graph from every ``with lock.held():``
-    / ``with some_lock:`` / ``acquire()``/``release()`` site, propagated
-    through the call graph, and reports cycles (potential deadlocks),
-    re-entrant acquisitions, and inversions of the canonical order.
 ``crash-unwind``
     every function from which a registered crashpoint is reachable must
     let ``SimulatedCrash`` unwind: the first handler that could catch it
@@ -25,11 +20,6 @@ instead of one module at a time:
     call from engine code into a helper that (transitively) reads the
     wall clock or unseeded randomness is flagged at the laundering call
     site, even though the call site itself looks innocent.
-``crashpoint-reachability``
-    every name in ``CRASHPOINTS`` must be instrumented by a
-    ``crashpoint()`` call whose enclosing function is reachable from a
-    public FE/service/STO entrypoint — otherwise the chaos sweep
-    "covers" a site that no real workload can ever hit.
 
 Suppressions use the same ``# repro: ignore[rule]`` comments as the
 linter; the deep runner honours and (in strict mode) validates the ones
@@ -51,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.callgraph import CALL, LEXICAL, REF, FunctionInfo, Program
+from repro.analysis.callgraph import CALL, FunctionInfo, Program
 from repro.analysis.cfg import build_cfg, completion
 from repro.analysis.dataflow import GenKill, drop_exc_base
 from repro.analysis.framework import (
@@ -65,23 +55,12 @@ from repro.analysis.rules import WALLCLOCK_BANNED
 
 #: The deep rule names (suppressible like lint rules).
 DEEP_RULES: List[str] = [
-    "lock-order",
     "crash-unwind",
     "resource-leak",
     "determinism-taint",
-    "crashpoint-reachability",
 ]
 
 register_external_rules(DEEP_RULES)
-
-#: Outermost-first canonical lock order; acquiring a lock that appears
-#: *earlier* in this list while holding a later one is an inversion even
-#: before a full cycle exists.  Extend as the system grows more locks.
-CANONICAL_LOCK_ORDER: Tuple[str, ...] = (
-    "gateway_lock",
-    "pool_lock",
-    "commit_lock",
-)
 
 #: Modules treated as the crash process boundary (may catch SimulatedCrash).
 _CRASH_BOUNDARY_DIRS = ("chaos",)
@@ -90,18 +69,6 @@ _CRASH_BOUNDARY_DIRS = ("chaos",)
 #: that reaches the wall clock is exactly what determinism-taint flags.
 _WALLCLOCK_EXEMPT_DIRS = ("telemetry",)
 _WALLCLOCK_EXEMPT_FILES = ("common/clock.py",)
-
-#: Public entry surfaces for crashpoint reachability (posix suffixes).
-ENTRY_SUFFIXES: Tuple[str, ...] = (
-    "fe/session.py",
-    "fe/warehouse.py",
-    "service/gateway.py",
-    "service/__main__.py",
-    "sto/orchestrator.py",
-    "sql/runner.py",
-    "chaos/harness.py",
-    "chaos/recovery.py",
-)
 
 
 @dataclass(frozen=True)
@@ -192,12 +159,6 @@ def _hint_name(chain: List[str]) -> Optional[str]:
     return None
 
 
-def _is_lock_token(name: str) -> bool:
-    """Identifier names a lock: has a ``lock``/``mutex`` segment."""
-    segments = name.lstrip("_").lower().split("_")
-    return any(seg in ("lock", "locks", "mutex") for seg in segments)
-
-
 def _finding(
     module: ModuleSource, lineno: int, rule: str, message: str
 ) -> Finding:
@@ -215,90 +176,6 @@ def _callsite_index(
         method = site.callee.rpartition(".")[2]
         index[(site.caller, site.lineno, method)] = site.callee
     return index
-
-
-# -- lock-order ----------------------------------------------------------------
-
-
-def _lock_token_of_with_item(item: ast.withitem) -> Optional[str]:
-    """The lock token a ``with`` item acquires, if it is a lock."""
-    expr = item.context_expr
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        if isinstance(func, ast.Attribute) and func.attr in ("held", "acquire"):
-            chain = _receiver_chain(func)
-            if chain is not None:
-                name = _hint_name(chain)
-                if name:
-                    return name
-        return None
-    if isinstance(expr, ast.Name) and _is_lock_token(expr.id):
-        return expr.id.lstrip("_")
-    if isinstance(expr, ast.Attribute) and _is_lock_token(expr.attr):
-        return expr.attr.lstrip("_")
-    return None
-
-
-def _scan_lock_events(
-    func: FunctionInfo,
-) -> Tuple[List[Tuple[str, ast.AST, Set[str]]], List[Tuple[ast.Call, Set[str]]]]:
-    """``(acquisitions, calls)`` with the lexically-held set at each.
-
-    Acquisitions are ``with``-based lock grabs plus explicit
-    ``x.acquire()`` calls on lock-named receivers; ``calls`` is every
-    call site (for interprocedural propagation).
-    """
-    acquisitions: List[Tuple[str, ast.AST, Set[str]]] = []
-    calls: List[Tuple[ast.Call, Set[str]]] = []
-
-    def visit(stmts: Sequence[ast.stmt], held: Set[str]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                inner = set(held)
-                for item in stmt.items:
-                    token = _lock_token_of_with_item(item)
-                    if token is not None:
-                        acquisitions.append((token, stmt, set(inner)))
-                        inner.add(token)
-                    for call in _calls_in_expr(item.context_expr):
-                        calls.append((call, set(held)))
-                visit(stmt.body, inner)
-                continue
-            for call in _calls_in_stmt_head(stmt):
-                calls.append((call, set(held)))
-                token = _explicit_lock_call(call)
-                if token is not None:
-                    acquisitions.append((token, call, set(held)))
-            for child in _child_stmt_lists(stmt):
-                visit(child, held)
-
-    visit(getattr(func.node, "body", []), set())
-    return acquisitions, calls
-
-
-def _explicit_lock_call(call: ast.Call) -> Optional[str]:
-    """Token for an explicit ``x.acquire()`` on a lock-named receiver."""
-    func = call.func
-    if isinstance(func, ast.Attribute) and func.attr == "acquire":
-        chain = _receiver_chain(func)
-        if chain is not None:
-            name = _hint_name(chain)
-            if name and _is_lock_token(name):
-                return name
-    return None
-
-
-def _child_stmt_lists(stmt: ast.stmt) -> List[List[ast.stmt]]:
-    out = []
-    for attr in ("body", "orelse", "finalbody"):
-        child = getattr(stmt, attr, None)
-        if child:
-            out.append(child)
-    for handler in getattr(stmt, "handlers", []) or []:
-        out.append(handler.body)
-    return out
 
 
 def _calls_in_stmt_head(stmt: ast.stmt) -> List[ast.Call]:
@@ -327,153 +204,6 @@ def _calls_in_expr(expr: ast.AST) -> List[ast.Call]:
         if isinstance(node, ast.Call)
         and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
-
-
-def check_lock_order(program: Program) -> List[Finding]:
-    """Build the global lock-order graph; report cycles and inversions."""
-    # 1. per-function acquisition scans.
-    per_func: Dict[str, Tuple[list, list]] = {}
-    for qualname, info in program.functions.items():
-        per_func[qualname] = _scan_lock_events(info)
-
-    # 2. transitive lock sets: locks a call into f may acquire.
-    acq_trans: Dict[str, Set[str]] = {
-        q: {token for token, _, _ in events[0]} for q, events in per_func.items()
-    }
-    changed = True
-    while changed:
-        changed = False
-        for qualname in per_func:
-            for site in program.callees_of(qualname):
-                if site.kind != CALL:
-                    continue
-                extra = acq_trans.get(site.callee, set()) - acq_trans[qualname]
-                if extra:
-                    acq_trans[qualname] |= extra
-                    changed = True
-
-    # 3. order edges: held -> acquired, with an example site each.
-    edges: Dict[Tuple[str, str], Tuple[str, int]] = {}
-
-    def add_edge(held: str, acquired: str, module: str, lineno: int) -> None:
-        edges.setdefault((held, acquired), (module, lineno))
-
-    callsites = {
-        (s.caller, s.lineno): s.callee
-        for s in program.calls
-        if s.kind == CALL
-    }
-    for qualname, (acquisitions, calls) in per_func.items():
-        info = program.functions[qualname]
-        for token, node, held in acquisitions:
-            for h in held:
-                add_edge(h, token, info.module, node.lineno)
-        for call, held in calls:
-            if not held:
-                continue
-            callee = callsites.get((qualname, call.lineno))
-            if callee is None:
-                continue
-            for token in acq_trans.get(callee, set()):
-                for h in held:
-                    add_edge(h, token, info.module, call.lineno)
-
-    findings: List[Finding] = []
-
-    def module_of(name: str) -> ModuleSource:
-        return program.modules[name]
-
-    # 4a. re-entrant self-loops.
-    for (held, acquired), (modname, lineno) in sorted(edges.items()):
-        if held == acquired:
-            findings.append(
-                _finding(
-                    module_of(modname),
-                    lineno,
-                    "lock-order",
-                    f"lock '{acquired}' acquired while already held "
-                    "(non-reentrant locks deadlock here)",
-                )
-            )
-
-    # 4b. cycles via DFS over the order graph.
-    graph: Dict[str, Set[str]] = {}
-    for held, acquired in edges:
-        if held != acquired:
-            graph.setdefault(held, set()).add(acquired)
-    for cycle in _find_cycles(graph):
-        members = set(cycle)
-        modname, lineno = next(
-            (
-                site
-                for (held, acquired), site in sorted(edges.items())
-                if held in members and acquired in members
-            ),
-            next(iter(edges.values())),
-        )
-        pretty = " -> ".join(cycle + [cycle[0]])
-        findings.append(
-            _finding(
-                module_of(modname),
-                lineno,
-                "lock-order",
-                f"lock-order cycle {pretty}: concurrent threads taking "
-                "these locks in different orders can deadlock",
-            )
-        )
-
-    # 4c. canonical-order inversions.
-    rank = {name: i for i, name in enumerate(CANONICAL_LOCK_ORDER)}
-    for (held, acquired), (modname, lineno) in sorted(edges.items()):
-        if held in rank and acquired in rank and rank[held] > rank[acquired]:
-            findings.append(
-                _finding(
-                    module_of(modname),
-                    lineno,
-                    "lock-order",
-                    f"'{acquired}' acquired while holding '{held}' inverts "
-                    "the canonical lock order "
-                    f"({' -> '.join(CANONICAL_LOCK_ORDER)})",
-                )
-            )
-    return findings
-
-
-def _find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
-    """Minimal cycle enumeration: one representative cycle per SCC > 1."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        index[v] = lowlink[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(graph.get(v, ())):
-            if w not in index:
-                strongconnect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            if len(component) > 1:
-                sccs.append(sorted(component))
-
-    for v in sorted(graph):
-        if v not in index:
-            strongconnect(v)
-    return sccs
 
 
 # -- crash-unwind --------------------------------------------------------------
@@ -597,21 +327,6 @@ class _Token:
     var: Optional[str]
     lineno: int
     guard: Optional[str] = None
-
-
-def _match_spec_call(
-    call: ast.Call,
-    method_names: Set[str],
-    func: FunctionInfo,
-    callsite_index: Dict[Tuple[str, int, str], str],
-) -> Optional[Tuple[str, Optional[str]]]:
-    """``(method, resolved-callee-class)`` when the call's method matches."""
-    tail = _call_tail(call)
-    if tail not in method_names:
-        return None
-    callee = callsite_index.get((func.qualname, call.lineno, tail))
-    cls = callee.rpartition(".")[0].rpartition(".")[2] if callee else None
-    return tail, cls
 
 
 def _spec_for_acquire(
@@ -1162,99 +877,10 @@ def check_determinism_taint(program: Program) -> List[Finding]:
     return findings
 
 
-# -- crashpoint-reachability ---------------------------------------------------
-
-
-def check_crashpoint_reachability(
-    program: Program,
-    registry: Optional[Dict[str, str]] = None,
-    entry_suffixes: Sequence[str] = ENTRY_SUFFIXES,
-) -> List[Finding]:
-    """Every registered crashpoint is instrumented *and* reachable."""
-    if registry is None:
-        from repro.chaos.crashpoints import CRASHPOINTS
-
-        registry = CRASHPOINTS
-    # instrumented sites: name -> [(function qualname, lineno)].
-    sites: Dict[str, List[Tuple[str, int]]] = {}
-    for qualname, info in program.functions.items():
-        for node in _own_nodes(info.node):
-            if (
-                isinstance(node, ast.Call)
-                and _call_tail(node) == "crashpoint"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                sites.setdefault(node.args[0].value, []).append(
-                    (qualname, node.lineno)
-                )
-
-    roots: List[str] = []
-    for qualname, info in program.functions.items():
-        module = program.modules[info.module]
-        if not any(_endswith(module, suffix) for suffix in entry_suffixes):
-            continue
-        if not info.is_public:
-            continue
-        if info.cls is not None and info.cls.rpartition(".")[2].startswith("_"):
-            continue
-        roots.append(qualname)
-    reachable = program.reachable_from(sorted(roots), kinds=(CALL, REF, LEXICAL))
-
-    registry_module = next(
-        (
-            mod
-            for mod in program.modules.values()
-            if _endswith(mod, "chaos/crashpoints.py")
-        ),
-        None,
-    )
-    findings: List[Finding] = []
-    for name in sorted(registry):
-        here = sites.get(name)
-        if not here:
-            if registry_module is not None:
-                findings.append(
-                    _finding(
-                        registry_module,
-                        _registry_line(registry_module, name),
-                        "crashpoint-reachability",
-                        f"crashpoint {name!r} is registered but never "
-                        "instrumented by a crashpoint() call — the chaos "
-                        "sweep reports it covered while no code path can "
-                        "hit it",
-                    )
-                )
-            continue
-        if not any(func in reachable for func, _ in here):
-            func, lineno = here[0]
-            info = program.functions[func]
-            findings.append(
-                _finding(
-                    program.modules[info.module],
-                    lineno,
-                    "crashpoint-reachability",
-                    f"crashpoint {name!r} is instrumented in {func} but "
-                    "that function is not reachable from any public "
-                    "FE/service/STO entrypoint",
-                )
-            )
-    return findings
-
-
-def _registry_line(module: ModuleSource, name: str) -> int:
-    for lineno, line in enumerate(module.source.splitlines(), start=1):
-        if f'"{name}"' in line or f"'{name}'" in line:
-            return lineno
-    return 1
-
-
 # -- the deep runner -----------------------------------------------------------
 
-#: check name -> callable(program) (crashpoint-reachability is special-cased).
+#: check name -> callable(program).
 _CHECKS = {
-    "lock-order": check_lock_order,
     "crash-unwind": check_crash_unwind,
     "resource-leak": check_resource_leaks,
     "determinism-taint": check_determinism_taint,
@@ -1265,17 +891,12 @@ def run_deep(
     paths: Sequence[Path],
     strict: bool = False,
     checks: Optional[Sequence[str]] = None,
-    crashpoint_registry: Optional[Dict[str, str]] = None,
-    entry_suffixes: Sequence[str] = ENTRY_SUFFIXES,
 ) -> List[Finding]:
     """Run the whole-program analyses over ``paths``.
 
     Suppressions on the flagged line (``# repro: ignore[rule]``) are
     honoured; in strict mode a suppression naming *only* deep rules that
-    matched nothing is reported as ``useless-suppression``.  The
-    crashpoint-reachability check runs only when the scanned tree
-    contains the registry module (``chaos/crashpoints.py``) or when a
-    registry is injected explicitly.
+    matched nothing is reported as ``useless-suppression``.
     """
     program = Program.load([Path(p) for p in paths])
     wanted = set(checks) if checks is not None else set(DEEP_RULES)
@@ -1283,19 +904,6 @@ def run_deep(
     for name, check in _CHECKS.items():
         if name in wanted:
             findings.extend(check(program))
-    if "crashpoint-reachability" in wanted:
-        has_registry = crashpoint_registry is not None or any(
-            _endswith(mod, "chaos/crashpoints.py")
-            for mod in program.modules.values()
-        )
-        if has_registry:
-            findings.extend(
-                check_crashpoint_reachability(
-                    program,
-                    registry=crashpoint_registry,
-                    entry_suffixes=entry_suffixes,
-                )
-            )
     findings = _apply_suppressions(program, findings, strict=strict)
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings

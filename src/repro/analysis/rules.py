@@ -10,10 +10,8 @@ resolve statically, and every flagged line accepts a
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Optional, Set
 
-from repro.chaos.crashpoints import CRASHPOINTS
 from repro.telemetry.names import (
     METRIC_NAMES,
     SPAN_NAMES,
@@ -565,79 +563,6 @@ class DocstringCoverageRule(Rule):
                         )
 
 
-# -- crashpoint-discipline -----------------------------------------------------
-
-#: Directories whose modules may carry crash-injection sites.  Crashpoints
-#: model process death inside the commit/write/STO protocols; sprinkling
-#: them elsewhere (tests, analysis, telemetry) would let a chaos sweep
-#: "crash" in places no real process boundary exists.
-CRASHPOINT_DIRS = ("fe", "sqldb", "sto", "service", "chaos")
-
-
-@register
-class CrashpointDisciplineRule(Rule):
-    """``crashpoint()`` sites are literal, registered, and confined.
-
-    The chaos sweep enumerates :data:`repro.chaos.crashpoints.CRASHPOINTS`
-    and relies on three properties this rule enforces statically: every
-    site name is a string literal (so the catalogue is greppable), every
-    name is registered (an unregistered name would never be swept), and
-    sites live only in the instrumented protocol layers.  Duplicate names
-    within a module defeat "crash there once" semantics and are flagged;
-    cross-module uniqueness is covered by the chaos test suite.
-    """
-
-    name = "crashpoint-discipline"
-    description = (
-        "crashpoint() sites are literal, registered, unique, and confined "
-        "to fe/, sqldb/, sto/, service/, chaos/"
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        """Yield misused crash-injection sites in the module."""
-        seen: Set[str] = set()
-        for call in iter_calls(module.tree):
-            if call_name(call) != "crashpoint":
-                continue
-            if not any(_in_dir(module, d) for d in CRASHPOINT_DIRS):
-                yield self.finding(
-                    module,
-                    call,
-                    "crashpoint() outside the instrumented layers "
-                    f"({', '.join(CRASHPOINT_DIRS)})",
-                )
-                continue
-            if (
-                len(call.args) != 1
-                or call.keywords
-                or not isinstance(call.args[0], ast.Constant)
-                or not isinstance(call.args[0].value, str)
-            ):
-                yield self.finding(
-                    module,
-                    call,
-                    "crashpoint() takes exactly one string-literal site name",
-                )
-                continue
-            site = call.args[0].value
-            if site not in CRASHPOINTS:
-                yield self.finding(
-                    module,
-                    call,
-                    f"crashpoint {site!r} is not registered in "
-                    "repro.chaos.crashpoints.CRASHPOINTS",
-                )
-                continue
-            if site in seen:
-                yield self.finding(
-                    module,
-                    call,
-                    f"crashpoint {site!r} appears more than once in this "
-                    "module; wrap the shared step in one helper instead",
-                )
-            seen.add(site)
-
-
 # -- metric-naming -------------------------------------------------------------
 
 #: Instrument-factory methods whose first argument names a metric family.
@@ -659,9 +584,8 @@ class MetricNamingRule(Rule):
     span-event name outside ``telemetry/`` is either a literal in
     :data:`~repro.telemetry.names.SPAN_NAMES` or a ``"prefix" + expr``
     concatenation whose literal prefix is registered in
-    :data:`~repro.telemetry.names.SPAN_PREFIXES`.  This mirrors
-    crashpoint-discipline: one module owns the catalogue, the linter
-    keeps call sites honest.
+    :data:`~repro.telemetry.names.SPAN_PREFIXES`.  One module owns the
+    catalogue, the linter keeps call sites honest.
     """
 
     name = "metric-naming"
@@ -806,202 +730,6 @@ class WaitNamingRule(Rule):
                 )
 
 
-# -- dmv-schema-discipline -----------------------------------------------------
-
-#: Valid system-view names: the reserved sys.dm_ prefix, lowercase.
-_DMV_NAME_RE = re.compile(r"^sys\.dm_[a-z0-9_]+$")
-
-#: Column types the view batch materializer can produce stable empty
-#: arrays for (``Schema.field.numpy_dtype``) — the schema-stability
-#: contract of every view.
-_DMV_COLUMN_TYPES = {"int64", "float64", "string", "bool"}
-
-
-@register
-class DmvSchemaDisciplineRule(Rule):
-    """``sys.dm_*`` views declare their schemas in one literal table.
-
-    The DMV catalog is a public, SQL-visible surface: every view's
-    columns and types must be statically enumerable from the ``VIEWS``
-    class table (one literal ``name -> (Schema.of(...), "_provider")``
-    entry each) so the schema-stability tests, the docs, and the SQL
-    binder all derive from the same source.  Dynamic registration
-    (``VIEWS[...] = ...``, ``VIEWS.update(...)``) would let a view appear
-    whose schema no test covers — flagged anywhere in the tree.
-    """
-
-    name = "dmv-schema-discipline"
-    description = (
-        "sys.dm_* views declare literal (column, type) schemas in one "
-        "VIEWS table; no dynamic registration"
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        """Yield VIEWS-table entries that break the literal-schema contract."""
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(module, node)
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Subscript) and _names_views(
-                        target.value
-                    ):
-                        yield self.finding(
-                            module,
-                            node,
-                            "dynamic system-view registration via "
-                            "VIEWS[...] assignment; declare the view in "
-                            "the literal VIEWS class table",
-                        )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in ("update", "setdefault", "pop", "clear")
-                    and _names_views(func.value)
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"dynamic system-view registration via "
-                        f"VIEWS.{func.attr}(...); declare views in the "
-                        "literal VIEWS class table",
-                    )
-
-    def _check_class(
-        self, module: ModuleSource, cls: ast.ClassDef
-    ) -> Iterator[Finding]:
-        views = _views_table_of(cls)
-        if views is None:
-            return
-        if not isinstance(views, ast.Dict):
-            yield self.finding(
-                module,
-                views,
-                "VIEWS must be a literal dict of "
-                "name -> (Schema.of(...), provider)",
-            )
-            return
-        methods = {
-            item.name
-            for item in cls.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for key, value in zip(views.keys, views.values):
-            name = _literal_str(key)
-            if name is None or not _DMV_NAME_RE.match(name):
-                yield self.finding(
-                    module,
-                    key if key is not None else views,
-                    "view name must be a literal 'sys.dm_*' string "
-                    "(lowercase identifier after the prefix)",
-                )
-                continue
-            yield from self._check_entry(module, name, value, methods)
-
-    def _check_entry(
-        self,
-        module: ModuleSource,
-        name: str,
-        value: ast.AST,
-        methods: Set[str],
-    ) -> Iterator[Finding]:
-        if not (isinstance(value, ast.Tuple) and len(value.elts) == 2):
-            yield self.finding(
-                module,
-                value,
-                f"{name}: entry must be a (Schema.of(...), provider) pair",
-            )
-            return
-        schema_node, provider_node = value.elts
-        yield from self._check_schema(module, name, schema_node)
-        provider = _literal_str(provider_node)
-        if provider is None:
-            yield self.finding(
-                module,
-                provider_node,
-                f"{name}: provider must be a literal method-name string",
-            )
-        elif provider not in methods:
-            yield self.finding(
-                module,
-                provider_node,
-                f"{name}: provider {provider!r} is not a method of the "
-                "declaring class",
-            )
-
-    def _check_schema(
-        self, module: ModuleSource, name: str, node: ast.AST
-    ) -> Iterator[Finding]:
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "of"
-        ):
-            yield self.finding(
-                module,
-                node,
-                f"{name}: schema must be an inline Schema.of(...) call "
-                "with literal (column, type) pairs",
-            )
-            return
-        for arg in node.args:
-            if not (isinstance(arg, ast.Tuple) and len(arg.elts) == 2):
-                yield self.finding(
-                    module,
-                    arg,
-                    f"{name}: each column must be a literal "
-                    "(name, type) pair",
-                )
-                continue
-            column = _literal_str(arg.elts[0])
-            type_name = _literal_str(arg.elts[1])
-            if column is None or type_name is None:
-                yield self.finding(
-                    module,
-                    arg,
-                    f"{name}: column name and type must be string literals",
-                )
-                continue
-            if type_name not in _DMV_COLUMN_TYPES:
-                yield self.finding(
-                    module,
-                    arg,
-                    f"{name}: column {column!r} has type {type_name!r}; "
-                    "allowed: " + ", ".join(sorted(_DMV_COLUMN_TYPES)),
-                )
-
-
-def _views_table_of(cls: ast.ClassDef) -> Optional[ast.AST]:
-    """The value node of a class-level ``VIEWS = ...`` table, if any."""
-    for item in cls.body:
-        if isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name) and target.id == "VIEWS":
-                    return item.value
-        elif isinstance(item, ast.AnnAssign):
-            target = item.target
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "VIEWS"
-                and item.value is not None
-            ):
-                return item.value
-    return None
-
-
-def _names_views(node: ast.AST) -> bool:
-    """Whether an expression refers to a ``VIEWS`` table."""
-    if isinstance(node, ast.Name):
-        return node.id == "VIEWS"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "VIEWS"
-    return False
-
-
 #: Names of the rules shipped with the framework (import side effect of
 #: this module registers them; the list is for documentation/tests).
 SHIPPED_RULES: List[str] = [
@@ -1012,8 +740,6 @@ SHIPPED_RULES: List[str] = [
     "span-discipline",
     "no-swallowed-errors",
     "docstring-coverage",
-    "crashpoint-discipline",
     "metric-naming",
     "wait-naming",
-    "dmv-schema-discipline",
 ]

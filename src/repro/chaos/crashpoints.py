@@ -11,9 +11,12 @@ seeded random schedule), and the next matching call raises
 normal error handler (it subclasses ``BaseException``) — exactly like a
 process that stopped executing mid-protocol.
 
-Every site must be registered in :data:`CRASHPOINTS`; the
-``crashpoint-discipline`` rule in :mod:`repro.analysis` statically checks
-that instrumented modules only use registered, literal, unique names.
+Every site must be registered in :data:`CRASHPOINTS`: the controller
+rejects an unregistered name at run time, and the tier-1 registry tests
+(``tests/test_chaos_crashpoints.py``) require every registered name to be
+instrumented exactly once, by a literal, inside ``fe/``, ``sqldb/``,
+``sto/``, ``service/`` or ``chaos/``.  The chaos sweep then crashes and
+recovers at every site, and fails any site it armed but never reached.
 """
 
 from __future__ import annotations
@@ -148,8 +151,8 @@ def crashpoint(name: str) -> None:
 
     The fast path (no controller installed) is one module-global read, so
     instrumented production paths are effectively free.  Site names must
-    be literal members of :data:`CRASHPOINTS` — enforced statically by the
-    ``crashpoint-discipline`` lint rule and dynamically by the controller.
+    be literal members of :data:`CRASHPOINTS` — enforced by the registry
+    tests and, at run time, by the controller.
     """
     controller = _ACTIVE
     if controller is not None:

@@ -267,19 +267,6 @@ def execute_query_profiled(
     return _run_query(context, txn, plan, as_of, observed=True)
 
 
-def execute_query_analyzed(
-    context: ServiceContext,
-    txn: PolarisTransaction,
-    plan: Plan,
-    as_of: "float | None" = None,
-) -> PlanProfile:
-    """EXPLAIN ANALYZE: the same observed run as
-    :func:`execute_query_profiled`; the caller reads ``.text`` for the
-    annotated operator tree (estimates tagged with their ``stats`` /
-    ``default`` provenance and optimizer cost when statistics exist)."""
-    return _run_query(context, txn, plan, as_of, observed=True)
-
-
 def _prune_snapshot(snapshot: TableSnapshot, prune) -> TableSnapshot:
     """A snapshot view keeping only files whose zone maps may match."""
     prune = tuple(prune)

@@ -217,7 +217,7 @@ class Session:
         row-group pruning counts, with the output batch on ``.batch``.
         """
         return self._run(
-            lambda txn: read_path.execute_query_analyzed(
+            lambda txn: read_path.execute_query_profiled(
                 self._context, txn, plan, as_of=as_of
             ),
             name="explain_analyze",

@@ -55,7 +55,8 @@ class QueryOptimizer:
         self._config = context.config.optimizer
         #: Loaded index files keyed by blob path (immutable blobs, so
         #: the cache never goes stale — a rebuild writes a new path).
-        self._index_cache: Dict[str, SortedRunIndex] = {}
+        #: Process memory: restart recovery drops it.
+        self.index_cache: Dict[str, SortedRunIndex] = {}
         #: In-memory usage counters per (table_id, index_name), surfaced
         #: by ``sys.dm_index_stats``.
         self._index_usage: Dict[Tuple[int, str], Dict[str, int]] = {}
@@ -333,14 +334,14 @@ class QueryOptimizer:
     def _load_index(self, row: Dict[str, Any]) -> SortedRunIndex:
         """Load (and cache) one index file; the store charges the IO."""
         path = row["path"]
-        cached = self._index_cache.get(path)
+        cached = self.index_cache.get(path)
         if cached is not None:
             return cached
         blob = self._context.store.get(path)
         index = SortedRunIndex.from_bytes(
             row["column"], blob.data, row["covered_files"], source=path
         )
-        self._index_cache[path] = index
+        self.index_cache[path] = index
         return index
 
     # -- DMV providers --------------------------------------------------------

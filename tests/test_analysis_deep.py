@@ -12,7 +12,6 @@ from repro.analysis.deep_rules import (
     DEEP_RULES,
     check_crash_unwind,
     check_determinism_taint,
-    check_lock_order,
     check_resource_leaks,
     run_deep,
 )
@@ -32,111 +31,6 @@ def load(tmp_path, files):
 
 def rules_of(findings):
     return [f.rule for f in findings]
-
-
-# -- lock-order ----------------------------------------------------------------
-
-
-def test_lock_order_cycle_detected(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """
-                def take_ab(a_lock, b_lock):
-                    with a_lock.held():
-                        with b_lock.held():
-                            pass
-
-
-                def take_ba(a_lock, b_lock):
-                    with b_lock.held():
-                        with a_lock.held():
-                            pass
-            """,
-        },
-    )
-    findings = check_lock_order(program)
-    assert any("cycle" in f.message for f in findings)
-    assert all(f.rule == "lock-order" for f in findings)
-
-
-def test_lock_order_reentrant_and_inversion(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """
-                def reentrant(commit_lock):
-                    with commit_lock.held():
-                        with commit_lock.held():
-                            pass
-
-
-                def inverted(pool_lock, gateway_lock):
-                    with pool_lock.held():
-                        with gateway_lock.held():
-                            pass
-            """,
-        },
-    )
-    messages = [f.message for f in check_lock_order(program)]
-    assert any("already held" in m for m in messages)
-    assert any("inverts the canonical lock order" in m for m in messages)
-
-
-def test_lock_order_interprocedural_edge(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/a.py": """
-                from pkg.b import grab_inner
-
-
-                def outer(commit_lock, other_lock):
-                    with commit_lock.held():
-                        grab_inner(other_lock)
-            """,
-            "pkg/b.py": """
-                def grab_inner(other_lock):
-                    with other_lock.held():
-                        pass
-
-
-                def reverse(other_lock, commit_lock):
-                    with other_lock.held():
-                        with commit_lock.held():
-                            pass
-            """,
-        },
-    )
-    # commit_lock -> other_lock (via the call) and other_lock ->
-    # commit_lock (direct) close a cycle only visible interprocedurally.
-    findings = check_lock_order(program)
-    assert any("cycle" in f.message for f in findings)
-
-
-def test_lock_order_consistent_order_clean(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/locks.py": """
-                def one(gateway_lock, pool_lock):
-                    with gateway_lock.held():
-                        with pool_lock.held():
-                            pass
-
-
-                def two(gateway_lock, pool_lock):
-                    with gateway_lock.held():
-                        with pool_lock.held():
-                            pass
-            """,
-        },
-    )
-    assert check_lock_order(program) == []
 
 
 # -- crash-unwind --------------------------------------------------------------
@@ -489,61 +383,6 @@ def test_seeded_randomness_not_tainted(tmp_path):
     assert check_determinism_taint(program) == []
 
 
-# -- crashpoint-reachability ---------------------------------------------------
-
-
-def test_crashpoint_reachability_with_injected_registry(tmp_path):
-    pkg = write_tree(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/entry.py": """
-                from pkg.impl import do
-
-
-                def public_entry():
-                    return do()
-            """,
-            "pkg/impl.py": """
-                def do():
-                    crashpoint("covered.site")
-
-
-                def orphan():
-                    crashpoint("orphan.site")
-            """,
-        },
-    )
-    findings = run_deep(
-        [pkg],
-        checks=["crashpoint-reachability"],
-        crashpoint_registry={
-            "covered.site": "reached from the entrypoint",
-            "orphan.site": "instrumented but unreachable",
-        },
-        entry_suffixes=("entry.py",),
-    )
-    assert rules_of(findings) == ["crashpoint-reachability"]
-    assert "orphan.site" in findings[0].message
-    assert findings[0].path.endswith("impl.py")
-
-
-def test_crashpoint_reachability_skipped_without_registry(tmp_path):
-    pkg = write_tree(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/impl.py": """
-                def orphan():
-                    crashpoint("orphan.site")
-            """,
-        },
-    )
-    # No chaos/crashpoints.py in tree and no injected registry: the
-    # check cannot know the registry and stays quiet.
-    assert run_deep([pkg], checks=["crashpoint-reachability"]) == []
-
-
 # -- runner behaviour ----------------------------------------------------------
 
 
@@ -555,7 +394,7 @@ def test_run_deep_strict_flags_useless_deep_suppression(tmp_path):
             "pkg/clean.py": textwrap.dedent(
                 """
                 def fine():
-                    return 1  # repro: ignore[lock-order]
+                    return 1  # repro: ignore[resource-leak]
                 """
             ),
         },
@@ -568,9 +407,7 @@ def test_run_deep_strict_flags_useless_deep_suppression(tmp_path):
 
 def test_deep_rule_names_are_registered():
     assert set(DEEP_RULES) == {
-        "lock-order",
         "crash-unwind",
         "resource-leak",
         "determinism-taint",
-        "crashpoint-reachability",
     }

@@ -33,7 +33,8 @@ def test_ids_are_line_independent():
 
 def test_ids_distinguish_rule_path_message():
     base = finding()
-    assert finding_ids([base]) != finding_ids([finding(rule="lock-order")])
+    other_rule = finding(rule="determinism-taint")
+    assert finding_ids([base]) != finding_ids([other_rule])
     assert finding_ids([base]) != finding_ids([finding(path="src/repro/y.py")])
     assert finding_ids([base]) != finding_ids([finding(message="other")])
 
@@ -48,12 +49,12 @@ def test_duplicate_findings_get_occurrence_suffix():
 
 
 def test_json_doc_round_trips_through_baseline(tmp_path):
-    findings = [finding(), finding(rule="lock-order", message="cycle")]
+    findings = [finding(), finding(rule="determinism-taint", message="tainted")]
     doc = to_json_doc(findings)
     assert doc["version"] == 1
     assert [f["rule"] for f in doc["findings"]] == [
         "resource-leak",
-        "lock-order",
+        "determinism-taint",
     ]
     path = tmp_path / "baseline.json"
     write_baseline(findings, path)
@@ -97,7 +98,7 @@ def test_ratchet_duplicates_match_by_multiset(tmp_path):
 
 
 def test_sarif_minimum_schema_shape():
-    findings = [finding(), finding(rule="lock-order", message="cycle")]
+    findings = [finding(), finding(rule="determinism-taint", message="tainted")]
     doc = to_sarif_doc(findings)
     assert doc["version"] == SARIF_VERSION == "2.1.0"
     assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
@@ -107,7 +108,7 @@ def test_sarif_minimum_schema_shape():
     assert driver["name"] == "repro-analysis"
     assert {r["id"] for r in driver["rules"]} == {
         "resource-leak",
-        "lock-order",
+        "determinism-taint",
     }
     for result, expected in zip(run["results"], findings):
         assert result["ruleId"] == expected.rule

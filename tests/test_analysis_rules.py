@@ -536,88 +536,6 @@ def test_finding_render_format():
     )
 
 
-# -- crashpoint-discipline -----------------------------------------------------
-
-
-class TestCrashpointDiscipline:
-    def test_clean_registered_literal_site(self):
-        findings = run(
-            """\
-            from repro.chaos.crashpoints import crashpoint
-
-            def commit():
-                crashpoint("fe.commit.before_validation")
-            """,
-            "crashpoint-discipline",
-        )
-        assert findings == []
-
-    def test_flags_unregistered_name(self):
-        findings = run(
-            """\
-            from repro.chaos.crashpoints import crashpoint
-
-            def commit():
-                crashpoint("fe.commit.nope")
-            """,
-            "crashpoint-discipline",
-        )
-        assert [f.rule for f in findings] == ["crashpoint-discipline"]
-        assert "not registered" in findings[0].message
-
-    def test_flags_non_literal_name(self):
-        findings = run(
-            """\
-            from repro.chaos.crashpoints import crashpoint
-
-            def commit(site):
-                crashpoint(site)
-            """,
-            "crashpoint-discipline",
-        )
-        assert "string-literal" in findings[0].message
-
-    def test_flags_site_outside_instrumented_layers(self):
-        findings = run(
-            """\
-            from repro.chaos.crashpoints import crashpoint
-
-            def helper():
-                crashpoint("fe.commit.before_validation")
-            """,
-            "crashpoint-discipline",
-            relpath="src/repro/telemetry/helper.py",
-        )
-        assert "outside the instrumented layers" in findings[0].message
-
-    def test_flags_duplicate_site_in_module(self):
-        findings = run(
-            """\
-            from repro.chaos.crashpoints import crashpoint
-
-            def one():
-                crashpoint("sto.gc.mid_delete")
-
-            def two():
-                crashpoint("sto.gc.mid_delete")
-            """,
-            "crashpoint-discipline",
-            relpath="src/repro/sto/gc2.py",
-        )
-        assert "more than once" in findings[0].message
-
-    def test_shipped_tree_is_clean(self):
-        # The real instrumentation must satisfy its own rule; covered by
-        # test_analysis_clean.py for the full tree, asserted here for the
-        # rule in isolation on one instrumented module.
-        import repro.sto.gc as gc_mod
-        from pathlib import Path
-
-        source = Path(gc_mod.__file__).read_text(encoding="utf-8")
-        findings = run(source, "crashpoint-discipline", relpath="src/repro/sto/gc.py")
-        assert findings == []
-
-
 # -- metric-naming -------------------------------------------------------------
 
 
@@ -744,125 +662,3 @@ class TestMetricNaming:
 
         for name in list(METRIC_NAMES) + list(SPAN_NAMES):
             assert is_well_formed(name), name
-
-
-# -- dmv-schema-discipline -----------------------------------------------------
-
-
-class TestDmvSchemaDiscipline:
-    CLEAN = """\
-        from repro.pagefile.schema import Schema
-
-        class Views:
-            VIEWS = {
-                "sys.dm_things": (
-                    Schema.of(("thing_id", "int64"), ("name", "string")),
-                    "_dm_things",
-                ),
-            }
-
-            def _dm_things(self):
-                return []
-        """
-
-    def test_clean_literal_table(self):
-        assert run(self.CLEAN, "dmv-schema-discipline") == []
-
-    def test_flags_non_literal_view_name(self):
-        findings = run(
-            """\
-            from repro.pagefile.schema import Schema
-
-            NAME = "sys.dm_things"
-
-            class Views:
-                VIEWS = {
-                    NAME: (Schema.of(("x", "int64")), "_dm_things"),
-                }
-
-                def _dm_things(self):
-                    return []
-            """,
-            "dmv-schema-discipline",
-        )
-        assert [f.rule for f in findings] == ["dmv-schema-discipline"]
-        assert "literal 'sys.dm_*'" in findings[0].message
-
-    def test_flags_bad_column_type(self):
-        findings = run(
-            """\
-            from repro.pagefile.schema import Schema
-
-            class Views:
-                VIEWS = {
-                    "sys.dm_things": (
-                        Schema.of(("x", "int32")),
-                        "_dm_things",
-                    ),
-                }
-
-                def _dm_things(self):
-                    return []
-            """,
-            "dmv-schema-discipline",
-        )
-        assert "int32" in findings[0].message
-
-    def test_flags_unknown_provider(self):
-        findings = run(
-            """\
-            from repro.pagefile.schema import Schema
-
-            class Views:
-                VIEWS = {
-                    "sys.dm_things": (
-                        Schema.of(("x", "int64")),
-                        "_dm_nope",
-                    ),
-                }
-            """,
-            "dmv-schema-discipline",
-        )
-        assert "not a method" in findings[0].message
-
-    def test_flags_non_schema_of_value(self):
-        findings = run(
-            """\
-            class Views:
-                VIEWS = {
-                    "sys.dm_things": (build_schema(), "_dm_things"),
-                }
-
-                def _dm_things(self):
-                    return []
-            """,
-            "dmv-schema-discipline",
-        )
-        assert "Schema.of" in findings[0].message
-
-    def test_flags_dynamic_registration(self):
-        findings = run(
-            """\
-            from repro.telemetry.introspection import Introspector
-
-            def sneak(schema):
-                Introspector.VIEWS["sys.dm_sneaky"] = (schema, "_dm_sneaky")
-                Introspector.VIEWS.update({})
-            """,
-            "dmv-schema-discipline",
-        )
-        assert len(findings) == 2
-        assert all("dynamic" in f.message for f in findings)
-
-    def test_introspector_module_is_clean(self):
-        import inspect
-
-        from repro.telemetry import introspection
-
-        source = inspect.getsource(introspection)
-        findings = lint_source(
-            source,
-            relpath="src/repro/telemetry/introspection.py",
-            rules=[get_rule("dmv-schema-discipline")],
-        )
-        assert findings == []

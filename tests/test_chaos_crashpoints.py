@@ -1,4 +1,12 @@
-"""Tests for the crashpoint registry and the chaos controller."""
+"""Tests for the crashpoint registry and the chaos controller.
+
+``TestRegistry`` is the one check of the crash-site catalogue: every
+``crashpoint()`` call takes a literal registered name, each registered
+name is instrumented exactly once in the whole tree, and only inside the
+protocol layers where a process can die.  That every site is also
+reachable from a real workload is checked by the chaos sweep
+(``tests/test_chaos_sweep.py``), which fails a site armed but never fired.
+"""
 
 import ast
 import re
@@ -12,7 +20,8 @@ from repro.chaos.crashpoints import active_controller
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
-#: The layers a crashpoint may be instrumented in (mirrors the lint rule).
+#: The layers a crashpoint may be instrumented in: the protocol layers a
+#: real process death can interrupt.
 INSTRUMENTED_DIRS = ("fe", "sqldb", "sto", "service", "chaos")
 
 

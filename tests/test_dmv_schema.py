@@ -1,18 +1,18 @@
 """Schema-stability contract for every ``sys.dm_*`` view.
 
-The ``dmv-schema-discipline`` lint rule statically verifies the VIEWS
-table's *shape* (literal names, literal (column, type) pairs, resolvable
-providers).  This module is the runtime half it requires: an independent
-literal copy of every view's schema, diffed against the live catalog —
-any column added, removed, retyped, or reordered fails here first, which
-is the point: DMV schemas are a public SQL surface and must change
-deliberately, together with this table and ``docs/OBSERVABILITY.md``.
+An independent literal copy of every view's schema, diffed against the
+live catalog: a view added or removed (also while a warehouse is being
+built), a column added, removed, retyped or reordered, or a provider
+that does not resolve fails here.  DMV schemas are a public SQL surface
+and must change deliberately, together with this table and
+``docs/OBSERVABILITY.md``.
 """
 
 import numpy as np
 import pytest
 
 from repro import PolarisConfig, Warehouse
+from repro.service import Gateway
 from repro.telemetry.introspection import Introspector
 
 #: Independent expected-schema table: view -> ordered (column, type).
@@ -219,8 +219,18 @@ EXPECTED_SCHEMAS = {
 
 
 def test_every_view_is_covered_exactly():
-    """Coverage completeness both ways: no view escapes the table."""
+    """Coverage completeness both ways: no view escapes the table, not
+    even one registered while a fully wired warehouse is built."""
     assert set(EXPECTED_SCHEMAS) == set(Introspector.VIEWS)
+    config = PolarisConfig()
+    config.telemetry.sample_interval_s = 1.0
+    config.telemetry.watchdog_enabled = True
+    config.telemetry.query_store_enabled = True
+    config.telemetry.wait_stats_enabled = True
+    dw = Warehouse(config=config)
+    Gateway(dw.context)
+    assert set(EXPECTED_SCHEMAS) == set(Introspector.VIEWS)
+    assert set(EXPECTED_SCHEMAS) == set(dw.context.introspection.VIEWS)
 
 
 @pytest.mark.parametrize("view", sorted(EXPECTED_SCHEMAS))

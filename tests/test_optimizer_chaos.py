@@ -78,6 +78,14 @@ class TestIndexCrash:
         session.create_index("t", "idx", "id")
         assert list(session.sql("SELECT v FROM t WHERE id = 7")["v"]) == [7.0]
 
+    def test_recovery_drops_the_index_cache(self, loaded):
+        dw, session, __ = loaded
+        session.create_index("t", "idx", "id")
+        assert list(session.sql("SELECT v FROM t WHERE id = 7")["v"]) == [7.0]
+        assert dw.context.optimizer.index_cache, "the probe loaded no index"
+        RecoveryManager(dw.context, sto=dw.sto).recover()
+        assert dw.context.optimizer.index_cache == {}
+
     def test_index_row_with_missing_blob_dropped(self, loaded):
         dw, session, table_id = loaded
         payload = session.create_index("t", "idx", "id")
