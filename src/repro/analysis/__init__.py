@@ -9,17 +9,22 @@ section (Section 4.1.2 of the paper).  This package turns those implicit
 rules into enforced ones:
 
 * :mod:`repro.analysis.framework` — an AST-based lint framework (stdlib
-  ``ast`` only) with a rule registry and per-line
-  ``# repro: ignore[rule]`` suppressions.
-* :mod:`repro.analysis.rules` — the repo-specific rules.
+  ``ast`` only) with a rule registry, per-line
+  ``# repro: ignore[rule]`` suppressions and the one text report
+  (``path:line: rule: message``).
+* :mod:`repro.analysis.rules` — the 8 repo-specific lint rules.
+* :mod:`repro.analysis.deep_rules` — the 2 whole-program rules
+  (``crash-unwind``, ``resource-leak``) over the call graph
+  (:mod:`~repro.analysis.callgraph`, call edges only) and per-function
+  CFGs (:mod:`~repro.analysis.cfg`).
 * :mod:`repro.analysis.si` — a snapshot-isolation *history sanitizer* that
   consumes a recorded transaction history (live via the EventBus or from a
   JSONL trace) and verifies SI axioms: first-committer-wins on overlapping
   write-sets, reads-from-snapshot, and no lost updates.
 
-Run ``python -m repro.analysis --strict`` (or the ``repro-analysis``
-console script) to lint the tree; see ``docs/ANALYSIS.md`` for the full
-rule catalogue and rationale.
+Run ``python -m repro.analysis --deep --strict`` (or the
+``repro-analysis`` console script) to check the tree; see
+``docs/ANALYSIS.md`` for the full rule catalogue and rationale.
 """
 
 from __future__ import annotations
@@ -49,15 +54,6 @@ from repro.analysis import rules as _rules  # noqa: F401  (registration)
 from repro.analysis.callgraph import Program
 from repro.analysis.cfg import Cfg, build_cfg
 from repro.analysis.deep_rules import DEEP_RULES, run_deep
-from repro.analysis.output import (
-    finding_ids,
-    load_baseline,
-    partition_baseline,
-    render,
-    to_json_doc,
-    to_sarif_doc,
-    write_baseline,
-)
 
 __all__ = [
     "Program",
@@ -65,13 +61,6 @@ __all__ = [
     "build_cfg",
     "DEEP_RULES",
     "run_deep",
-    "finding_ids",
-    "load_baseline",
-    "partition_baseline",
-    "render",
-    "to_json_doc",
-    "to_sarif_doc",
-    "write_baseline",
     "Finding",
     "ModuleSource",
     "Rule",

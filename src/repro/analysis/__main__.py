@@ -7,18 +7,11 @@ per line, ``path:line: rule: message``, sorted by file.
 Usage::
 
     python -m repro.analysis [--strict] [paths...]   # lint (default: repro pkg)
-    python -m repro.analysis --deep [--strict]       # + whole-program analyses
-    python -m repro.analysis --format=json|sarif     # machine-readable output
-    python -m repro.analysis --deep --baseline analysis-baseline.json
-    python -m repro.analysis --deep --write-baseline analysis-baseline.json
+    python -m repro.analysis --deep --strict         # + whole-program analyses
     python -m repro.analysis --list-rules            # show the rule catalogue
     python -m repro.analysis --rules a,b paths...    # run a subset of rules
     python -m repro.analysis --si-history t.jsonl    # sanitize a recorded trace
     python -m repro.analysis --si-smoke              # end-to-end self-check
-
-With ``--baseline``, only findings whose stable ID is *not* listed in the
-baseline file fail the run (ratchet semantics): known debt is tracked,
-new violations always exit 1.
 """
 
 from __future__ import annotations
@@ -30,13 +23,7 @@ from typing import List, Optional
 
 from repro.analysis import rules as _rules  # noqa: F401  (registers rules)
 from repro.analysis.deep_rules import run_deep
-from repro.analysis.framework import all_rules, lint_paths
-from repro.analysis.output import (
-    load_baseline,
-    partition_baseline,
-    render,
-    write_baseline,
-)
+from repro.analysis.framework import all_rules, format_findings, lint_paths
 from repro.analysis.si import (
     check_history,
     format_violations,
@@ -80,43 +67,16 @@ def _run_lint(args: argparse.Namespace) -> int:
         )
         findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
 
-    if args.write_baseline:
-        write_baseline(findings, Path(args.write_baseline))
-        print(
-            f"baseline written: {len(findings)} finding(s) -> "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    known_count = 0
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(
-                f"error: baseline file not found: {args.baseline}",
-                file=sys.stderr,
-            )
-            return 2
-        findings, known = partition_baseline(
-            findings, load_baseline(baseline_path)
-        )
-        known_count = len(known)
-
     if findings:
-        print(render(findings, args.format))
-        label = "new finding(s)" if args.baseline else "finding(s)"
-        print(f"\n{len(findings)} {label}", file=sys.stderr)
+        print(format_findings(findings))
+        print(f"\n{len(findings)} finding(s)", file=sys.stderr)
         return 1
-    if args.format != "text":
-        print(render(findings, args.format))
-        return 0
     checked = ", ".join(str(t) for t in targets)
     mode = "lint+deep" if args.deep else "lint"
-    suffix = f" ({known_count} baselined)" if known_count else ""
     print(
         f"clean [{mode}]: "
         f"{len(all_rules() if rules is None else rules)} rule(s) over "
-        f"{checked}{suffix}"
+        f"{checked}"
     )
     return 0
 
@@ -238,22 +198,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--deep",
         action="store_true",
         help="also run the whole-program analyses (call graph + CFG)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="ratchet file of known finding IDs; only new findings fail",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--rules",

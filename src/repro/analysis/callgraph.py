@@ -16,12 +16,8 @@ sites interprocedurally:
   or ``self.attr = Pool(...)`` assignments in any method;
 * constructor calls (``Pool(...)`` adds an edge to ``Pool.__init__``).
 
-Besides real call edges the graph records *reference* edges — a bare
-``fn`` / ``self.method`` mentioned outside call position (callbacks
-handed to schedulers, event-bus subscriptions) — and *lexical* edges from
-a function to the functions nested inside it (closures executed by a
-framework the resolver cannot see through).  Reachability queries choose
-which edge kinds they trust.
+The only edges are resolved calls: a callback handed over by reference or
+a nested function is not an edge until something calls it by name.
 
 Everything is stdlib-``ast`` only and deliberately context-insensitive:
 one summary per function, unioned over call sites.
@@ -32,12 +28,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.framework import ModuleSource, parse_suppressions
-
-#: Edge kinds, in decreasing order of confidence.
-CALL, REF, LEXICAL = "call", "ref", "lexical"
 
 
 @dataclass
@@ -78,12 +71,11 @@ class FunctionInfo:
 
 @dataclass(frozen=True)
 class CallSite:
-    """One resolved edge: ``caller`` mentions ``callee`` at ``lineno``."""
+    """One resolved edge: ``caller`` calls ``callee`` at ``lineno``."""
 
     caller: str
     callee: str
     lineno: int
-    kind: str  # CALL | REF | LEXICAL
 
 
 class Program:
@@ -104,11 +96,10 @@ class Program:
         self.functions: Dict[str, FunctionInfo] = {}
         #: class qualname -> info.
         self.classes: Dict[str, ClassInfo] = {}
-        #: every resolved call/ref/lexical edge.
+        #: every resolved call edge.
         self.calls: List[CallSite] = []
         #: per-function unresolved call names (trailing identifier only).
         self.unresolved: Dict[str, Set[str]] = {}
-        self._succ: Dict[str, List[CallSite]] = {}
         self._pred: Dict[str, List[CallSite]] = {}
         self._class_name_index: Optional[Dict[str, Optional[str]]] = None
 
@@ -322,7 +313,6 @@ class Program:
         for info in list(self.functions.values()):
             self._resolve_function(info)
         for site in self.calls:
-            self._succ.setdefault(site.caller, []).append(site)
             self._pred.setdefault(site.callee, []).append(site)
 
     def _link_bases(self) -> None:
@@ -478,42 +468,22 @@ class Program:
                 symbols[other.name] = qualname
         owner = self.classes.get(info.cls) if info.cls else None
         local_types = self._local_types(info, symbols, owner)
-        call_funcs = set()
-        body = getattr(info.node, "body", [])
-        for stmt in body:
+        for stmt in getattr(info.node, "body", []):
             for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    call_funcs.add(id(node.func))
-                    callee = self._resolve_target(
-                        node.func, info, symbols, owner, local_types
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = self._resolve_target(
+                    node.func, info, symbols, owner, local_types
+                )
+                if callee is not None:
+                    self.calls.append(
+                        CallSite(info.qualname, callee, node.lineno)
                     )
-                    if callee is not None:
-                        self.calls.append(
-                            CallSite(info.qualname, callee, node.lineno, CALL)
-                        )
-                    else:
-                        tail = _trailing_name(node.func)
-                        if tail is not None:
-                            self.unresolved.setdefault(
-                                info.qualname, set()
-                            ).add(tail)
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    nested = f"{info.qualname}.{node.name}"
-                    if nested in self.functions:
-                        self.calls.append(
-                            CallSite(info.qualname, nested, node.lineno, LEXICAL)
-                        )
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.Name, ast.Attribute)) and id(
-                    node
-                ) not in call_funcs:
-                    callee = self._resolve_target(
-                        node, info, symbols, owner, local_types, quiet=True
-                    )
-                    if callee is not None and callee != info.qualname:
-                        self.calls.append(
-                            CallSite(info.qualname, callee, node.lineno, REF)
+                else:
+                    tail = _trailing_name(node.func)
+                    if tail is not None:
+                        self.unresolved.setdefault(info.qualname, set()).add(
+                            tail
                         )
 
     def _local_types(
@@ -566,7 +536,6 @@ class Program:
         symbols: Dict[str, str],
         owner: Optional[ClassInfo],
         local_types: Dict[str, str],
-        quiet: bool = False,
     ) -> Optional[str]:
         if isinstance(node, ast.Name):
             target = symbols.get(node.id)
@@ -575,9 +544,8 @@ class Program:
             canon = self.canonical(target)
             if canon in self.functions:
                 return canon
-            if canon in self.classes and not quiet:
-                init = self.resolve_method(canon, "__init__")
-                return init
+            if canon in self.classes:
+                return self.resolve_method(canon, "__init__")
             return None
         if not isinstance(node, ast.Attribute):
             return None
@@ -603,55 +571,23 @@ class Program:
         canon = self.canonical(target + "." + ".".join(chain))
         if canon in self.functions:
             return canon
-        if canon in self.classes and not quiet:
+        if canon in self.classes:
             return self.resolve_method(canon, "__init__")
         return None
 
     # -- graph queries -----------------------------------------------------
 
-    def callees_of(self, qualname: str) -> List[CallSite]:
-        """Outgoing edges of one function."""
-        return self._succ.get(qualname, [])
-
-    def callers_of(self, qualname: str) -> List[CallSite]:
-        """Incoming edges of one function."""
-        return self._pred.get(qualname, [])
-
-    def reachable_from(
-        self,
-        roots: Sequence[str],
-        kinds: Tuple[str, ...] = (CALL, REF, LEXICAL),
-    ) -> Set[str]:
-        """Functions reachable from ``roots`` following ``kinds`` edges."""
-        seen: Set[str] = set(roots)
-        stack = list(roots)
-        while stack:
-            current = stack.pop()
-            for site in self._succ.get(current, []):
-                if site.kind in kinds and site.callee not in seen:
-                    seen.add(site.callee)
-                    stack.append(site.callee)
-        return seen
-
-    def transitive_callers(
-        self, targets: Sequence[str], kinds: Tuple[str, ...] = (CALL,)
-    ) -> Set[str]:
+    def transitive_callers(self, targets: Sequence[str]) -> Set[str]:
         """Functions from which some target is reachable (targets included)."""
         seen: Set[str] = set(targets)
         stack = list(targets)
         while stack:
             current = stack.pop()
             for site in self._pred.get(current, []):
-                if site.kind in kinds and site.caller not in seen:
+                if site.caller not in seen:
                     seen.add(site.caller)
                     stack.append(site.caller)
         return seen
-
-    def functions_in(self, module: str) -> Iterator[FunctionInfo]:
-        """Every function defined in one module."""
-        for info in self.functions.values():
-            if info.module == module:
-                yield info
 
 
 def _dotted(node: ast.AST) -> Optional[str]:

@@ -1,6 +1,6 @@
 """The whole-program ("deep") analyses: ``python -m repro.analysis --deep``.
 
-Three analyses run over a :class:`~repro.analysis.callgraph.Program`
+Two analyses run over a :class:`~repro.analysis.callgraph.Program`
 instead of one module at a time:
 
 ``crash-unwind``
@@ -15,11 +15,6 @@ instead of one module at a time:
     edge; error paths are checked with ``exc-base`` (crash-only) edges
     excluded, because a simulated process crash is *supposed* to leave
     in-flight state for recovery scavenging.
-``determinism-taint``
-    interprocedural lift of wallclock-purity and seeded-randomness: a
-    call from engine code into a helper that (transitively) reads the
-    wall clock or unseeded randomness is flagged at the laundering call
-    site, even though the call site itself looks innocent.
 
 Suppressions use the same ``# repro: ignore[rule]`` comments as the
 linter; the deep runner honours and (in strict mode) validates the ones
@@ -41,34 +36,25 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.callgraph import CALL, FunctionInfo, Program
+from repro.analysis.callgraph import FunctionInfo, Program
 from repro.analysis.cfg import build_cfg, completion
 from repro.analysis.dataflow import GenKill, drop_exc_base
 from repro.analysis.framework import (
     Finding,
     ModuleSource,
-    import_map,
     register_external_rules,
-    resolve_name,
 )
-from repro.analysis.rules import WALLCLOCK_BANNED
 
 #: The deep rule names (suppressible like lint rules).
 DEEP_RULES: List[str] = [
     "crash-unwind",
     "resource-leak",
-    "determinism-taint",
 ]
 
 register_external_rules(DEEP_RULES)
 
 #: Modules treated as the crash process boundary (may catch SimulatedCrash).
 _CRASH_BOUNDARY_DIRS = ("chaos",)
-
-#: Modules where direct wall-clock use is lint-exempt; a *call into* them
-#: that reaches the wall clock is exactly what determinism-taint flags.
-_WALLCLOCK_EXEMPT_DIRS = ("telemetry",)
-_WALLCLOCK_EXEMPT_FILES = ("common/clock.py",)
 
 
 @dataclass(frozen=True)
@@ -133,10 +119,6 @@ def _in_dir(module: ModuleSource, directory: str) -> bool:
     return f"/{directory}/" in "/" + module.posix
 
 
-def _endswith(module: ModuleSource, suffix: str) -> bool:
-    return ("/" + module.posix).endswith("/" + suffix)
-
-
 def _receiver_chain(node: ast.AST) -> Optional[List[str]]:
     """``self._pool.acquire`` -> ``["self", "_pool"]`` (without the method)."""
     parts: List[str] = []
@@ -171,8 +153,6 @@ def _callsite_index(
     """(caller, lineno, method-name) -> resolved callee qualname."""
     index: Dict[Tuple[str, int, str], str] = {}
     for site in program.calls:
-        if site.kind != CALL:
-            continue
         method = site.callee.rpartition(".")[2]
         index[(site.caller, site.lineno, method)] = site.callee
     return index
@@ -254,12 +234,8 @@ def check_crash_unwind(program: Program) -> List[Finding]:
     cp_funcs = _crashpoint_functions(program)
     if not cp_funcs:
         return []
-    can_crash = program.transitive_callers(sorted(cp_funcs), kinds=(CALL,))
-    callsites = {
-        (s.caller, s.lineno): s.callee
-        for s in program.calls
-        if s.kind == CALL
-    }
+    can_crash = program.transitive_callers(sorted(cp_funcs))
+    callsites = {(s.caller, s.lineno): s.callee for s in program.calls}
     findings: List[Finding] = []
     for qualname in sorted(can_crash):
         info = program.functions[qualname]
@@ -784,106 +760,12 @@ def _kills_token(
     return False
 
 
-# -- determinism-taint ---------------------------------------------------------
-
-
-def _wallclock_exempt(module: ModuleSource) -> bool:
-    return any(_in_dir(module, d) for d in _WALLCLOCK_EXEMPT_DIRS) or any(
-        _endswith(module, f) for f in _WALLCLOCK_EXEMPT_FILES
-    )
-
-
-def _direct_taints(program: Program) -> Tuple[Set[str], Set[str]]:
-    """(wallclock-tainted, randomness-tainted) functions, direct only."""
-    wall: Set[str] = set()
-    rand: Set[str] = set()
-    imports_by_module = {
-        name: import_map(mod.tree) for name, mod in program.modules.items()
-    }
-    for qualname, info in program.functions.items():
-        imports = imports_by_module[info.module]
-        for node in _own_nodes(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            full = resolve_name(node.func, imports)
-            if full is None:
-                continue
-            if full in WALLCLOCK_BANNED:
-                wall.add(qualname)
-            elif full == "random.Random":
-                if not node.args and not node.keywords:
-                    rand.add(qualname)
-            elif full.startswith("random.") and full != "random.Random":
-                rand.add(qualname)
-    return wall, rand
-
-
-def check_determinism_taint(program: Program) -> List[Finding]:
-    """Flag cross-module calls that launder wallclock time or randomness."""
-    wall_direct, rand_direct = _direct_taints(program)
-    wall_tainted = program.transitive_callers(sorted(wall_direct), kinds=(CALL,))
-    rand_tainted = program.transitive_callers(sorted(rand_direct), kinds=(CALL,))
-    findings: List[Finding] = []
-    for site in program.calls:
-        if site.kind != CALL:
-            continue
-        caller = program.functions.get(site.caller)
-        callee = program.functions.get(site.callee)
-        if caller is None or callee is None:
-            continue
-        if caller.module == callee.module:
-            continue
-        caller_module = program.modules[caller.module]
-        callee_module = program.modules[callee.module]
-        if site.callee in wall_tainted and not _wallclock_exempt(
-            caller_module
-        ):
-            # Only boundary crossings into the exempt zone are news; a
-            # tainted callee in a checked module is already lint-flagged
-            # at its own direct wall-clock call.
-            if _wallclock_exempt(callee_module):
-                findings.append(
-                    _finding(
-                        caller_module,
-                        site.lineno,
-                        "determinism-taint",
-                        f"call into {site.callee}() reaches a wall-clock "
-                        "read; engine code must take time from "
-                        "SimulatedClock even through telemetry helpers",
-                    )
-                )
-        if site.callee in rand_tainted and site.callee not in rand_direct:
-            findings.append(
-                _finding(
-                    caller_module,
-                    site.lineno,
-                    "determinism-taint",
-                    f"call into {site.callee}() transitively uses unseeded "
-                    "global randomness; thread a seeded random.Random "
-                    "instance instead",
-                )
-            )
-        elif site.callee in rand_direct:
-            findings.append(
-                _finding(
-                    caller_module,
-                    site.lineno,
-                    "determinism-taint",
-                    f"call into {site.callee}() uses unseeded global "
-                    "randomness; thread a seeded random.Random instance "
-                    "instead",
-                )
-            )
-    return findings
-
-
 # -- the deep runner -----------------------------------------------------------
 
 #: check name -> callable(program).
 _CHECKS = {
     "crash-unwind": check_crash_unwind,
     "resource-leak": check_resource_leaks,
-    "determinism-taint": check_determinism_taint,
 }
 
 

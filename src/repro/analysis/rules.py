@@ -16,7 +16,6 @@ from repro.telemetry.names import (
     METRIC_NAMES,
     SPAN_NAMES,
     SPAN_PREFIXES,
-    WAIT_NAMES,
     is_well_formed,
 )
 from repro.analysis.framework import (
@@ -40,14 +39,9 @@ def _in_dir(module: ModuleSource, directory: str) -> bool:
     return f"/{directory}/" in posix
 
 
-def _endswith(module: ModuleSource, suffix: str) -> bool:
-    posix = "/" + module.posix
-    return posix.endswith("/" + suffix)
-
-
 # -- wallclock-purity ----------------------------------------------------------
 
-#: Wall-clock entry points that must never appear outside the clock module.
+#: Wall-clock entry points that must never appear in the package.
 WALLCLOCK_BANNED = {
     "time.time",
     "time.time_ns",
@@ -69,22 +63,19 @@ WALLCLOCK_BANNED = {
 class WallclockPurityRule(Rule):
     """All time must flow through ``SimulatedClock``.
 
-    Reading the datacenter wall clock anywhere in the engine breaks the
+    Reading the datacenter wall clock anywhere in the package breaks the
     deterministic-replay contract (every experiment exactly repeatable).
-    Allowed locations: ``common/clock.py`` (the one place real time could
-    legitimately be bridged in) and ``telemetry/`` (export timestamps).
+    There is no exempt module: the clock and telemetry run on simulated
+    time too, so no helper can launder a wall-clock read into the engine.
     """
 
     name = "wallclock-purity"
     description = (
-        "no time.time/datetime.now/perf_counter outside common/clock.py "
-        "and telemetry/"
+        "no time.time/datetime.now/perf_counter import or call, in any module"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        """Yield wall-clock usage outside the allowed modules."""
-        if _endswith(module, "common/clock.py") or _in_dir(module, "telemetry"):
-            return
+        """Yield every wall-clock import and call."""
         imports = import_map(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and node.module in (
@@ -675,61 +666,6 @@ def _literal_str(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
-# -- wait-naming ---------------------------------------------------------------
-
-#: WaitStats methods whose first argument names a wait kind.
-_WAIT_FACTORIES = {"record_wait", "waiting"}
-
-
-@register
-class WaitNamingRule(Rule):
-    """Wait kinds are literal and registered in WAIT_NAMES.
-
-    ``sys.dm_wait_stats`` rows, the ``commit_lock_contention`` watchdog
-    rule and the critical-path profiler all address waits by kind, so —
-    exactly like metric names — the wait vocabulary must be statically
-    enumerable: every ``.record_wait(...)``/``.waiting(...)`` call site
-    passes a string literal registered in
-    :data:`repro.telemetry.names.WAIT_NAMES`.
-    """
-
-    name = "wait-naming"
-    description = (
-        "wait kinds passed to record_wait()/waiting() are string literals "
-        "registered in repro.telemetry.names.WAIT_NAMES"
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        """Yield unregistered or dynamic wait kinds."""
-        for call in iter_calls(module.tree):
-            func = call_name(call)
-            if func not in _WAIT_FACTORIES:
-                continue
-            kind = _literal_str(call.args[0]) if call.args else None
-            if kind is None:
-                yield self.finding(
-                    module,
-                    call,
-                    f".{func}(...) wait kind must be a string literal so "
-                    "the wait vocabulary is statically enumerable",
-                )
-                continue
-            if not is_well_formed(kind):
-                yield self.finding(
-                    module,
-                    call,
-                    f"wait kind {kind!r} is not dotted lowercase "
-                    "(segment(.segment)*)",
-                )
-            if kind not in WAIT_NAMES:
-                yield self.finding(
-                    module,
-                    call,
-                    f"wait kind {kind!r} is not registered in "
-                    "repro.telemetry.names.WAIT_NAMES",
-                )
-
-
 #: Names of the rules shipped with the framework (import side effect of
 #: this module registers them; the list is for documentation/tests).
 SHIPPED_RULES: List[str] = [
@@ -741,5 +677,4 @@ SHIPPED_RULES: List[str] = [
     "no-swallowed-errors",
     "docstring-coverage",
     "metric-naming",
-    "wait-naming",
 ]

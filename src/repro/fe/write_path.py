@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.errors import SchemaMismatchError
 from repro.dcp.cells import cells_for_snapshot, distribution_of
 from repro.dcp.channels import estimate_batch_bytes
 from repro.dcp.dag import WorkflowDag
@@ -191,12 +190,9 @@ def _resize_write_pool(context: ServiceContext, rows: int, source_files: int) ->
 
 
 def _validate_batch(schema: Schema, batch: Batch) -> int:
-    try:
-        return schema.validate_columns(
-            {name: np.asarray(values) for name, values in batch.items()}
-        )
-    except SchemaMismatchError:
-        raise
+    return schema.validate_columns(
+        {name: np.asarray(values) for name, values in batch.items()}
+    )
 
 
 # -- insert ----------------------------------------------------------------------

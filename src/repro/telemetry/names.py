@@ -181,11 +181,11 @@ SPAN_PREFIXES: Dict[str, str] = {
     "wait.": "One span per recorded wait interval, suffixed by wait kind.",
 }
 
-#: Every wait-event kind, with its meaning.  The ``wait-naming`` lint rule
-#: enforces that each ``record_wait``/``waiting`` call site passes one of
-#: these literals — exactly the discipline ``metric-naming`` applies to
-#: instrument names, because ``sys.dm_wait_stats`` rows, watchdog rules
-#: and the critical-path profiler all address waits by kind.
+#: Every wait-event kind, with its meaning.  ``WaitStats`` rejects any
+#: other kind at runtime, and tier-1 tests drive each ``record_wait`` /
+#: ``waiting`` call site with wait stats on, because ``sys.dm_wait_stats``
+#: rows, watchdog rules and the critical-path profiler all address waits
+#: by kind.
 WAIT_NAMES: Dict[str, str] = {
     "admission_queue": (
         "Submit-to-dispatch time a request spent in its gateway class "

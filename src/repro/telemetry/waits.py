@@ -6,8 +6,8 @@ this module is that subsystem for the simulation.  Every blocking point
 buckets, session-pool quota failures, storage retry backoff, DCP task
 dispatch, STO job scheduling — reports how long it stalled the simulated
 clock through one :class:`WaitStats` collector, under a registered wait
-kind (:data:`repro.telemetry.names.WAIT_NAMES`, enforced by the
-``wait-naming`` lint rule).
+kind (:data:`repro.telemetry.names.WAIT_NAMES`; an unregistered kind
+raises ``ValueError``).
 
 Waits are attributed three ways at once: per wait kind
 (``sys.dm_wait_stats``), and per (tenant, workload class) and query
@@ -132,9 +132,9 @@ class WaitStats:
     ) -> None:
         """Fold one completed wait of known duration, ending now.
 
-        ``kind`` must be registered in :data:`WAIT_NAMES` (the
-        ``wait-naming`` lint rule enforces literal registered names at
-        call sites; this check catches dynamic callers).  Attribution
+        ``kind`` must be registered in :data:`WAIT_NAMES`; tier-1 tests
+        drive every call site with wait stats on, so a mistyped kind
+        fails the suite.  Attribution
         defaults to the current request-scope frame; explicit ``tenant``
         / ``workload_class`` / ``query_hash`` override it for waits
         recorded outside the stalled request's own control flow (e.g.

@@ -15,7 +15,6 @@ from repro.analysis.__main__ import main
 
 
 PACKAGE_ROOT = Path(repro.__file__).parent
-BASELINE = Path(__file__).resolve().parent.parent / "analysis-baseline.json"
 
 
 def test_source_tree_is_lint_clean_strict():
@@ -44,17 +43,15 @@ def test_cli_exits_nonzero_on_violation(tmp_path, capsys):
     assert "wallclock-purity" in out
 
 
-def test_deep_analysis_clean_against_baseline_and_fast(capsys):
-    """`--deep --strict` exits 0 against the committed baseline, in budget.
+def test_deep_analysis_clean_and_fast(capsys):
+    """`--deep --strict` exits 0 on the tree, in budget.
 
     The wall-clock timer is the CI budget for the analyzer itself (the
     analyses model simulated time; they do not consume it), so reading
     the host clock here is the point, not a determinism leak.
     """
     start = time.monotonic()
-    assert main(
-        ["--deep", "--strict", "--baseline", str(BASELINE), str(PACKAGE_ROOT)]
-    ) == 0
+    assert main(["--deep", "--strict", str(PACKAGE_ROOT)]) == 0
     elapsed = time.monotonic() - start
     out = capsys.readouterr().out
     assert "lint+deep" in out

@@ -11,7 +11,6 @@ from repro.analysis.callgraph import Program
 from repro.analysis.deep_rules import (
     DEEP_RULES,
     check_crash_unwind,
-    check_determinism_taint,
     check_resource_leaks,
     run_deep,
 )
@@ -293,96 +292,6 @@ def test_resource_leak_suppression_honoured(tmp_path):
     assert run_deep([pkg], checks=["resource-leak"]) == []
 
 
-# -- determinism-taint ---------------------------------------------------------
-
-
-def test_wallclock_taint_across_module_boundary(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/telemetry/__init__.py": "",
-            "pkg/telemetry/helpers.py": """
-                import time
-
-
-                def stamp():
-                    return time.time()
-            """,
-            "pkg/engine.py": """
-                from pkg.telemetry.helpers import stamp
-
-
-                def work():
-                    return stamp()
-            """,
-        },
-    )
-    findings = check_determinism_taint(program)
-    assert any(
-        f.rule == "determinism-taint" and "wall-clock" in f.message
-        for f in findings
-    )
-    assert any(f.path.endswith("engine.py") for f in findings)
-
-
-def test_randomness_taint_transitive(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/util.py": """
-                import random
-
-
-                def roll():
-                    return random.random()
-
-
-                def wrapper():
-                    return roll()
-            """,
-            "pkg/engine.py": """
-                from pkg.util import wrapper
-
-
-                def work():
-                    return wrapper()
-            """,
-        },
-    )
-    findings = check_determinism_taint(program)
-    assert any(
-        "transitively uses unseeded" in f.message
-        and f.path.endswith("engine.py")
-        for f in findings
-    )
-
-
-def test_seeded_randomness_not_tainted(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/util.py": """
-                import random
-
-
-                def seeded():
-                    return random.Random(42).random()
-            """,
-            "pkg/engine.py": """
-                from pkg.util import seeded
-
-
-                def work():
-                    return seeded()
-            """,
-        },
-    )
-    assert check_determinism_taint(program) == []
-
-
 # -- runner behaviour ----------------------------------------------------------
 
 
@@ -406,8 +315,4 @@ def test_run_deep_strict_flags_useless_deep_suppression(tmp_path):
 
 
 def test_deep_rule_names_are_registered():
-    assert set(DEEP_RULES) == {
-        "crash-unwind",
-        "resource-leak",
-        "determinism-taint",
-    }
+    assert DEEP_RULES == ["crash-unwind", "resource-leak"]

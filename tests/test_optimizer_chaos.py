@@ -192,3 +192,65 @@ class TestStoMaintenance:
         assert set(row["covered_files"]) <= live or dw.sto.index_refreshes.get(
             table_id, 0
         ) >= 1
+
+
+class TestStoMaintenanceCrash:
+    """A crash inside a job the STO runs after a commit must reach the
+    committing caller; recovery then leaves the catalog matching the
+    store, and the committed rows answer queries unchanged."""
+
+    def _loaded(self, config, analyze_rows=0):
+        config.optimizer.auto_analyze_rows = analyze_rows
+        dw = Warehouse(config=config, auto_optimize=True)
+        session = dw.session()
+        table_id = session.create_table("t", SCHEMA, distribution_column="id")
+        session.insert("t", rows(0, 100))
+        return dw, session, table_id
+
+    @staticmethod
+    def assert_all_rows(session, count):
+        batch = session.sql("SELECT id, v FROM t ORDER BY id")
+        expected = rows(0, count)
+        assert np.array_equal(batch["id"], expected["id"])
+        assert np.array_equal(batch["v"], expected["v"])
+
+    def test_crash_in_auto_analyze_reaches_the_committer(self, config):
+        dw, session, table_id = self._loaded(config, analyze_rows=120)
+        # The insert commits, then its commit event runs auto-ANALYZE.
+        crash_at(
+            "fe.analyze.before_stats_put",
+            lambda: session.insert("t", rows(100, 50)),
+        )
+        # The STO rolled its ANALYZE back while the crash unwound.
+        assert RecoveryManager(dw.context, sto=dw.sto).recover().clean
+        assert catalog_read(
+            dw, lambda txn: catalog.latest_table_stats(txn, table_id, 10**9)
+        ) is None
+        assert dw.sto.auto_analyzes.get(table_id) is None
+        self.assert_all_rows(session, 150)
+        # Statistics written after recovery describe the committed rows.
+        assert session.analyze_table("t").row_count == 150
+
+    def test_crash_in_index_refresh_reaches_the_committer(self, config):
+        dw, session, table_id = self._loaded(config)
+        built = session.create_index("t", "idx", "id")
+        # The insert commits, then its commit event rebuilds the index.
+        crash_at(
+            "fe.index.after_file_put",
+            lambda: session.insert("t", rows(100, 50)),
+        )
+        report = RecoveryManager(dw.context, sto=dw.sto).recover()
+        # The rebuilt blob landed, its row never committed: scavenged,
+        # and the one row left still points at a blob that exists.
+        assert len(report.orphan_index_blobs_deleted) == 1
+        (row,) = catalog_read(
+            dw, lambda txn: catalog.indexes_for_table(txn, table_id)
+        )
+        assert row["path"] == built["path"]
+        index_blobs = [
+            b.path for b in dw.context.store.list() if "/_indexes/" in b.path
+        ]
+        assert index_blobs == [built["path"]]
+        self.assert_all_rows(session, 150)
+        # The stale index never hides rows it does not cover.
+        assert list(session.sql("SELECT v FROM t WHERE id = 120")["v"]) == [120.0]

@@ -10,11 +10,12 @@ queueing on the commit lock's busy horizon (``txn.commit_hold_s``).
 
 import json
 
+import numpy as np
 import pytest
 
-from repro import PolarisConfig, Warehouse
+from repro import PolarisConfig, Schema, Warehouse
 from repro.chaos import RecoveryManager, SimulatedCrash
-from repro.common.errors import PolarisError
+from repro.common.errors import PolarisError, RequestSheddedError
 from repro.common.clock import SimulatedClock
 from repro.common.config import TelemetryConfig
 from repro.service import Gateway
@@ -23,6 +24,7 @@ from repro.sqldb.locks import CommitLock
 from repro.telemetry import WAIT_NAMES, Telemetry, WaitStats, fingerprint
 from repro.telemetry.names import NAME_RE
 from repro.telemetry.scope import Frame
+from tests.conftest import small_config
 
 
 def waits_config(**overrides):
@@ -280,6 +282,76 @@ class TestEndToEnd:
         assert dw.telemetry.waits is None
         batch = dw.session().sql("SELECT * FROM sys.dm_wait_stats")
         assert len(batch["wait_kind"]) == 0
+
+
+def wait_stats_row(dw, kind):
+    """The ``sys.dm_wait_stats`` row of one wait kind, as a dict."""
+    batch = dw.session().sql("SELECT * FROM sys.dm_wait_stats")
+    kinds = list(batch["wait_kind"])
+    assert kind in kinds, kinds
+    i = kinds.index(kind)
+    return {name: batch[name].tolist()[i] for name in batch}
+
+
+class TestGatewayAndStoSites:
+    """Each of these sites records its wait kind only on a rare path: a
+    shed submit, a quota failure at dispatch, a compaction drained late."""
+
+    def test_shed_request_records_throttle(self):
+        config = waits_config(service__tokens_per_s=0.1, service__token_burst=1.0)
+        dw = Warehouse(config=config, auto_optimize=False)
+        gateway = Gateway(dw.context)
+        gateway.submit("acme", "transactional", lambda s: None)
+        with pytest.raises(RequestSheddedError) as exc:
+            gateway.submit("acme", "transactional", lambda s: None)
+        row = wait_stats_row(dw, "throttle")
+        assert row["waits"] == 1
+        assert row["total_wait_s"] == exc.value.retry_after_s > 0
+        assert (row["tenants"], row["workload_classes"]) == (
+            "acme",
+            "transactional",
+        )
+
+    def test_session_quota_failure_records_session_pool(self):
+        config = waits_config(service__max_sessions_per_tenant=1)
+        dw = Warehouse(config=config, auto_optimize=False)
+        gateway = Gateway(dw.context)
+        held = gateway.pool.acquire("acme")
+        starved = gateway.submit("acme", "analytical", lambda s: None)
+        gateway.run()
+        assert starved.error == "SessionQuotaError"
+        row = wait_stats_row(dw, "session_pool")
+        assert (row["waits"], row["total_wait_s"]) == (1, 0.0)
+        assert (row["tenants"], row["workload_classes"]) == (
+            "acme",
+            "analytical",
+        )
+        gateway.pool.release(held)
+
+    def test_tick_drained_compaction_records_sto_schedule(self):
+        config = small_config()
+        config.telemetry.wait_stats_enabled = True
+        dw = Warehouse(config=config, auto_optimize=True)
+        session = dw.session()
+        table_id = session.create_table(
+            "t", Schema.of(("id", "int64"), ("v", "float64"))
+        )
+        session.insert(
+            "t", {"id": np.arange(100, dtype=np.int64), "v": np.zeros(100)}
+        )
+        session.sql("DELETE FROM t WHERE id < 60")
+        session.sql("SELECT COUNT(*) AS n FROM t")  # observes the damage
+        due = dw.sto.pending_compactions[table_id]
+        dw.clock.advance(config.sto.poll_interval_s + 1.0)
+        ticked_at = dw.clock.now
+        dw.sto.tick()
+        assert dw.sto.pending_compactions == {}
+        assert [c.committed for c in dw.sto.compactions] == [True]
+        row = wait_stats_row(dw, "sto_schedule")
+        assert row["waits"] == 1
+        # The lag from the due time to the tick, not the compaction's run.
+        assert row["total_wait_s"] == pytest.approx(ticked_at - due)
+        assert row["total_wait_s"] >= 1.0
 
 
 class TestCrashHygiene:
