@@ -33,6 +33,7 @@ from repro.storage.object_store import ObjectStore
 
 if TYPE_CHECKING:
     from repro.telemetry.facade import Telemetry
+    from repro.telemetry.metrics import Counter, Histogram
 
 
 @dataclass
@@ -71,6 +72,7 @@ class Scheduler:
         self._cost_model = cost_model
         self._config = config
         self._telemetry = telemetry
+        self._by_pool: "Dict[str, Tuple[Counter, Histogram]]" = {}
         self._failure_rng = random.Random(config.task_failure_seed)
 
     def execute(
@@ -244,10 +246,9 @@ class Scheduler:
                 self._record_attempt(tel, span, start, "error", str(exc))
                 raise
             if tel is not None:
-                tel.metrics.counter("dcp.tasks", pool=task.pool).inc()
-                tel.metrics.histogram("dcp.task_duration_s", pool=task.pool).observe(
-                    duration
-                )
+                tasks, durations = self._pool_instruments(tel, task.pool)
+                tasks.inc()
+                durations.observe(duration)
             run = TaskRun(
                 task_id=task.task_id,
                 node_id=node.node_id,
@@ -260,6 +261,19 @@ class Scheduler:
         raise TaskFailedError(
             f"task {task.task_id!r} failed after {attempt} attempts"
         )
+
+    def _pool_instruments(
+        self, tel: "Telemetry", pool: str
+    ) -> "Tuple[Counter, Histogram]":
+        """``dcp.tasks`` and ``dcp.task_duration_s`` of ``pool``, bound
+        the first time a task of the pool completes."""
+        instruments = self._by_pool.get(pool)
+        if instruments is None:
+            instruments = self._by_pool[pool] = (
+                tel.metrics.counter("dcp.tasks", pool=pool),
+                tel.metrics.histogram("dcp.task_duration_s", pool=pool),
+            )
+        return instruments
 
     @staticmethod
     def _record_attempt(tel, span, end_time, status, error) -> None:

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common.errors import FileFormatError
 from repro.dcp.cells import cells_for_snapshot, distribution_of
 from repro.dcp.channels import estimate_batch_bytes
 from repro.dcp.dag import WorkflowDag
@@ -165,7 +166,7 @@ def _open_data_file(context: ServiceContext, info: DataFileInfo) -> PageFileRead
     and the reader gets the blob path so format errors are
     self-describing.  Both run on every open: the chunk cache is handed
     over only once they have passed, and a hit in it saves the reader a
-    ``zlib.decompress``, never the fetch or a check.
+    ``zlib.decompress`` or a footer parse, never the fetch or a check.
     """
     blob = _get_cross_checked(context, info.path, info.checksum)
     return PageFileReader(
@@ -179,7 +180,10 @@ def _load_dv(
     if info is None:
         return None
     blob = _get_cross_checked(context, info.path, info.checksum)
-    return DeletionVector.from_bytes(blob.data)
+    try:
+        return DeletionVector.from_bytes(blob.data)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{info.path}: {exc}") from None
 
 
 def _resize_write_pool(context: ServiceContext, rows: int, source_files: int) -> None:

@@ -15,8 +15,9 @@ actually requires of the format is:
 reference- or plain-text-encoded under zlib, per-row-group zone maps in a
 flat binary footer, and a compressed bitmap deletion-vector file.
 Because the files are immutable, a deployment keeps the decompressed
-bytes of the chunks it has scanned in one bounded :class:`ChunkCache`; a
-hit there saves a ``zlib.decompress`` and nothing else.
+bytes of the chunks it has scanned, and the parsed footers of the files
+it has opened, in one bounded :class:`ChunkCache`; a hit there saves a
+``zlib.decompress`` or a footer parse and nothing else.
 """
 
 from repro.pagefile.cache import ChunkCache

@@ -95,11 +95,19 @@ class DeletionVector:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DeletionVector":
-        """Parse DV file bytes."""
+        """Parse DV file bytes; anything malformed raises
+        :class:`FileFormatError`."""
         if len(data) < 8 or data[:4] != _MAGIC:
             raise FileFormatError("not a deletion vector file (bad magic)")
         (count,) = struct.unpack_from("<I", data, 4)
-        raw = zlib.decompress(data[8:])
+        try:
+            raw = zlib.decompress(data[8:])
+        except zlib.error as exc:
+            raise FileFormatError(f"deletion vector: corrupt payload ({exc})") from None
+        if len(raw) % 4:
+            raise FileFormatError(
+                f"deletion vector: {len(raw)} payload bytes are not whole uint32 deltas"
+            )
         deltas = np.frombuffer(raw, dtype=np.uint32).astype(np.int64)
         if len(deltas) != count:
             raise FileFormatError(

@@ -35,6 +35,12 @@ prunes on (:meth:`PageFile.zone_map`).  Readers fetch the footer first
 (by slicing from the end), then only the chunks they need — mirroring
 how engines read Parquet from object stores.  The crc32 covers the
 footer; each chunk is a zlib stream and carries zlib's own checksum.
+
+A :class:`PageFile` is immutable and a pure function of the footer bytes,
+where they start and the blob path, so every reader of one blob can share
+it: the chunk cache keeps it beside the chunks, and a reader that finds
+it there runs :func:`checked_footer` on the bytes in hand and skips only
+:func:`_parse_footer`.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ import struct
 import zlib
 from dataclasses import dataclass
 from operator import add
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -64,14 +71,28 @@ _BOUND_CODES = {"int64": "q", "float64": "d", "bool": "?"}
 #: when unknown (an empty chunk, or floats that are all NaN).
 Bounds = Tuple[Optional[Any], Optional[Any]]
 
+#: What :attr:`PageFile.nbytes` charges on top of the footer bytes: the
+#: objects themselves (the dataclass, its tuples, the positions dict and
+#: its read-only view), each parsed ``int`` (an object plus a slot in the
+#: layout tuple and in the slice it belongs to) and each column (its name
+#: ``str`` and positions-dict entry, plus the name's characters).  Upper
+#: bounds, checked with ``tracemalloc`` by the chunk-cache tests.
+_FIXED_BYTES = 640
+_INT_BYTES = 40
+_COLUMN_BYTES = 128
 
-@dataclass
+
+@dataclass(frozen=True, slots=True)
 class PageFile:
-    """Parsed footer of a page file: everything needed to plan reads."""
+    """Parsed footer of a page file: everything needed to plan reads.
+
+    Immutable — tuples and a read-only ``positions`` — because every
+    reader of a blob shares the one the chunk cache holds.
+    """
 
     #: Column names and logical types, in schema order.
-    names: List[str]
-    types: List[str]
+    names: Tuple[str, ...]
+    types: Tuple[str, ...]
     num_rows: int
     #: Row count of each row group.
     group_rows: Tuple[int, ...]
@@ -79,13 +100,27 @@ class PageFile:
     #: column ``c`` in row group ``g`` is entry ``g * len(names) + c``.
     offsets: Tuple[int, ...]
     lengths: Tuple[int, ...]
-    #: Column name -> position in the schema.
-    positions: Dict[str, int]
+    #: Column name -> position in the schema (a read-only view).
+    positions: Mapping[str, int]
     #: ``"<blob path>: "`` (or empty): the prefix of every error raised
     #: about this file, so reports name the exact blob.
     origin: str
-    _footer: bytes
+    #: The footer bytes this was parsed from (the crc32 covers them).
+    footer: bytes
     _zones: Tuple[int, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Memory this parsed footer holds, footer bytes included (an
+        upper bound, and what the chunk cache charges for it)."""
+        ints = len(self.group_rows) + len(self.offsets) + len(self.lengths)
+        return (
+            len(self.footer)
+            + len(self.origin)
+            + _FIXED_BYTES
+            + _INT_BYTES * (ints + len(self._zones))
+            + sum(_COLUMN_BYTES + len(name) for name in self.names)
+        )
 
     @property
     def schema(self) -> Schema:
@@ -105,7 +140,7 @@ class PageFile:
         """``(minimum, maximum)`` of ``column`` per row group, in file order."""
         position = self.position(column)
         groups = len(self.group_rows)
-        footer, start = self._footer, self._zones[position]
+        footer, start = self.footer, self._zones[position]
         try:
             known = footer[start : start + groups]
             if len(known) != groups:
@@ -185,6 +220,20 @@ def read_footer(data: bytes, source: "str | None" = None) -> PageFile:
     scrubber or quarantine log names the exact blob, not just "a file".
     """
     origin = f"{source}: " if source else ""
+    footer, footer_start = checked_footer(data, origin)
+    try:
+        return _parse_footer(footer, footer_start, origin)
+    except (struct.error, UnicodeDecodeError, FileFormatError) as exc:
+        raise FileFormatError(f"{origin}corrupt page file footer ({exc})") from None
+
+
+def checked_footer(data: bytes, origin: str = "") -> Tuple[bytes, int]:
+    """The footer bytes of page-file ``data`` and the offset they start at.
+
+    Checks the magic at both ends, the trailer's footer length and the
+    footer crc32: everything about the footer short of parsing it.
+    ``origin`` (``"<blob path>: "`` or empty) prefixes every error.
+    """
     size = len(data)
     if size < len(MAGIC) + _TRAILER.size or data[:4] != MAGIC or data[-4:] != MAGIC:
         head = bytes(data[:4])
@@ -206,10 +255,7 @@ def read_footer(data: bytes, source: "str | None" = None) -> PageFile:
             f"{origin}corrupt page file footer (crc32 {zlib.crc32(footer):08x} "
             f"where the trailer records {crc:08x})"
         )
-    try:
-        return _parse_footer(footer, footer_start, origin)
-    except (struct.error, UnicodeDecodeError, FileFormatError) as exc:
-        raise FileFormatError(f"{origin}corrupt page file footer ({exc})") from None
+    return footer, footer_start
 
 
 def _parse_footer(footer: bytes, body_end: int, origin: str) -> PageFile:
@@ -230,19 +276,23 @@ def _parse_footer(footer: bytes, body_end: int, origin: str) -> PageFile:
         raise FileFormatError(
             f"row groups hold {sum(group_rows)} rows, header says {num_rows}"
         )
+    # Every chunk starts before the footer, so no chunk-cache key of a
+    # parsed file equals the key its footer is cached under.
     if chunks and (
-        min(offsets) < len(MAGIC) or max(map(add, offsets, lengths)) > body_end
+        min(offsets) < len(MAGIC)
+        or max(offsets) >= body_end
+        or max(map(add, offsets, lengths)) > body_end
     ):
         raise FileFormatError(f"a chunk lies outside the file body [4, {body_end})")
     return PageFile(
-        names=names,
-        types=[SUPPORTED_TYPES[code] for code in codes],
+        names=tuple(names),
+        types=tuple(SUPPORTED_TYPES[code] for code in codes),
         num_rows=num_rows,
         group_rows=group_rows,
         offsets=offsets,
         lengths=lengths,
-        positions=positions,
+        positions=MappingProxyType(positions),
         origin=origin,
-        _footer=footer,
+        footer=footer,
         _zones=layout[groups + 2 * chunks :],
     )

@@ -10,7 +10,7 @@ from repro.common.errors import FileFormatError
 from repro.pagefile.cache import ChunkCache
 from repro.pagefile.deletion_vector import DeletionVector
 from repro.pagefile.encoding import concat, decode_column, inflate, select
-from repro.pagefile.file_format import PageFile, read_footer
+from repro.pagefile.file_format import PageFile, checked_footer, read_footer
 from repro.pagefile.schema import NUMPY_DTYPES
 from repro.pagefile.stats import may_contain
 
@@ -24,8 +24,11 @@ class PageFileReader:
 
     With a ``cache`` the decompressed bytes of each chunk are kept under
     ``(source, etag, chunk offset)`` — the identity of the immutable blob
-    ``data`` came from — and a later reader of the same blob skips
-    ``zlib.decompress`` for them.  Arrays are decoded afresh either way.
+    ``data`` came from — and the parsed footer under ``(source, etag,
+    footer offset)``; a later reader of the same blob skips
+    ``zlib.decompress`` for those chunks and ``_parse_footer`` for the
+    footer.  It still checks the magic, the trailer and the footer crc32
+    of ``data`` on every open, and arrays are decoded afresh either way.
 
     A string column whose chunks are all ``DICT``-encoded comes back as a
     hinted :class:`~repro.pagefile.encoding.DictArray` (the deletion-vector
@@ -41,9 +44,23 @@ class PageFileReader:
         etag: int = 0,
     ) -> None:
         self._data = data
-        self._meta = read_footer(data, source=source)
         self._cache = cache if source else None
         self._blob = (source, etag)
+        self._meta = self._footer(source)
+
+    def _footer(self, source: Optional[str]) -> PageFile:
+        """The parsed footer: from the cache when it holds one parsed
+        from these very footer bytes, else from ``read_footer``."""
+        cache = self._cache
+        if cache is None:
+            return read_footer(self._data, source=source)
+        footer, start = checked_footer(self._data, f"{source}: ")
+        key = (*self._blob, start)
+        meta = cache.get_footer(key, footer)
+        if meta is None:
+            meta = read_footer(self._data, source=source)
+            cache.put(key, meta)
+        return meta
 
     @property
     def meta(self) -> PageFile:
@@ -67,10 +84,11 @@ class PageFileReader:
         Rows marked deleted in ``deletion_vector`` are filtered out
         (merge-on-read).  With ``with_positions`` the result additionally
         carries a ``__pos__`` column of physical row positions, which the
-        delete/update path uses to build new deletion vectors.
+        delete/update path uses to build new deletion vectors.  A column
+        listed twice is read once, at its first position.
         """
         meta = self._meta
-        wanted = list(columns) if columns is not None else meta.names
+        wanted = list(dict.fromkeys(columns if columns is not None else meta.names))
         picked = [(name, meta.position(name)) for name in wanted]
         types = meta.types
         parts: Dict[str, List[np.ndarray]] = {name: [] for name in wanted}

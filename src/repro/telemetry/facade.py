@@ -16,14 +16,14 @@ from __future__ import annotations
 import itertools
 import weakref
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import TelemetryConfig
 from repro.common.events import Event, EventBus, WILDCARD
 from repro.storage.metering import IoMeter
 from repro.telemetry import exporters
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.querystore import (
     SQL_TEXT_LIMIT,
     QueryStore,
@@ -101,6 +101,10 @@ class Telemetry:
         #: The only attribution state: (tenant, workload class, query
         #: fingerprint) frames the collectors read.
         self.scope = RequestScope()
+        # Per-request instruments, bound the first time a label value
+        # occurs (never before, so no empty series is ever listed).
+        self._request_latency: Dict[str, Histogram] = {}
+        self._sim_latency: Dict[Tuple[str, bool], Counter] = {}
         self._participants = participants if participants is not None else {}
         #: Whether any collector reads :attr:`scope` (the scoped entry
         #: points are the shared null scope otherwise).
@@ -308,9 +312,12 @@ class Telemetry:
         Counts and bytes are the store's :attr:`meter`; this records the
         request's latency and, when tracing, its span.
         """
-        self.metrics.histogram("storage.request_latency_s", op=operation).observe(
-            cost
-        )
+        latency = self._request_latency.get(operation)
+        if latency is None:
+            latency = self._request_latency[operation] = self.metrics.histogram(
+                "storage.request_latency_s", op=operation
+            )
+        latency.observe(cost)
         if self.tracing:
             start, end = self.tracer.child_window(cost)
             span = self.tracer.start_span(
@@ -358,10 +365,14 @@ class Telemetry:
         the two are reported separately so IO latency is never counted
         twice.
         """
-        mode = "clock" if charged else "node_timeline"
-        self.metrics.counter(
-            "storage.sim_latency_s", op=operation or "unknown", mode=mode
-        ).inc(cost)
+        counter = self._sim_latency.get((operation, charged))
+        if counter is None:
+            counter = self._sim_latency[operation, charged] = self.metrics.counter(
+                "storage.sim_latency_s",
+                op=operation or "unknown",
+                mode="clock" if charged else "node_timeline",
+            )
+        counter.inc(cost)
 
     # -- retry hooks ----------------------------------------------------------
 

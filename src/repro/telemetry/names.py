@@ -56,14 +56,17 @@ METRIC_NAMES: Dict[str, str] = {
         "Scan predicates added by transitive equality propagation."
     ),
     "pagefile.chunk_cache.evictions": (
-        "Decompressed chunks evicted from the chunk cache (LRU, byte budget)."
+        "Chunks and parsed footers evicted from the chunk cache (LRU, byte budget)."
     ),
     "pagefile.chunk_cache.hits": (
-        "Column chunks served from the chunk cache (zlib.decompress skipped)."
+        "Chunks and footers served from the chunk cache "
+        "(zlib.decompress or the footer parse skipped)."
     ),
-    "pagefile.chunk_cache.misses": "Column chunks inflated on a cache miss.",
+    "pagefile.chunk_cache.misses": (
+        "Chunks inflated and footers parsed on a chunk-cache miss."
+    ),
     "pagefile.chunk_cache.resident_bytes": (
-        "Gauge: payload bytes plus per-entry overhead the chunk cache holds."
+        "Gauge: entry sizes plus per-entry overhead the chunk cache holds."
     ),
     "querystore.plan_regressions": (
         "Fingerprints whose recent p95 regressed past their baseline."

@@ -194,6 +194,15 @@ class TestReadPath:
         out = dw.session().query(TableScan("t", ("v",)))
         assert list(out) == ["v"]
 
+    def test_repeated_column_is_read_once(self, dw, session):
+        # Regression: every listing of "id" appended its chunks again, so
+        # "id" came back with 10 values beside the 5 of "v".
+        session.insert("t", ids(5))
+        out = dw.session().query(TableScan("t", ("id", "v", "id")))
+        assert list(out) == ["id", "v"]
+        assert sorted(out["id"].tolist()) == list(range(5))
+        assert len(out["v"]) == 5
+
     def test_scan_prune_hint_correct(self, dw, session):
         session.insert("t", ids(100))
         out = dw.session().query(

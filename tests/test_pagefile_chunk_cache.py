@@ -1,11 +1,19 @@
-"""The decompressed-chunk cache: its bookkeeping, and the rule it lives by.
+"""The chunk cache of decompressed chunks and parsed footers: its
+bookkeeping, and the rule it lives by.
 
-The rule (DESIGN.md, "The chunk cache"): **a hit skips ``zlib.decompress``
-and nothing else**.  ``store.get`` and both checksum verifications run on
-every open, so a warm cache can mask no fault, no quarantine and no GC
-deletion, and a query costs the same fetches, bytes and simulated seconds
-warm, cold or with a zero budget.
+The rule (DESIGN.md, "The chunk cache"): **a hit skips decoding and
+nothing else** — ``zlib.decompress`` for a chunk, ``_parse_footer`` for a
+footer.  ``store.get`` and both checksum verifications run on every open,
+and the magic, trailer and footer crc32 are checked on every reader, so a
+warm cache can mask no fault, no quarantine, no GC deletion and no
+malformed footer, and a query costs the same fetches, bytes and simulated
+seconds warm, cold or with a zero budget.
 """
+
+import dataclasses
+import struct
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,21 +22,49 @@ from hypothesis import strategies as st
 
 from repro import PolarisConfig, Schema, Warehouse
 from repro.chaos.recovery import RecoveryManager
-from repro.common.errors import BlobNotFoundError, IntegrityError
+from repro.common.errors import BlobNotFoundError, FileFormatError, IntegrityError
 from repro.engine.expressions import BinOp, Col, Lit
 from repro.engine.planner import TableScan
 from repro.fe.write_path import _load_dv, _open_data_file
-from repro.pagefile.cache import BUDGET_BYTES, ENTRY_OVERHEAD_BYTES, ChunkCache
+from repro.pagefile import file_format
+from repro.pagefile.cache import (
+    BUDGET_BYTES,
+    ENTRY_OVERHEAD_BYTES,
+    ChunkCache,
+    entry_cost,
+)
+from repro.pagefile.file_format import PageFile, read_footer, write_page_file
+from repro.pagefile.reader import PageFileReader
 from repro.storage import integrity
 from repro.storage.integrity import CHECKSUM_KEY
 from repro.telemetry.metrics import MetricsRegistry
 from tests.conftest import small_config
+from tests.test_pagefile_format import _reseal
 
 KIB = ENTRY_OVERHEAD_BYTES
 
 
 def _cache(budget_bytes: int = BUDGET_BYTES) -> ChunkCache:
     return ChunkCache(MetricsRegistry(), budget_bytes)
+
+
+def _page_file(columns: int, rows: int, group: int = 4) -> bytes:
+    schema = Schema.of(*[(f"column_{c}", "int64") for c in range(columns)])
+    values = np.arange(rows, dtype=np.int64) * 100_003
+    return write_page_file(
+        schema, {name: values for name in schema.names}, row_group_size=group
+    )
+
+
+#: Parsed footers of several shapes, for the bookkeeping tests.
+FOOTERS = [
+    read_footer(_page_file(columns, rows), source=f"p/{columns}x{rows}.rpf")
+    for columns, rows in ((1, 1), (3, 10), (15, 4), (6, 60))
+]
+
+
+def _footers(cache: ChunkCache):
+    return [entry for entry in cache._entries.values() if isinstance(entry, PageFile)]
 
 
 class TestBookkeeping:
@@ -74,17 +110,68 @@ class TestBookkeeping:
         assert BUDGET_BYTES // ENTRY_OVERHEAD_BYTES <= 8192
 
     @given(
-        st.integers(0, 6 * KIB),
-        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3 * KIB)), max_size=60),
+        st.integers(0, 12 * KIB),
+        st.lists(
+            st.tuples(
+                st.integers(0, 12),
+                st.integers(0, 3 * KIB),
+                st.sampled_from([None, *range(len(FOOTERS))]),
+            ),
+            max_size=60,
+        ),
     )
     @settings(max_examples=100, deadline=None)
     def test_cost_never_exceeds_budget(self, budget, operations):
+        # Chunk entries and footer entries, under disjoint keys as in a
+        # real file (every chunk starts before the footer).
         cache = _cache(budget)
-        for offset, size in operations:
-            if cache.get(("p", 1, offset)) is None:
-                cache.put(("p", 1, offset), bytes(size))
-            held = sum(len(raw) + KIB for raw in cache._entries.values())
+        for offset, size, footer in operations:
+            if footer is None:
+                if cache.get(("p", 1, offset)) is None:
+                    cache.put(("p", 1, offset), bytes(size))
+            else:
+                meta, key = FOOTERS[footer], ("f", 1, footer)
+                if cache.get_footer(key, meta.footer) is None:
+                    cache.put(key, meta)
+            held = sum(map(entry_cost, cache._entries.values()))
             assert cache.resident_bytes == held <= budget
+
+    def test_footer_entry_is_charged_what_it_holds(self):
+        assert entry_cost(FOOTERS[0]) == FOOTERS[0].nbytes + KIB
+        for columns, rows in ((1, 1), (3, 10), (15, 4), (6, 60)):
+            data = _page_file(columns, rows)
+            read_footer(data, source="p")
+            tracemalloc.start()
+            try:
+                # Enough copies that objects served from Python's free
+                # lists (which tracemalloc does not see) do not matter.
+                metas = [read_footer(data, source="p") for __ in range(1000)]
+                held = tracemalloc.get_traced_memory()[0] / len(metas)
+            finally:
+                tracemalloc.stop()
+            # An upper bound, loose by the ints below 257 Python shares.
+            assert held <= metas[0].nbytes <= 2 * held, (columns, rows)
+
+    def test_footer_hit_needs_the_same_footer_bytes(self):
+        cache, meta = _cache(), FOOTERS[1]
+        cache.put(("p", 1, 9), meta)
+        assert cache.get_footer(("p", 1, 9), meta.footer) is meta
+        assert cache.get_footer(("p", 1, 9), meta.footer[:-1] + b"!") is None
+        assert cache.get_footer(("p", 2, 9), meta.footer) is None
+        assert (cache.hits.value, cache.misses.value) == (1, 2)
+
+    def test_a_parsed_footer_cannot_be_mutated(self):
+        meta = FOOTERS[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            meta.num_rows = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            meta.names = ("other",)
+        with pytest.raises(TypeError):
+            meta.positions["column_0"] = 2
+        with pytest.raises(TypeError):
+            meta.offsets[0] = 0
+        with pytest.raises(AttributeError):
+            meta.names.append("extra")
 
 
 # -- the rule, through a real warehouse ---------------------------------------
@@ -120,13 +207,87 @@ def _files(dw: Warehouse):
 
 @pytest.fixture
 def warm():
-    """A warehouse whose every chunk of ``t`` is cached."""
+    """A warehouse whose every chunk and footer of ``t`` is cached."""
     dw = _loaded()
     _scan(dw)
     before = dw.context.chunk_cache.misses.value
     _scan(dw)
     assert dw.context.chunk_cache.misses.value == before, "second scan must be all hits"
+    assert len(_footers(dw.context.chunk_cache)) == len(_files(dw))
     return dw
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The ``origin`` of every ``_parse_footer`` call."""
+    calls = []
+    original = file_format._parse_footer
+
+    def spy(footer, body_end, origin):
+        calls.append(origin)
+        return original(footer, body_end, origin)
+
+    monkeypatch.setattr(file_format, "_parse_footer", spy)
+    return calls
+
+
+class TestFooterParsedOncePerBlob:
+    def test_one_parse_per_path_and_etag(self, parses):
+        dw = _loaded()
+        for __ in range(3):
+            _scan(dw)
+        paths = [info.path for info in _files(dw)]
+        assert Counter(parses) == Counter(f"{path}: " for path in paths)
+
+    def test_an_overwrite_at_the_same_path_parses_again(self, warm, parses):
+        info = _files(warm)[0]
+        blob = warm.store.get(info.path)
+        warm.store.put(info.path, blob.data, metadata=dict(blob.metadata), overwrite=True)
+        _scan(warm)
+        _scan(warm)
+        assert parses == [f"{info.path}: "]
+
+    def test_readers_of_one_blob_share_the_footer(self, warm, parses):
+        info = _files(warm)[0]
+        first = _open_data_file(warm.context, info)
+        assert _open_data_file(warm.context, info).meta is first.meta
+        assert parses == []
+
+    @pytest.mark.parametrize(
+        "damage,match",
+        [
+            # Footer crc32 broken: one footer byte flipped, trailer kept.
+            (lambda data: data[:-20] + bytes([data[-20] ^ 1]) + data[-19:], "crc32"),
+            # Trailer resealed over a footer whose header lies about rows.
+            (
+                lambda data: _reseal(
+                    data, lambda footer: struct.pack_into("<Q", footer, 8, 10**6)
+                ),
+                "header says 1000000",
+            ),
+            # Trailer resealed over an unknown column type code.
+            (
+                lambda data: _reseal(
+                    data, lambda footer: footer.__setitem__(16, 9)
+                ),
+                "bad schema",
+            ),
+            (lambda data: data[:-4] + b"RPF1", "bad magic"),
+            # Trailer claiming a footer longer than the file.
+            (
+                lambda data: data[:-12] + struct.pack("<I", len(data)) + data[-8:],
+                "exceeds file size",
+            ),
+        ],
+    )
+    def test_a_damaged_copy_under_the_same_key_still_raises(self, warm, damage, match):
+        info = _files(warm)[0]
+        blob = warm.store.get(info.path)
+        cache = warm.context.chunk_cache
+        cached = PageFileReader(blob.data, info.path, cache, blob.etag).meta
+        with pytest.raises(FileFormatError, match=f"{info.path}: .*{match}"):
+            PageFileReader(damage(blob.data), info.path, cache, blob.etag)
+        assert PageFileReader(blob.data, info.path, cache, blob.etag).meta is cached
 
 
 class TestWarmCacheMasksNothing:
@@ -241,6 +402,7 @@ class TestSameCostWarmColdOrOff:
         cleared.context.chunk_cache.clear()
         batches = [_scan(dw) for dw in (warm, cleared, off)]
         assert warm.context.chunk_cache.hits.value > 0
+        assert len(_footers(warm.context.chunk_cache)) == len(_files(warm))
         assert cleared.context.chunk_cache.hits.value == 0
         assert len(off.context.chunk_cache) == 0
         for dw, batch in zip((cleared, off), batches[1:]):
@@ -253,12 +415,13 @@ class TestSameCostWarmColdOrOff:
 
 
 class TestLifecycle:
-    def test_recovery_leaves_the_cache_empty(self, warm):
+    def test_recovery_leaves_the_cache_empty(self, warm, parses):
         cache = warm.context.chunk_cache
-        assert len(cache) > 0
+        assert len(cache) > len(_footers(cache)) > 0
         RecoveryManager(warm.context, sto=warm.sto).recover()
         assert len(cache) == 0 and cache.resident_bytes == 0
         assert len(_scan(warm)["k"]) == ROWS
+        assert len(parses) == len(_files(warm)), "footers are parsed again"
 
     def test_mutating_a_returned_array_does_not_change_the_next_read(self, warm):
         info = _files(warm)[0]

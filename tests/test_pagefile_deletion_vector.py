@@ -1,9 +1,16 @@
 """Tests for deletion vectors and merge-on-read."""
 
+import dataclasses
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from repro import Warehouse
 from repro.common.errors import FileFormatError
+from repro.engine.expressions import BinOp, Col, Lit
+from repro.fe.write_path import _load_dv
 from repro.pagefile import DeletionVector, PageFileReader, Schema, write_page_file
 
 
@@ -53,12 +60,36 @@ class TestDeletionVector:
         with pytest.raises(FileFormatError):
             DeletionVector.from_bytes(b"XXXXxxxx")
 
+    @pytest.mark.parametrize(
+        "body,match",
+        [
+            (zlib.compress(b"abc"), "3 payload bytes are not whole uint32"),
+            (b"not a zlib stream", "corrupt payload"),
+        ],
+    )
+    def test_malformed_payload_is_a_format_error(self, body, match):
+        with pytest.raises(FileFormatError, match=match):
+            DeletionVector.from_bytes(b"RDV1" + struct.pack("<I", 1) + body)
+
     def test_equality(self):
         assert DeletionVector([1, 2]) == DeletionVector([2, 1])
         assert DeletionVector([1]) != DeletionVector([2])
 
     def test_iteration(self):
         assert list(DeletionVector([3, 1])) == [1, 3]
+
+
+def test_dv_load_names_the_blob():
+    dw = Warehouse(auto_optimize=False)
+    session = dw.session()
+    session.create_table("t", Schema.of(("k", "int64")))
+    session.insert("t", {"k": np.arange(10, dtype=np.int64)})
+    session.delete("t", BinOp("<", Col("k"), Lit(3)))
+    info = next(iter(session.table_snapshot("t").dvs.values()))
+    # Self-consistent metadata, no manifest checksum: only the parser can tell.
+    dw.store.put(info.path, b"RDV1" + struct.pack("<I", 1) + b"junk", overwrite=True)
+    with pytest.raises(FileFormatError, match=f"^{info.path}: deletion vector"):
+        _load_dv(dw.context, dataclasses.replace(info, checksum=""))
 
 
 class TestMergeOnRead:
