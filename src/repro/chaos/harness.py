@@ -561,7 +561,8 @@ def run_gateway_site(
         return result
 
     # Monotonic totals, not a ledger scan: the ledger evicts finished
-    # records past finished_history_cap, which would undercount the oracle.
+    # records past gateway.FINISHED_HISTORY_CAP, which would undercount
+    # the oracle.
     completed_inserts = gateway.finished_count(
         "completed", workload_class="transactional"
     )

@@ -18,6 +18,10 @@ from __future__ import annotations
 import math
 
 from repro.common.config import DcpConfig
+from repro.dcp import wlm
+
+#: Hard cap on elastic topology size (None = unbounded, as in Fabric).
+ELASTIC_MAX_NODES: "int | None" = None
 
 
 class Autoscaler:
@@ -33,10 +37,10 @@ class Autoscaler:
         )
         # One task per source file at minimum granularity: more nodes than
         # files cannot help.
-        by_files = max(1, math.ceil(source_files / self._config.slots_per_node))
+        by_files = max(1, math.ceil(source_files / wlm.SLOTS_PER_NODE))
         target = max(1, min(by_cpu, by_files) if source_files else by_cpu)
-        if self._config.elastic_max_nodes is not None:
-            target = min(target, self._config.elastic_max_nodes)
+        if ELASTIC_MAX_NODES is not None:
+            target = min(target, ELASTIC_MAX_NODES)
         return max(1, target)
 
     def nodes_for_query(self, total_rows: int) -> int:
@@ -45,6 +49,6 @@ class Autoscaler:
             1,
             math.ceil((total_rows / 1_000_000) / self._config.rows_per_node_million),
         )
-        if self._config.elastic_max_nodes is not None:
-            target = min(target, self._config.elastic_max_nodes)
+        if ELASTIC_MAX_NODES is not None:
+            target = min(target, ELASTIC_MAX_NODES)
         return target

@@ -8,21 +8,28 @@ out), and a transfer term for bytes moved to/from the object store.
 
 from __future__ import annotations
 
-from repro.common.config import DcpConfig, StorageConfig
+from repro.common.config import DcpConfig
 from repro.common.units import mib
+from repro.storage import latency
+
+#: Fixed per-task scheduling/startup overhead (simulated seconds).
+TASK_OVERHEAD_S = 0.05
 
 
 class CostModel:
-    """Computes simulated task durations from cost hints."""
+    """Computes simulated task durations from cost hints.
 
-    def __init__(self, dcp: DcpConfig, storage: StorageConfig) -> None:
+    The transfer and per-request terms are the object store's own latency
+    constants (:mod:`repro.storage.latency`).
+    """
+
+    def __init__(self, dcp: DcpConfig) -> None:
         self._dcp = dcp
-        self._storage = storage
 
     def task_duration(self, rows: int, files: int, io_bytes: int) -> float:
         """Simulated seconds for one task attempt."""
         cpu = (rows / 1_000_000) * self._dcp.seconds_per_million_rows
         file_io = files * self._dcp.per_file_overhead_s
-        transfer = mib(io_bytes) * self._storage.per_mib_latency_s
-        requests = files * self._storage.request_latency_s
-        return self._dcp.task_overhead_s + cpu + file_io + transfer + requests
+        transfer = mib(io_bytes) * latency.PER_MIB_LATENCY_S
+        requests = files * latency.REQUEST_LATENCY_S
+        return TASK_OVERHEAD_S + cpu + file_io + transfer + requests

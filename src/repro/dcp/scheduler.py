@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.common.clock import SimulatedClock
-from repro.common.config import DcpConfig
 from repro.common.errors import TaskFailedError, TransientStorageError
 from repro.dcp.costmodel import CostModel
 from repro.dcp.dag import WorkflowDag
@@ -34,6 +33,13 @@ from repro.storage.object_store import ObjectStore
 if TYPE_CHECKING:
     from repro.telemetry.facade import Telemetry
     from repro.telemetry.metrics import Counter, Histogram
+
+#: Maximum retries for a failed task before the statement fails.
+MAX_TASK_RETRIES = 3
+#: Probability that any task attempt fails transiently (fault injection).
+TASK_FAILURE_RATE = 0.0
+#: Seed for the task-failure PRNG.
+TASK_FAILURE_SEED = 13
 
 
 @dataclass
@@ -64,16 +70,14 @@ class Scheduler:
         clock: SimulatedClock,
         store: ObjectStore,
         cost_model: CostModel,
-        config: DcpConfig,
         telemetry: "Optional[Telemetry]" = None,
     ) -> None:
         self._clock = clock
         self._store = store
         self._cost_model = cost_model
-        self._config = config
         self._telemetry = telemetry
         self._by_pool: "Dict[str, Tuple[Counter, Histogram]]" = {}
-        self._failure_rng = random.Random(config.task_failure_seed)
+        self._failure_rng = random.Random(TASK_FAILURE_SEED)
 
     def execute(
         self,
@@ -180,7 +184,7 @@ class Scheduler:
         tracing = tel is not None and tel.tracing
         first_start: Optional[float] = None
         attempt = 0
-        while attempt <= self._config.max_task_retries:
+        while attempt <= MAX_TASK_RETRIES:
             attempt += 1
             node, slot = self._earliest_slot(pool, ready)
             start = max(node.slot_free_at[slot], ready)
@@ -287,7 +291,7 @@ class Scheduler:
     def _attempt_fails(self, task: Task, attempt: int) -> bool:
         if attempt in task.fail_on_attempts:
             return True
-        rate = self._config.task_failure_rate
+        rate = TASK_FAILURE_RATE
         return rate > 0 and self._failure_rng.random() < rate
 
     @staticmethod

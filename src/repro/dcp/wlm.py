@@ -16,6 +16,9 @@ from repro.common.config import DcpConfig
 from repro.common.ids import MonotonicSequence
 from repro.dcp.topology import Topology
 
+#: Task slots per compute node.
+SLOTS_PER_NODE = 2
+
 
 class WorkloadManager:
     """Routes tasks to per-pool topologies."""
@@ -35,7 +38,7 @@ class WorkloadManager:
 
     def _new_topology(self) -> Topology:
         topology = Topology(node_ids=self._node_ids)
-        topology.add_nodes(self._config.fixed_nodes, slots=self._config.slots_per_node)
+        topology.add_nodes(self._config.fixed_nodes, slots=SLOTS_PER_NODE)
         return topology
 
     @property
@@ -52,4 +55,4 @@ class WorkloadManager:
 
     def resize_pool(self, name: str, nodes: int) -> None:
         """Elastically resize a pool (no-op for the other pool)."""
-        self.pool(name).resize(nodes, slots=self._config.slots_per_node)
+        self.pool(name).resize(nodes, slots=SLOTS_PER_NODE)

@@ -106,11 +106,9 @@ class ServiceContext:
         sqldb = SqlDbEngine(clock=clock)
         # The engine builds its own commit lock; the contention model and
         # the lock's telemetry sinks are bound onto it here.
-        sqldb.commit_lock.configure(config.txn.commit_hold_s, telemetry)
-        cost_model = CostModel(config.dcp, config.storage)
-        scheduler = Scheduler(
-            clock, store, cost_model, config.dcp, telemetry=telemetry
-        )
+        sqldb.commit_lock.configure(telemetry)
+        cost_model = CostModel(config.dcp)
+        scheduler = Scheduler(clock, store, cost_model, telemetry=telemetry)
         wlm = WorkloadManager(config.dcp, separate_pools=separate_pools)
         context = cls(
             database=database,

@@ -30,7 +30,6 @@ def load_manifest_actions(context: "ServiceContext", path: str) -> List[Action]:
         telemetry=context.telemetry,
         label="manifest_load",
         clock=context.clock,
-        config=context.config.storage,
         seed=context.config.seed,
     )
     return decode_manifest(blob.data)
@@ -79,7 +78,6 @@ def make_snapshot_cache(context: "ServiceContext") -> SnapshotCache:
                 telemetry=context.telemetry,
                 label="checkpoint_load",
                 clock=context.clock,
-                config=context.config.storage,
                 seed=context.config.seed,
             )
         except (BlobNotFoundError, IntegrityError):

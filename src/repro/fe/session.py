@@ -30,6 +30,10 @@ from repro.fe.transaction import PolarisTransaction
 from repro.lst.snapshot import TableSnapshot
 from repro.pagefile.schema import Schema
 
+#: Automatic re-executions of an auto-commit statement whose commit hit a
+#: write-write conflict.
+COMMIT_RETRIES = 0
+
 
 class Session:
     """One user connection to the warehouse."""
@@ -37,21 +41,20 @@ class Session:
     def __init__(self, context: ServiceContext) -> None:
         self._context = context
         self._txn: Optional[PolarisTransaction] = None
-        self._sql = None
 
     def sql(self, text: str):
         """Execute one SQL statement against this session.
 
         Convenience front door over :class:`repro.sql.runner.SqlSession`
-        (created lazily, imported lazily to avoid a circular import):
-        SELECTs return a batch, DML a row count, and ``sys.dm_*`` system
-        views resolve to live engine state.
+        (imported lazily to avoid a circular import): SELECTs return a
+        batch, DML a row count, and ``sys.dm_*`` system views resolve to
+        live engine state.  The ``SqlSession`` is built per call: keeping
+        it would tie the session into a reference cycle with its own
+        wrapper, alive until the cyclic collector runs.
         """
-        if self._sql is None:
-            from repro.sql.runner import SqlSession
+        from repro.sql.runner import SqlSession
 
-            self._sql = SqlSession(self)
-        return self._sql.execute(text)
+        return SqlSession(self).execute(text)
 
     # -- explicit transactions -------------------------------------------------
 
@@ -307,10 +310,10 @@ class Session:
         Auto-commit statements whose validation hits a write-write conflict
         (e.g. an autonomous compaction committed mid-statement) are
         transparently re-executed on a fresh snapshot, up to
-        ``config.txn.commit_retries`` times — the paper's "retried
-        otherwise".  Statements inside an explicit transaction are never
-        retried: the whole user transaction aborted, and only the user can
-        decide to re-run it.
+        :data:`COMMIT_RETRIES` times — the paper's "retried otherwise".
+        Statements inside an explicit transaction are never retried: the
+        whole user transaction aborted, and only the user can decide to
+        re-run it.
 
         Every execution runs under a statement span that is a child of the
         transaction's root span, so traces show statement nesting for both
@@ -318,7 +321,7 @@ class Session:
         """
         if self._txn is not None and self._txn.is_active:
             return self._traced(statement, self._txn, name, span_attrs)
-        attempts = 1 + max(0, self._context.config.txn.commit_retries)
+        attempts = 1 + max(0, COMMIT_RETRIES)
         for attempt in range(1, attempts + 1):
             txn = PolarisTransaction(self._context)
             txn.retries = attempt - 1

@@ -42,6 +42,9 @@ _ISOLATION_MAP = {
     "serializable": IsolationLevel.SERIALIZABLE,
 }
 
+#: Isolation level of a transaction begun without one.
+DEFAULT_ISOLATION = "snapshot"
+
 
 @dataclass
 class TableWriteState:
@@ -68,7 +71,10 @@ class PolarisTransaction:
         self, context: ServiceContext, isolation: Optional[str] = None
     ) -> None:
         self._context = context
-        level = _ISOLATION_MAP[isolation or context.config.txn.isolation]
+        name = isolation or DEFAULT_ISOLATION
+        level = _ISOLATION_MAP.get(name)
+        if level is None:
+            raise ValueError(f"unknown isolation level {name!r}")
         self.isolation = level
         self.root: SqlDbTransaction = context.sqldb.begin(level)
         self.guid = context.guids.next()
@@ -197,7 +203,6 @@ class PolarisTransaction:
             telemetry=self._context.telemetry,
             label="manifest_flush",
             clock=self._context.clock,
-            config=self._context.config.storage,
             seed=self._context.config.seed,
         )
         crashpoint("fe.write.after_manifest_flush")
@@ -223,7 +228,6 @@ class PolarisTransaction:
             telemetry=self._context.telemetry,
             label="manifest_rewrite",
             clock=self._context.clock,
-            config=self._context.config.storage,
             seed=self._context.config.seed,
         )
         state.committed_block_ids = [block_id]
@@ -235,7 +239,6 @@ class PolarisTransaction:
             telemetry=self._context.telemetry,
             label="manifest_rewrite",
             clock=self._context.clock,
-            config=self._context.config.storage,
             seed=self._context.config.seed,
         )
         return orphans

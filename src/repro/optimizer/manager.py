@@ -46,13 +46,27 @@ if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
     from repro.fe.transaction import PolarisTransaction
 
+#: Master switch for cost-based plan rewrites (join reordering, transitive
+#: predicate pushdown), index pruning and STO index maintenance.
+ENABLED = True
+#: Buckets per equi-depth histogram collected by ANALYZE.
+HISTOGRAM_BUCKETS = 8
+#: A query-store operator misestimate (max(est,actual)/min(est,actual)) at
+#: or above this ratio feeds back into the next ANALYZE as a per-table
+#: correction factor.
+MISESTIMATE_THRESHOLD = 2.0
+#: Feedback correction factors are clamped to [1/cap, cap].
+FEEDBACK_FACTOR_CAP = 1000.0
+#: Allow equality conjuncts to prune data files through secondary indexes
+#: (beyond zone maps).
+INDEX_PRUNING = True
+
 
 class QueryOptimizer:
     """Statistics, secondary indexes and cost-based plan choice."""
 
     def __init__(self, context: "ServiceContext") -> None:
         self._context = context
-        self._config = context.config.optimizer
         #: Loaded index files keyed by blob path (immutable blobs, so
         #: the cache never goes stale — a rebuild writes a new path).
         #: Process memory: restart recovery drops it.
@@ -90,7 +104,7 @@ class QueryOptimizer:
             sequence_id=snapshot.sequence_id,
             schema=schema,
             columns=columns,
-            buckets=self._config.histogram_buckets,
+            buckets=HISTOGRAM_BUCKETS,
             analyzed_at=self._context.clock.now,
             source=source,
             feedback_factor=self._feedback_factor(table_name),
@@ -108,8 +122,9 @@ class QueryOptimizer:
 
         Aggregates the store's per-operator est/actual means over
         ``Scan <table>`` operators; if the combined symmetric ratio
-        clears the configured threshold, the factor ``actual/est``
-        (clamped) multiplies future scan estimates for the table.
+        clears :data:`MISESTIMATE_THRESHOLD`, the factor ``actual/est``
+        (clamped by :data:`FEEDBACK_FACTOR_CAP`) multiplies future scan
+        estimates for the table.
         """
         store = getattr(self._context.telemetry, "querystore", None)
         if store is None:
@@ -126,9 +141,9 @@ class QueryOptimizer:
         if est_total <= 0.0 or actual_total <= 0.0:
             return 1.0
         ratio = max(est_total, actual_total) / min(est_total, actual_total)
-        if ratio < self._config.misestimate_threshold:
+        if ratio < MISESTIMATE_THRESHOLD:
             return 1.0
-        cap = self._config.feedback_factor_cap
+        cap = FEEDBACK_FACTOR_CAP
         factor = actual_total / est_total
         return min(max(factor, 1.0 / cap), cap)
 
@@ -247,11 +262,11 @@ class QueryOptimizer:
         ``inputs`` are the statement's already-read :meth:`catalog_inputs`,
         if the caller has them.
         """
-        if not self._config.enabled:
+        if not ENABLED:
             return plan, RewriteInfo()
         if inputs is None:
             inputs = self.catalog_inputs(txn, plan)
-        new_plan, info = rewrite_plan(plan, inputs, self._config)
+        new_plan, info = rewrite_plan(plan, inputs)
         if info.applied:
             metrics = self._context.telemetry.metrics
             metrics.counter("optimizer.plan.rewrites").inc()
@@ -292,7 +307,7 @@ class QueryOptimizer:
         as covered at build time are ever dropped — files committed
         after the build are always scanned, so stale indexes stay safe.
         """
-        if not self._config.enabled or not self._config.index_pruning:
+        if not ENABLED or not INDEX_PRUNING:
             return snapshot
         equalities = [(c, v) for c, op, v in prune if op == "=="]
         if not equalities or not snapshot.files:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.config import OptimizerConfig
 from repro.engine.planner import (
     Join,
     Plan,
@@ -52,12 +51,9 @@ class RewriteInfo:
 def rewrite_plan(
     plan: Plan,
     stats_by_table: Dict[str, TableStatistics],
-    config: OptimizerConfig,
 ) -> Tuple[Plan, RewriteInfo]:
     """Apply the cost-based rewrites; see the module docstring."""
     info = RewriteInfo()
-    if not config.enabled:
-        return plan, info
     tables = tables_of(plan)
     if not tables or any(t not in stats_by_table for t in tables):
         return plan, info

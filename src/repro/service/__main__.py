@@ -20,6 +20,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.common.config import PolarisConfig
+from repro.service import admission
 from repro.service.gateway import Gateway
 from repro.warehouse import Warehouse
 from repro.workloads.service_load import ServiceLoadGenerator
@@ -98,8 +99,7 @@ def run_saturation(seed: int) -> int:
         )
     # An admitted-and-completed request waits at most the queue deadline
     # (the tail is shed, not served late), leaving only execution time.
-    deadline = over["gateway"].context.config.service.queue_deadline_s
-    p99_bound = deadline + 2.0 * max(base["p99_s"], 1.0)
+    p99_bound = admission.QUEUE_DEADLINE_S + 2.0 * max(base["p99_s"], 1.0)
     if over["p99_s"] > p99_bound:
         problems.append(
             f"admitted-request p99 {over['p99_s']:.3f}s exceeds the "

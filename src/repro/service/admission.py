@@ -21,10 +21,28 @@ from random import Random
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.clock import SimulatedClock
-from repro.common.config import ServiceConfig
 
 #: The two workload classes the gateway isolates (WP3).
 WORKLOAD_CLASSES = ("transactional", "analytical")
+
+#: Bounded queue capacity per workload class.
+QUEUE_CAPACITY = 64
+#: Queued requests older than this are timed out at dispatch (seconds).
+QUEUE_DEADLINE_S = 30.0
+#: Token-bucket refill rate per tenant (tokens per simulated second).
+TOKENS_PER_S = 10.0
+#: Token-bucket burst capacity per tenant.
+TOKEN_BURST = 20.0
+#: Token cost of one transactional request.
+TRANSACTIONAL_TOKEN_COST = 1.0
+#: Token cost of one analytical request (scans are heavier).
+ANALYTICAL_TOKEN_COST = 4.0
+#: Weighted round-robin: transactional dispatches per analytical one.
+TRANSACTIONAL_SHARE = 2
+#: Base retry-after hint returned with shed requests (seconds).
+RETRY_AFTER_BASE_S = 1.0
+#: Jitter fraction applied to retry-after hints (0 = none, 0.5 = ±50%).
+RETRY_AFTER_JITTER = 0.25
 
 
 class TokenBucket:
@@ -70,11 +88,8 @@ class AdmissionController:
     passed before they could start.
     """
 
-    def __init__(
-        self, clock: SimulatedClock, config: ServiceConfig, seed: int = 0
-    ) -> None:
+    def __init__(self, clock: SimulatedClock, seed: int = 0) -> None:
         self._clock = clock
-        self._config = config
         self._rng = Random(f"admission:{seed}")
         self._buckets: Dict[str, TokenBucket] = {}
         self._queues: Dict[str, Deque[Tuple[int, int, object]]] = {
@@ -82,7 +97,7 @@ class AdmissionController:
         }
         self._seq = 0
         #: Transactional dispatches remaining before one analytical turn.
-        self._txn_credits = config.transactional_share
+        self._txn_credits = TRANSACTIONAL_SHARE
         #: Canonical text record of every admit/shed decision (determinism
         #: witness: two same-seed runs must produce identical logs).
         self.decision_log: List[str] = []
@@ -90,22 +105,20 @@ class AdmissionController:
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            bucket = TokenBucket(
-                self._clock, self._config.tokens_per_s, self._config.token_burst
-            )
+            bucket = TokenBucket(self._clock, TOKENS_PER_S, TOKEN_BURST)
             self._buckets[tenant] = bucket
         return bucket
 
     def _token_cost(self, workload_class: str) -> float:
         if workload_class == "transactional":
-            return self._config.transactional_token_cost
-        return self._config.analytical_token_cost
+            return TRANSACTIONAL_TOKEN_COST
+        return ANALYTICAL_TOKEN_COST
 
     def retry_after(self) -> float:
         """A seeded, jittered backoff hint for a shed request."""
-        base = self._config.retry_after_base_s
-        jitter = self._config.retry_after_jitter
-        return base * (1.0 + jitter * self._rng.uniform(-1.0, 1.0))
+        return RETRY_AFTER_BASE_S * (
+            1.0 + RETRY_AFTER_JITTER * self._rng.uniform(-1.0, 1.0)
+        )
 
     def queue_depth(self, workload_class: Optional[str] = None) -> int:
         """Queued requests in one class, or across both when None."""
@@ -130,7 +143,7 @@ class AdmissionController:
                 f"class={workload_class} retry_after={hint:.6f}"
             )
             return ("rate_limited", hint)
-        if len(queue) >= self._config.queue_capacity:
+        if len(queue) >= QUEUE_CAPACITY:
             hint = self.retry_after()
             self.decision_log.append(
                 f"{now:.6f} shed queue_full tenant={tenant} "
@@ -158,7 +171,7 @@ class AdmissionController:
     ) -> Optional[object]:
         """Pop the next non-expired request from one class queue."""
         queue = self._queues[workload_class]
-        deadline = self._config.queue_deadline_s
+        deadline = QUEUE_DEADLINE_S
         now = self._clock.now
         while queue:
             __, __, request = queue.popleft()
@@ -171,7 +184,7 @@ class AdmissionController:
     def next_request(self) -> Tuple[Optional[object], List[object]]:
         """The next request to dispatch plus any deadline-expired ones.
 
-        Applies the weighted round-robin: ``transactional_share``
+        Applies the weighted round-robin: :data:`TRANSACTIONAL_SHARE`
         transactional dispatches are served for every analytical one, but
         an empty class forfeits its turn rather than blocking the other.
         """
@@ -188,7 +201,7 @@ class AdmissionController:
                     if self._txn_credits < 0:
                         self._txn_credits = 0
                 else:
-                    self._txn_credits = self._config.transactional_share
+                    self._txn_credits = TRANSACTIONAL_SHARE
                 return request, expired
         return None, expired
 

@@ -43,6 +43,7 @@ from repro.common.errors import (
     RequestTimeoutError,
     ServiceError,
 )
+from repro.service import admission
 from repro.service.admission import WORKLOAD_CLASSES, AdmissionController
 from repro.service.sessions import SessionPool
 from repro.service.tasklets import Tasklet, TaskletScheduler
@@ -57,6 +58,10 @@ RequestWork = Union[str, Callable[["Session"], Any]]
 #: Grid on which the idle dispatcher polls the class queues (simulated
 #: seconds); it wakes only at grid instants where something can have changed.
 IDLE_POLL_S = 0.01
+#: Simulated think time the dispatcher spends between dispatches.
+DISPATCH_INTERVAL_S = 0.001
+#: Finished request records retained by the ledger.
+FINISHED_HISTORY_CAP = 2048
 
 
 class Request:
@@ -146,24 +151,21 @@ class Gateway:
         self, context: "ServiceContext", seed: Optional[int] = None
     ) -> None:
         self._context = context
-        self._config = context.config.service
         self._telemetry = context.telemetry
         if seed is None:
             seed = context.config.seed
         #: The cooperative scheduler clients and the dispatcher share.
         self.scheduler = TaskletScheduler(context.clock, seed=seed)
         #: Admission control (token buckets + bounded class queues).
-        self.admission = AdmissionController(
-            context.clock, self._config, seed=seed
-        )
+        self.admission = AdmissionController(context.clock, seed=seed)
         #: The per-tenant FE session pool.
-        self.pool = SessionPool(context, self._config)
+        self.pool = SessionPool(context)
         self._next_request_id = 1
         self._requests: Dict[int, Request] = {}
         self._finished_ids: Deque[int] = deque()
         #: Monotonic terminal totals keyed by ``(status, workload_class)``
         #: — unlike the ledger these never evict, so accounting stays
-        #: exact past ``finished_history_cap``.
+        #: exact past :data:`FINISHED_HISTORY_CAP`.
         self._finished_totals: Dict[Tuple[str, str], int] = {}
         self._dispatcher: Optional[Tasklet] = None
         context.gateway = self
@@ -283,7 +285,7 @@ class Gateway:
                 )
                 continue
             self._execute(request)
-            yield self._config.dispatch_interval_s
+            yield DISPATCH_INTERVAL_S
 
     def _execute(self, request: Request) -> None:
         """Run one admitted request on a pooled session and account it."""
@@ -379,7 +381,7 @@ class Gateway:
             request.error = "RequestTimeoutError"
             request.exception = RequestTimeoutError(
                 f"request {request.request_id} waited past the "
-                f"{self._config.queue_deadline_s:g}s queue deadline"
+                f"{admission.QUEUE_DEADLINE_S:g}s queue deadline"
             )
         elif status == "scavenged" and request.exception is None:
             request.exception = ServiceError(
@@ -389,8 +391,7 @@ class Gateway:
         key = (status, request.workload_class)
         self._finished_totals[key] = self._finished_totals.get(key, 0) + 1
         self._finished_ids.append(request.request_id)
-        cap = self._config.finished_history_cap
-        while len(self._finished_ids) > cap:
+        while len(self._finished_ids) > FINISHED_HISTORY_CAP:
             evicted = self._finished_ids.popleft()
             self._requests.pop(evicted, None)
 
@@ -444,7 +445,7 @@ class Gateway:
     def requests_with_status(self, *statuses: str) -> List[Request]:
         """Ledger requests currently in any of ``statuses``, id order.
 
-        The ledger evicts finished records past ``finished_history_cap``,
+        The ledger evicts finished records past :data:`FINISHED_HISTORY_CAP`,
         so for *totals* over terminal statuses use :meth:`finished_count`;
         this method is for inspecting the retained records themselves.
         """
@@ -460,7 +461,7 @@ class Gateway:
         """Lifetime total of requests finished in any of ``statuses``.
 
         Counted monotonically at finish time, so the answer stays exact
-        after the ledger evicts old records past ``finished_history_cap``
+        after the ledger evicts old records past :data:`FINISHED_HISTORY_CAP`
         (and after a scavenge).  Optionally restricted to one workload
         class.
         """

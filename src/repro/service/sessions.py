@@ -6,20 +6,24 @@ the pool the gateway keeps between its clients and the FE.  Each
 carries the operational facts the ``sys.dm_sessions`` view exposes.  The
 pool enforces a per-tenant cap on concurrently open sessions, reuses idle
 sessions before opening new ones (oldest-id first, so reuse order is
-deterministic), and reaps sessions that sat idle past the configured
-timeout.
+deterministic), and reaps sessions that sat idle past
+:data:`SESSION_IDLE_TIMEOUT_S`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.common.config import ServiceConfig
 from repro.common.errors import SessionQuotaError
 
 if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
     from repro.fe.session import Session
+
+#: Maximum concurrently open sessions per tenant.
+MAX_SESSIONS_PER_TENANT = 8
+#: Idle sessions older than this are reaped (simulated seconds).
+SESSION_IDLE_TIMEOUT_S = 300.0
 
 
 class GatewaySession:
@@ -43,9 +47,8 @@ class GatewaySession:
 class SessionPool:
     """Opens, reuses, reaps, and accounts per-tenant FE sessions."""
 
-    def __init__(self, context: "ServiceContext", config: ServiceConfig) -> None:
+    def __init__(self, context: "ServiceContext") -> None:
         self._context = context
-        self._config = config
         self._next_id = 1
         self._sessions: Dict[int, GatewaySession] = {}
         #: Sessions reaped over the pool's lifetime.
@@ -57,7 +60,7 @@ class SessionPool:
         """An idle session for ``tenant``, opening one if under quota.
 
         Raises :class:`SessionQuotaError` when every one of the tenant's
-        ``max_sessions_per_tenant`` sessions is busy.
+        :data:`MAX_SESSIONS_PER_TENANT` sessions is busy.
         """
         idle = [
             s
@@ -73,10 +76,10 @@ class SessionPool:
             for s in self._sessions.values()
             if s.tenant == tenant and s.state != "closed"
         )
-        if open_count >= self._config.max_sessions_per_tenant:
+        if open_count >= MAX_SESSIONS_PER_TENANT:
             raise SessionQuotaError(
                 f"tenant {tenant!r} already holds {open_count} of "
-                f"{self._config.max_sessions_per_tenant} sessions"
+                f"{MAX_SESSIONS_PER_TENANT} sessions"
             )
         from repro.fe.session import Session
 
@@ -98,9 +101,9 @@ class SessionPool:
     # -- lifecycle ---------------------------------------------------------
 
     def reap_idle(self) -> int:
-        """Close sessions idle longer than the configured timeout."""
+        """Close sessions idle at least :data:`SESSION_IDLE_TIMEOUT_S`."""
         now = self._context.clock.now
-        timeout = self._config.session_idle_timeout_s
+        timeout = SESSION_IDLE_TIMEOUT_S
         reaped = 0
         for session in self._sessions.values():
             if (

@@ -6,14 +6,14 @@ The simulation is single-threaded, so mutual exclusion itself is free —
 the lock's job here is protocol fidelity (asserting the critical section
 is never re-entered) plus *contention modeling*: with a clock bound, the
 lock keeps a ``busy_until`` horizon that each release pushes past the
-present by the measured critical section plus the configured
-``txn.commit_hold_s`` service time.  The next committer arriving before
-that horizon waits — the clock advances to the horizon and the queueing
-shows up as a ``commit_lock`` wait — which is exactly how serialized
-commits throttle a concurrent workload without threads.
+present by the measured critical section plus :data:`COMMIT_HOLD_S`.
+The next committer arriving before that horizon waits — the clock
+advances to the horizon and the queueing shows up as a ``commit_lock``
+wait — which is exactly how serialized commits throttle a concurrent
+workload without threads.
 
-With ``commit_hold_s`` at its 0.0 default the horizon never outruns the
-clock, no waits occur and behaviour is byte-identical to the idealized
+With :data:`COMMIT_HOLD_S` at 0.0 the horizon never outruns the clock, no
+waits occur and behaviour is byte-identical to the idealized
 instantaneous critical section.
 """
 
@@ -26,6 +26,10 @@ if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
     from repro.telemetry.facade import Telemetry
 
+#: Modeled service time of the commit critical section (simulated
+#: seconds), added to the busy horizon on each release.
+COMMIT_HOLD_S = 0.0
+
 
 class CommitLock:
     """Non-reentrant mutual exclusion over the commit critical section."""
@@ -34,8 +38,6 @@ class CommitLock:
         self._clock = clock
         self._holder: Optional[int] = None
         self.acquisitions = 0
-        #: Modeled critical-section service time added on each release.
-        self.hold_s = 0.0
         #: Simulated instant until which the lock is modeled busy.
         self.busy_until = 0.0
         self._acquired_at = 0.0
@@ -44,16 +46,12 @@ class CommitLock:
         self.total_wait_s = 0.0
         self.total_hold_s = 0.0
 
-    def configure(
-        self, hold_s: float = 0.0, telemetry: "Optional[Telemetry]" = None
-    ) -> None:
-        """Bind the contention model and the telemetry that observes it.
+    def configure(self, telemetry: "Optional[Telemetry]" = None) -> None:
+        """Bind the telemetry that observes the lock.
 
-        Called by :meth:`repro.fe.context.ServiceContext.create`; both
-        parameters are optional so a bare engine keeps the idealized,
-        unobserved lock.
+        Called by :meth:`repro.fe.context.ServiceContext.create`; a bare
+        engine keeps an unobserved lock.
         """
-        self.hold_s = float(hold_s)
         self._telemetry = telemetry
 
     @contextmanager
@@ -62,7 +60,7 @@ class CommitLock:
 
         Acquiring before ``busy_until`` charges the difference to the
         simulated clock as a ``commit_lock`` wait; releasing pushes
-        ``busy_until`` to ``now + hold_s``.
+        ``busy_until`` to ``now + COMMIT_HOLD_S``.
         """
         if self._holder is not None:
             raise AssertionError(
@@ -88,7 +86,7 @@ class CommitLock:
         finally:
             self._holder = None
             if clock is not None:
-                hold = (clock.now - self._acquired_at) + self.hold_s
+                hold = (clock.now - self._acquired_at) + COMMIT_HOLD_S
                 self.busy_until = self._acquired_at + hold
                 self.total_hold_s += hold
                 if telemetry is not None:

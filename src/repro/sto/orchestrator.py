@@ -6,7 +6,7 @@ specific triggers" (Section 5).  Inputs here are bus events:
 * ``txn.committed`` — feeds the checkpoint trigger (more than N manifests
   since the last checkpoint → checkpoint now), the Delta publisher, the
   auto-ANALYZE trigger (ingested-row churn since the last statistics
-  collection crosses ``config.optimizer.auto_analyze_rows``), and
+  collection crosses :data:`AUTO_ANALYZE_ROWS`), and
   secondary-index maintenance (indexes lagging the table's snapshot are
   rebuilt so index pruning keeps covering fresh data).
 * ``stats.table`` — feeds the health monitor; a table crossing the
@@ -28,6 +28,7 @@ from repro.common.errors import WriteConflictError
 from repro.common.events import Event
 from repro.engine.statistics import collect_stats
 from repro.fe.context import ServiceContext
+from repro.optimizer import manager as optimizer_manager
 from repro.sqldb import system_tables as catalog
 from repro.sto.checkpointer import (
     CheckpointResult,
@@ -40,6 +41,14 @@ from repro.sto.health import StorageHealthMonitor
 from repro.sto.publisher import DeltaPublisher
 from repro.sto.publisher_iceberg import IcebergPublisher
 from repro.sto.scrubber import ScrubReport, run_scrub
+
+#: Compact a table once this fraction of its files is low quality.
+COMPACTION_TRIGGER_FRACTION = 0.10
+#: How often the periodic integrity scrub audits every live blob.
+SCRUB_INTERVAL_S = 12 * 3600.0
+#: Auto-ANALYZE: re-collect a table's statistics once this many rows were
+#: ingested or deleted since the last ANALYZE.  0 disables the job.
+AUTO_ANALYZE_ROWS = 0
 
 
 class SystemTaskOrchestrator:
@@ -112,21 +121,20 @@ class SystemTaskOrchestrator:
         """Re-ANALYZE a table once its row churn crosses the threshold.
 
         Churn is inserted plus deleted rows accumulated across commits;
-        ``config.optimizer.auto_analyze_rows`` of zero (the default)
-        disables the trigger entirely.  The collection runs in its own
-        transaction, exactly like a user ``ANALYZE`` — a conflict with a
-        concurrent committer just skips this round (the churn counter
-        keeps the trigger armed for the next commit).
+        :data:`AUTO_ANALYZE_ROWS` of zero disables the trigger entirely.
+        The collection runs in its own transaction, exactly like a user
+        ``ANALYZE`` — a conflict with a concurrent committer just skips
+        this round (the churn counter keeps the trigger armed for the next
+        commit).
         """
-        config = self._context.config.optimizer
         optimizer = self._context.optimizer
-        if config.auto_analyze_rows <= 0 or optimizer is None:
+        if AUTO_ANALYZE_ROWS <= 0 or optimizer is None:
             return
         churn = int(payload.get("rows_inserted", 0)) + int(
             payload.get("rows_deleted", 0)
         )
         total = self._rows_since_analyze.get(table_id, 0) + churn
-        if total < config.auto_analyze_rows:
+        if total < AUTO_ANALYZE_ROWS:
             self._rows_since_analyze[table_id] = total
             return
         txn = self._context.sqldb.begin()
@@ -169,7 +177,7 @@ class SystemTaskOrchestrator:
         compaction retries).
         """
         optimizer = self._context.optimizer
-        if optimizer is None or not self._context.config.optimizer.enabled:
+        if optimizer is None or not optimizer_manager.ENABLED:
             return
         # Cheap existence probe first: a plain catalog read, so tables
         # without indexes (the common case) cost no FE transaction.
@@ -212,10 +220,9 @@ class SystemTaskOrchestrator:
         self._observe_health(stats)
         if not self.enabled or self._busy:
             return
-        trigger = self._context.config.sto.compaction_trigger_fraction
         if (
             not stats.healthy
-            and stats.low_quality_fraction >= trigger
+            and stats.low_quality_fraction >= COMPACTION_TRIGGER_FRACTION
             and stats.table_id not in self._pending_compactions
         ):
             due = self._context.clock.now + self._context.config.sto.poll_interval_s
@@ -377,13 +384,9 @@ class SystemTaskOrchestrator:
         """Run an integrity scrub every ``interval_s`` of simulated time.
 
         Same re-arming watcher mechanism as :meth:`schedule_periodic_gc`;
-        the default cadence comes from ``config.sto.scrub_interval_s``.
+        the default cadence is :data:`SCRUB_INTERVAL_S`.
         """
-        interval = (
-            interval_s
-            if interval_s is not None
-            else self._context.config.sto.scrub_interval_s
-        )
+        interval = interval_s if interval_s is not None else SCRUB_INTERVAL_S
         clock = self._context.clock
 
         def fire(now: float) -> None:

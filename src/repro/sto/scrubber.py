@@ -216,7 +216,6 @@ def _retrying(context: ServiceContext, label: str, fn):
         telemetry=context.telemetry,
         label=label,
         clock=context.clock,
-        config=context.config.storage,
         seed=context.config.seed,
     )
 

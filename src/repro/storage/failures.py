@@ -5,7 +5,7 @@ discard, garbage collection of orphans) is only testable if the substrate
 can actually fail.  :class:`FaultInjector` fails a configurable fraction of
 requests with :class:`~repro.common.errors.TransientStorageError`, from a
 seeded PRNG so failures are reproducible.  Rates can be overridden per
-store operation (``operation_failure_rates``), and tests can arm targeted
+store operation (:data:`OPERATION_FAILURE_RATES`), and tests can arm targeted
 counted failures matched by path substring — fail the next N matching
 requests, one-shot being the N=1 default.  Every injected fault bumps
 :attr:`FaultInjector.injected`, which the object store mirrors into the
@@ -22,13 +22,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from types import MappingProxyType
+from typing import List, Mapping, Optional
 
 from repro.common.config import StorageConfig
 from repro.common.errors import TransientStorageError
 
 #: The corruption fault classes :meth:`FaultInjector.arm_corruption` accepts.
 CORRUPTION_KINDS = ("bit_flip", "torn_write", "stale_read")
+
+#: Per-operation overrides of ``StorageConfig.transient_failure_rate``,
+#: keyed by the store operation name (``put``, ``get``,
+#: ``commit_block_list``, ...).
+OPERATION_FAILURE_RATES: Mapping[str, float] = MappingProxyType({})
+#: Seed for the fault-injection PRNG.
+FAILURE_SEED = 7
 
 
 @dataclass
@@ -55,9 +63,9 @@ class FaultInjector:
 
     def __init__(self, config: StorageConfig) -> None:
         self._rate = config.transient_failure_rate
-        self._operation_rates = dict(config.operation_failure_rates)
-        self._rng = random.Random(config.failure_seed)
-        self._seed = config.failure_seed
+        self._operation_rates = dict(OPERATION_FAILURE_RATES)
+        self._rng = random.Random(FAILURE_SEED)
+        self._seed = FAILURE_SEED
         self._armed: List[_ArmedFault] = []
         self._armed_corruptions: List[_ArmedCorruption] = []
         self._corruption_nonce = 0

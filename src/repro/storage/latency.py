@@ -9,8 +9,12 @@ the shapes reproduced in the paper's figures.
 from __future__ import annotations
 
 from repro.common.clock import SimulatedClock
-from repro.common.config import StorageConfig
 from repro.common.units import mib
+
+#: Fixed per-request latency in simulated seconds.
+REQUEST_LATENCY_S = 0.004
+#: Additional latency per MiB transferred.
+PER_MIB_LATENCY_S = 0.010
 
 
 class LatencyModel:
@@ -22,9 +26,8 @@ class LatencyModel:
     serialize time that is logically parallel.
     """
 
-    def __init__(self, clock: SimulatedClock, config: StorageConfig) -> None:
+    def __init__(self, clock: SimulatedClock) -> None:
         self._clock = clock
-        self._config = config
         self._suspended = 0
         #: Optional observer ``(operation, cost, charged)`` — wired to the
         #: telemetry facade so charged time is attributed per operation
@@ -61,7 +64,4 @@ class LatencyModel:
         Used by the DCP cost model when estimating task runtimes that are
         then charged in bulk on a per-node timeline.
         """
-        return (
-            self._config.request_latency_s
-            + self._config.per_mib_latency_s * mib(transferred_bytes)
-        )
+        return REQUEST_LATENCY_S + PER_MIB_LATENCY_S * mib(transferred_bytes)

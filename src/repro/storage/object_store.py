@@ -89,7 +89,7 @@ class ObjectStore:
         self.meter = telemetry.meter if telemetry is not None else IoMeter()
         self.faults = FaultInjector(self.config)
         self.telemetry = telemetry
-        self._latency = LatencyModel(self.clock, self.config)
+        self._latency = LatencyModel(self.clock)
         if telemetry is not None:
             self._latency.on_charge = telemetry.latency_charged
         self._blobs: Dict[str, Blob] = {}

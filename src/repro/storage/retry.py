@@ -25,7 +25,6 @@ from random import Random
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from repro.common.clock import SimulatedClock
-from repro.common.config import StorageConfig
 from repro.common.errors import IntegrityError, TransientStorageError
 
 if TYPE_CHECKING:
@@ -35,22 +34,28 @@ T = TypeVar("T")
 
 DEFAULT_ATTEMPTS = 5
 
+#: First retry backoff (simulated seconds; doubles per failed attempt).
+RETRY_BASE_BACKOFF_S = 0.05
+#: Cap on a single retry backoff (simulated seconds).
+RETRY_MAX_BACKOFF_S = 5.0
+#: Jitter fraction applied to each backoff (0 = none, 0.5 = ±50%).
+RETRY_JITTER = 0.5
+
 
 def backoff_schedule(
     attempts: int,
-    config: Optional[StorageConfig] = None,
     seed: int = 0,
     label: str = "storage",
 ) -> "list[float]":
     """The per-failure backoff delays (seconds) a retried operation charges.
 
     Entry ``i`` is the delay after the ``i+1``-th failed attempt: an
-    exponential ``base * 2**i`` capped at the configured maximum, scaled
-    by a jitter factor in ``[1-jitter, 1+jitter]`` drawn from a PRNG
-    seeded by ``(seed, label)``.  The final failure gets no delay (there
-    is no further attempt to wait for).
+    exponential ``RETRY_BASE_BACKOFF_S * 2**i`` capped at
+    ``RETRY_MAX_BACKOFF_S``, scaled by a jitter factor in
+    ``[1-RETRY_JITTER, 1+RETRY_JITTER]`` drawn from a PRNG seeded by
+    ``(seed, label)``.  The final failure gets no delay (there is no
+    further attempt to wait for).
     """
-    config = config or StorageConfig()
     rng = Random(f"{seed}:{label}")
     delays = []
     for attempt in range(1, attempts + 1):
@@ -58,10 +63,9 @@ def backoff_schedule(
             delays.append(0.0)
             continue
         raw = min(
-            config.retry_base_backoff_s * (2 ** (attempt - 1)),
-            config.retry_max_backoff_s,
+            RETRY_BASE_BACKOFF_S * (2 ** (attempt - 1)), RETRY_MAX_BACKOFF_S
         )
-        factor = 1.0 + config.retry_jitter * (2.0 * rng.random() - 1.0)
+        factor = 1.0 + RETRY_JITTER * (2.0 * rng.random() - 1.0)
         delays.append(raw * factor)
     return delays
 
@@ -72,7 +76,6 @@ def with_retries(
     telemetry: "Optional[Telemetry]" = None,
     label: str = "storage",
     clock: Optional[SimulatedClock] = None,
-    config: Optional[StorageConfig] = None,
     seed: int = 0,
 ) -> T:
     """Run ``operation``, retrying on :class:`TransientStorageError`.
@@ -80,7 +83,7 @@ def with_retries(
     Re-raises the last error once ``attempts`` are exhausted.  ``label``
     names the logical operation in telemetry (e.g. ``manifest_flush``).
     With a ``clock``, the exponential backoff between attempts (see
-    :func:`backoff_schedule`, parameterized by ``config``/``seed``) is
+    :func:`backoff_schedule`, seeded by ``seed``) is
     charged as simulated time; without one the retries are immediate but
     the would-be backoff is still recorded in telemetry.
 
@@ -88,7 +91,7 @@ def with_retries(
     retryable in place: re-reading a corrupt blob yields the same corrupt
     bytes, so it propagates immediately for the scrubber to repair.
     """
-    delays = backoff_schedule(attempts, config, seed, label)
+    delays = backoff_schedule(attempts, seed, label)
     last: TransientStorageError | None = None
     for attempt in range(1, attempts + 1):
         try:

@@ -3,12 +3,13 @@
 One :class:`Telemetry` object per :class:`~repro.fe.context.ServiceContext`
 bundles the span tracer, the metrics registry, the optional collectors
 (query store, wait statistics, metrics sampler, watchdog — built here,
-from ``TelemetryConfig``, and nowhere else), the request scope they
+from ``TelemetryConfig`` and :data:`SAMPLE_INTERVAL_S` /
+:data:`WATCHDOG_ENABLED`, and nowhere else), the request scope they
 attribute by, and the domain hooks the instrumented layers call (storage
 requests, latency charges, retries, waits, statements, bus events).
 Every entry point fast-paths to a no-op — the scoped ones to one shared
-null scope — when the corresponding ``TelemetryConfig`` switch is off, so
-instrumented sites never test whether a collector exists.
+null scope — when the corresponding switch is off, so instrumented sites
+never test whether a collector exists.
 """
 
 from __future__ import annotations
@@ -41,6 +42,14 @@ _INSTANCES: "weakref.WeakValueDictionary[int, Telemetry]" = (
     weakref.WeakValueDictionary()
 )
 _CREATED = itertools.count()
+
+#: Metrics time-series sampling interval in simulated seconds.  0 disables
+#: the sampler entirely: no ring buffer is allocated and no clock watcher
+#: is armed.
+SAMPLE_INTERVAL_S = 0.0
+#: Evaluate the default watchdog rules over the sampled series (only
+#: while the sampler runs, i.e. ``SAMPLE_INTERVAL_S`` > 0).
+WATCHDOG_ENABLED = False
 
 
 def instances() -> "List[Telemetry]":
@@ -94,7 +103,7 @@ class Telemetry:
         #: The deployment's object-store traffic totals; the store this
         #: telemetry observes adopts it as ``ObjectStore.meter``.
         self.meter = IoMeter()
-        self.tracer = Tracer(clock, max_spans=config.max_spans)
+        self.tracer = Tracer(clock)
         if bus is not None:
             # Mirror every bus event (wildcard) into metrics/spans.
             bus.subscribe(WILDCARD, self._on_bus_event)
@@ -117,7 +126,6 @@ class Telemetry:
                 "querystore",
                 QueryStore(
                     clock,
-                    config,
                     self.metrics,
                     self.meter,
                     bus,
@@ -144,16 +152,14 @@ class Telemetry:
             self.record_wait = self.waits.record_wait
             self.waiting = self.waits.waiting
         #: Time-series sampler over :attr:`metrics` (None unless
-        #: ``TelemetryConfig.sample_interval_s`` > 0 — the disabled path
-        #: allocates nothing and arms no clock watcher).
+        #: :data:`SAMPLE_INTERVAL_S` > 0 — the disabled path allocates
+        #: nothing and arms no clock watcher).
         self.sampler = None
         #: Threshold watchdog fed by :attr:`sampler` (None unless enabled).
         self.watchdog = None
-        if config.sample_interval_s > 0:
-            self.sampler = MetricsSampler(
-                clock, self.metrics, config.sample_interval_s
-            )
-            if config.watchdog_enabled:
+        if SAMPLE_INTERVAL_S > 0:
+            self.sampler = MetricsSampler(clock, self.metrics, SAMPLE_INTERVAL_S)
+            if WATCHDOG_ENABLED:
                 self.watchdog = Watchdog(self.metrics, bus, rules=default_rules())
                 self.sampler.subscribe(self.watchdog.observe)
             self.sampler.start()

@@ -513,6 +513,8 @@ class Introspector:
         return rows
 
     def _dm_storage_health(self) -> List[Dict[str, Any]]:
+        from repro.sto import orchestrator  # repro.sto imports repro.telemetry
+
         context = self._context
         txn = context.sqldb.begin()
         try:
@@ -523,7 +525,7 @@ class Introspector:
             self._sto.pending_compactions if self._sto is not None else {}
         )
         health = self._sto.health if self._sto is not None else None
-        trigger = context.config.sto.compaction_trigger_fraction
+        trigger = orchestrator.COMPACTION_TRIGGER_FRACTION
         rows = []
         for table in sorted(tables, key=lambda t: t["table_id"]):
             table_id = table["table_id"]

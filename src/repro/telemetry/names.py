@@ -106,7 +106,7 @@ METRIC_NAMES: Dict[str, str] = {
     "sql.plan_cache.misses": "SELECTs compiled from their text.",
     "sqldb.commit_lock_hold_s": (
         "Commit-lock hold durations (measured critical section plus the "
-        "modeled txn.commit_hold_s service time)."
+        "modeled locks.COMMIT_HOLD_S service time)."
     ),
     "sqldb.commit_lock_wait_s": (
         "Time committers queued behind the commit lock before acquiring it."

@@ -39,7 +39,6 @@ import re
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
-from repro.common.config import TelemetryConfig
 from repro.engine.explain import misestimate_ratio
 from repro.sql.lexer import Token, tokenize
 from repro.storage.metering import IoMeter
@@ -60,6 +59,14 @@ SQL_TEXT_LIMIT = 200
 
 #: A fingerprint regresses when recent p95 >= factor * baseline p95.
 REGRESSION_FACTOR = 2.0
+
+#: Sliding window of recent latencies per fingerprint; the regression
+#: detector compares its p95 against the stored baseline.
+RECENT_WINDOW = 16
+
+#: Executions before a fingerprint's baseline p95 is frozen; no regression
+#: can fire earlier.
+MIN_HISTORY = 8
 
 #: Single-quoted string literals inside rendered plan text.
 _PLAN_STRING_RE = re.compile(r"'[^']*'")
@@ -203,7 +210,6 @@ class QueryProfile:
         statement_kind: str,
         normalized_text: str,
         first_seen: float,
-        config: TelemetryConfig,
         seed: int,
     ) -> None:
         self.query_hash = query_hash
@@ -218,8 +224,8 @@ class QueryProfile:
         #: Seeded reservoir over successful-execution latencies.
         self.latency = Histogram(seed=seed)
         #: Sliding window feeding the regression detector.
-        self.recent: Deque[float] = deque(maxlen=config.query_store_recent_window)
-        #: Frozen once ``query_store_min_history`` executions accumulate.
+        self.recent: Deque[float] = deque(maxlen=RECENT_WINDOW)
+        #: Frozen once :data:`MIN_HISTORY` executions accumulate.
         self.baseline_p95_s = 0.0
         self.regressions = 0
         self._in_regression = False
@@ -229,7 +235,6 @@ class QueryProfile:
         self.operators: Dict[int, Dict[str, Any]] = {}
         #: (tenant, workload_class) -> executions attributed.
         self.attribution: Dict[Tuple[str, str], int] = {}
-        self._min_history = config.query_store_min_history
 
     # -- folding --------------------------------------------------------------
 
@@ -292,10 +297,10 @@ class QueryProfile:
             slot[field] += int(record.get(field, 0))
 
     def _check_regression(self) -> bool:
-        if self.executions == self._min_history:
+        if self.executions == MIN_HISTORY:
             self.baseline_p95_s = percentile(list(self.recent), 95.0)
             return False
-        if self.executions < self._min_history or self.baseline_p95_s <= 0:
+        if self.executions < MIN_HISTORY or self.baseline_p95_s <= 0:
             return False
         recent_p95 = percentile(list(self.recent), 95.0)
         regressed = recent_p95 >= REGRESSION_FACTOR * self.baseline_p95_s
@@ -359,7 +364,6 @@ class QueryStore:
     def __init__(
         self,
         clock: "SimulatedClock",
-        config: Optional[TelemetryConfig] = None,
         metrics: "Optional[MetricsRegistry]" = None,
         meter: "Optional[IoMeter]" = None,
         bus: "Optional[EventBus]" = None,
@@ -367,7 +371,6 @@ class QueryStore:
         scope: Optional[RequestScope] = None,
     ) -> None:
         self._clock = clock
-        self._config = config or TelemetryConfig()
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._meter = meter if meter is not None else IoMeter()
         self._bus = bus
@@ -430,7 +433,6 @@ class QueryStore:
                 statement_kind=pending.statement_kind,
                 normalized_text=pending.normalized_text,
                 first_seen=pending.started_at,
-                config=self._config,
                 seed=self._seed,
             )
         if error is not None:

@@ -128,19 +128,22 @@ class _SpanScope:
         return False
 
 
+#: Hard cap on retained finished spans (overflow counts as dropped).
+MAX_SPANS = 250_000
+
+
 class Tracer:
     """Creates, nests, and retains spans against a simulated clock."""
 
-    def __init__(self, clock: SimulatedClock, max_spans: int = 250_000) -> None:
+    def __init__(self, clock: SimulatedClock) -> None:
         self._clock = clock
-        self._max_spans = max_spans
         self._ids = itertools.count(1)
         self._current: ContextVar[Optional[Span]] = ContextVar(
             "repro_active_span", default=None
         )
         #: Finished spans, in end order.
         self.finished: List[Span] = []
-        #: Spans discarded once ``max_spans`` was reached.
+        #: Spans discarded once :data:`MAX_SPANS` was reached.
         self.dropped: int = 0
 
     @property
@@ -198,7 +201,7 @@ class Tracer:
             span.status = status
         if attributes:
             span.attributes.update(attributes)
-        if len(self.finished) < self._max_spans:
+        if len(self.finished) < MAX_SPANS:
             self.finished.append(span)
         else:
             self.dropped += 1

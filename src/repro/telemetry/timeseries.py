@@ -278,7 +278,7 @@ def default_rules(
     plan_regression_rate_per_s: float = 0.01,
     commit_lock_saturation: float = 0.5,
 ) -> List[WatchdogRule]:
-    """The stock rule set wired in by ``TelemetryConfig.watchdog_enabled``.
+    """The stock rule set wired in by ``facade.WATCHDOG_ENABLED``.
 
     * ``abort_rate_spike`` — commit failures accumulating faster than
       ``abort_rate_per_s`` per simulated second.

@@ -43,7 +43,7 @@ class LoadReport:
         self.abandoned = 0
         #: Terminal totals from the gateway's monotonic counters
         #: (:meth:`~repro.service.gateway.Gateway.finished_count`), so they
-        #: stay exact past ``finished_history_cap`` ledger eviction.
+        #: stay exact past ``gateway.FINISHED_HISTORY_CAP`` ledger eviction.
         self.completed = 0
         self.failed = 0
         self.timed_out = 0
@@ -226,8 +226,9 @@ class ServiceLoadGenerator:
         """End-to-end latencies of completed requests, sorted ascending.
 
         Sampled from the gateway ledger, so at most the newest
-        ``finished_history_cap`` completions contribute — a bounded-memory
-        tail sample, unlike the exact totals in :class:`LoadReport`.
+        ``gateway.FINISHED_HISTORY_CAP`` completions contribute — a
+        bounded-memory tail sample, unlike the exact totals in
+        :class:`LoadReport`.
         """
         latencies = [
             request.finished_at - request.submitted_at

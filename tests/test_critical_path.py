@@ -14,6 +14,7 @@ import pytest
 
 from repro import PolarisConfig, Warehouse
 from repro.service import Gateway
+from repro.sqldb import locks
 from repro.telemetry import (
     analyze_critical_path,
     format_critical_path_report,
@@ -145,12 +146,12 @@ class TestLoadTrace:
         assert [s["span_id"] for s in spans] == [1]
 
 
-def run_commit_workload(transactional_clients):
+def run_commit_workload(monkeypatch, transactional_clients):
     """A traced trickle-insert run with a real commit hold."""
+    monkeypatch.setattr(locks, "COMMIT_HOLD_S", 1.0)
     config = PolarisConfig()
     config.telemetry.enabled = True
     config.telemetry.wait_stats_enabled = True
-    config.txn.commit_hold_s = 1.0
     dw = Warehouse(config=config, auto_optimize=False)
     gateway = Gateway(dw.context, seed=0)
     generator = ServiceLoadGenerator(
@@ -166,8 +167,10 @@ def run_commit_workload(transactional_clients):
 
 
 class TestEndToEnd:
-    def test_16x_commit_workload_ranks_commit_lock_top(self, tmp_path):
-        dw = run_commit_workload(transactional_clients=16)
+    def test_16x_commit_workload_ranks_commit_lock_top(
+        self, tmp_path, monkeypatch
+    ):
+        dw = run_commit_workload(monkeypatch, transactional_clients=16)
         trace = str(tmp_path / "trace.jsonl")
         dw.telemetry.export_jsonl(trace)
         report = analyze_critical_path(load_trace(trace))
@@ -179,8 +182,8 @@ class TestEndToEnd:
         # Queueing ahead of execution shows up, but separately.
         assert "admission_queue" in report["front_door"]
 
-    def test_cli_smoke(self, tmp_path, capsys):
-        dw = run_commit_workload(transactional_clients=16)
+    def test_cli_smoke(self, tmp_path, capsys, monkeypatch):
+        dw = run_commit_workload(monkeypatch, transactional_clients=16)
         trace = str(tmp_path / "trace.jsonl")
         dw.telemetry.export_jsonl(trace)
         assert telemetry_cli(["--critical-path", trace]) == 0
@@ -188,8 +191,8 @@ class TestEndToEnd:
         assert "serialization contributors" in out
         assert "1. commit_lock" in out
 
-    def test_cli_json_mode(self, tmp_path, capsys):
-        dw = run_commit_workload(transactional_clients=4)
+    def test_cli_json_mode(self, tmp_path, capsys, monkeypatch):
+        dw = run_commit_workload(monkeypatch, transactional_clients=4)
         trace = str(tmp_path / "trace.jsonl")
         dw.telemetry.export_jsonl(trace)
         assert telemetry_cli(["--critical-path", trace, "--json"]) == 0

@@ -6,6 +6,9 @@ import pytest
 from repro.common.clock import SimulatedClock
 from repro.common.config import DcpConfig, PolarisConfig
 from repro.common.errors import DcpError, TaskFailedError, TopologyError
+from repro.dcp import autoscaler, costmodel
+from repro.dcp import scheduler as dcp_scheduler
+from repro.dcp import wlm as dcp_wlm
 from repro.dcp import (
     Autoscaler,
     Scheduler,
@@ -30,7 +33,7 @@ def make_scheduler(config=None):
     cfg = config or PolarisConfig()
     clock = SimulatedClock()
     store = ObjectStore(clock=clock, config=cfg.storage)
-    return Scheduler(clock, store, CostModel(cfg.dcp, cfg.storage), cfg.dcp), clock
+    return Scheduler(clock, store, CostModel(cfg.dcp)), clock
 
 
 class TestCells:
@@ -120,7 +123,7 @@ class TestScheduler:
         for i in range(8):
             dag.add_task(Task(f"t{i}", lambda c: None, est_rows=1_000_000))
         result = scheduler.execute(dag, wlm=wlm)
-        serial = 8 * (cfg.dcp.task_overhead_s + cfg.dcp.seconds_per_million_rows)
+        serial = 8 * (costmodel.TASK_OVERHEAD_S + cfg.dcp.seconds_per_million_rows)
         assert result.makespan < serial / 2  # 8 slots available
 
     def test_clock_advances_to_makespan(self):
@@ -158,10 +161,10 @@ class TestScheduler:
         assert result.result_of("flaky") == 2
         assert result.retries == 1
 
-    def test_retry_budget_exhausted(self):
-        cfg = DcpConfig(max_task_retries=1)
-        scheduler, _ = make_scheduler(PolarisConfig(dcp=cfg))
-        wlm = WorkloadManager(cfg)
+    def test_retry_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(dcp_scheduler, "MAX_TASK_RETRIES", 1)
+        scheduler, _ = make_scheduler()
+        wlm = WorkloadManager(DcpConfig())
         dag = WorkflowDag()
         dag.add_task(Task("dead", lambda c: None, fail_on_attempts=frozenset({1, 2, 3})))
         with pytest.raises(TaskFailedError):
@@ -181,8 +184,9 @@ class TestScheduler:
         r_clean = scheduler2.execute(clean, wlm=WorkloadManager(DcpConfig()))
         assert r_flaky.makespan > r_clean.makespan
 
-    def test_pool_routing(self):
-        cfg = DcpConfig(fixed_nodes=1, slots_per_node=1)
+    def test_pool_routing(self, monkeypatch):
+        monkeypatch.setattr(dcp_wlm, "SLOTS_PER_NODE", 1)
+        cfg = DcpConfig(fixed_nodes=1)
         scheduler, _ = make_scheduler(PolarisConfig(dcp=cfg))
         wlm = WorkloadManager(cfg, separate_pools=True)
         dag = WorkflowDag()
@@ -225,13 +229,15 @@ class TestAutoscaler:
         many = scaler.nodes_for_load(100_000_000, source_files=400)
         assert many > few
 
-    def test_file_count_caps_parallelism(self):
+    def test_file_count_caps_parallelism(self, monkeypatch):
         """Reading within a source file does not scale out (Section 7.1)."""
-        scaler = Autoscaler(DcpConfig(slots_per_node=2))
+        monkeypatch.setattr(dcp_wlm, "SLOTS_PER_NODE", 2)
+        scaler = Autoscaler(DcpConfig())
         assert scaler.nodes_for_load(10**9, source_files=2) == 1
 
-    def test_elastic_cap_respected(self):
-        scaler = Autoscaler(DcpConfig(elastic_max_nodes=3))
+    def test_elastic_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "ELASTIC_MAX_NODES", 3)
+        scaler = Autoscaler(DcpConfig())
         assert scaler.nodes_for_load(10**9, source_files=1000) <= 3
         assert scaler.nodes_for_query(10**9) <= 3
 

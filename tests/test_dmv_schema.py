@@ -13,6 +13,7 @@ import pytest
 
 from repro import PolarisConfig, Warehouse
 from repro.service import Gateway
+from repro.telemetry import facade
 from repro.telemetry.introspection import Introspector
 
 #: Independent expected-schema table: view -> ordered (column, type).
@@ -218,13 +219,13 @@ EXPECTED_SCHEMAS = {
 }
 
 
-def test_every_view_is_covered_exactly():
+def test_every_view_is_covered_exactly(monkeypatch):
     """Coverage completeness both ways: no view escapes the table, not
     even one registered while a fully wired warehouse is built."""
     assert set(EXPECTED_SCHEMAS) == set(Introspector.VIEWS)
+    monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
+    monkeypatch.setattr(facade, "WATCHDOG_ENABLED", True)
     config = PolarisConfig()
-    config.telemetry.sample_interval_s = 1.0
-    config.telemetry.watchdog_enabled = True
     config.telemetry.query_store_enabled = True
     config.telemetry.wait_stats_enabled = True
     dw = Warehouse(config=config)
@@ -298,10 +299,11 @@ def populated():
     SQL statements (query store), an attributed wait, sampled metrics,
     and a bit-flipped checkpoint the scrubber repaired."""
     config = PolarisConfig()
-    config.telemetry.sample_interval_s = 1.0
     config.telemetry.query_store_enabled = True
     config.telemetry.wait_stats_enabled = True
-    dw = Warehouse(config=config, auto_optimize=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
+        dw = Warehouse(config=config, auto_optimize=False)
     session = dw.session()
     session.sql("CREATE TABLE t (id BIGINT, v DOUBLE)")
     session.sql("INSERT INTO t (id, v) VALUES (1, 1.0), (2, 2.0)")

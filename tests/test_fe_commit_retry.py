@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import BinOp, Col, Lit, Schema, Warehouse, WriteConflictError
+from repro.fe import session as fe_session
 from tests.conftest import small_config
 
 
@@ -11,9 +12,9 @@ def ids(n, start=0):
     return {"id": np.arange(start, start + n, dtype=np.int64), "v": np.zeros(n)}
 
 
-def make_dw(retries):
+def make_dw(monkeypatch, retries):
+    monkeypatch.setattr(fe_session, "COMMIT_RETRIES", retries)
     config = small_config()
-    config.txn.commit_retries = retries
     dw = Warehouse(config=config, auto_optimize=False)
     session = dw.session()
     session.create_table(
@@ -53,8 +54,8 @@ class ConflictOnFirstAttempt:
         return deleted
 
 
-def test_autocommit_retries_conflicting_statement():
-    dw, session = make_dw(retries=2)
+def test_autocommit_retries_conflicting_statement(monkeypatch):
+    dw, session = make_dw(monkeypatch, retries=2)
     statement = ConflictOnFirstAttempt(dw)
     result = session._run(statement)
     assert result == 1
@@ -63,16 +64,16 @@ def test_autocommit_retries_conflicting_statement():
     assert snapshot.live_rows == 98  # both the rival's and our delete
 
 
-def test_no_retries_propagates_conflict():
-    dw, session = make_dw(retries=0)
+def test_no_retries_propagates_conflict(monkeypatch):
+    dw, session = make_dw(monkeypatch, retries=0)
     statement = ConflictOnFirstAttempt(dw)
     with pytest.raises(WriteConflictError):
         session._run(statement)
     assert statement.calls == 1
 
 
-def test_retry_budget_exhausted():
-    dw, session = make_dw(retries=1)
+def test_retry_budget_exhausted(monkeypatch):
+    dw, session = make_dw(monkeypatch, retries=1)
 
     class AlwaysConflict(ConflictOnFirstAttempt):
         def __call__(self, txn):
@@ -95,8 +96,8 @@ def test_retry_budget_exhausted():
     assert statement.calls == 2  # initial + one retry
 
 
-def test_explicit_transactions_never_retried():
-    dw, session = make_dw(retries=5)
+def test_explicit_transactions_never_retried(monkeypatch):
+    dw, session = make_dw(monkeypatch, retries=5)
     session.begin()
     session.delete("t", BinOp("==", Col("id"), Lit(1)))
     rival = dw.session()
@@ -105,8 +106,8 @@ def test_explicit_transactions_never_retried():
         session.commit()
 
 
-def test_retry_count_visible_on_transaction():
-    dw, session = make_dw(retries=2)
+def test_retry_count_visible_on_transaction(monkeypatch):
+    dw, session = make_dw(monkeypatch, retries=2)
     statement = ConflictOnFirstAttempt(dw)
     captured = []
     original = statement.__call__

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Aggregate, BinOp, Col, Lit, Schema, TableScan, Warehouse
 from repro.common.errors import SerializationError
+from repro.fe import transaction
 from tests.conftest import small_config
 
 COUNT = Aggregate(TableScan("t", ("id",)), (), {"n": ("count", None)})
@@ -90,15 +91,14 @@ class TestSerializable:
 
 
 class TestDefaultFromConfig:
-    def test_warehouse_default_isolation_applied(self):
-        config = small_config()
-        config.txn.isolation = "rcsi"
-        dw = Warehouse(config=config, auto_optimize=False)
+    def test_warehouse_default_isolation_applied(self, monkeypatch):
+        monkeypatch.setattr(transaction, "DEFAULT_ISOLATION", "rcsi")
+        dw = Warehouse(config=small_config(), auto_optimize=False)
         s = dw.session()
         s.create_table("t", Schema.of(("id", "int64"), ("v", "float64")))
         s.insert("t", ids(1))
         reader = dw.session()
-        reader.begin()  # no explicit isolation: uses config default (rcsi)
+        reader.begin()  # no explicit isolation: uses the default (rcsi)
         assert reader.query(COUNT)["n"][0] == 1
         dw.session().insert("t", ids(1, start=10))
         assert reader.query(COUNT)["n"][0] == 2

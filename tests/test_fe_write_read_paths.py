@@ -1,6 +1,9 @@
 """Tests for the distributed write and read paths: DML semantics, bulk
 loads, pruning, updates over DVs, and schema validation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -227,3 +230,22 @@ class TestReadPath:
         session.insert("t", ids(100))
         dw.session().query(count())
         assert dw.context.wlm.pool("read").size >= 1
+
+
+class TestSessionLifetime:
+    def test_a_dropped_session_is_freed_without_the_cyclic_collector(
+        self, warehouse
+    ):
+        """``Session.sql`` keeps no wrapper that points back at the
+        session, so reference counting alone frees it."""
+        session = warehouse.session()
+        session.sql("CREATE TABLE s (id BIGINT, v DOUBLE)")
+        session.sql("INSERT INTO s (id, v) VALUES (1, 2.5)")
+        assert list(session.sql("SELECT id FROM s")["id"]) == [1]
+        ref = weakref.ref(session)
+        gc.disable()
+        try:
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()

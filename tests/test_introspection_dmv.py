@@ -5,6 +5,7 @@ import pytest
 
 from repro import PolarisConfig, Schema, Warehouse
 from repro.sql.lexer import SqlSyntaxError
+from repro.telemetry import facade
 
 SCHEMA = Schema.of(("id", "int64"), ("v", "float64"))
 
@@ -15,8 +16,8 @@ def batch(start, count):
 
 
 @pytest.fixture
-def metered_dw(config):
-    config.telemetry.sample_interval_s = 1.0
+def metered_dw(config, monkeypatch):
+    monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
     return Warehouse(config=config, auto_optimize=False)
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from repro import Schema, Warehouse
 from repro.common.clock import SimulatedClock
-from repro.common.config import DcpConfig, PolarisConfig, StorageConfig
+from repro.common.config import DcpConfig, PolarisConfig
 from repro.common.errors import CatalogError, TransientStorageError
 from repro.dcp.channels import ChannelStats, estimate_batch_bytes
+from repro.dcp import costmodel
 from repro.dcp.costmodel import CostModel
 from repro.fe import catalog as ddl
 from repro.storage import paths
@@ -98,10 +99,10 @@ class TestPaths:
 
 class TestCostModel:
     def setup_method(self):
-        self.model = CostModel(DcpConfig(), StorageConfig())
+        self.model = CostModel(DcpConfig())
 
     def test_zero_work_is_overhead_only(self):
-        assert self.model.task_duration(0, 0, 0) == DcpConfig().task_overhead_s
+        assert self.model.task_duration(0, 0, 0) == costmodel.TASK_OVERHEAD_S
 
     def test_rows_dominate_at_scale(self):
         small = self.model.task_duration(1_000, 1, 0)

@@ -6,6 +6,7 @@ import pytest
 from repro import Schema, Warehouse
 from repro.chaos import ChaosController, RecoveryManager, SimulatedCrash
 from repro.sqldb import system_tables as catalog
+from repro.sto import orchestrator
 
 SCHEMA = Schema.of(("id", "int64"), ("v", "float64"))
 
@@ -131,12 +132,12 @@ class TestGcSafety:
 
 
 class TestStoMaintenance:
-    def _warehouse(self, config, analyze_rows=0):
-        config.optimizer.auto_analyze_rows = analyze_rows
+    def _warehouse(self, monkeypatch, config, analyze_rows=0):
+        monkeypatch.setattr(orchestrator, "AUTO_ANALYZE_ROWS", analyze_rows)
         return Warehouse(config=config, auto_optimize=True)
 
-    def test_auto_analyze_fires_on_ingest_volume(self, config):
-        dw = self._warehouse(config, analyze_rows=120)
+    def test_auto_analyze_fires_on_ingest_volume(self, config, monkeypatch):
+        dw = self._warehouse(monkeypatch, config, analyze_rows=120)
         session = dw.session()
         table_id = session.create_table("t", SCHEMA, distribution_column="id")
         session.insert("t", rows(0, 100))  # 100 < 120: below threshold
@@ -150,15 +151,15 @@ class TestStoMaintenance:
         assert latest["source"] == "auto"
         assert latest["row_count"] == 150
 
-    def test_auto_analyze_disabled_by_default(self, config):
-        dw = self._warehouse(config)
+    def test_auto_analyze_disabled_by_default(self, config, monkeypatch):
+        dw = self._warehouse(monkeypatch, config)
         session = dw.session()
         table_id = session.create_table("t", SCHEMA, distribution_column="id")
         session.insert("t", rows(0, 500))
         assert dw.sto.auto_analyzes.get(table_id) is None
 
-    def test_commit_refreshes_stale_index(self, config):
-        dw = self._warehouse(config)
+    def test_commit_refreshes_stale_index(self, config, monkeypatch):
+        dw = self._warehouse(monkeypatch, config)
         session = dw.session()
         table_id = session.create_table("t", SCHEMA, distribution_column="id")
         session.insert("t", rows(0, 100))
@@ -175,9 +176,9 @@ class TestStoMaintenance:
             session.table_snapshot("t").files
         )
 
-    def test_compaction_refreshes_index(self, config):
+    def test_compaction_refreshes_index(self, config, monkeypatch):
         config.sto.max_deleted_fraction = 0.1
-        dw = self._warehouse(config)
+        dw = self._warehouse(monkeypatch, config)
         session = dw.session()
         table_id = session.create_table("t", SCHEMA, distribution_column="id")
         session.insert("t", rows(0, 100))
@@ -199,8 +200,8 @@ class TestStoMaintenanceCrash:
     committing caller; recovery then leaves the catalog matching the
     store, and the committed rows answer queries unchanged."""
 
-    def _loaded(self, config, analyze_rows=0):
-        config.optimizer.auto_analyze_rows = analyze_rows
+    def _loaded(self, monkeypatch, config, analyze_rows=0):
+        monkeypatch.setattr(orchestrator, "AUTO_ANALYZE_ROWS", analyze_rows)
         dw = Warehouse(config=config, auto_optimize=True)
         session = dw.session()
         table_id = session.create_table("t", SCHEMA, distribution_column="id")
@@ -214,8 +215,12 @@ class TestStoMaintenanceCrash:
         assert np.array_equal(batch["id"], expected["id"])
         assert np.array_equal(batch["v"], expected["v"])
 
-    def test_crash_in_auto_analyze_reaches_the_committer(self, config):
-        dw, session, table_id = self._loaded(config, analyze_rows=120)
+    def test_crash_in_auto_analyze_reaches_the_committer(
+        self, config, monkeypatch
+    ):
+        dw, session, table_id = self._loaded(
+            monkeypatch, config, analyze_rows=120
+        )
         # The insert commits, then its commit event runs auto-ANALYZE.
         crash_at(
             "fe.analyze.before_stats_put",
@@ -231,8 +236,10 @@ class TestStoMaintenanceCrash:
         # Statistics written after recovery describe the committed rows.
         assert session.analyze_table("t").row_count == 150
 
-    def test_crash_in_index_refresh_reaches_the_committer(self, config):
-        dw, session, table_id = self._loaded(config)
+    def test_crash_in_index_refresh_reaches_the_committer(
+        self, config, monkeypatch
+    ):
+        dw, session, table_id = self._loaded(monkeypatch, config)
         built = session.create_index("t", "idx", "id")
         # The insert commits, then its commit event rebuilds the index.
         crash_at(

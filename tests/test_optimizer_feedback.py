@@ -5,6 +5,7 @@ import pytest
 
 from repro import Schema, Warehouse
 from repro.optimizer import cardinality
+from repro.optimizer import manager as optimizer_manager
 from repro.optimizer.statistics import collect_column_statistics
 from repro.engine.planner import TableScan
 from repro.pagefile.schema import Field
@@ -44,8 +45,9 @@ class TestFeedbackFactor:
             stats.feedback_factor
         )
 
-    def test_factor_stays_one_below_threshold(self, config):
-        config.optimizer.misestimate_threshold = 10.0  # ~6x doesn't qualify
+    def test_factor_stays_one_below_threshold(self, config, monkeypatch):
+        # ~6x doesn't qualify
+        monkeypatch.setattr(optimizer_manager, "MISESTIMATE_THRESHOLD", 10.0)
         dw = feedback_warehouse(config)
         session = dw.session()
         session.create_table("t", SCHEMA, distribution_column="id")
@@ -62,8 +64,8 @@ class TestFeedbackFactor:
         stats = session.analyze_table("t")
         assert stats.feedback_factor == 1.0
 
-    def test_factor_is_clamped_by_cap(self, config):
-        config.optimizer.feedback_factor_cap = 1.5
+    def test_factor_is_clamped_by_cap(self, config, monkeypatch):
+        monkeypatch.setattr(optimizer_manager, "FEEDBACK_FACTOR_CAP", 1.5)
         dw = feedback_warehouse(config)
         session = dw.session()
         session.create_table("t", SCHEMA, distribution_column="id")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Schema, Warehouse
+from repro.optimizer import manager as optimizer_manager
 from repro.optimizer.indexes import (
     FILE_COLUMN,
     SortedRunIndex,
@@ -133,8 +134,8 @@ class TestIndexPruning:
         assert usage["lookups"] >= 1
         assert usage["files_pruned"] >= 1
 
-    def test_pruning_disabled_by_config(self, config):
-        config.optimizer.index_pruning = False
+    def test_pruning_disabled_by_config(self, config, monkeypatch):
+        monkeypatch.setattr(optimizer_manager, "INDEX_PRUNING", False)
         dw = Warehouse(config=config, auto_optimize=False)
         session = dw.session()
         session.create_table("t", SCHEMA, distribution_column="id")

@@ -6,6 +6,7 @@ import pytest
 from repro import Warehouse
 from repro.engine import operators
 from repro.engine.batch import num_rows
+from repro.optimizer import manager as optimizer_manager
 from repro.workloads.tpch import TPCH_SQL_QUERIES
 from tests.conftest import (
     CONTRACT_JOINS,
@@ -114,10 +115,10 @@ class TestPlanChoiceOnTpch:
 
 
 class TestOptimizerOffIsIdentity:
-    def test_disabled_optimizer_keeps_hash_plans(self, config):
+    def test_disabled_optimizer_keeps_hash_plans(self, config, monkeypatch):
         """With the optimizer off, ANALYZE changes no plan (with it on,
         these statistics put ``b`` first)."""
-        config.optimizer.enabled = False
+        monkeypatch.setattr(optimizer_manager, "ENABLED", False)
         dw = Warehouse(config=config, auto_optimize=False)
         session = dw.session()
         session.sql("CREATE TABLE a (x bigint, ax double)")

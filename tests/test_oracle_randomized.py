@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import BinOp, Col, Lit, Schema, TableScan, Warehouse, and_
+from repro.dcp import scheduler
 from tests.conftest import small_config
 
 
@@ -149,12 +150,14 @@ def test_randomized_against_oracle(seed, si_sanitizer):
 
 
 @pytest.mark.parametrize("seed", [10, 11])
-def test_randomized_with_failures_against_oracle(seed, si_sanitizer):
+def test_randomized_with_failures_against_oracle(
+    seed, si_sanitizer, monkeypatch
+):
     """Same oracle run with task fault injection: retries must hide faults."""
     rng = np.random.default_rng(seed)
+    monkeypatch.setattr(scheduler, "TASK_FAILURE_RATE", 0.1)
+    monkeypatch.setattr(scheduler, "MAX_TASK_RETRIES", 8)
     config = small_config()
-    config.dcp.task_failure_rate = 0.1
-    config.dcp.max_task_retries = 8
     dw = Warehouse(config=config, auto_optimize=False)
     si_sanitizer(dw)
     session = dw.session()

@@ -112,9 +112,7 @@ def test_scheduler_deterministic_and_respects_dependencies(specs, nodes):
         config.dcp.fixed_nodes = nodes
         clock = SimulatedClock()
         store = ObjectStore(clock=clock, config=config.storage)
-        scheduler = Scheduler(
-            clock, store, CostModel(config.dcp, config.storage), config.dcp
-        )
+        scheduler = Scheduler(clock, store, CostModel(config.dcp))
         wlm = WorkloadManager(config.dcp)
         dag = WorkflowDag()
         for index, (rows, back) in enumerate(specs):

@@ -19,6 +19,7 @@ from repro.service import Gateway
 from repro.sql.runner import SqlSession
 from repro.telemetry import MetricSample, Watchdog, default_rules, fingerprint
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry import querystore
 from repro.telemetry.querystore import QueryStore
 from repro.workloads.tpch import TPCH_SQL_QUERIES, TpchGenerator
 from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
@@ -350,17 +351,16 @@ class TestRegressionDetection:
     def test_baseline_freeze_then_regression_fires_once(self):
         clock = SimulatedClock()
         metrics = MetricsRegistry()
-        config = store_config().telemetry
-        store = QueryStore(clock, config, metrics=metrics, seed=0)
+        store = QueryStore(clock, metrics=metrics, seed=0)
 
-        for _ in range(config.query_store_min_history):
+        for _ in range(querystore.MIN_HISTORY):
             self.run_at(store, clock, 1.0)
         profile = store.profiles()[0]
         assert profile.baseline_p95_s == pytest.approx(1.0)
         assert profile.regressions == 0
 
         # Recent p95 must cross factor x baseline across the window.
-        for _ in range(config.query_store_recent_window):
+        for _ in range(querystore.RECENT_WINDOW):
             self.run_at(store, clock, 3.0)
         assert profile.regressions == 1
         assert (
@@ -373,9 +373,9 @@ class TestRegressionDetection:
         # Still regressed: no re-fire until the profile recovers.
         self.run_at(store, clock, 3.0)
         assert profile.regressions == 1
-        for _ in range(config.query_store_recent_window):
+        for _ in range(querystore.RECENT_WINDOW):
             self.run_at(store, clock, 1.0)
-        for _ in range(config.query_store_recent_window):
+        for _ in range(querystore.RECENT_WINDOW):
             self.run_at(store, clock, 3.0)
         assert profile.regressions == 2
 
@@ -400,7 +400,7 @@ class TestRegressionDetection:
 
     def test_stable_latency_never_alarms(self):
         clock = SimulatedClock()
-        store = QueryStore(clock, store_config().telemetry, seed=0)
+        store = QueryStore(clock, seed=0)
         for _ in range(64):
             self.run_at(store, clock, 1.0)
         assert store.profiles()[0].regressions == 0

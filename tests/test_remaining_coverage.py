@@ -97,9 +97,7 @@ class TestSchedulerEdges:
         config = PolarisConfig()
         clock = SimulatedClock()
         store = ObjectStore(clock=clock, config=config.storage)
-        scheduler = Scheduler(
-            clock, store, CostModel(config.dcp, config.storage), config.dcp
-        )
+        scheduler = Scheduler(clock, store, CostModel(config.dcp))
         topology = Topology()  # no nodes at all
         dag = WorkflowDag()
         dag.add_task(Task("t", lambda c: None))
@@ -110,9 +108,7 @@ class TestSchedulerEdges:
         config = PolarisConfig()
         clock = SimulatedClock()
         store = ObjectStore(clock=clock, config=config.storage)
-        scheduler = Scheduler(
-            clock, store, CostModel(config.dcp, config.storage), config.dcp
-        )
+        scheduler = Scheduler(clock, store, CostModel(config.dcp))
         topology = Topology()
         topology.add_node()
         result = scheduler.execute(WorkflowDag(), topology=topology)
@@ -123,9 +119,7 @@ class TestSchedulerEdges:
         config = PolarisConfig()
         clock = SimulatedClock()
         store = ObjectStore(clock=clock, config=config.storage)
-        scheduler = Scheduler(
-            clock, store, CostModel(config.dcp, config.storage), config.dcp
-        )
+        scheduler = Scheduler(clock, store, CostModel(config.dcp))
         topology = Topology()
         topology.add_node()
         dag = WorkflowDag()

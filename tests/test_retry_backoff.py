@@ -5,8 +5,14 @@ import pytest
 from repro.common.clock import SimulatedClock
 from repro.common.config import PolarisConfig, StorageConfig
 from repro.common.errors import TransientStorageError
-from repro.storage import ObjectStore
+from repro.storage import ObjectStore, failures, retry
 from repro.storage.retry import backoff_schedule, with_retries
+
+
+def set_backoff(monkeypatch, **values):
+    """Override ``retry.RETRY_<NAME>`` constants, e.g. ``jitter=0.0``."""
+    for name, value in values.items():
+        monkeypatch.setattr(retry, f"RETRY_{name.upper()}", value)
 
 
 class TestBackoffSchedule:
@@ -16,20 +22,16 @@ class TestBackoffSchedule:
         assert one != backoff_schedule(5, seed=2, label="manifest_flush")
         assert one != backoff_schedule(5, seed=1, label="checkpoint_load")
 
-    def test_exponential_growth_within_jitter_bounds(self):
-        config = StorageConfig(
-            retry_base_backoff_s=1.0, retry_max_backoff_s=100.0, retry_jitter=0.5
-        )
-        delays = backoff_schedule(5, config=config, seed=0)
+    def test_exponential_growth_within_jitter_bounds(self, monkeypatch):
+        set_backoff(monkeypatch, base_backoff_s=1.0, max_backoff_s=100.0, jitter=0.5)
+        delays = backoff_schedule(5, seed=0)
         for index, delay in enumerate(delays[:-1]):
             raw = 1.0 * 2**index
             assert raw * 0.5 <= delay <= raw * 1.5
 
-    def test_capped_at_max_backoff(self):
-        config = StorageConfig(
-            retry_base_backoff_s=1.0, retry_max_backoff_s=2.0, retry_jitter=0.0
-        )
-        assert backoff_schedule(6, config=config, seed=0) == [
+    def test_capped_at_max_backoff(self, monkeypatch):
+        set_backoff(monkeypatch, base_backoff_s=1.0, max_backoff_s=2.0, jitter=0.0)
+        assert backoff_schedule(6, seed=0) == [
             1.0,
             2.0,
             2.0,
@@ -41,9 +43,9 @@ class TestBackoffSchedule:
     def test_final_attempt_has_no_delay(self):
         assert backoff_schedule(3, seed=0)[-1] == 0.0
 
-    def test_zero_jitter_is_pure_exponential(self):
-        config = StorageConfig(retry_jitter=0.0, retry_base_backoff_s=0.1)
-        assert backoff_schedule(4, config=config, seed=0)[:3] == [
+    def test_zero_jitter_is_pure_exponential(self, monkeypatch):
+        set_backoff(monkeypatch, jitter=0.0, base_backoff_s=0.1)
+        assert backoff_schedule(4, seed=0)[:3] == [
             0.1,
             0.2,
             0.4,
@@ -51,11 +53,9 @@ class TestBackoffSchedule:
 
 
 class TestWithRetriesClockCharging:
-    def test_backoff_charged_to_simulated_clock(self):
+    def test_backoff_charged_to_simulated_clock(self, monkeypatch):
         clock = SimulatedClock()
-        config = StorageConfig(
-            retry_base_backoff_s=1.0, retry_max_backoff_s=10.0, retry_jitter=0.0
-        )
+        set_backoff(monkeypatch, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.0)
         calls = {"n": 0}
 
         def flaky():
@@ -65,24 +65,20 @@ class TestWithRetriesClockCharging:
             return "ok"
 
         start = clock.now
-        result = with_retries(flaky, clock=clock, config=config, seed=0)
+        result = with_retries(flaky, clock=clock, seed=0)
         assert result == "ok"
         assert clock.now - start == pytest.approx(1.0 + 2.0)
 
-    def test_exhausted_retries_charge_all_but_final(self):
+    def test_exhausted_retries_charge_all_but_final(self, monkeypatch):
         clock = SimulatedClock()
-        config = StorageConfig(
-            retry_base_backoff_s=1.0, retry_max_backoff_s=10.0, retry_jitter=0.0
-        )
+        set_backoff(monkeypatch, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.0)
 
         def always_fails():
             raise TransientStorageError("boom")
 
         start = clock.now
         with pytest.raises(TransientStorageError):
-            with_retries(
-                always_fails, attempts=3, clock=clock, config=config, seed=0
-            )
+            with_retries(always_fails, attempts=3, clock=clock, seed=0)
         # Two backoffs (1s, 2s); the final failed attempt waits for nothing.
         assert clock.now - start == pytest.approx(3.0)
 
@@ -97,11 +93,11 @@ class TestWithRetriesClockCharging:
 
         assert with_retries(flaky) == 2
 
-    def test_backoff_visible_in_retry_span_events(self):
+    def test_backoff_visible_in_retry_span_events(self, monkeypatch):
         from repro import Warehouse
 
+        set_backoff(monkeypatch, jitter=0.0)
         config = PolarisConfig()
-        config.storage.retry_jitter = 0.0
         config.telemetry.enabled = True
         dw = Warehouse(config=config, auto_optimize=False)
         with dw.telemetry.span("test.root", "test"):
@@ -112,7 +108,6 @@ class TestWithRetriesClockCharging:
                 telemetry=dw.telemetry,
                 label="unit_test",
                 clock=dw.clock,
-                config=config.storage,
                 seed=config.seed,
             )
         events = [
@@ -121,7 +116,7 @@ class TestWithRetriesClockCharging:
         assert events
         assert events[0].attributes["label"] == "unit_test"
         assert events[0].attributes["backoff_s"] == pytest.approx(
-            config.storage.retry_base_backoff_s
+            retry.RETRY_BASE_BACKOFF_S
         )
         histogram = dw.telemetry.metrics.histogram(
             "storage.retry_backoff_s", label="unit_test"
@@ -163,22 +158,16 @@ class TestCountedFaults:
 
 
 class TestPerOperationRates:
-    def test_operation_rate_overrides_global(self):
-        config = StorageConfig(
-            transient_failure_rate=0.0,
-            operation_failure_rates={"delete": 1.0},
-        )
-        store = ObjectStore(config=config)
+    def test_operation_rate_overrides_global(self, monkeypatch):
+        monkeypatch.setattr(failures, "OPERATION_FAILURE_RATES", {"delete": 1.0})
+        store = ObjectStore(config=StorageConfig(transient_failure_rate=0.0))
         store.put("a", b"x")  # puts never fail
         with pytest.raises(TransientStorageError):
             store.delete("a")
 
-    def test_rate_for_falls_back_to_global(self):
-        config = StorageConfig(
-            transient_failure_rate=0.25,
-            operation_failure_rates={"get": 0.75},
-        )
-        store = ObjectStore(config=config)
+    def test_rate_for_falls_back_to_global(self, monkeypatch):
+        monkeypatch.setattr(failures, "OPERATION_FAILURE_RATES", {"get": 0.75})
+        store = ObjectStore(config=StorageConfig(transient_failure_rate=0.25))
         assert store.faults.rate_for("get") == 0.75
         assert store.faults.rate_for("put") == 0.25
 
@@ -190,12 +179,6 @@ class TestPerOperationRates:
         store.faults.quiesce()
         store.put("a", b"x")
         assert store.exists("a")
-
-    def test_operation_rates_validated(self):
-        config = PolarisConfig()
-        config.storage.operation_failure_rates = {"put": 1.5}
-        with pytest.raises(ValueError):
-            config.validate()
 
     def test_faults_injected_metric(self):
         from repro import Warehouse

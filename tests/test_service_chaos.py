@@ -7,6 +7,7 @@ from repro.chaos.crashpoints import CRASHPOINTS
 from repro.chaos.harness import chaos_config, run_gateway_site, run_site
 from repro.chaos.recovery import RecoveryManager
 from repro.service import Gateway
+from repro.service import gateway as service_gateway
 
 SERVICE_SITES = sorted(s for s in CRASHPOINTS if s.startswith("service."))
 
@@ -64,17 +65,16 @@ def test_recovery_scavenges_queued_requests_without_a_crash():
     assert probe.result == 42
 
 
-def test_recovery_scavenges_with_finished_ledger_at_cap():
+def test_recovery_scavenges_with_finished_ledger_at_cap(monkeypatch):
     """Regression: recovery after a long-lived gateway filled its ledger.
 
-    With ``finished_history_cap`` already reached, the first scavenged
+    With ``FINISHED_HISTORY_CAP`` already reached, the first scavenged
     request evicts an old finished record; iterating the live request
     dict used to raise ``RuntimeError: dictionary changed size during
     iteration`` and abort recovery mid-pass.
     """
-    config = chaos_config(0)
-    config.service.finished_history_cap = 2
-    dw = Warehouse(config=config, auto_optimize=False)
+    monkeypatch.setattr(service_gateway, "FINISHED_HISTORY_CAP", 2)
+    dw = Warehouse(config=chaos_config(0), auto_optimize=False)
     gateway = Gateway(dw.context)
     for __ in range(3):
         gateway.submit("tenant_a", "transactional", lambda s: None)

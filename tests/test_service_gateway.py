@@ -12,7 +12,9 @@ from repro.common.errors import (
     ServiceError,
     SessionQuotaError,
 )
-from repro.service import AdmissionController, Gateway, TokenBucket
+from repro.service import AdmissionController, Gateway, TokenBucket, admission
+from repro.service import gateway as service_gateway
+from repro.service import sessions
 from repro.service.sessions import SessionPool
 from repro.service.tasklets import TaskletScheduler
 
@@ -24,18 +26,27 @@ def batch(start, count):
     return {"id": ids, "v": ids.astype(np.float64)}
 
 
-def gateway_config(**service_overrides):
+def set_knobs(monkeypatch, **knobs):
+    """Vary gateway constants for one test, e.g. ``TOKEN_BURST=1.0``."""
+    for name, value in knobs.items():
+        module = next(
+            m for m in (admission, sessions, service_gateway) if hasattr(m, name)
+        )
+        monkeypatch.setattr(module, name, value)
+
+
+def gateway_config():
     config = PolarisConfig()
     config.distributions = 4
     config.rows_per_cell = 1_000
     config.dcp.fixed_nodes = 2
-    for key, value in service_overrides.items():
-        setattr(config.service, key, value)
     return config
 
 
-def gateway_warehouse(**service_overrides):
-    dw = Warehouse(config=gateway_config(**service_overrides), auto_optimize=False)
+def gateway_warehouse(monkeypatch=None, **knobs):
+    if knobs:
+        set_knobs(monkeypatch, **knobs)
+    dw = Warehouse(config=gateway_config(), auto_optimize=False)
     session = dw.session()
     session.create_table("t", SCHEMA, distribution_column="id")
     return dw, Gateway(dw.context), session
@@ -110,12 +121,12 @@ class FakeRequest:
 
 
 class TestAdmission:
-    def controller(self, clock=None, **overrides):
-        config = gateway_config(**overrides).service
-        return AdmissionController(clock or SimulatedClock(), config, seed=0)
+    def controller(self, monkeypatch, clock=None, **knobs):
+        set_knobs(monkeypatch, **knobs)
+        return AdmissionController(clock or SimulatedClock(), seed=0)
 
-    def test_priority_order_with_fifo_ties(self):
-        admission = self.controller()
+    def test_priority_order_with_fifo_ties(self, monkeypatch):
+        admission = self.controller(monkeypatch)
         for name, priority in (("low", 0), ("high", 5), ("mid", 1), ("high2", 5)):
             verdict = admission.admit(
                 "a", "transactional", priority, FakeRequest(name)
@@ -130,8 +141,8 @@ class TestAdmission:
             order.append(request.name)
         assert order == ["high", "high2", "mid", "low"]
 
-    def test_weighted_round_robin_between_classes(self):
-        admission = self.controller(transactional_share=2, token_burst=100.0)
+    def test_weighted_round_robin_between_classes(self, monkeypatch):
+        admission = self.controller(monkeypatch, TRANSACTIONAL_SHARE=2, TOKEN_BURST=100.0)
         for i in range(6):
             admission.admit("a", "transactional", 0, FakeRequest(f"t{i}"))
         for i in range(3):
@@ -144,8 +155,8 @@ class TestAdmission:
             order.append(request.name)
         assert order == ["t0", "t1", "q0", "t2", "t3", "q1", "t4", "t5", "q2"]
 
-    def test_rate_limit_sheds_with_seeded_hint(self):
-        admission = self.controller(tokens_per_s=1.0, token_burst=1.0)
+    def test_rate_limit_sheds_with_seeded_hint(self, monkeypatch):
+        admission = self.controller(monkeypatch, TOKENS_PER_S=1.0, TOKEN_BURST=1.0)
         assert admission.admit("a", "transactional", 0, FakeRequest("ok")) is None
         verdict = admission.admit("a", "transactional", 0, FakeRequest("no"))
         assert verdict is not None
@@ -155,17 +166,17 @@ class TestAdmission:
         # A different tenant has its own bucket.
         assert admission.admit("b", "transactional", 0, FakeRequest("ok2")) is None
 
-    def test_full_queue_sheds(self):
-        admission = self.controller(queue_capacity=2, token_burst=100.0)
+    def test_full_queue_sheds(self, monkeypatch):
+        admission = self.controller(monkeypatch, QUEUE_CAPACITY=2, TOKEN_BURST=100.0)
         assert admission.admit("a", "transactional", 0, FakeRequest("r1")) is None
         assert admission.admit("a", "transactional", 0, FakeRequest("r2")) is None
         reason, hint = admission.admit("a", "transactional", 0, FakeRequest("r3"))
         assert reason == "queue_full"
         assert hint > 0
 
-    def test_deadline_expires_stale_requests_at_dispatch(self):
+    def test_deadline_expires_stale_requests_at_dispatch(self, monkeypatch):
         clock = SimulatedClock()
-        admission = self.controller(clock, queue_deadline_s=5.0)
+        admission = self.controller(monkeypatch, clock, QUEUE_DEADLINE_S=5.0)
         admission.admit("a", "transactional", 0, FakeRequest("old", clock.now))
         clock.advance(6.0)
         admission.admit("a", "transactional", 0, FakeRequest("new", clock.now))
@@ -173,10 +184,10 @@ class TestAdmission:
         assert request.name == "new"
         assert [r.name for r in expired] == ["old"]
 
-    def test_decision_log_is_canonical_and_seeded(self):
+    def test_decision_log_is_canonical_and_seeded(self, monkeypatch):
         logs = []
         for __ in range(2):
-            admission = self.controller(tokens_per_s=1.0, token_burst=1.0)
+            admission = self.controller(monkeypatch, TOKENS_PER_S=1.0, TOKEN_BURST=1.0)
             admission.admit("a", "transactional", 1, FakeRequest("r1"))
             admission.admit("a", "transactional", 0, FakeRequest("r2"))
             logs.append(list(admission.decision_log))
@@ -186,11 +197,12 @@ class TestAdmission:
 
 
 class TestSessionPool:
-    def pool(self, dw, **overrides):
-        return SessionPool(dw.context, gateway_config(**overrides).service)
+    def pool(self, monkeypatch, dw, **knobs):
+        set_knobs(monkeypatch, **knobs)
+        return SessionPool(dw.context)
 
-    def test_quota_then_reuse(self, warehouse):
-        pool = self.pool(warehouse, max_sessions_per_tenant=2)
+    def test_quota_then_reuse(self, monkeypatch, warehouse):
+        pool = self.pool(monkeypatch, warehouse, MAX_SESSIONS_PER_TENANT=2)
         first = pool.acquire("a")
         second = pool.acquire("a")
         with pytest.raises(SessionQuotaError):
@@ -203,8 +215,8 @@ class TestSessionPool:
         assert reused.requests == 1
         assert second.state == "active"
 
-    def test_reap_closes_only_idle_expired(self, warehouse):
-        pool = self.pool(warehouse, session_idle_timeout_s=10.0)
+    def test_reap_closes_only_idle_expired(self, monkeypatch, warehouse):
+        pool = self.pool(monkeypatch, warehouse, SESSION_IDLE_TIMEOUT_S=10.0)
         idle = pool.acquire("a")
         busy = pool.acquire("a")
         pool.release(idle)
@@ -233,8 +245,8 @@ class TestGateway:
         with pytest.raises(Exception, match="workload class"):
             gateway.submit("tenant_a", "batch", "SELECT id FROM t")
 
-    def test_shed_raises_with_retry_after(self):
-        __, gateway, __ = gateway_warehouse(tokens_per_s=0.1, token_burst=1.0)
+    def test_shed_raises_with_retry_after(self, monkeypatch):
+        __, gateway, __ = gateway_warehouse(monkeypatch, TOKENS_PER_S=0.1, TOKEN_BURST=1.0)
         gateway.submit("tenant_a", "transactional", lambda s: None)
         with pytest.raises(RequestSheddedError) as exc:
             gateway.submit("tenant_a", "transactional", lambda s: None)
@@ -279,8 +291,8 @@ class TestGateway:
         rows = dw.session().sql("SELECT status FROM sys.dm_requests")
         assert list(rows["status"]) == ["failed", "completed"]
 
-    def test_queue_deadline_times_requests_out(self):
-        dw, gateway, __ = gateway_warehouse(queue_deadline_s=5.0)
+    def test_queue_deadline_times_requests_out(self, monkeypatch):
+        dw, gateway, __ = gateway_warehouse(monkeypatch, QUEUE_DEADLINE_S=5.0)
         stale = gateway.submit("tenant_a", "transactional", lambda s: None)
         dw.clock.advance(6.0)
         fresh = gateway.submit("tenant_a", "transactional", lambda s: 7)
@@ -306,8 +318,8 @@ class TestGateway:
             bad.outcome()
         assert type(exc.value).__name__ == bad.error
 
-    def test_shed_request_outcome_reraises_the_shed_error(self):
-        __, gateway, __ = gateway_warehouse(tokens_per_s=0.1, token_burst=1.0)
+    def test_shed_request_outcome_reraises_the_shed_error(self, monkeypatch):
+        __, gateway, __ = gateway_warehouse(monkeypatch, TOKENS_PER_S=0.1, TOKEN_BURST=1.0)
         gateway.submit("tenant_a", "transactional", lambda s: None)
         with pytest.raises(RequestSheddedError):
             gateway.submit("tenant_a", "transactional", lambda s: None)
@@ -316,8 +328,8 @@ class TestGateway:
             shed.outcome()
         assert exc.value.retry_after_s == shed.retry_after_s
 
-    def test_session_acquire_failure_fails_request_not_dispatcher(self):
-        __, gateway, __ = gateway_warehouse(max_sessions_per_tenant=1)
+    def test_session_acquire_failure_fails_request_not_dispatcher(self, monkeypatch):
+        __, gateway, __ = gateway_warehouse(monkeypatch, MAX_SESSIONS_PER_TENANT=1)
         # Hold tenant_a's only session busy outside the dispatcher, so the
         # dispatcher's acquire raises SessionQuotaError mid-dispatch.
         held = gateway.pool.acquire("tenant_a")
@@ -331,8 +343,8 @@ class TestGateway:
         assert other.status == "completed"  # the dispatcher survived
         gateway.pool.release(held)
 
-    def test_finished_totals_survive_ledger_eviction(self):
-        __, gateway, __ = gateway_warehouse(finished_history_cap=2)
+    def test_finished_totals_survive_ledger_eviction(self, monkeypatch):
+        __, gateway, __ = gateway_warehouse(monkeypatch, FINISHED_HISTORY_CAP=2)
         requests = [
             gateway.submit("tenant_a", "transactional", lambda s: None)
             for __ in range(5)
@@ -352,9 +364,9 @@ class TestGateway:
             == 0
         )
 
-    def test_scavenge_with_finished_ledger_at_cap(self):
+    def test_scavenge_with_finished_ledger_at_cap(self, monkeypatch):
         """Regression: scavenging must survive its own ledger evictions."""
-        __, gateway, __ = gateway_warehouse(finished_history_cap=2)
+        __, gateway, __ = gateway_warehouse(monkeypatch, FINISHED_HISTORY_CAP=2)
         for __ in range(3):
             gateway.submit("tenant_a", "transactional", lambda s: None)
         gateway.run()  # the finished ledger is now at its cap
@@ -367,8 +379,8 @@ class TestGateway:
         assert not gateway.requests_with_status("queued", "running")
         assert gateway.finished_count("scavenged") == 3
 
-    def test_sessions_reused_and_reaped(self):
-        dw, gateway, __ = gateway_warehouse(session_idle_timeout_s=50.0)
+    def test_sessions_reused_and_reaped(self, monkeypatch):
+        dw, gateway, __ = gateway_warehouse(monkeypatch, SESSION_IDLE_TIMEOUT_S=50.0)
         for __ in range(3):
             gateway.submit("tenant_a", "transactional", lambda s: None)
         gateway.run()
@@ -433,11 +445,14 @@ class TestDeterminism:
     orders, and service.* metric values across two runs."""
 
     @staticmethod
-    def _scripted_run():
+    def _scripted_run(monkeypatch):
         from random import Random
 
         dw, gateway, session = gateway_warehouse(
-            tokens_per_s=0.5, token_burst=2.0, queue_capacity=3
+            monkeypatch,
+            TOKENS_PER_S=0.5,
+            TOKEN_BURST=2.0,
+            QUEUE_CAPACITY=3,
         )
 
         def client(index):
@@ -468,9 +483,9 @@ class TestDeterminism:
             metrics,
         )
 
-    def test_two_runs_are_byte_identical(self):
-        first = self._scripted_run()
-        second = self._scripted_run()
+    def test_two_runs_are_byte_identical(self, monkeypatch):
+        first = self._scripted_run(monkeypatch)
+        second = self._scripted_run(monkeypatch)
         assert first[0] == second[0]
         assert first[1] == second[1]
         assert first[2] == second[2]

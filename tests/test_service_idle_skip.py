@@ -14,9 +14,11 @@ import pytest
 
 from repro import PolarisConfig, Warehouse
 from repro.common.clock import SimulatedClock
-from repro.service import Gateway
+from repro.service import Gateway, admission
+from repro.service import gateway as service_gateway
 from repro.service.gateway import IDLE_POLL_S
 from repro.service.tasklets import TaskletScheduler, WakeAt
+from repro.telemetry import facade
 from repro.workloads.service_load import ServiceLoadGenerator
 
 
@@ -46,17 +48,15 @@ class PollingGateway(Gateway):
                 yield IDLE_POLL_S
                 continue
             self._execute(request)
-            yield self._config.dispatch_interval_s
+            yield service_gateway.DISPATCH_INTERVAL_S
 
 
-def warehouse(seed, sampled=False, service=None):
+def warehouse(seed, sampled=False, monkeypatch=None):
     config = PolarisConfig()
     config.seed = seed
-    for key, value in (service or {}).items():
-        setattr(config.service, key, value)
     if sampled:
-        config.telemetry.sample_interval_s = 0.7
-        config.telemetry.watchdog_enabled = True
+        monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 0.7)
+        monkeypatch.setattr(facade, "WATCHDOG_ENABLED", True)
     dw = Warehouse(config=config, auto_optimize=sampled)
     if sampled:
         dw.sto.schedule_periodic_gc(5.0)
@@ -76,8 +76,8 @@ def observe(dw, gateway, report=None):
     }
 
 
-def run_load(gateway_class, seed, sampled=False, **kwargs):
-    dw = warehouse(seed, sampled=sampled, service=kwargs.pop("service", None))
+def run_load(gateway_class, seed, sampled=False, monkeypatch=None, **kwargs):
+    dw = warehouse(seed, sampled=sampled, monkeypatch=monkeypatch)
     gateway = gateway_class(dw.context, seed=seed)
     kwargs.setdefault("transactional_clients", 2)
     kwargs.setdefault("analytical_clients", 1)
@@ -102,9 +102,15 @@ class TestSkipIsExact:
         assert polled_steps > 10 * steps
 
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_sampler_watchdog_and_periodic_gc_match_polling(self, seed):
-        polled, __, __ = run_load(PollingGateway, seed, sampled=True)
-        skipped, steps, submitted = run_load(Gateway, seed, sampled=True)
+    def test_sampler_watchdog_and_periodic_gc_match_polling(
+        self, seed, monkeypatch
+    ):
+        polled, __, __ = run_load(
+            PollingGateway, seed, sampled=True, monkeypatch=monkeypatch
+        )
+        skipped, steps, submitted = run_load(
+            Gateway, seed, sampled=True, monkeypatch=monkeypatch
+        )
         assert skipped == polled
         assert len(polled["samples"]) > 10
         assert polled["gc_reports"] > 0
@@ -113,10 +119,13 @@ class TestSkipIsExact:
         watcher_firings = len(polled["samples"]) + polled["gc_reports"]
         assert steps <= 4 * submitted + watcher_firings + 8
 
-    def test_overload_with_shedding_and_deadlines_matches_polling(self):
+    def test_overload_with_shedding_and_deadlines_matches_polling(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(admission, "TOKENS_PER_S", 0.5)
+        monkeypatch.setattr(admission, "TOKEN_BURST", 2.0)
+        monkeypatch.setattr(admission, "QUEUE_DEADLINE_S", 2.0)
         overload = dict(
-            service={"tokens_per_s": 0.5, "token_burst": 2.0,
-                     "queue_deadline_s": 2.0},
             transactional_clients=4,
             analytical_clients=2,
             mean_think_s=0.3,

@@ -3,17 +3,16 @@
 import pytest
 
 from repro import PolarisConfig, Warehouse
-from repro.dcp import Autoscaler
-from repro.service import Gateway
+from repro.dcp import Autoscaler, autoscaler
+from repro.service import Gateway, admission
+from repro.service import gateway as service_gateway
 from repro.workloads.service_load import ServiceLoadGenerator
 from repro.workloads.tpch.queries import q6
 
 
-def load_warehouse(seed=0, elastic=False, separate_pools=True, service=None):
+def load_warehouse(seed=0, elastic=False, separate_pools=True):
     config = PolarisConfig()
     config.seed = seed
-    for key, value in (service or {}).items():
-        setattr(config.service, key, value)
     return Warehouse(
         config=config,
         elastic=elastic,
@@ -22,14 +21,12 @@ def load_warehouse(seed=0, elastic=False, separate_pools=True, service=None):
     )
 
 
-def run_load(
-    seed=0, elastic=False, separate_pools=True, service=None, **generator_kwargs
-):
+def run_load(seed=0, elastic=False, separate_pools=True, **generator_kwargs):
     generator_kwargs.setdefault("transactional_clients", 2)
     generator_kwargs.setdefault("analytical_clients", 1)
     generator_kwargs.setdefault("requests_per_client", 2)
     generator_kwargs.setdefault("scale_factor", 0.02)
-    dw = load_warehouse(seed, elastic, separate_pools, service)
+    dw = load_warehouse(seed, elastic, separate_pools)
     gateway = Gateway(dw.context, seed=seed)
     generator = ServiceLoadGenerator(gateway, seed=seed, **generator_kwargs)
     report = generator.run()
@@ -61,9 +58,10 @@ class TestLoadGenerator:
 
         assert witness() == witness()
 
-    def test_overload_sheds_and_clients_honor_retry_after(self):
+    def test_overload_sheds_and_clients_honor_retry_after(self, monkeypatch):
+        monkeypatch.setattr(admission, "TOKENS_PER_S", 0.5)
+        monkeypatch.setattr(admission, "TOKEN_BURST", 2.0)
         __, gateway, __, report = run_load(
-            service={"tokens_per_s": 0.5, "token_burst": 2.0},
             transactional_clients=6,
             analytical_clients=3,
             requests_per_client=3,
@@ -74,10 +72,10 @@ class TestLoadGenerator:
         shed_rows = gateway.requests_with_status("shed")
         assert shed_rows and all(r.retry_after_s > 0 for r in shed_rows)
 
-    def test_accounting_survives_ledger_eviction(self):
+    def test_accounting_survives_ledger_eviction(self, monkeypatch):
         """Totals stay exact when terminal requests outnumber the ledger cap."""
+        monkeypatch.setattr(service_gateway, "FINISHED_HISTORY_CAP", 3)
         __, gateway, __, report = run_load(
-            service={"finished_history_cap": 3},
             transactional_clients=3,
             analytical_clients=1,
             requests_per_client=3,
@@ -140,28 +138,24 @@ class TestWlmThroughGateway:
 
 
 class TestAutoscalerUnit:
-    def autoscaler(self, **overrides):
+    def autoscaler(self):
         config = PolarisConfig().dcp
-        for key, value in overrides.items():
-            setattr(config, key, value)
+        config.rows_per_node_million = 1.0
         return Autoscaler(config)
 
     def test_load_parallelism_capped_by_source_files(self):
-        scaler = self.autoscaler(
-            rows_per_node_million=1.0, slots_per_node=2, elastic_max_nodes=None
-        )
+        scaler = self.autoscaler()
         # CPU cost alone would ask for 10 nodes; 4 files cap it at 2.
         assert scaler.nodes_for_load(10_000_000, source_files=4) == 2
         assert scaler.nodes_for_load(10_000_000, source_files=40) == 10
 
     def test_query_parallelism_tracks_rows(self):
-        scaler = self.autoscaler(
-            rows_per_node_million=1.0, elastic_max_nodes=None
-        )
+        scaler = self.autoscaler()
         assert scaler.nodes_for_query(100) == 1
         assert scaler.nodes_for_query(3_500_000) == 4
 
-    def test_elastic_max_nodes_caps_both_paths(self):
-        scaler = self.autoscaler(rows_per_node_million=1.0, elastic_max_nodes=3)
+    def test_elastic_max_nodes_caps_both_paths(self, monkeypatch):
+        monkeypatch.setattr(autoscaler, "ELASTIC_MAX_NODES", 3)
+        scaler = self.autoscaler()
         assert scaler.nodes_for_query(50_000_000) == 3
         assert scaler.nodes_for_load(50_000_000, source_files=100) == 3

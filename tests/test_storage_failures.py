@@ -6,6 +6,7 @@ from repro.common.config import StorageConfig
 from repro.common.errors import TransientStorageError
 from repro.common.ids import GuidGenerator
 from repro.storage import BlockBlobClient, ObjectStore
+from repro.storage import failures as storage_failures
 
 
 class TestFaultInjection:
@@ -40,11 +41,10 @@ class TestFaultInjection:
         for i in range(100):
             store.put(f"p{i}", b"x")
 
-    def test_random_faults_deterministic_per_seed(self):
+    def test_random_faults_deterministic_per_seed(self, monkeypatch):
         def failures(seed: int) -> list:
-            store = ObjectStore(
-                config=StorageConfig(transient_failure_rate=0.5, failure_seed=seed)
-            )
+            monkeypatch.setattr(storage_failures, "FAILURE_SEED", seed)
+            store = ObjectStore(config=StorageConfig(transient_failure_rate=0.5))
             out = []
             for i in range(50):
                 try:

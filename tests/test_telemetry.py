@@ -10,6 +10,7 @@ import pytest
 
 from repro import Schema, Warehouse, WriteConflictError
 from repro.engine.planner import TableScan
+from repro.telemetry import spans as telemetry_spans
 from repro.telemetry import (
     MetricsRegistry,
     chrome_trace,
@@ -300,10 +301,10 @@ class TestDisabled:
         assert warehouse.telemetry.spans == []
         assert warehouse.telemetry.current_span is None
 
-    def test_span_cap_drops_not_grows(self):
+    def test_span_cap_drops_not_grows(self, monkeypatch):
+        monkeypatch.setattr(telemetry_spans, "MAX_SPANS", 5)
         config = small_config()
         config.telemetry.enabled = True
-        config.telemetry.max_spans = 5
         dw = Warehouse(config=config, auto_optimize=False)
         session = dw.session()
         session.create_table(

@@ -9,6 +9,7 @@ from repro import BinOp, Col, Lit, Schema, Warehouse
 from repro.common.clock import SimulatedClock
 from repro.common.errors import WriteConflictError
 from repro.telemetry import (
+    facade,
     MetricSample,
     MetricsSampler,
     Watchdog,
@@ -250,9 +251,9 @@ class TestWatchdogUnit:
 
 class TestWatchdogEndToEnd:
     @pytest.fixture
-    def watched_dw(self, config):
-        config.telemetry.sample_interval_s = 1.0
-        config.telemetry.watchdog_enabled = True
+    def watched_dw(self, config, monkeypatch):
+        monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
+        monkeypatch.setattr(facade, "WATCHDOG_ENABLED", True)
         return Warehouse(config=config, auto_optimize=False)
 
     def test_conflict_workload_fires_abort_rate_alert(self, watched_dw):
@@ -311,7 +312,7 @@ class TestWatchdogEndToEnd:
 
 class TestZeroCostDisabled:
     def test_disabled_sampler_allocates_nothing(self, config):
-        assert config.telemetry.sample_interval_s == 0.0  # the default
+        assert facade.SAMPLE_INTERVAL_S == 0.0  # the default
         dw = Warehouse(config=config, auto_optimize=False)
         telemetry = dw.telemetry
         assert telemetry.sampler is None
@@ -334,8 +335,9 @@ class TestZeroCostDisabled:
         history = session.sql("SELECT * FROM sys.dm_metrics_history")
         assert len(history["sample_id"]) == 0
 
-    def test_watchdog_requires_sampler(self, config):
-        config.telemetry.watchdog_enabled = True
-        config.telemetry.sample_interval_s = 0.0
-        with pytest.raises(ValueError):
-            config.validate()
+    def test_watchdog_requires_sampler(self, config, monkeypatch):
+        monkeypatch.setattr(facade, "WATCHDOG_ENABLED", True)
+        dw = Warehouse(config=config, auto_optimize=False)
+        assert dw.telemetry.sampler is None
+        assert dw.telemetry.watchdog is None
+        assert dw.clock._watchers == []

@@ -5,7 +5,7 @@ The collector is exercised both directly (unit tests over a bare
 ``SimulatedClock``) and the way a user reaches it — SQL statements in,
 ``sys.dm_wait_stats`` / ``sys.dm_exec_query_waits`` rows out — plus the
 contention model that motivates the whole subsystem: concurrent commits
-queueing on the commit lock's busy horizon (``txn.commit_hold_s``).
+queueing on the commit lock's busy horizon (``locks.COMMIT_HOLD_S``).
 """
 
 import json
@@ -18,8 +18,9 @@ from repro.chaos import RecoveryManager, SimulatedCrash
 from repro.common.errors import PolarisError, RequestSheddedError
 from repro.common.clock import SimulatedClock
 from repro.common.config import TelemetryConfig
-from repro.service import Gateway
+from repro.service import Gateway, admission, sessions
 from repro.sql.runner import SqlSession
+from repro.sqldb import locks
 from repro.sqldb.locks import CommitLock
 from repro.telemetry import WAIT_NAMES, Telemetry, WaitStats, fingerprint
 from repro.telemetry.names import NAME_RE
@@ -130,26 +131,27 @@ class TestRecording:
         assert run(7) == run(7)
 
 
-def observed_lock(hold_s):
+def observed_lock(monkeypatch, hold_s):
     """A commit lock observed by a wait-stats-only Telemetry."""
+    monkeypatch.setattr(locks, "COMMIT_HOLD_S", hold_s)
     clock = SimulatedClock()
     telemetry = Telemetry(clock, TelemetryConfig(wait_stats_enabled=True))
     lock = CommitLock(clock=clock)
-    lock.configure(hold_s, telemetry)
+    lock.configure(telemetry)
     return clock, telemetry.waits, lock
 
 
 class TestCommitLockHorizon:
-    def test_hold_zero_never_waits(self):
-        clock, stats, lock = observed_lock(0.0)
+    def test_hold_zero_never_waits(self, monkeypatch):
+        clock, stats, lock = observed_lock(monkeypatch, 0.0)
         for txid in range(1, 5):
             with lock.held(txid):
                 pass
         assert stats.wait_count("commit_lock") == 0
         assert lock.total_wait_s == 0.0
 
-    def test_back_to_back_commits_queue_on_the_hold(self):
-        clock, stats, lock = observed_lock(0.5)
+    def test_back_to_back_commits_queue_on_the_hold(self, monkeypatch):
+        clock, stats, lock = observed_lock(monkeypatch, 0.5)
         with lock.held(1):
             pass
         # The second commit arrives inside the first's busy horizon and
@@ -163,8 +165,8 @@ class TestCommitLockHorizon:
         assert lock.acquisitions == 2
         assert lock.total_hold_s == pytest.approx(1.0)
 
-    def test_spaced_commits_do_not_wait(self):
-        clock, stats, lock = observed_lock(0.5)
+    def test_spaced_commits_do_not_wait(self, monkeypatch):
+        clock, stats, lock = observed_lock(monkeypatch, 0.5)
         with lock.held(1):
             pass
         clock.advance(1.0)  # past the busy horizon
@@ -182,12 +184,11 @@ class TestCommitLockHorizon:
 
 
 class TestEndToEnd:
-    def test_sql_waits_reach_both_dmvs(self):
+    def test_sql_waits_reach_both_dmvs(self, monkeypatch):
         """Commit contention from SQL lands in dm_wait_stats and joins
         dm_exec_query_stats through dm_exec_query_waits."""
-        config = waits_config(
-            telemetry__query_store_enabled=True, txn__commit_hold_s=0.5
-        )
+        monkeypatch.setattr(locks, "COMMIT_HOLD_S", 0.5)
+        config = waits_config(telemetry__query_store_enabled=True)
         dw = Warehouse(config=config, auto_optimize=False)
         sql = SqlSession(dw.session())
         sql.execute("CREATE TABLE t (id BIGINT, v DOUBLE)")
@@ -219,16 +220,13 @@ class TestEndToEnd:
         )
         assert insert_hash in list(stats["query_hash"])
 
-    def test_one_wait_carries_tenant_class_and_fingerprint(self):
+    def test_one_wait_carries_tenant_class_and_fingerprint(self, monkeypatch):
         """Inside a gateway request's SQL statement one wait record holds
         all three attributions; a second statement of the same request
         keeps the tenant and gets its own fingerprint; failures leave the
         scope empty."""
-        config = waits_config(
-            enabled=True,
-            telemetry__query_store_enabled=True,
-            txn__commit_hold_s=0.5,
-        )
+        monkeypatch.setattr(locks, "COMMIT_HOLD_S", 0.5)
+        config = waits_config(enabled=True, telemetry__query_store_enabled=True)
         dw = Warehouse(config=config, auto_optimize=False)
         scope = dw.telemetry.scope
         gateway = Gateway(dw.context)
@@ -263,8 +261,9 @@ class TestEndToEnd:
         assert failed.status == "failed"
         assert scope.current == Frame()
 
-    def test_waits_metrics_mirrored(self):
-        config = waits_config(txn__commit_hold_s=0.5)
+    def test_waits_metrics_mirrored(self, monkeypatch):
+        monkeypatch.setattr(locks, "COMMIT_HOLD_S", 0.5)
+        config = waits_config()
         dw = Warehouse(config=config, auto_optimize=False)
         sql = SqlSession(dw.session())
         sql.execute("CREATE TABLE t (id BIGINT, v DOUBLE)")
@@ -297,9 +296,10 @@ class TestGatewayAndStoSites:
     """Each of these sites records its wait kind only on a rare path: a
     shed submit, a quota failure at dispatch, a compaction drained late."""
 
-    def test_shed_request_records_throttle(self):
-        config = waits_config(service__tokens_per_s=0.1, service__token_burst=1.0)
-        dw = Warehouse(config=config, auto_optimize=False)
+    def test_shed_request_records_throttle(self, monkeypatch):
+        monkeypatch.setattr(admission, "TOKENS_PER_S", 0.1)
+        monkeypatch.setattr(admission, "TOKEN_BURST", 1.0)
+        dw = Warehouse(config=waits_config(), auto_optimize=False)
         gateway = Gateway(dw.context)
         gateway.submit("acme", "transactional", lambda s: None)
         with pytest.raises(RequestSheddedError) as exc:
@@ -312,9 +312,9 @@ class TestGatewayAndStoSites:
             "transactional",
         )
 
-    def test_session_quota_failure_records_session_pool(self):
-        config = waits_config(service__max_sessions_per_tenant=1)
-        dw = Warehouse(config=config, auto_optimize=False)
+    def test_session_quota_failure_records_session_pool(self, monkeypatch):
+        monkeypatch.setattr(sessions, "MAX_SESSIONS_PER_TENANT", 1)
+        dw = Warehouse(config=waits_config(), auto_optimize=False)
         gateway = Gateway(dw.context)
         held = gateway.pool.acquire("acme")
         starved = gateway.submit("acme", "analytical", lambda s: None)
