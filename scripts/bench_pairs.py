@@ -27,6 +27,15 @@ per layer, then every per-layer metric — exiting 1 if any per-layer metric
 counted in ``count``, ``B`` or ``sim-s`` differs on any workload, since
 those repeat exactly per seed and a change that claims only speed must not
 move them.
+
+    python scripts/bench_pairs.py PARENT_DIR --workload all --traced \
+        --expect-differ sqldb.scan_calls
+
+names per-layer metrics the change is meant to move (comma-separated, or
+the flag repeated).  Each named metric is printed again as parent ->
+change with its percent delta, and the run exits 1 if any *other* count /
+B / sim-s metric differs or if a named one does *not* differ, on any
+workload.
 """
 
 from __future__ import annotations
@@ -61,8 +70,11 @@ def run_once(tree: str, workload: str, seed: int, *options: str) -> None:
     subprocess.run(command, cwd=tree, check=True, stdout=subprocess.DEVNULL)
 
 
-def traced_pair(parent_dir: str, workload: str, seed: int, out: str) -> int:
-    """One traced run per tree; 1 if an exactly-repeating metric differs."""
+def traced_pair(
+    parent_dir: str, workload: str, seed: int, out: str, expected: List[str]
+) -> int:
+    """One traced run per tree; 1 if an exactly-repeating metric not in
+    ``expected`` differs, or a metric in ``expected`` does not."""
     results = []
     for label, tree in (("parent", parent_dir), ("change", REPO)):
         directory = os.path.join(out, f"traced-{label}")
@@ -83,16 +95,26 @@ def traced_pair(parent_dir: str, workload: str, seed: int, out: str) -> int:
     for name, entry in parent["metrics"].items():
         a, b = entry["value"], change["metrics"][name]["value"]
         differs = entry["unit"] in EXACT_UNITS and a != b
-        if differs:
+        if differs and name not in expected:
             moved.append(name)
         flag = "  DIFFERS" if differs else ""
         print(f"  {name:<38} {a:>14.4f} {b:>14.4f} {entry['unit']}{flag}")
+    still = []
+    if expected:
+        print("expected to differ: parent -> change")
+    for name in expected:
+        a, b = parent["metrics"][name]["value"], change["metrics"][name]["value"]
+        delta = f"{(b - a) / a:+.1%}" if a else "n/a"
+        print(f"  {name:<38} {a:>14.4f} -> {b:<14.4f} {delta}")
+        if a == b:
+            still.append(name)
     print(
         f"\n{workload}: exactly-repeating metrics ({', '.join(EXACT_UNITS)}): "
         + (f"{len(moved)} differ: {', '.join(moved)}" if moved else "all equal")
+        + (f"; expected to differ but equal: {', '.join(still)}" if still else "")
         + "\n"
     )
-    return int(bool(moved))
+    return int(bool(moved or still))
 
 
 def paired_runs(parent_dir: str, workload: str, pairs: int, seed: int, out: str) -> int:
@@ -152,6 +174,20 @@ def chosen_workloads(parser: argparse.ArgumentParser, value: str) -> List[str]:
     return chosen
 
 
+def expected_metrics(
+    parser: argparse.ArgumentParser, values: List[str], traced: bool
+) -> List[str]:
+    """The per-layer metrics ``--expect-differ`` names, in the order given."""
+    names = [name for value in values for name in value.split(",") if name]
+    if names and not traced:
+        parser.error("--expect-differ needs --traced")
+    known = {entry["name"] for entry in load_spec()["per_layer"]}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(f"unknown per-layer metric {', '.join(unknown)}")
+    return list(dict.fromkeys(names))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_dir", help="checkout of the parent commit")
@@ -167,17 +203,25 @@ def main() -> int:
         "workload, side by side; exit 1 if a count / B / sim-s metric differs",
     )
     parser.add_argument(
+        "--expect-differ", action="append", default=[], metavar="NAME[,NAME]",
+        help="with --traced: per-layer metrics the change is meant to move; "
+        "exit 1 if one of them does not differ (or another one does)",
+    )
+    parser.add_argument(
         "--out", default=os.path.join(REPO, "bench_pairs"),
         help="directory of A.jsonl / B.jsonl (appended to, so runs accumulate)",
     )
     args = parser.parse_args()
     workloads = chosen_workloads(parser, args.workload)
+    expected = expected_metrics(parser, args.expect_differ, args.traced)
     parent_dir = os.path.abspath(args.parent_dir)
     os.makedirs(args.out, exist_ok=True)
     failed = []
     for workload in workloads:
         if args.traced:
-            status = traced_pair(parent_dir, workload, args.seed, args.out)
+            status = traced_pair(
+                parent_dir, workload, args.seed, args.out, expected
+            )
         else:
             status = paired_runs(parent_dir, workload, args.pairs, args.seed, args.out)
         if status:

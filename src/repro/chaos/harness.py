@@ -354,9 +354,9 @@ def _check_gc_safety(warehouse: Warehouse) -> List[str]:
     txn = context.sqldb.begin()
     try:
         for __, table_id in sorted(_catalog_tables(context).items()):
-            rows = catalog.manifests_for_table(txn, table_id)
-            if rows:
-                snapshot = context.cache.get(table_id, rows[-1]["sequence_id"])
+            last = catalog.latest_manifest(txn, table_id)
+            if last is not None:
+                snapshot = context.cache.get(table_id, last["sequence_id"])
                 protected.update(i.path for i in snapshot.files.values())
                 protected.update(i.path for i in snapshot.dvs.values())
     finally:

@@ -144,6 +144,7 @@ class RecoveryManager:
             context.chunk_cache.clear()
             context.plan_cache.clear()
             context.optimizer.index_cache.clear()
+            context.optimizer.stats_cache.clear()
             self._complete_publishes(report)
             crashpoint("recovery.publish.after_complete")
             # Process state commutes: any participant order is correct.

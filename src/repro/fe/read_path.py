@@ -13,23 +13,28 @@ autonomous compaction.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.dcp.cells import cells_for_snapshot
 from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
 from repro.engine.batch import Batch, concat_batches, empty_batch, num_rows
 from repro.engine.executor import execute_plan
 from repro.engine.explain import PlanProfile, explain_analyze
 from repro.engine.operators import filter_batch
-from repro.engine.planner import Plan, TableScan, scans_of
+from repro.engine.planner import Plan, TableScan, scans_of, tables_of
 from repro.engine.statistics import collect_stats
-from repro.fe.catalog import describe_table
 from repro.fe.context import ServiceContext
 from repro.fe.timetravel import snapshot_as_of
-from repro.fe.transaction import PolarisTransaction
-from repro.fe.write_path import _load_dv, _open_data_file
+from repro.fe.transaction import PolarisTransaction, ResolvedTable
+from repro.fe.write_path import (
+    _load_dv,
+    _open_data_file,
+    occupied_cells,
+    snapshot_zone_maps,
+)
 from repro.lst.snapshot import TableSnapshot
+from repro.lst.zone_maps import ZoneMaps
 from repro.optimizer.cardinality import estimate_with_stats
 
 if TYPE_CHECKING:
@@ -42,6 +47,7 @@ def scan_table(
     scan: TableScan,
     snapshot_override: "TableSnapshot | None" = None,
     report: Optional[Dict[str, Any]] = None,
+    table: Optional[ResolvedTable] = None,
 ) -> Batch:
     """Execute one distributed table scan within ``txn``'s snapshot.
 
@@ -50,13 +56,16 @@ def scan_table(
     given, is filled with EXPLAIN ANALYZE counters: files scanned vs.
     pruned (zone maps at manifest level), row groups scanned vs. pruned
     (zone maps inside page files), cells scheduled, and rows produced.
+    ``table`` is the statement's :meth:`PolarisTransaction.resolve_table`
+    of ``scan.table``, if it has one.
     """
-    table_row = describe_table(txn.root, scan.table)
-    table_id = table_row["table_id"]
+    if table is None:
+        table = txn.resolve_table(scan.table)
+    table_id = table.row["table_id"]
     snapshot = (
         snapshot_override
         if snapshot_override is not None
-        else txn.table_snapshot(table_id)
+        else txn.table_snapshot(table_id, table.sequence_id)
     )
     # File-level pruning: manifests carry per-file zone maps, so whole
     # files that cannot match are dropped before any cell is scheduled.
@@ -66,7 +75,9 @@ def scan_table(
     # over the *unpruned* snapshot.
     full_snapshot = snapshot
     if scan.prune:
-        snapshot = _prune_snapshot(snapshot, scan.prune)
+        snapshot = _prune_snapshot(
+            snapshot, scan.prune, snapshot_zone_maps(context, table_id, snapshot)
+        )
         if context.optimizer is not None:
             snapshot = context.optimizer.prune_snapshot(
                 txn.root, table_id, scan.prune, snapshot
@@ -82,11 +93,7 @@ def scan_table(
             dv.cardinality for dv in full_snapshot.dvs.values()
         )
         report["est_rows"] = max(int(live), 0)
-    cells = [
-        cell
-        for cell in cells_for_snapshot(table_id, snapshot, context.config.distributions)
-        if cell.files
-    ]
+    cells = occupied_cells(context, table_id, snapshot)
     if report is not None:
         report["cells"] = len(cells)
     if not cells:
@@ -151,16 +158,17 @@ def optimize_plan(
     txn: PolarisTransaction,
     plan: Plan,
     catalog: "Optional[Dict[str, TableStatistics]]" = None,
+    tables: Optional[Dict[str, ResolvedTable]] = None,
 ) -> Plan:
     """Run the cost-based rewrite pass over ``plan`` (identity without
     statistics for every referenced table, or with the optimizer off).
 
-    ``catalog`` is the statement's ``optimizer.catalog_inputs`` when the
-    caller has already read them.
+    ``catalog`` is the statement's ``optimizer.catalog_inputs`` and
+    ``tables`` its resolved tables, when the caller has already read them.
     """
     if context.optimizer is None:
         return plan
-    rewritten, _ = context.optimizer.rewrite(txn, plan, catalog)
+    rewritten, _ = context.optimizer.rewrite(txn, plan, catalog, tables)
     return rewritten
 
 
@@ -173,22 +181,25 @@ def _run_query(
 ) -> PlanProfile:
     """The one query driver behind every ``execute_query*`` entry point.
 
-    The plan first passes through the cost-based optimizer (a no-op
-    until statistics exist); each base scan then runs as its own
-    distributed DAG; the residual plan (joins, aggregation, sort) runs
-    at the root, with its CPU cost charged to the simulated clock.  With
-    ``as_of``, every scan reads the tables' state at that timestamp
-    instead (Query As Of).  ``observed`` changes nothing about what runs
-    or what the clock is charged: it additionally has every scan fill a
-    pruning/row report and every operator record its stats, and prices
-    the plan's estimates from the same catalog statistics the rewrite
-    used (read once per statement).
+    Each table the plan names is resolved once — its catalog row and
+    visible sequence — for the optimizer and the scans alike.  The plan
+    first passes through the cost-based optimizer (a no-op until
+    statistics exist); each base scan then runs as its own distributed
+    DAG; the residual plan (joins, aggregation, sort) runs at the root,
+    with its CPU cost charged to the simulated clock.  With ``as_of``,
+    every scan reads the tables' state at that timestamp instead (Query
+    As Of).  ``observed`` changes nothing about what runs or what the
+    clock is charged: it additionally has every scan fill a pruning/row
+    report and every operator record its stats, and prices the plan's
+    estimates from the same catalog statistics the rewrite used (read
+    once per statement).
     """
     optimizer = context.optimizer
+    tables = {name: txn.resolve_table(name) for name in tables_of(plan)}
     catalog = None
     if observed and optimizer is not None:
-        catalog = optimizer.catalog_inputs(txn, plan)
-    plan = optimize_plan(context, txn, plan, catalog)
+        catalog = optimizer.catalog_inputs(txn, plan, tables)
+    plan = optimize_plan(context, txn, plan, catalog, tables)
     scanned: Dict[int, Batch] = {}
     scan_details: Dict[int, Dict[str, Any]] = {}
     scan_rows = 0
@@ -197,14 +208,15 @@ def _run_query(
         return scanned[id(scan)]
 
     for scan in scans_of(plan):
+        table = tables[scan.table]
         override = None
         if as_of is not None:
-            table_row = describe_table(txn.root, scan.table)
-            override = snapshot_as_of(context, table_row["table_id"], as_of)
+            override = snapshot_as_of(context, table.row["table_id"], as_of)
         started = context.clock.now
         report: Optional[Dict[str, Any]] = {} if observed else None
         batch = scan_table(
-            context, txn, scan, snapshot_override=override, report=report
+            context, txn, scan, snapshot_override=override, report=report,
+            table=table,
         )
         if report is not None:
             report["sim_time_s"] = context.clock.now - started
@@ -267,16 +279,21 @@ def execute_query_profiled(
     return _run_query(context, txn, plan, as_of, observed=True)
 
 
-def _prune_snapshot(snapshot: TableSnapshot, prune) -> TableSnapshot:
-    """A snapshot view keeping only files whose zone maps may match."""
-    prune = tuple(prune)
-    kept = {
-        name: info
-        for name, info in snapshot.files.items()
-        if info.may_match(prune)
-    }
-    if len(kept) == len(snapshot.files):
+def _prune_snapshot(
+    snapshot: TableSnapshot, prune, zone_maps: Optional[ZoneMaps] = None
+) -> TableSnapshot:
+    """A snapshot view keeping only files whose zone maps may match.
+
+    ``zone_maps`` are ``snapshot``'s (built here when not given).
+    """
+    if zone_maps is None:
+        zone_maps = ZoneMaps(snapshot.files)
+    keep = zone_maps.keep(tuple(prune))
+    if keep.all():
         return snapshot
+    kept = {
+        name: snapshot.files[name] for name in compress(zone_maps.names, keep)
+    }
     return TableSnapshot(
         sequence_id=snapshot.sequence_id,
         files=kept,
@@ -286,7 +303,12 @@ def _prune_snapshot(snapshot: TableSnapshot, prune) -> TableSnapshot:
 
 
 def _publish_scan_stats(context: ServiceContext, table_id, snapshot) -> None:
-    stats = collect_stats(table_id, snapshot, context.config.sto)
+    stats = context.cache.derived(
+        table_id,
+        snapshot,
+        "stats",
+        lambda: collect_stats(table_id, snapshot, context.config.sto),
+    )
     context.bus.publish(
         "stats.table",
         table_id=table_id,

@@ -22,10 +22,11 @@ Life cycle:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from repro.chaos.crashpoints import crashpoint
 from repro.common.errors import SimulatedCrash, TransactionStateError
+from repro.fe.catalog import describe_table
 from repro.fe.context import ServiceContext
 from repro.lst.actions import Action
 from repro.lst.manifest import encode_actions, reconcile_actions
@@ -44,6 +45,14 @@ _ISOLATION_MAP = {
 
 #: Isolation level of a transaction begun without one.
 DEFAULT_ISOLATION = "snapshot"
+
+
+class ResolvedTable(NamedTuple):
+    """A table a statement names: its ``Tables`` row and the manifest
+    sequence visible to the statement's transaction."""
+
+    row: Dict[str, Any]
+    sequence_id: int
 
 
 @dataclass
@@ -131,28 +140,41 @@ class PolarisTransaction:
         Read through the root transaction so SI/RCSI visibility rules (and
         serializable read-set tracking) apply exactly as the paper
         describes: the snapshot *is* the root transaction's view of the
-        ``Manifests`` table.
+        ``Manifests`` table — found by a seek to the newest visible row.
         """
         self._require_active()
-        rows = catalog.manifests_for_table(self.root, table_id)
-        sequence = rows[-1]["sequence_id"] if rows else 0
+        row = catalog.latest_manifest(self.root, table_id)
+        sequence = row["sequence_id"] if row else 0
         self._context.bus.publish(
             "txn.read", txid=self.txid, table_id=table_id, sequence_id=sequence
         )
         return sequence
 
-    def committed_snapshot(self, table_id: int) -> TableSnapshot:
-        """The table's committed state as visible to this transaction."""
-        return self._context.cache.get(table_id, self.visible_sequence(table_id))
+    def resolve_table(self, name: str) -> ResolvedTable:
+        """Look up a table by name and its visible sequence, once for
+        every use a statement makes of them."""
+        row = describe_table(self.root, name)
+        return ResolvedTable(row, self.visible_sequence(row["table_id"]))
 
-    def table_snapshot(self, table_id: int) -> TableSnapshot:
+    def committed_snapshot(
+        self, table_id: int, sequence_id: Optional[int] = None
+    ) -> TableSnapshot:
+        """The table's committed state as visible to this transaction
+        (``sequence_id`` is its :meth:`visible_sequence`, if already read)."""
+        if sequence_id is None:
+            sequence_id = self.visible_sequence(table_id)
+        return self._context.cache.get(table_id, sequence_id)
+
+    def table_snapshot(
+        self, table_id: int, sequence_id: Optional[int] = None
+    ) -> TableSnapshot:
         """Committed snapshot overlaid with this transaction's own writes.
 
         This is the multi-statement rule of Section 3.2.3: subsequent
         statements see prior statements' changes by reading the current
         transaction manifest on top of the committed manifests.
         """
-        snapshot = self.committed_snapshot(table_id)
+        snapshot = self.committed_snapshot(table_id, sequence_id)
         state = self._writes.get(table_id)
         if state is None or not state.actions:
             return snapshot

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import FileFormatError
-from repro.dcp.cells import cells_for_snapshot, distribution_of
+from repro.dcp.cells import Cell, cells_for_snapshot, distribution_of
 from repro.dcp.channels import estimate_batch_bytes
 from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
@@ -45,6 +45,8 @@ from repro.lst.actions import (
     RemoveDeletionVector,
 )
 from repro.lst.manifest import encode_actions
+from repro.lst.snapshot import TableSnapshot
+from repro.lst.zone_maps import ZoneMaps
 from repro.pagefile.deletion_vector import DeletionVector
 from repro.pagefile.file_format import write_page_file
 from repro.pagefile.reader import PageFileReader
@@ -184,6 +186,34 @@ def _load_dv(
         return DeletionVector.from_bytes(blob.data)
     except FileFormatError as exc:
         raise FileFormatError(f"{info.path}: {exc}") from None
+
+
+def occupied_cells(
+    context: ServiceContext, table_id: int, snapshot: TableSnapshot
+) -> List[Cell]:
+    """The snapshot's cells that hold files, derived once per cached
+    snapshot (see :meth:`SnapshotCache.derived`)."""
+    return context.cache.derived(
+        table_id,
+        snapshot,
+        "cells",
+        lambda: [
+            cell
+            for cell in cells_for_snapshot(
+                table_id, snapshot, context.config.distributions
+            )
+            if cell.files
+        ],
+    )
+
+
+def snapshot_zone_maps(
+    context: ServiceContext, table_id: int, snapshot: TableSnapshot
+) -> ZoneMaps:
+    """The snapshot's file zone maps, derived once per cached snapshot."""
+    return context.cache.derived(
+        table_id, snapshot, "zone_maps", lambda: ZoneMaps(snapshot.files)
+    )
 
 
 def _resize_write_pool(context: ServiceContext, rows: int, source_files: int) -> None:
@@ -359,15 +389,16 @@ def _execute_mutation(
     table_id = table_row["table_id"]
     schema = table_schema(table_row)
     snapshot = txn.table_snapshot(table_id)
-    cells = [
-        cell
-        for cell in cells_for_snapshot(table_id, snapshot, context.config.distributions)
-        if cell.files
-    ]
+    cells = occupied_cells(context, table_id, snapshot)
     if not cells:
         return 0, 0
     dag = WorkflowDag()
     prune_list = list(prune)
+    matching = (
+        set(snapshot_zone_maps(context, table_id, snapshot).matching(prune_list))
+        if prune_list
+        else None
+    )
 
     for cell in cells:
 
@@ -379,7 +410,7 @@ def _execute_mutation(
             matched_rows: List[Batch] = []
             n_matched = 0
             for info in cell.files:
-                if prune_list and not info.may_match(tuple(prune_list)):
+                if matching is not None and info.name not in matching:
                     continue
                 reader = _open_data_file(context, info)
                 existing_info = snapshot.dv_for(info.name)

@@ -47,19 +47,6 @@ class DataFileInfo:
                 return lo, hi
         return None
 
-    def may_match(self, prune: "Tuple[Tuple[str, str, Any], ...]") -> bool:
-        """Whether rows satisfying the pruning conjuncts can exist here.
-
-        Conservative: True unless the file's zone maps prove otherwise.
-        """
-        from repro.pagefile.stats import may_contain
-
-        for column, op, literal in prune:
-            bounds = self.stats_for(column)
-            if bounds is not None and not may_contain(*bounds, op, literal):
-                return False
-        return True
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (manifest wire format)."""
         return {

@@ -8,6 +8,12 @@ falls back to checkpoint + tail replay.  Because snapshots are immutable
 values, one cache serves concurrent operations pinned to different
 sequence ids — exactly the property the paper calls out.
 
+Values that are pure functions of a committed snapshot (its health
+statistics, its cells, its zone-map arrays) live in the snapshot's entry
+beside it (:meth:`SnapshotCache.derived`): computed on first use, shared
+by every later reader of that ``(table_id, sequence_id)``, and dropped
+with the entry.  The snapshot object itself is never written to.
+
 Losing the cache is always safe: it can be rebuilt from the manifest log.
 Hit/miss counters feed the concurrency benchmarks (Figure 12's slowdown is
 partly cache misses from advancing snapshots).
@@ -16,7 +22,7 @@ partly cache misses from advancing snapshots).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.lst.actions import Action
 from repro.lst.snapshot import TableSnapshot
@@ -27,6 +33,18 @@ ManifestLoader = Callable[[int, int, int], List[Tuple[int, float, List[Action]]]
 #: Loader callback: given (table_id, max_seq), return the newest checkpoint
 #: snapshot with sequence_id <= max_seq, or None.
 CheckpointLoader = Callable[[int, int], Optional[TableSnapshot]]
+
+T = TypeVar("T")
+
+
+class _Entry:
+    """One cached snapshot and the values derived from it so far."""
+
+    __slots__ = ("snapshot", "derived")
+
+    def __init__(self, snapshot: TableSnapshot) -> None:
+        self.snapshot = snapshot
+        self.derived: Dict[str, Any] = {}
 
 
 @dataclass
@@ -60,7 +78,7 @@ class SnapshotCache:
         self._load_manifests = load_manifests
         self._load_checkpoint = load_checkpoint
         self._max_versions = max_versions_per_table
-        self._entries: Dict[int, Dict[int, TableSnapshot]] = {}
+        self._entries: Dict[int, Dict[int, _Entry]] = {}
         self.stats = CacheStats()
 
     def get(self, table_id: int, sequence_id: int) -> TableSnapshot:
@@ -69,7 +87,7 @@ class SnapshotCache:
         exact = versions.get(sequence_id)
         if exact is not None:
             self.stats.hits += 1
-            return exact
+            return exact.snapshot
 
         ancestor = self._best_ancestor(versions, sequence_id)
         if ancestor is not None:
@@ -84,6 +102,30 @@ class SnapshotCache:
         self._remember(versions, snapshot)
         return snapshot
 
+    def derived(
+        self,
+        table_id: int,
+        snapshot: TableSnapshot,
+        name: str,
+        compute: Callable[[], T],
+    ) -> T:
+        """``compute()``, a pure function of ``snapshot``, once per cached
+        snapshot: the value named ``name`` is kept in the snapshot's entry.
+
+        Only the very snapshot object :meth:`get` returned is served from
+        the entry.  Any other snapshot with the same sequence id — a
+        transaction's own writes overlaid on an older one, a pruned view —
+        is computed afresh every time.
+        """
+        entry = self._entries.get(table_id, {}).get(snapshot.sequence_id)
+        if entry is None or entry.snapshot is not snapshot:
+            return compute()
+        try:
+            return entry.derived[name]
+        except KeyError:
+            value = entry.derived[name] = compute()
+            return value
+
     def invalidate(self, table_id: Optional[int] = None) -> None:
         """Drop cached snapshots (all tables, or one) — e.g. on node restart."""
         if table_id is None:
@@ -95,12 +137,12 @@ class SnapshotCache:
 
     @staticmethod
     def _best_ancestor(
-        versions: Dict[int, TableSnapshot], sequence_id: int
+        versions: Dict[int, _Entry], sequence_id: int
     ) -> Optional[TableSnapshot]:
         candidates = [seq for seq in versions if seq < sequence_id]
         if not candidates:
             return None
-        return versions[max(candidates)]
+        return versions[max(candidates)].snapshot
 
     def _extend(
         self, table_id: int, base: TableSnapshot, sequence_id: int
@@ -115,8 +157,12 @@ class SnapshotCache:
         return snapshot
 
     def _remember(
-        self, versions: Dict[int, TableSnapshot], snapshot: TableSnapshot
+        self, versions: Dict[int, _Entry], snapshot: TableSnapshot
     ) -> None:
-        versions[snapshot.sequence_id] = snapshot
+        entry = versions.get(snapshot.sequence_id)
+        if entry is None or entry.snapshot is not snapshot:
+            # An extension that found nothing to replay hands back its
+            # cached ancestor; keep that entry's derived values.
+            versions[snapshot.sequence_id] = _Entry(snapshot)
         while len(versions) > self._max_versions:
             del versions[min(versions)]

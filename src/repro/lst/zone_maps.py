@@ -1,0 +1,91 @@
+"""File-level zone maps of one snapshot, as per-column arrays.
+
+Every :class:`~repro.lst.actions.DataFileInfo` carries ``(column, min,
+max)`` triples recorded at write time.  :class:`ZoneMaps` lays one
+snapshot's triples out column by column, so pruning a scan's conjuncts is
+one array comparison per conjunct instead of a Python loop over files.
+The answer is exactly :func:`~repro.pagefile.stats.may_contain` per file:
+bounds are held as Python objects, so ints, floats, bools and strings
+compare with Python's rules (no int64 to float64 rounding), files without
+bounds for a column (empty or all-NaN chunks, older manifests) are never
+pruned on it, and an operator other than the five comparisons prunes
+nothing.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
+
+from repro.lst.actions import DataFileInfo
+
+#: ``op`` -> test of the arrays (minimum, maximum) against a literal.
+_MAY_CONTAIN: Dict[str, Callable[[np.ndarray, np.ndarray, Any], np.ndarray]] = {
+    "==": lambda lo, hi, literal: (lo <= literal) & (hi >= literal),
+    "<": lambda lo, hi, literal: lo < literal,
+    "<=": lambda lo, hi, literal: lo <= literal,
+    ">": lambda lo, hi, literal: hi > literal,
+    ">=": lambda lo, hi, literal: hi >= literal,
+}
+
+
+def _objects(values: List[Any]) -> np.ndarray:
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+class ZoneMaps:
+    """One snapshot's file zone maps.
+
+    A column's arrays are built the first time a conjunct names it, so a
+    scan pays only for the columns it prunes on.
+    """
+
+    __slots__ = ("names", "_files", "_columns")
+
+    def __init__(self, files: Mapping[str, DataFileInfo]) -> None:
+        #: File names in the snapshot's file order.
+        self.names: List[str] = list(files)
+        self._files = list(files.values())
+        #: column -> (positions of the files with bounds, minima, maxima).
+        self._columns: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _column(self, column: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        entry = self._columns.get(column)
+        if entry is None:
+            positions, lows, highs = [], [], []
+            for position, info in enumerate(self._files):
+                lo, hi = info.stats_for(column) or (None, None)
+                if lo is not None and hi is not None:
+                    positions.append(position)
+                    lows.append(lo)
+                    highs.append(hi)
+            entry = self._columns[column] = (
+                np.array(positions, dtype=np.intp),
+                _objects(lows),
+                _objects(highs),
+            )
+        return entry
+
+    def keep(self, prune: Sequence[Tuple[str, str, Any]]) -> np.ndarray:
+        """Mask over :attr:`names`: the files whose zone maps let rows
+        satisfying every ``(column, op, literal)`` conjunct exist."""
+        mask = np.ones(len(self.names), dtype=bool)
+        for column, op, literal in prune:
+            test = _MAY_CONTAIN.get(op)
+            if test is None:
+                continue
+            positions, lows, highs = self._column(column)
+            # A NaN operand makes the comparison false, as in Python; the
+            # floating-point flag it raises is no error here.
+            with np.errstate(invalid="ignore"):
+                may = test(lows, highs, literal).astype(bool)
+            mask[positions[~may]] = False
+        return mask
+
+    def matching(self, prune: Sequence[Tuple[str, str, Any]]) -> List[str]:
+        """The names of the files :meth:`keep` keeps, in file order."""
+        return list(compress(self.names, self.keep(prune)))

@@ -39,12 +39,13 @@ from repro.optimizer.statistics import (
     collect_table_statistics,
 )
 from repro.sqldb import system_tables as catalog
-from repro.sqldb.transaction import SqlDbTransaction
+from repro.sqldb.mvcc import Version
+from repro.sqldb.transaction import SqlDbTransaction, VisibleRow
 from repro.storage.paths import index_file_path
 
 if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
-    from repro.fe.transaction import PolarisTransaction
+    from repro.fe.transaction import PolarisTransaction, ResolvedTable
 
 #: Master switch for cost-based plan rewrites (join reordering, transitive
 #: predicate pushdown), index pruning and STO index maintenance.
@@ -71,6 +72,10 @@ class QueryOptimizer:
         #: the cache never goes stale — a rebuild writes a new path).
         #: Process memory: restart recovery drops it.
         self.index_cache: Dict[str, SortedRunIndex] = {}
+        #: The rehydrated statistics of each table's newest-read catalog
+        #: version, by table id: (version, statistics).  Process memory:
+        #: restart recovery drops it.
+        self.stats_cache: Dict[int, Tuple[Version, TableStatistics]] = {}
         #: In-memory usage counters per (table_id, index_name), surfaced
         #: by ``sys.dm_index_stats``.
         self._index_usage: Dict[Tuple[int, str], Dict[str, int]] = {}
@@ -231,24 +236,43 @@ class QueryOptimizer:
     # -- plan rewriting -------------------------------------------------------
 
     def catalog_inputs(
-        self, txn: "PolarisTransaction", plan: Plan
+        self,
+        txn: "PolarisTransaction",
+        plan: Plan,
+        tables: "Optional[Dict[str, ResolvedTable]]" = None,
     ) -> Dict[str, TableStatistics]:
         """The newest visible statistics of ``plan``'s base tables, by
         table name (tables never analyzed are absent).
 
         One pass per statement: the rewrite and the EXPLAIN annotation
         of the same statement share the result (a rewrite never changes
-        which tables a plan references).
+        which tables a plan references).  ``tables`` are the statement's
+        resolved tables, if it has them.
         """
-        from repro.fe.catalog import describe_table
-
         stats: Dict[str, TableStatistics] = {}
         for table in tables_of(plan):
-            table_id = describe_table(txn.root, table)["table_id"]
-            sequence = txn.visible_sequence(table_id)
-            row = catalog.latest_table_stats(txn.root, table_id, sequence)
-            if row is not None:
-                stats[table] = TableStatistics.from_row(row)
+            resolved = (
+                tables[table] if tables is not None else txn.resolve_table(table)
+            )
+            table_id = resolved.row["table_id"]
+            hit = catalog.newest_table_stats(
+                txn.root, table_id, resolved.sequence_id
+            )
+            if hit is not None:
+                stats[table] = self._rehydrate(table_id, hit)
+        return stats
+
+    def _rehydrate(self, table_id: int, hit: VisibleRow) -> TableStatistics:
+        """``TableStatistics.from_row`` once per committed catalog version
+        of a table's statistics; a transaction's own uncommitted ANALYZE
+        is rehydrated on every read."""
+        if hit.version is None:
+            return TableStatistics.from_row(hit.row)
+        cached = self.stats_cache.get(table_id)
+        if cached is not None and cached[0] is hit.version:
+            return cached[1]
+        stats = TableStatistics.from_row(hit.row)
+        self.stats_cache[table_id] = (hit.version, stats)
         return stats
 
     def rewrite(
@@ -256,16 +280,17 @@ class QueryOptimizer:
         txn: "PolarisTransaction",
         plan: Plan,
         inputs: Optional[Dict[str, TableStatistics]] = None,
+        tables: "Optional[Dict[str, ResolvedTable]]" = None,
     ) -> Tuple[Plan, RewriteInfo]:
         """Cost-based rewrite of ``plan`` (identity without full stats).
 
-        ``inputs`` are the statement's already-read :meth:`catalog_inputs`,
-        if the caller has them.
+        ``inputs`` are the statement's already-read :meth:`catalog_inputs`
+        and ``tables`` its resolved tables, if the caller has them.
         """
         if not ENABLED:
             return plan, RewriteInfo()
         if inputs is None:
-            inputs = self.catalog_inputs(txn, plan)
+            inputs = self.catalog_inputs(txn, plan, tables)
         new_plan, info = rewrite_plan(plan, inputs)
         if info.applied:
             metrics = self._context.telemetry.metrics

@@ -155,7 +155,7 @@ class SqlDbEngine:
         """All visible rows of a system table as of a sequence (default: now)."""
         seq = as_of_seq if as_of_seq is not None else self.last_commit_seq
         rows = []
-        for key in self.store.keys_of_table(table):
+        for key in self.store.key_range(table):
             version = self.store.visible(key, seq)
             if version is not None and not version.is_tombstone:
                 rows.append(dict(version.value))

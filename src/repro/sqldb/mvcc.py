@@ -35,6 +35,27 @@ class Version:
         return self.value is TOMBSTONE
 
 
+def range_bounds(
+    keys: List[Key], prefix: Tuple[Any, ...], after: Any, upto: Any
+) -> Tuple[int, int]:
+    """``[start, end)`` of the range :meth:`VersionedStore.key_range`
+    describes, within ``keys``: one table's keys in key order."""
+    width = len(prefix)
+    if after is None:
+        start = bisect_left(keys, prefix, key=lambda key: key[1][:width])
+    else:
+        start = bisect_right(
+            keys, prefix + (after,), key=lambda key: key[1][: width + 1]
+        )
+    if upto is None:
+        end = bisect_right(keys, prefix, lo=start, key=lambda key: key[1][:width])
+    else:
+        end = bisect_right(
+            keys, prefix + (upto,), lo=start, key=lambda key: key[1][: width + 1]
+        )
+    return start, end
+
+
 class VersionedStore:
     """The multi-version heap shared by all transactions of one engine."""
 
@@ -103,19 +124,22 @@ class VersionedStore:
                     best = version.commit_seq
         return best
 
-    def keys_of_table(self, table: str) -> List[Key]:
-        """All keys ever written for ``table`` (any visibility), in key
-        order — a snapshot, so a suspended scan is not disturbed by a
-        commit that installs a new key."""
-        return list(self._table_keys.get(table, ()))
+    def key_range(
+        self,
+        table: str,
+        prefix: Tuple[Any, ...] = (),
+        after: Any = None,
+        upto: Any = None,
+    ) -> List[Key]:
+        """The keys of ``table`` in one bisected range, in key order.
 
-    def keys_with_prefix(self, table: str, prefix: Tuple[Any, ...]) -> List[Key]:
-        """The keys of ``table`` whose primary key starts with ``prefix``,
-        in key order — :meth:`keys_of_table` bisected to that range."""
+        The range holds the keys whose primary key starts with ``prefix``
+        and whose next component lies in ``(after, upto]`` (an omitted
+        bound is open).  The result is a copy, so a suspended scan is not
+        disturbed by a commit that installs a new key.
+        """
         keys = self._table_keys.get(table, [])
-        width = len(prefix)
-        start = bisect_left(keys, (table, prefix))
-        end = bisect_right(keys, prefix, lo=start, key=lambda key: key[1][:width])
+        start, end = range_bounds(keys, prefix, after, upto)
         return keys[start:end]
 
     def last_install_seq(self, table: str) -> int:

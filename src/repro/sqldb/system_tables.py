@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.sqldb.transaction import SqlDbTransaction
+from repro.sqldb.transaction import SqlDbTransaction, VisibleRow
 
 TABLES = "Tables"
 MANIFESTS = "Manifests"
@@ -122,17 +122,23 @@ def manifests_for_table(
     max_seq_inclusive: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
     """Visible manifests of ``table_id`` in ``(min_seq, max_seq]``, ordered."""
-
-    def in_range(row: Dict[str, Any]) -> bool:
-        if row["sequence_id"] <= min_seq_exclusive:
-            return False
-        if max_seq_inclusive is not None and row["sequence_id"] > max_seq_inclusive:
-            return False
-        return True
-
-    rows = list(txn.scan(MANIFESTS, in_range, prefix=(table_id,)))
-    rows.sort(key=lambda r: r["sequence_id"])
+    rows = [
+        hit.row
+        for hit in txn.newest_first(
+            MANIFESTS, (table_id,), min_seq_exclusive, max_seq_inclusive
+        )
+    ]
+    rows.reverse()
     return rows
+
+
+def latest_manifest(
+    txn: SqlDbTransaction, table_id: int
+) -> Optional[Dict[str, Any]]:
+    """Newest visible manifest of ``table_id`` (None before its first
+    commit): a seek, whatever the table's age."""
+    hit = txn.newest(MANIFESTS, (table_id,))
+    return None if hit is None else hit.row
 
 
 # -- WriteSets ------------------------------------------------------------------
@@ -190,15 +196,8 @@ def latest_checkpoint(
     txn: SqlDbTransaction, table_id: int, max_seq_inclusive: int
 ) -> Optional[Dict[str, Any]]:
     """Newest visible checkpoint of ``table_id`` at or below a sequence."""
-    best: Optional[Dict[str, Any]] = None
-    for row in txn.scan(
-        CHECKPOINTS,
-        lambda r: r["sequence_id"] <= max_seq_inclusive,
-        prefix=(table_id,),
-    ):
-        if best is None or row["sequence_id"] > best["sequence_id"]:
-            best = row
-    return best
+    hit = txn.newest(CHECKPOINTS, (table_id,), upto=max_seq_inclusive)
+    return None if hit is None else hit.row
 
 
 def checkpoints_for_table(
@@ -237,15 +236,16 @@ def latest_table_stats(
     txn: SqlDbTransaction, table_id: int, max_seq_inclusive: int
 ) -> Optional[Dict[str, Any]]:
     """Newest visible statistics of ``table_id`` at or below a sequence."""
-    best: Optional[Dict[str, Any]] = None
-    for row in txn.scan(
-        TABLE_STATS,
-        lambda r: r["sequence_id"] <= max_seq_inclusive,
-        prefix=(table_id,),
-    ):
-        if best is None or row["sequence_id"] > best["sequence_id"]:
-            best = row
-    return best
+    hit = newest_table_stats(txn, table_id, max_seq_inclusive)
+    return None if hit is None else hit.row
+
+
+def newest_table_stats(
+    txn: SqlDbTransaction, table_id: int, max_seq_inclusive: int
+) -> Optional[VisibleRow]:
+    """:func:`latest_table_stats` with the catalog version it was read
+    from, which identifies the row across re-ANALYZEs at one sequence."""
+    return txn.newest(TABLE_STATS, (table_id,), upto=max_seq_inclusive)
 
 
 def stats_for_table(

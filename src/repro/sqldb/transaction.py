@@ -16,14 +16,24 @@ Isolation levels (Section 4.4.2):
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.common.errors import (
     SerializationError,
     TransactionStateError,
     WriteConflictError,
 )
-from repro.sqldb.mvcc import TOMBSTONE, Key, VersionedStore
+from repro.sqldb.mvcc import TOMBSTONE, Key, Version, VersionedStore, range_bounds
 
 
 class IsolationLevel(enum.Enum):
@@ -32,6 +42,16 @@ class IsolationLevel(enum.Enum):
     SNAPSHOT = "snapshot"
     RCSI = "rcsi"
     SERIALIZABLE = "serializable"
+
+
+class VisibleRow(NamedTuple):
+    """One row a range read saw, with where it came from."""
+
+    row: Dict[str, Any]
+    #: The committed version the row was read from; None when it is the
+    #: transaction's own buffered write.  A version is immutable, so it
+    #: identifies one catalog state of its key.
+    version: Optional[Version]
 
 
 class TxnState(enum.Enum):
@@ -97,11 +117,7 @@ class SqlDbTransaction:
         read_seq = self._read_seq()
         seen: Set[Key] = set()
         store = self._engine.store
-        keys = (
-            store.keys_with_prefix(table, prefix)
-            if prefix
-            else store.keys_of_table(table)
-        )
+        keys = store.key_range(table, prefix)
         width = len(prefix)
         for key in keys:
             seen.add(key)
@@ -123,6 +139,54 @@ class SqlDbTransaction:
             row = dict(value)
             if predicate is None or predicate(row):
                 yield row
+
+    def newest_first(
+        self,
+        table: str,
+        prefix: Tuple[Any, ...],
+        after: Any = None,
+        upto: Any = None,
+    ) -> Iterator[VisibleRow]:
+        """Visible rows of one bounded key range, newest key first.
+
+        The range is :meth:`VersionedStore.key_range`'s: primary keys
+        starting with ``prefix`` whose next component lies in ``(after,
+        upto]``.  The walk starts at the range's end and overlays the
+        transaction's own writes, so the newest visible row costs a seek,
+        not a scan of the table's history.  Like :meth:`scan` it records
+        the whole table for serializable validation.
+        """
+        self._require_active()
+        self._read_tables.add(table)
+        read_seq = self._read_seq()
+        store = self._engine.store
+        keys = store.key_range(table, prefix, after, upto)
+        own = sorted(key for key in self._writes if key[0] == table)
+        start, end = range_bounds(own, prefix, after, upto)
+        own = own[start:end]
+        while keys or own:
+            if own and (not keys or own[-1] >= keys[-1]):
+                key = own.pop()
+                if keys and keys[-1] == key:
+                    keys.pop()
+                value, version = self._writes[key], None
+            else:
+                key = keys.pop()
+                version = store.visible(key, read_seq)
+                value = TOMBSTONE if version is None else version.value
+            if value is not TOMBSTONE:
+                yield VisibleRow(dict(value), version)
+
+    def newest(
+        self,
+        table: str,
+        prefix: Tuple[Any, ...],
+        after: Any = None,
+        upto: Any = None,
+    ) -> Optional[VisibleRow]:
+        """The newest visible row of a bounded key range (see
+        :meth:`newest_first`), or None when the range shows no row."""
+        return next(self.newest_first(table, prefix, after, upto), None)
 
     # -- writes ---------------------------------------------------------------
 

@@ -54,16 +54,15 @@ def run_checkpoint(
     """
     txn = context.sqldb.begin()
     try:
-        rows = catalog.manifests_for_table(txn, table_id)
-        if not rows:
+        top = catalog.latest_manifest(txn, table_id)
+        if top is None:
             return None
-        top_seq = rows[-1]["sequence_id"]
+        top_seq = top["sequence_id"]
         existing = catalog.latest_checkpoint(txn, table_id, top_seq)
-        if existing is not None and existing["sequence_id"] == top_seq:
+        base_seq = existing["sequence_id"] if existing else 0
+        if base_seq == top_seq:
             return None
-        collapsed = len(
-            [r for r in rows if existing is None or r["sequence_id"] > existing["sequence_id"]]
-        )
+        collapsed = len(catalog.manifests_for_table(txn, table_id, base_seq))
     finally:
         txn.abort()
 

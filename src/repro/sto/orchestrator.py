@@ -244,12 +244,11 @@ class SystemTaskOrchestrator:
         txn = self._context.sqldb.begin()
         try:
             table = catalog.get_table(txn, table_id)
-            rows = catalog.manifests_for_table(txn, table_id)
+            last = catalog.latest_manifest(txn, table_id)
         finally:
             txn.abort()
-        if table is None or not rows:
+        if table is None or last is None:
             return
-        last = rows[-1]
         tel = self._context.telemetry
         with tel.span(
             "sto.publish",

@@ -557,8 +557,8 @@ def _spy_rewrites(dw: Warehouse) -> list:
     real = optimizer.rewrite
     out = []
 
-    def spy(txn, plan, inputs=None):
-        result = real(txn, plan, inputs)
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
         out.append(result[0])
         return result
 
