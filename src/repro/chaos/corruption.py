@@ -2,7 +2,7 @@
 
 The sweep (:func:`run_corruption_sweep`) is the integrity counterpart of
 the crash sweep: instead of killing the process, it hands it wrong bytes.
-Three scenario families cover the corruption fault classes of
+Four scenario families cover the corruption fault classes of
 :mod:`repro.storage.failures` against every blob kind the deployment
 persists (data files, deletion vectors, manifests, checkpoints, published
 Delta logs):
@@ -25,6 +25,11 @@ Delta logs):
   a freshly inserted data file and a freshly committed manifest must
   both be detected, quarantined, and flagged RED (neither has a
   redundant copy yet).
+* **post-truncation checkpoint** — once garbage collection has truncated
+  the manifests a checkpoint covers, that checkpoint is the only record
+  of them: rotting it must fail reads with
+  :class:`~repro.common.errors.CheckpointLostError` (never serve the
+  surviving tail as the whole table) and flag the table RED.
 
 Everything is seeded; the per-scenario summary lines are deterministic.
 """
@@ -36,6 +41,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.chaos.harness import WORKLOAD_SCHEMA, _batch, chaos_config
 from repro.common.errors import (
+    CheckpointLostError,
     IntegrityError,
     PolarisError,
     TransientStorageError,
@@ -449,6 +455,54 @@ def _run_write_side(seed: int) -> List[CorruptionScenario]:
     return scenarios
 
 
+def _run_post_truncation(seed: int) -> CorruptionScenario:
+    """A checkpoint rots after GC truncated the manifests it covers."""
+    scenario = CorruptionScenario(
+        mode="truncated", blob_kind="checkpoint", fault="bit_flip"
+    )
+    warehouse, table_ids = _build(seed)
+    context = warehouse.context
+    table_id = table_ids["orders"]
+    context.clock.advance(context.config.sto.retention_period_s + 60.0)
+    warehouse.sto.run_gc()
+    rows = _orders_rows(warehouse, table_id)
+    if len(rows["manifests"]) != 1:
+        scenario.problems.append(
+            f"GC left {len(rows['manifests'])} orders manifests, expected "
+            "the checkpoint to have let it truncate all but the newest"
+        )
+    path = rows["checkpoints"][-1]["path"]
+    context.store.damage(path, scenario.fault)
+    context.cache.invalidate()
+    try:
+        live = warehouse.session().table_snapshot("orders").live_rows
+        scenario.problems.append(
+            f"orders served {live} rows around its lost checkpoint, "
+            f"expected {_ORDERS_ROWS} or an error"
+        )
+    except CheckpointLostError:
+        scenario.detected = True
+
+    report = warehouse.sto.run_scrub()
+    record = next((r for r in report.records if r.path == path), None)
+    if record is None:
+        scenario.problems.append(f"scrub missed the corrupt checkpoint {path}")
+        return scenario
+    scenario.quarantined = bool(record.quarantine_path)
+    if not scenario.quarantined:
+        scenario.problems.append("corrupt checkpoint was not quarantined")
+    if record.action != "unrepairable":
+        scenario.problems.append(
+            "a checkpoint whose manifests are truncated cannot be rebuilt, "
+            f"scrub said {record.action}"
+        )
+    scenario.outcome = "red"
+    if not warehouse.sto.health.integrity_compromised(table_id):
+        scenario.problems.append("lost checkpoint did not flag the table RED")
+    _check_control_readable(warehouse, scenario.problems)
+    return scenario
+
+
 def run_corruption_sweep(seed: int = 0) -> CorruptionSweepResult:
     """Run every corruption scenario; returns the per-scenario outcomes.
 
@@ -465,6 +519,7 @@ def run_corruption_sweep(seed: int = 0) -> CorruptionSweepResult:
     result.scenarios.extend(read_scenarios)
     result.problems.extend(read_problems)
     result.scenarios.extend(_run_write_side(seed))
+    result.scenarios.append(_run_post_truncation(seed))
     for scenario in result.scenarios:
         if not scenario.detected and scenario.ok:
             scenario.problems.append(

@@ -49,6 +49,7 @@ from repro.common.errors import (
     TransientStorageError,
 )
 from repro.engine.expressions import BinOp, Col, Lit, and_
+from repro.lst.checkpoint import Checkpoint
 from repro.pagefile.schema import Schema
 from repro.sqldb import system_tables as catalog
 from repro.warehouse.warehouse import Warehouse
@@ -381,6 +382,53 @@ def _check_gc_safety(warehouse: Warehouse) -> List[str]:
             "second GC pass still retains 'recent' files with no active "
             f"transactions: {sorted(second.retained_recent)}"
         )
+    return problems
+
+
+def _check_tombstones_bounded(context, table_id: int) -> List[str]:
+    """Neither the newest snapshot nor the newest checkpoint of a table may
+    hold a tombstone past retention as of the last commit it reflects.
+
+    For the checkpoint that commit is its manifest's while the catalog
+    still has it; once truncated, the checkpoint's newest removal stands
+    in (an earlier instant, so the check only gets weaker).
+    """
+    txn = context.sqldb.begin()
+    try:
+        last = catalog.latest_manifest(txn, table_id)
+        newest = catalog.latest_checkpoint(
+            txn, table_id, context.sqldb.last_commit_seq
+        )
+        covered = newest and txn.get(
+            catalog.MANIFESTS, (table_id, newest["sequence_id"])
+        )
+    finally:
+        txn.abort()
+    held = []
+    if last is not None:
+        snapshot = context.cache.get(table_id, last["sequence_id"])
+        held.append(("snapshot", snapshot, last["committed_at"]))
+    if newest is not None:
+        blob = context.store.get(newest["path"])
+        snapshot = Checkpoint.from_bytes(blob.data, newest["path"]).snapshot
+        as_of = (
+            covered["committed_at"]
+            if covered
+            else max((t.removed_at for t in snapshot.tombstones), default=0.0)
+        )
+        held.append(("checkpoint", snapshot, as_of))
+    retention = context.config.sto.retention_period_s
+    problems = []
+    for what, snapshot, as_of in held:
+        expired = sum(
+            1 for t in snapshot.tombstones if t.removed_at + retention <= as_of
+        )
+        if expired:
+            problems.append(
+                f"unbounded history: {expired} of the newest {what}'s "
+                f"{len(snapshot.tombstones)} tombstones (table {table_id} @ "
+                f"{snapshot.sequence_id}) are past retention"
+            )
     return problems
 
 
@@ -878,6 +926,7 @@ def run_longevity(
     )
     __, problems = _observed_counts(warehouse.context)
     result.problems.extend(problems)
+    result.problems.extend(_check_tombstones_bounded(warehouse.context, table_id))
     result.problems.extend(_check_gc_safety(warehouse))
     recorder.detach()
     result.problems.extend(_check_si(recorder))

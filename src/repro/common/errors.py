@@ -56,6 +56,15 @@ class SchemaMismatchError(FileFormatError):
     """Rows or columns do not match the declared schema."""
 
 
+class CheckpointLostError(FileFormatError):
+    """A checkpoint is the only record of a table's state and is unreadable.
+
+    Once garbage collection truncates the manifests a checkpoint covers,
+    a corrupt or missing checkpoint can no longer be replaced by manifest
+    replay: the surviving tail alone would serve part of the table.
+    """
+
+
 class IntegrityError(FileFormatError):
     """A blob's bytes do not match its recorded checksum.
 

@@ -18,7 +18,13 @@ from repro.fe.context import ServiceContext
 from repro.sqldb import system_tables as st
 from repro.sqldb.engine import SqlDbEngine
 
-_SYSTEM_TABLES = (st.TABLES, st.MANIFESTS, st.WRITESETS, st.CHECKPOINTS)
+_SYSTEM_TABLES = (
+    st.TABLES,
+    st.MANIFESTS,
+    st.WRITESETS,
+    st.CHECKPOINTS,
+    st.TRUNCATIONS,
+)
 
 
 def create_backup(context: ServiceContext) -> bytes:
@@ -90,4 +96,6 @@ def _primary_key(table: str, row: dict) -> tuple:
         return (row["table_id"],)
     if table == st.CHECKPOINTS:
         return (row["table_id"], row["sequence_id"])
+    if table == st.TRUNCATIONS:
+        return (row["table_id"],)
     raise ValueError(f"unknown system table {table!r}")

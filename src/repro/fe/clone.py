@@ -2,11 +2,14 @@
 
 Cloning duplicates only logical metadata: the clone gets a fresh table id
 and the source's visible ``Manifests`` rows are re-inserted under that id
-(optionally only those at or before a point in time).  No data or physical
-metadata is copied — both tables replay the same manifest files and
-reference the same immutable data files, then evolve independently.  The
-clone runs inside the caller's root transaction, so it is consistent under
-SI and never interferes with concurrent activity on the source.
+(optionally only those at or before a point in time), together with its
+``Checkpoints`` rows up to the newest copied manifest and its truncation
+mark — once GC has truncated a table's log, a checkpoint is the only
+record of the truncated prefix.  No data or physical metadata is copied —
+both tables replay the same manifest and checkpoint files and reference
+the same immutable data files, then evolve independently.  The clone runs
+inside the caller's root transaction, so it is consistent under SI and
+never interferes with concurrent activity on the source.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ def clone_table(
         distribution_column=source.get("distribution_column"),
         sort_column=source.get("sort_column"),
     )
+    newest = 0
     for row in catalog.manifests_for_table(txn, source["table_id"]):
         if as_of is not None and row["committed_at"] > as_of:
             continue
+        newest = row["sequence_id"]
         # Clones re-insert *historical* rows (source sequence ids, not a
         # fresh commit sequence) as buffered writes of the caller's root
         # transaction; the engine installs them under the commit lock at
@@ -55,4 +60,14 @@ def clone_table(
             row["committed_at"],
             row["manifest_path"],
         )
+    # Below the source's truncation mark its checkpoints are the only
+    # record of its state, so the clone shares them (and the mark) too.
+    for ckpt in catalog.checkpoints_for_table(txn, source["table_id"]):
+        if ckpt["sequence_id"] <= newest:
+            catalog.insert_checkpoint(
+                txn, clone_id, ckpt["sequence_id"], ckpt["path"], ckpt["created_at"]
+            )
+    truncated = catalog.truncated_through(txn, source["table_id"])
+    if truncated:
+        catalog.record_truncation(txn, clone_id, truncated)
     return clone_id

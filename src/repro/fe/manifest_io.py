@@ -4,13 +4,23 @@ The ``Manifests`` catalog table holds *names*; the manifest *contents*
 live in the object store.  This module bridges the two for the BE snapshot
 cache: loading committed manifests for a sequence range and loading the
 newest checkpoint at or below a sequence.
+
+A checkpoint is an acceleration only while the manifests it covers are
+still in the log.  Garbage collection truncates covered manifests once
+they are past retention (and records how far, ``Truncations``); from then
+on the checkpoint is the source of truth for that prefix, and losing it
+is losing the table's state rather than a reason to replay.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.common.errors import BlobNotFoundError, IntegrityError
+from repro.common.errors import (
+    BlobNotFoundError,
+    CheckpointLostError,
+    FileFormatError,
+)
 from repro.lst.actions import Action
 from repro.lst.cache import SnapshotCache
 from repro.lst.checkpoint import Checkpoint
@@ -32,7 +42,7 @@ def load_manifest_actions(context: "ServiceContext", path: str) -> List[Action]:
         clock=context.clock,
         seed=context.config.seed,
     )
-    return decode_manifest(blob.data)
+    return decode_manifest(blob.data, path)
 
 
 def make_snapshot_cache(context: "ServiceContext") -> SnapshotCache:
@@ -65,27 +75,43 @@ def make_snapshot_cache(context: "ServiceContext") -> SnapshotCache:
         return out
 
     def load_checkpoint(table_id: int, max_seq: int) -> Optional[TableSnapshot]:
+        """The newest readable checkpoint at or below ``max_seq`` (None:
+        replay from empty).  Once GC has truncated the manifests a replay
+        from there would need, the checkpoint is the source of truth: an
+        unreadable one raises :class:`CheckpointLostError`."""
         txn = context.sqldb.begin()
         try:
             row = catalog.latest_checkpoint(txn, table_id, max_seq)
+            truncated = catalog.truncated_through(txn, table_id)
         finally:
             txn.abort()
-        if row is None:
-            return None
-        try:
-            blob = with_retries(
-                lambda: context.store.get(row["path"]),
-                telemetry=context.telemetry,
-                label="checkpoint_load",
-                clock=context.clock,
-                seed=context.config.seed,
+        snapshot = None
+        if row is not None:
+            try:
+                blob = with_retries(
+                    lambda: context.store.get(row["path"]),
+                    telemetry=context.telemetry,
+                    label="checkpoint_load",
+                    clock=context.clock,
+                    seed=context.config.seed,
+                )
+                snapshot = Checkpoint.from_bytes(blob.data, row["path"]).snapshot
+            except (BlobNotFoundError, FileFormatError):
+                # A missing, corrupt or malformed checkpoint degrades to
+                # manifest replay while the manifests survive (below); the
+                # scrubber quarantines and re-materializes it out of band.
+                pass
+        # Replay from here needs every manifest in (base, max_seq]; the
+        # truncated ones, up to ``truncated``, are gone.
+        base = 0 if snapshot is None else snapshot.sequence_id
+        if base < min(truncated, max_seq):
+            source = "no checkpoint" if row is None else row["path"]
+            raise CheckpointLostError(
+                f"table {table_id} @ {max_seq}: replay from {base} ({source}) "
+                f"needs manifests GC truncated up to {truncated}"
             )
-        except (BlobNotFoundError, IntegrityError):
-            # Checkpoints are an acceleration, not a source of truth: a
-            # missing *or corrupt* checkpoint degrades to manifest replay
-            # (detection was already counted by the store); the scrubber
-            # quarantines and re-materializes it out of band.
-            return None
-        return Checkpoint.from_bytes(blob.data).snapshot
+        return snapshot
 
-    return SnapshotCache(load_manifests, load_checkpoint)
+    return SnapshotCache(
+        load_manifests, load_checkpoint, context.config.sto.retention_period_s
+    )

@@ -39,10 +39,14 @@ def sequence_as_of(
                 f"(created {table['created_at']})"
             )
         rows = catalog.manifests_for_table(txn, table_id)
+        truncated = catalog.truncated_through(txn, table_id)
     finally:
         txn.abort()
     eligible = [r["sequence_id"] for r in rows if r["committed_at"] <= timestamp]
-    return max(eligible) if eligible else 0
+    # Truncated manifests committed before the retention window began, so
+    # when no surviving one is old enough the newest truncated one is the
+    # state at ``timestamp`` (readable only from a checkpoint at it).
+    return max(eligible, default=truncated)
 
 
 def snapshot_as_of(

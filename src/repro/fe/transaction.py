@@ -179,7 +179,10 @@ class PolarisTransaction:
         if state is None or not state.actions:
             return snapshot
         return snapshot.apply_manifest(
-            state.actions, snapshot.sequence_id + 1, self._context.clock.now
+            state.actions,
+            snapshot.sequence_id + 1,
+            self._context.clock.now,
+            self._context.config.sto.retention_period_s,
         )
 
     # -- write phase: manifest assembly ------------------------------------------

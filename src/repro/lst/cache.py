@@ -14,6 +14,11 @@ beside it (:meth:`SnapshotCache.derived`): computed on first use, shared
 by every later reader of that ``(table_id, sequence_id)``, and dropped
 with the entry.  The snapshot object itself is never written to.
 
+Every replay applies one tombstone retention (the deployment's
+``sto.retention_period_s``), so an extended snapshot, a checkpoint-based
+one and a cold full replay at the same sequence are equal, tombstones
+included.
+
 Losing the cache is always safe: it can be rebuilt from the manifest log.
 Hit/miss counters feed the concurrency benchmarks (Figure 12's slowdown is
 partly cache misses from advancing snapshots).
@@ -31,7 +36,7 @@ from repro.lst.snapshot import TableSnapshot
 #: return the ordered manifest triples (seq, committed_at, actions).
 ManifestLoader = Callable[[int, int, int], List[Tuple[int, float, List[Action]]]]
 #: Loader callback: given (table_id, max_seq), return the newest checkpoint
-#: snapshot with sequence_id <= max_seq, or None.
+#: snapshot with sequence_id <= max_seq, or None to replay from empty.
 CheckpointLoader = Callable[[int, int], Optional[TableSnapshot]]
 
 T = TypeVar("T")
@@ -73,10 +78,14 @@ class SnapshotCache:
         self,
         load_manifests: ManifestLoader,
         load_checkpoint: CheckpointLoader,
+        retention: float,
         max_versions_per_table: int = 8,
     ) -> None:
         self._load_manifests = load_manifests
         self._load_checkpoint = load_checkpoint
+        # Tombstone retention every replay applies (``math.inf`` keeps the
+        # full removal history).
+        self._retention = retention
         self._max_versions = max_versions_per_table
         self._entries: Dict[int, Dict[int, _Entry]] = {}
         self.stats = CacheStats()
@@ -153,7 +162,9 @@ class SnapshotCache:
         self.stats.manifests_replayed += len(manifests)
         snapshot = base
         for seq, committed_at, actions in manifests:
-            snapshot = snapshot.apply_manifest(actions, seq, committed_at)
+            snapshot = snapshot.apply_manifest(
+                actions, seq, committed_at, self._retention
+            )
         return snapshot
 
     def _remember(

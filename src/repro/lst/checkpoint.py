@@ -3,9 +3,16 @@
 A checkpoint is a single file holding the fully reconciled table state as
 of a sequence id.  Readers load the newest checkpoint at or below their
 snapshot sequence and replay only the manifest tail — bounding
-reconstruction cost regardless of table age.  Checkpoints never remove
-manifests; they are a pure read optimization and (unlike compaction) can
-never conflict with user transactions.
+reconstruction cost regardless of table age.  Because a snapshot carries
+only the tombstones inside retention, so does its checkpoint: the file
+holds one retention window of removals, not the table's whole history.
+
+Writing a checkpoint never removes manifests and (unlike compaction) can
+never conflict with user transactions.  While every manifest it covers
+is still in the log, a checkpoint is a pure read optimization; once
+garbage collection truncates them, that checkpoint is the source of
+truth for the prefix it covers (:func:`repro.fe.manifest_io.make_snapshot_cache`
+then refuses to replay around a lost one).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict
 
+from repro.common.errors import FileFormatError
 from repro.lst.snapshot import TableSnapshot
 
 
@@ -36,14 +44,34 @@ class Checkpoint:
         return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "Checkpoint":
-        """Parse a checkpoint file."""
-        raw = json.loads(data.decode("utf-8"))
-        return cls(
-            sequence_id=raw["sequence_id"],
-            created_at=raw["created_at"],
-            snapshot=TableSnapshot.from_dict(raw["snapshot"]),
-        )
+    def from_bytes(cls, data: bytes, path: str = "<checkpoint>") -> "Checkpoint":
+        """Parse a checkpoint file.
+
+        Malformed bytes raise :class:`FileFormatError` naming ``path``.
+        """
+        try:
+            raw = json.loads(data.decode("utf-8"))
+            checkpoint = cls(
+                sequence_id=raw["sequence_id"],
+                created_at=float(raw["created_at"]),
+                snapshot=TableSnapshot.from_dict(raw["snapshot"]),
+            )
+        except (
+            ValueError, LookupError, TypeError, AttributeError, ArithmeticError
+        ) as exc:
+            raise FileFormatError(
+                f"checkpoint {path}: malformed ({type(exc).__name__}: {exc})"
+            ) from None
+        if (
+            type(checkpoint.sequence_id) is not int
+            or checkpoint.snapshot.sequence_id != checkpoint.sequence_id
+        ):
+            raise FileFormatError(
+                f"checkpoint {path}: sequence id {checkpoint.sequence_id!r} "
+                f"does not match its snapshot's "
+                f"{checkpoint.snapshot.sequence_id!r}"
+            )
+        return checkpoint
 
     @classmethod
     def of(cls, snapshot: TableSnapshot, created_at: float) -> "Checkpoint":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Tuple
 
+from repro.common.errors import FileFormatError
 from repro.lst.actions import (
     Action,
     AddDataFile,
@@ -34,13 +35,23 @@ def encode_actions(actions: List[Action]) -> bytes:
     return ("".join(line + "\n" for line in lines)).encode("utf-8")
 
 
-def decode_manifest(data: bytes) -> List[Action]:
-    """Parse a full manifest file (any concatenation of encoded blocks)."""
-    actions: List[Action] = []
-    for line in data.decode("utf-8").splitlines():
-        if line.strip():
-            actions.append(action_from_dict(json.loads(line)))
-    return actions
+def decode_manifest(data: bytes, path: str = "<manifest>") -> List[Action]:
+    """Parse a full manifest file (any concatenation of encoded blocks).
+
+    Malformed bytes raise :class:`FileFormatError` naming ``path``.
+    """
+    try:
+        return [
+            action_from_dict(json.loads(line))
+            for line in data.decode("utf-8").splitlines()
+            if line.strip()
+        ]
+    except (
+        ValueError, LookupError, TypeError, AttributeError, ArithmeticError
+    ) as exc:
+        raise FileFormatError(
+            f"manifest {path}: malformed ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def reconcile_actions(actions: List[Action]) -> Tuple[List[Action], List[str]]:

@@ -2,13 +2,24 @@
 
 A :class:`TableSnapshot` is the value of a table as of a sequence id: the
 set of live data files, the current deletion vector (if any) of each, and
-tombstones for files logically removed (needed by garbage collection and
-retention accounting).  Replay is deterministic — the core invariant the
-property tests exercise is that *checkpoint + tail replay ≡ full replay*.
+tombstones for files logically removed within the retention period
+(needed by garbage collection).  Replay is deterministic — the core
+invariant the property tests exercise is that *checkpoint + tail replay ≡
+full replay*.
+
+A tombstone expires with retention: applying a manifest committed at
+``committed_at`` drops every tombstone with ``removed_at + retention <=
+committed_at``.  The rule reads only the manifest being applied, never
+the wall clock, so a snapshot is still a pure function of the manifests
+it replays — the checkpoint written at sequence ``k`` is exactly what a
+full replay holds at ``k``, tombstones included.  A snapshot therefore
+carries the removals of one retention window, not the table's whole
+history, and so does every checkpoint of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -26,7 +37,9 @@ from repro.lst.actions import (
 
 @dataclass(frozen=True)
 class Tombstone:
-    """A logically removed file, kept for retention-bounded history."""
+    """A logically removed file, kept for retention-bounded history: the
+    first manifest committed ``retention`` or more after ``removed_at``
+    drops it (see :meth:`TableSnapshot.apply_manifest`)."""
 
     #: "data" or "dv"
     kind: str
@@ -53,7 +66,8 @@ class TableSnapshot:
     files: Dict[str, DataFileInfo] = field(default_factory=dict)
     #: Current deletion vector per data file name.
     dvs: Dict[str, DeletionVectorInfo] = field(default_factory=dict)
-    #: Logically removed files (within retention), newest last.
+    #: Logically removed files within retention as of the last applied
+    #: manifest, oldest first.
     tombstones: List[Tombstone] = field(default_factory=list)
 
     # -- derived metrics ----------------------------------------------------
@@ -80,8 +94,13 @@ class TableSnapshot:
         actions: Iterable[Action],
         sequence_id: int,
         committed_at: float,
+        retention: float,
     ) -> "TableSnapshot":
-        """Apply one committed manifest; returns the successor snapshot."""
+        """Apply one committed manifest; returns the successor snapshot.
+
+        Tombstones past ``retention`` as of ``committed_at`` are dropped
+        (``math.inf`` keeps every removal).
+        """
         files = dict(self.files)
         dvs = dict(self.dvs)
         tombstones = list(self.tombstones)
@@ -152,6 +171,14 @@ class TableSnapshot:
                 dvs[action.dv.target_file] = action.dv
             else:  # pragma: no cover - exhaustive over the Action union
                 raise TypeError(f"unknown action {action!r}")
+        # Removals are appended in commit order, so the tombstones past
+        # retention as of this commit are a prefix of the list.
+        expired = 0
+        for tomb in tombstones:
+            if tomb.removed_at + retention > committed_at:
+                break
+            expired += 1
+        del tombstones[:expired]
         return TableSnapshot(
             sequence_id=sequence_id, files=files, dvs=dvs, tombstones=tombstones
         )
@@ -191,7 +218,7 @@ class TableSnapshot:
                 kind=item["kind"],
                 path=item["path"],
                 name=item["name"],
-                removed_at=item["removed_at"],
+                removed_at=float(item["removed_at"]),
                 removed_seq=item["removed_seq"],
             )
             for item in raw["tombstones"]
@@ -207,15 +234,22 @@ class TableSnapshot:
 def replay(
     manifests: Iterable[Tuple[int, float, List[Action]]],
     base: Optional[TableSnapshot] = None,
+    retention: float = math.inf,
 ) -> TableSnapshot:
     """Replay ``(sequence_id, committed_at, actions)`` triples in order.
 
     ``base`` is an optional starting snapshot (e.g. a checkpoint); only
     manifests with a sequence id greater than the base's are applied.
+    This is the standalone form for property tests and micro-benchmarks
+    and keeps the full removal history unless ``retention`` is given; a
+    deployment replays through its :class:`~repro.lst.cache.SnapshotCache`,
+    which always applies the configured retention.
     """
     snapshot = base if base is not None else TableSnapshot()
     for sequence_id, committed_at, actions in manifests:
         if sequence_id <= snapshot.sequence_id:
             continue
-        snapshot = snapshot.apply_manifest(actions, sequence_id, committed_at)
+        snapshot = snapshot.apply_manifest(
+            actions, sequence_id, committed_at, retention
+        )
     return snapshot

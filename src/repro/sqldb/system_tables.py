@@ -1,7 +1,8 @@
 """Typed accessors for the Polaris system-catalog tables.
 
-Six system tables (Figure 4 of the paper, plus the checkpoint table from
-Section 5.2, the logical ``Tables`` catalog, and the optimizer catalog):
+Seven system tables (Figure 4 of the paper, plus the checkpoint table
+from Section 5.2, the logical ``Tables`` catalog, the optimizer catalog
+and the manifest-truncation marks):
 
 * ``Tables``     — logical metadata: table id, name, schema.
 * ``Manifests``  — one row per (committed write transaction × modified
@@ -11,6 +12,9 @@ Section 5.2, the logical ``Tables`` catalog, and the optimizer catalog):
   keyed by table id (table granularity) or (table id, data file name)
   (file granularity, Section 4.4.1).
 * ``Checkpoints`` — manifest checkpoints per table.
+* ``Truncations`` — per table, the highest manifest sequence garbage
+  collection has truncated from the log.  Below it the checkpoints are
+  the only record of the table's state.
 * ``TableStats``  — optimizer statistics per (table, snapshot sequence):
   row counts, per-column NDV/null-fraction/min/max and equi-depth
   histograms collected by ANALYZE, versioned so time-travel reads see
@@ -32,6 +36,7 @@ TABLES = "Tables"
 MANIFESTS = "Manifests"
 WRITESETS = "WriteSets"
 CHECKPOINTS = "Checkpoints"
+TRUNCATIONS = "Truncations"
 TABLE_STATS = "TableStats"
 INDEXES = "Indexes"
 
@@ -207,6 +212,28 @@ def checkpoints_for_table(
     rows = list(txn.scan(CHECKPOINTS, prefix=(table_id,)))
     rows.sort(key=lambda r: r["sequence_id"])
     return rows
+
+
+# -- Truncations -----------------------------------------------------------------
+
+
+def record_truncation(
+    txn: SqlDbTransaction, table_id: int, sequence_id: int
+) -> None:
+    """Record that the manifests of ``table_id`` up to ``sequence_id`` are
+    gone from the log (garbage collection truncates oldest first, so each
+    record is above the last)."""
+    txn.put(
+        TRUNCATIONS,
+        (table_id,),
+        {"table_id": table_id, "sequence_id": sequence_id},
+    )
+
+
+def truncated_through(txn: SqlDbTransaction, table_id: int) -> int:
+    """Highest truncated manifest sequence of ``table_id`` (0: none)."""
+    row = txn.get(TRUNCATIONS, (table_id,))
+    return 0 if row is None else row["sequence_id"]
 
 
 # -- TableStats ------------------------------------------------------------------

@@ -6,11 +6,23 @@ within retention) and an *inactive* set (removed files past retention).
 Zero-copy clones create shared lineage, so the sets are accumulated across
 all tables and a file in any active set is always retained.
 
+A snapshot only carries the tombstones inside retention as of the table's
+last commit (:meth:`repro.lst.snapshot.TableSnapshot.apply_manifest`), so
+the inactive set holds just the removals that expired *since* that
+commit.  A file whose tombstone already expired at replay is in neither
+set and falls to the orphan rule below, which deletes it: its creator
+committed before the file was removed a full retention period ago, so
+only a transaction open since before that can still delay it.
+
 Files on storage in neither set are either private files of in-flight
 transactions or leftovers of aborted/failed ones.  The paper's rule
 distinguishes them by the creation stamp: a file stamped before the
 minimum begin timestamp of every currently executing transaction cannot
 belong to any of them and is safe to delete.
+
+Truncating a table's manifest log is recorded in ``Truncations``: from
+then on its checkpoint, not replay, is the record of the truncated
+prefix (:mod:`repro.fe.manifest_io`).
 """
 
 from __future__ import annotations
@@ -133,8 +145,12 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
         try:
             for table_id, sequence_id, __ in stale_checkpoints:
                 cleanup.delete(catalog.CHECKPOINTS, (table_id, sequence_id))
+            truncated: Dict[int, int] = {}
             for table_id, sequence_id in stale_manifests:
                 cleanup.delete(catalog.MANIFESTS, (table_id, sequence_id))
+                truncated[table_id] = sequence_id  # ascending per table
+            for table_id, sequence_id in truncated.items():
+                catalog.record_truncation(cleanup, table_id, sequence_id)
             cleanup.commit()
         except SimulatedCrash:
             raise

@@ -8,8 +8,11 @@ deleted*: they move to the ``quarantine/`` namespace for forensics, and
 the scrubber then repairs whatever can be re-derived from surviving
 state:
 
-* **checkpoints** are a pure read optimization — re-materialized from
-  checkpoint-free manifest replay, exactly like the checkpointer;
+* **checkpoints** are re-materialized from checkpoint-free manifest
+  replay, exactly like the checkpointer — while the manifests they cover
+  survive.  Once garbage collection has truncated those, a checkpoint is
+  the only record of the table's state and its loss is unrepairable: the
+  table goes RED like on data loss;
 * **manifests** are recoverable only when a checkpoint captured the same
   state: the actions are rebuilt as the diff between the previous
   snapshot and the covering checkpoint's snapshot;
@@ -50,7 +53,8 @@ from repro.storage import paths
 from repro.storage.retry import with_retries
 
 #: Blob kinds whose loss is user-data loss (degrades the table to RED).
-_UNREPAIRABLE_IS_DATA_LOSS = ("data", "dv", "manifest")
+#: A checkpoint is unrepairable only once the manifests it covers are gone.
+_UNREPAIRABLE_IS_DATA_LOSS = ("data", "dv", "manifest", "checkpoint")
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,7 @@ def _repair_manifest(
         blob = _retrying(
             context, "scrub_repair", lambda: context.store.get(cover["path"])
         )
-        child = Checkpoint.from_bytes(blob.data).snapshot
+        child = Checkpoint.from_bytes(blob.data, cover["path"]).snapshot
         parent_seq = max(
             (m["sequence_id"] for m in manifest_rows if m["sequence_id"] < seq),
             default=0,
@@ -375,9 +379,11 @@ def _repair_checkpoint(
 ) -> bool:
     """Rebuild a checkpoint from checkpoint-free manifest replay.
 
-    Checkpoints are an acceleration, not a source of truth, so this is
-    always possible while the manifests survive — the same construction
-    the checkpointer used originally, at the same path.
+    Possible while the manifests the checkpoint covers survive — the same
+    construction the checkpointer used originally, at the same path.
+    Once garbage collection has truncated them, replay raises
+    :class:`~repro.common.errors.CheckpointLostError` and the checkpoint
+    is unrepairable.
     """
     try:
         context.cache.invalidate(table_id)

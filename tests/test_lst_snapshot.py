@@ -1,5 +1,7 @@
 """Tests for snapshot reconstruction and checkpoints."""
 
+import math
+
 import pytest
 
 from repro.common.errors import FileFormatError
@@ -34,14 +36,14 @@ class TestReplay:
 
     def test_add_files(self):
         snap = TableSnapshot().apply_manifest(
-            [AddDataFile(df("a", 5)), AddDataFile(df("b", 7))], 1, 0.0
+            [AddDataFile(df("a", 5)), AddDataFile(df("b", 7))], 1, 0.0, math.inf
         )
         assert snap.live_rows == 12
         assert snap.sequence_id == 1
 
     def test_apply_is_persistent(self):
         base = TableSnapshot()
-        base.apply_manifest([AddDataFile(df("a"))], 1, 0.0)
+        base.apply_manifest([AddDataFile(df("a"))], 1, 0.0, math.inf)
         assert base.live_rows == 0  # original untouched
 
     def test_dv_reduces_live_rows(self):
@@ -81,27 +83,33 @@ class TestReplay:
         assert kinds == ["data", "dv"]
 
     def test_duplicate_add_rejected(self):
-        snap = TableSnapshot().apply_manifest([AddDataFile(df("a"))], 1, 0.0)
+        snap = TableSnapshot().apply_manifest([AddDataFile(df("a"))], 1, 0.0, math.inf)
         with pytest.raises(FileFormatError, match="duplicate add"):
-            snap.apply_manifest([AddDataFile(df("a"))], 2, 1.0)
+            snap.apply_manifest([AddDataFile(df("a"))], 2, 1.0, math.inf)
 
     def test_remove_unknown_file_rejected(self):
         with pytest.raises(FileFormatError, match="unknown data file"):
-            TableSnapshot().apply_manifest([RemoveDataFile(df("ghost"))], 1, 0.0)
+            TableSnapshot().apply_manifest(
+                [RemoveDataFile(df("ghost"))], 1, 0.0, math.inf
+            )
 
     def test_dv_on_unknown_file_rejected(self):
         with pytest.raises(FileFormatError, match="unknown data file"):
-            TableSnapshot().apply_manifest([AddDeletionVector(dv("d", "ghost"))], 1, 0.0)
+            TableSnapshot().apply_manifest(
+                [AddDeletionVector(dv("d", "ghost"))], 1, 0.0, math.inf
+            )
 
     def test_double_dv_without_remove_rejected(self):
         snap = replay([(1, 0.0, [AddDataFile(df("a")), AddDeletionVector(dv("d1", "a"))])])
         with pytest.raises(FileFormatError, match="already has a DV"):
-            snap.apply_manifest([AddDeletionVector(dv("d2", "a"))], 2, 1.0)
+            snap.apply_manifest([AddDeletionVector(dv("d2", "a"))], 2, 1.0, math.inf)
 
     def test_remove_wrong_dv_rejected(self):
         snap = replay([(1, 0.0, [AddDataFile(df("a")), AddDeletionVector(dv("d1", "a"))])])
         with pytest.raises(FileFormatError, match="unknown DV"):
-            snap.apply_manifest([RemoveDeletionVector(dv("other", "a"))], 2, 1.0)
+            snap.apply_manifest(
+                [RemoveDeletionVector(dv("other", "a"))], 2, 1.0, math.inf
+            )
 
     def test_replay_skips_already_applied(self):
         base = replay([(1, 0.0, [AddDataFile(df("a"))])])

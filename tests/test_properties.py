@@ -9,6 +9,8 @@ Covered invariants:
 plus deletion-vector algebra and page-file roundtrips.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,7 +198,7 @@ def test_reconcile_net_actions_replayable(history):
     net, orphans = reconcile_actions(all_actions)
     from repro.lst import TableSnapshot
 
-    snapshot = TableSnapshot().apply_manifest(net, 1, 0.0)
+    snapshot = TableSnapshot().apply_manifest(net, 1, 0.0, math.inf)
     live_paths = {f.path for f in snapshot.files.values()}
     live_paths |= {d.path for d in snapshot.dvs.values()}
     # Orphans are disjoint from what the manifest still references.

@@ -1,5 +1,7 @@
 """Property-based tests for Z-ordering, the snapshot cache, and scheduling."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,7 +83,10 @@ def test_cache_any_access_pattern_matches_replay(total, accesses, max_versions):
         return [h for h in history if lo < h[0] <= hi]
 
     cache = SnapshotCache(
-        load_manifests, lambda t, s: None, max_versions_per_table=max_versions
+        load_manifests,
+        lambda t, s: None,
+        math.inf,
+        max_versions_per_table=max_versions,
     )
     for seq in accesses:
         seq = min(seq, total)

@@ -12,6 +12,8 @@ snapshot implies is derived once per snapshot without ever going stale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,9 @@ class TestSnapshotDerivedValues:
 
 class TestSnapshotCacheDerived:
     def _cache(self):
-        return SnapshotCache(lambda table_id, lo, hi: [], lambda table_id, seq: None)
+        return SnapshotCache(
+            lambda table_id, lo, hi: [], lambda table_id, seq: None, math.inf
+        )
 
     def test_computed_once_per_cached_snapshot(self):
         cache = self._cache()

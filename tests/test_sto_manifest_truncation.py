@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Aggregate, Schema, TableScan, Warehouse
+from repro.common.errors import CheckpointLostError
+from repro.fe.backup import create_backup, restore_backup
 from repro.sqldb import system_tables as st
 from tests.conftest import small_config
 
@@ -114,3 +116,107 @@ def test_time_travel_within_retention_still_works(dw):
     dw.sto.run_checkpoint(1001)
     dw.sto.run_gc()  # nothing expired: history intact
     assert session.query(count(), as_of=t1)["n"][0] == 10
+
+
+# -- a checkpoint is the source of truth once its manifests are truncated ----
+
+
+def truncate_behind_checkpoint(dw):
+    """Six inserts, a checkpoint over them, then a GC past retention that
+    truncates all but the newest manifest.  Returns the checkpoint path."""
+    session = dw.session()
+    for i in range(6):
+        session.insert("t", ids(10, start=i * 10))
+    path = dw.sto.run_checkpoint(1001).path
+    dw.clock.advance(dw.config.sto.retention_period_s + 1)
+    dw.sto.run_gc()
+    assert len(manifest_rows(dw)) == 1
+    return path
+
+
+def truncation_mark(dw, table_id=1001):
+    txn = dw.context.sqldb.begin()
+    try:
+        return st.truncated_through(txn, table_id)
+    finally:
+        txn.abort()
+
+
+def test_gc_records_how_far_it_truncated(dw):
+    assert truncation_mark(dw) == 0
+    truncate_behind_checkpoint(dw)
+    remaining = manifest_rows(dw)[0]["sequence_id"]
+    assert 0 < truncation_mark(dw) < remaining
+
+
+def test_corrupt_checkpoint_after_truncation_fails_and_flags_red(dw):
+    """Replay around the rotten checkpoint would serve only the surviving
+    tail (10 of 60 rows); the read must fail instead."""
+    path = truncate_behind_checkpoint(dw)
+    dw.store.damage(path, "bit_flip")
+    dw.context.cache.invalidate()
+    with pytest.raises(CheckpointLostError, match=path):
+        dw.session().query(count())
+    report = dw.sto.run_scrub()
+    (record,) = [r for r in report.records if r.path == path]
+    assert record.action == "unrepairable"
+    assert dw.sto.health.integrity_compromised(1001)
+
+
+def test_checkpoint_with_bad_content_after_truncation_fails(dw):
+    path = truncate_behind_checkpoint(dw)
+    dw.store.put(path, b'{"sequence_id": 6}', overwrite=True)
+    dw.context.cache.invalidate()
+    with pytest.raises(CheckpointLostError):
+        dw.session().query(count())
+
+
+def test_corrupt_checkpoint_before_truncation_degrades_to_replay(dw):
+    session = dw.session()
+    for i in range(6):
+        session.insert("t", ids(10, start=i * 10))
+    path = dw.sto.run_checkpoint(1001).path
+    dw.store.damage(path, "bit_flip")
+    dw.context.cache.invalidate()
+    assert dw.session().query(count())["n"][0] == 60
+
+
+def test_checkpoint_with_bad_content_degrades_to_replay(dw):
+    """Valid blob metadata, malformed JSON content: still only a lost
+    acceleration while the manifests survive."""
+    session = dw.session()
+    for i in range(6):
+        session.insert("t", ids(10, start=i * 10))
+    path = dw.sto.run_checkpoint(1001).path
+    dw.store.put(path, b'{"sequence_id": 6}', overwrite=True)
+    dw.context.cache.invalidate()
+    assert dw.session().query(count())["n"][0] == 60
+
+
+def test_restore_keeps_the_truncation_mark(dw):
+    truncate_behind_checkpoint(dw)
+    mark = truncation_mark(dw)
+    restore_backup(dw.context, create_backup(dw.context))
+    assert truncation_mark(dw) == mark
+    assert dw.session().query(count())["n"][0] == 60
+
+
+def test_clone_of_a_truncated_table_reads_all_of_it(dw):
+    """The clone shares the checkpoint that stands in for the truncated
+    manifests (it read 10 of 60 rows when only manifests were copied)."""
+    truncate_behind_checkpoint(dw)
+    dw.session().clone_table("t", "t2")
+    dw.context.cache.invalidate()
+    assert dw.session().query(count("t2"))["n"][0] == 60
+    assert truncation_mark(dw, 1002) == truncation_mark(dw)
+    # The source superseding and collecting its checkpoint must not take
+    # the clone's base with it.
+    session = dw.session()
+    for i in range(6):
+        session.insert("t", ids(10, start=1000 + i * 10))
+    dw.sto.run_checkpoint(1001)
+    dw.clock.advance(dw.config.sto.retention_period_s + 1)
+    dw.sto.run_gc()
+    dw.context.cache.invalidate()
+    assert dw.session().query(count("t2"))["n"][0] == 60
+    assert dw.session().query(count("t"))["n"][0] == 120
