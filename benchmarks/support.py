@@ -20,13 +20,13 @@ nothing; regression gating is polaris-bench, ``benchmarks/e2e``).
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+from contextlib import nullcontext
 from typing import Iterable, List, Sequence
 
 from repro import PolarisConfig, Warehouse
-from repro.telemetry import combined_chrome_trace, instances, tracing_instances
-from repro.telemetry.introspection import instances as introspector_instances
+from repro.fe.context import recording
+from repro.telemetry import combined_chrome_trace
 
 #: Set by :func:`bench_main` when ``--trace`` is given; :func:`bench_config`
 #: reads it so every warehouse a benchmark creates is traced without the
@@ -137,48 +137,36 @@ def bench_main(*bench_fns) -> None:
     _SCRIPT_TELEMETRY["trace"] = args.trace is not None
 
     instrumented = args.trace is not None or args.metrics or args.report
-    if instrumented:
-        # The trace/metrics/report outputs enumerate weakly-registered
-        # telemetry and introspector instances after the workloads ran.
-        # Warehouses sit in reference cycles, so they die at whatever
-        # moment the cyclic collector happens to run — which would make
-        # the enumeration (which warehouses get a report, a trace group)
-        # timing-dependent.  Hold collection until every output is taken.
-        gc.disable()
-    try:
-        traced_before = len(tracing_instances())
-        telemetry_before = len(instances())
+    # Only an instrumented run records the deployments it creates; the
+    # recording holds them until every output below is taken.
+    with recording() if instrumented else nullcontext([]) as contexts:
         for fn in bench_fns:
-            intro_before = len(introspector_instances())
+            first = len(contexts)
             fn(_ScriptBenchmark())
             if args.report:
-                for intro in introspector_instances()[intro_before:]:
+                for context in contexts[first:]:
                     print()
-                    print(intro.report())
+                    print(context.introspection.report())
 
-        if args.trace is not None:
-            traced = tracing_instances()[traced_before:]
-            groups = [
-                (f"run{i}:" if len(traced) > 1 else "", tel.spans)
-                for i, tel in enumerate(traced, start=1)
-            ]
-            document = combined_chrome_trace(groups)
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(document, fh)
-            spans = sum(len(g[1]) for g in groups)
-            print(
-                f"\nwrote {spans} spans to {args.trace} "
-                "(load at ui.perfetto.dev)"
-            )
-        if args.metrics:
-            for i, tel in enumerate(instances()[telemetry_before:], start=1):
-                snapshot = tel.metrics.snapshot()
-                if not snapshot:
-                    continue
-                print(f"\n=== metrics (warehouse {i}) ===")
-                for key, value in sorted(snapshot.items()):
-                    print(f"{key} = {value}")
-    finally:
-        if instrumented:
-            gc.enable()
-            gc.collect()
+    if args.trace is not None:
+        traced = [c.telemetry for c in contexts if c.telemetry.tracing]
+        groups = [
+            (f"run{i}:" if len(traced) > 1 else "", tel.spans)
+            for i, tel in enumerate(traced, start=1)
+        ]
+        document = combined_chrome_trace(groups)
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        spans = sum(len(g[1]) for g in groups)
+        print(
+            f"\nwrote {spans} spans to {args.trace} "
+            "(load at ui.perfetto.dev)"
+        )
+    if args.metrics:
+        for i, context in enumerate(contexts, start=1):
+            snapshot = context.telemetry.metrics.snapshot()
+            if not snapshot:
+                continue
+            print(f"\n=== metrics (warehouse {i}) ===")
+            for key, value in sorted(snapshot.items()):
+                print(f"{key} = {value}")

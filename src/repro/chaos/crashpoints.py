@@ -210,11 +210,6 @@ class ChaosController:
         """Cancel a pending armed crash at ``site`` (no-op if not armed)."""
         self._armed.pop(site, None)
 
-    @property
-    def armed_sites(self) -> List[str]:
-        """Sites currently armed to crash, sorted."""
-        return sorted(self._armed)
-
     # -- installation ------------------------------------------------------
 
     def install(self) -> "ChaosController":

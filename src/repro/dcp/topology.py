@@ -79,8 +79,3 @@ class Topology:
     def total_slots(self) -> int:
         """Total task slots across live nodes."""
         return sum(node.slots for node in self._nodes.values())
-
-    def reset_timelines(self, now: float = 0.0) -> None:
-        """Mark every slot free as of ``now`` (start of a new DAG)."""
-        for node in self._nodes.values():
-            node.slot_free_at = [now] * node.slots

@@ -8,8 +8,9 @@ every test hermetic — two warehouses never share state.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import PolarisConfig
@@ -30,6 +31,26 @@ if TYPE_CHECKING:
     from repro.service.gateway import Gateway
     from repro.sql.plan_cache import PlanCache
     from repro.telemetry.introspection import Introspector
+
+#: The lists of every open :func:`recording` scope, outermost first.
+_RECORDINGS: "List[List[ServiceContext]]" = []
+
+
+@contextmanager
+def recording() -> "Iterator[List[ServiceContext]]":
+    """Collect every :class:`ServiceContext` created in the ``with`` body.
+
+    Yields a list that :meth:`ServiceContext.create` appends each new
+    context to, in creation order, while the scope is open (nested scopes
+    each collect).  The list holds the contexts strongly, so a deployment
+    its creator dropped is still there for a post-run trace or report.
+    """
+    recorded: "List[ServiceContext]" = []
+    _RECORDINGS.append(recorded)
+    try:
+        yield recorded
+    finally:
+        _RECORDINGS.pop()
 
 
 @dataclass
@@ -92,6 +113,17 @@ class ServiceContext:
         separate_pools: bool = True,
     ) -> "ServiceContext":
         """Wire a fresh deployment with a shared clock across components."""
+        # Checked, not assumed: ``Warehouse(PolarisConfig())`` binds the
+        # config to ``database`` and would otherwise run on defaults.
+        if not isinstance(database, str) or not database:
+            raise TypeError(
+                f"database must be a non-empty str, got {database!r:.40}"
+            )
+        if config is not None and not isinstance(config, PolarisConfig):
+            raise TypeError(
+                "config must be a PolarisConfig or None, got "
+                f"{type(config).__name__}"
+            )
         config = config or PolarisConfig()
         config.validate()
         clock = SimulatedClock()
@@ -146,4 +178,6 @@ class ServiceContext:
         from repro.sql.plan_cache import PlanCache
 
         context.plan_cache = PlanCache(telemetry.metrics)
+        for recorded in _RECORDINGS:
+            recorded.append(context)
         return context

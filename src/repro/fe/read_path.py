@@ -23,7 +23,6 @@ from repro.engine.executor import execute_plan
 from repro.engine.explain import PlanProfile, explain_analyze
 from repro.engine.operators import filter_batch
 from repro.engine.planner import Plan, TableScan, scans_of, tables_of
-from repro.engine.statistics import collect_stats
 from repro.fe.context import ServiceContext
 from repro.fe.timetravel import snapshot_as_of
 from repro.fe.transaction import PolarisTransaction, ResolvedTable
@@ -31,6 +30,7 @@ from repro.fe.write_path import (
     _load_dv,
     _open_data_file,
     occupied_cells,
+    snapshot_stats,
     snapshot_zone_maps,
 )
 from repro.lst.snapshot import TableSnapshot
@@ -303,14 +303,8 @@ def _prune_snapshot(
 
 
 def _publish_scan_stats(context: ServiceContext, table_id, snapshot) -> None:
-    stats = context.cache.derived(
-        table_id,
-        snapshot,
-        "stats",
-        lambda: collect_stats(table_id, snapshot, context.config.sto),
-    )
     context.bus.publish(
         "stats.table",
         table_id=table_id,
-        stats=stats,
+        stats=snapshot_stats(context, table_id, snapshot),
     )

@@ -394,11 +394,6 @@ class PolarisTransaction:
 
     # -- introspection ----------------------------------------------------------------
 
-    @property
-    def modified_tables(self) -> List[int]:
-        """Ids of tables with buffered physical changes."""
-        return sorted(tid for tid, s in self._writes.items() if s.actions)
-
     def private_file_paths(self) -> List[str]:
         """Paths of files this transaction created (for tests and GC checks)."""
         out = []

@@ -32,6 +32,7 @@ from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
 from repro.engine.batch import Batch, num_rows
 from repro.engine.expressions import Expr, evaluate
+from repro.engine.statistics import TableStats, collect_stats
 from repro.engine.zorder import zorder_permutation
 from repro.fe.catalog import table_schema
 from repro.fe.context import ServiceContext
@@ -216,6 +217,19 @@ def snapshot_zone_maps(
     )
 
 
+def snapshot_stats(
+    context: ServiceContext, table_id: int, snapshot: TableSnapshot
+) -> TableStats:
+    """The snapshot's file-health statistics, derived once per cached
+    snapshot."""
+    return context.cache.derived(
+        table_id,
+        snapshot,
+        "stats",
+        lambda: collect_stats(table_id, snapshot, context.config.sto),
+    )
+
+
 def _resize_write_pool(context: ServiceContext, rows: int, source_files: int) -> None:
     if context.elastic:
         context.wlm.resize_pool(
@@ -245,43 +259,17 @@ def execute_insert(
     if total == 0:
         return 0
     assignments = _distribution_assignment(context, table_row, batch, total)
-    sort_column = table_row.get("sort_column")
-    dag = WorkflowDag()
-    state = txn.write_state(table_id)
-
+    # An insert draws its manifest name before any data file's (a bulk
+    # load draws it in its first task); blob names repeat per seed.
+    txn.write_state(table_id)
+    parts = []
     for distribution in sorted(set(assignments.tolist())):
         rows = np.flatnonzero(assignments == distribution)
         part = {name: values[rows] for name, values in batch.items()}
-
-        def write_part(
-            ctx: TaskContext, part: Batch = part, distribution: int = distribution
-        ) -> Tuple[List[str], List[Action], int]:
-            info = _write_data_file(
-                context, txn, table_id, schema, part, distribution,
-                sort_column=sort_column,
-            )
-            actions: List[Action] = [AddDataFile(info)]
-            writer = txn.manifest_writer(table_id)
-            block_id = writer.write_block(encode_actions(actions))
-            return [block_id], actions, info.num_rows
-
-        dag.add_task(
-            Task(
-                task_id=f"insert:{table_id}:{distribution}",
-                fn=write_part,
-                est_rows=len(rows),
-                est_files=1,
-                est_bytes=estimate_batch_bytes(part),
-                pool="write",
-            )
+        parts.append(
+            (f"insert:{table_id}:{distribution}", part, len(rows), distribution)
         )
-
-    _resize_write_pool(context, total, len(dag))
-    result = context.scheduler.execute(dag, wlm=context.wlm)
-    block_ids, actions = _collect_write_results(result.results)
-    txn.flush_insert(table_id, block_ids, actions)
-    state.rows_inserted += total
-    return total
+    return _write_files(context, txn, table_row, schema, parts, total)
 
 
 def execute_bulk_load(
@@ -304,19 +292,39 @@ def execute_bulk_load(
     total = sum(totals)
     if total == 0:
         return 0
-    dag = WorkflowDag()
     distributions = context.config.distributions
+    parts = [
+        (f"load:{table_id}:{index:05d}", batch, rows, index % distributions)
+        for index, (batch, rows) in enumerate(zip(source_batches, totals))
+        if rows
+    ]
+    return _write_files(
+        context, txn, table_row, schema, parts, total, advance_clock
+    )
+
+
+def _write_files(
+    context: ServiceContext,
+    txn: PolarisTransaction,
+    table_row: Dict[str, Any],
+    schema: Schema,
+    parts: Sequence[Tuple[str, Batch, int, int]],
+    total: int,
+    advance_clock: bool = True,
+) -> int:
+    """Write each ``(task_id, batch, rows, distribution)`` part as one
+    data file plus one manifest block in its own write task, then append
+    the blocks, ordered by task id, to the transaction's manifest."""
+    table_id = table_row["table_id"]
     sort_column = table_row.get("sort_column")
+    dag = WorkflowDag()
+    for task_id, part, rows, distribution in parts:
 
-    for index, batch in enumerate(source_batches):
-        if totals[index] == 0:
-            continue
-
-        def load_source(
-            ctx: TaskContext, batch: Batch = batch, index: int = index
+        def write_part(
+            ctx: TaskContext, part: Batch = part, distribution: int = distribution
         ) -> Tuple[List[str], List[Action], int]:
             info = _write_data_file(
-                context, txn, table_id, schema, batch, index % distributions,
+                context, txn, table_id, schema, part, distribution,
                 sort_column=sort_column,
             )
             actions: List[Action] = [AddDataFile(info)]
@@ -326,11 +334,11 @@ def execute_bulk_load(
 
         dag.add_task(
             Task(
-                task_id=f"load:{table_id}:{index:05d}",
-                fn=load_source,
-                est_rows=totals[index],
+                task_id=task_id,
+                fn=write_part,
+                est_rows=rows,
                 est_files=1,
-                est_bytes=estimate_batch_bytes(batch),
+                est_bytes=estimate_batch_bytes(part),
                 pool="write",
             )
         )

@@ -105,12 +105,6 @@ class ColumnStatistics:
             return notnull * (1.0 - self._fraction_below(literal, op == ">"))
         raise PlanError(f"unknown pruning operator {op!r}")
 
-    def equality_rows(self, row_count: int) -> float:
-        """Expected rows per distinct value (join fan-out helper)."""
-        if self.ndv <= 0:
-            return 0.0
-        return row_count * (1.0 - self.null_fraction) / self.ndv
-
     def _fraction_below(self, literal: Any, inclusive: bool) -> float:
         """Fraction of non-null values ``<`` (or ``<=``) ``literal``."""
         if literal < self.minimum:

@@ -21,7 +21,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    List,
     NamedTuple,
     Optional,
     Set,
@@ -216,11 +215,6 @@ class SqlDbTransaction:
         """Delete a row (buffered tombstone)."""
         self._require_active()
         self._writes[(table, pk)] = TOMBSTONE
-
-    @property
-    def write_keys(self) -> List[Key]:
-        """Keys this transaction will write at commit."""
-        return sorted(self._writes)
 
     @property
     def is_read_only(self) -> bool:

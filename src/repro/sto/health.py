@@ -78,14 +78,6 @@ class StorageHealthMonitor:
         """
         self._integrity.setdefault(table_id, []).append(path)
 
-    def clear_integrity(self, table_id: int) -> None:
-        """Lift a table's integrity degradation (after manual repair)."""
-        self._integrity.pop(table_id, None)
-
     def integrity_compromised(self, table_id: int) -> bool:
         """Whether the table carries unrepairable integrity loss."""
         return table_id in self._integrity
-
-    def integrity_paths(self, table_id: int) -> List[str]:
-        """The paths whose loss degraded this table (empty when intact)."""
-        return list(self._integrity.get(table_id, ()))

@@ -168,11 +168,6 @@ class FaultInjector:
         """Total failures still armed across all patterns."""
         return sum(fault.remaining for fault in self._armed)
 
-    @property
-    def armed_corruptions_remaining(self) -> int:
-        """Total corruptions still armed across all patterns."""
-        return sum(fault.remaining for fault in self._armed_corruptions)
-
     def quiesce(self) -> None:
         """Stop all randomized injection (armed counted faults persist).
 

@@ -31,15 +31,9 @@ from repro.telemetry.exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.telemetry.facade import Telemetry, instances, tracing_instances
+from repro.telemetry.facade import Telemetry
 from repro.telemetry.introspection import Introspector, TransactionLedger
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    snapshot_delta,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.names import (
     METRIC_NAMES,
     SPAN_NAMES,
@@ -92,14 +86,11 @@ __all__ = [
     "default_rules",
     "fingerprint",
     "format_critical_path_report",
-    "instances",
     "load_trace",
     "normalize_sql",
     "plan_fingerprint",
-    "snapshot_delta",
     "spans_to_jsonl",
     "top_serialization_kind",
-    "tracing_instances",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -14,8 +14,6 @@ never test whether a collector exists.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -35,14 +33,6 @@ from repro.telemetry.spans import Span, SpanEvent, Tracer
 from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
 from repro.telemetry.waits import WaitStats
 
-#: Live Telemetry instances keyed by creation order (weakly held, so a
-#: dead instance drops out; the benchmark harness exports combined
-#: traces/metrics from these after a run).
-_INSTANCES: "weakref.WeakValueDictionary[int, Telemetry]" = (
-    weakref.WeakValueDictionary()
-)
-_CREATED = itertools.count()
-
 #: Metrics time-series sampling interval in simulated seconds.  0 disables
 #: the sampler entirely: no ring buffer is allocated and no clock watcher
 #: is armed.
@@ -50,16 +40,6 @@ SAMPLE_INTERVAL_S = 0.0
 #: Evaluate the default watchdog rules over the sampled series (only
 #: while the sampler runs, i.e. ``SAMPLE_INTERVAL_S`` > 0).
 WATCHDOG_ENABLED = False
-
-
-def instances() -> "List[Telemetry]":
-    """All live Telemetry instances, oldest first."""
-    return [instance for __, instance in sorted(_INSTANCES.items())]
-
-
-def tracing_instances() -> "List[Telemetry]":
-    """All live tracing-enabled Telemetry instances, oldest first."""
-    return [instance for instance in instances() if instance.tracing]
 
 
 class _NullScope:
@@ -163,7 +143,6 @@ class Telemetry:
                 self.watchdog = Watchdog(self.metrics, bus, rules=default_rules())
                 self.sampler.subscribe(self.watchdog.observe)
             self.sampler.start()
-        _INSTANCES[next(_CREATED)] = self
 
     def _collector(self, name: str, collector):
         """Wire one collector that reads the scope and holds in-flight

@@ -6,7 +6,8 @@ reading logs.  :class:`Introspector` provides that surface — a catalog of
 virtual views over live engine state, resolvable by the SQL runner so
 ``SELECT * FROM sys.dm_transactions`` works through any session.
 
-Views (one provider each; schemas documented in ``docs/OBSERVABILITY.md``):
+Views (each declared once in :attr:`Introspector.VIEWS`; schemas documented
+in ``docs/OBSERVABILITY.md``):
 
 ==========================  ==================================================
 ``sys.dm_transactions``     FE transaction lifecycle from bus events,
@@ -49,15 +50,26 @@ shows the query itself).
 
 from __future__ import annotations
 
-import itertools
-import weakref
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
+import json
+import operator
+from collections import Counter, deque
+from contextlib import contextmanager
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.common.errors import PolarisError
-from repro.engine.statistics import collect_stats
+from repro.engine.statistics import TableStats
 from repro.pagefile.schema import Schema
 from repro.sqldb import system_tables as syscat
 from repro.telemetry.timeseries import flatten_sample
@@ -67,20 +79,8 @@ if TYPE_CHECKING:
     from repro.common.events import EventBus
     from repro.engine.batch import Batch
     from repro.fe.context import ServiceContext
+    from repro.sqldb.transaction import SqlDbTransaction
     from repro.sto.orchestrator import SystemTaskOrchestrator
-
-#: Live Introspector instances keyed by creation order (weakly held, so a
-#: dead instance drops out; the benchmark harness prints ``--report``
-#: summaries from these).
-_INSTANCES: "weakref.WeakValueDictionary[int, Introspector]" = (
-    weakref.WeakValueDictionary()
-)
-_CREATED = itertools.count()
-
-
-def instances() -> "List[Introspector]":
-    """All live Introspector instances, oldest first."""
-    return [instance for __, instance in sorted(_INSTANCES.items())]
 
 
 #: Finished-transaction records retained by the ledger (active records
@@ -186,12 +186,289 @@ class TransactionLedger:
         return list(self._recoveries)
 
 
+#: Reads one view's live records from an :class:`Introspector`.
+Provider = Callable[["Introspector"], List[Dict[str, Any]]]
+
+
+@contextmanager
+def _catalog(context: "ServiceContext") -> "Iterator[SqlDbTransaction]":
+    """A catalog read transaction, aborted on exit (views never write)."""
+    txn = context.sqldb.begin()
+    try:
+        yield txn
+    finally:
+        txn.abort()
+
+
+def _optional(component: str, method: str) -> Provider:
+    """Rows of ``context.<component>.<method>()``: no rows while that
+    optional component (the gateway, a telemetry collector) is absent."""
+    get = operator.attrgetter(component)
+
+    def rows(introspector: "Introspector") -> List[Dict[str, Any]]:
+        source = get(introspector.context)
+        return [] if source is None else getattr(source, method)()
+
+    return rows
+
+
+def _transactions(introspector: "Introspector") -> List[Dict[str, Any]]:
+    active_ids = {
+        txn.txid for txn in introspector.context.sqldb.active_transactions
+    }
+    rows = []
+    for record in introspector.ledger.records():
+        row = dict(record)
+        if row["status"] == "active" and row["txid"] not in active_ids:
+            # The FE never published a terminal event (a simulated crash
+            # skips the abort path); the engine has since resolved the
+            # transaction, so it must not show active.
+            row["status"] = "scavenged"
+        row["tables"] = ",".join(str(t) for t in record["tables"])
+        rows.append(row)
+    return rows
+
+
+def _storage_health(introspector: "Introspector") -> List[Dict[str, Any]]:
+    # Both import repro.telemetry, so they are imported at call time.
+    from repro.fe.write_path import snapshot_stats
+    from repro.sto import orchestrator
+
+    context = introspector.context
+    sto = introspector.sto
+    pending = sto.pending_compactions if sto is not None else {}
+    trigger = orchestrator.COMPACTION_TRIGGER_FRACTION
+    with _catalog(context) as txn:
+        tables = syscat.list_tables(txn)
+    rows = []
+    for table in sorted(tables, key=lambda t: t["table_id"]):
+        table_id = table["table_id"]
+        try:
+            snapshot = context.cache.get(table_id, context.sqldb.last_commit_seq)
+        except PolarisError:
+            # Unrepairable metadata loss: the snapshot cannot even be
+            # reconstructed, so surface the table RED with no stats
+            # rather than failing the whole view.
+            stats = TableStats(table_id, 0, 0, 0, 0, 0)
+            dv_count, pending_compaction, state = 0, False, "RED"
+        else:
+            stats = snapshot_stats(context, table_id, snapshot)
+            dv_count = len(snapshot.dvs)
+            pending_compaction = table_id in pending
+            if (
+                (sto is not None and sto.health.integrity_compromised(table_id))
+                or pending_compaction
+                or (stats.file_count and stats.low_quality_fraction >= trigger)
+            ):
+                state = "RED"
+            elif stats.low_quality_files:
+                state = "YELLOW"
+            else:
+                state = "GREEN"
+        rows.append(
+            {
+                "table_id": table_id,
+                "table_name": table["name"],
+                "state": state,
+                "file_count": stats.file_count,
+                "total_rows": stats.total_rows,
+                "deleted_rows": stats.deleted_rows,
+                "low_quality_files": stats.low_quality_files,
+                "low_quality_fraction": stats.low_quality_fraction,
+                "dv_count": dv_count,
+                "pending_compaction": pending_compaction,
+            }
+        )
+    return rows
+
+
+def _storage_integrity(introspector: "Introspector") -> List[Dict[str, Any]]:
+    if introspector.sto is None:
+        return []
+    return [
+        vars(record)
+        for report in introspector.sto.scrub_reports
+        for record in report.records
+    ]
+
+
+def _checkpoints(introspector: "Introspector") -> List[Dict[str, Any]]:
+    rows = []
+    with _catalog(introspector.context) as txn:
+        for table in sorted(syscat.list_tables(txn), key=lambda t: t["table_id"]):
+            for row in syscat.checkpoints_for_table(txn, table["table_id"]):
+                rows.append(
+                    {
+                        "table_id": table["table_id"],
+                        "table_name": table["name"],
+                        "sequence_id": row["sequence_id"],
+                        "path": row["path"],
+                        "created_at": float(row["created_at"]),
+                    }
+                )
+    return rows
+
+
+def _store_operations(introspector: "Introspector") -> List[Dict[str, Any]]:
+    context = introspector.context
+    per_op: Dict[str, Dict[str, Any]] = {}
+
+    def slot(operation: str) -> Dict[str, Any]:
+        return per_op.setdefault(
+            operation,
+            {
+                "operation": operation,
+                "requests": 0,
+                "faults": 0,
+                "latency_count": 0,
+                "latency_mean_s": 0.0,
+                "latency_p50_s": 0.0,
+                "latency_p95_s": 0.0,
+                "latency_p99_s": 0.0,
+                "latency_max_s": 0.0,
+            },
+        )
+
+    for operation, count in context.store.meter.requests.items():
+        slot(operation)["requests"] = count
+    for __, name, labels, instrument in context.telemetry.metrics.instruments():
+        if name == "storage.faults_injected":
+            slot(labels.get("op", "?"))["faults"] = int(instrument.value)
+        elif name == "storage.request_latency_s":
+            row = slot(labels.get("op", "?"))
+            summary = instrument.summary()
+            row["latency_count"] = int(summary["count"])
+            for stat in ("mean", "p50", "p95", "p99", "max"):
+                row[f"latency_{stat}_s"] = summary[stat]
+    return [per_op[operation] for operation in sorted(per_op)]
+
+
+def _metrics(introspector: "Introspector") -> List[Dict[str, Any]]:
+    rows = []
+    for kind, name, labels, instrument in (
+        introspector.context.telemetry.metrics.instruments()
+    ):
+        row = {
+            "name": name,
+            "labels": ",".join(f"{k}={v}" for k, v in sorted(labels.items())),
+            "kind": kind,
+            "value": 0.0,
+            "count": 0,
+            "sum": 0.0,
+            "min": 0.0,
+            "mean": 0.0,
+            "max": 0.0,
+            "p50": 0.0,
+            "p95": 0.0,
+            "p99": 0.0,
+        }
+        if kind == "histogram":
+            summary = instrument.summary()
+            # ``value`` mirrors ``sum`` so every kind is scannable
+            # through one column.
+            row["value"] = summary["sum"]
+            row["count"] = int(summary["count"])
+            for stat in ("sum", "min", "mean", "max", "p50", "p95", "p99"):
+                row[stat] = summary[stat]
+        else:
+            row["value"] = instrument.value
+        rows.append(row)
+    return rows
+
+
+def _metrics_history(introspector: "Introspector") -> List[Dict[str, Any]]:
+    sampler = introspector.context.telemetry.sampler
+    if sampler is None:
+        return []
+    rows = []
+    for sample in sampler.samples:
+        flat = flatten_sample(sample.values)
+        for metric in sorted(flat):
+            rows.append(
+                {
+                    "sample_id": sample.sample_id,
+                    "at": sample.at,
+                    "metric": metric,
+                    "value": flat[metric],
+                }
+            )
+    return rows
+
+
+def _commit_lock(introspector: "Introspector") -> List[Dict[str, Any]]:
+    # One row, always available: the lock itself keeps local aggregates,
+    # so holder/hold accounting needs neither metrics nor wait stats on.
+    lock = introspector.context.sqldb.commit_lock
+    holder = lock.holder_txid
+    return [
+        {
+            "is_held": lock.is_held,
+            "holder_txid": holder if holder is not None else 0,
+            "acquisitions": lock.acquisitions,
+            "busy_until": lock.busy_until,
+            "total_wait_s": lock.total_wait_s,
+            "total_hold_s": lock.total_hold_s,
+        }
+    ]
+
+
+def _table_stats(introspector: "Introspector") -> List[Dict[str, Any]]:
+    with _catalog(introspector.context) as txn:
+        rows = syscat.all_table_stats(txn)
+    return [
+        {
+            "table_id": row["table_id"],
+            "table_name": row["table_name"],
+            "sequence_id": row["sequence_id"],
+            "row_count": int(row["row_count"]),
+            "column_count": len(row["columns"]),
+            "analyzed_at": float(row["analyzed_at"]),
+            "source": row["source"],
+            "feedback_factor": float(row["feedback_factor"]),
+        }
+        for row in rows
+    ]
+
+
+def _index_stats(introspector: "Introspector") -> List[Dict[str, Any]]:
+    context = introspector.context
+    with _catalog(context) as txn:
+        names = {t["table_id"]: t["name"] for t in syscat.list_tables(txn)}
+        index_rows = syscat.all_indexes(txn)
+    optimizer = context.optimizer
+    rows = []
+    for row in index_rows:
+        usage = (
+            optimizer.index_usage(row["table_id"], row["index_name"])
+            if optimizer is not None
+            else {"lookups": 0, "files_pruned": 0}
+        )
+        rows.append(
+            {
+                "table_id": row["table_id"],
+                "table_name": names.get(row["table_id"], ""),
+                "index_name": row["index_name"],
+                "column_name": row["column"],
+                "sequence_id": row["sequence_id"],
+                "entries": int(row["entries"]),
+                "covered_files": len(row["covered_files"]),
+                "size_bytes": int(row["size_bytes"]),
+                "built_at": float(row["built_at"]),
+                "lookups": usage["lookups"],
+                "files_pruned": usage["files_pruned"],
+            }
+        )
+    return rows
+
+
 class Introspector:
     """Resolves ``sys.dm_*`` view names into schemas and row batches."""
 
-    #: View name -> (schema, provider method name).  The SQL runner and
-    #: the docs both derive the catalog from this single table.
-    VIEWS: Dict[str, Any] = {
+    #: View name -> (schema, rows): the one declaration of each view.
+    #: ``rows(introspector)`` reads the view's live records; a record may
+    #: carry keys beyond the schema, which every reader ignores.  The SQL
+    #: runner and the docs both derive the catalog from this table.
+    VIEWS: Dict[str, Tuple[Schema, Provider]] = {
         "sys.dm_transactions": (
             Schema.of(
                 ("txid", "int64"),
@@ -206,7 +483,7 @@ class Introspector:
                 ("rows_deleted", "int64"),
                 ("reason", "string"),
             ),
-            "_dm_transactions",
+            _transactions,
         ),
         "sys.dm_storage_health": (
             Schema.of(
@@ -221,7 +498,7 @@ class Introspector:
                 ("dv_count", "int64"),
                 ("pending_compaction", "bool"),
             ),
-            "_dm_storage_health",
+            _storage_health,
         ),
         "sys.dm_storage_integrity": (
             Schema.of(
@@ -234,7 +511,7 @@ class Introspector:
                 ("quarantine_path", "string"),
                 ("at", "float64"),
             ),
-            "_dm_storage_integrity",
+            _storage_integrity,
         ),
         "sys.dm_checkpoints": (
             Schema.of(
@@ -244,7 +521,7 @@ class Introspector:
                 ("path", "string"),
                 ("created_at", "float64"),
             ),
-            "_dm_checkpoints",
+            _checkpoints,
         ),
         "sys.dm_store_operations": (
             Schema.of(
@@ -258,7 +535,7 @@ class Introspector:
                 ("latency_p99_s", "float64"),
                 ("latency_max_s", "float64"),
             ),
-            "_dm_store_operations",
+            _store_operations,
         ),
         "sys.dm_recovery_history": (
             Schema.of(
@@ -269,7 +546,7 @@ class Introspector:
                 ("staged_blocks_discarded", "int64"),
                 ("publishes_completed", "int64"),
             ),
-            "_dm_recovery_history",
+            lambda introspector: introspector.ledger.recoveries(),
         ),
         "sys.dm_sessions": (
             Schema.of(
@@ -280,7 +557,7 @@ class Introspector:
                 ("last_active_at", "float64"),
                 ("requests", "int64"),
             ),
-            "_dm_sessions",
+            _optional("gateway", "session_rows"),
         ),
         "sys.dm_requests": (
             Schema.of(
@@ -298,7 +575,7 @@ class Introspector:
                 ("retry_after_s", "float64"),
                 ("error", "string"),
             ),
-            "_dm_requests",
+            _optional("gateway", "request_rows"),
         ),
         "sys.dm_metrics": (
             Schema.of(
@@ -315,7 +592,7 @@ class Introspector:
                 ("p95", "float64"),
                 ("p99", "float64"),
             ),
-            "_dm_metrics",
+            _metrics,
         ),
         "sys.dm_metrics_history": (
             Schema.of(
@@ -324,7 +601,7 @@ class Introspector:
                 ("metric", "string"),
                 ("value", "float64"),
             ),
-            "_dm_metrics_history",
+            _metrics_history,
         ),
         "sys.dm_exec_query_stats": (
             Schema.of(
@@ -349,7 +626,7 @@ class Introspector:
                 ("first_seen", "float64"),
                 ("last_seen", "float64"),
             ),
-            "_dm_exec_query_stats",
+            _optional("telemetry.querystore", "query_stats_rows"),
         ),
         "sys.dm_exec_query_plans": (
             Schema.of(
@@ -360,7 +637,7 @@ class Introspector:
                 ("last_seen", "float64"),
                 ("plan_text", "string"),
             ),
-            "_dm_exec_query_plans",
+            _optional("telemetry.querystore", "query_plans_rows"),
         ),
         "sys.dm_exec_operator_stats": (
             Schema.of(
@@ -377,7 +654,7 @@ class Introspector:
                 ("row_groups", "int64"),
                 ("row_groups_pruned", "int64"),
             ),
-            "_dm_exec_operator_stats",
+            _optional("telemetry.querystore", "operator_stats_rows"),
         ),
         "sys.dm_wait_stats": (
             Schema.of(
@@ -390,7 +667,7 @@ class Introspector:
                 ("tenants", "string"),
                 ("workload_classes", "string"),
             ),
-            "_dm_wait_stats",
+            _optional("telemetry.waits", "wait_stats_rows"),
         ),
         "sys.dm_exec_query_waits": (
             Schema.of(
@@ -400,7 +677,7 @@ class Introspector:
                 ("total_wait_s", "float64"),
                 ("max_wait_s", "float64"),
             ),
-            "_dm_exec_query_waits",
+            _optional("telemetry.waits", "query_waits_rows"),
         ),
         "sys.dm_commit_lock": (
             Schema.of(
@@ -411,7 +688,7 @@ class Introspector:
                 ("total_wait_s", "float64"),
                 ("total_hold_s", "float64"),
             ),
-            "_dm_commit_lock",
+            _commit_lock,
         ),
         "sys.dm_table_stats": (
             Schema.of(
@@ -424,7 +701,7 @@ class Introspector:
                 ("source", "string"),
                 ("feedback_factor", "float64"),
             ),
-            "_dm_table_stats",
+            _table_stats,
         ),
         "sys.dm_index_stats": (
             Schema.of(
@@ -440,19 +717,20 @@ class Introspector:
                 ("lookups", "int64"),
                 ("files_pruned", "int64"),
             ),
-            "_dm_index_stats",
+            _index_stats,
         ),
     }
 
     def __init__(self, context: "ServiceContext") -> None:
-        self._context = context
-        self._sto: "Optional[SystemTaskOrchestrator]" = None
+        self.context = context
+        #: The orchestrator, once bound (pending compactions and scrub
+        #: reports feed the storage views).
+        self.sto: "Optional[SystemTaskOrchestrator]" = None
         self.ledger = TransactionLedger(context.bus, context.clock)
-        _INSTANCES[next(_CREATED)] = self
 
     def bind_sto(self, sto: "SystemTaskOrchestrator") -> None:
         """Attach the orchestrator (pending compactions feed RED state)."""
-        self._sto = sto
+        self.sto = sto
 
     # -- catalog --------------------------------------------------------------
 
@@ -474,10 +752,9 @@ class Introspector:
     # -- materialization ------------------------------------------------------
 
     def rows(self, name: str) -> List[Dict[str, Any]]:
-        """The view's current rows as dicts (live state, read at call time)."""
-        schema, provider = self.VIEWS[name.lower()]
-        del schema
-        return getattr(self, provider)()
+        """The view's current records (live state, read at call time);
+        a record may carry keys beyond the view's columns."""
+        return self.VIEWS[name.lower()][1](self)
 
     def batch(self, name: str) -> "Batch":
         """The view's current rows as a columnar batch in schema order."""
@@ -492,404 +769,56 @@ class Introspector:
                 batch[field.name] = np.empty(0, dtype=field.numpy_dtype)
         return batch
 
-    # -- providers ------------------------------------------------------------
-
-    def _dm_transactions(self) -> List[Dict[str, Any]]:
-        active_ids = {
-            txn.txid for txn in self._context.sqldb.active_transactions
-        }
-        rows = []
-        for record in self.ledger.records():
-            status = record["status"]
-            if status == "active" and record["txid"] not in active_ids:
-                # The FE never published a terminal event (a simulated
-                # crash skips the abort path); the engine has since
-                # resolved the transaction, so it must not show active.
-                status = "scavenged"
-            row = dict(record)
-            row["status"] = status
-            row["tables"] = ",".join(str(t) for t in record["tables"])
-            rows.append(row)
-        return rows
-
-    def _dm_storage_health(self) -> List[Dict[str, Any]]:
-        from repro.sto import orchestrator  # repro.sto imports repro.telemetry
-
-        context = self._context
-        txn = context.sqldb.begin()
-        try:
-            tables = syscat.list_tables(txn)
-        finally:
-            txn.abort()
-        pending = (
-            self._sto.pending_compactions if self._sto is not None else {}
+    def export_jsonl(self, name: str, path: Optional[str] = None) -> str:
+        """The view's rows projected on its columns, one sorted-key JSON
+        object per line; written to ``path`` (and ``path`` returned) if
+        given.  Everything a view reads runs on the simulated clock and
+        seeded reservoirs, so same-seed runs export byte-identical text."""
+        columns = self.schema(name).names
+        payload = "".join(
+            json.dumps({column: row[column] for column in columns}, sort_keys=True)
+            + "\n"
+            for row in self.rows(name)
         )
-        health = self._sto.health if self._sto is not None else None
-        trigger = orchestrator.COMPACTION_TRIGGER_FRACTION
-        rows = []
-        for table in sorted(tables, key=lambda t: t["table_id"]):
-            table_id = table["table_id"]
-            compromised = health is not None and health.integrity_compromised(
-                table_id
-            )
-            try:
-                snapshot = context.cache.get(
-                    table_id, context.sqldb.last_commit_seq
-                )
-            except PolarisError:
-                # Unrepairable metadata loss: the snapshot cannot even be
-                # reconstructed, so surface the table RED with no stats
-                # rather than failing the whole view.
-                rows.append(
-                    {
-                        "table_id": table_id,
-                        "table_name": table["name"],
-                        "state": "RED",
-                        "file_count": 0,
-                        "total_rows": 0,
-                        "deleted_rows": 0,
-                        "low_quality_files": 0,
-                        "low_quality_fraction": 0.0,
-                        "dv_count": 0,
-                        "pending_compaction": False,
-                    }
-                )
-                continue
-            stats = collect_stats(table_id, snapshot, context.config.sto)
-            pending_compaction = table_id in pending
-            if (
-                compromised
-                or pending_compaction
-                or (stats.file_count and stats.low_quality_fraction >= trigger)
-            ):
-                state = "RED"
-            elif stats.low_quality_files:
-                state = "YELLOW"
-            else:
-                state = "GREEN"
-            rows.append(
-                {
-                    "table_id": table_id,
-                    "table_name": table["name"],
-                    "state": state,
-                    "file_count": stats.file_count,
-                    "total_rows": stats.total_rows,
-                    "deleted_rows": stats.deleted_rows,
-                    "low_quality_files": stats.low_quality_files,
-                    "low_quality_fraction": stats.low_quality_fraction,
-                    "dv_count": len(snapshot.dvs),
-                    "pending_compaction": pending_compaction,
-                }
-            )
-        return rows
-
-    def _dm_storage_integrity(self) -> List[Dict[str, Any]]:
-        if self._sto is None:
-            return []
-        rows = []
-        for report in self._sto.scrub_reports:
-            for record in report.records:
-                rows.append(
-                    {
-                        "table_id": record.table_id,
-                        "table_name": record.table_name,
-                        "path": record.path,
-                        "kind": record.kind,
-                        "problem": record.problem,
-                        "action": record.action,
-                        "quarantine_path": record.quarantine_path,
-                        "at": record.at,
-                    }
-                )
-        return rows
-
-    def _dm_checkpoints(self) -> List[Dict[str, Any]]:
-        txn = self._context.sqldb.begin()
-        try:
-            rows = []
-            for table in sorted(
-                syscat.list_tables(txn), key=lambda t: t["table_id"]
-            ):
-                for row in syscat.checkpoints_for_table(
-                    txn, table["table_id"]
-                ):
-                    rows.append(
-                        {
-                            "table_id": table["table_id"],
-                            "table_name": table["name"],
-                            "sequence_id": row["sequence_id"],
-                            "path": row["path"],
-                            "created_at": float(row["created_at"]),
-                        }
-                    )
-            return rows
-        finally:
-            txn.abort()
-
-    def _dm_store_operations(self) -> List[Dict[str, Any]]:
-        per_op: Dict[str, Dict[str, Any]] = {}
-
-        def slot(operation: str) -> Dict[str, Any]:
-            return per_op.setdefault(
-                operation,
-                {
-                    "operation": operation,
-                    "requests": 0,
-                    "faults": 0,
-                    "latency_count": 0,
-                    "latency_mean_s": 0.0,
-                    "latency_p50_s": 0.0,
-                    "latency_p95_s": 0.0,
-                    "latency_p99_s": 0.0,
-                    "latency_max_s": 0.0,
-                },
-            )
-
-        for operation, count in self._context.store.meter.requests.items():
-            slot(operation)["requests"] = count
-        for kind, name, labels, instrument in (
-            self._context.telemetry.metrics.instruments()
-        ):
-            del kind
-            if name == "storage.faults_injected":
-                slot(labels.get("op", "?"))["faults"] = int(instrument.value)
-            elif name == "storage.request_latency_s":
-                row = slot(labels.get("op", "?"))
-                summary = instrument.summary()
-                row["latency_count"] = int(summary["count"])
-                row["latency_mean_s"] = summary["mean"]
-                row["latency_p50_s"] = summary["p50"]
-                row["latency_p95_s"] = summary["p95"]
-                row["latency_p99_s"] = summary["p99"]
-                row["latency_max_s"] = summary["max"]
-        return [per_op[operation] for operation in sorted(per_op)]
-
-    def _dm_recovery_history(self) -> List[Dict[str, Any]]:
-        return [
-            {
-                "recovery_id": entry["recovery_id"],
-                "at": entry["at"],
-                "in_doubt_committed": entry["in_doubt_committed"],
-                "in_doubt_aborted": entry["in_doubt_aborted"],
-                "staged_blocks_discarded": entry["staged_blocks_discarded"],
-                "publishes_completed": entry["publishes_completed"],
-            }
-            for entry in self.ledger.recoveries()
-        ]
-
-    def _dm_sessions(self) -> List[Dict[str, Any]]:
-        gateway = self._context.gateway
-        if gateway is None:
-            return []
-        return gateway.session_rows()
-
-    def _dm_requests(self) -> List[Dict[str, Any]]:
-        gateway = self._context.gateway
-        if gateway is None:
-            return []
-        return gateway.request_rows()
-
-    def _dm_metrics(self) -> List[Dict[str, Any]]:
-        rows = []
-        for kind, name, labels, instrument in (
-            self._context.telemetry.metrics.instruments()
-        ):
-            row = {
-                "name": name,
-                "labels": ",".join(f"{k}={v}" for k, v in sorted(labels.items())),
-                "kind": kind,
-                "value": 0.0,
-                "count": 0,
-                "sum": 0.0,
-                "min": 0.0,
-                "mean": 0.0,
-                "max": 0.0,
-                "p50": 0.0,
-                "p95": 0.0,
-                "p99": 0.0,
-            }
-            if kind == "histogram":
-                summary = instrument.summary()
-                # ``value`` mirrors ``sum`` so every kind is scannable
-                # through one column.
-                row["value"] = summary["sum"]
-                row["count"] = int(summary["count"])
-                for stat in ("sum", "min", "mean", "max", "p50", "p95", "p99"):
-                    row[stat] = summary[stat]
-            else:
-                row["value"] = instrument.value
-            rows.append(row)
-        return rows
-
-    def _dm_metrics_history(self) -> List[Dict[str, Any]]:
-        sampler = self._context.telemetry.sampler
-        if sampler is None:
-            return []
-        rows = []
-        for sample in sampler.samples:
-            flat = flatten_sample(sample.values)
-            for metric in sorted(flat):
-                rows.append(
-                    {
-                        "sample_id": sample.sample_id,
-                        "at": sample.at,
-                        "metric": metric,
-                        "value": flat[metric],
-                    }
-                )
-        return rows
-
-    def _dm_exec_query_stats(self) -> List[Dict[str, Any]]:
-        store = self._context.telemetry.querystore
-        if store is None:
-            return []
-        return store.query_stats_rows()
-
-    def _dm_exec_query_plans(self) -> List[Dict[str, Any]]:
-        store = self._context.telemetry.querystore
-        if store is None:
-            return []
-        return store.query_plans_rows()
-
-    def _dm_exec_operator_stats(self) -> List[Dict[str, Any]]:
-        store = self._context.telemetry.querystore
-        if store is None:
-            return []
-        return store.operator_stats_rows()
-
-    def _dm_wait_stats(self) -> List[Dict[str, Any]]:
-        waits = self._context.telemetry.waits
-        if waits is None:
-            return []
-        return waits.wait_stats_rows()
-
-    def _dm_exec_query_waits(self) -> List[Dict[str, Any]]:
-        waits = self._context.telemetry.waits
-        if waits is None:
-            return []
-        return waits.query_waits_rows()
-
-    def _dm_commit_lock(self) -> List[Dict[str, Any]]:
-        # One row, always available: the lock itself keeps local
-        # aggregates, so holder/hold accounting needs neither metrics nor
-        # wait stats enabled.
-        lock = self._context.sqldb.commit_lock
-        holder = lock.holder_txid
-        return [
-            {
-                "is_held": lock.is_held,
-                "holder_txid": holder if holder is not None else 0,
-                "acquisitions": lock.acquisitions,
-                "busy_until": lock.busy_until,
-                "total_wait_s": lock.total_wait_s,
-                "total_hold_s": lock.total_hold_s,
-            }
-        ]
-
-    def _dm_table_stats(self) -> List[Dict[str, Any]]:
-        txn = self._context.sqldb.begin()
-        try:
-            rows = syscat.all_table_stats(txn)
-        finally:
-            txn.abort()
-        return [
-            {
-                "table_id": row["table_id"],
-                "table_name": row["table_name"],
-                "sequence_id": row["sequence_id"],
-                "row_count": int(row["row_count"]),
-                "column_count": len(row["columns"]),
-                "analyzed_at": float(row["analyzed_at"]),
-                "source": row["source"],
-                "feedback_factor": float(row["feedback_factor"]),
-            }
-            for row in rows
-        ]
-
-    def _dm_index_stats(self) -> List[Dict[str, Any]]:
-        txn = self._context.sqldb.begin()
-        try:
-            names = {
-                t["table_id"]: t["name"] for t in syscat.list_tables(txn)
-            }
-            index_rows = syscat.all_indexes(txn)
-        finally:
-            txn.abort()
-        optimizer = self._context.optimizer
-        rows = []
-        for row in index_rows:
-            usage = (
-                optimizer.index_usage(row["table_id"], row["index_name"])
-                if optimizer is not None
-                else {"lookups": 0, "files_pruned": 0}
-            )
-            rows.append(
-                {
-                    "table_id": row["table_id"],
-                    "table_name": names.get(row["table_id"], ""),
-                    "index_name": row["index_name"],
-                    "column_name": row["column"],
-                    "sequence_id": row["sequence_id"],
-                    "entries": int(row["entries"]),
-                    "covered_files": len(row["covered_files"]),
-                    "size_bytes": int(row["size_bytes"]),
-                    "built_at": float(row["built_at"]),
-                    "lookups": usage["lookups"],
-                    "files_pruned": usage["files_pruned"],
-                }
-            )
-        return rows
+        if path is None:
+            return payload
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        return path
 
     # -- end-of-run report ----------------------------------------------------
 
     def report(self) -> str:
         """A human-readable end-of-run health report built from the DMVs."""
-        lines = [f"=== observability report ({self._context.database}) ==="]
-        statuses: Dict[str, int] = {}
-        for row in self._dm_transactions():
-            statuses[row["status"]] = statuses.get(row["status"], 0) + 1
-        lines.append(
-            "transactions: "
-            + (
-                ", ".join(
-                    f"{count} {status}"
-                    for status, count in sorted(statuses.items())
-                )
-                or "none"
+        context = self.context
+        lines = [f"=== observability report ({context.database}) ==="]
+        for label, view, column, empty in (
+            ("transactions", "sys.dm_transactions", "status", "none"),
+            ("storage health", "sys.dm_storage_health", "state", "no tables"),
+        ):
+            counts = Counter(row[column] for row in self.rows(view))
+            summary = ", ".join(
+                f"{count} {value}" for value, count in sorted(counts.items())
             )
-        )
-        states: Dict[str, int] = {}
-        for row in self._dm_storage_health():
-            states[row["state"]] = states.get(row["state"], 0) + 1
-        lines.append(
-            "storage health: "
-            + (
-                ", ".join(
-                    f"{count} {state}" for state, count in sorted(states.items())
-                )
-                or "no tables"
-            )
-        )
-        meter = self._context.store.meter
+            lines.append(f"{label}: {summary or empty}")
+        meter = context.store.meter
         lines.append(
             f"object store: {meter.total_requests} requests, "
             f"{meter.bytes_read} B read, {meter.bytes_written} B written"
         )
-        chunks = self._context.chunk_cache
+        chunks = context.chunk_cache
         lines.append(
             f"chunk cache: {int(chunks.hits.value)} hits, "
             f"{int(chunks.misses.value)} misses, "
             f"{int(chunks.evictions.value)} evictions, "
             f"{chunks.resident_bytes} B resident"
         )
-        lines.append(f"checkpoints: {len(self._dm_checkpoints())}")
-        lines.append(f"recovery runs: {len(self._dm_recovery_history())}")
+        lines.append(f"checkpoints: {len(self.rows('sys.dm_checkpoints'))}")
+        lines.append(f"recovery runs: {len(self.rows('sys.dm_recovery_history'))}")
         alerts = sum(
-            instrument.value
-            for kind, name, labels, instrument in (
-                self._context.telemetry.metrics.instruments()
-            )
-            if name == "watchdog.alerts"
+            row["value"]
+            for row in self.rows("sys.dm_metrics")
+            if row["name"] == "watchdog.alerts"
         )
         lines.append(f"watchdog alerts: {int(alerts)}")
         return "\n".join(lines)

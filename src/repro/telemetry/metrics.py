@@ -224,21 +224,3 @@ class MetricsRegistry:
         for key, histogram in sorted(self._histograms.items()):
             out[format_key(key)] = histogram.summary()
         return out
-
-
-def snapshot_delta(
-    after: Dict[str, Any], before: Dict[str, Any]
-) -> Dict[str, float]:
-    """Numeric differences between two :meth:`MetricsRegistry.snapshot` calls.
-
-    Histogram summaries are skipped; counters/gauges report
-    ``after - before`` (missing keys count as 0), zero deltas elided.
-    """
-    out: Dict[str, float] = {}
-    for key, value in after.items():
-        if isinstance(value, dict):
-            continue
-        diff = value - before.get(key, 0.0)
-        if diff:
-            out[key] = diff
-    return out

@@ -23,18 +23,17 @@ substrate for the Polaris reproduction:
   on.
 
 Everything runs on the simulated clock and seeded histograms, so two
-same-seed runs produce byte-identical :meth:`QueryStore.snapshot`
-output.  In-flight executions (started, never finished — a simulated
-crash) are held apart from the aggregates until :meth:`QueryStore.finish`
-lands; :class:`repro.chaos.RecoveryManager` calls
-:meth:`QueryStore.scavenge` so a crashed execution is discarded, never
-double-counted.
+same-seed runs produce byte-identical ``sys.dm_exec_*`` rows (exported by
+:meth:`repro.telemetry.introspection.Introspector.export_jsonl`).
+In-flight executions (started, never finished — a simulated crash) are
+held apart from the aggregates until :meth:`QueryStore.finish` lands;
+:class:`repro.chaos.RecoveryManager` calls :meth:`QueryStore.scavenge` so
+a crashed execution is discarded, never double-counted.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
@@ -318,37 +317,6 @@ class QueryProfile:
         """p95 over the sliding recent-latency window."""
         return percentile(list(self.recent), 95.0)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Deterministic JSON-serializable view of this profile."""
-        summary = self.latency.summary()
-        return {
-            "query_hash": self.query_hash,
-            "statement_kind": self.statement_kind,
-            "normalized_text": self.normalized_text,
-            "executions": self.executions,
-            "errors": self.errors,
-            "total_rows": self.total_rows,
-            "total_bytes_read": self.total_bytes_read,
-            "latency": summary,
-            "recent_p95_s": self.recent_p95_s(),
-            "baseline_p95_s": self.baseline_p95_s,
-            "regressions": self.regressions,
-            "first_seen": self.first_seen,
-            "last_seen": self.last_seen,
-            "plans": {
-                plan_hash: dict(entry)
-                for plan_hash, entry in sorted(self.plans.items())
-            },
-            "operators": {
-                str(op_id): dict(slot)
-                for op_id, slot in sorted(self.operators.items())
-            },
-            "attribution": {
-                f"{tenant}/{workload}": count
-                for (tenant, workload), count in sorted(self.attribution.items())
-            },
-        }
-
 
 class QueryStore:
     """Per-deployment query store over the simulated clock.
@@ -565,26 +533,3 @@ class QueryStore:
                     }
                 )
         return rows
-
-    # -- export ---------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Deterministic full-store view; byte-identical across same-seed runs
-        once serialized with sorted keys."""
-        return {
-            "fingerprints": [p.snapshot() for p in self.profiles()],
-            "inflight": len(self._inflight),
-        }
-
-    def export_jsonl(self, path: Optional[str] = None) -> str:
-        """One JSON object per fingerprint (written to ``path`` if given)."""
-        lines = [
-            json.dumps(profile.snapshot(), sort_keys=True)
-            for profile in self.profiles()
-        ]
-        payload = "\n".join(lines) + ("\n" if lines else "")
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            return path
-        return payload

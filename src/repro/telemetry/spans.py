@@ -72,10 +72,6 @@ class Span:
         """Whether the span has ended."""
         return self.end is not None
 
-    def set_attribute(self, key: str, value: Any) -> None:
-        """Attach or overwrite one attribute."""
-        self.attributes[key] = value
-
     def add_event(
         self, name: str, timestamp: float, **attributes: Any
     ) -> SpanEvent:

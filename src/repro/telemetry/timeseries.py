@@ -2,18 +2,16 @@
 
 :class:`MetricsSampler` snapshots the metrics registry on the simulated
 clock at a fixed interval into a bounded ring buffer — the data behind
-the ``sys.dm_metrics_history`` view and the JSONL export.  A
-:class:`Watchdog` subscribes to those samples and evaluates declarative
-:class:`WatchdogRule` thresholds (on absolute values or on per-second
-rates between consecutive samples), emitting ``watchdog.alert`` bus
-events plus a ``watchdog.alerts`` counter when a rule fires.  Both are
-inert unless explicitly constructed and started, so a deployment with
-sampling off pays nothing.
+the ``sys.dm_metrics_history`` view.  A :class:`Watchdog` subscribes to
+those samples and evaluates declarative :class:`WatchdogRule` thresholds
+(on absolute values or on per-second rates between consecutive samples),
+emitting ``watchdog.alert`` bus events plus a ``watchdog.alerts`` counter
+when a rule fires.  Both are inert unless explicitly constructed and
+started, so a deployment with sampling off pays nothing.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
@@ -139,23 +137,6 @@ class MetricsSampler:
         """The retained samples, oldest first."""
         return list(self._ring)
 
-    def export_jsonl(self, path: str) -> str:
-        """Write one JSON object per retained sample; returns ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for sample in self._ring:
-                fh.write(
-                    json.dumps(
-                        {
-                            "sample_id": sample.sample_id,
-                            "at": sample.at,
-                            "values": sample.values,
-                        },
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
-        return path
-
 
 @dataclass(frozen=True)
 class WatchdogRule:
@@ -208,10 +189,6 @@ class Watchdog:
         self._last_alert_at: Dict[str, float] = {}
         #: Alert records, oldest first: rule/metric/value/threshold/at.
         self.alerts: List[Dict[str, Any]] = []
-
-    def add_rule(self, rule: WatchdogRule) -> None:
-        """Register one more rule (evaluated from the next sample on)."""
-        self.rules.append(rule)
 
     def observe(self, sample: MetricSample) -> None:
         """Evaluate every rule against one new sample."""

@@ -36,7 +36,6 @@ disabled deployment.
 
 from __future__ import annotations
 
-import json
 import zlib
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -296,49 +295,6 @@ class WaitStats:
                 }
             )
         return rows
-
-    # -- export ---------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Deterministic full-collector view; byte-identical across
-        same-seed runs once serialized with sorted keys."""
-        kinds = {}
-        for kind in self.kinds():
-            aggregate = self._kinds[kind]
-            kinds[kind] = {
-                "waits": aggregate.count,
-                "total_wait_s": aggregate.total_s,
-                "max_wait_s": aggregate.max_s,
-                "p95_wait_s": aggregate.reservoir.percentile(95.0),
-                "attribution": {
-                    f"{tenant}/{workload}": list(slot)
-                    for (tenant, workload), slot in sorted(
-                        aggregate.attribution.items()
-                    )
-                },
-            }
-        return {
-            "kinds": kinds,
-            "query_waits": {
-                f"{query_hash}/{kind}": list(slot)
-                for (query_hash, kind), slot in sorted(
-                    self._query_waits.items()
-                )
-            },
-            "inflight": len(self._inflight),
-        }
-
-    def export_jsonl(self, path: Optional[str] = None) -> str:
-        """One JSON object per wait kind (written to ``path`` if given)."""
-        lines = [
-            json.dumps(row, sort_keys=True) for row in self.wait_stats_rows()
-        ]
-        payload = "\n".join(lines) + ("\n" if lines else "")
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            return path
-        return payload
 
 
 class _WaitScope:

@@ -80,6 +80,20 @@ class TestConfig:
         config.txn.conflict_granularity = "file"
         config.validate()
 
+    def test_positional_config_is_rejected_not_ignored(self):
+        """``Warehouse(config)`` binds the config to ``database``: it must
+        fail loudly rather than deploy with defaults under a config-named
+        database."""
+        config = PolarisConfig()
+        config.telemetry.query_store_enabled = True
+        with pytest.raises(TypeError, match="database"):
+            Warehouse(config)
+        with pytest.raises(TypeError, match="database"):
+            Warehouse("")
+        with pytest.raises(TypeError, match="config"):
+            Warehouse("dw", {"seed": 1})
+        assert Warehouse("dw", config).telemetry.querystore is not None
+
     @pytest.mark.parametrize(
         "path, value",
         [

@@ -2,8 +2,8 @@
 
 An independent literal copy of every view's schema, diffed against the
 live catalog: a view added or removed (also while a warehouse is being
-built), a column added, removed, retyped or reordered, or a provider
-that does not resolve fails here.  DMV schemas are a public SQL surface
+built), a column added, removed, retyped or reordered, or a view whose
+populated rows lack a column fails here.  DMV schemas are a public SQL surface
 and must change deliberately, together with this table and
 ``docs/OBSERVABILITY.md``.
 """
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import PolarisConfig, Warehouse
+from repro.chaos import RecoveryManager
 from repro.service import Gateway
 from repro.telemetry import facade
 from repro.telemetry.introspection import Introspector
@@ -279,25 +280,17 @@ def test_wait_views_sql_queryable_when_disabled(config):
         assert len(first) == 0
 
 
-#: Views the ``populated`` deployment fills with at least one row.
-POPULATED_VIEWS = (
-    "sys.dm_exec_operator_stats",
-    "sys.dm_exec_query_plans",
-    "sys.dm_exec_query_stats",
-    "sys.dm_exec_query_waits",
-    "sys.dm_metrics_history",
-    "sys.dm_storage_health",
-    "sys.dm_storage_integrity",
-    "sys.dm_transactions",
-    "sys.dm_wait_stats",
-)
+#: Views the ``populated`` deployment fills with at least one row: all of
+#: them, so a dropped or retyped column fails on a non-empty view too.
+POPULATED_VIEWS = tuple(sorted(EXPECTED_SCHEMAS))
 
 
 @pytest.fixture(scope="module")
 def populated():
     """One deployment with every optional collector on and real rows:
-    SQL statements (query store), an attributed wait, sampled metrics,
-    and a bit-flipped checkpoint the scrubber repaired."""
+    SQL statements (query store), ANALYZE and CREATE INDEX, a gateway
+    request, an attributed wait, sampled metrics, a recovery pass, and a
+    bit-flipped checkpoint the scrubber repaired."""
     config = PolarisConfig()
     config.telemetry.query_store_enabled = True
     config.telemetry.wait_stats_enabled = True
@@ -308,10 +301,17 @@ def populated():
     session.sql("CREATE TABLE t (id BIGINT, v DOUBLE)")
     session.sql("INSERT INTO t (id, v) VALUES (1, 1.0), (2, 2.0)")
     session.sql("SELECT id FROM t WHERE v > 1.5")
+    session.sql("ANALYZE t")
+    session.sql("CREATE INDEX idx_t_id ON t (id)")
+    gateway = Gateway(dw.context)
+    request = gateway.submit("acme", "analytical", "SELECT v FROM t WHERE id = 2")
+    gateway.run()
+    assert request.status == "completed"
     dw.telemetry.waits.record_wait(
         "commit_lock", 0.25, tenant="acme", workload_class="etl",
         query_hash="abc123",
     )
+    RecoveryManager(dw.context, sto=dw.sto).recover()
     (table,) = session.sql("SELECT table_id FROM sys.dm_storage_health")["table_id"]
     checkpoint = dw.sto.run_checkpoint(int(table))
     dw.store.damage(checkpoint.path, "bit_flip")

@@ -82,6 +82,34 @@ class TestMidFlight:
         assert row["state"][0] == "RED"
         assert bool(row["pending_compaction"][0])
 
+    def test_unreadable_metadata_reports_red_with_no_stats(self, metered_dw):
+        """A snapshot that cannot be rebuilt shows RED and zero stats
+        instead of failing the view."""
+        session = metered_dw.session()
+        session.create_table("t", SCHEMA)
+        session.insert("t", batch(0, 50))
+        for blob in metered_dw.store.list("internal/"):
+            if "/_manifests/" in blob.path:
+                metered_dw.store.damage(blob.path, "bit_flip")
+        metered_dw.context.cache.invalidate()
+        view = session.sql("SELECT * FROM sys.dm_storage_health")
+        assert view["table_name"].tolist() == ["t"]
+        stats = {
+            name: values.tolist()
+            for name, values in view.items()
+            if name not in ("table_id", "table_name")
+        }
+        assert stats == {
+            "state": ["RED"],
+            "file_count": [0],
+            "total_rows": [0],
+            "deleted_rows": [0],
+            "low_quality_files": [0],
+            "low_quality_fraction": [0.0],
+            "dv_count": [0],
+            "pending_compaction": [False],
+        }
+
     def test_metrics_history_accumulates_samples(self, metered_dw):
         session = metered_dw.session()
         session.create_table("t", SCHEMA)

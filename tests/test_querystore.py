@@ -158,7 +158,7 @@ class TestTpchPowerRun:
         dw, __ = tpch
         store = dw.telemetry.querystore
         path = tmp_path / "querystore.jsonl"
-        store.export_jsonl(str(path))
+        dw.context.introspection.export_jsonl("sys.dm_exec_query_stats", str(path))
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == len(store.profiles())
 

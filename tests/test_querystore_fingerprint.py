@@ -11,7 +11,7 @@ literal-stripped token stream.  Two properties carry the feature:
   never mix unrelated plans.
 
 Plus the determinism contract: same seed, same workload -> byte-identical
-store snapshots and JSONL exports.
+``sys.dm_exec_*`` views and JSONL exports.
 """
 
 import json
@@ -127,6 +127,14 @@ class TestSeparation:
         assert base != other
 
 
+#: The three query-store views.
+EXEC_VIEWS = (
+    "sys.dm_exec_query_stats",
+    "sys.dm_exec_query_plans",
+    "sys.dm_exec_operator_stats",
+)
+
+
 def _run_workload(seed):
     config = PolarisConfig(seed=seed)
     config.telemetry.query_store_enabled = True
@@ -140,35 +148,45 @@ def _run_workload(seed):
     for bound in (0.0, 1.0, 2.0, 1.0, 0.5):
         sql.execute(f"SELECT grp, SUM(val) FROM t WHERE val > {bound} GROUP BY grp")
     sql.execute("SELECT * FROM sys.dm_exec_query_stats")
-    return dw.telemetry.querystore
+    return dw
 
 
 class TestDeterminism:
     def test_same_seed_snapshots_are_byte_identical(self):
-        first = _run_workload(seed=7)
-        second = _run_workload(seed=7)
-        dump_a = json.dumps(first.snapshot(), sort_keys=True)
-        dump_b = json.dumps(second.snapshot(), sort_keys=True)
-        assert dump_a == dump_b
+        """Same seed, same workload: every query-store view answers
+        ``SELECT *`` with the same columns, dtypes and values."""
+
+        def dump(dw):
+            session = dw.session()
+            return [
+                repr({c: (v.dtype, v.tolist()) for c, v in batch.items()})
+                for batch in (session.sql(f"SELECT * FROM {v}") for v in EXEC_VIEWS)
+            ]
+
+        assert dump(_run_workload(seed=7)) == dump(_run_workload(seed=7))
 
     def test_same_seed_jsonl_exports_are_byte_identical(self, tmp_path):
-        first = _run_workload(seed=11)
-        second = _run_workload(seed=11)
-        path_a = tmp_path / "a.jsonl"
-        path_b = tmp_path / "b.jsonl"
-        first.export_jsonl(str(path_a))
-        second.export_jsonl(str(path_b))
-        assert path_a.read_bytes() == path_b.read_bytes()
-        text_a = first.export_jsonl()
-        assert text_a == second.export_jsonl()
-        assert path_a.read_text(encoding="utf-8") == text_a
-        # Every line is valid JSON keyed by the fingerprint.
-        for line in text_a.strip().splitlines():
-            record = json.loads(line)
-            assert len(record["query_hash"]) == HASH_LENGTH
+        first = _run_workload(seed=11).context.introspection
+        second = _run_workload(seed=11).context.introspection
+        for view in EXEC_VIEWS:
+            path_a = tmp_path / f"a.{view}.jsonl"
+            path_b = tmp_path / f"b.{view}.jsonl"
+            first.export_jsonl(view, str(path_a))
+            second.export_jsonl(view, str(path_b))
+            assert path_a.read_bytes() == path_b.read_bytes()
+            text_a = first.export_jsonl(view)
+            assert text_a == second.export_jsonl(view)
+            assert path_a.read_text(encoding="utf-8") == text_a
+            # Every line is valid JSON keyed by the fingerprint.
+            lines = text_a.splitlines()
+            assert lines, view
+            for line in lines:
+                record = json.loads(line)
+                assert list(record) == sorted(Introspector.schema(view).names)
+                assert len(record["query_hash"]) == HASH_LENGTH
 
     def test_different_workload_changes_snapshot(self):
-        first = _run_workload(seed=7)
+        store = _run_workload(seed=7).telemetry.querystore
         probe = fingerprint("SELECT grp, SUM(val) FROM t WHERE val > 0 GROUP BY grp")
-        assert first.profile(probe) is not None
-        assert first.profile(probe).executions == 5
+        assert store.profile(probe) is not None
+        assert store.profile(probe).executions == 5

@@ -15,12 +15,9 @@ from repro.telemetry import (
     MetricsRegistry,
     chrome_trace,
     combined_chrome_trace,
-    facade,
-    instances,
-    introspection,
-    snapshot_delta,
     spans_to_jsonl,
 )
+from repro.fe.context import recording
 from tests.conftest import small_config
 
 
@@ -199,14 +196,6 @@ class TestMetrics:
         assert abs(summary["p95"] - 95.0) < 1.5
         assert abs(summary["p99"] - 99.0) < 1.5
 
-    def test_snapshot_delta(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(5)
-        before = registry.snapshot()
-        registry.counter("c").inc(2)
-        delta = snapshot_delta(registry.snapshot(), before)
-        assert delta["c"] == 2
-
     def test_store_operations_view_reads_the_io_meter(self, dw, tsession):
         tsession.insert("t", ids(50))
         tsession.query(TableScan("t", ["id", "v"]))
@@ -316,24 +305,27 @@ class TestDisabled:
         assert dw.telemetry.tracer.dropped > 0
 
 
-class TestInstanceRegistries:
-    def test_dead_warehouses_leave_both_registries(self):
-        gc.collect()
-        before = (len(facade._INSTANCES), len(introspection._INSTANCES))
-        for _ in range(50):
-            Warehouse(config=small_config(), auto_optimize=False)
-        gc.collect()
-        assert (len(facade._INSTANCES), len(introspection._INSTANCES)) == before
+class TestRecording:
+    def test_dropped_warehouses_stay_recorded(self):
+        """The scope holds what it recorded: a deployment its creator
+        dropped is still there, through any number of collections."""
+        with recording() as contexts:
+            for _ in range(3):
+                Warehouse(config=small_config(), auto_optimize=False)
+            gc.collect()
+        assert len(contexts) == 3
+        assert all(c.introspection.report() for c in contexts)
 
-    def test_live_instances_keep_creation_order(self):
-        first, second = (
-            Warehouse(config=small_config(), auto_optimize=False) for _ in range(2)
-        )
-        assert instances()[-2:] == [first.telemetry, second.telemetry]
-        assert introspection.instances()[-2:] == [
-            first.context.introspection,
-            second.context.introspection,
-        ]
+    def test_recorded_contexts_keep_creation_order(self):
+        Warehouse(config=small_config(), auto_optimize=False)  # not recorded
+        with recording() as outer:
+            first = Warehouse(config=small_config(), auto_optimize=False)
+            with recording() as inner:
+                second = Warehouse(config=small_config(), auto_optimize=False)
+        Warehouse(config=small_config(), auto_optimize=False)  # not recorded
+        # Identity, not dataclass equality: each entry is the live context.
+        assert [id(c) for c in outer] == [id(first.context), id(second.context)]
+        assert [id(c) for c in inner] == [id(second.context)]
 
 
 class TestStoSpans:

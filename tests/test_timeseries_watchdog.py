@@ -69,22 +69,26 @@ class TestSampler:
         clock.advance(5.0)
         assert not clock._watchers
 
-    def test_export_jsonl_round_trips(self, tmp_path):
-        clock = SimulatedClock()
-        metrics = MetricsRegistry()
-        sampler = MetricsSampler(clock, metrics, interval_s=1.0)
-        sampler.start()
-        metrics.counter("txn.commits").inc(3)
-        clock.advance(1.0)
-        path = sampler.export_jsonl(str(tmp_path / "metrics.jsonl"))
-        lines = [
-            json.loads(line)
-            for line in open(path, encoding="utf-8")
-            if line.strip()
-        ]
-        assert len(lines) == 1
-        assert lines[0]["sample_id"] == 0
-        assert lines[0]["values"]["txn.commits"] == 3.0
+    def test_export_jsonl_round_trips(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
+        dw = Warehouse(auto_optimize=False)
+        dw.telemetry.metrics.counter("txn.commits").inc(3)
+        dw.clock.advance(1.0)
+        path = dw.context.introspection.export_jsonl(
+            "sys.dm_metrics_history", str(tmp_path / "metrics.jsonl")
+        )
+        lines = [json.loads(line) for line in open(path, encoding="utf-8")]
+        (only,) = dw.telemetry.sampler.samples
+        assert [line["metric"] for line in lines] == sorted(
+            flatten_sample(only.values)
+        )
+        (commits,) = [line for line in lines if line["metric"] == "txn.commits"]
+        assert commits == {
+            "sample_id": 0,
+            "at": only.at,
+            "metric": "txn.commits",
+            "value": 3.0,
+        }
 
     def test_validation(self):
         clock = SimulatedClock()
