@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Bytes one polaris-bench round writes, by blob kind and manifest action.
+
+    python scripts/write_bytes.py txn_contention --seed 41 [--quick]
+
+Sets the workload up and runs its round 0 — the writes the workload's
+``write_amp`` divides by user bytes, for workloads that build a fresh
+warehouse per round — with ``ObjectStore.put`` and
+``ObjectStore.stage_block`` wrapped in this process, so nothing in the
+engine or the benchmark changes.  It prints the written bytes per blob
+kind (data, dv, manifest, checkpoint, index, other), then the manifest
+bytes per action kind (``add_file``, ``remove_file``, ``add_dv``,
+``remove_dv``) with their line counts.  The counts and bytes repeat
+exactly for a seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from collections import Counter
+from typing import Dict, List, Tuple
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO)
+
+from benchmarks.e2e.harness import load_spec  # noqa: E402
+from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
+from repro.storage.object_store import ObjectStore  # noqa: E402
+
+#: Path fragment that marks each blob kind (see ``repro.storage.paths``).
+KINDS = (
+    ("data", "/data/"),
+    ("dv", "/dv/"),
+    ("manifest", "/_manifests/"),
+    ("checkpoint", "/_checkpoints/"),
+    ("index", "/_indexes/"),
+)
+
+
+def blob_kind(path: str) -> str:
+    """The kind of blob stored at ``path``; ``other`` for published
+    metadata, quarantine copies and anything else."""
+    for kind, fragment in KINDS:
+        if fragment in path:
+            return kind
+    return "other"
+
+
+class WriteLog:
+    """Written bytes and write counts by blob kind and by manifest action."""
+
+    def __init__(self) -> None:
+        self.bytes: Counter = Counter()
+        self.writes: Counter = Counter()
+        self.action_bytes: Counter = Counter()
+        self.action_lines: Counter = Counter()
+
+    def record(self, path: str, data: bytes) -> None:
+        """Attribute one ``put`` or staged block."""
+        kind = blob_kind(path)
+        self.bytes[kind] += len(data)
+        self.writes[kind] += 1
+        if kind == "manifest":
+            for line in data.splitlines():
+                if line.strip():
+                    action = json.loads(line).get("action", "?")
+                    self.action_bytes[action] += len(line) + 1
+                    self.action_lines[action] += 1
+
+
+def measure(workload_name: str, seed: int, quick: bool) -> Tuple[WriteLog, List[str]]:
+    """Set ``workload_name`` up and run its round 0 with writes logged;
+    returns the log and the workload's failed answer checks."""
+    log = WriteLog()
+    put, stage_block = ObjectStore.put, ObjectStore.stage_block
+
+    def logged_put(self, path, data, *args, **kwargs):
+        log.record(path, data)
+        return put(self, path, data, *args, **kwargs)
+
+    def logged_stage_block(self, path, block_id, data):
+        log.record(path, data)
+        return stage_block(self, path, block_id, data)
+
+    workload = WORKLOADS[workload_name](seed, quick)
+    ObjectStore.put, ObjectStore.stage_block = logged_put, logged_stage_block
+    try:
+        state = workload.setup()
+        workload.run_round(state, 0)
+    finally:
+        ObjectStore.put, ObjectStore.stage_block = put, stage_block
+    return log, workload.problems
+
+
+def _table(title: str, rows: Dict[str, tuple], total: int) -> None:
+    print(title)
+    for name, (count, size) in rows.items():
+        share = size / total if total else 0.0
+        per = size / count if count else 0.0
+        print(f"  {name:<12} {count:>8} {size:>12,} B {share:>7.1%} {per:>9.1f} B each")
+
+
+def main() -> int:
+    workloads = [entry["name"] for entry in load_spec()["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=workloads)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument(
+        "--quick", action="store_true", help="the workload's quick (smoke) size"
+    )
+    args = parser.parse_args()
+    log, problems = measure(args.workload, args.seed, args.quick)
+    total = sum(log.bytes.values())
+    mode = ", quick" if args.quick else ""
+    print(f"{args.workload} seed {args.seed}{mode}: set-up + round 0 wrote {total:,} B")
+    kinds = [kind for kind, _ in KINDS] + ["other"]
+    _table(
+        "by blob kind (writes, bytes, share, bytes per write)",
+        {kind: (log.writes[kind], log.bytes[kind]) for kind in kinds},
+        total,
+    )
+    _table(
+        "manifest bytes by action kind (lines, bytes, share, bytes per line)",
+        {
+            action: (log.action_lines[action], log.action_bytes[action])
+            for action in sorted(log.action_lines)
+        },
+        log.bytes["manifest"],
+    )
+    for problem in problems:
+        print(f"answer check failed: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -439,7 +439,9 @@ def _execute_mutation(
                     new_dv = existing_dv.union(new_dv)
                 dv_info = _write_dv_file(context, txn, table_id, info.name, new_dv)
                 if existing_info is not None:
-                    actions.append(RemoveDeletionVector(existing_info))
+                    actions.append(
+                        RemoveDeletionVector(existing_info.name, info.name)
+                    )
                 actions.append(AddDeletionVector(dv_info))
                 touched.append(info.name)
                 n_matched += int(match.sum())

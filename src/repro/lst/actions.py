@@ -4,6 +4,10 @@ Four actions describe every change a transaction can make to a table's
 physical state (Section 3.2): add/remove a data file, add/remove a
 deletion-vector file.  Updates are a deletion (DV change) plus an insertion
 (new data file); compaction is removes plus adds in one transaction.
+
+An add carries the file's whole descriptor; a remove only names the file
+it retires (and, for a DV, the data file it is attached to), since the
+table that replays it already holds that descriptor.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class DataFileInfo:
     #: crc32 checksum of the file's bytes as written (``crc32:xxxxxxxx``),
     #: mirrored from the blob metadata so the manifest is an independent
     #: witness: a swapped or rotted blob fails the cross-check even if its
-    #: own metadata was rewritten.  Empty for pre-checksum manifests.
+    #: own metadata was rewritten.
     checksum: str = ""
 
     def stats_for(self, column: str) -> "Tuple[Any, Any] | None":
@@ -63,16 +67,15 @@ class DataFileInfo:
     def from_dict(cls, raw: Dict[str, Any]) -> "DataFileInfo":
         """Inverse of :meth:`to_dict`."""
         return cls(
-            name=raw["name"],
+            name=_text(raw, "name"),
             path=raw["path"],
             num_rows=raw["num_rows"],
             size_bytes=raw["size_bytes"],
             distribution=raw["distribution"],
             column_stats=tuple(
-                (entry[0], entry[1], entry[2])
-                for entry in raw.get("column_stats", ())
+                (entry[0], entry[1], entry[2]) for entry in raw["column_stats"]
             ),
-            checksum=raw.get("checksum", ""),
+            checksum=raw["checksum"],
         )
 
 
@@ -91,8 +94,7 @@ class DeletionVectorInfo:
     #: Size of the DV file in bytes.
     size_bytes: int
     #: crc32 checksum of the DV file's bytes as written, mirrored from the
-    #: blob metadata (see :attr:`DataFileInfo.checksum`).  Empty for
-    #: pre-checksum manifests.
+    #: blob metadata (see :attr:`DataFileInfo.checksum`).
     checksum: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
@@ -110,12 +112,12 @@ class DeletionVectorInfo:
     def from_dict(cls, raw: Dict[str, Any]) -> "DeletionVectorInfo":
         """Inverse of :meth:`to_dict`."""
         return cls(
-            name=raw["name"],
+            name=_text(raw, "name"),
             path=raw["path"],
-            target_file=raw["target_file"],
+            target_file=_text(raw, "target_file"),
             cardinality=raw["cardinality"],
             size_bytes=raw["size_bytes"],
-            checksum=raw.get("checksum", ""),
+            checksum=raw["checksum"],
         )
 
 
@@ -134,15 +136,20 @@ class AddDataFile:
 
 @dataclass(frozen=True)
 class RemoveDataFile:
-    """The transaction logically removes a data file (delete/compaction)."""
+    """The transaction logically removes a data file (delete/compaction).
 
-    file: DataFileInfo
+    Only the name travels: the table's live descriptor already holds
+    everything else about the file (path, zone maps, checksum), and
+    replay takes the path for the tombstone from there.
+    """
+
+    name: str
 
     kind = "remove_file"
 
     def to_dict(self) -> Dict[str, Any]:
         """One manifest line (JSON object)."""
-        return {"action": self.kind, "file": self.file.to_dict()}
+        return {"action": self.kind, "name": self.name}
 
 
 @dataclass(frozen=True)
@@ -160,15 +167,17 @@ class AddDeletionVector:
 
 @dataclass(frozen=True)
 class RemoveDeletionVector:
-    """The transaction removes a superseded DV file."""
+    """The transaction removes a superseded DV file: the DV named ``name``
+    currently attached to data file ``target_file``."""
 
-    dv: DeletionVectorInfo
+    name: str
+    target_file: str
 
     kind = "remove_dv"
 
     def to_dict(self) -> Dict[str, Any]:
         """One manifest line (JSON object)."""
-        return {"action": self.kind, "dv": self.dv.to_dict()}
+        return {"action": self.kind, "name": self.name, "target_file": self.target_file}
 
 
 Action = Union[AddDataFile, RemoveDataFile, AddDeletionVector, RemoveDeletionVector]
@@ -180,9 +189,18 @@ def action_from_dict(raw: Dict[str, Any]) -> Action:
     if kind == AddDataFile.kind:
         return AddDataFile(DataFileInfo.from_dict(raw["file"]))
     if kind == RemoveDataFile.kind:
-        return RemoveDataFile(DataFileInfo.from_dict(raw["file"]))
+        return RemoveDataFile(_text(raw, "name"))
     if kind == AddDeletionVector.kind:
         return AddDeletionVector(DeletionVectorInfo.from_dict(raw["dv"]))
     if kind == RemoveDeletionVector.kind:
-        return RemoveDeletionVector(DeletionVectorInfo.from_dict(raw["dv"]))
+        return RemoveDeletionVector(_text(raw, "name"), _text(raw, "target_file"))
     raise ValueError(f"unknown manifest action {kind!r}")
+
+
+def _text(raw: Dict[str, Any], key: str) -> str:
+    """``raw[key]``, which must be a string: names are the keys replay
+    looks files up by, so anything else would fail there, not here."""
+    value = raw[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, not {type(value).__name__}")
+    return value

@@ -6,6 +6,8 @@ snapshot sequence and replay only the manifest tail — bounding
 reconstruction cost regardless of table age.  Because a snapshot carries
 only the tombstones inside retention, so does its checkpoint: the file
 holds one retention window of removals, not the table's whole history.
+It writes each removal as a bare path, grouped by the commit that made
+it (:meth:`~repro.lst.snapshot.TableSnapshot.to_dict`).
 
 Writing a checkpoint never removes manifests and (unlike compaction) can
 never conflict with user transactions.  While every manifest it covers

@@ -81,14 +81,14 @@ def reconcile_actions(actions: List[Action]) -> Tuple[List[Action], List[str]]:
         if isinstance(action, AddDataFile):
             added_files[action.file.name] = action
         elif isinstance(action, RemoveDataFile):
-            if action.file.name in added_files:
-                orphans.append(added_files.pop(action.file.name).file.path)
+            if action.name in added_files:
+                orphans.append(added_files.pop(action.name).file.path)
                 # Any private DV on the cancelled private file dangles too.
-                private_dv = added_dvs.pop(action.file.name, None)
+                private_dv = added_dvs.pop(action.name, None)
                 if private_dv is not None:
                     orphans.append(private_dv.dv.path)
             else:
-                removed_files[action.file.name] = action
+                removed_files[action.name] = action
         elif isinstance(action, AddDeletionVector):
             previous = added_dvs.get(action.dv.target_file)
             if previous is not None:
@@ -96,12 +96,12 @@ def reconcile_actions(actions: List[Action]) -> Tuple[List[Action], List[str]]:
             added_dvs[action.dv.target_file] = action
         elif isinstance(action, RemoveDeletionVector):
             # Removing a DV this transaction itself added: both vanish.
-            private = added_dvs.get(action.dv.target_file)
-            if private is not None and private.dv.name == action.dv.name:
+            private = added_dvs.get(action.target_file)
+            if private is not None and private.dv.name == action.name:
                 orphans.append(private.dv.path)
-                del added_dvs[action.dv.target_file]
+                del added_dvs[action.target_file]
             else:
-                removed_dvs[action.dv.name] = action
+                removed_dvs[action.name] = action
         else:  # pragma: no cover - exhaustive over the Action union
             raise TypeError(f"unknown action {action!r}")
 

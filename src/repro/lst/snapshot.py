@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import FileFormatError
@@ -44,7 +45,6 @@ class Tombstone:
     #: "data" or "dv"
     kind: str
     path: str
-    name: str
     #: Commit timestamp of the transaction that removed the file.
     removed_at: float
     #: Sequence id of the manifest that removed the file.
@@ -103,7 +103,10 @@ class TableSnapshot:
         """
         files = dict(self.files)
         dvs = dict(self.dvs)
-        tombstones = list(self.tombstones)
+        # This commit's removals, data files before DVs: the order a
+        # checkpoint's tombstone group restores them in.
+        removed_data: List[str] = []
+        removed_dvs: List[str] = []
         for action in actions:
             if isinstance(action, AddDataFile):
                 if action.file.name in files:
@@ -113,49 +116,26 @@ class TableSnapshot:
                     )
                 files[action.file.name] = action.file
             elif isinstance(action, RemoveDataFile):
-                if files.pop(action.file.name, None) is None:
+                removed = files.pop(action.name, None)
+                if removed is None:
                     raise FileFormatError(
                         f"manifest {sequence_id}: remove of unknown data file "
-                        f"{action.file.name!r}"
+                        f"{action.name!r}"
                     )
+                removed_data.append(removed.path)
                 # Removing a data file implicitly retires its DV as well.
-                stale_dv = dvs.pop(action.file.name, None)
-                tombstones.append(
-                    Tombstone(
-                        kind="data",
-                        path=action.file.path,
-                        name=action.file.name,
-                        removed_at=committed_at,
-                        removed_seq=sequence_id,
-                    )
-                )
+                stale_dv = dvs.pop(action.name, None)
                 if stale_dv is not None:
-                    tombstones.append(
-                        Tombstone(
-                            kind="dv",
-                            path=stale_dv.path,
-                            name=stale_dv.name,
-                            removed_at=committed_at,
-                            removed_seq=sequence_id,
-                        )
-                    )
+                    removed_dvs.append(stale_dv.path)
             elif isinstance(action, RemoveDeletionVector):
-                current = dvs.get(action.dv.target_file)
-                if current is None or current.name != action.dv.name:
+                current = dvs.get(action.target_file)
+                if current is None or current.name != action.name:
                     raise FileFormatError(
                         f"manifest {sequence_id}: remove of unknown DV "
-                        f"{action.dv.name!r}"
+                        f"{action.name!r}"
                     )
-                del dvs[action.dv.target_file]
-                tombstones.append(
-                    Tombstone(
-                        kind="dv",
-                        path=action.dv.path,
-                        name=action.dv.name,
-                        removed_at=committed_at,
-                        removed_seq=sequence_id,
-                    )
-                )
+                del dvs[action.target_file]
+                removed_dvs.append(current.path)
             elif isinstance(action, AddDeletionVector):
                 if action.dv.target_file not in files:
                     raise FileFormatError(
@@ -171,6 +151,11 @@ class TableSnapshot:
                 dvs[action.dv.target_file] = action.dv
             else:  # pragma: no cover - exhaustive over the Action union
                 raise TypeError(f"unknown action {action!r}")
+        tombstones = self.tombstones + [
+            Tombstone(kind, path, committed_at, sequence_id)
+            for kind, paths in (("data", removed_data), ("dv", removed_dvs))
+            for path in paths
+        ]
         # Removals are appended in commit order, so the tombstones past
         # retention as of this commit are a prefix of the list.
         expired = 0
@@ -186,26 +171,36 @@ class TableSnapshot:
     # -- serialization (for checkpoints) --------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (used by checkpoint files)."""
+        """JSON-serializable form (used by checkpoint files).
+
+        Tombstones are grouped by the commit that removed them: one group
+        per commit holds its removal time and sequence once, then the
+        paths of the data files and of the DVs it retired.
+        """
+        groups = []
+        for (removed_seq, removed_at), members in groupby(
+            self.tombstones, key=lambda t: (t.removed_seq, t.removed_at)
+        ):
+            members = list(members)
+            groups.append(
+                {
+                    "removed_at": removed_at,
+                    "removed_seq": removed_seq,
+                    "data": [t.path for t in members if t.kind == "data"],
+                    "dv": [t.path for t in members if t.kind == "dv"],
+                }
+            )
         return {
             "sequence_id": self.sequence_id,
             "files": [f.to_dict() for f in self.files.values()],
             "dvs": [dv.to_dict() for dv in self.dvs.values()],
-            "tombstones": [
-                {
-                    "kind": t.kind,
-                    "path": t.path,
-                    "name": t.name,
-                    "removed_at": t.removed_at,
-                    "removed_seq": t.removed_seq,
-                }
-                for t in self.tombstones
-            ],
+            "tombstones": groups,
         }
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "TableSnapshot":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; a malformed tombstone group raises
+        ``ValueError``."""
         files = {
             item["name"]: DataFileInfo.from_dict(item) for item in raw["files"]
         }
@@ -213,16 +208,23 @@ class TableSnapshot:
             item["target_file"]: DeletionVectorInfo.from_dict(item)
             for item in raw["dvs"]
         }
-        tombstones = [
-            Tombstone(
-                kind=item["kind"],
-                path=item["path"],
-                name=item["name"],
-                removed_at=float(item["removed_at"]),
-                removed_seq=item["removed_seq"],
-            )
-            for item in raw["tombstones"]
-        ]
+        tombstones = []
+        for group in raw["tombstones"]:
+            removed_at, removed_seq = group["removed_at"], group["removed_seq"]
+            if type(removed_seq) is not int:
+                raise ValueError(f"tombstone removed_seq {removed_seq!r} is not an int")
+            if type(removed_at) not in (int, float):
+                raise ValueError(f"tombstone removed_at {removed_at!r} is not a number")
+            for kind in ("data", "dv"):
+                paths = group[kind]
+                if type(paths) is not list or not all(
+                    type(path) is str for path in paths
+                ):
+                    raise ValueError(f"tombstone {kind} paths {paths!r} are not strings")
+                tombstones.extend(
+                    Tombstone(kind, path, float(removed_at), removed_seq)
+                    for path in paths
+                )
         return cls(
             sequence_id=raw["sequence_id"],
             files=files,

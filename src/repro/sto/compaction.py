@@ -112,7 +112,7 @@ def _compact_in_txn(
                 live = reader.read(deletion_vector=dv)
                 if num_rows(live):
                     parts.append(live)
-                actions.append(RemoveDataFile(info))
+                actions.append(RemoveDataFile(info.name))
             rows_total = 0
             created = 0
             if parts:

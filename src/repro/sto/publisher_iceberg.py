@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.fe.context import ServiceContext
-from repro.fe.manifest_io import load_manifest_actions
 from repro.lst.actions import (
     AddDataFile,
     AddDeletionVector,
@@ -29,6 +28,7 @@ from repro.lst.actions import (
     RemoveDeletionVector,
 )
 from repro.storage import paths
+from repro.sto.publisher import published_actions
 
 
 def _metadata_root(database: str, table_name: str) -> str:
@@ -59,20 +59,20 @@ class IcebergPublisher:
     ) -> IcebergVersion:
         """Transform one committed Polaris manifest into an Iceberg snapshot."""
         context = self._context
-        actions = load_manifest_actions(context, manifest_path)
+        actions = published_actions(context, table_id, manifest_path, sequence_id)
         version = self._versions.get(table_name, -1) + 1
         root = _metadata_root(context.database, table_name)
         snapshot_id = sequence_id
 
         data_entries = []
         delete_entries = []
-        for action in actions:
+        for action, file_path in actions:
             if isinstance(action, AddDataFile):
                 data_entries.append(
                     {
                         "status": "ADDED",
                         "data_file": {
-                            "file_path": action.file.path,
+                            "file_path": file_path,
                             "record_count": action.file.num_rows,
                             "file_size_in_bytes": action.file.size_bytes,
                         },
@@ -82,7 +82,7 @@ class IcebergPublisher:
                 data_entries.append(
                     {
                         "status": "DELETED",
-                        "data_file": {"file_path": action.file.path},
+                        "data_file": {"file_path": file_path},
                     }
                 )
             elif isinstance(action, AddDeletionVector):
@@ -91,7 +91,7 @@ class IcebergPublisher:
                         "status": "ADDED",
                         "delete_file": {
                             "content": "position-deletes",
-                            "file_path": action.dv.path,
+                            "file_path": file_path,
                             "referenced_data_file": action.dv.target_file,
                             "record_count": action.dv.cardinality,
                         },
@@ -102,8 +102,8 @@ class IcebergPublisher:
                     {
                         "status": "DELETED",
                         "delete_file": {
-                            "file_path": action.dv.path,
-                            "referenced_data_file": action.dv.target_file,
+                            "file_path": file_path,
+                            "referenced_data_file": action.target_file,
                         },
                     }
                 )

@@ -29,13 +29,11 @@ the rest of the deployment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.common.errors import PolarisError
 from repro.fe.context import ServiceContext
-from repro.fe.manifest_io import load_manifest_actions
 from repro.lst.actions import (
     Action,
     AddDataFile,
@@ -48,7 +46,7 @@ from repro.lst.manifest import encode_actions
 from repro.lst.snapshot import TableSnapshot
 from repro.sqldb import system_tables as catalog
 from repro.sto.health import StorageHealthMonitor
-from repro.sto.publisher import _to_delta
+from repro.sto.publisher import delta_commit
 from repro.storage import paths
 from repro.storage.retry import with_retries
 
@@ -323,13 +321,13 @@ def _diff_actions(parent: TableSnapshot, child: TableSnapshot) -> List[Action]:
     actions: List[Action] = []
     for file_name in sorted(parent.files):
         if file_name not in child.files:
-            actions.append(RemoveDataFile(parent.files[file_name]))
+            actions.append(RemoveDataFile(file_name))
     for target in sorted(parent.dvs):
         if target not in child.files:
             continue  # retired implicitly by its file's removal
         new = child.dvs.get(target)
         if new is None or new.name != parent.dvs[target].name:
-            actions.append(RemoveDeletionVector(parent.dvs[target]))
+            actions.append(RemoveDeletionVector(parent.dvs[target].name, target))
     for file_name in sorted(child.files):
         if file_name not in parent.files:
             actions.append(AddDataFile(child.files[file_name]))
@@ -477,7 +475,9 @@ def _scrub_delta_log(
             continue
         quarantine_path = _quarantine(context, path, problem)
         version = int(path.rsplit("/", 1)[1].split(".", 1)[0])
-        repaired = _republish_version(context, manifest_rows, version, path)
+        repaired = _republish_version(
+            context, table_id, manifest_rows, version, path
+        )
         _record(
             context,
             health,
@@ -494,6 +494,7 @@ def _scrub_delta_log(
 
 def _republish_version(
     context: ServiceContext,
+    table_id: int,
     manifest_rows: List[Dict[str, Any]],
     version: int,
     path: str,
@@ -509,22 +510,9 @@ def _republish_version(
         return False
     row = manifest_rows[version]
     try:
-        actions = load_manifest_actions(context, row["manifest_path"])
-        lines = [
-            json.dumps(
-                {
-                    "commitInfo": {
-                        "timestamp": context.clock.now,
-                        "operation": "WRITE",
-                        "polarisSequenceId": row["sequence_id"],
-                    }
-                },
-                separators=(",", ":"),
-            )
-        ]
-        for action in actions:
-            lines.append(json.dumps(_to_delta(action), separators=(",", ":")))
-        data = ("\n".join(lines) + "\n").encode("utf-8")
+        data = delta_commit(
+            context, table_id, row["manifest_path"], row["sequence_id"]
+        )
         _retrying(
             context,
             "scrub_repair",

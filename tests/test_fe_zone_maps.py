@@ -58,13 +58,6 @@ class TestFileStats:
         assert may_match(info, (("id", "==", 10),))
         assert may_match(info, (("other", "==", 1),))  # unknown col: keep
 
-    def test_backwards_compatible_parse(self):
-        raw = {"name": "f", "path": "p/f", "num_rows": 1, "size_bytes": 8,
-               "distribution": 0}
-        info = DataFileInfo.from_dict(raw)
-        assert info.column_stats == ()
-        assert may_match(info, (("id", "==", 1),))
-
 
 class TestFilePruning:
     def make_table(self, dw, sort_column=None):

@@ -7,6 +7,7 @@ names the blob so an operator can find it.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.lst import (
     DataFileInfo,
     DeletionVectorInfo,
     RemoveDataFile,
+    RemoveDeletionVector,
     decode_manifest,
     encode_actions,
     replay,
@@ -36,17 +38,27 @@ def _file(name):
     )
 
 
+def _dv(name, target):
+    return DeletionVectorInfo(
+        name=name, path=f"p/{name}", target_file=target, cardinality=2,
+        size_bytes=8, checksum="crc32:00000000",
+    )
+
+
 ACTIONS = [
     AddDataFile(_file("a")),
     AddDataFile(_file("b")),
-    AddDeletionVector(DeletionVectorInfo(
-        name="d", path="p/d", target_file="a", cardinality=2, size_bytes=8,
-    )),
+    AddDataFile(_file("c")),
+    AddDeletionVector(_dv("d", "a")),
+    AddDeletionVector(_dv("e", "c")),
+    AddDeletionVector(_dv("g", "b")),
 ]
+#: Removes every kind of thing: a data file with a DV, a DV alone.
+REMOVALS = [RemoveDataFile("a"), RemoveDeletionVector("e", "c")]
+BASE = replay([(5, 1.0, ACTIONS)])
 GOOD_MANIFEST = encode_actions(ACTIONS)
-GOOD_CHECKPOINT = Checkpoint.of(
-    replay([(5, 1.0, ACTIONS), (6, 2.0, [RemoveDataFile(_file("b"))])]), 3.0
-).to_bytes()
+GOOD_REMOVALS = encode_actions(REMOVALS)
+GOOD_CHECKPOINT = Checkpoint.of(replay([(6, 2.0, REMOVALS)], base=BASE), 3.0).to_bytes()
 
 
 def decodes_or_names_blob(decode, data, path):
@@ -57,7 +69,17 @@ def decodes_or_names_blob(decode, data, path):
 
 
 @pytest.mark.parametrize(
-    "data", [b"[1]", b'{"action":"add_file"}', b"\xff\xfe", b"{", b'{"action":"x"}']
+    "data",
+    [
+        b"[1]", b'{"action":"add_file"}', b"\xff\xfe", b"{", b'{"action":"x"}',
+        b'{"action":"remove_file"}',
+        b'{"action":"remove_file","name":{"x":1}}',
+        b'{"action":"remove_file","name":["a"]}',
+        b'{"action":"remove_file","name":7}',
+        b'{"action":"remove_dv","name":"e"}',
+        b'{"action":"remove_dv","name":"e","target_file":["c"]}',
+        b'{"action":"remove_dv","name":null,"target_file":"c"}',
+    ],
 )
 def test_listed_malformed_manifests(data):
     with pytest.raises(FileFormatError, match=MANIFEST):
@@ -68,6 +90,57 @@ def test_listed_malformed_manifests(data):
 def test_listed_malformed_checkpoints(data):
     with pytest.raises(FileFormatError, match=CHECKPOINT):
         Checkpoint.from_bytes(data, CHECKPOINT)
+
+
+def _group_with(key, value):
+    raw = json.loads(GOOD_CHECKPOINT)
+    [group] = raw["snapshot"]["tombstones"]
+    group[key] = value
+    return json.dumps(raw).encode()
+
+
+def test_checkpoint_groups_tombstones_by_commit():
+    [group] = json.loads(GOOD_CHECKPOINT)["snapshot"]["tombstones"]
+    assert group == {
+        "removed_at": 2.0, "removed_seq": 6, "data": ["p/a"], "dv": ["p/d", "p/e"]
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("removed_seq", "6"), ("removed_seq", 6.0), ("removed_seq", True),
+        ("removed_seq", None), ("removed_at", "2"), ("removed_at", None),
+        ("removed_at", False), ("removed_at", [2.0]), ("data", "p/a"),
+        ("data", [1]), ("data", {"p/a": 1}), ("dv", [None]), ("dv", [["p/d"]]),
+    ],
+)
+def test_listed_malformed_tombstone_groups(key, value):
+    with pytest.raises(FileFormatError, match=CHECKPOINT):
+        Checkpoint.from_bytes(_group_with(key, value), CHECKPOINT)
+
+
+@pytest.mark.parametrize("key", ["checksum", "column_stats"])
+def test_data_file_descriptor_missing_a_key_is_rejected(key):
+    line = json.loads(encode_actions([ACTIONS[0]]))
+    del line["file"][key]
+    with pytest.raises(FileFormatError, match=MANIFEST):
+        decode_manifest(json.dumps(line).encode(), MANIFEST)
+    raw = json.loads(GOOD_CHECKPOINT)
+    del raw["snapshot"]["files"][0][key]
+    with pytest.raises(FileFormatError, match=CHECKPOINT):
+        Checkpoint.from_bytes(json.dumps(raw).encode(), CHECKPOINT)
+
+
+def test_dv_descriptor_missing_its_checksum_is_rejected():
+    line = json.loads(encode_actions([ACTIONS[3]]))
+    del line["dv"]["checksum"]
+    with pytest.raises(FileFormatError, match=MANIFEST):
+        decode_manifest(json.dumps(line).encode(), MANIFEST)
+    raw = json.loads(GOOD_CHECKPOINT)
+    del raw["snapshot"]["dvs"][0]["checksum"]
+    with pytest.raises(FileFormatError, match=CHECKPOINT):
+        Checkpoint.from_bytes(json.dumps(raw).encode(), CHECKPOINT)
 
 
 def test_checkpoint_sequence_must_match_its_snapshot():
@@ -142,3 +215,22 @@ def test_type_confused_checkpoint(data):
     decodes_or_names_blob(
         Checkpoint.from_bytes, json.dumps(document).encode(), CHECKPOINT
     )
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_type_confused_removals_fail_decode_or_replay_cleanly(data):
+    """A removal that decodes must replay onto a table holding files and
+    DVs without any error but :class:`FileFormatError`."""
+    lines = GOOD_REMOVALS.decode().splitlines()
+    index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    lines[index] = json.dumps(_type_confused(data, lines[index]))
+    try:
+        actions = decode_manifest("\n".join(lines).encode(), MANIFEST)
+    except FileFormatError as exc:
+        assert MANIFEST in str(exc)
+        return
+    try:
+        BASE.apply_manifest(actions, 6, 2.0, math.inf)
+    except FileFormatError:
+        pass

@@ -34,9 +34,9 @@ class TestWireFormat:
     def test_roundtrip_all_action_kinds(self):
         actions = [
             AddDataFile(df("f1")),
-            RemoveDataFile(df("f2")),
+            RemoveDataFile("f2"),
             AddDeletionVector(dv("d1", "f1")),
-            RemoveDeletionVector(dv("d0", "f1")),
+            RemoveDeletionVector("d0", "f1"),
         ]
         assert decode_manifest(encode_actions(actions)) == actions
 
@@ -65,14 +65,14 @@ class TestReconcile:
 
     def test_add_then_remove_cancels(self):
         net, orphans = reconcile_actions(
-            [AddDataFile(df("f1")), RemoveDataFile(df("f1"))]
+            [AddDataFile(df("f1")), RemoveDataFile("f1")]
         )
         assert net == []
         assert orphans == ["p/f1"]
 
     def test_remove_of_committed_file_kept(self):
-        net, orphans = reconcile_actions([RemoveDataFile(df("old"))])
-        assert net == [RemoveDataFile(df("old"))]
+        net, orphans = reconcile_actions([RemoveDataFile("old")])
+        assert net == [RemoveDataFile("old")]
         assert orphans == []
 
     def test_second_dv_supersedes_private_first(self):
@@ -86,7 +86,7 @@ class TestReconcile:
     def test_remove_committed_dv_kept_with_new_add(self):
         """Delete on a file with an existing committed DV: remove + add."""
         actions = [
-            RemoveDeletionVector(dv("committed", "f")),
+            RemoveDeletionVector("committed", "f"),
             AddDeletionVector(dv("merged", "f")),
         ]
         net, orphans = reconcile_actions(actions)
@@ -95,7 +95,7 @@ class TestReconcile:
 
     def test_remove_of_private_dv_cancels(self):
         net, orphans = reconcile_actions(
-            [AddDeletionVector(dv("d1", "f")), RemoveDeletionVector(dv("d1", "f"))]
+            [AddDeletionVector(dv("d1", "f")), RemoveDeletionVector("d1", "f")]
         )
         assert net == []
         assert orphans == ["p/d1"]
@@ -103,18 +103,18 @@ class TestReconcile:
     def test_dv_on_removed_file_dropped(self):
         """A DV targeting a file the txn itself removes is pointless."""
         net, orphans = reconcile_actions(
-            [AddDeletionVector(dv("d1", "old")), RemoveDataFile(df("old"))]
+            [AddDeletionVector(dv("d1", "old")), RemoveDataFile("old")]
         )
-        assert net == [RemoveDataFile(df("old"))]
+        assert net == [RemoveDataFile("old")]
         assert orphans == ["p/d1"]
 
     def test_removes_ordered_before_adds(self):
         net, __ = reconcile_actions(
             [
                 AddDataFile(df("new")),
-                RemoveDataFile(df("old")),
+                RemoveDataFile("old"),
                 AddDeletionVector(dv("d", "other")),
-                RemoveDeletionVector(dv("olddv", "other")),
+                RemoveDeletionVector("olddv", "other"),
             ]
         )
         kinds = [a.kind for a in net]
@@ -125,7 +125,7 @@ class TestReconcile:
         stmt1 = [AddDataFile(df("f1", rows=100))]
         stmt2 = [AddDeletionVector(dv("d1", "f1"))]
         stmt3 = [
-            RemoveDeletionVector(dv("d1", "f1")),
+            RemoveDeletionVector("d1", "f1"),
             AddDeletionVector(dv("d2", "f1", cardinality=7)),
         ]
         net, orphans = reconcile_actions(stmt1 + stmt2 + stmt3)

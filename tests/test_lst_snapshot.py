@@ -57,7 +57,7 @@ class TestReplay:
     def test_dv_replacement(self):
         snap = replay([
             (1, 0.0, [AddDataFile(df("a", 10)), AddDeletionVector(dv("d1", "a", 2))]),
-            (2, 1.0, [RemoveDeletionVector(dv("d1", "a", 2)),
+            (2, 1.0, [RemoveDeletionVector("d1", "a"),
                       AddDeletionVector(dv("d2", "a", 5))]),
         ])
         assert snap.live_rows == 5
@@ -66,7 +66,7 @@ class TestReplay:
     def test_remove_file_creates_tombstone(self):
         snap = replay([
             (1, 0.0, [AddDataFile(df("a"))]),
-            (2, 9.0, [RemoveDataFile(df("a"))]),
+            (2, 9.0, [RemoveDataFile("a")]),
         ])
         assert snap.live_rows == 0
         assert len(snap.tombstones) == 1
@@ -76,11 +76,22 @@ class TestReplay:
     def test_remove_file_retires_its_dv(self):
         snap = replay([
             (1, 0.0, [AddDataFile(df("a", 10)), AddDeletionVector(dv("d", "a"))]),
-            (2, 1.0, [RemoveDataFile(df("a", 10))]),
+            (2, 1.0, [RemoveDataFile("a")]),
         ])
         assert snap.dv_for("a") is None
         kinds = sorted(t.kind for t in snap.tombstones)
         assert kinds == ["data", "dv"]
+
+    def test_tombstone_paths_come_from_the_live_descriptors(self):
+        snap = replay([
+            (1, 0.0, [AddDataFile(df("a")), AddDataFile(df("b")),
+                      AddDeletionVector(dv("da", "a")),
+                      AddDeletionVector(dv("db", "b"))]),
+            (2, 1.0, [RemoveDataFile("a"), RemoveDeletionVector("db", "b")]),
+        ])
+        assert [(t.kind, t.path) for t in snap.tombstones] == [
+            ("data", "p/a"), ("dv", "p/da"), ("dv", "p/db"),
+        ]
 
     def test_duplicate_add_rejected(self):
         snap = TableSnapshot().apply_manifest([AddDataFile(df("a"))], 1, 0.0, math.inf)
@@ -90,7 +101,7 @@ class TestReplay:
     def test_remove_unknown_file_rejected(self):
         with pytest.raises(FileFormatError, match="unknown data file"):
             TableSnapshot().apply_manifest(
-                [RemoveDataFile(df("ghost"))], 1, 0.0, math.inf
+                [RemoveDataFile("ghost")], 1, 0.0, math.inf
             )
 
     def test_dv_on_unknown_file_rejected(self):
@@ -108,7 +119,7 @@ class TestReplay:
         snap = replay([(1, 0.0, [AddDataFile(df("a")), AddDeletionVector(dv("d1", "a"))])])
         with pytest.raises(FileFormatError, match="unknown DV"):
             snap.apply_manifest(
-                [RemoveDeletionVector(dv("other", "a"))], 2, 1.0, math.inf
+                [RemoveDeletionVector("other", "a")], 2, 1.0, math.inf
             )
 
     def test_replay_skips_already_applied(self):
@@ -130,8 +141,8 @@ class TestCheckpointEquivalence:
             (1, 0.0, [AddDataFile(df("a", 10))]),
             (2, 1.0, [AddDataFile(df("b", 20))]),
             (3, 2.0, [AddDeletionVector(dv("d", "a", 3))]),
-            (4, 3.0, [RemoveDataFile(df("b", 20))]),
-            (5, 4.0, [RemoveDeletionVector(dv("d", "a", 3)),
+            (4, 3.0, [RemoveDataFile("b")]),
+            (5, 4.0, [RemoveDeletionVector("d", "a"),
                       AddDeletionVector(dv("d2", "a", 5))]),
         ]
 
@@ -147,6 +158,21 @@ class TestCheckpointEquivalence:
         assert resumed.dvs == full.dvs
         assert resumed.sequence_id == full.sequence_id
         assert resumed.tombstones == full.tombstones
+
+    def test_one_commit_is_one_group_with_data_before_dvs(self):
+        snap = replay([
+            (1, 0.0, [AddDataFile(df("a")), AddDataFile(df("b")),
+                      AddDeletionVector(dv("da", "a")),
+                      AddDeletionVector(dv("db", "b"))]),
+            (2, 1.5, [RemoveDataFile("a"), RemoveDataFile("b")]),
+        ])
+        assert [t.path for t in snap.tombstones] == ["p/a", "p/b", "p/da", "p/db"]
+        assert snap.to_dict()["tombstones"] == [{
+            "removed_at": 1.5, "removed_seq": 2,
+            "data": ["p/a", "p/b"], "dv": ["p/da", "p/db"],
+        }]
+        restored = Checkpoint.from_bytes(Checkpoint.of(snap, 0.0).to_bytes())
+        assert restored.snapshot.tombstones == snap.tombstones
 
     def test_checkpoint_serialization_roundtrip(self):
         snap = replay(self.manifests())

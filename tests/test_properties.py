@@ -141,10 +141,14 @@ def manifest_histories(draw):
             actions.append(AddDataFile(_files([name])[0]))
             live[name] = None
         elif choice == 1:
-            name = draw(st.sampled_from(sorted(live)))
-            info = _files([name])[0]
-            actions.append(RemoveDataFile(info))
-            del live[name]
+            # One commit may retire several files (as compaction does),
+            # some with a DV: its tombstones form one checkpoint group.
+            names = draw(
+                st.lists(st.sampled_from(sorted(live)), min_size=1, unique=True)
+            )
+            for name in names:
+                actions.append(RemoveDataFile(name))
+                del live[name]
         else:
             name = draw(st.sampled_from(sorted(live)))
             counter += 1
@@ -153,7 +157,7 @@ def manifest_histories(draw):
                 cardinality=1, size_bytes=8,
             )
             if live[name] is not None:
-                actions.append(RemoveDeletionVector(live[name]))
+                actions.append(RemoveDeletionVector(live[name].name, name))
             actions.append(AddDeletionVector(new_dv))
             live[name] = new_dv
         history.append((seq, float(seq), actions))
