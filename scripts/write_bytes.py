@@ -10,8 +10,10 @@ warehouse per round — with ``ObjectStore.put`` and
 engine or the benchmark changes.  It prints the written bytes per blob
 kind (data, dv, manifest, checkpoint, index, other), then the manifest
 bytes per action kind (``add_file``, ``remove_file``, ``add_dv``,
-``remove_dv``) with their line counts.  The counts and bytes repeat
-exactly for a seed.
+``remove_dv``) with their line counts, the checkpoint bytes as stored and
+as inflated JSON, and the ``add_file`` lines written per data file (1.0
+when each is written once).  The counts and bytes repeat exactly for a
+seed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import zlib
 from collections import Counter
 from typing import Dict, List, Tuple
 
@@ -57,6 +60,8 @@ class WriteLog:
         self.writes: Counter = Counter()
         self.action_bytes: Counter = Counter()
         self.action_lines: Counter = Counter()
+        #: Checkpoint bytes once inflated (stored plain, as they are).
+        self.checkpoint_json = 0
 
     def record(self, path: str, data: bytes) -> None:
         """Attribute one ``put`` or staged block."""
@@ -69,6 +74,11 @@ class WriteLog:
                     action = json.loads(line).get("action", "?")
                     self.action_bytes[action] += len(line) + 1
                     self.action_lines[action] += 1
+        elif kind == "checkpoint":
+            try:
+                self.checkpoint_json += len(zlib.decompress(data))
+            except zlib.error:
+                self.checkpoint_json += len(data)
 
 
 def measure(workload_name: str, seed: int, quick: bool) -> Tuple[WriteLog, List[str]]:
@@ -129,6 +139,18 @@ def main() -> int:
             for action in sorted(log.action_lines)
         },
         log.bytes["manifest"],
+    )
+    stored = log.bytes["checkpoint"]
+    ratio = stored / log.checkpoint_json if log.checkpoint_json else 0.0
+    print(
+        f"checkpoints: {log.checkpoint_json:,} B of JSON stored as {stored:,} B "
+        f"({ratio:.1%})"
+    )
+    files = log.writes["data"]
+    per_file = log.action_lines["add_file"] / files if files else 0.0
+    print(
+        f"add_file lines per data file: {log.action_lines['add_file']:,} / "
+        f"{files:,} = {per_file:.3f}"
     )
     for problem in problems:
         print(f"answer check failed: {problem}", file=sys.stderr)

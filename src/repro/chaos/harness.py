@@ -154,9 +154,22 @@ class ChaosWorkload:
         self.session.insert("events", _batch(0, 200))
 
     def _multi_statement_txn(self) -> None:
-        """Step: one explicit transaction touching both tables."""
+        """Step: one explicit transaction touching both tables.
+
+        The second DELETE reaches the files the first gave a DV, so it
+        replaces a DV this transaction wrote: that statement rewrites the
+        manifest, and every other one appends its blocks.
+        """
         self.session.begin()
         self.session.insert("orders", _batch(1000, 100))
+        for start in (1000, 1010):
+            self.session.delete(
+                "orders",
+                and_(
+                    BinOp(">=", Col("id"), Lit(start)),
+                    BinOp("<", Col("id"), Lit(start + 10)),
+                ),
+            )
         self.session.update(
             "events",
             BinOp("<", Col("id"), Lit(50)),
@@ -214,7 +227,7 @@ class ChaosWorkload:
             ("create_tables", self._create_tables, {}),
             ("load_orders", self._load_orders, {"orders": 400}),
             ("load_events", self._load_events, {"events": 200}),
-            ("multi_statement_txn", self._multi_statement_txn, {"orders": 100}),
+            ("multi_statement_txn", self._multi_statement_txn, {"orders": 80}),
             ("update_orders", self._update_orders, {}),
             ("delete_orders", self._delete_orders, {"orders": -40}),
             ("analyze_orders", self._analyze_orders, {}),

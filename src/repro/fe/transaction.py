@@ -63,7 +63,8 @@ class TableWriteState:
     manifest_name: str
     manifest_path: str
     committed_block_ids: List[str] = field(default_factory=list)
-    #: Reconciled net actions of all statements so far (the overlay).
+    #: The actions the manifest's committed blocks hold, in their order:
+    #: the net effect of all statements so far (the overlay).
     actions: List[Action] = field(default_factory=list)
     #: Names of *pre-existing* data files this transaction updated/deleted
     #: (the conflict units for file-granularity detection).
@@ -213,10 +214,12 @@ class PolarisTransaction:
     def flush_insert(
         self, table_id: int, new_block_ids: List[str], new_actions: List[Action]
     ) -> None:
-        """FE flush after an insert statement: append blocks to the manifest.
+        """FE flush that appends a statement's blocks to the manifest.
 
         Inserts have no dependency on previous changes, so the FE simply
         re-commits the old block list plus the new ids (Section 3.2.3).
+        So does an update, delete or compaction that cancels none of the
+        transaction's own writes (:meth:`flush_rewrite`).
         """
         state = self.write_state(table_id)
         state.committed_block_ids.extend(new_block_ids)
@@ -233,17 +236,25 @@ class PolarisTransaction:
         crashpoint("fe.write.after_manifest_flush")
         state.actions.extend(new_actions)
 
-    def flush_rewrite(self, table_id: int, new_actions: List[Action]) -> List[str]:
-        """FE flush after an update/delete: reconcile and rewrite the manifest.
+    def flush_rewrite(
+        self, table_id: int, new_block_ids: List[str], new_actions: List[Action]
+    ) -> List[str]:
+        """FE flush after an update, delete or compaction.
 
-        The accumulated actions are reconciled so the manifest never
-        references private files superseded within this transaction; the
-        result is staged as a fresh compacted block and the manifest is
-        re-committed with only the rewritten blocks.  Returns orphaned
-        private-file paths (left behind for garbage collection).
+        The manifest must never reference private files superseded within
+        this transaction (Section 3.2.3).  When reconciling the
+        accumulated actions cancels none of them, the statement's staged
+        blocks already say exactly that and are appended as
+        :meth:`flush_insert` does.  Otherwise the reconciled actions are
+        staged as one fresh block and the manifest is re-committed with
+        only that block.  Returns orphaned private-file paths (left
+        behind for garbage collection).
         """
         state = self.write_state(table_id)
         net, orphans = reconcile_actions(state.actions + new_actions)
+        if not orphans and len(net) == len(state.actions) + len(new_actions):
+            self.flush_insert(table_id, new_block_ids, new_actions)
+            return orphans
         state.actions = net
         writer = BlockBlobClient(
             self._context.store, state.manifest_path, self._context.guids

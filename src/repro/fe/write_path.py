@@ -483,11 +483,13 @@ def _execute_mutation(
         )
     result = context.scheduler.execute(dag, wlm=context.wlm)
 
+    block_ids: List[str] = []
     new_actions: List[Action] = []
     touched_all: List[str] = []
     total_matched = 0
     for task_id in sorted(result.results):
-        __, actions, matched, touched = result.results[task_id]
+        ids, actions, matched, touched = result.results[task_id]
+        block_ids.extend(ids)
         new_actions.extend(actions)
         touched_all.extend(touched)
         total_matched += matched
@@ -497,7 +499,7 @@ def _execute_mutation(
     state.has_update_or_delete = True
     state.touched_files.update(touched_all)
     state.rows_deleted += total_matched
-    txn.flush_rewrite(table_id, new_actions)
+    txn.flush_rewrite(table_id, block_ids, new_actions)
     return total_matched, (total_matched if assignments is not None else 0)
 
 

@@ -9,6 +9,12 @@ holds one retention window of removals, not the table's whole history.
 It writes each removal as a bare path, grouped by the commit that made
 it (:meth:`~repro.lst.snapshot.TableSnapshot.to_dict`).
 
+On disk a checkpoint is one zlib stream (default level) of its compact
+JSON document (:func:`encode_document`): the document repeats every key
+of every live descriptor, so it deflates to under a third.  Decoding
+(:func:`decode_document`) rejects anything but exactly one whole stream —
+plain JSON, a cut stream, trailing bytes — as :class:`FileFormatError`.
+
 Writing a checkpoint never removes manifests and (unlike compaction) can
 never conflict with user transactions.  While every manifest it covers
 is still in the log, a checkpoint is a pure read optimization; once
@@ -20,11 +26,25 @@ then refuses to replay around a lost one).
 from __future__ import annotations
 
 import json
+import zlib
 from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.common.errors import FileFormatError
 from repro.lst.snapshot import TableSnapshot
+from repro.pagefile.encoding import inflate
+
+
+def encode_document(document: Any) -> bytes:
+    """A checkpoint's file bytes: its compact JSON, deflated."""
+    return zlib.compress(json.dumps(document, separators=(",", ":")).encode("utf-8"))
+
+
+def decode_document(data: bytes, path: str = "<checkpoint>") -> Any:
+    """Inverse of :func:`encode_document`.  A frame that is not exactly
+    one zlib stream raises :class:`FileFormatError` naming ``path``;
+    malformed JSON inside it raises ``ValueError``."""
+    return json.loads(inflate(data, f"checkpoint {path}").decode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -43,7 +63,7 @@ class Checkpoint:
             "created_at": self.created_at,
             "snapshot": self.snapshot.to_dict(),
         }
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        return encode_document(payload)
 
     @classmethod
     def from_bytes(cls, data: bytes, path: str = "<checkpoint>") -> "Checkpoint":
@@ -52,7 +72,7 @@ class Checkpoint:
         Malformed bytes raise :class:`FileFormatError` naming ``path``.
         """
         try:
-            raw = json.loads(data.decode("utf-8"))
+            raw = decode_document(data, path)
             checkpoint = cls(
                 sequence_id=raw["sequence_id"],
                 created_at=float(raw["created_at"]),

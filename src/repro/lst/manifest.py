@@ -6,11 +6,12 @@ the blocks named in the final commit-block-list is the manifest content
 (Section 3.2.2) — so the wire form must (and does) survive arbitrary block
 concatenation.
 
-:func:`reconcile_actions` implements the manifest *rewrite* performed for
-update/delete statements inside multi-statement transactions
-(Section 3.2.3): actions that were made obsolete by later actions of the
+:func:`reconcile_actions` implements the manifest *rewrite* of
+Section 3.2.3: actions that were made obsolete by later actions of the
 same transaction are dropped, so the final manifest never references
-superseded private files.
+superseded private files.  A statement whose actions reconcile to
+themselves (nothing dropped) has nothing to rewrite; the FE appends its
+blocks instead (:meth:`~repro.fe.transaction.PolarisTransaction.flush_rewrite`).
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def reconcile_actions(actions: List[Action]) -> Tuple[List[Action], List[str]]:
     * two ``Add dv`` for the same target data file → only the last survives;
       earlier private DVs are orphaned.  (A DV the table already had is
       removed via an explicit ``Remove dv``, which is kept.)
+    * ``Remove dv`` of a data file the transaction also removes → the
+      ``Remove dv`` drops (removing the file retires its DV).
     * everything else is kept, removes ordered before adds.
     """
     added_files: Dict[str, AddDataFile] = {}
@@ -110,6 +113,9 @@ def reconcile_actions(actions: List[Action]) -> Tuple[List[Action], List[str]]:
     for target in list(added_dvs):
         if target in removed_files:
             orphans.append(added_dvs.pop(target).dv.path)
+    for name, action in list(removed_dvs.items()):
+        if action.target_file in removed_files:
+            del removed_dvs[name]
 
     net: List[Action] = []
     net.extend(removed_files[name] for name in sorted(removed_files))

@@ -103,8 +103,10 @@ class TableSnapshot:
         """
         files = dict(self.files)
         dvs = dict(self.dvs)
-        # This commit's removals, data files before DVs: the order a
-        # checkpoint's tombstone group restores them in.
+        # This commit's removals, data files before DVs and each in path
+        # order: the order a checkpoint's tombstone group restores them
+        # in, whether the manifest lists its statements' blocks as they
+        # ran or one reconciled block.
         removed_data: List[str] = []
         removed_dvs: List[str] = []
         for action in actions:
@@ -154,7 +156,7 @@ class TableSnapshot:
         tombstones = self.tombstones + [
             Tombstone(kind, path, committed_at, sequence_id)
             for kind, paths in (("data", removed_data), ("dv", removed_dvs))
-            for path in paths
+            for path in sorted(paths)
         ]
         # Removals are appended in commit order, so the tombstones past
         # retention as of this commit are a prefix of the list.

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.common.errors import FileFormatError
+from repro.pagefile.encoding import inflate
 
 _MAGIC = b"RDV1"
 
@@ -101,9 +102,9 @@ class DeletionVector:
             raise FileFormatError("not a deletion vector file (bad magic)")
         (count,) = struct.unpack_from("<I", data, 4)
         try:
-            raw = zlib.decompress(data[8:])
-        except zlib.error as exc:
-            raise FileFormatError(f"deletion vector: corrupt payload ({exc})") from None
+            raw = inflate(data[8:], "payload")
+        except FileFormatError as exc:
+            raise FileFormatError(f"deletion vector: {exc}") from None
         if len(raw) % 4:
             raise FileFormatError(
                 f"deletion vector: {len(raw)} payload bytes are not whole uint32 deltas"

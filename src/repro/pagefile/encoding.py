@@ -165,12 +165,28 @@ def encode_column(field: Field, values: np.ndarray) -> Tuple[bytes, ColumnStats]
     return zlib.compress(raw, _COMPRESSION_LEVEL), stats
 
 
-def inflate(payload: bytes) -> bytes:
-    """Decompress one chunk into its encoded payload (what the cache holds)."""
+def inflate(payload: bytes, what: str = "column chunk") -> bytes:
+    """Decompress one zlib stream that fills ``payload`` exactly: a chunk
+    into its encoded payload (what the cache holds), or the body of a
+    deletion vector or a checkpoint.
+
+    ``zlib.decompress`` silently ignores bytes after the end of the
+    stream; here they, a stream cut short and a corrupt one all raise
+    :class:`FileFormatError` ("corrupt ``what``").
+    """
+    inflater = zlib.decompressobj()
     try:
-        return zlib.decompress(payload)
+        raw = inflater.decompress(payload)
     except zlib.error as exc:
-        raise FileFormatError(f"corrupt column chunk ({exc})") from None
+        raise FileFormatError(f"corrupt {what} ({exc})") from None
+    if not inflater.eof:
+        raise FileFormatError(f"corrupt {what} (truncated zlib stream)")
+    if inflater.unused_data:
+        raise FileFormatError(
+            f"corrupt {what} ({len(inflater.unused_data)} bytes after the "
+            "zlib stream)"
+        )
+    return raw
 
 
 def decode_column(type_: str, raw: bytes, num_rows: int) -> np.ndarray:

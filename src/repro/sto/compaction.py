@@ -146,11 +146,13 @@ def _compact_in_txn(
         )
 
     result = context.scheduler.execute(dag, wlm=context.wlm)
+    block_ids: List[str] = []
     new_actions: List[Action] = []
     rows_compacted = 0
     files_created = 0
     for task_id in sorted(result.results):
-        __, actions, rows_total, created = result.results[task_id]
+        ids, actions, rows_total, created = result.results[task_id]
+        block_ids.extend(ids)
         new_actions.extend(actions)
         rows_compacted += rows_total
         files_created += created
@@ -158,7 +160,7 @@ def _compact_in_txn(
     state = txn.write_state(table_id)
     state.has_update_or_delete = True
     state.touched_files.update(victims)
-    txn.flush_rewrite(table_id, new_actions)
+    txn.flush_rewrite(table_id, block_ids, new_actions)
     crashpoint("sto.compaction.before_commit")
     sequence_id = txn.commit()
     crashpoint("sto.compaction.after_commit")

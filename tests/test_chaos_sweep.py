@@ -76,7 +76,7 @@ class TestWorkloadOracle:
     def test_workload_completes_without_chaos(self):
         workload = ChaosWorkload(seed=0)
         assert workload.run_until_crash() is None
-        assert workload.acknowledged == {"orders": 510, "events": 200}
+        assert workload.acknowledged == {"orders": 490, "events": 200}
         counts = {
             name: workload.session.table_snapshot(name).live_rows
             for name in ("orders", "events")

@@ -1,13 +1,18 @@
 """Malformed manifest and checkpoint bytes raise FileFormatError naming the blob.
 
 Both decoders read bytes from the object store; whatever those bytes are —
-random, cut short, or well-formed JSON holding the wrong types — the only
-exception that may escape is :class:`FileFormatError`, and its message
-names the blob so an operator can find it.
+random, cut short, a broken zlib frame, or well-formed JSON holding the
+wrong types — the only exception that may escape is
+:class:`FileFormatError`, and its message names the blob so an operator
+can find it.  A checkpoint is its JSON document deflated, so the
+document-level cases go through the checkpoint codec
+(:func:`~repro.lst.checkpoint.encode_document` /
+:func:`~repro.lst.checkpoint.decode_document`).
 """
 
 import json
 import math
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +31,7 @@ from repro.lst import (
     encode_actions,
     replay,
 )
+from repro.lst.checkpoint import decode_document, encode_document
 
 MANIFEST = "internal/dw/tables/1001/_manifests/m.json"
 CHECKPOINT = "internal/dw/tables/1001/_checkpoints/6.json"
@@ -89,18 +95,40 @@ def test_listed_malformed_manifests(data):
 @pytest.mark.parametrize("data", [b"{}", b"null", b'{"sequence_id": 6}', b"\x80"])
 def test_listed_malformed_checkpoints(data):
     with pytest.raises(FileFormatError, match=CHECKPOINT):
-        Checkpoint.from_bytes(data, CHECKPOINT)
+        Checkpoint.from_bytes(zlib.compress(data), CHECKPOINT)
+
+
+def _flip_a_byte(data):
+    middle = len(data) // 2
+    return data[:middle] + bytes([data[middle] ^ 0x55]) + data[middle + 1 :]
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        pytest.param(
+            lambda good: json.dumps(decode_document(good)).encode(),
+            id="uncompressed-json",
+        ),
+        pytest.param(lambda good: good[:-4], id="truncated-stream"),
+        pytest.param(lambda good: good + b"JUNK", id="trailing-bytes"),
+        pytest.param(_flip_a_byte, id="flipped-byte"),
+    ],
+)
+def test_malformed_checkpoint_frames(frame):
+    with pytest.raises(FileFormatError, match=CHECKPOINT):
+        Checkpoint.from_bytes(frame(GOOD_CHECKPOINT), CHECKPOINT)
 
 
 def _group_with(key, value):
-    raw = json.loads(GOOD_CHECKPOINT)
+    raw = decode_document(GOOD_CHECKPOINT)
     [group] = raw["snapshot"]["tombstones"]
     group[key] = value
-    return json.dumps(raw).encode()
+    return encode_document(raw)
 
 
 def test_checkpoint_groups_tombstones_by_commit():
-    [group] = json.loads(GOOD_CHECKPOINT)["snapshot"]["tombstones"]
+    [group] = decode_document(GOOD_CHECKPOINT)["snapshot"]["tombstones"]
     assert group == {
         "removed_at": 2.0, "removed_seq": 6, "data": ["p/a"], "dv": ["p/d", "p/e"]
     }
@@ -126,10 +154,10 @@ def test_data_file_descriptor_missing_a_key_is_rejected(key):
     del line["file"][key]
     with pytest.raises(FileFormatError, match=MANIFEST):
         decode_manifest(json.dumps(line).encode(), MANIFEST)
-    raw = json.loads(GOOD_CHECKPOINT)
+    raw = decode_document(GOOD_CHECKPOINT)
     del raw["snapshot"]["files"][0][key]
     with pytest.raises(FileFormatError, match=CHECKPOINT):
-        Checkpoint.from_bytes(json.dumps(raw).encode(), CHECKPOINT)
+        Checkpoint.from_bytes(encode_document(raw), CHECKPOINT)
 
 
 def test_dv_descriptor_missing_its_checksum_is_rejected():
@@ -137,17 +165,17 @@ def test_dv_descriptor_missing_its_checksum_is_rejected():
     del line["dv"]["checksum"]
     with pytest.raises(FileFormatError, match=MANIFEST):
         decode_manifest(json.dumps(line).encode(), MANIFEST)
-    raw = json.loads(GOOD_CHECKPOINT)
+    raw = decode_document(GOOD_CHECKPOINT)
     del raw["snapshot"]["dvs"][0]["checksum"]
     with pytest.raises(FileFormatError, match=CHECKPOINT):
-        Checkpoint.from_bytes(json.dumps(raw).encode(), CHECKPOINT)
+        Checkpoint.from_bytes(encode_document(raw), CHECKPOINT)
 
 
 def test_checkpoint_sequence_must_match_its_snapshot():
-    raw = json.loads(GOOD_CHECKPOINT)
+    raw = decode_document(GOOD_CHECKPOINT)
     raw["sequence_id"] = 5
     with pytest.raises(FileFormatError, match="does not match"):
-        Checkpoint.from_bytes(json.dumps(raw).encode(), CHECKPOINT)
+        Checkpoint.from_bytes(encode_document(raw), CHECKPOINT)
 
 
 @given(st.binary(max_size=200))
@@ -189,7 +217,6 @@ def _slots(node):
 
 def _type_confused(data, document):
     """``document`` with one value anywhere inside it replaced or deleted."""
-    document = json.loads(document)
     slots = list(_slots(document))
     container, key = data.draw(st.sampled_from(slots))
     if data.draw(st.booleans()) or isinstance(container, list):
@@ -204,17 +231,15 @@ def _type_confused(data, document):
 def test_type_confused_manifest(data):
     lines = GOOD_MANIFEST.decode().splitlines()
     index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
-    lines[index] = json.dumps(_type_confused(data, lines[index]))
+    lines[index] = json.dumps(_type_confused(data, json.loads(lines[index])))
     decodes_or_names_blob(decode_manifest, "\n".join(lines).encode(), MANIFEST)
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_type_confused_checkpoint(data):
-    document = _type_confused(data, GOOD_CHECKPOINT)
-    decodes_or_names_blob(
-        Checkpoint.from_bytes, json.dumps(document).encode(), CHECKPOINT
-    )
+    document = _type_confused(data, decode_document(GOOD_CHECKPOINT))
+    decodes_or_names_blob(Checkpoint.from_bytes, encode_document(document), CHECKPOINT)
 
 
 @given(st.data())
@@ -224,7 +249,7 @@ def test_type_confused_removals_fail_decode_or_replay_cleanly(data):
     DVs without any error but :class:`FileFormatError`."""
     lines = GOOD_REMOVALS.decode().splitlines()
     index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
-    lines[index] = json.dumps(_type_confused(data, lines[index]))
+    lines[index] = json.dumps(_type_confused(data, json.loads(lines[index])))
     try:
         actions = decode_manifest("\n".join(lines).encode(), MANIFEST)
     except FileFormatError as exc:

@@ -1,9 +1,11 @@
 """Manifests and checkpoints say each fact once: a byte-budget guard.
 
-A removal line names only what it retires, and a checkpoint writes each
-tombstone as its path inside one group per removing commit.  This guard
-builds a table of one-row inserts, deletes from it, compacts and
-checkpoints, then holds the committed bytes to that shape.
+A removal line names only what it retires, a checkpoint writes each
+tombstone as its path inside one group per removing commit, and is
+stored deflated.  A statement that cancels none of its transaction's own
+writes appends the blocks its tasks staged, so each ``add_file`` line is
+written once.  This guard builds small tables, writes to them and holds
+the written bytes to that shape.
 """
 
 import json
@@ -12,7 +14,9 @@ import numpy as np
 
 from repro import BinOp, Col, Lit, Schema, Warehouse
 from repro.lst import Checkpoint
+from repro.lst.checkpoint import decode_document
 from repro.sqldb import system_tables as catalog
+from repro.storage.object_store import ObjectStore
 from tests.conftest import small_config
 
 REMOVE_KEYS = {
@@ -21,6 +25,8 @@ REMOVE_KEYS = {
 }
 #: One tombstone's share of a group: its JSON string and a comma.
 PER_TOMBSTONE = 3
+#: A stored checkpoint's size as a share of its JSON document.
+CHECKPOINT_DEFLATED = 0.35
 
 
 def row(i):
@@ -31,13 +37,26 @@ def compact_json(value):
     return json.dumps(value, separators=(",", ":"))
 
 
-def build():
+def new_table():
     dw = Warehouse(config=small_config(), auto_optimize=False)
     session = dw.session()
     session.create_table(
         "t", Schema.of(("id", "int64"), ("v", "float64")),
         distribution_column="id",
     )
+    return dw, session
+
+
+def table_id_of(dw):
+    txn = dw.context.sqldb.begin()
+    try:
+        return catalog.find_table_by_name(txn, "t")["table_id"]
+    finally:
+        txn.abort()
+
+
+def build():
+    dw, session = new_table()
     for i in range(40):
         session.insert("t", row(i))
     session.insert("t", {"id": np.arange(100, 110), "v": np.zeros(10)})
@@ -45,11 +64,7 @@ def build():
     # Two more deletes reach files that already have a DV and replace it.
     session.delete("t", BinOp("<", Col("id"), Lit(103)))
     session.delete("t", BinOp("<", Col("id"), Lit(106)))
-    txn = dw.context.sqldb.begin()
-    try:
-        table_id = catalog.find_table_by_name(txn, "t")["table_id"]
-    finally:
-        txn.abort()
+    table_id = table_id_of(dw)
     dw.sto.run_compaction(table_id)
     dw.sto.run_checkpoint(table_id)
     return dw, table_id
@@ -87,5 +102,49 @@ def test_remove_lines_and_checkpoint_tombstones_stay_within_budget():
         for seq, at in commits
     )
     budget = 2 + headers + sum(len(t.path) + PER_TOMBSTONE for t in tombstones)
-    section = compact_json(json.loads(data)["snapshot"]["tombstones"])
+    section = compact_json(decode_document(data)["snapshot"]["tombstones"])
     assert len(section) <= budget, (len(section), budget)
+
+
+def test_a_stored_checkpoint_is_deflated():
+    dw, table_id = build()
+    txn = dw.context.sqldb.begin()
+    try:
+        row = catalog.latest_checkpoint(txn, table_id, dw.context.sqldb.last_commit_seq)
+    finally:
+        txn.abort()
+    data = dw.store.get(row["path"]).data
+    document = compact_json(decode_document(data))
+    assert len(data) <= CHECKPOINT_DEFLATED * len(document), (len(data), len(document))
+
+
+def test_each_add_file_line_is_written_once(monkeypatch):
+    """Transactions that insert, update and compact without cancelling
+    any of their own writes stage one ``add_file`` line per data file."""
+    written = {"add_file": 0, "data": 0}
+    put, stage_block = ObjectStore.put, ObjectStore.stage_block
+
+    def counted_put(self, path, data, *args, **kwargs):
+        written["data"] += "/data/" in path
+        return put(self, path, data, *args, **kwargs)
+
+    def counted_stage_block(self, path, block_id, data):
+        written["add_file"] += data.count(b'{"action":"add_file"')
+        return stage_block(self, path, block_id, data)
+
+    monkeypatch.setattr(ObjectStore, "put", counted_put)
+    monkeypatch.setattr(ObjectStore, "stage_block", counted_stage_block)
+    dw, session = new_table()
+    for i in range(12):
+        session.insert("t", row(i))
+    session.update("t", BinOp("<", Col("id"), Lit(2)), {"v": Lit(1.0)})
+    # One transaction inserts, then updates committed rows and rows it
+    # inserted: neither update reaches a DV the transaction wrote.
+    session.begin()
+    session.insert("t", {"id": np.arange(100, 110), "v": np.zeros(10)})
+    session.update("t", BinOp("==", Col("id"), Lit(5)), {"v": Lit(2.0)})
+    session.update("t", BinOp(">=", Col("id"), Lit(107)), {"v": Lit(3.0)})
+    session.commit()
+    assert dw.sto.run_compaction(table_id_of(dw)).files_created
+    assert written["data"] > 16
+    assert written["add_file"] == written["data"], written

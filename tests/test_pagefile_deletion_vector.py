@@ -71,6 +71,19 @@ class TestDeletionVector:
         with pytest.raises(FileFormatError, match=match):
             DeletionVector.from_bytes(b"RDV1" + struct.pack("<I", 1) + body)
 
+    @pytest.mark.parametrize(
+        "mangle, match",
+        [
+            (lambda data: data + b"JUNK", "4 bytes after the zlib stream"),
+            (lambda data: data[:-2], "truncated zlib stream"),
+        ],
+        ids=["trailing-bytes", "truncated"],
+    )
+    def test_payload_must_be_exactly_one_zlib_stream(self, mangle, match):
+        data = DeletionVector([3, 7, 4000]).to_bytes()
+        with pytest.raises(FileFormatError, match=match):
+            DeletionVector.from_bytes(mangle(data))
+
     def test_equality(self):
         assert DeletionVector([1, 2]) == DeletionVector([2, 1])
         assert DeletionVector([1]) != DeletionVector([2])

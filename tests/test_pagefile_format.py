@@ -391,6 +391,22 @@ class TestMalformedFiles:
         _with_chunk(monkeypatch, payload=b"not a zlib stream")
         self._read_fails(Schema.of(("c", "int64")), {"c": np.arange(4)}, "corrupt column chunk")
 
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            (zlib.compress(b"abc") + b"JUNK", "4 bytes after the zlib stream"),
+            (zlib.compress(b"abc" * 20)[:-3], "truncated zlib stream"),
+        ],
+        ids=["trailing-bytes", "truncated"],
+    )
+    def test_inflate_takes_exactly_one_whole_stream(self, payload, match):
+        with pytest.raises(FileFormatError, match=match):
+            encoding.inflate(payload)
+
+    def test_chunk_with_bytes_after_its_stream(self, monkeypatch):
+        _with_chunk(monkeypatch, payload=zlib.compress(b"\x00" + bytes(32)) + b"JUNK")
+        self._read_fails(Schema.of(("c", "int64")), {"c": np.arange(4)}, "corrupt column chunk")
+
     def test_unknown_encoding_tag(self, monkeypatch):
         _with_chunk(monkeypatch, raw=b"\x09" + bytes(32))
         self._read_fails(Schema.of(("c", "int64")), {"c": np.arange(4)}, "no encoding tagged")

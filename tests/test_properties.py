@@ -6,16 +6,23 @@ Covered invariants:
 2. snapshot isolation — reads are a function of (begin sequence, own writes);
 3. first-committer-wins under arbitrary interleavings;
 6. block-blob content equals exactly the committed block list;
+7. a transaction's committed manifest never references a private file it
+   superseded, whether its statements appended their blocks or rewrote it;
 plus deletion-vector algebra and page-file roundtrips.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Warehouse
+from repro.common.config import StoConfig
 from repro.common.errors import WriteConflictError
+from repro.engine.statistics import collect_stats
+from repro.fe.transaction import PolarisTransaction
 from repro.lst import (
     AddDataFile,
     AddDeletionVector,
@@ -24,6 +31,7 @@ from repro.lst import (
     DeletionVectorInfo,
     RemoveDataFile,
     RemoveDeletionVector,
+    TableSnapshot,
     decode_manifest,
     encode_actions,
     reconcile_actions,
@@ -32,6 +40,7 @@ from repro.lst import (
 from repro.pagefile import DeletionVector, PageFileReader, Schema, write_page_file
 from repro.sqldb import SqlDbEngine
 from repro.storage import ObjectStore
+from tests.conftest import small_config
 
 # -- deletion vectors -----------------------------------------------------------
 
@@ -200,13 +209,129 @@ def test_reconcile_net_actions_replayable(history):
     # Keep only actions about private (this-transaction) objects: the
     # histories above start from empty, so everything is private.
     net, orphans = reconcile_actions(all_actions)
-    from repro.lst import TableSnapshot
-
     snapshot = TableSnapshot().apply_manifest(net, 1, 0.0, math.inf)
     live_paths = {f.path for f in snapshot.files.values()}
     live_paths |= {d.path for d in snapshot.dvs.values()}
     # Orphans are disjoint from what the manifest still references.
     assert not (set(orphans) & live_paths)
+
+
+def _dv(name, target):
+    return DeletionVectorInfo(
+        name=name, path=f"p/{name}", target_file=target, cardinality=1, size_bytes=8
+    )
+
+
+@st.composite
+def transaction_statements(draw):
+    """A committed table and the statements of one transaction against it.
+
+    Each statement is ``(kind, blocks)``, the blocks shaped as its tasks
+    stage them: an insert adds one file per block; a delete gives each
+    file it reaches a fresh DV (removing the one the file had) and, as an
+    update, may add a file of rewritten rows; a compaction's blocks each
+    remove some files in name order and add one.  A delete that replaces
+    a DV this transaction wrote, or a compaction of a file it wrote, gave
+    a DV or replaced the DV of, cancels one of its own writes.
+    """
+    names = [f"c{i}" for i in range(draw(st.integers(0, 4)))]
+    live = {name: None for name in names}  # name -> current DV name
+    base_actions = [AddDataFile(info) for info in _files(names)]
+    for name in names:
+        if draw(st.booleans()):
+            live[name] = f"cd{name}"
+            base_actions.append(AddDeletionVector(_dv(live[name], name)))
+    base = TableSnapshot().apply_manifest(base_actions, 1, 0.0, math.inf)
+    counter = 0
+
+    def new_file():
+        nonlocal counter
+        counter += 1
+        live[f"f{counter}"] = None
+        return AddDataFile(_files([f"f{counter}"])[0])
+
+    statements = []
+    for __ in range(draw(st.integers(min_value=1, max_value=6))):
+        kinds = ["insert", "delete", "compact"] if live else ["insert"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "insert":
+            statements.append(
+                (kind, [[new_file()] for __ in range(draw(st.integers(1, 3)))])
+            )
+            continue
+        reached = draw(
+            st.lists(st.sampled_from(sorted(live)), min_size=1, unique=True)
+        )
+        blocks = []
+        if kind == "delete":
+            for name in reached:
+                counter += 1
+                block = []
+                if live[name] is not None:
+                    block.append(RemoveDeletionVector(live[name], name))
+                block.append(AddDeletionVector(_dv(f"d{counter}", name)))
+                live[name] = f"d{counter}"
+                if draw(st.booleans()):
+                    block.append(new_file())
+                blocks.append(block)
+        else:
+            cut = draw(st.integers(min_value=1, max_value=len(reached)))
+            for victims in (reached[:cut], reached[cut:]):
+                if victims:
+                    for name in victims:
+                        del live[name]
+                    removes = [RemoveDataFile(name) for name in sorted(victims)]
+                    blocks.append(removes + [new_file()])
+        statements.append((kind, blocks))
+    return base, statements
+
+
+@pytest.fixture(scope="module")
+def flush_context():
+    """One warehouse for every example: each transaction is rolled back."""
+    return Warehouse(config=small_config(), auto_optimize=False).context
+
+
+@given(case=transaction_statements())
+@settings(max_examples=100, deadline=None)
+def test_appending_and_rewriting_commit_the_same_table(flush_context, case):
+    """A statement that cancels none of its transaction's writes appends
+    its blocks; the committed manifest then replays exactly as the
+    reconciled one would — files, DVs, tombstones (in order) and stats.
+    A statement that does cancel one takes the rewrite path, which
+    returns every orphan reconciliation finds."""
+    base, statements = case
+    txn = PolarisTransaction(flush_context)
+    try:
+        writer = txn.manifest_writer(1)
+        returned = []
+        for kind, blocks in statements:
+            ids = [writer.write_block(encode_actions(block)) for block in blocks]
+            actions = [action for block in blocks for action in block]
+            if kind == "insert":
+                txn.flush_insert(1, ids, actions)
+            else:
+                returned.extend(txn.flush_rewrite(1, ids, actions))
+        state = txn.write_state(1)
+        committed = decode_manifest(
+            flush_context.store.get(state.manifest_path).data
+        )
+    finally:
+        txn.rollback()
+    assert state.actions == committed
+
+    appended = [a for __, blocks in statements for block in blocks for a in block]
+    net, orphans = reconcile_actions(appended)
+    assert sorted(returned) == sorted(orphans)
+    if not orphans and len(net) == len(appended):
+        assert committed == appended
+    ours = base.apply_manifest(committed, 2, 1.0, math.inf)
+    theirs = base.apply_manifest(net, 2, 1.0, math.inf)
+    assert ours.files == theirs.files
+    assert ours.dvs == theirs.dvs
+    assert ours.tombstones == theirs.tombstones
+    sto = StoConfig()
+    assert collect_stats(1, ours, sto) == collect_stats(1, theirs, sto)
 
 
 # -- block blob semantics ----------------------------------------------------------------

@@ -6,7 +6,9 @@ commit.  An external reader of either format must still see exactly the
 warehouse's live rows after a DELETE replaces a DV, after a compaction
 removes files that carry DVs, and after a DELETE empties a file that has
 a DV — and the scrubber's rebuild of a compaction's Delta commit file
-must equal what the publisher wrote.
+must equal what the publisher wrote.  A multi-statement transaction
+whose statements append their blocks publishes the same lines as its
+reconciled manifest would, in statement order.
 """
 
 import json
@@ -16,12 +18,18 @@ import pytest
 
 from repro import BinOp, Col, Lit, Schema, TableScan, Warehouse
 from repro.fe.manifest_io import load_manifest_actions
-from repro.lst import RemoveDataFile, RemoveDeletionVector
+from repro.lst import (
+    RemoveDataFile,
+    RemoveDeletionVector,
+    encode_actions,
+    reconcile_actions,
+)
 from repro.pagefile.deletion_vector import DeletionVector
 from repro.pagefile.reader import PageFileReader
 from repro.sqldb import system_tables as catalog
 from repro.sto.delta_reader import read_published_table
-from repro.sto.publisher_iceberg import read_iceberg_table
+from repro.sto.publisher import delta_commit
+from repro.sto.publisher_iceberg import IcebergPublisher, read_iceberg_table
 from repro.sto.scrubber import _republish_version
 from tests.conftest import small_config
 
@@ -125,3 +133,60 @@ def test_every_remove_kind_publishes_the_live_rows(dw):
     del header["commitInfo"]["timestamp"], rebuilt_header["commitInfo"]["timestamp"]
     assert rebuilt_header == header
     assert rebuilt[1:] == published[1:]
+
+
+def iceberg_entries(dw, record):
+    """The entries of one published Iceberg snapshot's manifest, in a
+    canonical order."""
+    metadata = json.loads(dw.store.get(record.metadata_path).data)
+    [snapshot] = [
+        s for s in metadata["snapshots"] if s["snapshot-id"] == record.snapshot_id
+    ]
+    [ref] = json.loads(dw.store.get(snapshot["manifest-list"]).data)["manifests"]
+    entries = json.loads(dw.store.get(ref["manifest_path"]).data)["entries"]
+    return sorted(entries, key=lambda entry: json.dumps(entry, sort_keys=True))
+
+
+def test_appended_statements_publish_the_reconciled_lines(dw):
+    session = dw.session()
+    session.insert("t", ids(100))
+    session.delete("t", BinOp("<", Col("id"), Lit(10)))
+    session.begin()
+    session.insert("t", ids(5, start=1000))
+    # Replaces committed DVs, then gives a file the transaction wrote its
+    # first DV and adds the updated row: nothing is cancelled.
+    session.delete("t", BinOp("<", Col("id"), Lit(20)))
+    session.update("t", BinOp("==", Col("id"), Lit(1000)), {"v": Lit(1.0)})
+    session.commit()
+    assert_published_rows_match(dw)
+
+    txn = dw.context.sqldb.begin()
+    try:
+        row = catalog.latest_manifest(txn, TABLE_ID)
+    finally:
+        txn.abort()
+    actions = load_manifest_actions(dw.context, row["manifest_path"])
+    net, orphans = reconcile_actions(actions)
+    assert not orphans and len(net) == len(actions) and net != actions
+    assert any(isinstance(a, RemoveDeletionVector) for a in actions)
+    # What the transaction would have committed had it rewritten its
+    # manifest after every statement.
+    reconciled_path = row["manifest_path"] + ".reconciled"
+    dw.store.put(reconciled_path, encode_actions(net))
+    sequence_id = row["sequence_id"]
+
+    __, published = delta_lines(dw, len(dw.sto.publisher.published) - 1)
+    reconciled = delta_commit(dw.context, TABLE_ID, reconciled_path, sequence_id)
+    reconciled = reconciled.decode().splitlines()
+    header, reconciled_header = json.loads(published[0]), json.loads(reconciled[0])
+    del header["commitInfo"]["timestamp"], reconciled_header["commitInfo"]["timestamp"]
+    assert header == reconciled_header
+    assert sorted(published[1:]) == sorted(reconciled[1:])
+
+    [record] = [
+        r for r in dw.sto.iceberg.published if r.snapshot_id == sequence_id
+    ]
+    reference = IcebergPublisher(dw.context).publish_commit(
+        "reconciled", TABLE_ID, reconciled_path, sequence_id
+    )
+    assert iceberg_entries(dw, record) == iceberg_entries(dw, reference)
