@@ -13,10 +13,11 @@ rules into enforced ones:
   ``# repro: ignore[rule]`` suppressions and the one text report
   (``path:line: rule: message``).
 * :mod:`repro.analysis.rules` — the 8 repo-specific lint rules.
-* :mod:`repro.analysis.deep_rules` — the 2 whole-program rules
-  (``crash-unwind``, ``resource-leak``) over the call graph
-  (:mod:`~repro.analysis.callgraph`, call edges only) and per-function
-  CFGs (:mod:`~repro.analysis.cfg`).
+* :mod:`repro.analysis.deep_rules` — the whole-program rule
+  ``resource-leak`` over the call graph (:mod:`~repro.analysis.callgraph`,
+  call edges only) and per-function CFGs (:mod:`~repro.analysis.cfg`).
+  That a simulated crash unwinds to the harness is checked at run time
+  instead: the chaos sweep counts crashes raised against crashes caught.
 * :mod:`repro.analysis.si` — a snapshot-isolation *history sanitizer* that
   consumes a recorded transaction history (live via the EventBus or from a
   JSONL trace) and verifies SI axioms: first-committer-wins on overlapping

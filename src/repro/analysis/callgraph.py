@@ -100,7 +100,6 @@ class Program:
         self.calls: List[CallSite] = []
         #: per-function unresolved call names (trailing identifier only).
         self.unresolved: Dict[str, Set[str]] = {}
-        self._pred: Dict[str, List[CallSite]] = {}
         self._class_name_index: Optional[Dict[str, Optional[str]]] = None
 
     # -- loading -----------------------------------------------------------
@@ -312,8 +311,6 @@ class Program:
         self._infer_attr_types()
         for info in list(self.functions.values()):
             self._resolve_function(info)
-        for site in self.calls:
-            self._pred.setdefault(site.callee, []).append(site)
 
     def _link_bases(self) -> None:
         for info in self.classes.values():
@@ -574,20 +571,6 @@ class Program:
         if canon in self.classes:
             return self.resolve_method(canon, "__init__")
         return None
-
-    # -- graph queries -----------------------------------------------------
-
-    def transitive_callers(self, targets: Sequence[str]) -> Set[str]:
-        """Functions from which some target is reachable (targets included)."""
-        seen: Set[str] = set(targets)
-        stack = list(targets)
-        while stack:
-            current = stack.pop()
-            for site in self._pred.get(current, []):
-                if site.caller not in seen:
-                    seen.add(site.caller)
-                    stack.append(site.caller)
-        return seen
 
 
 def _dotted(node: ast.AST) -> Optional[str]:

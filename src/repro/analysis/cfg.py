@@ -394,55 +394,3 @@ def _may_raise(stmt: ast.stmt) -> bool:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return False
     return True
-
-
-def completion(stmts: List[ast.stmt]) -> Tuple[bool, bool]:
-    """``(falls_through, returns)`` for a statement list, conservatively.
-
-    ``falls_through`` — some path reaches the end of the list without an
-    unconditional ``raise``/``return``; ``returns`` — some path executes a
-    ``return``.  Used by crash-unwind: a handler *swallows* an exception
-    when either is True (the exception stops propagating).
-    """
-    falls = True
-    returns_any = False
-    for stmt in stmts:
-        if not falls:
-            break
-        if isinstance(stmt, ast.Return):
-            returns_any = True
-            falls = False
-        elif isinstance(stmt, ast.Raise):
-            falls = False
-        elif isinstance(stmt, ast.If):
-            body_falls, body_returns = completion(stmt.body)
-            else_falls, else_returns = completion(stmt.orelse)
-            returns_any = returns_any or body_returns or else_returns
-            falls = body_falls or else_falls
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            body_falls, body_returns = completion(stmt.body)
-            returns_any = returns_any or body_returns
-            falls = body_falls
-        elif isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            _, body_returns = completion(stmt.body)
-            returns_any = returns_any or body_returns
-            infinite = (
-                isinstance(stmt, ast.While)
-                and isinstance(stmt.test, ast.Constant)
-                and bool(stmt.test.value)
-                and not any(isinstance(n, ast.Break) for n in ast.walk(stmt))
-            )
-            falls = not infinite
-        elif isinstance(stmt, ast.Try):
-            body_falls, body_returns = completion(stmt.body + stmt.orelse)
-            returns_any = returns_any or body_returns
-            falls = body_falls
-            for handler in stmt.handlers:
-                h_falls, h_returns = completion(handler.body)
-                returns_any = returns_any or h_returns
-                falls = falls or h_falls
-            if stmt.finalbody:
-                fin_falls, fin_returns = completion(stmt.finalbody)
-                returns_any = returns_any or fin_returns
-                falls = falls and fin_falls
-    return falls, returns_any

@@ -1,13 +1,8 @@
-"""The whole-program ("deep") analyses: ``python -m repro.analysis --deep``.
+"""The whole-program ("deep") analysis: ``python -m repro.analysis --deep``.
 
-Two analyses run over a :class:`~repro.analysis.callgraph.Program`
+One analysis runs over a :class:`~repro.analysis.callgraph.Program`
 instead of one module at a time:
 
-``crash-unwind``
-    every function from which a registered crashpoint is reachable must
-    let ``SimulatedCrash`` unwind: the first handler that could catch it
-    (bare / ``BaseException`` / ``SimulatedCrash``) must re-raise on
-    every path.  ``chaos/`` is the process boundary and is exempt.
 ``resource-leak``
     acquire/release pairing on all CFG paths for gateway sessions,
     telemetry spans, and query-store execution tokens.  Non-``with``
@@ -15,6 +10,10 @@ instead of one module at a time:
     edge; error paths are checked with ``exc-base`` (crash-only) edges
     excluded, because a simulated process crash is *supposed* to leave
     in-flight state for recovery scavenging.
+
+That a crash unwinds to the process boundary is not a static rule: the
+chaos sweep counts every crash raised against every crash its harness
+caught (``repro.chaos.harness``).
 
 Suppressions use the same ``# repro: ignore[rule]`` comments as the
 linter; the deep runner honours and (in strict mode) validates the ones
@@ -37,7 +36,7 @@ from typing import (
 )
 
 from repro.analysis.callgraph import FunctionInfo, Program
-from repro.analysis.cfg import build_cfg, completion
+from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import GenKill, drop_exc_base
 from repro.analysis.framework import (
     Finding,
@@ -47,14 +46,10 @@ from repro.analysis.framework import (
 
 #: The deep rule names (suppressible like lint rules).
 DEEP_RULES: List[str] = [
-    "crash-unwind",
     "resource-leak",
 ]
 
 register_external_rules(DEEP_RULES)
-
-#: Modules treated as the crash process boundary (may catch SimulatedCrash).
-_CRASH_BOUNDARY_DIRS = ("chaos",)
 
 
 @dataclass(frozen=True)
@@ -113,10 +108,6 @@ def _own_nodes(func_node: ast.AST) -> Iterator[ast.AST]:
         ):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _in_dir(module: ModuleSource, directory: str) -> bool:
-    return f"/{directory}/" in "/" + module.posix
 
 
 def _receiver_chain(node: ast.AST) -> Optional[List[str]]:
@@ -186,111 +177,12 @@ def _calls_in_expr(expr: ast.AST) -> List[ast.Call]:
     ]
 
 
-# -- crash-unwind --------------------------------------------------------------
-
-_CRASH_CATCHERS = {"SimulatedCrash", "BaseException"}
-
-
-def _crashpoint_functions(program: Program) -> Set[str]:
-    out: Set[str] = set()
-    for qualname, info in program.functions.items():
-        for node in _own_nodes(info.node):
-            if (
-                isinstance(node, ast.Call)
-                and _call_tail(node) == "crashpoint"
-            ):
-                out.add(qualname)
-                break
-    return out
-
-
 def _call_tail(call: ast.Call) -> Optional[str]:
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     if isinstance(call.func, ast.Name):
         return call.func.id
     return None
-
-
-def _handler_catches_crash(handler: ast.ExceptHandler) -> bool:
-    if handler.type is None:
-        return True
-    nodes = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for node in nodes:
-        name = node.attr if isinstance(node, ast.Attribute) else (
-            node.id if isinstance(node, ast.Name) else None
-        )
-        if name in _CRASH_CATCHERS:
-            return True
-    return False
-
-
-def check_crash_unwind(program: Program) -> List[Finding]:
-    """No handler reachable from a crashpoint may swallow SimulatedCrash."""
-    cp_funcs = _crashpoint_functions(program)
-    if not cp_funcs:
-        return []
-    can_crash = program.transitive_callers(sorted(cp_funcs))
-    callsites = {(s.caller, s.lineno): s.callee for s in program.calls}
-    findings: List[Finding] = []
-    for qualname in sorted(can_crash):
-        info = program.functions[qualname]
-        module = program.modules[info.module]
-        if any(_in_dir(module, d) for d in _CRASH_BOUNDARY_DIRS):
-            continue
-        for node in _own_nodes(info.node):
-            if not isinstance(node, ast.Try):
-                continue
-            if not _try_body_can_crash(node, qualname, cp_funcs, can_crash, callsites):
-                continue
-            for handler in node.handlers:
-                if not _handler_catches_crash(handler):
-                    continue
-                falls, returns = completion(handler.body)
-                if falls or returns:
-                    how = "falls through" if falls else "returns"
-                    findings.append(
-                        _finding(
-                            module,
-                            handler.lineno,
-                            "crash-unwind",
-                            "handler catches SimulatedCrash raised inside "
-                            f"this try (via a crashpoint) but {how} without "
-                            "re-raising; a simulated crash must unwind to "
-                            "the chaos harness — add `except SimulatedCrash: "
-                            "raise` above it or re-raise",
-                        )
-                    )
-                break  # later handlers never see the crash
-    return findings
-
-
-def _try_body_can_crash(
-    node: ast.Try,
-    qualname: str,
-    cp_funcs: Set[str],
-    can_crash: Set[str],
-    callsites: Dict[Tuple[str, int], str],
-) -> bool:
-    stack: List[ast.AST] = list(node.body)
-    while stack:
-        inner = stack.pop()
-        if isinstance(
-            inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        if isinstance(inner, ast.Call):
-            if _call_tail(inner) == "crashpoint":
-                return True
-            callee = callsites.get((qualname, inner.lineno))
-            if callee is not None and callee in can_crash:
-                return True
-        stack.extend(ast.iter_child_nodes(inner))
-    return False
 
 
 # -- resource-leak -------------------------------------------------------------
@@ -764,7 +656,6 @@ def _kills_token(
 
 #: check name -> callable(program).
 _CHECKS = {
-    "crash-unwind": check_crash_unwind,
     "resource-leak": check_resource_leaks,
 }
 

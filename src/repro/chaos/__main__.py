@@ -68,7 +68,7 @@ def _run_sweep(seed: int, sites: Optional[List[str]], double_crash: bool) -> int
         print(f"\n{len(failures)} site(s) failed:", file=sys.stderr)
         for site in failures:
             for problem in site.problems:
-                print(f"  {site.site}: {problem}", file=sys.stderr)
+                print(f"  {site.label}: {problem}", file=sys.stderr)
         return 1
     print(f"\n{len(result.sites)} site(s) crashed and recovered cleanly")
     return 0

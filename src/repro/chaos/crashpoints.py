@@ -16,7 +16,9 @@ rejects an unregistered name at run time, and the tier-1 registry tests
 (``tests/test_chaos_crashpoints.py``) require every registered name to be
 instrumented exactly once, by a literal, inside ``fe/``, ``sqldb/``,
 ``sto/``, ``service/`` or ``chaos/``.  The chaos sweep then crashes and
-recovers at every site, and fails any site it armed but never reached.
+recovers at every site, and fails any site it armed but never reached,
+or whose crash (listed in :attr:`ChaosController.crashes`) never reached
+the harness because a handler on the way swallowed it.
 """
 
 from __future__ import annotations

@@ -20,6 +20,17 @@ battery of invariants is asserted over the recovered state:
   pass finds zero orphans and retains nothing as "recent".
 * **Snapshot isolation holds** — the full bus history (workload, crash,
   recovery, probe) passes the :mod:`repro.analysis.si` sanitizer.
+* **Every crash raised reaches the harness** — the sites the controller
+  fired (``ChaosController.crashes``) equal the crashes the harness's
+  ``except SimulatedCrash`` caught.  A handler on the way that swallows
+  one turns a dead process into a call that returned, and the run
+  reports "crash raised at X but swallowed before it reached the
+  harness".
+
+Besides one run per site, :data:`STEP_RUNS` crashes sites inside named
+steps: the STO jobs a user statement runs inline (the commit-triggered
+checkpoint, the compaction a scan's statistics trigger, ``tick()``) and
+the catalog commits of the checkpointer and the garbage collector.
 
 Everything is seeded: the same seed yields byte-identical sweep
 summaries, which is what makes a crash reproducible from its CLI line.
@@ -32,6 +43,7 @@ statements and STO jobs, with the same integrity battery at the end.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -88,6 +100,21 @@ SWEEP_HIT_PLAN: Dict[str, int] = {
     "service.dispatch.after_execute": 2,
 }
 
+#: Runs that crash a site inside one named workload step, beyond the one
+#: run per site: (site, step).  The site is armed as the step starts and
+#: fires at its first hit there.  The ``*_on_*`` steps run the STO inline
+#: from a user statement; the catalog commit of ``checkpoint_orders`` and
+#: ``age_and_gc`` is the checkpointer's and the garbage collector's own.
+STEP_RUNS: Tuple[Tuple[str, str], ...] = (
+    ("sqldb.commit.after_validate", "age_and_gc"),
+    ("sqldb.commit.after_validate", "checkpoint_orders"),
+    ("sto.checkpoint.after_blob_put", "checkpoint_on_commit"),
+    ("sto.checkpoint.before_blob_put", "checkpoint_on_commit"),
+    ("sto.compaction.after_commit", "compact_on_scan"),
+    ("sto.compaction.before_commit", "compact_on_scan"),
+    ("sto.compaction.before_commit", "compact_on_tick"),
+)
+
 
 def chaos_config(seed: int = 0) -> PolarisConfig:
     """Deployment configuration scaled so every crashpoint is reachable.
@@ -135,6 +162,8 @@ class ChaosWorkload:
         self.acknowledged: Dict[str, int] = {}
         self.pending: Dict[str, int] = {}
         self.table_ids: Dict[str, int] = {}
+        #: Sites of the crashes :meth:`run_until_crash` caught, in order.
+        self.crashes_caught: List[str] = []
 
     # -- steps ------------------------------------------------------------
 
@@ -221,6 +250,36 @@ class ChaosWorkload:
         """Step: one more insert after the STO cycle."""
         self.session.insert("orders", _batch(2000, 50))
 
+    def _checkpoint_on_commit(self) -> None:
+        """Step: the STO runs from here on; an update of events commits,
+        and its commit event checkpoints events inside the statement."""
+        self.warehouse.sto.enabled = True
+        self.config.sto.checkpoint_manifest_threshold = 1
+        self.session.update(
+            "events",
+            BinOp(">=", Col("id"), Lit(150)),
+            {"v": BinOp("+", Col("v"), Lit(1.0))},
+        )
+
+    def _scan_orders_after_poll(self) -> None:
+        """A scan of orders (its statistics schedule a compaction of the
+        undersized files), then the clock past the compaction's due time."""
+        self.session.sql("SELECT id FROM orders")
+        self.warehouse.context.clock.advance(self.config.sto.poll_interval_s)
+
+    def _compact_on_scan(self) -> None:
+        """Step: the second of two scans drains the compaction the first
+        one scheduled, inside the statement."""
+        self._scan_orders_after_poll()
+        self.session.sql("SELECT id FROM orders")
+
+    def _compact_on_tick(self) -> None:
+        """Step: an update leaves orders undersized files again, a scan
+        schedules their compaction, and ``tick()`` runs it."""
+        self._update_orders()
+        self._scan_orders_after_poll()
+        self.warehouse.sto.tick()
+
     def steps(self) -> List[Tuple[str, Callable[[], None], Dict[str, int]]]:
         """The ordered step list: (name, thunk, declared row-count delta)."""
         return [
@@ -236,20 +295,30 @@ class ChaosWorkload:
             ("checkpoint_orders", self._checkpoint_orders, {}),
             ("age_and_gc", self._age_and_gc, {}),
             ("final_insert", self._final_insert, {"orders": 50}),
+            ("checkpoint_on_commit", self._checkpoint_on_commit, {}),
+            ("compact_on_scan", self._compact_on_scan, {}),
+            ("compact_on_tick", self._compact_on_tick, {}),
         ]
 
-    def run_until_crash(self) -> Optional[str]:
+    def run_until_crash(
+        self, before_step: Optional[Callable[[str], None]] = None
+    ) -> Optional[str]:
         """Run the steps in order; returns the step a crash fired in.
 
         Returns None when every step completed without a simulated crash.
         The harness (not product code) catches :class:`SimulatedCrash`:
-        it plays the role of the supervisor observing the process die.
+        it plays the role of the supervisor observing the process die,
+        and records the site in :attr:`crashes_caught`.  ``before_step``
+        is called with each step's name before the step runs.
         """
         for name, thunk, delta in self.steps():
+            if before_step is not None:
+                before_step(name)
             self.pending = dict(delta)
             try:
                 thunk()
-            except SimulatedCrash:
+            except SimulatedCrash as crash:
+                self.crashes_caught.append(crash.site)
                 return name
             for table, change in self.pending.items():
                 self.acknowledged[table] = (
@@ -453,6 +522,22 @@ def _check_si(recorder: HistoryRecorder) -> List[str]:
     return ["si violation: " + line for line in format_violations(violations).splitlines()]
 
 
+def _swallowed(controller: ChaosController, caught: Sequence[str]) -> List[str]:
+    """The crashes ``controller`` raised that never reached the harness.
+
+    ``caught`` lists the sites of the crashes the harness's own ``except
+    SimulatedCrash`` saw.  A crash missing there was swallowed by a
+    handler on the way, which turned "the process died" into "the call
+    returned": the dead process's in-flight state was never left to
+    recovery.
+    """
+    missing = Counter(controller.crashes) - Counter(caught)
+    return [
+        f"crash raised at {site} but swallowed before it reached the harness"
+        for site in sorted(missing.elements())
+    ]
+
+
 def _recover_with_crashes(
     context, sto, seed: int
 ) -> Tuple[RecoveryReport, List[str]]:
@@ -469,7 +554,8 @@ def _recover_with_crashes(
     final pass runs with nothing armed and its report is returned.
 
     Returns ``(final_report, problems)`` where ``problems`` names any
-    recovery site that failed to fire (recovery no longer reaches it).
+    recovery site that failed to fire (recovery no longer reaches it) or
+    whose crash recovery swallowed.
     """
     problems: List[str] = []
     manager = RecoveryManager(context, sto=sto, strict=False)
@@ -479,12 +565,16 @@ def _recover_with_crashes(
             controller = ChaosController(
                 seed=seed, telemetry=context.telemetry
             ).arm(site, hits=crashes + 1)
+            caught: List[str] = []
             with controller:
                 try:
                     manager.recover()
-                    break
-                except SimulatedCrash:
-                    crashes += 1
+                except SimulatedCrash as crash:
+                    caught.append(crash.site)
+            problems.extend(_swallowed(controller, caught))
+            if not controller.crashes:
+                break
+            crashes += 1
         if not crashes:
             problems.append(
                 f"{site}: armed but never fired — recovery no longer "
@@ -505,11 +595,19 @@ class SiteResult:
     recovery: Optional[RecoveryReport]
     problems: List[str] = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
+    #: The step the site was armed in ("" = from the start, per
+    #: :data:`SWEEP_HIT_PLAN`).
+    step: str = ""
 
     @property
     def ok(self) -> bool:
         """Whether every invariant held for this site."""
         return not self.problems
+
+    @property
+    def label(self) -> str:
+        """The site, and the step it was armed in if any."""
+        return f"{self.site} in {self.step}" if self.step else self.site
 
     def summary(self) -> str:
         """One deterministic line describing this site's outcome."""
@@ -526,7 +624,7 @@ class SiteResult:
         counts = ",".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         status = "ok" if self.ok else f"FAIL({len(self.problems)})"
         return (
-            f"{self.site}: crash@{self.crashed_at_step or '-'} "
+            f"{self.label}: crash@{self.crashed_at_step or '-'} "
             f"recovery[{repaired}] rows[{counts}] {status}"
         )
 
@@ -599,7 +697,7 @@ def run_gateway_site(
     controller = ChaosController(seed=seed, telemetry=context.telemetry).arm(
         site, hits=SWEEP_HIT_PLAN.get(site, 1)
     )
-    crashed = False
+    caught: List[str] = []
     with controller:
         for index in range(8):
             gateway.scheduler.spawn(inserter(index), name=f"chaos-txn-{index}")
@@ -607,17 +705,21 @@ def run_gateway_site(
             gateway.scheduler.spawn(reader(index), name=f"chaos-olap-{index}")
         try:
             gateway.run()
-        except SimulatedCrash:
-            crashed = True
+        except SimulatedCrash as crash:
+            caught.append(crash.site)
 
     result = SiteResult(
-        site=site, crashed_at_step="gateway" if crashed else "", recovery=None
+        site=site,
+        crashed_at_step="gateway" if caught else "",
+        recovery=None,
+        problems=_swallowed(controller, caught),
     )
-    if not crashed:
+    if not controller.crashes:
         result.problems.append(
             f"{site}: armed but never fired — the gateway workload no "
             "longer reaches this site"
         )
+    if not caught:
         recorder.detach()
         return result
 
@@ -703,9 +805,16 @@ def run_gateway_site(
     return result
 
 
-def run_site(site: str, seed: int = 0, double_crash: bool = False) -> SiteResult:
+def run_site(
+    site: str,
+    seed: int = 0,
+    double_crash: bool = False,
+    step: Optional[str] = None,
+) -> SiteResult:
     """Crash one fresh deployment at ``site``, recover, check invariants.
 
+    The site fires at the hit :data:`SWEEP_HIT_PLAN` names or, given a
+    :class:`ChaosWorkload` ``step``, at its first hit inside that step.
     With ``double_crash`` the restart is crashed too: recovery is re-run
     with each ``recovery.*`` site armed in turn (dying mid-pass every
     time) before the final clean pass the invariants are checked against.
@@ -721,17 +830,30 @@ def run_site(site: str, seed: int = 0, double_crash: bool = False) -> SiteResult
     workload = ChaosWorkload(seed)
     warehouse = workload.warehouse
     context = warehouse.context
-    controller = ChaosController(
-        seed=seed, telemetry=context.telemetry
-    ).arm(site, hits=SWEEP_HIT_PLAN.get(site, 1))
+    controller = ChaosController(seed=seed, telemetry=context.telemetry)
+    if step is None:
+        controller.arm(site, hits=SWEEP_HIT_PLAN.get(site, 1))
+
+    def before_step(name: str) -> None:
+        """Arm ``site`` as ``step`` starts."""
+        if name == step:
+            controller.arm(site)
+
     with controller:
-        crashed_at = workload.run_until_crash()
-    result = SiteResult(site=site, crashed_at_step=crashed_at or "", recovery=None)
-    if crashed_at is None:
+        crashed_at = workload.run_until_crash(before_step)
+    result = SiteResult(
+        site=site,
+        crashed_at_step=crashed_at or "",
+        recovery=None,
+        problems=_swallowed(controller, workload.crashes_caught),
+        step=step or "",
+    )
+    if not controller.crashes:
         result.problems.append(
             f"{site}: armed but never fired — the workload no longer "
             "reaches this site"
         )
+    if crashed_at is None:
         workload.recorder.detach()
         return result
 
@@ -803,14 +925,20 @@ def run_crash_sweep(
 ) -> ChaosSweepResult:
     """Crash at every workload-reachable site and verify recovery.
 
+    One run per site, then the :data:`STEP_RUNS` of those sites.
     ``recovery.*`` sites are excluded from the default enumeration (they
     only fire inside a recovery pass); pass ``double_crash=True`` to
-    additionally crash recovery itself at every one of them per site.
+    additionally crash recovery itself at every one of them per run.
     """
     targets = list(sites) if sites is not None else list(WORKLOAD_SITES)
     result = ChaosSweepResult(seed=seed)
     for site in targets:
         result.sites.append(run_site(site, seed, double_crash=double_crash))
+    for site, step in STEP_RUNS:
+        if site in targets:
+            result.sites.append(
+                run_site(site, seed, double_crash=double_crash, step=step)
+            )
     return result
 
 

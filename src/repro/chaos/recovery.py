@@ -26,8 +26,8 @@ one reads, so the order *is* the protocol:
    a checkpoint blob with no row is deleted so a re-run checkpoint can
    write the same path again.
 4. **Cold caches** — the snapshot cache, the decompressed-chunk cache,
-   the plan cache and the optimizer's index cache are process state;
-   drop all four.
+   the plan cache and the optimizer's index and statistics caches are
+   process state: ``ServiceContext.drop_process_memory`` drops all five.
 5. **Publish completion** — committed manifests newer than the last
    published Delta version are (re)published, after re-deriving the
    publisher's state from the ``_delta_log`` blobs themselves.
@@ -140,11 +140,7 @@ class RecoveryManager:
             crashpoint("recovery.staged.after_discard")
             self._reconcile_catalog(report)
             crashpoint("recovery.catalog.after_reconcile")
-            context.cache.invalidate()
-            context.chunk_cache.clear()
-            context.plan_cache.clear()
-            context.optimizer.index_cache.clear()
-            context.optimizer.stats_cache.clear()
+            context.drop_process_memory()
             self._complete_publishes(report)
             crashpoint("recovery.publish.after_complete")
             # Process state commutes: any participant order is correct.

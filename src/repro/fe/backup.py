@@ -73,14 +73,10 @@ def restore_backup(
     # or snapshot reconstruction would see history run backwards.
     engine.advance_commit_seq_past(max_sequence_id)
     context.sqldb = engine
-    # Fresh engine means fresh visibility; cached snapshots may reference
-    # rolled-back history, so they are discarded wholesale.
-    from repro.fe.manifest_io import make_snapshot_cache
-
-    context.cache = make_snapshot_cache(context)
-    # Plans were bound against the replaced engine's Tables rows, whose
-    # install sequence the fresh engine restarts.
-    context.plan_cache.clear()
+    # Fresh engine means fresh visibility: cached snapshots may reference
+    # rolled-back history, and plans and statistics are keyed on install
+    # sequences the fresh engine restarts.
+    context.drop_process_memory()
     while context.table_ids.last <= max_table_id:
         context.table_ids.next()
 

@@ -181,3 +181,15 @@ class ServiceContext:
         for recorded in _RECORDINGS:
             recorded.append(context)
         return context
+
+    def drop_process_memory(self) -> None:
+        """Forget everything this process cached from the store and the
+        catalog: snapshots, chunks and footers, bound plans, index blobs
+        and statistics.  Recovery calls it (a restarted process starts
+        cold), and so does a restore (the catalog they came from is
+        gone)."""
+        self.cache.invalidate()
+        self.chunk_cache.clear()
+        self.plan_cache.clear()
+        self.optimizer.index_cache.clear()
+        self.optimizer.stats_cache.clear()

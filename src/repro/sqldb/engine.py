@@ -64,8 +64,11 @@ class SqlDbEngine:
             txn.validate(self.store)
             crashpoint("sqldb.commit.after_validate")
             commit_seq = self._commit_seq.next()
-            if txn._pre_install_hook is not None:
-                txn._pre_install_hook(commit_seq)
+            # Run once and drop: the hook closes over its FE transaction,
+            # which holds this one — kept, the pair would be a cycle.
+            hook, txn._pre_install_hook = txn._pre_install_hook, None
+            if hook is not None:
+                hook(commit_seq)
             for key, value in sorted(txn.buffered_writes().items()):
                 stored = value if value is TOMBSTONE else dict(value)
                 self.store.install(key, commit_seq, stored, txn.txid)

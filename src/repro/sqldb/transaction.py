@@ -231,7 +231,8 @@ class SqlDbTransaction:
         of Figure 4): the sequence is only known once the commit lock is
         held, so the rows are materialized at that point.  Hook writes
         bypass conflict validation — they must target fresh keys (which
-        sequence-keyed rows are by construction).
+        sequence-keyed rows are by construction).  The engine runs it once
+        and drops it; an abort drops it too.
         """
         self._pre_install_hook = hook
 
@@ -249,6 +250,7 @@ class SqlDbTransaction:
             commit_seq = self._engine.commit_transaction(self)
         except (WriteConflictError, SerializationError):
             self.state = TxnState.ABORTED
+            self._pre_install_hook = None
             self._engine.forget(self)
             raise
         self.state = TxnState.COMMITTED
@@ -262,6 +264,7 @@ class SqlDbTransaction:
             raise TransactionStateError(f"txn {self.txid} already committed")
         self.state = TxnState.ABORTED
         self._writes.clear()
+        self._pre_install_hook = None
         self._engine.forget(self)
 
     # -- validation (called by the engine under the commit lock) ---------------

@@ -246,45 +246,36 @@ class Watchdog:
             self._bus.publish("watchdog.alert", **record)
 
 
-def default_rules(
-    abort_rate_per_s: float = 0.5,
-    red_table_hold_s: float = 120.0,
-    backoff_saturation: float = 0.5,
-    admission_queue_depth: float = 100.0,
-    admission_queue_hold_s: float = 30.0,
-    plan_regression_rate_per_s: float = 0.01,
-    commit_lock_saturation: float = 0.5,
-) -> List[WatchdogRule]:
+def default_rules() -> List[WatchdogRule]:
     """The stock rule set wired in by ``facade.WATCHDOG_ENABLED``.
 
     * ``abort_rate_spike`` — commit failures accumulating faster than
-      ``abort_rate_per_s`` per simulated second.
+      0.5 per simulated second.
     * ``red_table_lingering`` — at least one table stuck below the
-      storage-health thresholds for ``red_table_hold_s``.
-    * ``retry_backoff_saturation`` — more than ``backoff_saturation``
-      seconds of retry backoff charged per second of simulated time.
+      storage-health thresholds for 120 s.
+    * ``retry_backoff_saturation`` — more than 0.5 seconds of retry
+      backoff charged per second of simulated time.
     * ``admission_queue_saturation`` — the gateway's admission queues
-      holding at least ``admission_queue_depth`` requests continuously
-      for ``admission_queue_hold_s`` (load shedding should engage long
-      before the queues pin at capacity).
+      holding at least 100 requests continuously for 30 s (load shedding
+      should engage long before the queues pin at capacity).
     * ``plan_latency_regression`` — query-store fingerprints whose recent
       p95 regressed past their stored baseline, accumulating faster than
-      ``plan_regression_rate_per_s`` per simulated second (requires
+      0.01 per simulated second (requires
       ``TelemetryConfig.query_store_enabled``; the counter never moves
       otherwise).
     * ``integrity_unrepairable`` — the scrubber found at least one corrupt
       blob with no redundant source to rebuild from (permanent data loss;
       fires immediately, no hold).
-    * ``commit_lock_contention`` — committers accumulating more than
-      ``commit_lock_saturation`` seconds of commit-lock queue wait per
-      second of simulated time: the serialized validation phase has
-      become the bottleneck (the evidence the group-commit work needs).
+    * ``commit_lock_contention`` — committers accumulating more than 0.5
+      seconds of commit-lock queue wait per second of simulated time: the
+      serialized validation phase has become the bottleneck (the evidence
+      the group-commit work needs).
     """
     return [
         WatchdogRule(
             name="abort_rate_spike",
             metric="txn.commit_failures",
-            threshold=abort_rate_per_s,
+            threshold=0.5,
             mode="rate",
         ),
         WatchdogRule(
@@ -292,25 +283,25 @@ def default_rules(
             metric="sto.unhealthy_tables",
             threshold=1.0,
             mode="value",
-            hold_s=red_table_hold_s,
+            hold_s=120.0,
         ),
         WatchdogRule(
             name="retry_backoff_saturation",
             metric="storage.retry_backoff_s",
-            threshold=backoff_saturation,
+            threshold=0.5,
             mode="rate",
         ),
         WatchdogRule(
             name="admission_queue_saturation",
             metric="service.queue_depth",
-            threshold=admission_queue_depth,
+            threshold=100.0,
             mode="value",
-            hold_s=admission_queue_hold_s,
+            hold_s=30.0,
         ),
         WatchdogRule(
             name="plan_latency_regression",
             metric="querystore.plan_regressions",
-            threshold=plan_regression_rate_per_s,
+            threshold=0.01,
             mode="rate",
         ),
         WatchdogRule(
@@ -322,7 +313,7 @@ def default_rules(
         WatchdogRule(
             name="commit_lock_contention",
             metric="sqldb.commit_lock_wait_s",
-            threshold=commit_lock_saturation,
+            threshold=0.5,
             mode="rate",
         ),
     ]

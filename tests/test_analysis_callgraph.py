@@ -137,8 +137,6 @@ def test_plain_and_decorated_calls_resolve(program):
 def test_call_cycle_is_navigable_both_ways(program):
     assert "pkg.core.pong" in edges(program, "pkg.core.ping")
     assert "pkg.core.ping" in edges(program, "pkg.core.pong")
-    callers = program.transitive_callers(["pkg.core.pong"])
-    assert {"pkg.core.ping", "pkg.core.run", "pkg.reexp.via_reexport"} <= callers
 
 
 def test_reexport_resolves_to_defining_module(program):

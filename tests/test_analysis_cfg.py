@@ -9,7 +9,7 @@ forward gen/kill solver.
 import ast
 import textwrap
 
-from repro.analysis.cfg import EXC, EXC_BASE, NORMAL, build_cfg, completion
+from repro.analysis.cfg import EXC, EXC_BASE, NORMAL, build_cfg
 from repro.analysis.dataflow import GenKill, drop_exc_base
 
 
@@ -173,34 +173,3 @@ def test_safe_statements_have_no_exc_edges():
     ):
         kinds = {kind for _, kind in block.succs}
         assert EXC not in kinds and EXC_BASE not in kinds
-
-
-def parse_stmts(source):
-    return ast.parse(textwrap.dedent(source)).body
-
-
-def test_completion_return_and_raise():
-    assert completion(parse_stmts("return 1")) == (False, True)
-    assert completion(parse_stmts("raise ValueError()")) == (False, False)
-    assert completion(parse_stmts("x = 1")) == (True, False)
-
-
-def test_completion_branches():
-    both_raise = """
-    if cond:
-        raise ValueError()
-    else:
-        raise KeyError()
-    """
-    assert completion(parse_stmts(both_raise)) == (False, False)
-    one_falls = """
-    if cond:
-        raise ValueError()
-    """
-    assert completion(parse_stmts(one_falls)) == (True, False)
-    body_returns = """
-    if cond:
-        return 1
-    raise ValueError()
-    """
-    assert completion(parse_stmts(body_returns)) == (False, True)

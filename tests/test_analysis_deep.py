@@ -10,7 +10,6 @@ from pathlib import Path
 from repro.analysis.callgraph import Program
 from repro.analysis.deep_rules import (
     DEEP_RULES,
-    check_crash_unwind,
     check_resource_leaks,
     run_deep,
 )
@@ -30,96 +29,6 @@ def load(tmp_path, files):
 
 def rules_of(findings):
     return [f.rule for f in findings]
-
-
-# -- crash-unwind --------------------------------------------------------------
-
-_SWALLOWER = """
-    def risky():
-        try:
-            crashpoint("x")
-            return work()
-        except BaseException:{suppress}
-            return None
-"""
-
-
-def test_crash_unwind_swallow_detected(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/engine.py": _SWALLOWER.format(suppress=""),
-        },
-    )
-    findings = check_crash_unwind(program)
-    assert rules_of(findings) == ["crash-unwind"]
-    assert "returns" in findings[0].message
-
-
-def test_crash_unwind_caller_of_crashpoint_also_checked(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/inner.py": """
-                def unsafe_op():
-                    crashpoint("deep.site")
-            """,
-            "pkg/outer.py": """
-                from pkg.inner import unsafe_op
-
-
-                def caller():
-                    try:
-                        unsafe_op()
-                    except:
-                        pass
-            """,
-        },
-    )
-    findings = check_crash_unwind(program)
-    assert any(f.path.endswith("outer.py") for f in findings)
-
-
-def test_crash_unwind_reraise_and_exception_handler_clean(tmp_path):
-    program = load(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/engine.py": """
-                def reraises():
-                    try:
-                        crashpoint("x")
-                    except BaseException:
-                        cleanup()
-                        raise
-
-
-                def exception_only():
-                    try:
-                        crashpoint("x")
-                    except Exception:
-                        return None
-            """,
-        },
-    )
-    # ``except Exception`` cannot catch SimulatedCrash, so only an
-    # actually-catching handler that fails to re-raise is a violation.
-    assert check_crash_unwind(program) == []
-
-
-def test_crash_unwind_suppression_honoured(tmp_path):
-    pkg = write_tree(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/engine.py": _SWALLOWER.format(
-                suppress="  # repro: ignore[crash-unwind]"
-            ),
-        },
-    )
-    assert run_deep([pkg], checks=["crash-unwind"]) == []
 
 
 # -- resource-leak -------------------------------------------------------------
@@ -315,4 +224,4 @@ def test_run_deep_strict_flags_useless_deep_suppression(tmp_path):
 
 
 def test_deep_rule_names_are_registered():
-    assert DEEP_RULES == ["crash-unwind", "resource-leak"]
+    assert DEEP_RULES == ["resource-leak"]

@@ -342,3 +342,37 @@ class TestIdempotence:
         RecoveryManager(dw.context, sto=dw.sto).recover()
         assert len(events) == 1
         assert dw.telemetry.metrics.value("recovery.runs") == 1
+
+
+class TestProcessMemory:
+    """Recovery and a restore both start from a cold process: every cache
+    filled from the store or the catalog is dropped in one place."""
+
+    @staticmethod
+    def warm(dw):
+        sql = SqlSession(dw.session())
+        assert list(sql.execute("SELECT v FROM t WHERE id = 7")["v"]) == [7.0]
+        return TestProcessMemory.sizes(dw.context)
+
+    @staticmethod
+    def sizes(context):
+        optimizer = context.optimizer
+        return {
+            "snapshots": sum(len(v) for v in context.cache._entries.values()),
+            "chunks": len(context.chunk_cache),
+            "plans": len(context.plan_cache),
+            "indexes": len(optimizer.index_cache),
+            "stats": len(optimizer.stats_cache),
+        }
+
+    def test_recovery_and_restore_leave_every_cache_empty(self, loaded):
+        dw, session, __ = loaded
+        session.analyze_table("t")
+        session.create_index("t", "idx", "id")
+        cold = dict.fromkeys(self.sizes(dw.context), 0)
+        assert all(self.warm(dw).values())
+        RecoveryManager(dw.context, sto=dw.sto).recover()
+        assert self.sizes(dw.context) == cold
+        assert all(self.warm(dw).values())
+        dw.restore(dw.backup())
+        assert self.sizes(dw.context) == cold

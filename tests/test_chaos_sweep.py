@@ -2,19 +2,21 @@
 
 import pytest
 
-from repro.chaos import CRASHPOINTS, run_crash_sweep, run_longevity
+from repro.chaos import CRASHPOINTS, SimulatedCrash, run_crash_sweep, run_longevity
 from repro.chaos.harness import (
     RECOVERY_SITES,
+    STEP_RUNS,
     WORKLOAD_SITES,
     ChaosWorkload,
     run_site,
 )
+from repro.sto import orchestrator
 
 
 class TestCrashSweep:
     def test_full_sweep_crashes_and_recovers_every_site(self):
         result = run_crash_sweep(seed=0)
-        assert len(result.sites) == len(WORKLOAD_SITES)
+        assert len(result.sites) == len(WORKLOAD_SITES) + len(STEP_RUNS)
         assert set(WORKLOAD_SITES) | set(RECOVERY_SITES) == set(CRASHPOINTS)
         problems = [
             f"{site.site}: {problem}"
@@ -24,7 +26,31 @@ class TestCrashSweep:
         assert result.ok, "\n".join(problems)
         for site in result.sites:
             assert site.crashed_at_step, f"{site.site} never fired"
+            assert site.crashed_at_step == (site.step or site.crashed_at_step)
             assert site.recovery is not None
+
+    def test_swallowed_crash_fails_the_site(self, monkeypatch):
+        # A handler on the crash path that turns the crash into a return:
+        # the statement completes, so only the raised-vs-caught count
+        # can tell the process was supposed to be dead.
+        real = orchestrator.run_checkpoint
+
+        def swallowing(context, table_id):
+            try:
+                return real(context, table_id)
+            except SimulatedCrash:
+                return None
+
+        monkeypatch.setattr(orchestrator, "run_checkpoint", swallowing)
+        site = "sto.checkpoint.before_blob_put"
+        result = run_crash_sweep(seed=0, sites=[site])
+        assert [run.step for run in result.sites] == ["", "checkpoint_on_commit"]
+        for run in result.sites:
+            assert run.crashed_at_step == ""
+            assert run.problems == [
+                f"crash raised at {site} but swallowed before it reached "
+                "the harness"
+            ]
 
     def test_sweep_is_deterministic(self):
         subset = [

@@ -7,7 +7,12 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import DcpConfig, PolarisConfig
-from repro.common.errors import DcpError, TaskFailedError, TopologyError
+from repro.common.errors import (
+    DcpError,
+    SimulatedCrash,
+    TaskFailedError,
+    TopologyError,
+)
 from repro.dcp import autoscaler, costmodel
 from repro.dcp import scheduler as dcp_scheduler
 from repro.dcp import wlm as dcp_wlm
@@ -186,6 +191,21 @@ class TestScheduler:
         clean.add_task(Task("t", lambda c: None, est_rows=2_000_000))
         r_clean = scheduler2.execute(clean, wlm=WorkloadManager(DcpConfig()))
         assert r_flaky.makespan > r_clean.makespan
+
+    def test_crash_in_a_task_leaves_execute_as_itself(self):
+        # No crashpoint runs inside a task today, so the sweep never
+        # crosses the scheduler's two crash-transparent handlers.
+        scheduler, _ = make_scheduler()
+        wlm = WorkloadManager(DcpConfig())
+
+        def die(context):
+            raise SimulatedCrash("fe.write.before_manifest_flush")
+
+        dag = WorkflowDag()
+        dag.add_task(Task("ok", lambda c: 1))
+        dag.add_task(Task("dies", die), depends_on=["ok"])
+        with pytest.raises(SimulatedCrash):
+            scheduler.execute(dag, wlm=wlm)
 
     def test_pool_routing(self, monkeypatch):
         monkeypatch.setattr(dcp_wlm, "SLOTS_PER_NODE", 1)

@@ -18,7 +18,11 @@ from repro import (
     Warehouse,
     and_,
 )
-from repro.common.errors import CatalogError, SchemaMismatchError
+from repro.common.errors import (
+    CatalogError,
+    SchemaMismatchError,
+    WriteConflictError,
+)
 from tests.conftest import small_config
 
 
@@ -247,5 +251,29 @@ class TestSessionLifetime:
         try:
             del session
             assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_finished_writers_are_freed_without_the_cyclic_collector(
+        self, dw, session
+    ):
+        """The commit hook that stamps a writer's manifest rows is dropped
+        once the engine ran it, and when the loser of a first-committer-
+        wins race aborts, so neither transaction outlives its last
+        reference."""
+        session.insert("t", ids(20))
+        loser_session = dw.session()
+        winner = session.begin()
+        loser = loser_session.begin()
+        for each in (session, loser_session):
+            each.update("t", BinOp("<", Col("id"), Lit(5)), {"v": Lit(0.0)})
+        session.commit()
+        with pytest.raises(WriteConflictError):
+            loser_session.commit()
+        refs = [weakref.ref(winner), weakref.ref(loser)]
+        gc.disable()
+        try:
+            del winner, loser
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
