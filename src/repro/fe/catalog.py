@@ -1,9 +1,10 @@
 """Logical metadata operations (DDL) over the SQL DB catalog.
 
 Table rows carry the logical schema plus the designated distribution
-column (the ``d(r)`` function of Figure 2).  DDL runs inside the caller's
-root transaction, so CREATE TABLE participates in Snapshot Isolation like
-any other statement.
+column and the bucket count its hash used at CREATE (together the
+``d(r)`` function of Figure 2, :class:`~repro.dcp.cells.Placement`).
+DDL runs inside the caller's root transaction, so CREATE TABLE
+participates in Snapshot Isolation like any other statement.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import CatalogError
+from repro.dcp.cells import Placement
 from repro.fe.context import ServiceContext
 from repro.pagefile.schema import Schema
 from repro.sqldb import system_tables as tables
@@ -25,12 +27,15 @@ def create_table(
     distribution_column: Optional[str] = None,
     sort_column: Union[str, Sequence[str], None] = None,
     unique_column: Optional[str] = None,
+    buckets: Optional[int] = None,
 ) -> int:
     """Create a logical table; returns its table id.
 
     ``distribution_column`` is the hash function d(r) that spreads rows
-    across cells; ``sort_column`` is the partitioning function p(r) that
-    orders rows inside each data file for range retrieval (Figure 2 /
+    across cells, into ``buckets`` buckets (the warehouse's
+    ``distributions`` unless a clone passes its source's);
+    ``sort_column`` is the partitioning function p(r) that orders rows
+    inside each data file for range retrieval (Figure 2 /
     Section 2.3 — the engine's stand-in for Z-ordering on one key);
     ``unique_column`` opts into unique-key enforcement, which the paper
     deliberately leaves off by default (Section 4.4.3).
@@ -54,6 +59,7 @@ def create_table(
     extras = {}
     if distribution_column is not None:
         extras["distribution_column"] = distribution_column
+        extras["distributions"] = buckets or context.config.distributions
     if sort_column is not None:
         # Normalized so backups (JSON) round-trip identically.
         extras["sort_column"] = (
@@ -80,6 +86,16 @@ def describe_table(txn: SqlDbTransaction, name: str) -> Dict[str, Any]:
 def table_schema(row: Dict[str, Any]) -> Schema:
     """Parse the schema out of a Tables row."""
     return Schema.from_dict(row["schema"])
+
+
+def table_placement(row: Dict[str, Any]) -> Optional[Placement]:
+    """How a Tables row hashes its rows into buckets, or None for a table
+    without a distribution column (its rows go round-robin)."""
+    column = row.get("distribution_column")
+    if column is None:
+        return None
+    kind = next(field["type"] for field in row["schema"] if field["name"] == column)
+    return Placement(column, kind, row["distributions"])
 
 
 def list_table_names(txn: SqlDbTransaction) -> List[str]:

@@ -41,6 +41,7 @@ def clone_table(
         table_schema(source),
         distribution_column=source.get("distribution_column"),
         sort_column=source.get("sort_column"),
+        buckets=source.get("distributions"),
     )
     newest = 0
     for row in catalog.manifests_for_table(txn, source["table_id"]):

@@ -68,7 +68,9 @@ def scan_table(
         else txn.table_snapshot(table_id, table.sequence_id)
     )
     # File-level pruning: manifests carry per-file zone maps, so whole
-    # files that cannot match are dropped before any cell is scheduled.
+    # files that cannot match are dropped before any cell is scheduled,
+    # and so are files of other buckets than an equality literal's on
+    # the distribution column.
     # Secondary indexes prune further: equality conjuncts drop covered
     # files the index proves cannot match (hash-distributed keys defeat
     # zone maps, but not a sorted run).  Health statistics are reported
@@ -76,7 +78,7 @@ def scan_table(
     full_snapshot = snapshot
     if scan.prune:
         snapshot = _prune_snapshot(
-            snapshot, scan.prune, snapshot_zone_maps(context, table_id, snapshot)
+            snapshot, scan.prune, snapshot_zone_maps(context, table.row, snapshot)
         )
         if context.optimizer is not None:
             snapshot = context.optimizer.prune_snapshot(
@@ -280,14 +282,10 @@ def execute_query_profiled(
 
 
 def _prune_snapshot(
-    snapshot: TableSnapshot, prune, zone_maps: Optional[ZoneMaps] = None
+    snapshot: TableSnapshot, prune, zone_maps: ZoneMaps
 ) -> TableSnapshot:
-    """A snapshot view keeping only files whose zone maps may match.
-
-    ``zone_maps`` are ``snapshot``'s (built here when not given).
-    """
-    if zone_maps is None:
-        zone_maps = ZoneMaps(snapshot.files)
+    """A snapshot view keeping only the files of ``snapshot`` that its
+    ``zone_maps`` say may match."""
     keep = zone_maps.keep(tuple(prune))
     if keep.all():
         return snapshot

@@ -6,13 +6,15 @@ disjoint cells, so manifest entries never need merging across BE nodes:
 * **insert** — one task per target distribution; each writes a private
   data file and stages a manifest block with its ``AddDataFile`` action.
 * **bulk load** — one task per *source file* (reading within a source file
-  does not scale out; this is the bottleneck shape of Figure 7).
+  does not scale out; this is the bottleneck shape of Figure 7); its files
+  are *mixed*, since a source file's rows span every bucket.
 * **delete** — one task per cell; each computes matched row positions per
   data file, writes merged deletion-vector files, and stages
   ``RemoveDeletionVector``/``AddDeletionVector`` blocks.
 * **update** — delete plus insert in one statement: matched rows are
   DV-masked in place and re-written (with assignments applied) as new
-  data files in the same cell.
+  data files in the same cell, labelled with their rows' bucket, or mixed
+  when they span several (:func:`rewrite_label`).
 
 The FE aggregates the block ids returned by the tasks and flushes the
 transaction manifest: appends for inserts, a reconciling rewrite for
@@ -26,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import FileFormatError
-from repro.dcp.cells import Cell, cells_for_snapshot, distribution_of
+from repro.dcp.cells import Cell, Placement, cells_for_snapshot
 from repro.dcp.channels import estimate_batch_bytes
 from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
@@ -34,7 +36,7 @@ from repro.engine.batch import Batch, num_rows
 from repro.engine.expressions import Expr, evaluate
 from repro.engine.statistics import TableStats, collect_stats
 from repro.engine.zorder import zorder_permutation
-from repro.fe.catalog import table_schema
+from repro.fe.catalog import table_placement, table_schema
 from repro.fe.context import ServiceContext
 from repro.fe.transaction import PolarisTransaction
 from repro.lst.actions import (
@@ -77,8 +79,10 @@ def _write_data_file(
     columns: Batch,
     distribution: int,
     sort_column: "str | Sequence[str] | None" = None,
+    mixed: bool = False,
 ) -> DataFileInfo:
-    """Write one private data file; returns its manifest descriptor.
+    """Write one private data file labelled ``distribution`` (``mixed``
+    when its rows may span buckets); returns its manifest descriptor.
 
     With ``sort_column`` (the table's partitioning function p(r),
     Section 2.3) rows are ordered before writing, which tightens both the
@@ -107,7 +111,28 @@ def _write_data_file(
         distribution=distribution,
         column_stats=_file_column_stats(schema, columns),
         checksum=blob.metadata.get(CHECKSUM_KEY, ""),
+        mixed=mixed,
     )
+
+
+def rewrite_label(
+    placement: Optional[Placement], columns: Batch, distribution: int
+) -> Tuple[int, bool]:
+    """``(distribution, mixed)`` for a file rewriting rows of cell
+    ``distribution`` (an UPDATE's output, a compaction's): the bucket all
+    its rows hash to when there is one, else the cell's label, mixed.
+
+    An UPDATE that assigns the distribution column, a compaction of mixed
+    files, and a table restored into a warehouse with another bucket
+    count all write rows whose bucket is not the cell's; the label says
+    so instead of hiding them from a point lookup.
+    """
+    if placement is None:
+        return distribution, False
+    bucket = placement.bucket_of_rows(columns[placement.column])
+    if bucket is None:
+        return distribution, True
+    return bucket, False
 
 
 def _file_column_stats(schema: Schema, columns: Batch):
@@ -209,11 +234,15 @@ def occupied_cells(
 
 
 def snapshot_zone_maps(
-    context: ServiceContext, table_id: int, snapshot: TableSnapshot
+    context: ServiceContext, table_row: Dict[str, Any], snapshot: TableSnapshot
 ) -> ZoneMaps:
-    """The snapshot's file zone maps, derived once per cached snapshot."""
+    """The snapshot's file zone maps under its table's placement, derived
+    once per cached snapshot."""
     return context.cache.derived(
-        table_id, snapshot, "zone_maps", lambda: ZoneMaps(snapshot.files)
+        table_row["table_id"],
+        snapshot,
+        "zone_maps",
+        lambda: ZoneMaps(snapshot.files, table_placement(table_row)),
     )
 
 
@@ -298,8 +327,9 @@ def execute_bulk_load(
         for index, (batch, rows) in enumerate(zip(source_batches, totals))
         if rows
     ]
+    mixed = table_placement(table_row) is not None
     return _write_files(
-        context, txn, table_row, schema, parts, total, advance_clock
+        context, txn, table_row, schema, parts, total, advance_clock, mixed
     )
 
 
@@ -311,10 +341,12 @@ def _write_files(
     parts: Sequence[Tuple[str, Batch, int, int]],
     total: int,
     advance_clock: bool = True,
+    mixed: bool = False,
 ) -> int:
     """Write each ``(task_id, batch, rows, distribution)`` part as one
-    data file plus one manifest block in its own write task, then append
-    the blocks, ordered by task id, to the transaction's manifest."""
+    data file (``mixed`` or not) plus one manifest block in its own write
+    task, then append the blocks, ordered by task id, to the
+    transaction's manifest."""
     table_id = table_row["table_id"]
     sort_column = table_row.get("sort_column")
     dag = WorkflowDag()
@@ -325,7 +357,7 @@ def _write_files(
         ) -> Tuple[List[str], List[Action], int]:
             info = _write_data_file(
                 context, txn, table_id, schema, part, distribution,
-                sort_column=sort_column,
+                sort_column=sort_column, mixed=mixed,
             )
             actions: List[Action] = [AddDataFile(info)]
             writer = txn.manifest_writer(table_id)
@@ -402,8 +434,11 @@ def _execute_mutation(
         return 0, 0
     dag = WorkflowDag()
     prune_list = list(prune)
+    placement = table_placement(table_row)
+    # Files zone maps or the key's bucket rule out are skipped inside each
+    # cell's task: the DAG, and what the clock charges for it, stay put.
     matching = (
-        set(snapshot_zone_maps(context, table_id, snapshot).matching(prune_list))
+        set(snapshot_zone_maps(context, table_row, snapshot).matching(prune_list))
         if prune_list
         else None
     )
@@ -454,9 +489,12 @@ def _execute_mutation(
                     matched_rows.append(kept)
             if assignments is not None and matched_rows:
                 updated = _apply_assignments(matched_rows, assignments, schema)
+                distribution, mixed = rewrite_label(
+                    placement, updated, cell.distribution
+                )
                 info = _write_data_file(
-                    context, txn, table_id, schema, updated, cell.distribution,
-                    sort_column=table_row.get("sort_column"),
+                    context, txn, table_id, schema, updated, distribution,
+                    sort_column=table_row.get("sort_column"), mixed=mixed,
                 )
                 actions.append(AddDataFile(info))
             if not actions:
@@ -521,9 +559,9 @@ def _apply_assignments(
 def _distribution_assignment(
     context: ServiceContext, table_row: Dict[str, Any], batch: Batch, total: int
 ) -> np.ndarray:
-    column = table_row.get("distribution_column")
-    if column is not None:
-        return distribution_of(np.asarray(batch[column]), context.config.distributions)
+    placement = table_placement(table_row)
+    if placement is not None:
+        return placement.buckets_of(batch[placement.column])
     return np.arange(total, dtype=np.int64) % context.config.distributions
 
 

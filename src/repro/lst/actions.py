@@ -29,8 +29,10 @@ class DataFileInfo:
     num_rows: int
     #: Size of the file in bytes.
     size_bytes: int
-    #: Hash distribution (bucket) this file's rows belong to; drives cell
-    #: assignment in the DCP.
+    #: The bucket this file is labelled with; drives cell assignment in
+    #: the DCP.  Unless :attr:`mixed`, every row's distribution-column
+    #: value hashes to it under the table's placement (which is what lets
+    #: an equality predicate on that column skip other buckets' files).
     distribution: int
     #: File-level zone maps: ``(column, min, max)`` triples recorded at
     #: write time.  Scans prune whole files against their predicates
@@ -43,6 +45,11 @@ class DataFileInfo:
     #: witness: a swapped or rotted blob fails the cross-check even if its
     #: own metadata was rewritten.
     checksum: str = ""
+    #: True when the file's rows may hash to any bucket: bulk-load output
+    #: (placed one source file per cell), and an UPDATE's or compaction's
+    #: output whose rows span buckets.  Written to the wire only when set,
+    #: so hash-placed files' lines carry no marker.
+    mixed: bool = False
 
     def stats_for(self, column: str) -> "Tuple[Any, Any] | None":
         """(min, max) recorded for ``column``, or None."""
@@ -53,7 +60,7 @@ class DataFileInfo:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (manifest wire format)."""
-        return {
+        out = {
             "name": self.name,
             "path": self.path,
             "num_rows": self.num_rows,
@@ -62,10 +69,16 @@ class DataFileInfo:
             "column_stats": [list(entry) for entry in self.column_stats],
             "checksum": self.checksum,
         }
+        if self.mixed:
+            out["mixed"] = True
+        return out
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "DataFileInfo":
         """Inverse of :meth:`to_dict`."""
+        # The writer puts the marker only on mixed files, and only as true.
+        if raw.get("mixed", True) is not True:
+            raise ValueError(f"mixed must be true when present, not {raw['mixed']!r}")
         return cls(
             name=_text(raw, "name"),
             path=raw["path"],
@@ -76,6 +89,7 @@ class DataFileInfo:
                 (entry[0], entry[1], entry[2]) for entry in raw["column_stats"]
             ),
             checksum=raw["checksum"],
+            mixed="mixed" in raw,
         )
 
 

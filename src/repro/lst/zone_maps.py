@@ -10,15 +10,22 @@ compare with Python's rules (no int64 to float64 rounding), files without
 bounds for a column (empty or all-NaN chunks, older manifests) are never
 pruned on it, and an operator other than the five comparisons prunes
 nothing.
+
+One more rule needs no bounds at all: given the table's
+:class:`~repro.dcp.cells.Placement`, a row whose distribution column
+equals a literal can only be in a file labelled with that literal's
+bucket or in a *mixed* one, so an ``==`` conjunct on that column keeps
+just those files (see DESIGN.md "Which files can hold a key").
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dcp.cells import Placement
 from repro.lst.actions import DataFileInfo
 
 #: ``op`` -> test of the arrays (minimum, maximum) against a literal.
@@ -38,20 +45,28 @@ def _objects(values: List[Any]) -> np.ndarray:
 
 
 class ZoneMaps:
-    """One snapshot's file zone maps.
+    """One snapshot's file zone maps, and its table's placement (None for
+    a table without a distribution column).
 
     A column's arrays are built the first time a conjunct names it, so a
     scan pays only for the columns it prunes on.
     """
 
-    __slots__ = ("names", "_files", "_columns")
+    __slots__ = ("names", "_placement", "_files", "_columns", "_labels")
 
-    def __init__(self, files: Mapping[str, DataFileInfo]) -> None:
+    def __init__(
+        self,
+        files: Mapping[str, DataFileInfo],
+        placement: Optional[Placement],
+    ) -> None:
         #: File names in the snapshot's file order.
         self.names: List[str] = list(files)
+        self._placement = placement
         self._files = list(files.values())
         #: column -> (positions of the files with bounds, minima, maxima).
         self._columns: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: (each file's bucket label, whether it is mixed), built on demand.
+        self._labels: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _column(self, column: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         entry = self._columns.get(column)
@@ -70,14 +85,35 @@ class ZoneMaps:
             )
         return entry
 
+    def _holders(self, placement: Placement, literal: Any) -> Optional[np.ndarray]:
+        """Mask of the files that can hold a row whose key ``==``
+        ``literal``, or None when the literal decides no bucket."""
+        bucket = placement.bucket_of(literal)
+        if bucket is None:
+            return None
+        if self._labels is None:
+            count = len(self._files)
+            self._labels = (
+                np.fromiter((f.distribution for f in self._files), np.int64, count),
+                np.fromiter((f.mixed for f in self._files), bool, count),
+            )
+        labels, mixed = self._labels
+        return (labels == bucket) | mixed
+
     def keep(self, prune: Sequence[Tuple[str, str, Any]]) -> np.ndarray:
         """Mask over :attr:`names`: the files whose zone maps let rows
-        satisfying every ``(column, op, literal)`` conjunct exist."""
+        satisfying every ``(column, op, literal)`` conjunct exist, and
+        that can hold an ``==`` literal's bucket."""
         mask = np.ones(len(self.names), dtype=bool)
         for column, op, literal in prune:
             test = _MAY_CONTAIN.get(op)
             if test is None:
                 continue
+            placement = self._placement
+            if op == "==" and placement is not None and column == placement.column:
+                holders = self._holders(placement, literal)
+                if holders is not None:
+                    mask &= holders
             positions, lows, highs = self._column(column)
             # A NaN operand makes the comparison false, as in Python; the
             # floating-point flag it raises is no error here.

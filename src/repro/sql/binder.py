@@ -77,19 +77,16 @@ class Binder:
                 raise SqlSyntaxError(f"unknown table {table!r}")
         items = self._expand_star(stmt, tables)
 
-        conjuncts = _flatten_and(stmt.where) if stmt.where is not None else []
         per_table: Dict[str, List[Expr]] = {t: [] for t in tables}
-        prunes: Dict[str, List[Tuple[str, str, Any]]] = {t: [] for t in tables}
         residual: List[Expr] = []
-        for conjunct in conjuncts:
+        for conjunct in _flatten_and(stmt.where):
             owners = self._tables_of(conjunct, tables)
             bound = self._bind_expr(conjunct, tables)
             if len(owners) == 1:
-                table = next(iter(owners))
-                per_table[table].append(bound)
-                prunes[table].extend(self._prune_of(conjunct, tables))
+                per_table[next(iter(owners))].append(bound)
             else:
                 residual.append(bound)
+        prunes = self.prunes_of(stmt.where, tables)
 
         needed = self._columns_needed(stmt, items, tables)
         plan: Plan = self._scan(stmt.table, needed, per_table, prunes)
@@ -417,6 +414,17 @@ class Binder:
             )
         raise PlanError(f"cannot bind expression {expr!r}")
 
+    def prunes_of(self, where, tables) -> Dict[str, List[Tuple[str, str, Any]]]:
+        """The zone-map conjuncts of a WHERE clause (None for none), per
+        table: the ``(column, op, literal)`` triples of each top-level AND
+        conjunct that names the columns of one table only."""
+        prunes: Dict[str, List[Tuple[str, str, Any]]] = {t: [] for t in tables}
+        for conjunct in _flatten_and(where):
+            owners = self._tables_of(conjunct, tables)
+            if len(owners) == 1:
+                prunes[next(iter(owners))].extend(self._prune_of(conjunct, tables))
+        return prunes
+
     def _prune_of(self, conjunct, tables) -> List[Tuple[str, str, Any]]:
         """Extract zone-map conjuncts (col op literal) from a predicate."""
         if isinstance(conjunct, SBin) and conjunct.op in _PRUNABLE_OPS:
@@ -437,6 +445,8 @@ class Binder:
 
 
 def _flatten_and(expr) -> List:
+    if expr is None:
+        return []
     if isinstance(expr, SBool) and expr.op == "and":
         out = []
         for arg in expr.args:

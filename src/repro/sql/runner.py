@@ -244,11 +244,7 @@ class SqlSession:
         if stmt.where is None:
             return self.session.delete(stmt.table, Lit(True))
         predicate = binder._bind_expr(stmt.where, [stmt.table])
-        prune = []
-        from repro.sql.binder import _flatten_and
-
-        for conjunct in _flatten_and(stmt.where):
-            prune.extend(binder._prune_of(conjunct, [stmt.table]))
+        prune = binder.prunes_of(stmt.where, [stmt.table])[stmt.table]
         return self.session.delete(stmt.table, predicate, prune=prune)
 
     def _update(self, stmt: UpdateStatement) -> int:
@@ -263,12 +259,7 @@ class SqlSession:
             if stmt.where is not None
             else Lit(True)
         )
-        prune = []
-        if stmt.where is not None:
-            from repro.sql.binder import _flatten_and
-
-            for conjunct in _flatten_and(stmt.where):
-                prune.extend(binder._prune_of(conjunct, [stmt.table]))
+        prune = binder.prunes_of(stmt.where, [stmt.table])[stmt.table]
         return self.session.update(stmt.table, predicate, assignments, prune=prune)
 
     def _create_table(self, stmt: CreateTableStatement) -> int:

@@ -22,10 +22,15 @@ from repro.dcp.dag import WorkflowDag
 from repro.dcp.tasks import Task, TaskContext
 from repro.engine.batch import Batch, concat_batches, num_rows
 from repro.engine.statistics import file_health
-from repro.fe.catalog import table_schema
+from repro.fe.catalog import table_placement, table_schema
 from repro.fe.context import ServiceContext
 from repro.fe.transaction import PolarisTransaction
-from repro.fe.write_path import _load_dv, _open_data_file, _write_data_file
+from repro.fe.write_path import (
+    _load_dv,
+    _open_data_file,
+    _write_data_file,
+    rewrite_label,
+)
 from repro.lst.actions import Action, AddDataFile, RemoveDataFile
 from repro.lst.manifest import encode_actions
 from repro.sqldb import system_tables as catalog
@@ -90,6 +95,7 @@ def _compact_in_txn(
     if not victims:
         return CompactionResult(table_id, True, 0, 0, 0)
 
+    placement = table_placement(table_row)
     # Group victims by distribution so rewrites stay cell-local.
     by_distribution: Dict[int, List[str]] = {}
     for name in victims:
@@ -123,9 +129,10 @@ def _compact_in_txn(
                         name: values[start : start + target_rows]
                         for name, values in merged.items()
                     }
+                    label, mixed = rewrite_label(placement, chunk, distribution)
                     new_info = _write_data_file(
-                        context, txn, table_id, schema, chunk, distribution,
-                        sort_column=table_row.get("sort_column"),
+                        context, txn, table_id, schema, chunk, label,
+                        sort_column=table_row.get("sort_column"), mixed=mixed,
                     )
                     actions.append(AddDataFile(new_info))
                     created += 1

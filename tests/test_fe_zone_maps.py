@@ -17,7 +17,7 @@ def ids(n, start=0):
 
 def may_match(info, prune):
     """Whether the zone maps keep ``info`` for the pruning conjuncts."""
-    return bool(ZoneMaps({info.name: info}).keep(prune)[0])
+    return bool(ZoneMaps({info.name: info}, None).keep(prune)[0])
 
 
 @pytest.fixture

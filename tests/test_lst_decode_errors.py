@@ -160,6 +160,17 @@ def test_data_file_descriptor_missing_a_key_is_rejected(key):
         Checkpoint.from_bytes(encode_document(raw), CHECKPOINT)
 
 
+@pytest.mark.parametrize("value", [False, 1, "true", None])
+def test_a_mixed_marker_other_than_true_is_rejected(value):
+    line = json.loads(encode_actions([ACTIONS[0]]))
+    line["file"]["mixed"] = value
+    with pytest.raises(FileFormatError, match=MANIFEST):
+        decode_manifest(json.dumps(line).encode(), MANIFEST)
+    line["file"]["mixed"] = True
+    (action,) = decode_manifest(json.dumps(line).encode(), MANIFEST)
+    assert action.file.mixed and action.file.to_dict() == line["file"]
+
+
 def test_dv_descriptor_missing_its_checksum_is_rejected():
     line = json.loads(encode_actions([ACTIONS[3]]))
     del line["dv"]["checksum"]

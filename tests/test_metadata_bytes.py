@@ -4,8 +4,9 @@ A removal line names only what it retires, a checkpoint writes each
 tombstone as its path inside one group per removing commit, and is
 stored deflated.  A statement that cancels none of its transaction's own
 writes appends the blocks its tasks staged, so each ``add_file`` line is
-written once.  This guard builds small tables, writes to them and holds
-the written bytes to that shape.
+written once, and only a mixed file's line (its rows may hash to any
+bucket) carries the one marker that says so.  This guard builds small
+tables, writes to them and holds the written bytes to that shape.
 """
 
 import json
@@ -27,6 +28,13 @@ REMOVE_KEYS = {
 PER_TOMBSTONE = 3
 #: A stored checkpoint's size as a share of its JSON document.
 CHECKPOINT_DEFLATED = 0.35
+#: Every key of a hash-placed file's ``add_file`` descriptor, in order.
+ADD_FILE_KEYS = [
+    "name", "path", "num_rows", "size_bytes", "distribution", "column_stats",
+    "checksum",
+]
+#: The bytes a mixed file's descriptor adds to that, and all it adds.
+MIXED_MARKER = b',"mixed":true'
 
 
 def row(i):
@@ -148,3 +156,30 @@ def test_each_add_file_line_is_written_once(monkeypatch):
     assert dw.sto.run_compaction(table_id_of(dw)).files_created
     assert written["data"] > 16
     assert written["add_file"] == written["data"], written
+
+
+def test_only_mixed_files_carry_the_marker():
+    dw, session = new_table()
+    session.insert("t", {"id": np.arange(8), "v": np.zeros(8)})
+    session.bulk_load("t", [
+        {"id": np.arange(8, 20), "v": np.zeros(12)},
+        {"id": np.arange(20, 30), "v": np.zeros(10)},
+    ])
+    txn = dw.context.sqldb.begin()
+    try:
+        manifests = catalog.manifests_for_table(txn, table_id_of(dw))
+    finally:
+        txn.abort()
+    lines = [
+        line
+        for manifest in manifests
+        for line in dw.store.get(manifest["manifest_path"]).data.splitlines()
+        if line.startswith(b'{"action":"add_file"')
+    ]
+    mixed = [line for line in lines if MIXED_MARKER in line]
+    assert len(lines) == 6 and len(mixed) == 2
+    for line in lines:
+        placed = line.replace(MIXED_MARKER, b"")
+        assert len(placed) == len(line) - len(MIXED_MARKER) * (line in mixed)
+        assert list(json.loads(placed)["file"]) == ADD_FILE_KEYS, line
+        assert compact_json(json.loads(placed)).encode() == placed

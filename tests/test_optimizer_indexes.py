@@ -113,9 +113,11 @@ class TestCreateIndex:
 class TestIndexPruning:
     @pytest.fixture
     def indexed(self, warehouse, session):
-        session.create_table("t", SCHEMA, distribution_column="id")
-        # Several inserts so the snapshot holds many files; with a
-        # hash-distributed key, zone maps cannot prune equality probes.
+        # Distributed on ``v``, not the probed ``id``: the bucket rule
+        # cannot prune an ``id`` probe.  Several inserts so the snapshot
+        # holds many files; with rows hash-distributed, zone maps cannot
+        # narrow an insert's files down to the one holding the key.
+        session.create_table("t", SCHEMA, distribution_column="v")
         for start in range(0, 400, 100):
             session.insert("t", rows(start, 100))
         session.create_index("t", "idx", "id")
