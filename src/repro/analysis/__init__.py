@@ -13,19 +13,22 @@ rules into enforced ones:
   ``# repro: ignore[rule]`` suppressions and the one text report
   (``path:line: rule: message``).
 * :mod:`repro.analysis.rules` — the 8 repo-specific lint rules.
-* :mod:`repro.analysis.deep_rules` — the whole-program rule
-  ``resource-leak`` over the call graph (:mod:`~repro.analysis.callgraph`,
-  call edges only) and per-function CFGs (:mod:`~repro.analysis.cfg`).
-  That a simulated crash unwinds to the harness is checked at run time
-  instead: the chaos sweep counts crashes raised against crashes caught.
 * :mod:`repro.analysis.si` — a snapshot-isolation *history sanitizer* that
   consumes a recorded transaction history (live via the EventBus or from a
   JSONL trace) and verifies SI axioms: first-committer-wins on overlapping
   write-sets, reads-from-snapshot, and no lost updates.
 
-Run ``python -m repro.analysis --deep --strict`` (or the
-``repro-analysis`` console script) to check the tree; see
-``docs/ANALYSIS.md`` for the full rule catalogue and rationale.
+Two properties that need whole-program reasoning are checked at run time
+instead, on live executions: that a simulated crash unwinds to the
+harness (the chaos sweep counts crashes raised against crashes caught),
+and that nothing is left in flight — every span, query-store record,
+wait scope and gateway session a deployment opens is closed, or is
+scavenged by recovery (the tier-1 suite checks every deployment a test
+built at teardown).
+
+Run ``python -m repro.analysis --strict`` (or the ``repro-analysis``
+console script) to check the tree; see ``docs/ANALYSIS.md`` for the full
+rule catalogue and rationale.
 """
 
 from __future__ import annotations
@@ -49,19 +52,10 @@ from repro.analysis.si import (
     load_history_jsonl,
 )
 
-# Importing the rules module populates the registry as a side effect;
-# deep_rules registers the deep rule names for suppression validation.
+# Importing the rules module populates the registry as a side effect.
 from repro.analysis import rules as _rules  # noqa: F401  (registration)
-from repro.analysis.callgraph import Program
-from repro.analysis.cfg import Cfg, build_cfg
-from repro.analysis.deep_rules import DEEP_RULES, run_deep
 
 __all__ = [
-    "Program",
-    "Cfg",
-    "build_cfg",
-    "DEEP_RULES",
-    "run_deep",
     "Finding",
     "ModuleSource",
     "Rule",

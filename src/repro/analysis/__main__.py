@@ -7,7 +7,6 @@ per line, ``path:line: rule: message``, sorted by file.
 Usage::
 
     python -m repro.analysis [--strict] [paths...]   # lint (default: repro pkg)
-    python -m repro.analysis --deep --strict         # + whole-program analyses
     python -m repro.analysis --list-rules            # show the rule catalogue
     python -m repro.analysis --rules a,b paths...    # run a subset of rules
     python -m repro.analysis --si-history t.jsonl    # sanitize a recorded trace
@@ -22,7 +21,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import rules as _rules  # noqa: F401  (registers rules)
-from repro.analysis.deep_rules import run_deep
 from repro.analysis.framework import all_rules, format_findings, lint_paths
 from repro.analysis.si import (
     check_history,
@@ -38,43 +36,32 @@ def _default_target() -> Path:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.deep_rules import DEEP_RULES
-
     rules = None
-    deep_checks = None
     if args.rules:
         wanted = {name.strip() for name in args.rules.split(",") if name.strip()}
         known = {rule.name: rule for rule in all_rules()}
-        deep_checks = sorted(wanted & set(DEEP_RULES))
-        unknown = sorted(wanted - set(known) - set(DEEP_RULES))
+        unknown = sorted(wanted - set(known))
         if unknown:
             print(
                 f"error: unknown rule(s): {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known) + sorted(DEEP_RULES))}",
+                f"known: {', '.join(sorted(known))}",
                 file=sys.stderr,
             )
             return 2
-        rules = [known[name] for name in sorted(wanted & set(known))]
+        rules = [known[name] for name in sorted(wanted)]
     targets = [Path(p) for p in args.paths] or [_default_target()]
     missing = [str(p) for p in targets if not p.exists()]
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
     findings = lint_paths(targets, rules=rules, strict=args.strict)
-    if args.deep:
-        findings = findings + run_deep(
-            targets, strict=args.strict, checks=deep_checks
-        )
-        findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-
     if findings:
         print(format_findings(findings))
         print(f"\n{len(findings)} finding(s)", file=sys.stderr)
         return 1
     checked = ", ".join(str(t) for t in targets)
-    mode = "lint+deep" if args.deep else "lint"
     print(
-        f"clean [{mode}]: "
+        "clean [lint]: "
         f"{len(all_rules() if rules is None else rules)} rule(s) over "
         f"{checked}"
     )
@@ -193,11 +180,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--strict",
         action="store_true",
         help="also flag suppression comments that suppress nothing",
-    )
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program analyses (call graph + CFG)",
     )
     parser.add_argument(
         "--rules",

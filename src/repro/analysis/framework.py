@@ -101,19 +101,6 @@ class Rule:
 
 _REGISTRY: Dict[str, Rule] = {}
 
-#: Rule names owned by other runners (the deep analyses).  They are valid
-#: in suppression comments, but per-module linting neither runs them nor
-#: judges whether their suppressions were useful — the owning runner does.
-_EXTERNAL_RULES: Set[str] = set()
-
-
-def register_external_rules(names: Iterable[str]) -> None:
-    """Declare rule names checked outside the per-module lint pass."""
-    for name in names:
-        if not _RULE_NAME_RE.match(name):
-            raise ValueError(f"invalid rule name {name!r}")
-        _EXTERNAL_RULES.add(name)
-
 
 def register(rule_cls: type) -> type:
     """Class decorator: instantiate and add a rule to the global registry."""
@@ -138,11 +125,6 @@ def get_rule(name: str) -> Rule:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown rule {name!r}; known rules: {known}") from None
-
-
-def known_rule_names() -> Set[str]:
-    """Registered rule names, including externally-checked (deep) ones."""
-    return set(_REGISTRY) | set(_EXTERNAL_RULES)
 
 
 # -- suppression parsing -------------------------------------------------------
@@ -211,7 +193,6 @@ def lint_module(
     suppressions are reported as findings of their own.
     """
     active = list(rules) if rules is not None else all_rules()
-    known = known_rule_names()
     used_suppressions: Set[int] = set()
     findings: List[Finding] = []
 
@@ -226,7 +207,9 @@ def lint_module(
             findings.append(finding)
 
     for lineno, names in sorted(module.suppressions.items()):
-        unknown = sorted(name for name in names - {"*"} if name not in known)
+        unknown = sorted(
+            name for name in names - {"*"} if name not in _REGISTRY
+        )
         if unknown:
             findings.append(
                 Finding(
@@ -239,11 +222,7 @@ def lint_module(
                     ),
                 )
             )
-        elif (
-            strict
-            and lineno not in used_suppressions
-            and not (names & _EXTERNAL_RULES)
-        ):
+        elif strict and lineno not in used_suppressions:
             findings.append(
                 Finding(
                     path=module.relpath,

@@ -510,9 +510,8 @@ def _is_property_companion(node: ast.AST) -> bool:
 class DocstringCoverageRule(Rule):
     """Every public module, class, function, and method carries a docstring.
 
-    The AST twin of the original runtime walker
-    (``tests/test_docstring_coverage.py``, now a thin wrapper): public-API
-    hygiene reported by the same tool as the protocol invariants.
+    Public-API hygiene reported by the same tool as the protocol
+    invariants.
     """
 
     name = "docstring-coverage"

@@ -43,7 +43,9 @@ things: ``scavenge`` is **idempotent** (a second call finds nothing and
 returns 0), it touches **only its own state** (so participants commute
 and their order is not part of the protocol), and it **returns how many
 in-flight records it discarded** (never folding one into an aggregate —
-a half-measured record is dropped, not counted).
+a half-measured record is dropped, not counted).  Its ``inflight_count``
+says how many it holds now: zero after a scavenge, and zero on a live
+deployment with no statement running — anything else is a leak.
 
 Last, the orchestrator's trigger state is rebound to the context.
 """
@@ -144,8 +146,8 @@ class RecoveryManager:
             self._complete_publishes(report)
             crashpoint("recovery.publish.after_complete")
             # Process state commutes: any participant order is correct.
-            for name, scavenge in context.participants.items():
-                report.scavenged[name] = scavenge()
+            for name, participant in context.participants.items():
+                report.scavenged[name] = participant.scavenge()
                 crashpoint("recovery.participant.after_scavenge")
             if self._sto is not None:
                 self._sto.rebind(context)

@@ -8,9 +8,10 @@ every test hermetic — two warehouses never share state.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Tuple
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import PolarisConfig
@@ -32,25 +33,39 @@ if TYPE_CHECKING:
     from repro.sql.plan_cache import PlanCache
     from repro.telemetry.introspection import Introspector
 
-#: The lists of every open :func:`recording` scope, outermost first.
-_RECORDINGS: "List[List[ServiceContext]]" = []
+#: Every open :func:`recording` scope, outermost first: its list, and
+#: whether that list holds weak references.
+_RECORDINGS: "List[Tuple[list, bool]]" = []
 
 
 @contextmanager
-def recording() -> "Iterator[List[ServiceContext]]":
+def recording(weak: bool = False) -> "Iterator[list]":
     """Collect every :class:`ServiceContext` created in the ``with`` body.
 
     Yields a list that :meth:`ServiceContext.create` appends each new
     context to, in creation order, while the scope is open (nested scopes
     each collect).  The list holds the contexts strongly, so a deployment
     its creator dropped is still there for a post-run trace or report.
+    With ``weak`` it holds a ``weakref.ref`` to each instead, and the
+    scope keeps no deployment alive.
     """
-    recorded: "List[ServiceContext]" = []
-    _RECORDINGS.append(recorded)
+    recorded: list = []
+    _RECORDINGS.append((recorded, weak))
     try:
         yield recorded
     finally:
         _RECORDINGS.pop()
+
+
+class Participant(Protocol):
+    """A holder of crash-volatile process state (``participants``)."""
+
+    def scavenge(self) -> int:
+        """Discard every in-flight record; returns how many there were."""
+
+    @property
+    def inflight_count(self) -> int:
+        """How many records are in flight right now."""
 
 
 @dataclass
@@ -86,12 +101,13 @@ class ServiceContext:
     #: constructed (it attaches itself; ``sys.dm_sessions`` /
     #: ``sys.dm_requests`` read it).
     gateway: "Optional[Gateway]" = None
-    #: Crash-volatile process state, name -> ``scavenge() -> int``
-    #: (how many in-flight records it discarded).  Whoever holds state a
-    #: dead front end cannot finish — the gateway, each telemetry
-    #: collector — joins under its name (re-joining replaces), and
-    #: recovery scavenges every entry without knowing any of them.
-    participants: Dict[str, Callable[[], int]] = field(default_factory=dict)
+    #: Crash-volatile process state, name -> :class:`Participant`.
+    #: Whoever holds state a dead front end cannot finish — the gateway,
+    #: each telemetry collector, the tracer while tracing — joins under
+    #: its name (re-joining replaces); recovery scavenges every entry
+    #: without knowing any of them, and a live deployment can be asked
+    #: what each one holds in flight.
+    participants: Dict[str, Participant] = field(default_factory=dict)
     #: Bound plans of the SELECT shapes this deployment has compiled
     #: (process memory, like ``cache``; attached after construction).
     plan_cache: "Optional[PlanCache]" = None
@@ -128,7 +144,7 @@ class ServiceContext:
         config.validate()
         clock = SimulatedClock()
         bus = EventBus()
-        participants: Dict[str, Callable[[], int]] = {}
+        participants: Dict[str, Participant] = {}
         telemetry = Telemetry(
             clock, config.telemetry, config.seed, bus, participants
         )
@@ -178,8 +194,8 @@ class ServiceContext:
         from repro.sql.plan_cache import PlanCache
 
         context.plan_cache = PlanCache(telemetry.metrics)
-        for recorded in _RECORDINGS:
-            recorded.append(context)
+        for recorded, weak in _RECORDINGS:
+            recorded.append(weakref.ref(context) if weak else context)
         return context
 
     def drop_process_memory(self) -> None:

@@ -5,11 +5,12 @@ max)`` triples recorded at write time.  :class:`ZoneMaps` lays one
 snapshot's triples out column by column, so pruning a scan's conjuncts is
 one array comparison per conjunct instead of a Python loop over files.
 The answer is exactly :func:`~repro.pagefile.stats.may_contain` per file:
-bounds are held as Python objects, so ints, floats, bools and strings
-compare with Python's rules (no int64 to float64 rounding), files without
-bounds for a column (empty or all-NaN chunks, older manifests) are never
-pruned on it, and an operator other than the five comparisons prunes
-nothing.
+bounds and literal compare as the engine compares a column with that
+literal (:func:`~repro.pagefile.stats.engine_order`: in float64 when
+either side is a float, not at all when a string meets a number), files
+without bounds for a column (empty or all-NaN chunks, older manifests)
+are never pruned on it, and an operator other than the five comparisons
+prunes nothing.
 
 One more rule needs no bounds at all: given the table's
 :class:`~repro.dcp.cells.Placement`, a row whose distribution column
@@ -27,6 +28,7 @@ import numpy as np
 
 from repro.dcp.cells import Placement
 from repro.lst.actions import DataFileInfo
+from repro.pagefile.stats import engine_order
 
 #: ``op`` -> test of the arrays (minimum, maximum) against a literal.
 _MAY_CONTAIN: Dict[str, Callable[[np.ndarray, np.ndarray, Any], np.ndarray]] = {
@@ -115,6 +117,14 @@ class ZoneMaps:
                 if holders is not None:
                     mask &= holders
             positions, lows, highs = self._column(column)
+            if not len(positions):
+                continue
+            order = engine_order(lows[0], literal)
+            if order is None:
+                continue
+            if order == "float64":
+                lows, highs = lows.astype(np.float64), highs.astype(np.float64)
+                literal = float(literal)
             # A NaN operand makes the comparison false, as in Python; the
             # floating-point flag it raises is no error here.
             with np.errstate(invalid="ignore"):

@@ -9,23 +9,50 @@ range-based retrieval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, List, Optional
 
 import numpy as np
 
 from repro.pagefile.schema import Field
 
+_NUMBERS = (int, float, np.number, np.bool_)
+_FLOATS = (float, np.floating)
+
+
+def engine_order(bound: Any, literal: Any) -> Optional[str]:
+    """How the engine orders ``literal`` against a column whose bounds
+    are like ``bound``: ``"float64"`` when either side is a float (numpy
+    compares an ``int64`` column with a float in float64), ``"exact"``
+    for two strings or two other numbers, and None when the two cannot
+    be ordered at all (a string against a number, or anything else) —
+    such a conjunct prunes nothing."""
+    if isinstance(bound, str) or isinstance(literal, str):
+        both = isinstance(bound, str) and isinstance(literal, str)
+        return "exact" if both else None
+    if not (isinstance(bound, _NUMBERS) and isinstance(literal, _NUMBERS)):
+        return None
+    if isinstance(bound, _FLOATS) or isinstance(literal, _FLOATS):
+        return "float64"
+    return "exact"
+
 
 def may_contain(minimum: Any, maximum: Any, op: str, literal: Any) -> bool:
     """Whether rows matching ``column <op> literal`` can exist in a chunk
-    whose values lie in ``[minimum, maximum]``.
+    whose values lie in ``[minimum, maximum]``, compared as the engine
+    compares them (:func:`engine_order`).
 
     Conservative: returns True whenever pruning is not provably safe —
-    unknown bounds (``None``) and operators other than the five
-    comparisons never prune.
+    unknown bounds (``None``), a literal that cannot be ordered against
+    the bounds, and operators other than the five comparisons never
+    prune.
     """
     if minimum is None or maximum is None:
         return True
+    order = engine_order(minimum, literal)
+    if order is None:
+        return True
+    if order == "float64":
+        minimum, maximum, literal = float(minimum), float(maximum), float(literal)
     if op == "==":
         return minimum <= literal <= maximum
     if op == "<":

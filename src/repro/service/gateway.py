@@ -169,7 +169,7 @@ class Gateway:
         self._finished_totals: Dict[Tuple[str, str], int] = {}
         self._dispatcher: Optional[Tasklet] = None
         context.gateway = self
-        context.participants["gateway"] = self.scavenge
+        context.participants["gateway"] = self
 
     @property
     def context(self) -> "ServiceContext":
@@ -429,6 +429,13 @@ class Gateway:
         metrics.gauge("service.queue_depth").set(0)
         metrics.gauge("service.sessions_open").set(0)
         return scavenged
+
+    @property
+    def inflight_count(self) -> int:
+        """Sessions leased to a request plus requests running right now."""
+        return self.pool.active_count + sum(
+            1 for request in self._requests.values() if request.status == "running"
+        )
 
     # -- introspection -----------------------------------------------------
 

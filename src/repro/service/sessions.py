@@ -133,6 +133,13 @@ class SessionPool:
             1 for s in self._sessions.values() if s.state != "closed"
         )
 
+    @property
+    def active_count(self) -> int:
+        """Sessions leased to a request right now."""
+        return sum(
+            1 for s in self._sessions.values() if s.state == "active"
+        )
+
     def rows(self) -> List[Dict[str, Any]]:
         """One dict per known session, in id order (``sys.dm_sessions``)."""
         return [

@@ -55,6 +55,7 @@ from repro.sql.lexer import SqlSyntaxError
 
 _AGG_MAP = {"SUM": "sum", "MIN": "min", "MAX": "max", "AVG": "avg"}
 _PRUNABLE_OPS = {"==", "<", "<=", ">", ">="}
+_COMPARISON_OPS = _PRUNABLE_OPS | {"!="}
 
 
 class Binder:
@@ -366,6 +367,9 @@ class Binder:
         if isinstance(expr, SLiteral):
             return Lit(expr.value)
         if isinstance(expr, SBin):
+            if expr.op in _COMPARISON_OPS and not aggs_ok:
+                self._check_comparable(expr.left, expr.right, tables)
+                self._check_comparable(expr.right, expr.left, tables)
             return BinOp(
                 expr.op,
                 self._bind_expr(expr.left, tables, aggs_ok),
@@ -385,6 +389,9 @@ class Binder:
             inlist = InList(self._bind_expr(expr.arg, tables, aggs_ok), expr.values)
             return Not(inlist) if expr.negated else inlist
         if isinstance(expr, SBetween):
+            if not aggs_ok:
+                self._check_comparable(expr.arg, expr.low, tables)
+                self._check_comparable(expr.arg, expr.high, tables)
             arg = self._bind_expr(expr.arg, tables, aggs_ok)
             return and_(
                 BinOp(">=", arg, self._bind_expr(expr.low, tables, aggs_ok)),
@@ -413,6 +420,22 @@ class Binder:
                 f"aggregate {expr.name} not allowed in this position"
             )
         raise PlanError(f"cannot bind expression {expr!r}")
+
+    def _check_comparable(self, column, literal, tables) -> None:
+        """Reject comparing a string column with a number, or any other
+        column with a string: no row can be ordered against it."""
+        if not (isinstance(column, SColumn) and isinstance(literal, SLiteral)):
+            return
+        value = literal.value
+        if not isinstance(value, (str, int, float)):
+            return
+        owner = self._resolve_owner(column, tables)
+        type_ = self._schemas[owner].field(column.name).type
+        if (type_ == "string") != isinstance(value, str):
+            raise PlanError(
+                f"cannot compare {type_} column {column.name!r} "
+                f"with literal {value!r}"
+            )
 
     def prunes_of(self, where, tables) -> Dict[str, List[Tuple[str, str, Any]]]:
         """The zone-map conjuncts of a WHERE clause (None for none), per

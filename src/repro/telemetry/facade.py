@@ -15,7 +15,7 @@ never test whether a collector exists.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.clock import SimulatedClock
 from repro.common.config import TelemetryConfig
@@ -32,6 +32,9 @@ from repro.telemetry.scope import RequestScope
 from repro.telemetry.spans import Span, SpanEvent, Tracer
 from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
 from repro.telemetry.waits import WaitStats
+
+if TYPE_CHECKING:
+    from repro.fe.context import Participant
 
 #: Metrics time-series sampling interval in simulated seconds.  0 disables
 #: the sampler entirely: no ring buffer is allocated and no clock watcher
@@ -63,7 +66,8 @@ class Telemetry:
     ``bus`` is mirrored into metrics/spans and handed to the collectors
     that publish on it; ``participants`` is the deployment's registry of
     crash-volatile state (``ServiceContext.participants``), which every
-    collector holding in-flight records joins.
+    collector holding in-flight records joins, and the tracer too while
+    tracing.
     """
 
     def __init__(
@@ -72,7 +76,7 @@ class Telemetry:
         config: Optional[TelemetryConfig] = None,
         seed: int = Histogram.DEFAULT_SEED,
         bus: Optional[EventBus] = None,
-        participants: Optional[Dict[str, Callable[[], int]]] = None,
+        participants: "Optional[Dict[str, Participant]]" = None,
     ) -> None:
         config = self.config = config or TelemetryConfig()
         self.clock = clock
@@ -95,6 +99,9 @@ class Telemetry:
         self._request_latency: Dict[str, Histogram] = {}
         self._sim_latency: Dict[Tuple[str, bool], Counter] = {}
         self._participants = participants if participants is not None else {}
+        if self.tracing:
+            # A dead process never ends the spans it opened.
+            self._participants["tracer"] = self.tracer
         #: Whether any collector reads :attr:`scope` (the scoped entry
         #: points are the shared null scope otherwise).
         self._collecting = False
@@ -148,7 +155,7 @@ class Telemetry:
         """Wire one collector that reads the scope and holds in-flight
         records: it joins the recovery participants under ``name``."""
         self._collecting = True
-        self._participants[name] = collector.scavenge
+        self._participants[name] = collector
         return collector
 
     # -- request scope, waits, statements (null scopes when nothing collects) --

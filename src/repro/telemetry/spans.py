@@ -141,6 +141,8 @@ class Tracer:
         self.finished: List[Span] = []
         #: Spans discarded once :data:`MAX_SPANS` was reached.
         self.dropped: int = 0
+        #: Started but not yet ended spans, by id (never exported).
+        self.open_spans: Dict[int, Span] = {}
 
     @property
     def current(self) -> Optional[Span]:
@@ -167,7 +169,7 @@ class Tracer:
         """
         if parent is None:
             parent = self._current.get()
-        return Span(
+        span = Span(
             span_id=next(self._ids),
             parent_id=parent.span_id if parent is not None else None,
             name=name,
@@ -179,6 +181,8 @@ class Tracer:
             tid=tid if tid is not None else (parent.tid if parent is not None else 1),
             attributes=dict(attributes) if attributes else {},
         )
+        self.open_spans[span.span_id] = span
+        return span
 
     def end_span(
         self,
@@ -190,6 +194,7 @@ class Tracer:
         """Close ``span``; double-ending is a no-op."""
         if span.finished:
             return
+        self.open_spans.pop(span.span_id, None)
         span.end = self._clock.now if end_time is None else end_time
         if span.end < span.start:
             span.end = span.start
@@ -201,6 +206,22 @@ class Tracer:
             self.finished.append(span)
         else:
             self.dropped += 1
+
+    @property
+    def inflight_count(self) -> int:
+        """How many spans are open (started, not yet ended)."""
+        return len(self.open_spans)
+
+    def scavenge(self) -> int:
+        """Forget every open span; returns how many were dropped.
+
+        Called by :class:`repro.chaos.RecoveryManager` after a crash: the
+        dead process will never end these spans.  They were never in
+        :attr:`finished`, so the exported trace is unchanged.
+        """
+        discarded = len(self.open_spans)
+        self.open_spans.clear()
+        return discarded
 
     def span(
         self,

@@ -7,7 +7,9 @@ import pytest
 
 from repro import PolarisConfig, Schema, Warehouse
 from repro.analysis.si import HistoryRecorder, check_history, format_violations
+from repro.common.errors import SimulatedCrash
 from repro.engine import operators
+from repro.fe.context import recording
 from repro.workloads.tpch import TpchGenerator
 from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
 
@@ -54,6 +56,64 @@ def tpch_warehouse(config: PolarisConfig) -> Warehouse:
         session.create_table(name, TPCH_SCHEMAS[name], TPCH_DISTRIBUTION[name])
         session.insert(name, batch)
     return dw
+
+
+def in_flight(context) -> dict:
+    """Participant name -> records ``context`` holds in flight, non-zero
+    entries only.  The root span of a transaction still open in the
+    catalog is not counted: it ends when the transaction does."""
+    held = {
+        name: participant.inflight_count
+        for name, participant in context.participants.items()
+    }
+    if "tracer" in held:
+        active = {txn.txid for txn in context.sqldb.active_transactions}
+        held["tracer"] -= sum(
+            1
+            for span in context.telemetry.tracer.open_spans.values()
+            if span.name == "txn" and span.attributes.get("txid") in active
+        )
+    return {name: count for name, count in held.items() if count}
+
+
+def recoveries(context) -> float:
+    """How many recovery passes ``context`` has completed."""
+    return context.telemetry.metrics.value("recovery.runs")
+
+
+@pytest.fixture(autouse=True)
+def nothing_left_in_flight(monkeypatch):
+    """Every deployment the test built holds nothing in flight at the end.
+
+    A span, query-store record, wait scope, leased gateway session or
+    running request that outlives its statement is a leak: recovery
+    would scavenge it after a crash, and nothing else ever will.  A
+    deployment that held records when a simulated crash was raised, and
+    has not been recovered since, is exempt: the crash left them there.
+    The deployments are held weakly, so the check keeps none alive.
+    """
+    crashed = {}
+    with recording(weak=True) as created:
+        raise_crash = SimulatedCrash.__init__
+
+        def mark_crashed(error, site):
+            raise_crash(error, site)
+            for index, ref in enumerate(created):
+                context = ref()
+                if context is not None and in_flight(context):
+                    crashed[index] = recoveries(context)
+
+        monkeypatch.setattr(SimulatedCrash, "__init__", mark_crashed)
+        yield
+    leaks = {}
+    for index, ref in enumerate(created):
+        context = ref()
+        if context is None or crashed.get(index) == recoveries(context):
+            continue
+        held = in_flight(context)
+        if held:
+            leaks[f"{context.database}#{index}"] = held
+    assert not leaks, f"left in flight at teardown: {leaks}"
 
 
 @pytest.fixture

@@ -272,14 +272,22 @@ class TestIdempotence:
 
         # Sum what every scavenge() call discards, partial passes included.
         discarded = {}
-        for name, scavenge in list(dw.context.participants.items()):
 
-            def counting(name=name, scavenge=scavenge):
-                count = scavenge()
-                discarded[name] = discarded.get(name, 0) + count
+        class Counting:
+            def __init__(self, name, participant):
+                self.name, self.participant = name, participant
+
+            @property
+            def inflight_count(self):
+                return self.participant.inflight_count
+
+            def scavenge(self):
+                count = self.participant.scavenge()
+                discarded[self.name] = discarded.get(self.name, 0) + count
                 return count
 
-            dw.context.participants[name] = counting
+        for name, participant in list(dw.context.participants.items()):
+            dw.context.participants[name] = Counting(name, participant)
         report, problems = _recover_with_crashes(dw.context, dw.sto, seed=0)
         assert not problems
         assert report.clean  # the final pass found nothing left
@@ -297,14 +305,14 @@ class TestIdempotence:
         dw, _, _ = loaded
 
         class Fake:
-            inflight = 2
+            inflight_count = 2
 
             def scavenge(self):
-                count, self.inflight = self.inflight, 0
+                count, self.inflight_count = self.inflight_count, 0
                 return count
 
         fake = Fake()
-        dw.context.participants["fake"] = fake.scavenge
+        dw.context.participants["fake"] = fake
         manager = RecoveryManager(dw.context, sto=dw.sto)
         report = manager.recover()
         assert report.scavenged == {"fake": 2}
@@ -315,14 +323,14 @@ class TestIdempotence:
         )
         assert manager.recover().clean
 
-        fake.inflight = 1
+        fake.inflight_count = 1
         site = "recovery.participant.after_scavenge"
         controller = ChaosController(seed=0).arm(site)
         with controller:
             with pytest.raises(SimulatedCrash):
                 manager.recover()
         assert controller.crashes == [site]
-        assert fake.inflight == 0
+        assert fake.inflight_count == 0
         assert manager.recover().clean
 
     def test_recovery_on_healthy_warehouse_is_clean(self, loaded):

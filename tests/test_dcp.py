@@ -29,6 +29,8 @@ from repro.dcp.cells import distribution_of
 from repro.dcp.costmodel import CostModel
 from repro.lst import AddDataFile, DataFileInfo, TableSnapshot
 from repro.storage import ObjectStore
+from repro.warehouse import Warehouse
+from tests.conftest import in_flight
 
 
 def df(name, rows=10, dist=0):
@@ -206,6 +208,26 @@ class TestScheduler:
         dag.add_task(Task("dies", die), depends_on=["ok"])
         with pytest.raises(SimulatedCrash):
             scheduler.execute(dag, wlm=wlm)
+
+    def test_a_failing_task_leaves_no_span_open(self):
+        """Traced: a task raising a non-transient error fails the DAG
+        after its span was activated; the task's attempt span and the
+        DAG span both end, marked failed, and nothing stays open."""
+        config = PolarisConfig()
+        config.telemetry.enabled = True
+        dw = Warehouse(config=config, auto_optimize=False)
+
+        def broken(context):
+            raise ValueError("task bug")
+
+        dag = WorkflowDag()
+        dag.add_task(Task("ok", lambda c: 1))
+        dag.add_task(Task("broken", broken), depends_on=["ok"])
+        with pytest.raises(ValueError):
+            dw.context.scheduler.execute(dag, wlm=dw.context.wlm)
+        assert in_flight(dw.context) == {}
+        status = {span.name: span.status for span in dw.telemetry.spans}
+        assert status == {"ok": "ok", "broken": "error", "dcp.dag": "error"}
 
     def test_pool_routing(self, monkeypatch):
         monkeypatch.setattr(dcp_wlm, "SLOTS_PER_NODE", 1)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import Warehouse
+from repro import BinOp, Col, Lit, Warehouse
+from repro.common.errors import PlanError
+from repro.engine.planner import TableScan
 from repro.sql import SqlSession
 from repro.sql.ast_nodes import (
     DeleteStatement,
@@ -285,6 +287,52 @@ class TestPushdown:
         full = dw_store.meter.delta(before).bytes_read
         assert len(out["item_id"]) == 20
         assert selective < full
+
+
+class TestTypeMismatch:
+    """A string column compared with a number, or a number column with a
+    string, is a ``PlanError`` naming both; the Python API's ``prune=``
+    triples prune nothing on such a literal."""
+
+    @pytest.mark.parametrize(
+        "where, column, literal",
+        [
+            ("item_id = 'x'", "item_id", "'x'"),
+            ("item_id < 'x'", "item_id", "'x'"),
+            ("'x' > item_id", "item_id", "'x'"),
+            ("label = 5", "label", "5"),
+            ("label < 5", "label", "5"),
+            ("5.5 <= label", "label", "5.5"),
+            ("label BETWEEN 1 AND 2", "label", "1"),
+        ],
+    )
+    def test_sql_comparison_is_a_plan_error(self, sql, where, column, literal):
+        for statement in (
+            f"SELECT item_id FROM items WHERE {where}",
+            f"DELETE FROM items WHERE {where}",
+            f"UPDATE items SET price = 0.0 WHERE {where}",
+        ):
+            with pytest.raises(PlanError) as caught:
+                sql.execute(statement)
+            assert repr(column) in str(caught.value)
+            assert literal in str(caught.value)
+        assert len(sql.execute("SELECT item_id FROM items")["item_id"]) == 4
+
+    @pytest.mark.parametrize(
+        "column, op, literal",
+        [("item_id", "==", "x"), ("item_id", "<", "x"),
+         ("label", "==", 5), ("label", "<", 5)],
+    )
+    def test_prune_triple_prunes_nothing(self, sql, column, op, literal):
+        session = sql.session
+        plan = TableScan("items", ("item_id",), prune=((column, op, literal),))
+        assert sorted(session.query(plan)["item_id"]) == [1, 2, 3, 4]
+        everything = BinOp(">", Col("item_id"), Lit(0))
+        prune = ((column, op, literal),)
+        assert session.update(
+            "items", everything, {"price": Lit(1.0)}, prune=prune
+        ) == 4
+        assert session.delete("items", everything, prune=prune) == 4
 
 
 class TestDistinct:

@@ -40,12 +40,14 @@ float_literals = st.one_of(floats, st.just(math.nan))
 bools = st.booleans()
 strings = st.text(alphabet="abcé", max_size=3)
 
-#: column -> (bound values, literal values compared against them).
+#: column -> (bound values, literal values compared against them);
+#: a string literal on a number column (and the reverse) orders against
+#: no bound.
 COLUMNS = {
-    "i": (ints, st.one_of(ints, float_literals)),
+    "i": (ints, st.one_of(ints, float_literals, strings)),
     "f": (floats, st.one_of(float_literals, ints)),
     "b": (bools, st.one_of(bools, st.integers(-1, 2))),
-    "s": (strings, strings),
+    "s": (strings, st.one_of(strings, ints, floats)),
 }
 OPS = ("==", "<", "<=", ">", ">=", "!=")
 
@@ -126,18 +128,21 @@ class TestVectorisedPruneEqualsPerFile:
         assert pruned.sequence_id == snapshot.sequence_id
 
 
-def test_int64_extremes_do_not_round_through_float64():
-    """``2**63 - 1 == 2.0**63`` is false in Python and true once both
-    sides become float64; the prune must answer as Python does."""
+@pytest.mark.parametrize("op", ["==", "<", "<="])
+@pytest.mark.parametrize("literal", ["x", 5, 5.0])
+def test_a_literal_no_bound_orders_against_prunes_nothing(op, literal):
+    """A string literal against an int64 column's bounds, or a number
+    against a string column's: no file or row group is pruned, and
+    nothing raises."""
+    column, low, high = (
+        ("s", "a", "b") if not isinstance(literal, str) else ("i", 1, 2)
+    )
     info = DataFileInfo(
         name="f", path="p/f", num_rows=1, size_bytes=8, distribution=0,
-        column_stats=(("i", INT64_MAX, INT64_MAX),),
+        column_stats=((column, low, high),),
     )
-    maps = ZoneMaps({"f": info}, None)
-    assert maps.matching((("i", "==", 2.0**63),)) == []
-    assert maps.matching((("i", "<", 2.0**63),)) == ["f"]
-    assert maps.matching((("i", "==", INT64_MAX),)) == ["f"]
-    assert np.float64(INT64_MAX) == 2.0**63  # the rounding avoided above
+    assert ZoneMaps({"f": info}, None).matching(((column, op, literal),)) == ["f"]
+    assert may_contain(low, high, op, literal)
 
 
 # -- the bucket rule -------------------------------------------------------------
@@ -220,9 +225,7 @@ def placed_files(draw):
 class TestBucketRuleNeverHidesAMatch:
     """Whatever the bucket rule drops holds no row equal to the literal
     under the engine's own ``==``: every file the zone maps alone keep
-    and that holds such a row is still kept under the table's placement.
-    (Where the zone maps alone disagree with the engine, see
-    :func:`test_zone_maps_agree_with_the_engine_on_int64_float_equality`.)"""
+    and that holds such a row is still kept under the table's placement."""
 
     @settings(max_examples=300, deadline=None)
     @given(placed_files())
@@ -290,19 +293,22 @@ class TestBucketRuleNeverHidesAMatch:
         assert placement.bucket_of(1) is None
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="zone maps compare int64 bounds with a float literal exactly, "
-    "the engine's == compares in float64",
-)
 def test_zone_maps_agree_with_the_engine_on_int64_float_equality():
-    """``2**63 - 2 == 2.0**63`` is false in Python and true in the engine
-    (both sides become float64), so a scan pruned by zone maps returns
-    fewer rows than the same scan unpruned."""
-    rows = np.array([INT64_MAX - 1], dtype=np.int64)
-    assert engine_equal(rows, 2.0**63).all()
-    info = DataFileInfo(
-        name="f", path="p/f", num_rows=1, size_bytes=8, distribution=0,
-        column_stats=(("k", INT64_MAX - 1, INT64_MAX - 1),),
-    )
-    assert ZoneMaps({"f": info}, None).matching((("k", "==", 2.0**63),)) == ["f"]
+    """The engine compares an int64 column with a float literal in
+    float64 (``2**63 - 2 == 2.0**63`` holds there, not in Python), so
+    the zone maps of a one-row file keep it exactly when the engine
+    matches its row."""
+    for stored in (INT64_MAX - 1, INT64_MAX, INT64_MIN, 5):
+        rows = np.array([stored], dtype=np.int64)
+        info = DataFileInfo(
+            name="f", path="p/f", num_rows=1, size_bytes=8, distribution=0,
+            column_stats=(("k", stored, stored),),
+        )
+        maps = ZoneMaps({"f": info}, None)
+        for literal in (2.0**63, -(2.0**63), 5.0, 5.5):
+            for op in ("==", "<", "<=", ">", ">="):
+                expr = BinOp(op, Col("k"), Lit(literal))
+                matches = bool(evaluate(expr, {"k": rows}).any())
+                kept = maps.matching((("k", op, literal),))
+                assert kept == (["f"] if matches else []), (stored, op, literal)
+                assert may_contain(stored, stored, op, literal) == matches
