@@ -9,11 +9,13 @@ warehouse per round — with ``ObjectStore.put`` and
 ``ObjectStore.stage_block`` wrapped in this process, so nothing in the
 engine or the benchmark changes.  It prints the written bytes per blob
 kind (data, dv, manifest, checkpoint, index, other), then the manifest
-bytes per action kind (``add_file``, ``remove_file``, ``add_dv``,
-``remove_dv``) with their line counts, the checkpoint bytes as stored and
-as inflated JSON, and the ``add_file`` lines written per data file (1.0
-when each is written once).  The counts and bytes repeat exactly for a
-seed.
+JSON bytes per action kind (``add_file``, ``remove_file``, ``add_dv``,
+``remove_dv``) with their line counts, the manifest and checkpoint bytes
+as stored (deflate frames, ``repro.lst.codec``) and as inflated JSON,
+and the ``add_file`` lines written per data file (1.0 when each is
+written once).  A "line" is one action's compact JSON inside its block's
+array; its bytes count one separator.  The counts and bytes repeat
+exactly for a seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-import zlib
 from collections import Counter
 from typing import Dict, List, Tuple
 
@@ -31,6 +32,7 @@ sys.path.insert(0, REPO)
 
 from benchmarks.e2e.harness import load_spec  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
+from repro.lst.codec import decode_frames  # noqa: E402
 from repro.storage.object_store import ObjectStore  # noqa: E402
 
 #: Path fragment that marks each blob kind (see ``repro.storage.paths``).
@@ -46,6 +48,8 @@ KINDS = (
 def blob_kind(path: str) -> str:
     """The kind of blob stored at ``path``; ``other`` for published
     metadata, quarantine copies and anything else."""
+    if path.startswith("quarantine/"):
+        return "other"
     for kind, fragment in KINDS:
         if fragment in path:
             return kind
@@ -60,25 +64,24 @@ class WriteLog:
         self.writes: Counter = Counter()
         self.action_bytes: Counter = Counter()
         self.action_lines: Counter = Counter()
-        #: Checkpoint bytes once inflated (stored plain, as they are).
-        self.checkpoint_json = 0
+        #: Manifest and checkpoint bytes once inflated, by blob kind.
+        self.inflated: Counter = Counter()
 
     def record(self, path: str, data: bytes) -> None:
         """Attribute one ``put`` or staged block."""
         kind = blob_kind(path)
         self.bytes[kind] += len(data)
         self.writes[kind] += 1
-        if kind == "manifest":
-            for line in data.splitlines():
-                if line.strip():
-                    action = json.loads(line).get("action", "?")
-                    self.action_bytes[action] += len(line) + 1
-                    self.action_lines[action] += 1
-        elif kind == "checkpoint":
-            try:
-                self.checkpoint_json += len(zlib.decompress(data))
-            except zlib.error:
-                self.checkpoint_json += len(data)
+        if kind not in ("manifest", "checkpoint"):
+            return
+        for payload in decode_frames(data, f"{kind} {path}"):
+            self.inflated[kind] += len(payload)
+            if kind == "manifest":
+                for action in json.loads(payload):
+                    name = action.get("action", "?")
+                    line = json.dumps(action, separators=(",", ":"))
+                    self.action_bytes[name] += len(line) + 1
+                    self.action_lines[name] += 1
 
 
 def measure(workload_name: str, seed: int, quick: bool) -> Tuple[WriteLog, List[str]]:
@@ -133,19 +136,19 @@ def main() -> int:
         total,
     )
     _table(
-        "manifest bytes by action kind (lines, bytes, share, bytes per line)",
+        "manifest JSON bytes by action kind (lines, bytes, share, bytes per line)",
         {
             action: (log.action_lines[action], log.action_bytes[action])
             for action in sorted(log.action_lines)
         },
-        log.bytes["manifest"],
+        log.inflated["manifest"],
     )
-    stored = log.bytes["checkpoint"]
-    ratio = stored / log.checkpoint_json if log.checkpoint_json else 0.0
-    print(
-        f"checkpoints: {log.checkpoint_json:,} B of JSON stored as {stored:,} B "
-        f"({ratio:.1%})"
-    )
+    for kind in ("manifest", "checkpoint"):
+        stored, inflated = log.bytes[kind], log.inflated[kind]
+        ratio = stored / inflated if inflated else 0.0
+        print(
+            f"{kind}s: {inflated:,} B of JSON stored as {stored:,} B ({ratio:.1%})"
+        )
     files = log.writes["data"]
     per_file = log.action_lines["add_file"] / files if files else 0.0
     print(

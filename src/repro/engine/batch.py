@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pagefile.encoding import concat, select
+from repro.pagefile.schema import Schema
 
 Batch = Dict[str, np.ndarray]
 
@@ -41,9 +42,11 @@ def num_rows(batch: Batch) -> int:
     return 0
 
 
-def empty_batch(columns: Sequence[str]) -> Batch:
-    """A zero-row batch with the given column names (object dtype)."""
-    return {name: np.empty(0, dtype=object) for name in columns}
+def empty_batch(columns: Sequence[str], schema: Schema) -> Batch:
+    """A zero-row batch of ``columns``, each with the in-memory dtype of
+    its ``schema`` field: what a scan that matched nothing returns, so a
+    result keeps its types whether or not any row matched."""
+    return {name: np.empty(0, dtype=schema.field(name).numpy_dtype) for name in columns}
 
 
 def take(batch: Batch, indices: np.ndarray) -> Batch:

@@ -23,6 +23,7 @@ from repro.engine.executor import execute_plan
 from repro.engine.explain import PlanProfile, explain_analyze
 from repro.engine.operators import filter_batch
 from repro.engine.planner import Plan, TableScan, scans_of, tables_of
+from repro.fe.catalog import table_schema
 from repro.fe.context import ServiceContext
 from repro.fe.timetravel import snapshot_as_of
 from repro.fe.transaction import PolarisTransaction, ResolvedTable
@@ -102,7 +103,7 @@ def scan_table(
         _publish_scan_stats(context, table_id, full_snapshot)
         if report is not None:
             report["rows"] = 0
-        return empty_batch(scan.columns)
+        return empty_batch(scan.columns, table_schema(table.row))
 
     dag = WorkflowDag()
     prune = list(scan.prune) or None
@@ -126,7 +127,8 @@ def scan_table(
                     batch = filter_batch(batch, scan.predicate)
                 if num_rows(batch):
                     parts.append(batch)
-            return concat_batches(parts) if parts else empty_batch(scan.columns)
+            # A cell that matched nothing returns {}: the gather drops it.
+            return concat_batches(parts)
 
         dag.add_task(
             Task(
@@ -149,7 +151,10 @@ def scan_table(
         if num_rows(result.results[task_id])
     ]
     _publish_scan_stats(context, table_id, full_snapshot)
-    out = concat_batches(parts) if parts else empty_batch(scan.columns)
+    if not parts:
+        out = empty_batch(scan.columns, table_schema(table.row))
+    else:
+        out = concat_batches(parts)
     if report is not None:
         report["rows"] = num_rows(out)
     return out

@@ -5,8 +5,9 @@ An LST table's state is the replay of a totally ordered sequence of
 manifest records actions: data files added/removed and deletion-vector
 files added/removed.  This package provides:
 
-* the action vocabulary and its JSON-lines wire form (:mod:`actions`,
-  :mod:`manifest`);
+* the action vocabulary and its wire form (:mod:`actions`,
+  :mod:`manifest`): JSON inside the frames of the one metadata codec
+  (:mod:`codec`) that manifests and checkpoints share;
 * deterministic snapshot reconstruction by replay (:mod:`snapshot`);
 * manifest *checkpoints* that collapse a prefix of the log (:mod:`checkpoint`);
 * the BE-side incremental snapshot cache (:mod:`cache`).

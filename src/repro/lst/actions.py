@@ -144,7 +144,7 @@ class AddDataFile:
     kind = "add_file"
 
     def to_dict(self) -> Dict[str, Any]:
-        """One manifest line (JSON object)."""
+        """One action of a manifest block (JSON object)."""
         return {"action": self.kind, "file": self.file.to_dict()}
 
 
@@ -162,7 +162,7 @@ class RemoveDataFile:
     kind = "remove_file"
 
     def to_dict(self) -> Dict[str, Any]:
-        """One manifest line (JSON object)."""
+        """One action of a manifest block (JSON object)."""
         return {"action": self.kind, "name": self.name}
 
 
@@ -175,7 +175,7 @@ class AddDeletionVector:
     kind = "add_dv"
 
     def to_dict(self) -> Dict[str, Any]:
-        """One manifest line (JSON object)."""
+        """One action of a manifest block (JSON object)."""
         return {"action": self.kind, "dv": self.dv.to_dict()}
 
 
@@ -190,7 +190,7 @@ class RemoveDeletionVector:
     kind = "remove_dv"
 
     def to_dict(self) -> Dict[str, Any]:
-        """One manifest line (JSON object)."""
+        """One action of a manifest block (JSON object)."""
         return {"action": self.kind, "name": self.name, "target_file": self.target_file}
 
 

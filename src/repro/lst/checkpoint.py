@@ -9,11 +9,13 @@ holds one retention window of removals, not the table's whole history.
 It writes each removal as a bare path, grouped by the commit that made
 it (:meth:`~repro.lst.snapshot.TableSnapshot.to_dict`).
 
-On disk a checkpoint is one zlib stream (default level) of its compact
-JSON document (:func:`encode_document`): the document repeats every key
-of every live descriptor, so it deflates to under a third.  Decoding
-(:func:`decode_document`) rejects anything but exactly one whole stream —
-plain JSON, a cut stream, trailing bytes — as :class:`FileFormatError`.
+On disk a checkpoint is one frame of the metadata codec
+(:mod:`repro.lst.codec`, the manifests' codec) holding its compact JSON
+document (:func:`encode_document`): the document repeats every key of
+every live descriptor, so it deflates to under a third.  Decoding
+(:func:`decode_document`) rejects anything but exactly one whole frame —
+plain JSON, a cut or corrupt frame, a second frame, trailing bytes — as
+:class:`FileFormatError`.
 
 Writing a checkpoint never removes manifests and (unlike compaction) can
 never conflict with user transactions.  While every manifest it covers
@@ -26,25 +28,29 @@ then refuses to replay around a lost one).
 from __future__ import annotations
 
 import json
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.common.errors import FileFormatError
+from repro.lst.codec import decode_frames, encode_frame
 from repro.lst.snapshot import TableSnapshot
-from repro.pagefile.encoding import inflate
 
 
 def encode_document(document: Any) -> bytes:
-    """A checkpoint's file bytes: its compact JSON, deflated."""
-    return zlib.compress(json.dumps(document, separators=(",", ":")).encode("utf-8"))
+    """A checkpoint's file bytes: its compact JSON in one frame."""
+    return encode_frame(json.dumps(document, separators=(",", ":")).encode("utf-8"))
 
 
 def decode_document(data: bytes, path: str = "<checkpoint>") -> Any:
-    """Inverse of :func:`encode_document`.  A frame that is not exactly
-    one zlib stream raises :class:`FileFormatError` naming ``path``;
-    malformed JSON inside it raises ``ValueError``."""
-    return json.loads(inflate(data, f"checkpoint {path}").decode("utf-8"))
+    """Inverse of :func:`encode_document`.  Bytes that are not exactly one
+    whole frame raise :class:`FileFormatError` naming ``path``; malformed
+    JSON inside it raises ``ValueError``."""
+    payloads = decode_frames(data, f"checkpoint {path}")
+    if len(payloads) != 1:
+        raise FileFormatError(
+            f"corrupt checkpoint {path} ({len(payloads)} frames, not one)"
+        )
+    return json.loads(payloads[0])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Manifest wire format and intra-transaction reconciliation.
 
-A manifest file is a sequence of JSON lines, one action per line.  Each BE
-task serializes its actions into one *block* of lines; the concatenation of
-the blocks named in the final commit-block-list is the manifest content
-(Section 3.2.2) — so the wire form must (and does) survive arbitrary block
-concatenation.
+A manifest file is a sequence of *blocks*.  Each BE task serializes its
+actions into one block: a frame of the metadata codec
+(:mod:`repro.lst.codec`) whose payload is one compact JSON array, one
+object per action.  The concatenation of the blocks named in the final
+commit-block-list is the manifest content (Section 3.2.2); a frame says
+where it ends, so the wire form survives arbitrary block concatenation.
+Bytes that are not whole frames, plain JSON included, are a
+:class:`~repro.common.errors.FileFormatError`.
 
 :func:`reconcile_actions` implements the manifest *rewrite* of
 Section 3.2.3: actions that were made obsolete by later actions of the
@@ -28,12 +31,13 @@ from repro.lst.actions import (
     RemoveDeletionVector,
     action_from_dict,
 )
+from repro.lst.codec import decode_frames, encode_frame
 
 
 def encode_actions(actions: List[Action]) -> bytes:
-    """Serialize actions into one manifest block (JSON lines)."""
-    lines = [json.dumps(action.to_dict(), separators=(",", ":")) for action in actions]
-    return ("".join(line + "\n" for line in lines)).encode("utf-8")
+    """Serialize actions into one manifest block (one frame)."""
+    document = [action.to_dict() for action in actions]
+    return encode_frame(json.dumps(document, separators=(",", ":")).encode("utf-8"))
 
 
 def decode_manifest(data: bytes, path: str = "<manifest>") -> List[Action]:
@@ -41,18 +45,20 @@ def decode_manifest(data: bytes, path: str = "<manifest>") -> List[Action]:
 
     Malformed bytes raise :class:`FileFormatError` naming ``path``.
     """
-    try:
-        return [
-            action_from_dict(json.loads(line))
-            for line in data.decode("utf-8").splitlines()
-            if line.strip()
-        ]
-    except (
-        ValueError, LookupError, TypeError, AttributeError, ArithmeticError
-    ) as exc:
-        raise FileFormatError(
-            f"manifest {path}: malformed ({type(exc).__name__}: {exc})"
-        ) from None
+    actions: List[Action] = []
+    for payload in decode_frames(data, f"manifest {path}"):
+        try:
+            block = json.loads(payload)
+            if type(block) is not list:
+                raise TypeError(f"a block holds {type(block).__name__}, not a list")
+            actions.extend(action_from_dict(raw) for raw in block)
+        except (
+            ValueError, LookupError, TypeError, AttributeError, ArithmeticError
+        ) as exc:
+            raise FileFormatError(
+                f"manifest {path}: malformed ({type(exc).__name__}: {exc})"
+            ) from None
+    return actions
 
 
 def reconcile_actions(actions: List[Action]) -> Tuple[List[Action], List[str]]:

@@ -46,6 +46,7 @@ from repro.storage.paths import index_file_path
 if TYPE_CHECKING:
     from repro.fe.context import ServiceContext
     from repro.fe.transaction import PolarisTransaction, ResolvedTable
+    from repro.pagefile.schema import Schema
 
 #: Master switch for cost-based plan rewrites (join reordering, transitive
 #: predicate pushdown), index pruning and STO index maintenance.
@@ -102,7 +103,7 @@ class QueryOptimizer:
         table_id = table_row["table_id"]
         schema = table_schema(table_row)
         snapshot = txn.table_snapshot(table_id)
-        columns = self._materialize(schema.names, snapshot)
+        columns = self._materialize(schema, snapshot)
         stats = collect_table_statistics(
             table_id=table_id,
             table_name=table_name,
@@ -397,9 +398,10 @@ class QueryOptimizer:
     # -- snapshot scanning ----------------------------------------------------
 
     def _materialize(
-        self, columns: List[str], snapshot: TableSnapshot
+        self, schema: Schema, snapshot: TableSnapshot
     ) -> Dict[str, np.ndarray]:
-        """Read a snapshot's live rows (files in name order), charging IO."""
+        """Read a snapshot's live rows of every ``schema`` column (files in
+        name order), charging IO."""
         from repro.engine.batch import concat_batches, empty_batch
         from repro.fe.write_path import _load_dv, _open_data_file
 
@@ -410,7 +412,7 @@ class QueryOptimizer:
             info = snapshot.files[name]
             reader = _open_data_file(self._context, info)
             dv = _load_dv(self._context, snapshot.dv_for(name))
-            batch = reader.read(columns=list(columns), deletion_vector=dv)
+            batch = reader.read(columns=schema.names, deletion_vector=dv)
             parts.append(batch)
             total_rows += info.num_rows
             total_bytes += info.size_bytes
@@ -420,7 +422,7 @@ class QueryOptimizer:
             )
         )
         if not parts:
-            return empty_batch(tuple(columns))
+            return empty_batch(schema.names, schema)
         return concat_batches(parts)
 
     def _key_file_pairs(

@@ -168,7 +168,8 @@ def encode_column(field: Field, values: np.ndarray) -> Tuple[bytes, ColumnStats]
 def inflate(payload: bytes, what: str = "column chunk") -> bytes:
     """Decompress one zlib stream that fills ``payload`` exactly: a chunk
     into its encoded payload (what the cache holds), or the body of a
-    deletion vector or a checkpoint.
+    deletion vector.  (Table metadata has its own codec,
+    :mod:`repro.lst.codec`.)
 
     ``zlib.decompress`` silently ignores bytes after the end of the
     stream; here they, a stream cut short and a corrupt one all raise

@@ -369,7 +369,6 @@ class Binder:
         if isinstance(expr, SBin):
             if expr.op in _COMPARISON_OPS and not aggs_ok:
                 self._check_comparable(expr.left, expr.right, tables)
-                self._check_comparable(expr.right, expr.left, tables)
             return BinOp(
                 expr.op,
                 self._bind_expr(expr.left, tables, aggs_ok),
@@ -386,6 +385,9 @@ class Binder:
             like = Like(self._bind_expr(expr.arg, tables, aggs_ok), expr.pattern)
             return Not(like) if expr.negated else like
         if isinstance(expr, SIn):
+            if not aggs_ok:
+                for value in expr.values:
+                    self._check_comparable(expr.arg, SLiteral(value), tables)
             inlist = InList(self._bind_expr(expr.arg, tables, aggs_ok), expr.values)
             return Not(inlist) if expr.negated else inlist
         if isinstance(expr, SBetween):
@@ -421,21 +423,33 @@ class Binder:
             )
         raise PlanError(f"cannot bind expression {expr!r}")
 
-    def _check_comparable(self, column, literal, tables) -> None:
-        """Reject comparing a string column with a number, or any other
-        column with a string: no row can be ordered against it."""
-        if not (isinstance(column, SColumn) and isinstance(literal, SLiteral)):
+    def _check_comparable(self, left, right, tables) -> None:
+        """Reject comparing a string with a number (or any other non-string
+        value), whatever the two sides are: no row can be ordered against
+        it, and numpy would fail or compare nothing at run time."""
+        sides = (self._typed(left, tables), self._typed(right, tables))
+        if None in sides or sides[0][0] == sides[1][0]:
             return
-        value = literal.value
-        if not isinstance(value, (str, int, float)):
-            return
-        owner = self._resolve_owner(column, tables)
-        type_ = self._schemas[owner].field(column.name).type
-        if (type_ == "string") != isinstance(value, str):
-            raise PlanError(
-                f"cannot compare {type_} column {column.name!r} "
-                f"with literal {value!r}"
-            )
+        raise PlanError(f"cannot compare {sides[0][1]} with {sides[1][1]}")
+
+    def _typed(self, expr, tables) -> Optional[Tuple[bool, str]]:
+        """``(yields strings, how a type error names it)`` for ``expr``;
+        None where the binder does not type it (NULL, a nested comparison)."""
+        if isinstance(expr, SColumn):
+            owner = self._resolve_owner(expr, tables)
+            type_ = self._schemas[owner].field(expr.name).type
+            return type_ == "string", f"{type_} column {expr.name!r}"
+        if isinstance(expr, SLiteral):
+            if not isinstance(expr.value, (str, int, float)):
+                return None
+            return isinstance(expr.value, str), f"literal {expr.value!r}"
+        if isinstance(expr, SBin) and expr.op not in _COMPARISON_OPS:
+            return False, f"arithmetic ({expr.op})"
+        if isinstance(expr, SFunc) and expr.name in ("YEAR", "SUBSTRING"):
+            return expr.name == "SUBSTRING", expr.name
+        if isinstance(expr, SCase):
+            return self._typed(expr.then, tables) or self._typed(expr.orelse, tables)
+        return None
 
     def prunes_of(self, where, tables) -> Dict[str, List[Tuple[str, str, Any]]]:
         """The zone-map conjuncts of a WHERE clause (None for none), per

@@ -7,10 +7,13 @@ DMV surfacing, orchestrator metrics, periodic scheduling, and the
 watchdog rule on unrepairable loss.
 """
 
+import json
+
 import pytest
 
 from repro.chaos.corruption import _build
 from repro.common.clock import SimulatedClock
+from repro.lst.codec import decode_frames
 from repro.sqldb import system_tables as catalog
 from repro.sto.delta_reader import read_published_table
 from repro.telemetry.metrics import MetricsRegistry
@@ -76,6 +79,9 @@ class TestScrubRepairs:
         report = warehouse.sto.run_scrub()
         (record,) = report.records
         assert record.action == "repaired"
+        # The rebuilt manifest is one block of the metadata codec.
+        [block] = decode_frames(warehouse.store.get(path).data, path)
+        assert json.loads(block)
         warehouse.context.cache.invalidate()
         live = warehouse.session().table_snapshot("orders").live_rows
         assert live == 500

@@ -1,12 +1,13 @@
 """Malformed manifest and checkpoint bytes raise FileFormatError naming the blob.
 
 Both decoders read bytes from the object store; whatever those bytes are —
-random, cut short, a broken zlib frame, or well-formed JSON holding the
+random, cut short, a broken frame, or well-formed JSON holding the
 wrong types — the only exception that may escape is
 :class:`FileFormatError`, and its message names the blob so an operator
-can find it.  A checkpoint is its JSON document deflated, so the
-document-level cases go through the checkpoint codec
-(:func:`~repro.lst.checkpoint.encode_document` /
+can find it.  Both are frames of one codec (:mod:`repro.lst.codec`), so
+the JSON-level cases build their bytes with it: a manifest block is one
+frame holding a JSON array of actions, a checkpoint one frame holding
+its document (:func:`~repro.lst.checkpoint.encode_document` /
 :func:`~repro.lst.checkpoint.decode_document`).
 """
 
@@ -32,6 +33,7 @@ from repro.lst import (
     replay,
 )
 from repro.lst.checkpoint import decode_document, encode_document
+from repro.lst.codec import HEADER, decode_frames, encode_frame
 
 MANIFEST = "internal/dw/tables/1001/_manifests/m.json"
 CHECKPOINT = "internal/dw/tables/1001/_checkpoints/6.json"
@@ -67,6 +69,17 @@ GOOD_REMOVALS = encode_actions(REMOVALS)
 GOOD_CHECKPOINT = Checkpoint.of(replay([(6, 2.0, REMOVALS)], base=BASE), 3.0).to_bytes()
 
 
+def block_of(data):
+    """The JSON array of actions in a one-block manifest."""
+    [payload] = decode_frames(data, MANIFEST)
+    return json.loads(payload)
+
+
+def framed(value):
+    """One frame holding ``value`` as JSON."""
+    return encode_frame(json.dumps(value).encode())
+
+
 def decodes_or_names_blob(decode, data, path):
     try:
         decode(data, path)
@@ -89,18 +102,80 @@ def decodes_or_names_blob(decode, data, path):
 )
 def test_listed_malformed_manifests(data):
     with pytest.raises(FileFormatError, match=MANIFEST):
-        decode_manifest(data, MANIFEST)
+        decode_manifest(encode_frame(b"[" + data + b"]"), MANIFEST)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"action":"remove_file","name":"a"}', b'"a"', b"null", b"", b"[]]"],
+)
+def test_a_block_that_is_not_one_array_of_actions_is_rejected(payload):
+    with pytest.raises(FileFormatError, match=MANIFEST):
+        decode_manifest(encode_frame(payload), MANIFEST)
 
 
 @pytest.mark.parametrize("data", [b"{}", b"null", b'{"sequence_id": 6}', b"\x80"])
 def test_listed_malformed_checkpoints(data):
     with pytest.raises(FileFormatError, match=CHECKPOINT):
-        Checkpoint.from_bytes(zlib.compress(data), CHECKPOINT)
+        Checkpoint.from_bytes(encode_frame(data), CHECKPOINT)
 
 
 def _flip_a_byte(data):
     middle = len(data) // 2
     return data[:middle] + bytes([data[middle] ^ 0x55]) + data[middle + 1 :]
+
+
+def _with_body(good, body):
+    """``good``'s one frame with its deflate bytes replaced by ``body``,
+    length and crc32 made to match, so only the deflate stream is wrong."""
+    return HEADER.pack(len(body), zlib.crc32(body)) + body
+
+
+#: Every way a frame can be malformed, for a blob holding one frame.
+MALFORMED_FRAMES = [
+    pytest.param(lambda good: good[: HEADER.size - 3], id="truncated-header"),
+    pytest.param(lambda good: good + good[:5], id="second-header-cut"),
+    pytest.param(lambda good: good[:-1], id="length-past-the-end"),
+    pytest.param(
+        lambda good: good[:4] + bytes([good[4] ^ 1]) + good[5:], id="crc-mismatch"
+    ),
+    pytest.param(_flip_a_byte, id="flipped-byte"),
+    pytest.param(lambda good: good + b"JUNK", id="trailing-bytes"),
+    pytest.param(lambda good: good + bytes(HEADER.size), id="trailing-empty-frame"),
+    pytest.param(
+        lambda good: _with_body(good, good[HEADER.size : -3]), id="cut-deflate-stream"
+    ),
+    pytest.param(
+        lambda good: _with_body(good, good[HEADER.size :] + b"xy"),
+        id="bytes-after-the-stream",
+    ),
+    pytest.param(lambda good: _with_body(good, b"\xff" * 9), id="corrupt-deflate"),
+]
+
+
+@pytest.mark.parametrize("frame", MALFORMED_FRAMES)
+def test_malformed_manifest_frames(frame):
+    with pytest.raises(FileFormatError, match=MANIFEST):
+        decode_manifest(frame(GOOD_MANIFEST), MANIFEST)
+    # The second of two blocks is checked as strictly as the first.
+    with pytest.raises(FileFormatError, match=MANIFEST):
+        decode_manifest(GOOD_REMOVALS + frame(GOOD_MANIFEST), MANIFEST)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            lambda: "".join(json.dumps(a) + "\n" for a in block_of(GOOD_MANIFEST)),
+            id="json-lines",
+        ),
+        pytest.param(lambda: json.dumps(block_of(GOOD_MANIFEST)), id="json-array"),
+        pytest.param(lambda: "\n", id="a-newline"),
+    ],
+)
+def test_an_unframed_json_manifest_is_rejected(text):
+    with pytest.raises(FileFormatError, match=MANIFEST):
+        decode_manifest(text().encode(), MANIFEST)
 
 
 @pytest.mark.parametrize(
@@ -111,8 +186,9 @@ def _flip_a_byte(data):
             id="uncompressed-json",
         ),
         pytest.param(lambda good: good[:-4], id="truncated-stream"),
-        pytest.param(lambda good: good + b"JUNK", id="trailing-bytes"),
-        pytest.param(_flip_a_byte, id="flipped-byte"),
+        pytest.param(lambda good: good + good, id="two-frames"),
+        pytest.param(lambda good: b"", id="no-frame"),
+        *MALFORMED_FRAMES,
     ],
 )
 def test_malformed_checkpoint_frames(frame):
@@ -150,10 +226,10 @@ def test_listed_malformed_tombstone_groups(key, value):
 
 @pytest.mark.parametrize("key", ["checksum", "column_stats"])
 def test_data_file_descriptor_missing_a_key_is_rejected(key):
-    line = json.loads(encode_actions([ACTIONS[0]]))
+    [line] = block_of(encode_actions([ACTIONS[0]]))
     del line["file"][key]
     with pytest.raises(FileFormatError, match=MANIFEST):
-        decode_manifest(json.dumps(line).encode(), MANIFEST)
+        decode_manifest(framed([line]), MANIFEST)
     raw = decode_document(GOOD_CHECKPOINT)
     del raw["snapshot"]["files"][0][key]
     with pytest.raises(FileFormatError, match=CHECKPOINT):
@@ -162,20 +238,20 @@ def test_data_file_descriptor_missing_a_key_is_rejected(key):
 
 @pytest.mark.parametrize("value", [False, 1, "true", None])
 def test_a_mixed_marker_other_than_true_is_rejected(value):
-    line = json.loads(encode_actions([ACTIONS[0]]))
+    [line] = block_of(encode_actions([ACTIONS[0]]))
     line["file"]["mixed"] = value
     with pytest.raises(FileFormatError, match=MANIFEST):
-        decode_manifest(json.dumps(line).encode(), MANIFEST)
+        decode_manifest(framed([line]), MANIFEST)
     line["file"]["mixed"] = True
-    (action,) = decode_manifest(json.dumps(line).encode(), MANIFEST)
+    (action,) = decode_manifest(framed([line]), MANIFEST)
     assert action.file.mixed and action.file.to_dict() == line["file"]
 
 
 def test_dv_descriptor_missing_its_checksum_is_rejected():
-    line = json.loads(encode_actions([ACTIONS[3]]))
+    [line] = block_of(encode_actions([ACTIONS[3]]))
     del line["dv"]["checksum"]
     with pytest.raises(FileFormatError, match=MANIFEST):
-        decode_manifest(json.dumps(line).encode(), MANIFEST)
+        decode_manifest(framed([line]), MANIFEST)
     raw = decode_document(GOOD_CHECKPOINT)
     del raw["snapshot"]["dvs"][0]["checksum"]
     with pytest.raises(FileFormatError, match=CHECKPOINT):
@@ -194,6 +270,13 @@ def test_checkpoint_sequence_must_match_its_snapshot():
 def test_random_bytes(data):
     decodes_or_names_blob(decode_manifest, data, MANIFEST)
     decodes_or_names_blob(Checkpoint.from_bytes, data, CHECKPOINT)
+
+
+@given(st.binary(max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_random_bytes_in_a_whole_frame(data):
+    decodes_or_names_blob(decode_manifest, encode_frame(data), MANIFEST)
+    decodes_or_names_blob(Checkpoint.from_bytes, encode_frame(data), CHECKPOINT)
 
 
 @given(st.data())
@@ -240,10 +323,10 @@ def _type_confused(data, document):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_type_confused_manifest(data):
-    lines = GOOD_MANIFEST.decode().splitlines()
+    lines = block_of(GOOD_MANIFEST)
     index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
-    lines[index] = json.dumps(_type_confused(data, json.loads(lines[index])))
-    decodes_or_names_blob(decode_manifest, "\n".join(lines).encode(), MANIFEST)
+    lines[index] = _type_confused(data, lines[index])
+    decodes_or_names_blob(decode_manifest, framed(lines), MANIFEST)
 
 
 @given(st.data())
@@ -258,11 +341,11 @@ def test_type_confused_checkpoint(data):
 def test_type_confused_removals_fail_decode_or_replay_cleanly(data):
     """A removal that decodes must replay onto a table holding files and
     DVs without any error but :class:`FileFormatError`."""
-    lines = GOOD_REMOVALS.decode().splitlines()
+    lines = block_of(GOOD_REMOVALS)
     index = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
-    lines[index] = json.dumps(_type_confused(data, json.loads(lines[index])))
+    lines[index] = _type_confused(data, lines[index])
     try:
-        actions = decode_manifest("\n".join(lines).encode(), MANIFEST)
+        actions = decode_manifest(framed(lines), MANIFEST)
     except FileFormatError as exc:
         assert MANIFEST in str(exc)
         return

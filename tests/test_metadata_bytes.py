@@ -1,12 +1,15 @@
 """Manifests and checkpoints say each fact once: a byte-budget guard.
 
 A removal line names only what it retires, a checkpoint writes each
-tombstone as its path inside one group per removing commit, and is
-stored deflated.  A statement that cancels none of its transaction's own
-writes appends the blocks its tasks staged, so each ``add_file`` line is
-written once, and only a mixed file's line (its rows may hash to any
-bucket) carries the one marker that says so.  This guard builds small
-tables, writes to them and holds the written bytes to that shape.
+tombstone as its path inside one group per removing commit, and both
+manifests and checkpoints are stored as frames of the deflate codec
+(:mod:`repro.lst.codec`).  A statement that cancels none of its
+transaction's own writes appends the blocks its tasks staged, so each
+``add_file`` line is written once, and only a mixed file's line (its
+rows may hash to any bucket) carries the one marker that says so.  This
+guard builds small tables, writes to them and holds the written bytes to
+that shape.  A "line" is one action's compact JSON inside a block's
+array, read back through the codec.
 """
 
 import json
@@ -16,6 +19,7 @@ import numpy as np
 from repro import BinOp, Col, Lit, Schema, Warehouse
 from repro.lst import Checkpoint
 from repro.lst.checkpoint import decode_document
+from repro.lst.codec import decode_frames
 from repro.sqldb import system_tables as catalog
 from repro.storage.object_store import ObjectStore
 from tests.conftest import small_config
@@ -27,7 +31,10 @@ REMOVE_KEYS = {
 #: One tombstone's share of a group: its JSON string and a comma.
 PER_TOMBSTONE = 3
 #: A stored checkpoint's size as a share of its JSON document.
-CHECKPOINT_DEFLATED = 0.35
+CHECKPOINT_DEFLATED = 0.32
+#: A stored manifest's size as a share of the JSON its blocks hold.  A
+#: one-action block deflated without the preset dictionary is about 0.6.
+MANIFEST_DEFLATED = 0.40
 #: Every key of a hash-placed file's ``add_file`` descriptor, in order.
 ADD_FILE_KEYS = [
     "name", "path", "num_rows", "size_bytes", "distribution", "column_stats",
@@ -43,6 +50,18 @@ def row(i):
 
 def compact_json(value):
     return json.dumps(value, separators=(",", ":"))
+
+
+def manifest_lines(data):
+    """Each action of a stored manifest as the compact JSON its block
+    holds: the block payloads must be exactly their actions' compact
+    JSON arrays, so the returned lines are the bytes as written."""
+    lines = []
+    for payload in decode_frames(data, "manifest"):
+        block = json.loads(payload)
+        assert compact_json(block).encode() == payload, payload
+        lines.extend(compact_json(action).encode() for action in block)
+    return lines
 
 
 def new_table():
@@ -91,7 +110,7 @@ def test_remove_lines_and_checkpoint_tombstones_stay_within_budget():
 
     removals = []
     for manifest in manifests:
-        for line in dw.store.get(manifest["manifest_path"]).data.splitlines():
+        for line in manifest_lines(dw.store.get(manifest["manifest_path"]).data):
             action = json.loads(line)
             if action["action"] in REMOVE_KEYS:
                 removals.append(action)
@@ -126,6 +145,20 @@ def test_a_stored_checkpoint_is_deflated():
     assert len(data) <= CHECKPOINT_DEFLATED * len(document), (len(data), len(document))
 
 
+def test_a_stored_manifest_is_deflated():
+    dw, table_id = build()
+    txn = dw.context.sqldb.begin()
+    try:
+        manifests = catalog.manifests_for_table(txn, table_id)
+    finally:
+        txn.abort()
+    assert len(manifests) > 40
+    for manifest in manifests:
+        data = dw.store.get(manifest["manifest_path"]).data
+        inflated = sum(len(payload) for payload in decode_frames(data, "manifest"))
+        assert len(data) <= MANIFEST_DEFLATED * inflated, (len(data), inflated)
+
+
 def test_each_add_file_line_is_written_once(monkeypatch):
     """Transactions that insert, update and compact without cancelling
     any of their own writes stage one ``add_file`` line per data file."""
@@ -137,7 +170,9 @@ def test_each_add_file_line_is_written_once(monkeypatch):
         return put(self, path, data, *args, **kwargs)
 
     def counted_stage_block(self, path, block_id, data):
-        written["add_file"] += data.count(b'{"action":"add_file"')
+        written["add_file"] += sum(
+            line.startswith(b'{"action":"add_file"') for line in manifest_lines(data)
+        )
         return stage_block(self, path, block_id, data)
 
     monkeypatch.setattr(ObjectStore, "put", counted_put)
@@ -173,7 +208,7 @@ def test_only_mixed_files_carry_the_marker():
     lines = [
         line
         for manifest in manifests
-        for line in dw.store.get(manifest["manifest_path"]).data.splitlines()
+        for line in manifest_lines(dw.store.get(manifest["manifest_path"]).data)
         if line.startswith(b'{"action":"add_file"')
     ]
     mixed = [line for line in lines if MIXED_MARKER in line]

@@ -319,6 +319,40 @@ class TestTypeMismatch:
         assert len(sql.execute("SELECT item_id FROM items")["item_id"]) == 4
 
     @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("item_id IN ('x')", "int64 column 'item_id' with literal 'x'"),
+            ("item_id NOT IN (1, 'x')", "int64 column 'item_id' with literal 'x'"),
+            ("label IN (1, 2)", "string column 'label' with literal 1"),
+            ("label IN ('alpha', 2.5)", "string column 'label' with literal 2.5"),
+        ],
+    )
+    def test_in_list_is_type_checked(self, sql, where, message):
+        with pytest.raises(PlanError, match=message):
+            sql.execute(f"SELECT item_id FROM items WHERE {where}")
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "item_id + 1 = 'x'",
+            "'x' < price * 2",
+            "YEAR(day) = 'x'",
+            "SUBSTRING(label, 1, 2) = 5",
+            "label = item_id",
+        ],
+    )
+    def test_expression_comparison_is_type_checked(self, sql, where):
+        with pytest.raises(PlanError, match="cannot compare"):
+            sql.execute(f"SELECT item_id FROM items WHERE {where}")
+
+    def test_well_typed_expressions_still_bind(self, sql):
+        out = sql.execute(
+            "SELECT item_id FROM items WHERE item_id + 1 = 3 "
+            "AND SUBSTRING(label, 1, 2) = 'be' AND label IN ('beta')"
+        )
+        assert out["item_id"].tolist() == [2]
+
+    @pytest.mark.parametrize(
         "column, op, literal",
         [("item_id", "==", "x"), ("item_id", "<", "x"),
          ("label", "==", 5), ("label", "<", 5)],
@@ -333,6 +367,28 @@ class TestTypeMismatch:
             "items", everything, {"price": Lit(1.0)}, prune=prune
         ) == 4
         assert session.delete("items", everything, prune=prune) == 4
+
+
+class TestEmptyResultTypes:
+    """A scan that matches nothing returns each column with its schema
+    dtype, as a scan that matches one row does."""
+
+    @pytest.mark.parametrize(
+        "column, dtype", [("item_id", np.int64), ("label", object), ("price", np.float64)]
+    )
+    @pytest.mark.parametrize(
+        "where",
+        ["item_id = 5", "item_id = 1", "price > 100.0", "label = 'zeta'", "day < 0"],
+    )
+    def test_dtype_does_not_depend_on_matching(self, sql, column, dtype, where):
+        out = sql.execute(f"SELECT {column} FROM items WHERE {where}")
+        assert out[column].dtype == np.dtype(dtype)
+
+    def test_an_empty_table_keeps_its_types(self, sql):
+        sql.execute("DELETE FROM items WHERE item_id > 0")
+        out = sql.execute("SELECT item_id, label FROM items")
+        assert len(out["item_id"]) == 0
+        assert out["item_id"].dtype == np.int64 and out["label"].dtype == object
 
 
 class TestDistinct:
