@@ -26,7 +26,7 @@ from typing import Iterable, List, Sequence
 
 from repro import PolarisConfig, Warehouse
 from repro.fe.context import recording
-from repro.telemetry import combined_chrome_trace
+from repro.telemetry.exporters import chrome_trace_events
 
 #: Set by :func:`bench_main` when ``--trace`` is given; :func:`bench_config`
 #: reads it so every warehouse a benchmark creates is traced without the
@@ -150,14 +150,16 @@ def bench_main(*bench_fns) -> None:
 
     if args.trace is not None:
         traced = [c.telemetry for c in contexts if c.telemetry.tracing]
-        groups = [
-            (f"run{i}:" if len(traced) > 1 else "", tel.spans)
-            for i, tel in enumerate(traced, start=1)
-        ]
-        document = combined_chrome_trace(groups)
+        # One file for every warehouse: each gets a disjoint pid range
+        # and, when there are several, a "runN:" process-name prefix.
+        events, pid = [], 1
+        for i, tel in enumerate(traced, start=1):
+            prefix = f"run{i}:" if len(traced) > 1 else ""
+            run_events, pid = chrome_trace_events(tel.spans, pid, prefix)
+            events.extend(run_events)
         with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(document, fh)
-        spans = sum(len(g[1]) for g in groups)
+            json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)
+        spans = sum(len(tel.spans) for tel in traced)
         print(
             f"\nwrote {spans} spans to {args.trace} "
             "(load at ui.perfetto.dev)"

@@ -3,10 +3,10 @@
 
     python scripts/dmv_scenario.py [--seed N] > views.txt
 
-Turns every collector on (query store, wait statistics, the metrics
-sampler and the watchdog), then drives a deployment through SQL DDL and
-DML, gateway requests from two tenants, ANALYZE and CREATE INDEX, a crash
-and the recovery pass after it, and a checkpoint the scrubber repairs.
+Turns every collector on (query store and wait statistics), then drives
+a deployment through SQL DDL and DML, gateway requests from two tenants,
+ANALYZE and CREATE INDEX, a crash and the recovery pass after it, and a
+checkpoint the scrubber repairs.
 It then prints ``SELECT * FROM v`` for each view, column by column with
 its dtype and full-precision values.  Everything runs on the simulated
 clock, so two trees whose views agree print byte-identical output: run
@@ -33,14 +33,11 @@ import numpy as np
 from repro import PolarisConfig, Warehouse
 from repro.chaos import ChaosController, RecoveryManager, SimulatedCrash
 from repro.service import Gateway
-from repro.telemetry import facade
 from repro.telemetry.introspection import Introspector
 
 
 def run(seed: int) -> Warehouse:
     """Build the deployment and leave a row in every view."""
-    facade.SAMPLE_INTERVAL_S = 0.5
-    facade.WATCHDOG_ENABLED = True
     config = PolarisConfig()
     config.seed = seed
     config.telemetry.query_store_enabled = True

@@ -12,12 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
-from repro.telemetry.names import (
-    METRIC_NAMES,
-    SPAN_NAMES,
-    SPAN_PREFIXES,
-    is_well_formed,
-)
+from repro.telemetry.names import SPAN_NAMES, SPAN_PREFIXES
 from repro.analysis.framework import (
     Finding,
     ModuleSource,
@@ -555,71 +550,38 @@ class DocstringCoverageRule(Rule):
 
 # -- metric-naming -------------------------------------------------------------
 
-#: Instrument-factory methods whose first argument names a metric family.
-_METRIC_FACTORIES = {"counter", "gauge", "histogram"}
-
 #: Span-factory methods whose first argument names a span or span event.
 _SPAN_FACTORIES = {"span", "start_span", "add_event"}
 
 
 @register
 class MetricNamingRule(Rule):
-    """Metric and span names are literal, well-formed, and registered.
+    """Span names are literal and registered.
 
-    ``sys.dm_metrics``, watchdog rules and the benchmark regression
-    harness address instrument families by name, so the vocabulary must
-    be statically enumerable: every ``.counter/.gauge/.histogram`` name
-    is a dotted-lowercase string literal registered in
-    :data:`repro.telemetry.names.METRIC_NAMES`, and every span or
-    span-event name outside ``telemetry/`` is either a literal in
-    :data:`~repro.telemetry.names.SPAN_NAMES` or a ``"prefix" + expr``
-    concatenation whose literal prefix is registered in
-    :data:`~repro.telemetry.names.SPAN_PREFIXES`.  One module owns the
-    catalogue, the linter keeps call sites honest.
+    Every span or span-event name outside ``telemetry/`` is either a
+    literal in :data:`repro.telemetry.names.SPAN_NAMES` or a
+    ``"prefix" + expr`` concatenation whose literal prefix is registered
+    in :data:`~repro.telemetry.names.SPAN_PREFIXES`.  Metric names are
+    checked at runtime instead: ``MetricsRegistry`` rejects an
+    unregistered name when it creates the instrument.  Span names stay
+    static because only traced tests reach span sites, and task spans
+    carry dynamic labels.
     """
 
     name = "metric-naming"
     description = (
-        "metric/span names are string literals registered in "
-        "repro.telemetry.names (METRIC_NAMES / SPAN_NAMES / SPAN_PREFIXES)"
+        "span names are string literals registered in repro.telemetry.names "
+        "(SPAN_NAMES / SPAN_PREFIXES)"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        """Yield unregistered or dynamic metric and span names."""
-        span_exempt = _in_dir(module, "telemetry")
+        """Yield unregistered or dynamic span names."""
+        if _in_dir(module, "telemetry"):
+            return
         for call in iter_calls(module.tree):
             func = call_name(call)
-            if func in _METRIC_FACTORIES:
-                yield from self._check_metric(module, call, func)
-            elif func in _SPAN_FACTORIES and not span_exempt:
+            if func in _SPAN_FACTORIES:
                 yield from self._check_span(module, call, func)
-
-    def _check_metric(
-        self, module: ModuleSource, call: ast.Call, func: str
-    ) -> Iterator[Finding]:
-        name = _literal_str(call.args[0]) if call.args else None
-        if name is None:
-            yield self.finding(
-                module,
-                call,
-                f".{func}(...) metric name must be a string literal so "
-                "the metric vocabulary is statically enumerable",
-            )
-            return
-        if not is_well_formed(name):
-            yield self.finding(
-                module,
-                call,
-                f"metric name {name!r} is not dotted lowercase "
-                "(segment(.segment)*)",
-            )
-        if name not in METRIC_NAMES:
-            yield self.finding(
-                module,
-                call,
-                f"metric {name!r} is not registered in "
-                "repro.telemetry.names.METRIC_NAMES",
-            )
 
     def _check_span(
         self, module: ModuleSource, call: ast.Call, func: str

@@ -42,7 +42,8 @@ class CommitLock:
         self.busy_until = 0.0
         self._acquired_at = 0.0
         self._telemetry: "Optional[Telemetry]" = None
-        # Local aggregates, so sys.dm_commit_lock needs no collector.
+        # The lock's one record of its waits and holds: sys.dm_commit_lock
+        # reads them, and needs no collector.
         self.total_wait_s = 0.0
         self.total_hold_s = 0.0
 
@@ -67,17 +68,13 @@ class CommitLock:
                 f"commit lock re-entered: txn {txid} while held by {self._holder}"
             )
         clock = self._clock
-        telemetry = self._telemetry
         if clock is not None:
             wait_s = self.busy_until - clock.now
             if wait_s > 0:
                 clock.advance(wait_s)
                 self.total_wait_s += wait_s
-                if telemetry is not None:
-                    telemetry.record_wait("commit_lock", wait_s)
-                    telemetry.metrics.histogram(
-                        "sqldb.commit_lock_wait_s"
-                    ).observe(wait_s)
+                if self._telemetry is not None:
+                    self._telemetry.record_wait("commit_lock", wait_s)
             self._acquired_at = clock.now
         self._holder = txid
         self.acquisitions += 1
@@ -89,10 +86,6 @@ class CommitLock:
                 hold = (clock.now - self._acquired_at) + COMMIT_HOLD_S
                 self.busy_until = self._acquired_at + hold
                 self.total_hold_s += hold
-                if telemetry is not None:
-                    telemetry.metrics.histogram(
-                        "sqldb.commit_lock_hold_s"
-                    ).observe(hold)
 
     @property
     def is_held(self) -> bool:

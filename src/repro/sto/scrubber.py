@@ -20,7 +20,8 @@ state:
   that produced them (same transformation as the publisher);
 * **data files and deletion vectors** are user data with no redundant
   copy — unrepairable.  The table is degraded to RED in the health
-  monitor and ``storage.integrity_unrepairable`` fires the watchdog.
+  monitor and the loss is counted in ``storage.integrity_unrepairable``
+  (``sys.dm_metrics``) and listed in ``sys.dm_storage_integrity``.
 
 A scrub pass never raises out of a table: repair failures degrade to
 "unrepairable" records, so one rotten table cannot stall the audit of

@@ -8,8 +8,8 @@ The subsystem has three parts:
 * :mod:`repro.telemetry.metrics` — an always-on registry of counters,
   gauges and p50/p95/p99 histograms (object-store request and byte
   totals stay in ``store.meter``, the deployment's one copy);
-* :mod:`repro.telemetry.exporters` — JSONL span dumps and Chrome
-  trace-event files (loadable in Perfetto, one process row per DCP node).
+* :mod:`repro.telemetry.exporters` — Chrome trace-event files (loadable
+  in Perfetto, one process row per DCP node).
 
 :class:`Telemetry` (from :mod:`repro.telemetry.facade`) bundles all three
 per deployment and is reachable as ``context.telemetry`` everywhere a
@@ -18,19 +18,7 @@ per deployment and is reachable as ``context.telemetry`` everywhere a
 """
 
 from repro.common.config import TelemetryConfig
-from repro.telemetry.critical_path import (
-    analyze as analyze_critical_path,
-    format_report as format_critical_path_report,
-    load_trace,
-    top_serialization_kind,
-)
-from repro.telemetry.exporters import (
-    chrome_trace,
-    combined_chrome_trace,
-    spans_to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.telemetry.exporters import chrome_trace, write_chrome_trace
 from repro.telemetry.facade import Telemetry
 from repro.telemetry.introspection import Introspector, TransactionLedger
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -48,13 +36,6 @@ from repro.telemetry.querystore import (
     plan_fingerprint,
 )
 from repro.telemetry.spans import Span, SpanEvent, Tracer
-from repro.telemetry.timeseries import (
-    MetricSample,
-    MetricsSampler,
-    Watchdog,
-    WatchdogRule,
-    default_rules,
-)
 from repro.telemetry.waits import WaitStats
 
 __all__ = [
@@ -63,9 +44,7 @@ __all__ = [
     "Histogram",
     "Introspector",
     "METRIC_NAMES",
-    "MetricSample",
     "MetricsRegistry",
-    "MetricsSampler",
     "QueryProfile",
     "QueryStore",
     "SPAN_NAMES",
@@ -78,19 +57,9 @@ __all__ = [
     "TransactionLedger",
     "WAIT_NAMES",
     "WaitStats",
-    "Watchdog",
-    "WatchdogRule",
-    "analyze_critical_path",
     "chrome_trace",
-    "combined_chrome_trace",
-    "default_rules",
     "fingerprint",
-    "format_critical_path_report",
-    "load_trace",
     "normalize_sql",
     "plan_fingerprint",
-    "spans_to_jsonl",
-    "top_serialization_kind",
     "write_chrome_trace",
-    "write_jsonl",
 ]

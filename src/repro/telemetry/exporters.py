@@ -1,4 +1,4 @@
-"""Trace export: JSONL span dumps and Chrome trace-event files.
+"""Trace export: Chrome trace-event files.
 
 The Chrome trace-event format (the JSON Perfetto and ``chrome://tracing``
 load) maps naturally onto the simulation: one *process* row per trace
@@ -10,49 +10,12 @@ task slots as the threads inside it.  Span trees become nested "X"
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.telemetry.spans import FE_TRACK, Span
 
 #: Simulated seconds -> trace microseconds.
 _US = 1_000_000.0
-
-
-def span_to_dict(span: Span) -> Dict[str, Any]:
-    """One span as a plain JSON-able dict (the JSONL record shape)."""
-    return {
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "name": span.name,
-        "category": span.category,
-        "start": span.start,
-        "end": span.end,
-        "track": span.track,
-        "tid": span.tid,
-        "status": span.status,
-        "attributes": _jsonable_attrs(span.attributes),
-        "events": [
-            {
-                "name": event.name,
-                "timestamp": event.timestamp,
-                "attributes": _jsonable_attrs(event.attributes),
-            }
-            for event in span.events
-        ],
-    }
-
-
-def spans_to_jsonl(spans: Iterable[Span]) -> str:
-    """All spans as newline-delimited JSON, one record per span."""
-    return "\n".join(json.dumps(span_to_dict(span)) for span in spans)
-
-
-def write_jsonl(spans: Iterable[Span], path: str) -> None:
-    """Write :func:`spans_to_jsonl` output to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        text = spans_to_jsonl(spans)
-        if text:
-            handle.write(text + "\n")
 
 
 def _track_order(spans: Sequence[Span]) -> List[str]:
@@ -74,10 +37,6 @@ def _track_order(spans: Sequence[Span]) -> List[str]:
 def _track_label(track: str) -> str:
     if track == FE_TRACK:
         return "FE / coordinator"
-    if track == "waits":
-        # Wait intervals get their own Perfetto row so stall time is
-        # visually separate from compute (see repro.telemetry.waits).
-        return "Waits / stalls"
     prefix, __, suffix = track.partition(":")
     if prefix == "node":
         return f"DCP node {suffix}"
@@ -147,23 +106,6 @@ def chrome_trace(
 ) -> Dict[str, Any]:
     """A complete Chrome trace document for one deployment's spans."""
     events, __ = chrome_trace_events(spans, 1, process_prefix)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def combined_chrome_trace(
-    groups: Sequence[Tuple[str, Sequence[Span]]]
-) -> Dict[str, Any]:
-    """Merge several deployments' spans into one trace document.
-
-    ``groups`` is ``[(label, spans), ...]``; each group's tracks get a
-    disjoint pid range and the label as a process-name prefix.
-    """
-    events: List[Dict[str, Any]] = []
-    pid = 1
-    for label, spans in groups:
-        prefix = label if len(groups) > 1 else ""
-        group_events, pid = chrome_trace_events(spans, pid, prefix)
-        events.extend(group_events)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -2,11 +2,10 @@
 
 One :class:`Telemetry` object per :class:`~repro.fe.context.ServiceContext`
 bundles the span tracer, the metrics registry, the optional collectors
-(query store, wait statistics, metrics sampler, watchdog — built here,
-from ``TelemetryConfig`` and :data:`SAMPLE_INTERVAL_S` /
-:data:`WATCHDOG_ENABLED`, and nowhere else), the request scope they
-attribute by, and the domain hooks the instrumented layers call (storage
-requests, latency charges, retries, waits, statements, bus events).
+(query store and wait statistics — built here, from ``TelemetryConfig``,
+and nowhere else), the request scope they attribute by, and the domain
+hooks the instrumented layers call (storage requests, latency charges,
+retries, waits, statements, bus events).
 Every entry point fast-paths to a no-op — the scoped ones to one shared
 null scope — when the corresponding switch is off, so instrumented sites
 never test whether a collector exists.
@@ -30,19 +29,10 @@ from repro.telemetry.querystore import (
 )
 from repro.telemetry.scope import RequestScope
 from repro.telemetry.spans import Span, SpanEvent, Tracer
-from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
 from repro.telemetry.waits import WaitStats
 
 if TYPE_CHECKING:
     from repro.fe.context import Participant
-
-#: Metrics time-series sampling interval in simulated seconds.  0 disables
-#: the sampler entirely: no ring buffer is allocated and no clock watcher
-#: is armed.
-SAMPLE_INTERVAL_S = 0.0
-#: Evaluate the default watchdog rules over the sampled series (only
-#: while the sampler runs, i.e. ``SAMPLE_INTERVAL_S`` > 0).
-WATCHDOG_ENABLED = False
 
 
 class _NullScope:
@@ -63,11 +53,10 @@ _NULL_SCOPE = _NullScope()
 class Telemetry:
     """Tracing, metrics and the optional collectors of one deployment.
 
-    ``bus`` is mirrored into metrics/spans and handed to the collectors
-    that publish on it; ``participants`` is the deployment's registry of
-    crash-volatile state (``ServiceContext.participants``), which every
-    collector holding in-flight records joins, and the tracer too while
-    tracing.
+    ``bus`` is mirrored into metrics/spans; ``participants`` is the
+    deployment's registry of crash-volatile state
+    (``ServiceContext.participants``), which every collector holding
+    in-flight records joins, and the tracer too while tracing.
     """
 
     def __init__(
@@ -111,14 +100,7 @@ class Telemetry:
         if config.query_store_enabled:
             self.querystore = self._collector(
                 "querystore",
-                QueryStore(
-                    clock,
-                    self.metrics,
-                    self.meter,
-                    bus,
-                    seed,
-                    self.scope,
-                ),
+                QueryStore(clock, self.metrics, self.meter, seed, self.scope),
             )
         #: Wait-statistics collector attributing every stalled simulated
         #: second (None unless ``TelemetryConfig.wait_stats_enabled``).
@@ -126,30 +108,12 @@ class Telemetry:
         if config.wait_stats_enabled:
             self.waits = self._collector(
                 "waits",
-                WaitStats(
-                    clock,
-                    self.metrics,
-                    self.tracer if self.tracing else None,
-                    seed,
-                    self.scope,
-                ),
+                WaitStats(clock, seed, self.scope),
             )
             # Bound once, so an enabled site reaches the collector with
             # no forwarding hop (the class-level methods are the no-ops).
             self.record_wait = self.waits.record_wait
             self.waiting = self.waits.waiting
-        #: Time-series sampler over :attr:`metrics` (None unless
-        #: :data:`SAMPLE_INTERVAL_S` > 0 — the disabled path allocates
-        #: nothing and arms no clock watcher).
-        self.sampler = None
-        #: Threshold watchdog fed by :attr:`sampler` (None unless enabled).
-        self.watchdog = None
-        if SAMPLE_INTERVAL_S > 0:
-            self.sampler = MetricsSampler(clock, self.metrics, SAMPLE_INTERVAL_S)
-            if WATCHDOG_ENABLED:
-                self.watchdog = Watchdog(self.metrics, bus, rules=default_rules())
-                self.sampler.subscribe(self.watchdog.observe)
-            self.sampler.start()
 
     def _collector(self, name: str, collector):
         """Wire one collector that reads the scope and holds in-flight
@@ -425,10 +389,3 @@ class Telemetry:
         if path is not None:
             exporters.write_chrome_trace(document, path)
         return document
-
-    def export_jsonl(self, path: Optional[str] = None) -> str:
-        """The finished spans as JSONL (optionally written to ``path``)."""
-        if path is not None:
-            exporters.write_jsonl(self.spans, path)
-            return path
-        return exporters.spans_to_jsonl(self.spans)

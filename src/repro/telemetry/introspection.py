@@ -23,8 +23,6 @@ in ``docs/OBSERVABILITY.md``):
 ``sys.dm_requests``         The gateway's request ledger: queued, running,
                             and recently finished requests.
 ``sys.dm_metrics``          Every registered instrument as a row.
-``sys.dm_metrics_history``  The sampler's ring buffer, one row per series
-                            per sample.
 ``sys.dm_exec_query_stats`` Query-store aggregates, one row per statement
                             fingerprint (executions, latency percentiles).
 ``sys.dm_exec_query_plans`` Distinct plans per fingerprint with literal-
@@ -72,7 +70,6 @@ from repro.common.errors import PolarisError
 from repro.engine.statistics import TableStats
 from repro.pagefile.schema import Schema
 from repro.sqldb import system_tables as syscat
-from repro.telemetry.timeseries import flatten_sample
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
@@ -376,25 +373,6 @@ def _metrics(introspector: "Introspector") -> List[Dict[str, Any]]:
     return rows
 
 
-def _metrics_history(introspector: "Introspector") -> List[Dict[str, Any]]:
-    sampler = introspector.context.telemetry.sampler
-    if sampler is None:
-        return []
-    rows = []
-    for sample in sampler.samples:
-        flat = flatten_sample(sample.values)
-        for metric in sorted(flat):
-            rows.append(
-                {
-                    "sample_id": sample.sample_id,
-                    "at": sample.at,
-                    "metric": metric,
-                    "value": flat[metric],
-                }
-            )
-    return rows
-
-
 def _commit_lock(introspector: "Introspector") -> List[Dict[str, Any]]:
     # One row, always available: the lock itself keeps local aggregates,
     # so holder/hold accounting needs neither metrics nor wait stats on.
@@ -593,15 +571,6 @@ class Introspector:
                 ("p99", "float64"),
             ),
             _metrics,
-        ),
-        "sys.dm_metrics_history": (
-            Schema.of(
-                ("sample_id", "int64"),
-                ("at", "float64"),
-                ("metric", "string"),
-                ("value", "float64"),
-            ),
-            _metrics_history,
         ),
         "sys.dm_exec_query_stats": (
             Schema.of(
@@ -815,10 +784,4 @@ class Introspector:
         )
         lines.append(f"checkpoints: {len(self.rows('sys.dm_checkpoints'))}")
         lines.append(f"recovery runs: {len(self.rows('sys.dm_recovery_history'))}")
-        alerts = sum(
-            row["value"]
-            for row in self.rows("sys.dm_metrics")
-            if row["name"] == "watchdog.alerts"
-        )
-        lines.append(f"watchdog alerts: {int(alerts)}")
         return "\n".join(lines)

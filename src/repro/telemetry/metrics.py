@@ -2,7 +2,9 @@
 
 One :class:`MetricsRegistry` per deployment, always recording: every
 instrument is addressed by a name plus a label set, so the same counter
-family can be sliced per operation kind, per pool, or per table.  A count
+family can be sliced per operation kind, per pool, or per table.  The
+name must be registered in :data:`repro.telemetry.names.METRIC_NAMES`;
+the registry checks it when it creates the instrument.  A count
 a stats object already keeps (``IoMeter`` request/byte totals, the commit
 lock's acquisitions) has no second copy here.  Histograms keep a bounded sample reservoir
 and report p50/p95/p99 summaries — the percentile view the paper's
@@ -14,11 +16,27 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.telemetry.names import METRIC_NAMES, is_well_formed
+
 LabelKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
 
 
 def _key(name: str, labels: Dict[str, Any]) -> LabelKey:
     return name, tuple(sorted(labels.items()))
+
+
+def check_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a dotted-lowercase metric
+    name registered in :data:`METRIC_NAMES`."""
+    if not is_well_formed(name):
+        raise ValueError(
+            f"metric name {name!r} is not dotted lowercase (segment(.segment)*)"
+        )
+    if name not in METRIC_NAMES:
+        raise ValueError(
+            f"metric {name!r} is not registered in "
+            "repro.telemetry.names.METRIC_NAMES"
+        )
 
 
 def format_key(key: LabelKey) -> str:
@@ -152,10 +170,12 @@ class MetricsRegistry:
     # -- instrument access ---------------------------------------------------
 
     def counter(self, name: str, **labels: Any) -> Counter:
-        """The counter for ``name``/``labels`` (created on first use)."""
+        """The counter for ``name``/``labels`` (created on first use;
+        :func:`check_name` rejects an unregistered name then)."""
         key = _key(name, labels)
         counter = self._counters.get(key)
         if counter is None:
+            check_name(name)
             counter = self._counters[key] = Counter()
         return counter
 
@@ -164,6 +184,7 @@ class MetricsRegistry:
         key = _key(name, labels)
         gauge = self._gauges.get(key)
         if gauge is None:
+            check_name(name)
             gauge = self._gauges[key] = Gauge()
         return gauge
 
@@ -172,6 +193,7 @@ class MetricsRegistry:
         key = _key(name, labels)
         histogram = self._histograms.get(key)
         if histogram is None:
+            check_name(name)
             histogram = self._histograms[key] = Histogram(seed=self._seed)
         return histogram
 

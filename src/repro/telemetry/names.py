@@ -1,14 +1,17 @@
 """The canonical telemetry-name registry.
 
 Metric and span names are part of the public observability surface: the
-``sys.dm_metrics`` view, watchdog rules, dashboards and the benchmark
-regression harness all address instruments by name, so a typo at a call
-site silently forks a series.  Every name is therefore declared here
-once, with its meaning, and the ``metric-naming`` lint rule
-(:mod:`repro.analysis.rules`) statically verifies that each
-``counter``/``gauge``/``histogram`` and span call site uses a dotted
-lowercase string literal registered in this module — the same discipline
-:data:`repro.chaos.crashpoints.CRASHPOINTS` enforces for crash sites.
+``sys.dm_metrics`` view, dashboards and the benchmark harness address
+instruments by name, so a typo at a call site silently forks a series.
+Every name is therefore declared here once, with its meaning.
+:class:`~repro.telemetry.metrics.MetricsRegistry` rejects a metric name
+missing from :data:`METRIC_NAMES` (or not dotted lowercase) when it
+creates the instrument, as ``WaitStats`` rejects an unregistered wait
+kind; the ``metric-naming`` lint rule (:mod:`repro.analysis.rules`)
+statically verifies that each span call site uses a string literal
+registered in :data:`SPAN_NAMES` or a registered prefix — the same
+discipline :data:`repro.chaos.crashpoints.CRASHPOINTS` enforces for
+crash sites.
 
 Names are ``segment(.segment)*`` where each segment is a lowercase
 identifier; a single segment (``txn``) is the degenerate dotted form.
@@ -68,9 +71,6 @@ METRIC_NAMES: Dict[str, str] = {
     "pagefile.chunk_cache.resident_bytes": (
         "Gauge: entry sizes plus per-entry overhead the chunk cache holds."
     ),
-    "querystore.plan_regressions": (
-        "Fingerprints whose recent p95 regressed past their baseline."
-    ),
     "querystore.recorded": (
         "Statement executions folded into the query store, by kind."
     ),
@@ -104,13 +104,6 @@ METRIC_NAMES: Dict[str, str] = {
         "bind skipped)."
     ),
     "sql.plan_cache.misses": "SELECTs compiled from their text.",
-    "sqldb.commit_lock_hold_s": (
-        "Commit-lock hold durations (measured critical section plus the "
-        "modeled locks.COMMIT_HOLD_S service time)."
-    ),
-    "sqldb.commit_lock_wait_s": (
-        "Time committers queued behind the commit lock before acquiring it."
-    ),
     "sto.checkpoints": "Checkpoints taken.",
     "sto.compactions": "Compaction runs, labeled by outcome.",
     "sto.files_rewritten": "Data files rewritten by compactions.",
@@ -140,11 +133,8 @@ METRIC_NAMES: Dict[str, str] = {
     "storage.retry_outcomes": "Retried operations, by label and outcome.",
     "storage.sim_latency_s": "Simulated latency charged, by op and mode.",
     "txn.commit_failures": "Failed commit attempts, labeled by error type.",
-    "waits.recorded": "Completed waits folded into the stats, by kind.",
-    "waits.wait_s": "Simulated seconds spent waiting, labeled by kind.",
     "txn.commits": "Successful transaction commits.",
     "txn.rollbacks": "Explicit transaction rollbacks.",
-    "watchdog.alerts": "Watchdog rule firings, labeled by rule.",
 }
 
 #: Every literal span / span-event name used outside dynamic prefixes.
@@ -181,14 +171,13 @@ SPAN_PREFIXES: Dict[str, str] = {
     "sql.": "One span per SQL statement, suffixed by statement kind.",
     "stmt.": "One span per session statement, suffixed by statement name.",
     "store.": "One span per object-store request, suffixed by operation.",
-    "wait.": "One span per recorded wait interval, suffixed by wait kind.",
 }
 
 #: Every wait-event kind, with its meaning.  ``WaitStats`` rejects any
 #: other kind at runtime, and tier-1 tests drive each ``record_wait`` /
-#: ``waiting`` call site with wait stats on, because ``sys.dm_wait_stats``
-#: rows, watchdog rules and the critical-path profiler all address waits
-#: by kind.
+#: ``waiting`` call site with wait stats on, because the
+#: ``sys.dm_wait_stats`` and ``sys.dm_exec_query_waits`` rows address
+#: waits by kind.
 WAIT_NAMES: Dict[str, str] = {
     "admission_queue": (
         "Submit-to-dispatch time a request spent in its gateway class "

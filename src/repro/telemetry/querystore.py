@@ -17,10 +17,10 @@ substrate for the Polaris reproduction:
   and per-tenant/workload-class attribution — read from the deployment's
   :class:`~repro.telemetry.scope.RequestScope` — when the statement
   arrived through the gateway.
-* A per-fingerprint latency-regression detector increments the
-  ``querystore.plan_regressions`` counter the ``plan_latency_regression``
-  watchdog rule (:func:`repro.telemetry.timeseries.default_rules`) fires
-  on.
+* A per-fingerprint latency-regression detector counts how often the
+  fingerprint's recent p95 crossed its baseline
+  (:attr:`QueryProfile.regressions`, the ``regressions`` column of
+  ``sys.dm_exec_query_stats``).
 
 Everything runs on the simulated clock and seeded histograms, so two
 same-seed runs produce byte-identical ``sys.dm_exec_*`` rows (exported by
@@ -46,7 +46,6 @@ from repro.telemetry.scope import RequestScope
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
-    from repro.common.events import EventBus
 
 #: Hex digits of SHA-256 kept as a query/plan hash (cross-run stable,
 #: unlike Python's ``hash``).
@@ -239,8 +238,8 @@ class QueryProfile:
 
     def fold(
         self, pending: PendingExecution, latency_s: float, rows: int, bytes_read: int
-    ) -> bool:
-        """Fold one successful execution; returns True on a new regression."""
+    ) -> None:
+        """Fold one successful execution."""
         self.executions += 1
         self.last_seen = pending.started_at + latency_s
         self.total_rows += rows
@@ -253,7 +252,7 @@ class QueryProfile:
             self._fold_plan(pending)
         for record in pending.operators:
             self._fold_operator(record)
-        return self._check_regression()
+        self._check_regression()
 
     def fold_error(self, pending: PendingExecution, at: float) -> None:
         """Fold one failed execution (no latency/rows pollution)."""
@@ -295,21 +294,17 @@ class QueryProfile:
         for field in ("files", "files_pruned", "row_groups", "row_groups_pruned"):
             slot[field] += int(record.get(field, 0))
 
-    def _check_regression(self) -> bool:
+    def _check_regression(self) -> None:
         if self.executions == MIN_HISTORY:
             self.baseline_p95_s = percentile(list(self.recent), 95.0)
-            return False
+            return
         if self.executions < MIN_HISTORY or self.baseline_p95_s <= 0:
-            return False
+            return
         recent_p95 = percentile(list(self.recent), 95.0)
         regressed = recent_p95 >= REGRESSION_FACTOR * self.baseline_p95_s
         if regressed and not self._in_regression:
-            self._in_regression = True
             self.regressions += 1
-            return True
-        if not regressed:
-            self._in_regression = False
-        return False
+        self._in_regression = regressed
 
     # -- reading --------------------------------------------------------------
 
@@ -334,14 +329,12 @@ class QueryStore:
         clock: "SimulatedClock",
         metrics: "Optional[MetricsRegistry]" = None,
         meter: "Optional[IoMeter]" = None,
-        bus: "Optional[EventBus]" = None,
         seed: int = 0,
         scope: Optional[RequestScope] = None,
     ) -> None:
         self._clock = clock
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._meter = meter if meter is not None else IoMeter()
-        self._bus = bus
         self._seed = seed
         self._scope = scope if scope is not None else RequestScope()
         self._profiles: Dict[str, QueryProfile] = {}
@@ -408,12 +401,10 @@ class QueryStore:
             return
         latency = self._clock.now - pending.started_at
         bytes_read = self._meter.bytes_read - pending.bytes_read_before
-        regressed = profile.fold(pending, latency, rows, bytes_read)
+        profile.fold(pending, latency, rows, bytes_read)
         self._metrics.counter(
             "querystore.recorded", kind=pending.statement_kind
         ).inc()
-        if regressed:
-            self._on_regression(profile)
 
     def scavenge(self) -> int:
         """Discard every in-flight execution; returns how many were dropped.
@@ -430,18 +421,6 @@ class QueryStore:
     def inflight_count(self) -> int:
         """How many executions are currently in flight."""
         return len(self._inflight)
-
-    def _on_regression(self, profile: QueryProfile) -> None:
-        self._metrics.counter(
-            "querystore.plan_regressions", query_hash=profile.query_hash
-        ).inc()
-        if self._bus is not None:
-            self._bus.publish(
-                "querystore.regression",
-                query_hash=profile.query_hash,
-                recent_p95_s=profile.recent_p95_s(),
-                baseline_p95_s=profile.baseline_p95_s,
-            )
 
     # -- reading --------------------------------------------------------------
 

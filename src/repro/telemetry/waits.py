@@ -15,6 +15,7 @@ fingerprint (``sys.dm_exec_query_waits``, joinable with
 ``sys.dm_exec_query_stats``) — all three read from the innermost frame
 of the deployment's one :class:`~repro.telemetry.scope.RequestScope`,
 which the gateway enters per request and the SQL runner per statement.
+A wait is folded once, here: it has no metric series and no span.
 
 Two recording styles:
 
@@ -39,17 +40,12 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import Histogram
 from repro.telemetry.names import WAIT_NAMES
 from repro.telemetry.scope import Frame, RequestScope
 
 if TYPE_CHECKING:
     from repro.common.clock import SimulatedClock
-    from repro.telemetry.spans import Tracer
-
-#: Track name wait spans are emitted on, so Perfetto/Chrome traces show
-#: stalls on their own row instead of interleaved with compute.
-WAITS_TRACK = "waits"
 
 
 class PendingWait(NamedTuple):
@@ -63,27 +59,21 @@ class PendingWait(NamedTuple):
 
 
 class _KindAggregate:
-    """Running statistics for one wait kind."""
+    """Running statistics for one wait kind: one histogram (count, total,
+    max and the p95 reservoir) plus who waited."""
 
-    __slots__ = ("count", "total_s", "max_s", "reservoir", "attribution")
+    __slots__ = ("histogram", "attribution")
 
     def __init__(self, seed: int, kind: str) -> None:
-        self.count = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
         # Seeded per-kind reservoir, like every other percentile source,
         # so p95 is deterministic across same-seed runs (crc32, not
         # hash(): string hashing is randomized per process).
-        self.reservoir = Histogram(seed=seed ^ zlib.crc32(kind.encode("utf-8")))
+        self.histogram = Histogram(seed=seed ^ zlib.crc32(kind.encode("utf-8")))
         #: (tenant, workload_class) -> [count, total_s]
         self.attribution: Dict[Tuple[str, str], List[float]] = {}
 
     def fold(self, wait_s: float, tenant: str, workload_class: str) -> None:
-        self.count += 1
-        self.total_s += wait_s
-        if wait_s > self.max_s:
-            self.max_s = wait_s
-        self.reservoir.observe(wait_s)
+        self.histogram.observe(wait_s)
         slot = self.attribution.setdefault((tenant, workload_class), [0, 0.0])
         slot[0] += 1
         slot[1] += wait_s
@@ -94,22 +84,18 @@ class WaitStats:
 
     Constructed by :class:`~repro.telemetry.facade.Telemetry` when
     ``telemetry.wait_stats_enabled`` is on and reachable as
-    ``context.telemetry.waits`` (None when disabled).  ``metrics`` and
-    ``scope`` are the deployment's registry and request scope; a
-    collector constructed standalone gets private ones.
+    ``context.telemetry.waits`` (None when disabled).  ``scope`` is the
+    deployment's request scope; a collector constructed standalone gets
+    a private one.
     """
 
     def __init__(
         self,
         clock: "SimulatedClock",
-        metrics: "Optional[MetricsRegistry]" = None,
-        tracer: "Optional[Tracer]" = None,
         seed: int = 0,
         scope: Optional[RequestScope] = None,
     ) -> None:
         self._clock = clock
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._tracer = tracer
         self._seed = seed
         #: Where unattributed waits get their tenant / class / fingerprint.
         self.scope = scope if scope is not None else RequestScope()
@@ -195,30 +181,6 @@ class WaitStats:
             slot[1] += wait_s
             if wait_s > slot[2]:
                 slot[2] = wait_s
-        self._metrics.counter("waits.recorded", kind=kind).inc()
-        self._metrics.histogram("waits.wait_s", kind=kind).observe(wait_s)
-        tracer = self._tracer
-        if tracer is not None and wait_s > 0:
-            # A closed interval span on the dedicated waits track, ending
-            # now (record_wait is called after the stall elapsed), parented
-            # to the active span so the critical-path analyzer sees the
-            # stall inside the request that suffered it.
-            now = self._clock.now
-            span = tracer.start_span(
-                "wait." + kind,
-                "wait",
-                track=WAITS_TRACK,
-                tid=1,
-                start_time=max(now - wait_s, 0.0),
-                attributes={
-                    "kind": kind,
-                    "wait_s": wait_s,
-                    "tenant": tenant,
-                    "workload_class": workload_class,
-                    "query_hash": query_hash,
-                },
-            )
-            tracer.end_span(span, end_time=now)
 
     # -- crash hygiene --------------------------------------------------------
 
@@ -247,28 +209,29 @@ class WaitStats:
     def total_wait_s(self, kind: str) -> float:
         """Total stalled seconds recorded under ``kind``."""
         aggregate = self._kinds.get(kind)
-        return aggregate.total_s if aggregate is not None else 0.0
+        return aggregate.histogram.total if aggregate is not None else 0.0
 
     def wait_count(self, kind: str) -> int:
         """How many waits were recorded under ``kind``."""
         aggregate = self._kinds.get(kind)
-        return aggregate.count if aggregate is not None else 0
+        return aggregate.histogram.count if aggregate is not None else 0
 
     def wait_stats_rows(self) -> List[Dict[str, Any]]:
         """``sys.dm_wait_stats`` rows, one per recorded wait kind."""
         rows = []
         for kind in self.kinds():
             aggregate = self._kinds[kind]
+            histogram = aggregate.histogram
             tenants = sorted({t for t, _ in aggregate.attribution if t})
             classes = sorted({w for _, w in aggregate.attribution if w})
             rows.append(
                 {
                     "wait_kind": kind,
-                    "waits": aggregate.count,
-                    "total_wait_s": aggregate.total_s,
-                    "mean_wait_s": aggregate.total_s / max(aggregate.count, 1),
-                    "max_wait_s": aggregate.max_s,
-                    "p95_wait_s": aggregate.reservoir.percentile(95.0),
+                    "waits": histogram.count,
+                    "total_wait_s": histogram.total,
+                    "mean_wait_s": histogram.mean,
+                    "max_wait_s": histogram.maximum,
+                    "p95_wait_s": histogram.percentile(95.0),
                     "tenants": ",".join(tenants),
                     "workload_classes": ",".join(classes),
                 }

@@ -541,61 +541,6 @@ def test_finding_render_format():
 
 
 class TestMetricNaming:
-    def test_clean_registered_metric_literal(self):
-        findings = run(
-            """\
-            def account(tel):
-                tel.metrics.counter("txn.commits").inc()
-                tel.metrics.gauge("sto.unhealthy_tables").set(2)
-                tel.metrics.histogram("storage.request_latency_s").observe(0.1)
-            """,
-            "metric-naming",
-        )
-        assert findings == []
-
-    def test_flags_unregistered_metric(self):
-        findings = run(
-            """\
-            def account(tel):
-                tel.metrics.counter("txn.comits").inc()
-            """,
-            "metric-naming",
-        )
-        assert [f.rule for f in findings] == ["metric-naming"]
-        assert "not registered" in findings[0].message
-
-    def test_flags_non_literal_metric_name(self):
-        findings = run(
-            """\
-            def account(tel, name):
-                tel.metrics.counter(name).inc()
-            """,
-            "metric-naming",
-        )
-        assert "string literal" in findings[0].message
-
-    def test_flags_malformed_metric_name(self):
-        findings = run(
-            """\
-            def account(tel):
-                tel.metrics.counter("Txn-Commits").inc()
-            """,
-            "metric-naming",
-        )
-        messages = " ".join(f.message for f in findings)
-        assert "dotted lowercase" in messages
-
-    def test_metric_half_applies_inside_telemetry(self):
-        findings = run(
-            """\
-            def account(metrics):
-                metrics.counter("made.up").inc()
-            """,
-            "metric-naming",
-            relpath="src/repro/telemetry/extra.py",
-        )
-        assert [f.rule for f in findings] == ["metric-naming"]
-
     def test_clean_registered_span_and_prefix(self):
         findings = run(
             """\

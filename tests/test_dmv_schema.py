@@ -14,7 +14,6 @@ import pytest
 from repro import PolarisConfig, Warehouse
 from repro.chaos import RecoveryManager
 from repro.service import Gateway
-from repro.telemetry import facade
 from repro.telemetry.introspection import Introspector
 
 #: Independent expected-schema table: view -> ordered (column, type).
@@ -119,12 +118,6 @@ EXPECTED_SCHEMAS = {
         ("p95", "float64"),
         ("p99", "float64"),
     ),
-    "sys.dm_metrics_history": (
-        ("sample_id", "int64"),
-        ("at", "float64"),
-        ("metric", "string"),
-        ("value", "float64"),
-    ),
     "sys.dm_exec_query_stats": (
         ("query_hash", "string"),
         ("statement_kind", "string"),
@@ -220,12 +213,10 @@ EXPECTED_SCHEMAS = {
 }
 
 
-def test_every_view_is_covered_exactly(monkeypatch):
+def test_every_view_is_covered_exactly():
     """Coverage completeness both ways: no view escapes the table, not
     even one registered while a fully wired warehouse is built."""
     assert set(EXPECTED_SCHEMAS) == set(Introspector.VIEWS)
-    monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
-    monkeypatch.setattr(facade, "WATCHDOG_ENABLED", True)
     config = PolarisConfig()
     config.telemetry.query_store_enabled = True
     config.telemetry.wait_stats_enabled = True
@@ -289,14 +280,12 @@ POPULATED_VIEWS = tuple(sorted(EXPECTED_SCHEMAS))
 def populated():
     """One deployment with every optional collector on and real rows:
     SQL statements (query store), ANALYZE and CREATE INDEX, a gateway
-    request, an attributed wait, sampled metrics, a recovery pass, and a
-    bit-flipped checkpoint the scrubber repaired."""
+    request, an attributed wait, a recovery pass, and a bit-flipped
+    checkpoint the scrubber repaired."""
     config = PolarisConfig()
     config.telemetry.query_store_enabled = True
     config.telemetry.wait_stats_enabled = True
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
-        dw = Warehouse(config=config, auto_optimize=False)
+    dw = Warehouse(config=config, auto_optimize=False)
     session = dw.session()
     session.sql("CREATE TABLE t (id BIGINT, v DOUBLE)")
     session.sql("INSERT INTO t (id, v) VALUES (1, 1.0), (2, 2.0)")

@@ -3,8 +3,8 @@
 The corruption *sweep* (:mod:`repro.chaos.corruption`, exercised in
 ``test_chaos_corruption``) checks the end-to-end story; these tests pin
 the scrubber's individual contracts — per-kind repair rules, health and
-DMV surfacing, orchestrator metrics, periodic scheduling, and the
-watchdog rule on unrepairable loss.
+DMV surfacing, orchestrator metrics, periodic scheduling, and
+unrepairable loss in ``sys.dm_metrics``.
 """
 
 import json
@@ -12,12 +12,9 @@ import json
 import pytest
 
 from repro.chaos.corruption import _build
-from repro.common.clock import SimulatedClock
 from repro.lst.codec import decode_frames
 from repro.sqldb import system_tables as catalog
 from repro.sto.delta_reader import read_published_table
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.timeseries import MetricsSampler, Watchdog, default_rules
 
 
 @pytest.fixture
@@ -195,18 +192,20 @@ class TestIntegrityDmv:
         assert view["path"].tolist() == []
 
 
-class TestWatchdogRule:
-    def test_unrepairable_loss_fires_watchdog(self):
-        clock = SimulatedClock()
-        metrics = MetricsRegistry()
-        dog = Watchdog(metrics, None, default_rules())
-        sampler = MetricsSampler(clock, metrics, interval_s=1.0)
-        sampler.subscribe(dog.observe)
-        sampler.sample_now()
-        assert dog.alerts == []
-        metrics.counter("storage.integrity_unrepairable").inc()
-        clock.advance(1.0)
-        sampler.sample_now()
-        assert any(
-            alert["rule"] == "integrity_unrepairable" for alert in dog.alerts
-        )
+class TestUnrepairableLoss:
+    def test_unrepairable_loss_reaches_dm_metrics(self, deployment):
+        warehouse, ids = deployment
+
+        def unrepairable():
+            rows = warehouse.session().sql("SELECT name, value FROM sys.dm_metrics")
+            return sum(
+                value
+                for name, value in zip(rows["name"], rows["value"])
+                if name == "storage.integrity_unrepairable"
+            )
+
+        warehouse.sto.run_scrub()
+        assert unrepairable() == 0
+        warehouse.store.damage(_data_path(warehouse, ids["orders"]), "bit_flip")
+        warehouse.sto.run_scrub()
+        assert unrepairable() == 1

@@ -5,7 +5,6 @@ import pytest
 
 from repro import PolarisConfig, Schema, Warehouse
 from repro.sql.lexer import SqlSyntaxError
-from repro.telemetry import facade
 
 SCHEMA = Schema.of(("id", "int64"), ("v", "float64"))
 
@@ -16,8 +15,7 @@ def batch(start, count):
 
 
 @pytest.fixture
-def metered_dw(config, monkeypatch):
-    monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 1.0)
+def metered_dw(config):
     return Warehouse(config=config, auto_optimize=False)
 
 
@@ -109,21 +107,6 @@ class TestMidFlight:
             "dv_count": [0],
             "pending_compaction": [False],
         }
-
-    def test_metrics_history_accumulates_samples(self, metered_dw):
-        session = metered_dw.session()
-        session.create_table("t", SCHEMA)
-        session.insert("t", batch(0, 50))
-        # Watchers fire once per advance (no catch-up storm), so step the
-        # clock through five intervals to collect five samples.
-        for _ in range(5):
-            metered_dw.clock.advance(1.0)
-        history = session.sql(
-            "SELECT sample_id, metric, value FROM sys.dm_metrics_history "
-            "WHERE metric = 'txn.commits' ORDER BY sample_id"
-        )
-        assert len(history["sample_id"]) >= 5
-        assert float(history["value"][-1]) == 2.0  # create + insert
 
 
 class TestViewSemantics:

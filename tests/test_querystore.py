@@ -3,9 +3,9 @@ and crash hygiene.
 
 The store is exercised the way a user would reach it — SQL statements in,
 ``sys.dm_exec_*`` rows out — plus the two paths that justify its design:
-the watchdog's ``plan_latency_regression`` rule firing off the regression
-counter, and recovery discarding half-measured profiles after a simulated
-crash (never double-counting, never leaking them into the aggregates).
+a latency regression counted in the ``regressions`` column, and recovery
+discarding half-measured profiles after a simulated crash (never
+double-counting, never leaking them into the aggregates).
 """
 
 import numpy as np
@@ -17,8 +17,7 @@ from repro.common.clock import SimulatedClock
 from repro.common.errors import PolarisError
 from repro.service import Gateway
 from repro.sql.runner import SqlSession
-from repro.telemetry import MetricSample, Watchdog, default_rules, fingerprint
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry import fingerprint
 from repro.telemetry import querystore
 from repro.telemetry.querystore import QueryStore
 from repro.workloads.tpch import TPCH_SQL_QUERIES, TpchGenerator
@@ -350,8 +349,7 @@ class TestRegressionDetection:
 
     def test_baseline_freeze_then_regression_fires_once(self):
         clock = SimulatedClock()
-        metrics = MetricsRegistry()
-        store = QueryStore(clock, metrics=metrics, seed=0)
+        store = QueryStore(clock, seed=0)
 
         for _ in range(querystore.MIN_HISTORY):
             self.run_at(store, clock, 1.0)
@@ -363,12 +361,6 @@ class TestRegressionDetection:
         for _ in range(querystore.RECENT_WINDOW):
             self.run_at(store, clock, 3.0)
         assert profile.regressions == 1
-        assert (
-            metrics.value(
-                "querystore.plan_regressions", query_hash=profile.query_hash
-            )
-            == 1.0
-        )
 
         # Still regressed: no re-fire until the profile recovers.
         self.run_at(store, clock, 3.0)
@@ -379,24 +371,18 @@ class TestRegressionDetection:
             self.run_at(store, clock, 3.0)
         assert profile.regressions == 2
 
-    def test_watchdog_rule_fires_on_regression_counter(self):
-        metrics = MetricsRegistry()
-        dog = Watchdog(metrics, None, rules=default_rules())
-        dog.observe(
-            MetricSample(
-                sample_id=0,
-                at=1.0,
-                values={"querystore.plan_regressions{query_hash=abc}": 0.0},
-            )
-        )
-        dog.observe(
-            MetricSample(
-                sample_id=1,
-                at=2.0,
-                values={"querystore.plan_regressions{query_hash=abc}": 1.0},
-            )
-        )
-        assert [a["rule"] for a in dog.alerts] == ["plan_latency_regression"]
+    def test_regression_reaches_the_regressions_column(self):
+        clock = SimulatedClock()
+        store = QueryStore(clock, seed=0)
+        for _ in range(querystore.MIN_HISTORY):
+            self.run_at(store, clock, 1.0)
+        (row,) = store.query_stats_rows()
+        assert row["regressions"] == 0
+        for _ in range(querystore.RECENT_WINDOW):
+            self.run_at(store, clock, 3.0)
+        (row,) = store.query_stats_rows()
+        assert row["regressions"] == 1
+        assert row["recent_p95_s"] >= querystore.REGRESSION_FACTOR * 1.0
 
     def test_stable_latency_never_alarms(self):
         clock = SimulatedClock()

@@ -3,8 +3,8 @@
 ``PollingGateway`` keeps the dispatcher that resumes at every idle poll
 (one ``IDLE_POLL_S`` sleep at a time); every scenario runs on it and on
 the real :class:`Gateway`, and everything observable — admission
-decisions, the request ledger, sampler instants, GC firings, the load
-report, the final clock — must be identical, while the real gateway
+decisions, the request ledger, clock-watcher instants, GC firings, the
+load report, the final clock — must be identical, while the real gateway
 takes a bounded number of scheduler steps per request.
 """
 
@@ -18,7 +18,6 @@ from repro.service import Gateway, admission
 from repro.service import gateway as service_gateway
 from repro.service.gateway import IDLE_POLL_S
 from repro.service.tasklets import TaskletScheduler, WakeAt
-from repro.telemetry import facade
 from repro.workloads.service_load import ServiceLoadGenerator
 
 
@@ -51,33 +50,49 @@ class PollingGateway(Gateway):
             yield service_gateway.DISPATCH_INTERVAL_S
 
 
-def warehouse(seed, sampled=False, monkeypatch=None):
+#: Period of the test's own clock watcher, off the dispatch grid.
+WATCH_INTERVAL_S = 0.7
+
+
+def watch_every(clock, interval_s, fired):
+    """Append ``now`` to ``fired`` every ``interval_s`` simulated seconds,
+    re-arming from each firing: a watcher that fires during idle
+    stretches, where the dispatcher skips its polls."""
+
+    def tick(now):
+        fired.append(now)
+        clock.call_at(now + interval_s, tick)
+
+    clock.call_at(clock.now + interval_s, tick)
+
+
+def warehouse(seed, watched=None):
+    """A warehouse; with a ``watched`` list, also a test clock watcher
+    filling it, periodic GC and the STO on."""
     config = PolarisConfig()
     config.seed = seed
-    if sampled:
-        monkeypatch.setattr(facade, "SAMPLE_INTERVAL_S", 0.7)
-        monkeypatch.setattr(facade, "WATCHDOG_ENABLED", True)
-    dw = Warehouse(config=config, auto_optimize=sampled)
-    if sampled:
+    dw = Warehouse(config=config, auto_optimize=watched is not None)
+    if watched is not None:
+        watch_every(dw.clock, WATCH_INTERVAL_S, watched)
         dw.sto.schedule_periodic_gc(5.0)
     return dw
 
 
-def observe(dw, gateway, report=None):
+def observe(dw, gateway, report=None, watched=None):
     """Everything a skipped poll could have changed, as comparable data."""
-    sampler = dw.context.telemetry.sampler
     return {
         "decisions": list(gateway.admission.decision_log),
         "rows": gateway.request_rows(),
-        "samples": [s.at for s in sampler.samples] if sampler else None,
+        "watched": watched,
         "gc_reports": len(dw.sto.gc_reports),
         "report": report.as_dict() if report else None,
         "now": dw.clock.now,
     }
 
 
-def run_load(gateway_class, seed, sampled=False, monkeypatch=None, **kwargs):
-    dw = warehouse(seed, sampled=sampled, monkeypatch=monkeypatch)
+def run_load(gateway_class, seed, watched=False, **kwargs):
+    fired = [] if watched else None
+    dw = warehouse(seed, watched=fired)
     gateway = gateway_class(dw.context, seed=seed)
     kwargs.setdefault("transactional_clients", 2)
     kwargs.setdefault("analytical_clients", 1)
@@ -87,7 +102,8 @@ def run_load(gateway_class, seed, sampled=False, monkeypatch=None, **kwargs):
         gateway, seed=seed, scale_factor=0.02, **kwargs
     )
     report = generator.run()
-    return observe(dw, gateway, report), gateway.scheduler.steps, report.submitted
+    observed = observe(dw, gateway, report, fired)
+    return observed, gateway.scheduler.steps, report.submitted
 
 
 class TestSkipIsExact:
@@ -102,21 +118,15 @@ class TestSkipIsExact:
         assert polled_steps > 10 * steps
 
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_sampler_watchdog_and_periodic_gc_match_polling(
-        self, seed, monkeypatch
-    ):
-        polled, __, __ = run_load(
-            PollingGateway, seed, sampled=True, monkeypatch=monkeypatch
-        )
-        skipped, steps, submitted = run_load(
-            Gateway, seed, sampled=True, monkeypatch=monkeypatch
-        )
+    def test_clock_watcher_and_periodic_gc_match_polling(self, seed):
+        polled, __, __ = run_load(PollingGateway, seed, watched=True)
+        skipped, steps, submitted = run_load(Gateway, seed, watched=True)
         assert skipped == polled
-        assert len(polled["samples"]) > 10
+        assert len(polled["watched"]) > 10
         assert polled["gc_reports"] > 0
         # Each watcher firing is an instant something can change at, so
         # the idle dispatcher lands there once.
-        watcher_firings = len(polled["samples"]) + polled["gc_reports"]
+        watcher_firings = len(polled["watched"]) + polled["gc_reports"]
         assert steps <= 4 * submitted + watcher_firings + 8
 
     def test_overload_with_shedding_and_deadlines_matches_polling(

@@ -11,12 +11,9 @@ import pytest
 from repro import Schema, Warehouse, WriteConflictError
 from repro.engine.planner import TableScan
 from repro.telemetry import spans as telemetry_spans
-from repro.telemetry import (
-    MetricsRegistry,
-    chrome_trace,
-    combined_chrome_trace,
-    spans_to_jsonl,
-)
+from repro.telemetry import MetricsRegistry, chrome_trace
+from repro.telemetry import metrics as telemetry_metrics
+from repro.telemetry.exporters import chrome_trace_events
 from repro.fe.context import recording
 from tests.conftest import small_config
 
@@ -171,22 +168,47 @@ class TestRetriesInTrace:
 class TestMetrics:
     def test_counters_and_labels(self):
         registry = MetricsRegistry()
-        registry.counter("hits", kind="a").inc()
-        registry.counter("hits", kind="a").inc(2)
-        registry.counter("hits", kind="b").inc()
-        assert registry.value("hits", kind="a") == 3
-        assert registry.value("hits", kind="b") == 1
-        assert registry.values("hits") == {"hits{kind=a}": 3, "hits{kind=b}": 1}
+        registry.counter("dcp.tasks", pool="a").inc()
+        registry.counter("dcp.tasks", pool="a").inc(2)
+        registry.counter("dcp.tasks", pool="b").inc()
+        assert registry.value("dcp.tasks", pool="a") == 3
+        assert registry.value("dcp.tasks", pool="b") == 1
+        assert registry.values("dcp.tasks") == {
+            "dcp.tasks{pool=a}": 3,
+            "dcp.tasks{pool=b}": 1,
+        }
 
     def test_gauge(self):
         registry = MetricsRegistry()
-        registry.gauge("depth").set(4)
-        registry.gauge("depth").add(-1)
-        assert registry.value("depth") == 3
+        registry.gauge("service.queue_depth").set(4)
+        registry.gauge("service.queue_depth").add(-1)
+        assert registry.value("service.queue_depth") == 3
+
+    @pytest.mark.parametrize("factory", ["counter", "gauge", "histogram"])
+    def test_unregistered_name_raises(self, factory):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="not registered"):
+            getattr(registry, factory)("no.such.metric")
+        assert list(registry.instruments()) == []
+
+    def test_malformed_name_raises(self):
+        with pytest.raises(ValueError, match="dotted lowercase"):
+            MetricsRegistry().counter("Txn-Commits")
+
+    def test_name_checked_only_when_the_instrument_is_created(
+        self, monkeypatch
+    ):
+        checked = []
+        monkeypatch.setattr(telemetry_metrics, "check_name", checked.append)
+        registry = MetricsRegistry()
+        first = registry.counter("txn.commits")
+        assert registry.counter("txn.commits") is first
+        registry.counter("txn.commits", error="x")
+        assert checked == ["txn.commits", "txn.commits"]
 
     def test_histogram_percentiles(self):
         registry = MetricsRegistry()
-        h = registry.histogram("lat")
+        h = registry.histogram("storage.request_latency_s")
         for v in range(1, 101):
             h.observe(float(v))
         summary = h.summary()
@@ -259,13 +281,6 @@ class TestExport:
         assert any(n.startswith("DCP node") for n in names)
         json.dumps(doc)  # must be serializable
 
-    def test_jsonl_round_trip(self, dw, tsession):
-        tsession.insert("t", ids(10))
-        lines = spans_to_jsonl(dw.telemetry.spans).splitlines()
-        assert len(lines) == len(dw.telemetry.spans)
-        parsed = [json.loads(line) for line in lines]
-        assert all("span_id" in p and "name" in p for p in parsed)
-
     def test_combined_trace_disjoint_pids(self, dw, tsession):
         tsession.insert("t", ids(10))
         other = traced_warehouse()
@@ -275,10 +290,9 @@ class TestExport:
             distribution_column="id",
         )
         s2.insert("u", ids(10))
-        doc = combined_chrome_trace(
-            [("a:", dw.telemetry.spans), ("b:", other.telemetry.spans)]
-        )
-        meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
+        a_events, next_pid = chrome_trace_events(dw.telemetry.spans, 1, "a:")
+        b_events, __ = chrome_trace_events(other.telemetry.spans, next_pid, "b:")
+        meta = [e for e in a_events + b_events if e["ph"] == "M"]
         a_pids = {e["pid"] for e in meta if e["args"]["name"].startswith("a:")}
         b_pids = {e["pid"] for e in meta if e["args"]["name"].startswith("b:")}
         assert a_pids and b_pids and not (a_pids & b_pids)

@@ -270,16 +270,16 @@ class TestEndToEnd:
         request = gateway.submit("acme", "transactional", two_statements)
         gateway.run()
         assert request.status == "completed"
-        by_hash = {
-            span.attributes["query_hash"]: span.attributes
-            for span in dw.telemetry.spans
-            if span.name == "wait.commit_lock"
-        }
+        row = wait_stats_row(dw, "commit_lock")
+        assert row["tenants"] == "acme"
+        assert row["workload_classes"] == "transactional"
+        query_waits = dw.session().sql(
+            "SELECT query_hash, wait_kind FROM sys.dm_exec_query_waits"
+        )
+        pairs = set(zip(query_waits["query_hash"], query_waits["wait_kind"]))
         assert fingerprint(insert) != fingerprint(delete)
         for text in (insert, delete):
-            record = by_hash[fingerprint(text)]
-            assert record["tenant"] == "acme"
-            assert record["workload_class"] == "transactional"
+            assert (fingerprint(text), "commit_lock") in pairs
         assert scope.current == Frame()
 
         with pytest.raises(PolarisError):
@@ -291,6 +291,7 @@ class TestEndToEnd:
         assert scope.current == Frame()
 
     def test_waits_metrics_mirrored(self, monkeypatch):
+        """The wait fold and the lock's own aggregate agree."""
         monkeypatch.setattr(locks, "COMMIT_HOLD_S", 0.5)
         config = waits_config()
         dw = Warehouse(config=config, auto_optimize=False)
@@ -298,12 +299,39 @@ class TestEndToEnd:
         sql.execute("CREATE TABLE t (id BIGINT, v DOUBLE)")
         for _ in range(3):
             sql.execute("INSERT INTO t (id, v) VALUES (1, 1.0)")
-        metrics = dw.telemetry.metrics
-        recorded = metrics.value("waits.recorded", kind="commit_lock")
-        assert recorded and recorded >= 2
-        acquisitions = dw.context.sqldb.commit_lock.acquisitions
-        assert acquisitions >= 3
-        assert metrics.histogram("sqldb.commit_lock_hold_s").count == acquisitions
+        row = wait_stats_row(dw, "commit_lock")
+        assert row["waits"] >= 2
+        lock = dw.session().sql("SELECT * FROM sys.dm_commit_lock")
+        assert int(lock["acquisitions"][0]) >= 3
+        assert row["total_wait_s"] == float(lock["total_wait_s"][0]) > 0
+
+    def test_commit_lock_stall_is_recorded_once(self, monkeypatch):
+        """A stall lives in the lock's aggregate and the wait fold (both
+        wait DMVs read it), never in a metric series or a span."""
+        monkeypatch.setattr(locks, "COMMIT_HOLD_S", 0.5)
+        config = waits_config(enabled=True, telemetry__query_store_enabled=True)
+        dw = Warehouse(config=config, auto_optimize=False)
+        sql = SqlSession(dw.session())
+        sql.execute("CREATE TABLE t (id BIGINT, v DOUBLE)")
+        insert = "INSERT INTO t (id, v) VALUES (1, 1.0)"
+        for _ in range(3):
+            sql.execute(insert)
+        stalled = dw.context.sqldb.commit_lock.total_wait_s
+        assert stalled > 0
+        assert wait_stats_row(dw, "commit_lock")["total_wait_s"] == stalled
+        query_waits = dw.session().sql(
+            "SELECT query_hash, wait_kind FROM sys.dm_exec_query_waits"
+        )
+        pairs = set(zip(query_waits["query_hash"], query_waits["wait_kind"]))
+        assert (fingerprint(insert), "commit_lock") in pairs
+        names = {name for __, name, __, __ in dw.telemetry.metrics.instruments()}
+        assert not {
+            name
+            for name in names
+            if name.startswith(("waits.", "sqldb.commit_lock"))
+        }
+        assert dw.telemetry.spans
+        assert not [s for s in dw.telemetry.spans if s.name.startswith("wait.")]
 
     def test_disabled_means_none_and_no_rows(self):
         dw = Warehouse(config=PolarisConfig(), auto_optimize=False)
