@@ -14,8 +14,13 @@ JSON bytes per action kind (``add_file``, ``remove_file``, ``add_dv``,
 as stored (deflate frames, ``repro.lst.codec``) and as inflated JSON,
 and the ``add_file`` lines written per data file (1.0 when each is
 written once).  A "line" is one action's compact JSON inside its block's
-array; its bytes count one separator.  The counts and bytes repeat
-exactly for a seed.
+array; its bytes count one separator.  Last come the data files' chunk
+bytes as stored (compressed), with chunk counts, split by chunk encoding
+(RAW, FOR, DICT, PLAIN, DEC) and by column type; footers, magic and
+trailers are not counted there.  The counts and bytes repeat exactly for
+a seed.
+
+    python scripts/write_bytes.py tpch_power --seed 0 --quick
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+import zlib
 from collections import Counter
 from typing import Dict, List, Tuple
 
@@ -33,6 +39,9 @@ sys.path.insert(0, REPO)
 from benchmarks.e2e.harness import load_spec  # noqa: E402
 from benchmarks.e2e.workloads import WORKLOADS  # noqa: E402
 from repro.lst.codec import decode_frames  # noqa: E402
+from repro.pagefile import encoding  # noqa: E402
+from repro.pagefile.file_format import read_footer  # noqa: E402
+from repro.pagefile.schema import SUPPORTED_TYPES  # noqa: E402
 from repro.storage.object_store import ObjectStore  # noqa: E402
 
 #: Path fragment that marks each blob kind (see ``repro.storage.paths``).
@@ -43,6 +52,11 @@ KINDS = (
     ("checkpoint", "/_checkpoints/"),
     ("index", "/_indexes/"),
 )
+
+#: Chunk encoding tag -> name (``repro.pagefile.encoding``).
+ENCODINGS = {
+    getattr(encoding, name): name for name in ("RAW", "FOR", "DICT", "PLAIN", "DEC")
+}
 
 
 def blob_kind(path: str) -> str:
@@ -66,12 +80,18 @@ class WriteLog:
         self.action_lines: Counter = Counter()
         #: Manifest and checkpoint bytes once inflated, by blob kind.
         self.inflated: Counter = Counter()
+        #: Data-file chunks and their stored bytes, by encoding and by
+        #: column type.
+        self.chunks: Counter = Counter()
+        self.chunk_bytes: Counter = Counter()
 
     def record(self, path: str, data: bytes) -> None:
         """Attribute one ``put`` or staged block."""
         kind = blob_kind(path)
         self.bytes[kind] += len(data)
         self.writes[kind] += 1
+        if kind == "data":
+            self.record_chunks(path, data)
         if kind not in ("manifest", "checkpoint"):
             return
         for payload in decode_frames(data, f"{kind} {path}"):
@@ -82,6 +102,18 @@ class WriteLog:
                     line = json.dumps(action, separators=(",", ":"))
                     self.action_bytes[name] += len(line) + 1
                     self.action_lines[name] += 1
+
+    def record_chunks(self, path: str, data: bytes) -> None:
+        """Attribute each chunk of data file ``data`` to its encoding (the
+        first byte it inflates to) and to its column's type."""
+        meta = read_footer(data, source=path)
+        columns = len(meta.types)
+        for chunk, (offset, length) in enumerate(zip(meta.offsets, meta.lengths)):
+            tag = zlib.decompressobj().decompress(data[offset : offset + length], 1)
+            type_ = meta.types[chunk % columns]
+            for key in (ENCODINGS[tag[0]], type_):
+                self.chunks[key] += 1
+                self.chunk_bytes[key] += length
 
 
 def measure(workload_name: str, seed: int, quick: bool) -> Tuple[WriteLog, List[str]]:
@@ -148,6 +180,14 @@ def main() -> int:
         ratio = stored / inflated if inflated else 0.0
         print(
             f"{kind}s: {inflated:,} B of JSON stored as {stored:,} B ({ratio:.1%})"
+        )
+    chunk_total = sum(log.chunk_bytes[name] for name in ENCODINGS.values())
+    splits = (("encoding", ENCODINGS.values()), ("column type", SUPPORTED_TYPES))
+    for title, keys in splits:
+        _table(
+            f"data-file chunk bytes by {title} (chunks, bytes, share, bytes per chunk)",
+            {key: (log.chunks[key], log.chunk_bytes[key]) for key in keys},
+            chunk_total,
         )
     files = log.writes["data"]
     per_file = log.action_lines["add_file"] / files if files else 0.0

@@ -8,8 +8,9 @@ from the chunk's own values; nothing is configurable:
 =========  ===========================================================
 tag        payload after the tag byte
 =========  ===========================================================
-``RAW``    the little-endian buffer of the field's dtype (``float64``,
-           ``bool``, and ``int64`` chunks spanning 2**32 or more)
+``RAW``    the little-endian buffer of the field's dtype (``bool``,
+           ``int64`` chunks spanning 2**32 or more, and ``float64``
+           chunks that are not ``DEC``)
 ``FOR``    ``int64`` frame of reference: width byte, ``int64`` minimum,
            then ``value - minimum`` in the narrowest unsigned width
            that holds ``max - min``
@@ -18,7 +19,21 @@ tag        payload after the tag byte
            as a text block (first-appearance order), then one code per
            row in the narrowest unsigned width
 ``PLAIN``  every other string chunk: one text block
+``DEC``    ``float64`` decimals: width byte, exponent byte ``e`` (0..4),
+           ``int64`` reference, then ``k - reference`` in the narrowest
+           unsigned width, where every value is ``k / 10**e``
 =========  ===========================================================
+
+``DEC`` is the decimal step of ALP (Afroozeh, Kuffó and Boncz, SIGMOD
+2023).  The writer tries it on ``float64`` chunks of at least
+:data:`DEC_SAMPLE` rows: the smallest ``e`` for which ``rint(x * 10**e)``
+divided back by ``10**e`` gives every value bit for bit, with ``|k| <
+2**53`` and ``max(k) - min(k) < 2**32``.  It keeps the ``DEC`` chunk only
+when decoding its payload returns the chunk's exact bits and the stored
+(compressed) chunk is shorter than ``RAW``'s, so ``-0.0``, NaN, ``inf``
+and any value with more decimals keep their chunk ``RAW``.  Decoding is
+``(narrow + reference) / 10.0**e`` in ``float64``: exact, because ``k``
+and ``10**e`` are, and IEEE division rounds correctly.
 
 A *text block* is ``width byte, uint32 UTF-8 length, lengths[count],
 UTF-8 bytes``: the values concatenated and encoded once, with their
@@ -51,11 +66,24 @@ from repro.pagefile.stats import ColumnStats, compute_stats, string_items
 
 _COMPRESSION_LEVEL = 1
 
-RAW, FOR, DICT, PLAIN = range(4)
+RAW, FOR, DICT, PLAIN, DEC = range(5)
 
 _FOR_HEADER = struct.Struct("<BBq")  # tag, width, reference
+_DEC_HEADER = struct.Struct("<BBBq")  # tag, width, exponent, reference
 _DICT_HEADER = struct.Struct("<BBI")  # tag, code width, dictionary size
 _TEXT_HEADER = struct.Struct("<BI")  # length width, UTF-8 byte length
+
+#: Rows the ``DEC`` detector samples first, and the fewest rows a chunk
+#: needs before ``DEC`` is tried at all: below it the detector costs more
+#: than the bytes it could save (with the floor at one row, a 5-row
+#: chunk's encode took 49 µs instead of 14 µs).
+DEC_SAMPLE = 64
+#: Bytes of a ``RAW`` payload compressed per step while it races ``DEC``.
+_STREAM_STEP = 1 << 14
+#: ``10.0**e`` for the exponents ``DEC`` allows; every one is exact.
+_SCALES = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+#: Integers below this magnitude are exact in ``float64``.
+_EXACT = float(1 << 53)
 
 #: Unsigned dtypes by item size — the widths a narrowed array may take.
 _UINTS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
@@ -158,11 +186,38 @@ def encode_column(field: Field, values: np.ndarray) -> Tuple[bytes, ColumnStats]
     """Encode one column chunk; returns its compressed bytes and zone map."""
     if field.type == "string":
         raw, stats = _encode_strings(values)
-    else:
-        arr = np.ascontiguousarray(values, dtype=field.numpy_dtype)
-        stats = compute_stats(field, arr)
-        raw = _encode_fixed(field, arr, stats)
-    return zlib.compress(raw, _COMPRESSION_LEVEL), stats
+        return zlib.compress(raw, _COMPRESSION_LEVEL), stats
+    arr = np.ascontiguousarray(values, dtype=field.numpy_dtype)
+    stats = compute_stats(field, arr)
+    raw = _encode_fixed(field, arr, stats)
+    decimal = _encode_decimal(arr) if field.type == "float64" else None
+    if decimal is None:
+        return zlib.compress(raw, _COMPRESSION_LEVEL), stats
+    stored = zlib.compress(decimal, _COMPRESSION_LEVEL)
+    return _compress_within(raw, len(stored)) or stored, stats
+
+
+def _compress_within(payload: bytes, limit: int) -> Optional[bytes]:
+    """``zlib.compress(payload)`` when that is at most ``limit`` bytes,
+    else None — known as soon as the output passes ``limit``, so a
+    ``RAW`` chunk that loses to ``DEC`` is mostly not compressed at all.
+
+    Streamed in :data:`_STREAM_STEP` pieces; zlib's output for a prefix
+    is a prefix of its output for the whole, and the same bytes."""
+    if len(payload) <= _STREAM_STEP:
+        stored = zlib.compress(payload, _COMPRESSION_LEVEL)
+        return stored if len(stored) <= limit else None
+    compressor = zlib.compressobj(_COMPRESSION_LEVEL)
+    view = memoryview(payload)
+    parts: List[bytes] = []
+    size = 0
+    for start in range(0, len(view), _STREAM_STEP):
+        parts.append(compressor.compress(view[start : start + _STREAM_STEP]))
+        size += len(parts[-1])
+        if size > limit:
+            return None
+    parts.append(compressor.flush())
+    return b"".join(parts) if size + len(parts[-1]) <= limit else None
 
 
 def inflate(payload: bytes, what: str = "column chunk") -> bytes:
@@ -207,6 +262,16 @@ def decode_column(type_: str, raw: bytes, num_rows: int) -> np.ndarray:
     return values
 
 
+def cache_entry(raw: bytes, values: np.ndarray) -> bytes:
+    """What the chunk cache keeps of the inflated payload ``raw`` that
+    decoded to ``values``: ``raw`` itself, but a ``DEC`` payload as the
+    ``RAW`` payload of its values — of the same size as the chunk would
+    have cached as ``RAW`` — so a hit copies, never divides."""
+    if raw[0] != DEC:
+        return raw
+    return b"".join((bytes([RAW]), memoryview(values)))
+
+
 # -- fixed-width values ----------------------------------------------------------
 
 
@@ -220,6 +285,50 @@ def _encode_fixed(field: Field, arr: np.ndarray, stats: ColumnStats) -> bytes:
             header = _FOR_HEADER.pack(FOR, dtype.itemsize, stats.minimum)
             return header + narrow.tobytes()
     return bytes([RAW]) + arr.tobytes()
+
+
+def _encode_decimal(arr: np.ndarray) -> Optional[bytes]:
+    """The ``DEC`` payload of ``float64`` chunk ``arr``, or None when it
+    has fewer than :data:`DEC_SAMPLE` rows or no exponent gives every
+    value back.
+
+    ``DEC_SAMPLE`` evenly spaced rows reject most other chunks in a few
+    microseconds and name the smallest exponent worth trying on the whole
+    chunk: one that fits every value fits the sample.  The payload is
+    returned only once its integers, decoded, have given back ``arr`` bit
+    for bit.
+    """
+    if len(arr) < DEC_SAMPLE:
+        return None
+    sample = arr[:: len(arr) // DEC_SAMPLE][:DEC_SAMPLE]
+    sample_bits = sample.tobytes()
+    smallest = next(
+        (
+            e
+            for e, scale in enumerate(_SCALES)
+            if (np.rint(sample * scale) / scale).tobytes() == sample_bits
+        ),
+        None,
+    )
+    if smallest is None:
+        return None
+    bits = arr.tobytes()
+    for exponent in range(smallest, len(_SCALES)):
+        k = arr * _SCALES[exponent]
+        np.rint(k, out=k)
+        low, high = k.min(), k.max()
+        if not -_EXACT < low <= high < _EXACT:
+            return None  # NaN, inf or a |k| too large: larger e cannot help
+        span = int(high - low)
+        if span >= 1 << 32:
+            return None
+        k -= low
+        narrow = k.astype(_narrowest(span))
+        reference = int(low)
+        if _decimal_values(narrow, reference, exponent).tobytes() == bits:
+            header = _DEC_HEADER.pack(DEC, narrow.itemsize, exponent, reference)
+            return header + narrow.tobytes()
+    return None
 
 
 def _view(raw: bytes, dtype: np.dtype, count: int, offset: int) -> np.ndarray:
@@ -251,6 +360,25 @@ def _decode_for(type_: str, raw: bytes, num_rows: int) -> Tuple[np.ndarray, int]
     # One pass: widen and add the reference into a fresh int64 array.
     values = np.add(narrow, reference, dtype=np.int64)
     return values, _FOR_HEADER.size + narrow.nbytes
+
+
+def _decode_dec(type_: str, raw: bytes, num_rows: int) -> Tuple[np.ndarray, int]:
+    __, width, exponent, reference = _DEC_HEADER.unpack_from(raw)
+    if exponent >= len(_SCALES):
+        raise FileFormatError(f"unsupported decimal exponent {exponent}")
+    narrow = _view(raw, _width(width), num_rows, _DEC_HEADER.size)
+    return _decimal_values(narrow, reference, exponent), _DEC_HEADER.size + narrow.nbytes
+
+
+def _decimal_values(narrow: np.ndarray, reference: int, exponent: int) -> np.ndarray:
+    """``(narrow + reference) / 10.0**exponent`` as a fresh ``float64``
+    array: the one definition of what a ``DEC`` chunk holds, used by the
+    reader and by the writer's proof."""
+    # Widen and add into a fresh array (exact: every k is below 2**53),
+    # then one in-place division.
+    values = np.add(narrow, reference, dtype=np.float64)
+    values /= _SCALES[exponent]
+    return values
 
 
 # -- strings ---------------------------------------------------------------------
@@ -330,4 +458,5 @@ _DECODERS = {
     FOR: (_decode_for, ("int64",)),
     DICT: (_decode_dict, ("string",)),
     PLAIN: (_decode_plain, ("string",)),
+    DEC: (_decode_dec, ("float64",)),
 }

@@ -9,7 +9,13 @@ import numpy as np
 from repro.common.errors import FileFormatError
 from repro.pagefile.cache import ChunkCache
 from repro.pagefile.deletion_vector import DeletionVector
-from repro.pagefile.encoding import concat, decode_column, inflate, select
+from repro.pagefile.encoding import (
+    cache_entry,
+    concat,
+    decode_column,
+    inflate,
+    select,
+)
 from repro.pagefile.file_format import PageFile, checked_footer, read_footer
 from repro.pagefile.schema import NUMPY_DTYPES
 from repro.pagefile.stats import may_contain
@@ -22,13 +28,14 @@ class PageFileReader:
     against row-group zone maps; a row group is skipped only when the
     statistics prove no row can match.
 
-    With a ``cache`` the decompressed bytes of each chunk are kept under
-    ``(source, etag, chunk offset)`` — the identity of the immutable blob
-    ``data`` came from — and the parsed footer under ``(source, etag,
-    footer offset)``; a later reader of the same blob skips
-    ``zlib.decompress`` for those chunks and ``_parse_footer`` for the
-    footer.  It still checks the magic, the trailer and the footer crc32
-    of ``data`` on every open, and arrays are decoded afresh either way.
+    With a ``cache`` the inflated payload of each chunk (a ``DEC`` one as
+    the ``RAW`` payload of its values) is kept under ``(source, etag,
+    chunk offset)`` — the identity of the immutable blob ``data`` came
+    from — and the parsed footer under ``(source, etag, footer offset)``;
+    a later reader of the same blob skips inflating (and dividing) those
+    chunks and ``_parse_footer`` for the footer.  It still checks the
+    magic, the trailer and the footer crc32 of ``data`` on every open,
+    and arrays are decoded afresh either way.
 
     A string column whose chunks are all ``DICT``-encoded comes back as a
     hinted :class:`~repro.pagefile.encoding.DictArray` (the deletion-vector
@@ -142,17 +149,20 @@ class PageFileReader:
 
     def _chunk(self, column: str, type_: str, chunk: int, rows: int) -> np.ndarray:
         """Decode chunk number ``chunk`` (``rows`` values of ``column``),
-        inflating it unless the cache has it."""
+        inflating it unless the cache has it.  A miss decodes once and
+        caches :func:`~repro.pagefile.encoding.cache_entry` of the result."""
         meta, cache = self._meta, self._cache
         offset = meta.offsets[chunk]
         key = (*self._blob, offset)
         try:
             raw = cache.get(key) if cache is not None else None
-            if raw is None:
-                raw = inflate(self._data[offset : offset + meta.lengths[chunk]])
-                if cache is not None:
-                    cache.put(key, raw)
-            return decode_column(type_, raw, rows)
+            if raw is not None:
+                return decode_column(type_, raw, rows)
+            raw = inflate(self._data[offset : offset + meta.lengths[chunk]])
+            values = decode_column(type_, raw, rows)
+            if cache is not None:
+                cache.put(key, cache_entry(raw, values))
+            return values
         except FileFormatError as exc:
             raise FileFormatError(f"{meta.origin}column {column!r}: {exc}") from None
 

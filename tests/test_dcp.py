@@ -80,6 +80,27 @@ class TestCells:
         # Roughly uniform: every bucket populated.
         assert len(set(a.tolist())) == 16
 
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="distribution_of does not mix: for a power-of-two bucket "
+        "count the bucket of key k is decided by k mod buckets, so keys "
+        "strided by the bucket count share one bucket (ROADMAP)",
+    )
+    def test_distribution_of_ints_balances_buckets(self):
+        rng = np.random.default_rng(0)
+        for buckets in (4, 8, 16):
+            for kind, keys in (
+                ("sequential", np.arange(100 * buckets, dtype=np.int64)),
+                ("strided", np.arange(100, dtype=np.int64) * buckets),
+                ("random", rng.integers(-(2**63), 2**63 - 1, 100 * buckets)),
+            ):
+                sizes = np.bincount(distribution_of(keys, buckets), minlength=buckets)
+                mean = len(keys) / buckets
+                assert sizes.max() <= 2 * mean and sizes.min() >= mean / 2, (
+                    kind, buckets, sizes.tolist(),
+                )
+
     def test_distribution_of_strings(self):
         values = np.array([f"k{i}" for i in range(200)], dtype=object)
         out = distribution_of(values, 8)

@@ -1,10 +1,11 @@
 """The chunk cache of decompressed chunks and parsed footers: its
 bookkeeping, and the rule it lives by.
 
-The rule (DESIGN.md, "The chunk cache"): **a hit skips decoding and
-nothing else** — ``zlib.decompress`` for a chunk, ``_parse_footer`` for a
-footer.  ``store.get`` and both checksum verifications run on every open,
-and the magic, trailer and footer crc32 are checked on every reader, so a
+The rule (DESIGN.md, "The chunk cache"): **a hit skips inflating, and
+for a DEC chunk the division, and nothing else** — the zlib inflate and
+the DEC decode for a chunk, ``_parse_footer`` for a footer.
+``store.get`` and both checksum verifications run on every open, and
+the magic, trailer and footer crc32 are checked on every reader, so a
 warm cache can mask no fault, no quarantine, no GC deletion and no
 malformed footer, and a query costs the same fetches, bytes and simulated
 seconds warm, cold or with a zero budget.
@@ -13,6 +14,7 @@ seconds warm, cold or with a zero budget.
 import dataclasses
 import struct
 import tracemalloc
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.common.errors import BlobNotFoundError, FileFormatError, IntegrityErr
 from repro.engine.expressions import BinOp, Col, Lit
 from repro.engine.planner import TableScan
 from repro.fe.write_path import _load_dv, _open_data_file
-from repro.pagefile import file_format
+from repro.pagefile import encoding, file_format
 from repro.pagefile.cache import (
     BUDGET_BYTES,
     ENTRY_OVERHEAD_BYTES,
@@ -65,6 +67,57 @@ FOOTERS = [
 
 def _footers(cache: ChunkCache):
     return [entry for entry in cache._entries.values() if isinstance(entry, PageFile)]
+
+
+class TestDecimalChunks:
+    """A DEC chunk is decoded once per miss and cached in RAW form."""
+
+    PATH = "p/decimal.rpf"
+
+    @pytest.fixture
+    def decimal_file(self):
+        values = np.round(np.random.default_rng(7).uniform(-1e4, 1e4, 500), 2)
+        data = write_page_file(Schema.of(("x", "float64")), {"x": values})
+        meta = read_footer(data)
+        chunk = data[meta.offsets[0] : meta.offsets[0] + meta.lengths[0]]
+        assert zlib.decompress(chunk)[0] == encoding.DEC
+        return data, meta, values
+
+    @pytest.fixture
+    def dec_decodes(self, monkeypatch):
+        """How often the DEC decoder runs."""
+        calls = []
+        decoder, types = encoding._DECODERS[encoding.DEC]
+
+        def counting(*args):
+            calls.append(args[2])
+            return decoder(*args)
+
+        monkeypatch.setitem(encoding._DECODERS, encoding.DEC, (counting, types))
+        return calls
+
+    def test_cold_and_warm_reads_return_the_same_bits(self, decimal_file, dec_decodes):
+        data, meta, values = decimal_file
+        cache = _cache()
+        cold = PageFileReader(data, self.PATH, cache, 1).read()["x"]
+        assert dec_decodes == [len(values)]
+        warm = PageFileReader(data, self.PATH, cache, 1).read()["x"]
+        assert dec_decodes == [len(values)], "a hit must not divide again"
+        assert cache.hits.value == 2  # the footer and the chunk
+        assert cold.tobytes() == warm.tobytes() == values.tobytes()
+        cold[:] = np.nan
+        again = PageFileReader(data, self.PATH, cache, 1).read()["x"]
+        assert again.tobytes() == values.tobytes()
+
+    def test_the_entry_is_the_raw_payload_at_the_raw_cost(self, decimal_file):
+        data, meta, values = decimal_file
+        cache = _cache()
+        PageFileReader(data, self.PATH, cache, 1).read()
+        entry = cache._entries[(self.PATH, 1, meta.offsets[0])]
+        assert entry == bytes([encoding.RAW]) + values.tobytes()
+        # What the same values cached as a RAW chunk have always cost.
+        assert entry_cost(entry) == 1 + values.nbytes + ENTRY_OVERHEAD_BYTES
+        assert len(cache) == 2  # the chunk and the footer
 
 
 class TestBookkeeping:

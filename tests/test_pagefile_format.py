@@ -13,6 +13,7 @@ from repro.pagefile import PageFileReader, Schema, encoding, file_format, write_
 from repro.pagefile.file_format import MAGIC, read_footer
 from repro.pagefile.schema import Field
 from repro.pagefile.stats import ColumnStats, compute_stats
+from repro.workloads.tpch.generator import TpchGenerator
 
 
 def make_columns(n=100):
@@ -291,6 +292,131 @@ class TestFormatRoundtrip:
         assert second["name"][3] == "row-0003"
 
 
+# -- DEC: float64 decimals stored as scaled integers ----------------------------------
+
+#: Spans of ``k`` around the narrow-width limits (and one past the widest).
+DEC_SPANS = (0, 9, 2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32)
+#: Values that must keep a chunk RAW: -0.0, NaN, infinities, a subnormal
+#: and a value with five decimals.
+NEAR_MISSES = (-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1.23456)
+
+
+def _dec_exponent(values):
+    """The exponent the rule gives a chunk, or None when it must stay RAW:
+    the smallest ``e`` in 0..4 with ``rint(x * 10**e) / 10**e`` equal to
+    every value bit for bit, ``|k| < 2**53`` and a span below 2**32."""
+    if len(values) < encoding.DEC_SAMPLE:
+        return None
+    for e in range(5):
+        k = np.rint(values * 10.0**e)
+        if not (np.abs(k) < 2.0**53).all():  # NaN and inf fail this too
+            continue
+        k = k.astype(np.int64)  # an integer: -0.0 is 0
+        if k.max() - k.min() < 2**32 and np.array_equal(
+            (k / 10.0**e).view(np.uint64), values.view(np.uint64)
+        ):
+            return e
+    return None
+
+
+def _dec_payload(values, e):
+    """The DEC payload the format describes, built without the writer."""
+    k = np.rint(values * 10.0**e).astype(np.int64)
+    reference = int(k.min())
+    span = int(k.max()) - reference
+    width = 1 if span < 2**8 else 2 if span < 2**16 else 4
+    narrow = (k - reference).astype(f"<u{width}")
+    return struct.pack("<BBBq", encoding.DEC, width, e, reference) + narrow.tobytes()
+
+
+@st.composite
+def decimal_chunks(draw):
+    """A float64 chunk of decimals ``k / 10**e``: every exponent, both
+    signs, ``|k|`` up to and past 2**53, spans at the width limits, 63 to
+    300 rows — sometimes with a near miss or a second exponent mixed in."""
+    rows = draw(st.sampled_from([63, 64, 65]) | st.integers(64, 300))
+    e = draw(st.integers(0, 4))
+    span = draw(st.sampled_from(DEC_SPANS) | st.integers(0, 10**6))
+    if draw(st.integers(0, 3)) == 0:
+        top = 2**53 - draw(st.integers(0, 3)) + draw(st.sampled_from([0, 1]))
+        base = top - span
+    else:
+        base = draw(st.integers(-(10**9), 10**9))
+    if draw(st.booleans()):
+        base = -base - span  # the mirror image: negative values
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = base + rng.integers(0, span + 1, rows, dtype=np.int64)
+    k[rng.permutation(rows)[:2]] = (base, base + span)
+    values = k.astype(np.float64) / 10.0**e
+    damage = draw(st.sampled_from(["none", "none", "near_miss", "mixed"]))
+    at = draw(st.integers(0, rows - 1))
+    if damage == "near_miss":
+        values[at] = draw(st.sampled_from(NEAR_MISSES))
+    elif damage == "mixed":
+        other = draw(st.integers(0, 4).filter(lambda x: x != e))
+        values[at::3] = np.rint(values[at::3] * 10.0**e) / 10.0**other
+    return values
+
+
+def _stored_chunk(data, meta, chunk=0):
+    offset = meta.offsets[chunk]
+    return data[offset : offset + meta.lengths[chunk]]
+
+
+class TestDecimalChunks:
+    @given(decimal_chunks())
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_tag_and_size(self, values):
+        data = write_page_file(
+            Schema.of(("x", "float64")), {"x": values}, row_group_size=len(values)
+        )
+        reader = PageFileReader(data)
+        assert reader.read()["x"].tobytes() == values.tobytes()  # bit-exact
+        assert reader.meta.zone_map("x") == [_expected_bounds(values.tolist())]
+        stored = _stored_chunk(data, reader.meta)
+        raw = zlib.compress(bytes([encoding.RAW]) + values.tobytes(), 1)
+        e = _dec_exponent(values)
+        dec = None if e is None else zlib.compress(_dec_payload(values, e), 1)
+        eligible = dec is not None and len(dec) < len(raw)
+        assert stored == (dec if eligible else raw)
+        assert len(stored) <= len(raw)
+
+    @pytest.mark.parametrize("rows, tag", [(63, encoding.RAW), (64, encoding.DEC)])
+    def test_sixty_four_rows_at_least(self, rows, tag):
+        values = np.round(np.random.default_rng(rows).uniform(0.0, 1e5, rows), 2)
+        data = write_page_file(Schema.of(("x", "float64")), {"x": values})
+        reader = PageFileReader(data)
+        assert _chunk_tag(data, reader.meta) == tag
+        assert reader.read()["x"].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "column, header",
+        [
+            # l_quantity: whole numbers 1..50; l_discount: 0.00..0.10;
+            # l_extendedprice: quantity * (900 + partkey % 1000) / 10, one
+            # decimal, below 5 000 at SF 0.05.
+            ("l_quantity", (1, 0)),
+            ("l_discount", (1, 2)),
+            ("l_extendedprice", (2, 1)),
+        ],
+    )
+    def test_tpch_floats_are_decimal(self, column, header):
+        values = TpchGenerator(scale_factor=0.05, seed=3).table("lineitem")[column]
+        data = write_page_file(Schema.of(("x", "float64")), {"x": values})
+        meta = read_footer(data)
+        raw = zlib.decompress(_stored_chunk(data, meta))
+        assert (raw[0], raw[1], raw[2]) == (encoding.DEC, *header)
+        assert PageFileReader(data).read()["x"].tobytes() == values.tobytes()
+
+    def test_sequential_whole_numbers_stay_raw(self):
+        # Small whole numbers as floats deflate better as RAW than as
+        # uint16 offsets: the writer keeps whichever stores shorter.
+        values = np.arange(300, dtype=np.float64)
+        data = write_page_file(Schema.of(("x", "float64")), {"x": values})
+        assert _chunk_tag(data, read_footer(data)) == encoding.RAW
+        assert _dec_exponent(values) == 0
+
+
 class TestNanZoneMaps:
     def test_min_max_ignore_nan(self):
         values = np.arange(200, dtype=np.float64)
@@ -322,10 +448,16 @@ class TestNanZoneMaps:
 
 
 def _valid_file():
-    """Two row groups holding every type, a DICT and a PLAIN string chunk."""
-    n = 40
+    """Two row groups holding every type, a DICT and a PLAIN string chunk,
+    and a float column whose first chunk is DEC."""
+    n = 80
     schema = Schema.of(
-        ("i", "int64"), ("f", "float64"), ("b", "bool"), ("d", "string"), ("p", "string")
+        ("i", "int64"),
+        ("f", "float64"),
+        ("b", "bool"),
+        ("d", "string"),
+        ("p", "string"),
+        ("m", "float64"),
     )
     columns = {
         "i": np.arange(n, dtype=np.int64) * 1000,
@@ -333,8 +465,9 @@ def _valid_file():
         "b": np.arange(n) % 3 == 0,
         "d": np.array([f"k{i % 4}" for i in range(n)], dtype=object),
         "p": np.array([f"välue-{i}" for i in range(n)], dtype=object),
+        "m": np.round(np.random.default_rng(5).uniform(-500.0, 500.0, n), 2),
     }
-    return write_page_file(schema, columns, row_group_size=25), columns
+    return write_page_file(schema, columns, row_group_size=64), columns
 
 
 def _with_chunk(monkeypatch, raw=None, payload=None):
@@ -426,6 +559,35 @@ class TestMalformedFiles:
         raw = bytes([encoding.RAW]) + np.arange(stored, dtype=np.int64).tobytes()
         _with_chunk(monkeypatch, raw=raw)
         self._read_fails(Schema.of(("c", "int64")), {"c": np.arange(4)}, "truncated|rows need")
+
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            (struct.pack("<BBBq", encoding.DEC, 1, 5, 0) + bytes(4), "exponent 5"),
+            (struct.pack("<BBBq", encoding.DEC, 3, 2, 0) + bytes(12), "width 3"),
+            (struct.pack("<BBBq", encoding.DEC, 2, 2, 0) + bytes(6), "truncated"),
+            (struct.pack("<BBBq", encoding.DEC, 1, 2, 0) + bytes(3), "truncated"),
+            (struct.pack("<BBBq", encoding.DEC, 1, 2, 0) + bytes(5), "rows need"),
+            (struct.pack("<BBB", encoding.DEC, 1, 2), "corrupt chunk"),
+        ],
+        ids=["exponent", "width", "truncated-ints", "3-rows", "5-rows", "short-header"],
+    )
+    def test_malformed_decimal_chunk(self, monkeypatch, raw, match):
+        _with_chunk(monkeypatch, raw=raw)
+        self._read_fails(Schema.of(("c", "float64")), {"c": np.zeros(4)}, match)
+
+    @pytest.mark.parametrize(
+        "type_, column",
+        [
+            ("int64", np.arange(4)),
+            ("bool", np.ones(4, dtype=bool)),
+            ("string", np.array(list("abcd"), dtype=object)),
+        ],
+    )
+    def test_decimal_tag_on_another_type(self, monkeypatch, type_, column):
+        raw = struct.pack("<BBBq", encoding.DEC, 1, 0, 0) + bytes(4)
+        _with_chunk(monkeypatch, raw=raw)
+        self._read_fails(Schema.of(("c", type_)), {"c": column}, f"holds {type_}")
 
     def test_unsupported_integer_width(self, monkeypatch):
         raw = struct.pack("<BBq", encoding.FOR, 3, 0) + bytes(12)
