@@ -55,8 +55,8 @@ class ModuleSource:
 
     ``relpath`` is the path rendered in findings — relative to the scan
     root when possible, so reports are stable across machines.  Rules that
-    scope themselves by location (e.g. commit-lock discipline applies to
-    ``fe/`` and ``sto/``) match against the POSIX form of this path.
+    scope themselves by location (e.g. span discipline exempts
+    ``telemetry/``) match against the POSIX form of this path.
     """
 
     path: Path

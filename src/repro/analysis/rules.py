@@ -329,76 +329,6 @@ class FrozenMutationRule(Rule):
         return None
 
 
-# -- commit-lock-discipline ----------------------------------------------------
-
-#: Catalog mutation APIs that stamp commit-ordered rows: callers must hold
-#: the commit lock, because the sequence id only exists inside it
-#: (Section 4.1.2 steps 2-3).  ``upsert_writeset`` is exempt: WriteSets
-#: upserts buffer into the root transaction (step 1, before the lock) and
-#: are installed under the lock by the engine.
-COMMIT_LOCKED_APIS = {"insert_manifest"}
-
-
-@register
-class CommitLockDisciplineRule(Rule):
-    """Manifests stamping must happen inside the commit-lock critical section.
-
-    Applies to frontend and STO code (``fe/``, ``sto/``).  A call is
-    compliant when it is lexically inside a ``with <lock>.held(...)`` block
-    or inside a function registered as a pre-install hook
-    (``txn.set_pre_install_hook(fn)``) — the engine invokes those hooks
-    under the lock with the freshly assigned sequence id.
-    """
-
-    name = "commit-lock-discipline"
-    description = (
-        "Manifests mutation APIs in fe/ and sto/ must run inside "
-        "with commit_lock.held(...) or a registered pre-install hook"
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        """Yield commit-lock-scoped calls made outside the critical section."""
-        if not (_in_dir(module, "fe") or _in_dir(module, "sto")):
-            return
-        parents = parent_chain(module.tree)
-        hook_names = self._pre_install_hook_functions(module.tree)
-        for node in iter_calls(module.tree):
-            if call_name(node) not in COMMIT_LOCKED_APIS:
-                continue
-            if self._inside_lock(node, parents, hook_names):
-                continue
-            yield self.finding(
-                module,
-                node,
-                f"{call_name(node)}() outside the commit-lock critical "
-                "section; wrap in `with commit_lock.held(...)` or register "
-                "the enclosing function via set_pre_install_hook",
-            )
-
-    @staticmethod
-    def _pre_install_hook_functions(tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for node in iter_calls(tree):
-            if call_name(node) == "set_pre_install_hook":
-                for arg in node.args:
-                    if isinstance(arg, ast.Name):
-                        names.add(arg.id)
-        return names
-
-    @staticmethod
-    def _inside_lock(node: ast.AST, parents, hook_names: Set[str]) -> bool:
-        for ancestor in ancestors(node, parents):
-            if isinstance(ancestor, (ast.With, ast.AsyncWith)):
-                for item in ancestor.items:
-                    expr = item.context_expr
-                    if isinstance(expr, ast.Call) and call_name(expr) == "held":
-                        return True
-            elif isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if ancestor.name in hook_names:
-                    return True
-        return False
-
-
 # -- span-discipline -----------------------------------------------------------
 
 
@@ -633,7 +563,6 @@ SHIPPED_RULES: List[str] = [
     "wallclock-purity",
     "seeded-randomness",
     "frozen-mutation",
-    "commit-lock-discipline",
     "span-discipline",
     "no-swallowed-errors",
     "docstring-coverage",

@@ -10,9 +10,10 @@ Three pieces:
   restart: aborts in-doubt transactions, reconciles catalog vs object
   store, discards stale staged blocks, and idempotently completes
   post-commit publish steps.
-* :mod:`repro.chaos.harness` — the systematic crash sweep
-  (``python -m repro.chaos --sweep``): crash once at every registered
-  site, recover, and assert the recovery invariants.
+* :mod:`repro.chaos.harness` — the one seeded randomized driver: a
+  two-session op stream checked against a dict model after every op,
+  under storage and task faults (:func:`run_driver`) or crashed at every
+  registered site and recovered (``python -m repro.chaos --sweep``).
 
 This module keeps its imports light: only the crashpoint primitives load
 eagerly (the instrumented engine modules import them), while the recovery
@@ -35,6 +36,7 @@ __all__ = [
     "ChaosController",
     "ChaosSweepResult",
     "CorruptionSweepResult",
+    "Driver",
     "RecoveryError",
     "RecoveryManager",
     "RecoveryReport",
@@ -43,7 +45,7 @@ __all__ = [
     "crashpoint",
     "run_corruption_sweep",
     "run_crash_sweep",
-    "run_longevity",
+    "run_driver",
 ]
 
 #: Lazily resolved attribute -> defining submodule (avoids importing the
@@ -53,7 +55,8 @@ _LAZY = {
     "RecoveryReport": "repro.chaos.recovery",
     "ChaosSweepResult": "repro.chaos.harness",
     "run_crash_sweep": "repro.chaos.harness",
-    "run_longevity": "repro.chaos.harness",
+    "run_driver": "repro.chaos.harness",
+    "Driver": "repro.chaos.harness",
     "CorruptionSweepResult": "repro.chaos.corruption",
     "run_corruption_sweep": "repro.chaos.corruption",
 }

@@ -1,8 +1,9 @@
 """Command-line front end: ``python -m repro.chaos``.
 
 Exit status is 0 when every invariant held and 1 when a crash site
-failed to fire, recovery left a torn state, or the soak run ended dirty,
-so CI can gate on it directly.
+failed to fire or a recovery left a state the driver's model does not
+allow, so CI can gate on it directly.  The fault soak is the driver's
+storage-fault case, ``tests/test_chaos_sweep.py::TestLongevity``.
 
 Usage::
 
@@ -11,7 +12,6 @@ Usage::
     python -m repro.chaos --site fe.commit.after_sqldb_commit
     python -m repro.chaos --corruption                # rot every blob kind
     python -m repro.chaos --list                      # crashpoint catalogue
-    python -m repro.chaos --longevity 120 --failure-rate 0.02
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ import sys
 from typing import List, Optional
 
 from repro.chaos.crashpoints import CRASHPOINTS
-from repro.chaos.harness import (
-    RECOVERY_SITES,
-    run_crash_sweep,
-    run_longevity,
-)
+from repro.chaos.harness import RECOVERY_SITES, run_crash_sweep
 
 
 def _run_list() -> int:
@@ -105,28 +101,11 @@ def _run_corruption(seed: int) -> int:
     return 0
 
 
-def _run_longevity(seed: int, steps: int, failure_rate: float) -> int:
-    """Run the fault soak and report the outcome."""
-    result = run_longevity(seed=seed, steps=steps, failure_rate=failure_rate)
-    print(
-        f"longevity: {result.ops_completed} op(s) completed, "
-        f"{result.ops_failed} failed on injected faults, "
-        f"{result.faults_injected} fault(s) injected"
-    )
-    if result.problems:
-        print(f"\n{len(result.problems)} problem(s):", file=sys.stderr)
-        for problem in result.problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    print("integrity battery clean")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
-        description="Deterministic crash injection, recovery, and fault soak.",
+        description="Deterministic crash injection and recovery.",
     )
     parser.add_argument(
         "--sweep",
@@ -157,25 +136,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--seed", type=int, default=0, help="deterministic seed (default 0)"
     )
-    parser.add_argument(
-        "--longevity",
-        type=int,
-        metavar="STEPS",
-        help="run a fault soak of STEPS operations instead of a sweep",
-    )
-    parser.add_argument(
-        "--failure-rate",
-        type=float,
-        default=0.02,
-        help="transient-fault rate for --longevity (default 0.02)",
-    )
     args = parser.parse_args(argv)
     if args.list:
         return _run_list()
     if args.corruption:
         return _run_corruption(args.seed)
-    if args.longevity is not None:
-        return _run_longevity(args.seed, args.longevity, args.failure_rate)
     if args.sweep or args.site:
         return _run_sweep(args.seed, args.site, args.double_crash)
     parser.print_help(sys.stderr)

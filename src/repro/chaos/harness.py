@@ -1,52 +1,35 @@
-"""Deterministic chaos harness: crash-sweep and longevity workloads.
+"""Deterministic chaos harness: one seeded randomized driver.
 
-The sweep (:func:`run_crash_sweep`) enumerates every registered
-crashpoint and, for each one, runs a fixed multi-table workload against a
-fresh deployment with that single site armed.  The workload dies there
-(:class:`~repro.common.errors.SimulatedCrash`), a
-:class:`~repro.chaos.recovery.RecoveryManager` models the restart, and a
-battery of invariants is asserted over the recovered state:
+:class:`Driver` runs a seeded stream of named ops against two tables
+(``orders``, ``events``) through two interleaved sessions, and keeps a
+trivially correct :class:`Model` in step.  After every op both tables are
+compared with the model, values included (docs/ROBUSTNESS.md "The
+driver").  On that one stream:
 
-* **No committed transaction is lost** — every ``Manifests`` row's blob
-  exists, and every table's latest snapshot reconstructs with all of its
-  data and deletion-vector files present (no torn snapshot).
-* **Atomicity window** — each table's live row count equals either the
-  count acknowledged before the crashed step or that count plus the
-  step's declared delta, never anything in between.
-* **The warehouse still works** — a post-recovery probe transaction
-  commits and is visible with exactly its own rows.
-* **GC is crash-safe** — a garbage-collection pass after recovery never
-  deletes a file the recovered catalog still references, and a second
-  pass finds zero orphans and retains nothing as "recent".
-* **Snapshot isolation holds** — the full bus history (workload, crash,
-  recovery, probe) passes the :mod:`repro.analysis.si` sanitizer.
-* **Every crash raised reaches the harness** — the sites the controller
-  fired (``ChaosController.crashes``) equal the crashes the harness's
-  ``except SimulatedCrash`` caught.  A handler on the way that swallows
-  one turns a dead process into a call that returned, and the run
-  reports "crash raised at X but swallowed before it reached the
-  harness".
-
-Besides one run per site, :data:`STEP_RUNS` crashes sites inside named
-steps: the STO jobs a user statement runs inline (the commit-triggered
-checkpoint, the compaction a scan's statistics trigger, ``tick()``) and
-the catalog commits of the checkpointer and the garbage collector.
+* :func:`run_driver` is the oracle run and the fault soak: storage faults
+  (``config.storage.transient_failure_rate``) and task faults
+  (``repro.dcp.scheduler.TASK_FAILURE_RATE``) are its two parameters.
+* :func:`run_crash_sweep` crashes a fresh deployment at every registered
+  site (:func:`run_site`), recovers it with a
+  :class:`~repro.chaos.recovery.RecoveryManager`, and runs the integrity
+  battery: both tables equal the committed state or that state plus the
+  commit in flight, jointly; no lost commit or torn snapshot; GC is
+  crash-safe; history is bounded; then more ops, snapshot isolation over
+  the whole history, and every crash raised reached the driver.
+* :func:`run_gateway_site` crashes a gateway with ten clients mid-queue
+  at the ``service.*`` sites.
 
 Everything is seeded: the same seed yields byte-identical sweep
 summaries, which is what makes a crash reproducible from its CLI line.
-
-The longevity run (:func:`run_longevity`) is the complementary soak: no
-crashes, but a nonzero transient-fault rate on every storage operation,
-driving the retry/backoff machinery for a seeded random mix of
-statements and STO jobs, with the same integrity battery at the end.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -59,8 +42,10 @@ from repro.common.errors import (
     SimulatedCrash,
     TaskFailedError,
     TransientStorageError,
+    WriteConflictError,
 )
 from repro.engine.expressions import BinOp, Col, Lit, and_
+from repro.engine.planner import TableScan
 from repro.lst.checkpoint import Checkpoint
 from repro.pagefile.schema import Schema
 from repro.sqldb import system_tables as catalog
@@ -81,33 +66,27 @@ WORKLOAD_SITES: Tuple[str, ...] = tuple(
     sorted(site for site in CRASHPOINTS if not site.startswith("recovery."))
 )
 
-#: Which occurrence of each site the sweep crashes at.  Commit-path sites
-#: fire on every transaction, so crashing at the fifth hit lands the
-#: crash inside the workload's multi-statement transaction (two tables in
-#: flight) instead of the first trivial DDL commit.  Sites absent here
-#: crash at their first hit.
+#: Which occurrence of each gateway site the sweep crashes at: with other
+#: requests already admitted, so the scavenge has real mid-queue state to
+#: reconcile, and (for the dispatch sites) with completed requests already
+#: in the ledger.
 SWEEP_HIT_PLAN: Dict[str, int] = {
-    "fe.commit.before_validation": 5,
-    "fe.commit.after_writesets": 5,
-    "fe.commit.after_sqldb_commit": 5,
-    "sqldb.commit.after_validate": 5,
-    "sqldb.commit.after_install": 5,
-    # Gateway sites: crash with other requests already admitted so the
-    # scavenge has real mid-queue state to reconcile, and (for the
-    # dispatch sites) with completed requests already in the ledger.
     "service.admit.after_enqueue": 4,
     "service.dispatch.before_execute": 3,
     "service.dispatch.after_execute": 2,
 }
 
-#: Runs that crash a site inside one named workload step, beyond the one
-#: run per site: (site, step).  The site is armed as the step starts and
-#: fires at its first hit there.  The ``*_on_*`` steps run the STO inline
-#: from a user statement; the catalog commit of ``checkpoint_orders`` and
-#: ``age_and_gc`` is the checkpointer's and the garbage collector's own.
+#: Runs beyond the one per site: (site, op) arms the site only as op
+#: starts.  ``commit`` commits a transaction that wrote both tables; the
+#: ``*_on_*`` ops run the STO inline from a user statement.
 STEP_RUNS: Tuple[Tuple[str, str], ...] = (
+    ("fe.commit.after_sqldb_commit", "commit"),
+    ("fe.commit.after_writesets", "commit"),
+    ("fe.commit.before_validation", "commit"),
+    ("sqldb.commit.after_install", "commit"),
+    ("sqldb.commit.after_validate", "commit"),
     ("sqldb.commit.after_validate", "age_and_gc"),
-    ("sqldb.commit.after_validate", "checkpoint_orders"),
+    ("sqldb.commit.after_validate", "checkpoint"),
     ("sto.checkpoint.after_blob_put", "checkpoint_on_commit"),
     ("sto.checkpoint.before_blob_put", "checkpoint_on_commit"),
     ("sto.compaction.after_commit", "compact_on_scan"),
@@ -120,9 +99,9 @@ def chaos_config(seed: int = 0) -> PolarisConfig:
     """Deployment configuration scaled so every crashpoint is reachable.
 
     Small cells make every insert produce unhealthy (compactable) files;
-    a high checkpoint threshold keeps checkpoints an explicit workload
-    step; a short retention period lets the workload age files past it.
-    Query store and wait stats are on (neither advances the clock) so
+    a high checkpoint threshold keeps checkpoints an explicit operation;
+    a short retention period lets the driver age files past it.  Query
+    store and wait stats are on (neither advances the clock) so
     recovery's participant loop always has collectors to scavenge.
     """
     config = PolarisConfig()
@@ -145,192 +124,574 @@ def _batch(start: int, count: int) -> Dict[str, np.ndarray]:
     return {"id": ids, "v": (ids % 7).astype(np.float64)}
 
 
-class ChaosWorkload:
-    """The fixed multi-table workload the sweep crashes and recovers.
+# -- the model and the driver ------------------------------------------------
 
-    Tracks, per table, the row count *acknowledged* (steps that returned)
-    and the *pending* delta of the step currently executing, so the
-    post-crash oracle knows the only two legal counts for each table.
+#: One table's rows ``id -> v``; a write maps ``id`` to None for a delete.
+Rows = Dict[int, Optional[float]]
+#: The faults the driver injects; an op that raised one is no finding.
+_FAULTS = (TransientStorageError, TaskFailedError)
+
+
+def _applied(rows: Rows, changes: Rows) -> Rows:
+    """``rows`` with ``changes`` applied (a new dict)."""
+    out = dict(rows)
+    for key, value in changes.items():
+        if value is None:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+@dataclass
+class ModelTxn:
+    """An open transaction: the committed state it began from, the
+    :attr:`Driver.rewrites` counts at its start, its delta per table, and
+    the tables it updated or deleted rows of."""
+
+    base: Dict[str, Rows]
+    epoch: Dict[str, int]
+    delta: Dict[str, Rows] = field(default_factory=dict)
+    rewrote: Set[str] = field(default_factory=set)
+
+
+class Model:
+    """The oracle: committed rows per table, and per session the open
+    transaction, which reads its base plus its own writes."""
+
+    def __init__(self, tables: Sequence[str]) -> None:
+        # Committed dicts are replaced on commit, never mutated, so an open
+        # transaction's base can share them.
+        self.committed: Dict[str, Rows] = {table: {} for table in tables}
+        self.txns: Dict[int, ModelTxn] = {}
+
+    def view(self, sid: int, table: str) -> Rows:
+        """What session ``sid`` reads of ``table``."""
+        txn = self.txns.get(sid)
+        if txn is None:
+            return self.committed[table]
+        return _applied(txn.base[table], txn.delta.get(table, {}))
+
+    def after(self, delta: Dict[str, Rows]) -> Dict[str, Rows]:
+        """The committed state with ``delta`` applied on top."""
+        return {t: _applied(rows, delta.get(t, {})) for t, rows in self.committed.items()}
+
+
+def _keys(lo: int, hi: int):
+    """Predicate and prune list for ``lo <= id < hi`` (``id = lo`` when
+    that is one key, so the scan reads the key's bucket only)."""
+    if hi == lo + 1:
+        return BinOp("==", Col("id"), Lit(lo)), [("id", "==", lo)]
+    return (
+        and_(BinOp(">=", Col("id"), Lit(lo)), BinOp("<", Col("id"), Lit(hi))),
+        [("id", ">=", lo), ("id", "<", hi)],
+    )
+
+
+def _rows(batch) -> Rows:
+    return dict(zip(batch["id"].tolist(), batch["v"].tolist()))
+
+
+def _diff(table: str, got: Rows, want: Rows) -> str:
+    """How ``got`` differs from ``want``, in a few keys."""
+    wrong = {
+        "missing": set(want) - set(got),
+        "extra": set(got) - set(want),
+        "wrong v": {k for k in set(got) & set(want) if got[k] != want[k]},
+    }
+    return f"{table} differs from the model ({len(got)} rows, model {len(want)}): " + (
+        ", ".join(f"{what} {sorted(keys)[:3]}" for what, keys in wrong.items() if keys)
+    )
+
+
+class Driver:
+    """One deployment, two sessions, and the model they are checked against.
+
+    :meth:`draw` picks an op and a session, :meth:`step` runs it and checks
+    both tables.  A :class:`SimulatedCrash` passes through with
+    :attr:`pending` naming the commit in flight, which :meth:`restart`
+    holds in doubt.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    tables = ("orders", "events")
+
+    def __init__(
+        self,
+        seed: int = 0,
+        conflict_granularity: str = "table",
+        auto_optimize: bool = False,
+        storage_failure_rate: float = 0.0,
+    ) -> None:
         self.config = chaos_config(seed)
-        self.warehouse = Warehouse(config=self.config, auto_optimize=False)
+        self.config.txn.conflict_granularity = conflict_granularity
+        self.config.storage.transient_failure_rate = storage_failure_rate
+        self.warehouse = Warehouse(config=self.config, auto_optimize=auto_optimize)
         self.warehouse.sto.auto_publish = True
-        self.session = self.warehouse.session()
-        self.recorder = HistoryRecorder().attach(self.warehouse.context.bus)
-        self.acknowledged: Dict[str, int] = {}
-        self.pending: Dict[str, int] = {}
-        self.table_ids: Dict[str, int] = {}
+        self.context = self.warehouse.context
+        self.recorder = HistoryRecorder().attach(self.context.bus)
+        self.rng = random.Random(f"driver:{seed}")
+        self.model = Model(self.tables)
+        self.sessions = [self.warehouse.session(), self.warehouse.session()]
+        self.table_ids = {
+            table: self.sessions[0].create_table(
+                table, WORKLOAD_SCHEMA, distribution_column="id",
+                sort_column="id" if table == "events" else None,
+            )
+            for table in self.tables
+        }
+        #: Committed rewrites (updates, deletes, compactions) per table: an
+        #: open transaction may lose first-committer-wins only if one
+        #: landed on a table it updated or deleted rows of.
+        self.rewrites: Counter = Counter()
+        self._compactions_seen = 0
+        #: The commit in flight, and a commit that raised a fault: (delta,
+        #: tables it rewrote).  The next check adopts the state before or
+        #: after an in-doubt commit.
+        self.pending: Optional[Tuple[Dict[str, Rows], Set[str]]] = None
+        self.in_doubt: Optional[Tuple[Dict[str, Rows], Set[str]]] = None
+        self.next_id = 0
+        self.step_no = 0
+        self.problems: List[str] = []
         #: Sites of the crashes :meth:`run_until_crash` caught, in order.
         self.crashes_caught: List[str] = []
+        #: Ops "completed", "faulted" (raised an injected fault) and "lost"
+        #: (lost first-committer-wins).
+        self.outcomes: Counter = Counter()
 
-    # -- steps ------------------------------------------------------------
+    def ops(self) -> Dict[str, Tuple[int, Callable[[int], None]]]:
+        """Every op by name: (weight, body taking the session index)."""
+        return {
+            "insert": (6, self.op_insert),
+            "bulk_load": (2, self.op_bulk_load),
+            "delete_range": (3, lambda sid: self._delete(sid, 30)),
+            "delete_point": (2, lambda sid: self._delete(sid, 1)),
+            "update_range": (3, lambda sid: self._update(sid, 20, None)),
+            "update_point": (2, lambda sid: self._update(sid, 1, round(self.rng.random(), 3))),
+            "move_keys": (2, self.op_move_keys),
+            "begin": (3, self.op_begin),
+            "commit": (4, self.op_commit),
+            "rollback": (1, self._abandon),
+            "analyze": (2, lambda sid: self.sessions[sid].analyze_table(self._table())),
+            "create_index": (2, self.op_create_index),
+            "compact": (2, lambda sid: self.warehouse.sto.run_compaction(self._table_id())),
+            "checkpoint": (2, lambda sid: self.warehouse.sto.run_checkpoint(self._table_id())),
+            "checkpoint_on_commit": (2, self.op_checkpoint_on_commit),
+            "compact_on_scan": (2, self.op_compact_on_scan),
+            "compact_on_tick": (2, self.op_compact_on_tick),
+            "age_and_gc": (2, self.op_age_and_gc),
+            "invalidate_cache": (1, lambda sid: self.context.cache.invalidate()),
+        }
 
-    def _create_tables(self) -> None:
-        """Step: CREATE TABLE orders, events."""
-        for name in ("orders", "events"):
-            self.table_ids[name] = self.session.create_table(
-                name, WORKLOAD_SCHEMA, distribution_column="id"
+    def draw(self) -> Tuple[str, int]:
+        """The next (op, session) whose precondition holds: ``commit`` and
+        ``rollback`` need an open transaction; ``begin``, ``analyze``,
+        ``create_index`` and ``checkpoint_on_commit`` an idle session;
+        ``age_and_gc`` no open transaction at all (GC protects nothing a
+        transaction older than retention reads)."""
+        table = self.ops()
+        names = list(table)
+        weights = [weight for weight, __ in table.values()]
+        needs_txn = {"commit": True, "rollback": True, "begin": False, "analyze": False,
+                     "create_index": False, "checkpoint_on_commit": False}
+        while True:
+            name = self.rng.choices(names, weights)[0]
+            sid = self.rng.randrange(2)
+            if name == "age_and_gc" and self.model.txns:
+                continue
+            if name not in needs_txn:
+                return name, sid
+            for candidate in (sid, 1 - sid):
+                if (candidate in self.model.txns) == needs_txn[name]:
+                    return name, candidate
+
+    def step(self, name: str, sid: int, during=None) -> None:
+        """Run one op in session ``sid`` (inside the ``during`` context),
+        then check both tables."""
+        self.step_no += 1
+        try:
+            with during or nullcontext():
+                self.ops()[name][1](sid)
+        except _FAULTS:
+            # An op outside the model's DML (a compaction, a GC, ...) hit
+            # an injected fault; it may have committed a rewrite first.
+            self.outcomes["faulted"] += 1
+            self.rewrites.update(self.tables)
+        except PolarisError as exc:
+            self.problems.append(f"step {self.step_no} ({name}): raised {exc!r}")
+            return
+        else:
+            self.outcomes["completed"] += 1
+        self.check(sid, name)
+
+    def run(self, ops: int) -> None:
+        """Run ``ops`` drawn ops, stopping at the first problem."""
+        for __ in range(ops):
+            if self.problems:
+                return
+            self.step(*self.draw())
+
+    # -- keeping the model in step -------------------------------------------
+
+    def _epoch(self) -> Dict[str, int]:
+        """The rewrite counts now, with the compactions the STO committed
+        since the last look folded in."""
+        sto = self.warehouse.sto
+        names = {tid: name for name, tid in self.table_ids.items()}
+        for result in sto.compactions[self._compactions_seen:]:
+            if result.committed and result.files_rewritten:
+                self.rewrites[names[result.table_id]] += 1
+        self._compactions_seen = len(sto.compactions)
+        return dict(self.rewrites)
+
+    def _commit(self, delta: Dict[str, Rows], rewrote: Set[str], epoch, run: Callable[[], object]):
+        """Run ``run``, which commits ``delta``; returns its result, or
+        None if it lost first-committer-wins or raised a fault."""
+        self.pending = (delta, rewrote)
+        try:
+            result = run()
+        except WriteConflictError:
+            now = self._epoch()
+            if not any(now.get(t, 0) > epoch.get(t, 0) for t in rewrote):
+                self.problems.append(
+                    f"step {self.step_no}: a commit lost first-committer-wins with no "
+                    f"concurrent rewrite of a table it rewrote ({sorted(rewrote)})"
+                )
+            self.outcomes["lost"] += 1
+            result = None
+        except _FAULTS:
+            self.in_doubt = (delta, rewrote)
+            self.outcomes["faulted"] += 1
+            # Whatever the STO ran inline may have committed before it.
+            self.rewrites.update(self.tables)
+            result = None
+        else:
+            self._apply(delta, rewrote)
+        self.pending = None
+        return result
+
+    def _apply(self, delta: Dict[str, Rows], rewrote: Set[str]) -> None:
+        self.model.committed = self.model.after(delta)
+        self.rewrites.update(rewrote)
+
+    def _write(self, sid: int, table: str, changes: Rows, statement, matched=None) -> None:
+        """Run one DML statement in session ``sid`` and the model: inside
+        its open transaction, or as its own auto-commit transaction.
+        ``changes`` is what it does to what ``sid`` reads; ``matched`` the
+        rows an UPDATE or DELETE matches (None for an INSERT), which the
+        statement must report."""
+        session = self.sessions[sid]
+        txn = self.model.txns.get(sid)
+        rewrote = {table} if matched else set()
+        if txn is None:
+            count = self._commit({table: changes}, rewrote, self._epoch(), lambda: statement(session))
+        else:
+            try:
+                count = statement(session)
+            except _FAULTS:
+                self.outcomes["faulted"] += 1
+                self._abandon(sid)
+                return
+            txn.delta[table] = {**txn.delta.get(table, {}), **changes}
+            txn.rewrote |= rewrote
+        expected = len(changes) if matched is None else matched
+        if count is not None and count != expected:
+            self.problems.append(
+                f"step {self.step_no}: a statement on {table} reported {count} rows, "
+                f"the model {expected}"
             )
 
-    def _load_orders(self) -> None:
-        """Step: insert 400 rows into orders."""
-        self.session.insert("orders", _batch(0, 400))
+    def _abandon(self, sid: int) -> None:
+        """Roll back session ``sid``'s transaction, in both."""
+        if self.sessions[sid].in_transaction:
+            self.sessions[sid].rollback()
+        self.model.txns.pop(sid, None)
 
-    def _load_events(self) -> None:
-        """Step: insert 200 rows into events."""
-        self.session.insert("events", _batch(0, 200))
+    # -- checking ------------------------------------------------------------
 
-    def _multi_statement_txn(self) -> None:
-        """Step: one explicit transaction touching both tables.
+    def _observe(self, read: Callable[[], object]):
+        """``read()`` with storage faults paused, retried over task faults:
+        a read changes nothing, so a fault in it is no finding."""
+        with self.context.store.faults.paused():
+            for __ in range(7):
+                try:
+                    return read()
+                except TaskFailedError:
+                    pass
+            return read()
 
-        The second DELETE reaches the files the first gave a DV, so it
-        replaces a DV this transaction wrote: that statement rewrites the
-        manifest, and every other one appends its blocks.
-        """
-        self.session.begin()
-        self.session.insert("orders", _batch(1000, 100))
-        for start in (1000, 1010):
-            self.session.delete(
-                "orders",
-                and_(
-                    BinOp(">=", Col("id"), Lit(start)),
-                    BinOp("<", Col("id"), Lit(start + 10)),
-                ),
-            )
-        self.session.update(
-            "events",
-            BinOp("<", Col("id"), Lit(50)),
-            {"v": BinOp("+", Col("v"), Lit(1.0))},
+    def check(self, sid: int, after: str = "") -> None:
+        """Compare both tables, as session ``sid`` reads them, with the
+        model: all rows through SQL, one key through a scan pruned to its
+        bucket.  A commit in doubt is resolved here, jointly across
+        tables."""
+        if self.problems:
+            return
+        session = self.sessions[sid]
+        observed = {
+            t: _rows(self._observe(lambda: session.sql(f"SELECT id, v FROM {t}")))
+            for t in self.tables
+        }
+        where = f"step {self.step_no}" + (f" ({after})" if after else "")
+        if self.in_doubt is not None and sid not in self.model.txns:
+            (delta, rewrote), self.in_doubt = self.in_doubt, None
+            if observed == self.model.after(delta):
+                self._apply(delta, rewrote)
+            elif observed != self.model.committed:
+                diffs = "; ".join(
+                    _diff(t, observed[t], rows)
+                    for t, rows in self.model.after(delta).items()
+                    if observed[t] != rows
+                )
+                self.problems.append(
+                    f"{where}: a commit in doubt left neither the state before "
+                    f"it nor the one after it: {diffs} (after it)"
+                )
+                return
+        for table in self.tables:
+            want = self.model.view(sid, table)
+            if observed[table] != want:
+                self.problems.append(f"{where}: " + _diff(table, observed[table], want))
+                return
+            key = self.rng.randrange(self.next_id + 1)
+            predicate, prune = _keys(key, key + 1)
+            plan = TableScan(table, ("id", "v"), predicate=predicate, prune=tuple(prune))
+            got = _rows(self._observe(lambda: session.query(plan)))
+            if got != ({key: want[key]} if key in want else {}):
+                self.problems.append(
+                    f"{where}: point lookup of {table} id={key} read {got}, "
+                    f"model {want.get(key)}"
+                )
+                return
+
+    # -- ops ---------------------------------------------------------------------
+
+    def _table(self) -> str:
+        return self.rng.choice(self.tables)
+
+    def _table_id(self) -> int:
+        return self.table_ids[self._table()]
+
+    def _fresh(self, count: int) -> Dict[str, np.ndarray]:
+        ids = np.arange(self.next_id, self.next_id + count, dtype=np.int64)
+        self.next_id += count
+        values = [round(self.rng.random(), 3) for __ in range(count)]
+        return {"id": ids, "v": np.array(values, dtype=np.float64)}
+
+    def _range(self, sid: int, table: str, width: int) -> Tuple[int, int]:
+        """``[lo, lo + 1..width)``: half the time, inside a transaction that
+        wrote ``table``, from a key it wrote (so a second statement reaches
+        files the first gave a deletion vector, and replaces it)."""
+        txn = self.model.txns.get(sid)
+        own = sorted(txn.delta.get(table, ())) if txn is not None else []
+        if own and self.rng.random() < 0.5:
+            lo = max(0, self.rng.choice(own) + self.rng.randint(-4, 0))
+        else:
+            lo = self.rng.randrange(self.next_id + 1)
+        return lo, lo + self.rng.randint(1, width)
+
+    def op_insert(self, sid: int, table: Optional[str] = None, most: int = 40) -> None:
+        """INSERT a batch of fresh ids."""
+        table = table or self._table()
+        batch = self._fresh(self.rng.randint(1, most))
+        self._write(sid, table, _rows(batch), lambda s: s.insert(table, batch))
+
+    def op_bulk_load(self, sid: int) -> None:
+        """Bulk load 1-3 source files (its files hold rows of every bucket)."""
+        table = self._table()
+        sources = [self._fresh(self.rng.randint(1, 25)) for __ in range(self.rng.randint(1, 3))]
+        changes = {k: v for source in sources for k, v in _rows(source).items()}
+        self._write(sid, table, changes, lambda s: s.bulk_load(table, sources))
+
+    def _delete(self, sid: int, width: int) -> None:
+        """DELETE up to ``width`` consecutive keys."""
+        table = self._table()
+        lo, hi = self._range(sid, table, width)
+        predicate, prune = _keys(lo, hi)
+        changes = {k: None for k in self.model.view(sid, table) if lo <= k < hi}
+        self._write(
+            sid, table, changes, lambda s: s.delete(table, predicate, prune=prune),
+            matched=len(changes),
         )
-        self.session.commit()
 
-    def _update_orders(self) -> None:
-        """Step: update a slice of orders (deletion vectors, no count change)."""
-        self.session.update(
-            "orders",
-            BinOp("<", Col("id"), Lit(100)),
-            {"v": BinOp("*", Col("v"), Lit(2.0))},
+    def _update(
+        self, sid: int, width: int, value: Optional[float], table: str = "",
+        lo: Optional[int] = None,
+    ) -> None:
+        """UPDATE ... SET v = value (v + 1 for None) over up to ``width``
+        consecutive keys (from ``lo`` if given)."""
+        table = table or self._table()
+        if lo is None:
+            lo, hi = self._range(sid, table, width)
+        else:
+            hi = lo + self.rng.randint(1, width)
+        changes = {
+            k: v + 1.0 if value is None else value
+            for k, v in self.model.view(sid, table).items()
+            if lo <= k < hi
+        }
+        predicate, prune = _keys(lo, hi)
+        assignment = BinOp("+", Col("v"), Lit(1.0)) if value is None else Lit(value)
+        self._write(
+            sid, table, changes,
+            lambda s: s.update(table, predicate, {"v": assignment}, prune=prune),
+            matched=len(changes),
         )
 
-    def _delete_orders(self) -> None:
-        """Step: delete the 40 rows with 360 <= id < 400."""
-        self.session.delete(
-            "orders",
-            and_(
-                BinOp(">=", Col("id"), Lit(360)),
-                BinOp("<", Col("id"), Lit(400)),
-            ),
+    def op_move_keys(self, sid: int) -> None:
+        """UPDATE ... SET id = id + c: rows move to fresh keys (other buckets)."""
+        table = self._table()
+        lo, hi = self._range(sid, table, 1 if self.rng.random() < 0.5 else 15)
+        offset = self.next_id - lo
+        self.next_id += hi - lo
+        moved = {k: v for k, v in self.model.view(sid, table).items() if lo <= k < hi}
+        changes: Rows = {k: None for k in moved}
+        changes.update({k + offset: v for k, v in moved.items()})
+        predicate, prune = _keys(lo, hi)
+        assignment = {"id": BinOp("+", Col("id"), Lit(offset))}
+        self._write(
+            sid, table, changes,
+            lambda s: s.update(table, predicate, assignment, prune=prune),
+            matched=len(moved),
         )
 
-    def _analyze_orders(self) -> None:
-        """Step: ANALYZE orders (persists a versioned stats row)."""
-        self.session.analyze_table("orders")
+    def op_begin(self, sid: int) -> None:
+        """BEGIN, then write both tables: an INSERT into orders, and an
+        UPDATE of events (an INSERT while events is empty)."""
+        self.sessions[sid].begin()
+        self.model.txns[sid] = ModelTxn(base=self.model.committed, epoch=self._epoch())
+        self.op_insert(sid, "orders", most=10)
+        if sid in self.model.txns:
+            self._touch_events(sid)
 
-    def _index_orders(self) -> None:
-        """Step: CREATE INDEX on orders.id (blob put, then catalog row)."""
-        self.session.create_index("orders", "idx_orders_id", "id")
+    def _touch_events(self, sid: int) -> None:
+        """UPDATE events SET v = v + 1 from a live key on."""
+        keys = sorted(self.model.view(sid, "events"))
+        if keys:
+            self._update(sid, 20, None, "events", lo=self.rng.choice(keys))
+        else:
+            self.op_insert(sid, "events", most=10)
 
-    def _compact_orders(self) -> None:
-        """Step: compact orders (every file is below the health floor)."""
-        self.warehouse.sto.run_compaction(self.table_ids["orders"])
+    def op_commit(self, sid: int) -> None:
+        """COMMIT the session's transaction."""
+        txn = self.model.txns.pop(sid)
+        self._commit(txn.delta, txn.rewrote, txn.epoch, self.sessions[sid].commit)
 
-    def _checkpoint_orders(self) -> None:
-        """Step: checkpoint orders explicitly."""
-        self.warehouse.sto.run_checkpoint(self.table_ids["orders"])
+    def op_create_index(self, sid: int) -> None:
+        """CREATE INDEX (blob put, then catalog row)."""
+        table = self._table()
+        column = self.rng.choice(("id", "v"))
+        self.sessions[sid].create_index(table, f"idx_{table}_{self.step_no}", column)
 
-    def _age_and_gc(self) -> None:
-        """Step: age everything past retention, then garbage-collect."""
-        retention = self.config.sto.retention_period_s
-        self.warehouse.context.clock.advance(retention + 60.0)
+    @contextmanager
+    def _sto_inline(self, checkpoint_threshold: Optional[int] = None) -> Iterator[None]:
+        """The STO runs from user statements while the block runs."""
+        sto, settings = self.warehouse.sto, self.config.sto
+        enabled, threshold = sto.enabled, settings.checkpoint_manifest_threshold
+        sto.enabled = True
+        settings.checkpoint_manifest_threshold = checkpoint_threshold or threshold
+        try:
+            yield
+        finally:
+            sto.enabled = enabled
+            settings.checkpoint_manifest_threshold = threshold
+
+    def op_checkpoint_on_commit(self, sid: int) -> None:
+        """An auto-commit UPDATE of events, whose commit event checkpoints
+        events inside the statement (STO on, threshold 1)."""
+        with self._sto_inline(checkpoint_threshold=1):
+            self._touch_events(sid)
+
+    def _scan_after_poll(self, sid: int, table: str) -> None:
+        """A scan (its statistics schedule a compaction of undersized
+        files), then the clock past the compaction's due time."""
+        self.sessions[sid].sql(f"SELECT id FROM {table}")
+        self.context.clock.advance(self.config.sto.poll_interval_s)
+
+    def op_compact_on_scan(self, sid: int) -> None:
+        """The second of two scans drains the compaction the first one
+        scheduled, inside the statement."""
+        table = self._table()
+        with self._sto_inline():
+            self._scan_after_poll(sid, table)
+            self.sessions[sid].sql(f"SELECT id FROM {table}")
+
+    def op_compact_on_tick(self, sid: int) -> None:
+        """An UPDATE leaves undersized files, a scan schedules their
+        compaction, and ``tick()`` runs it."""
+        table = self._table()
+        with self._sto_inline():
+            self._update(sid, 20, None, table)
+            self._scan_after_poll(sid, table)
+            self.warehouse.sto.tick()
+
+    def op_age_and_gc(self, sid: int) -> None:
+        """Age everything past retention, then garbage-collect."""
+        self.context.clock.advance(self.config.sto.retention_period_s + 60.0)
         self.warehouse.sto.run_gc()
 
-    def _final_insert(self) -> None:
-        """Step: one more insert after the STO cycle."""
-        self.session.insert("orders", _batch(2000, 50))
+    # -- crash, restart, battery ---------------------------------------------
 
-    def _checkpoint_on_commit(self) -> None:
-        """Step: the STO runs from here on; an update of events commits,
-        and its commit event checkpoints events inside the statement."""
-        self.warehouse.sto.enabled = True
-        self.config.sto.checkpoint_manifest_threshold = 1
-        self.session.update(
-            "events",
-            BinOp(">=", Col("id"), Lit(150)),
-            {"v": BinOp("+", Col("v"), Lit(1.0))},
-        )
-
-    def _scan_orders_after_poll(self) -> None:
-        """A scan of orders (its statistics schedule a compaction of the
-        undersized files), then the clock past the compaction's due time."""
-        self.session.sql("SELECT id FROM orders")
-        self.warehouse.context.clock.advance(self.config.sto.poll_interval_s)
-
-    def _compact_on_scan(self) -> None:
-        """Step: the second of two scans drains the compaction the first
-        one scheduled, inside the statement."""
-        self._scan_orders_after_poll()
-        self.session.sql("SELECT id FROM orders")
-
-    def _compact_on_tick(self) -> None:
-        """Step: an update leaves orders undersized files again, a scan
-        schedules their compaction, and ``tick()`` runs it."""
-        self._update_orders()
-        self._scan_orders_after_poll()
-        self.warehouse.sto.tick()
-
-    def steps(self) -> List[Tuple[str, Callable[[], None], Dict[str, int]]]:
-        """The ordered step list: (name, thunk, declared row-count delta)."""
-        return [
-            ("create_tables", self._create_tables, {}),
-            ("load_orders", self._load_orders, {"orders": 400}),
-            ("load_events", self._load_events, {"events": 200}),
-            ("multi_statement_txn", self._multi_statement_txn, {"orders": 80}),
-            ("update_orders", self._update_orders, {}),
-            ("delete_orders", self._delete_orders, {"orders": -40}),
-            ("analyze_orders", self._analyze_orders, {}),
-            ("index_orders", self._index_orders, {}),
-            ("compact_orders", self._compact_orders, {}),
-            ("checkpoint_orders", self._checkpoint_orders, {}),
-            ("age_and_gc", self._age_and_gc, {}),
-            ("final_insert", self._final_insert, {"orders": 50}),
-            ("checkpoint_on_commit", self._checkpoint_on_commit, {}),
-            ("compact_on_scan", self._compact_on_scan, {}),
-            ("compact_on_tick", self._compact_on_tick, {}),
-        ]
+    @contextmanager
+    def _armed(self, controller: ChaosController, site: str) -> Iterator[None]:
+        controller.arm(site)
+        try:
+            yield
+        finally:
+            controller.disarm(site)
 
     def run_until_crash(
-        self, before_step: Optional[Callable[[str], None]] = None
-    ) -> Optional[str]:
-        """Run the steps in order; returns the step a crash fired in.
-
-        Returns None when every step completed without a simulated crash.
-        The harness (not product code) catches :class:`SimulatedCrash`:
-        it plays the role of the supervisor observing the process die,
-        and records the site in :attr:`crashes_caught`.  ``before_step``
-        is called with each step's name before the step runs.
-        """
-        for name, thunk, delta in self.steps():
-            if before_step is not None:
-                before_step(name)
-            self.pending = dict(delta)
+        self, controller: ChaosController, site: str, op: Optional[str] = None
+    ) -> str:
+        """Run up to 400 ops with ``site`` armed while each op (or
+        each op named ``op``) runs; the checks run unarmed.  Returns
+        ``"step:op"`` of the crash caught, or "" if none was (the site
+        never fired, a handler swallowed it, or a check failed first).
+        The driver, not product code, catches :class:`SimulatedCrash`: it
+        plays the supervisor observing the process die."""
+        for __ in range(400):
+            if self.problems or controller.crashes:
+                return ""
+            name, sid = self.draw()
             try:
-                thunk()
+                self.step(name, sid, self._armed(controller, site) if op in (None, name) else None)
             except SimulatedCrash as crash:
                 self.crashes_caught.append(crash.site)
-                return name
-            for table, change in self.pending.items():
-                self.acknowledged[table] = (
-                    self.acknowledged.get(table, 0) + change
-                )
-            self.pending = {}
-        return None
+                return f"{self.step_no}:{name}"
+        return ""
 
-    def allowed_counts(self, table: str) -> Set[int]:
-        """The legal post-recovery live row counts for one table."""
-        base = self.acknowledged.get(table, 0)
-        return {base, base + self.pending.get(table, 0)}
+    def restart(self, double_crash: bool = False, seed: int = 0) -> RecoveryReport:
+        """Recover after a crash: both sessions and their transactions
+        died, and the commit in flight, if any, is in doubt."""
+        if double_crash:
+            report, problems = _recover_with_crashes(self.context, self.warehouse.sto, seed)
+            self.problems.extend(problems)
+        else:
+            report = RecoveryManager(self.context, sto=self.warehouse.sto, strict=False).recover()
+        for path in report.missing_manifests:
+            self.problems.append(f"lost commit: recovery found no blob for manifest {path}")
+        self.model.txns.clear()
+        self.sessions = [self.warehouse.session(), self.warehouse.session()]
+        self.in_doubt, self.pending = self.pending, None
+        return report
+
+    def battery(self) -> Dict[str, int]:
+        """The integrity battery; returns each table's live row count."""
+        counts, problems = _observed_counts(self.context)
+        self.problems.extend(problems)
+        if self.problems:
+            return counts
+        self.context.cache.invalidate()
+        self.check(0, "cold read")
+        self.problems.extend(_check_gc_safety(self.warehouse))
+        self.check(1, "after gc")
+        for table_id in self.table_ids.values():
+            self.problems.extend(_check_tombstones_bounded(self.context, table_id))
+        return counts
+
+    def finish(self) -> None:
+        """Detach the history recorder and check snapshot isolation."""
+        self.recorder.detach()
+        self.problems.extend(_check_si(self.recorder))
 
 
 # -- invariant checks ------------------------------------------------------
@@ -400,50 +761,42 @@ def _observed_counts(context) -> Tuple[Dict[str, int], List[str]]:
     return counts, problems
 
 
-def _referenced_paths(context) -> Set[str]:
-    """Every internal path the catalog currently makes reachable."""
+def _referenced_paths(context, live_only: bool = False) -> Set[str]:
+    """Every internal path the catalog makes reachable; with
+    ``live_only``, the latest snapshots' data and DV files alone."""
     referenced: Set[str] = set()
     txn = context.sqldb.begin()
     try:
-        for name, table_id in _catalog_tables(context).items():
+        for table_id in _catalog_tables(context).values():
             rows = catalog.manifests_for_table(txn, table_id)
-            for row in rows:
-                referenced.add(row["manifest_path"])
-            for ckpt in catalog.checkpoints_for_table(txn, table_id):
-                referenced.add(ckpt["path"])
-            for index_row in catalog.indexes_for_table(txn, table_id):
-                referenced.add(index_row["path"])
             if rows:
                 snapshot = context.cache.get(table_id, rows[-1]["sequence_id"])
                 referenced.update(i.path for i in snapshot.files.values())
                 referenced.update(i.path for i in snapshot.dvs.values())
+            if live_only:
+                continue
+            referenced.update(row["manifest_path"] for row in rows)
+            for ckpt in catalog.checkpoints_for_table(txn, table_id):
+                referenced.add(ckpt["path"])
+            for index_row in catalog.indexes_for_table(txn, table_id):
+                referenced.add(index_row["path"])
     finally:
         txn.abort()
     return referenced
 
 
 def _check_gc_safety(warehouse: Warehouse) -> List[str]:
-    """Run GC twice post-recovery; verify safety and orphan convergence.
+    """Run GC twice with no transaction open; verify safety and orphan
+    convergence.
 
-    Protected files are the latest snapshots' data and DV files — GC may
-    legitimately truncate (and then delete) aged manifest and checkpoint
-    blobs in the same pass, but a live snapshot's payload is never
-    deletable.  After each pass, everything the (possibly shrunken)
-    catalog still references must exist.
+    GC may truncate (and then delete) aged manifest and checkpoint blobs,
+    but never a latest snapshot's data or DV file; after each pass,
+    everything the (possibly shrunken) catalog still references must
+    exist.
     """
     problems: List[str] = []
     context = warehouse.context
-    protected: Set[str] = set()
-    txn = context.sqldb.begin()
-    try:
-        for __, table_id in sorted(_catalog_tables(context).items()):
-            last = catalog.latest_manifest(txn, table_id)
-            if last is not None:
-                snapshot = context.cache.get(table_id, last["sequence_id"])
-                protected.update(i.path for i in snapshot.files.values())
-                protected.update(i.path for i in snapshot.dvs.values())
-    finally:
-        txn.abort()
+    protected = _referenced_paths(context, live_only=True)
     first = warehouse.sto.run_gc()
     deleted = set(first.deleted_expired) | set(first.deleted_orphans)
     for path in sorted(deleted & protected):
@@ -591,13 +944,14 @@ class SiteResult:
     """Outcome of crashing at one site and recovering."""
 
     site: str
+    #: ``"step:op"`` of the crash ("gateway" for a gateway site, "" if
+    #: none reached the harness).
     crashed_at_step: str
     recovery: Optional[RecoveryReport]
     problems: List[str] = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
-    #: The step the site was armed in ("" = from the start, per
-    #: :data:`SWEEP_HIT_PLAN`).
-    step: str = ""
+    #: The op the site was armed in ("" = every op).
+    op: str = ""
 
     @property
     def ok(self) -> bool:
@@ -606,8 +960,8 @@ class SiteResult:
 
     @property
     def label(self) -> str:
-        """The site, and the step it was armed in if any."""
-        return f"{self.site} in {self.step}" if self.step else self.site
+        """The site, and the op it was armed in if any."""
+        return f"{self.site} in {self.op}" if self.op else self.site
 
     def summary(self) -> str:
         """One deterministic line describing this site's outcome."""
@@ -805,19 +1159,21 @@ def run_gateway_site(
     return result
 
 
+
 def run_site(
     site: str,
     seed: int = 0,
     double_crash: bool = False,
-    step: Optional[str] = None,
+    op: Optional[str] = None,
 ) -> SiteResult:
     """Crash one fresh deployment at ``site``, recover, check invariants.
 
-    The site fires at the hit :data:`SWEEP_HIT_PLAN` names or, given a
-    :class:`ChaosWorkload` ``step``, at its first hit inside that step.
-    With ``double_crash`` the restart is crashed too: recovery is re-run
-    with each ``recovery.*`` site armed in turn (dying mid-pass every
-    time) before the final clean pass the invariants are checked against.
+    The driver's stream runs with ``site`` armed as each op (or each op
+    named ``op``) starts, until it fires.  With ``double_crash`` the
+    restart is crashed too: recovery is re-run with each ``recovery.*``
+    site armed in turn (dying mid-pass every time) before the final clean
+    pass the battery is checked against.  The stream then continues for
+    eight more ops.
     """
     if site.startswith("recovery."):
         raise ValueError(
@@ -827,94 +1183,28 @@ def run_site(
         )
     if site.startswith("service."):
         return run_gateway_site(site, seed, double_crash=double_crash)
-    workload = ChaosWorkload(seed)
-    warehouse = workload.warehouse
-    context = warehouse.context
-    controller = ChaosController(seed=seed, telemetry=context.telemetry)
-    if step is None:
-        controller.arm(site, hits=SWEEP_HIT_PLAN.get(site, 1))
-
-    def before_step(name: str) -> None:
-        """Arm ``site`` as ``step`` starts."""
-        if name == step:
-            controller.arm(site)
-
+    driver = Driver(seed)
+    controller = ChaosController(seed=seed, telemetry=driver.context.telemetry)
     with controller:
-        crashed_at = workload.run_until_crash(before_step)
+        crashed_at = driver.run_until_crash(controller, site, op)
     result = SiteResult(
         site=site,
-        crashed_at_step=crashed_at or "",
+        crashed_at_step=crashed_at,
         recovery=None,
-        problems=_swallowed(controller, workload.crashes_caught),
-        step=step or "",
+        problems=_swallowed(controller, driver.crashes_caught),
+        op=op or "",
     )
     if not controller.crashes:
         result.problems.append(
-            f"{site}: armed but never fired — the workload no longer "
+            f"{site}: armed but never fired — the driver no longer "
             "reaches this site"
         )
-    if crashed_at is None:
-        workload.recorder.detach()
-        return result
-
-    if double_crash:
-        report, recovery_problems = _recover_with_crashes(
-            context, warehouse.sto, seed
-        )
-        result.problems.extend(recovery_problems)
-    else:
-        report = RecoveryManager(
-            context, sto=warehouse.sto, strict=False
-        ).recover()
-    result.recovery = report
-    for path in report.missing_manifests:
-        result.problems.append(
-            f"lost commit: recovery found no blob for manifest {path}"
-        )
-
-    counts, integrity_problems = _observed_counts(context)
-    result.problems.extend(integrity_problems)
-    result.counts = dict(counts)
-    for table, observed in sorted(counts.items()):
-        allowed = workload.allowed_counts(table)
-        if observed not in allowed:
-            result.problems.append(
-                f"atomicity violated: {table} has {observed} live rows, "
-                f"allowed {sorted(allowed)}"
-            )
-
-    # The warehouse must still take writes: a probe transaction against a
-    # fresh table, plus one against a surviving table (exercising the
-    # resynced publisher's version counter).
-    session = warehouse.session()
-    session.create_table("probe", WORKLOAD_SCHEMA, distribution_column="id")
-    session.insert("probe", _batch(0, 25))
-    probe_rows = session.table_snapshot("probe").live_rows
-    if probe_rows != 25:
-        result.problems.append(
-            f"post-recovery probe insert shows {probe_rows} rows, expected 25"
-        )
-    if "orders" in counts:
-        session.insert("orders", _batch(3000, 30))
-        after = session.table_snapshot("orders").live_rows
-        expected = counts["orders"] + 30
-        if after != expected:
-            result.problems.append(
-                "post-recovery insert into orders shows "
-                f"{after} rows, expected {expected}"
-            )
-
-    pre_gc_counts, __ = _observed_counts(context)
-    result.problems.extend(_check_gc_safety(warehouse))
-    post_gc_counts, post_gc_problems = _observed_counts(context)
-    result.problems.extend(post_gc_problems)
-    if post_gc_counts != pre_gc_counts:
-        result.problems.append(
-            "gc changed logical table contents: "
-            f"{pre_gc_counts} -> {post_gc_counts}"
-        )
-    workload.recorder.detach()
-    result.problems.extend(_check_si(workload.recorder))
+    if crashed_at:
+        result.recovery = driver.restart(double_crash, seed)
+        result.counts = driver.battery()
+        driver.run(8)
+    driver.finish()
+    result.problems.extend(driver.problems)
     return result
 
 
@@ -934,141 +1224,38 @@ def run_crash_sweep(
     result = ChaosSweepResult(seed=seed)
     for site in targets:
         result.sites.append(run_site(site, seed, double_crash=double_crash))
-    for site, step in STEP_RUNS:
+    for site, op in STEP_RUNS:
         if site in targets:
             result.sites.append(
-                run_site(site, seed, double_crash=double_crash, step=step)
+                run_site(site, seed, double_crash=double_crash, op=op)
             )
     return result
 
 
-# -- longevity -------------------------------------------------------------
+# -- the oracle run ----------------------------------------------------------
 
 
-@dataclass
-class LongevityResult:
-    """Outcome of one longevity (fault-soak) run."""
+def run_driver(
+    seed: int = 0,
+    ops: int = 80,
+    conflict_granularity: str = "table",
+    auto_optimize: bool = False,
+    storage_failure_rate: float = 0.0,
+) -> Driver:
+    """Run ``ops`` ops checked against the model, commit what is still
+    open, then the integrity battery with storage faults stopped; returns
+    the driver (``problems`` empty when every check held).
 
-    seed: int
-    steps: int
-    failure_rate: float
-    ops_completed: int = 0
-    ops_failed: int = 0
-    faults_injected: int = 0
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the final integrity battery passed."""
-        return not self.problems
-
-
-def run_longevity(
-    seed: int = 0, steps: int = 120, failure_rate: float = 0.02
-) -> LongevityResult:
-    """Soak one deployment under a seeded op mix with transient faults.
-
-    No crashes are injected; instead every storage operation fails with
-    ``failure_rate`` probability, exercising retries/backoff end to end.
-    Operations that exhaust their budget (or hit a fault on an unretried
-    path, exactly as a real STO job would) are counted and the workload
-    moves on.  The run ends with the same integrity battery as the sweep.
+    Task faults are ``repro.dcp.scheduler.TASK_FAILURE_RATE``; set it
+    around the call to inject them.
     """
-    config = chaos_config(seed)
-    config.storage.transient_failure_rate = failure_rate
-    warehouse = Warehouse(config=config, auto_optimize=False)
-    warehouse.sto.auto_publish = True
-    session = warehouse.session()
-    recorder = HistoryRecorder().attach(warehouse.context.bus)
-    result = LongevityResult(seed=seed, steps=steps, failure_rate=failure_rate)
-    rng = Random(f"longevity:{seed}")
-
-    session.create_table("t", WORKLOAD_SCHEMA, distribution_column="id")
-    table_id = _catalog_tables(warehouse.context)["t"]
-    next_id = 0
-
-    def op_insert() -> None:
-        """Insert a random-sized batch of fresh ids."""
-        nonlocal next_id
-        count = rng.randrange(20, 120)
-        session.insert("t", _batch(next_id, count))
-        next_id += count
-
-    def op_update() -> None:
-        """Update a random id range."""
-        lo = rng.randrange(0, max(next_id, 1))
-        session.update(
-            "t",
-            and_(
-                BinOp(">=", Col("id"), Lit(lo)),
-                BinOp("<", Col("id"), Lit(lo + 50)),
-            ),
-            {"v": BinOp("+", Col("v"), Lit(1.0))},
-        )
-
-    def op_delete() -> None:
-        """Delete a random (possibly already-deleted) id range."""
-        lo = rng.randrange(0, max(next_id, 1))
-        session.delete(
-            "t",
-            and_(
-                BinOp(">=", Col("id"), Lit(lo)),
-                BinOp("<", Col("id"), Lit(lo + 10)),
-            ),
-        )
-
-    def op_compact() -> None:
-        """Compact the table."""
-        warehouse.sto.run_compaction(table_id)
-
-    def op_checkpoint() -> None:
-        """Checkpoint the table."""
-        warehouse.sto.run_checkpoint(table_id)
-
-    def op_gc() -> None:
-        """Advance past a slice of retention and garbage-collect."""
-        warehouse.context.clock.advance(
-            config.sto.retention_period_s / 4.0
-        )
-        warehouse.sto.run_gc()
-
-    ops: List[Tuple[float, Callable[[], None]]] = [
-        (0.45, op_insert),
-        (0.18, op_update),
-        (0.12, op_delete),
-        (0.10, op_compact),
-        (0.08, op_checkpoint),
-        (0.07, op_gc),
-    ]
-    for __ in range(steps):
-        draw = rng.random()
-        cumulative = 0.0
-        chosen = ops[-1][1]
-        for weight, op in ops:
-            cumulative += weight
-            if draw < cumulative:
-                chosen = op
-                break
-        try:
-            chosen()
-        except (TransientStorageError, TaskFailedError):
-            # An unretried path faulted or a retry budget was exhausted;
-            # a real deployment logs it and the next trigger retries.
-            result.ops_failed += 1
-        else:
-            result.ops_completed += 1
-
-    # The soak is over; the integrity battery must observe the store
-    # without new faults being injected into its own reads.
-    warehouse.context.store.faults.quiesce()
-    metrics = warehouse.context.telemetry.metrics
-    result.faults_injected = int(
-        sum(metrics.values("storage.faults_injected").values())
-    )
-    __, problems = _observed_counts(warehouse.context)
-    result.problems.extend(problems)
-    result.problems.extend(_check_tombstones_bounded(warehouse.context, table_id))
-    result.problems.extend(_check_gc_safety(warehouse))
-    recorder.detach()
-    result.problems.extend(_check_si(recorder))
-    return result
+    driver = Driver(seed, conflict_granularity, auto_optimize, storage_failure_rate)
+    driver.run(ops)
+    for sid in sorted(driver.model.txns):
+        if not driver.problems:
+            driver.step("commit", sid)
+    # The battery must observe the store, not fight it.
+    driver.context.store.faults.quiesce()
+    driver.battery()
+    driver.finish()
+    return driver

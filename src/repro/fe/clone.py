@@ -51,8 +51,8 @@ def clone_table(
         # Clones re-insert *historical* rows (source sequence ids, not a
         # fresh commit sequence) as buffered writes of the caller's root
         # transaction; the engine installs them under the commit lock at
-        # commit, so no lock is needed lexically here.
-        catalog.insert_manifest(  # repro: ignore[commit-lock-discipline]
+        # commit, so no lock is needed here.
+        catalog.insert_manifest(
             txn,
             clone_id,
             row["manifest_file_name"],

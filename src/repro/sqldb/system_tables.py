@@ -105,7 +105,18 @@ def insert_manifest(
     re-insert a source table's manifest rows under the clone's table id
     while the manifest files stay in the source table's folder
     (Section 6.2).
+
+    A *new* sequence id exists only inside the commit lock (Section 4.1.2
+    steps 2-3): stamping one anywhere else raises ``AssertionError``.
+    Historical ids (a clone's) need no lock.
     """
+    engine = txn._engine
+    if sequence_id > engine.last_commit_seq and not engine.commit_lock.is_held:
+        raise AssertionError(
+            f"Manifests row of table {table_id} stamped with new sequence "
+            f"{sequence_id} outside the commit lock (last commit "
+            f"{engine.last_commit_seq})"
+        )
     txn.put(
         MANIFESTS,
         (table_id, sequence_id),

@@ -58,8 +58,10 @@ class DeltaPublisher:
         crashpoint("sto.publish.before_log_write")
         context.store.put(path, data)
         crashpoint("sto.publish.after_log_write")
-        self._ensure_shortcut(table_name, table_id)
+        # The version is taken once its log entry exists: a shortcut write
+        # that fails must not make the next publish reuse it.
         self._versions[table_name] = version
+        self._ensure_shortcut(table_name, table_id)
         record = PublishedVersion(
             table_name=table_name,
             version=version,

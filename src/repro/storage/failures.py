@@ -21,9 +21,10 @@ bytes, which is exactly the failure checksums exist to catch.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import List, Mapping, Optional
+from typing import Iterator, List, Mapping, Optional
 
 from repro.common.config import StorageConfig
 from repro.common.errors import TransientStorageError
@@ -176,6 +177,17 @@ class FaultInjector:
         """
         self._rate = 0.0
         self._operation_rates.clear()
+
+    @contextmanager
+    def paused(self) -> Iterator[None]:
+        """Inject no random faults while the block runs (armed counted
+        faults persist): a harness reads the state it checks through it."""
+        rate, rates = self._rate, self._operation_rates
+        self._rate, self._operation_rates = 0.0, {}
+        try:
+            yield
+        finally:
+            self._rate, self._operation_rates = rate, rates
 
     def rate_for(self, operation: str) -> float:
         """The effective random failure rate for one store operation."""

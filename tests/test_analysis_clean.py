@@ -3,7 +3,7 @@
 Runs the full rule set (strict mode, so stale suppressions fail too) over
 ``src/repro`` exactly as CI does with ``python -m repro.analysis --strict``
 — a violation anywhere in the package fails the suite, keeping the
-determinism/immutability/commit-lock/docstring disciplines enforced, not
+determinism/immutability/docstring disciplines enforced, not
 aspirational.  This is the one place tier-1 lints the tree.
 """
 

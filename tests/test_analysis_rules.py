@@ -26,7 +26,7 @@ def run(source, rule_name, relpath="src/repro/fe/sample.py", strict=False):
 
 def test_shipped_rules_all_registered():
     names = [rule.name for rule in all_rules()]
-    assert names == sorted(SHIPPED_RULES) and len(names) == 8
+    assert names == sorted(SHIPPED_RULES) and len(names) == 7
 
 
 def test_every_rule_has_name_and_description():
@@ -221,56 +221,6 @@ class TestFrozenMutation:
             "frozen-mutation",
         )
         assert findings == []
-
-
-# -- commit-lock-discipline ----------------------------------------------------
-
-
-class TestCommitLockDiscipline:
-    def test_flags_insert_manifest_outside_lock(self):
-        findings = run(
-            """\
-            def commit(catalog, row):
-                catalog.insert_manifest(row)
-            """,
-            "commit-lock-discipline",
-        )
-        assert len(findings) == 1
-        assert "commit-lock" in findings[0].message
-
-    def test_clean_inside_held_block(self):
-        findings = run(
-            """\
-            def commit(lock, catalog, txid, row):
-                with lock.held(txid):
-                    catalog.insert_manifest(row)
-            """,
-            "commit-lock-discipline",
-        )
-        assert findings == []
-
-    def test_clean_inside_pre_install_hook(self):
-        findings = run(
-            """\
-            def commit(txn, catalog, row):
-                def install(seq):
-                    catalog.insert_manifest(row)
-
-                txn.set_pre_install_hook(install)
-            """,
-            "commit-lock-discipline",
-        )
-        assert findings == []
-
-    def test_scope_limited_to_fe_and_sto(self):
-        source = """\
-            def commit(catalog, row):
-                catalog.insert_manifest(row)
-            """
-        assert run(source, "commit-lock-discipline",
-                   relpath="src/repro/sto/worker.py")
-        assert run(source, "commit-lock-discipline",
-                   relpath="src/repro/lst/actions.py") == []
 
 
 # -- span-discipline -----------------------------------------------------------

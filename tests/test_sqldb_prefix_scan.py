@@ -85,6 +85,9 @@ class TestPrefixScan:
         """The per-table catalog readers over interleaved commits of three
         tables, against the same rows picked out of a full scan."""
         engine = SqlDbEngine()
+        # The rows carry ids of commits that already happened, as a
+        # restored catalog's do: a new id is stamped only under the lock.
+        engine.advance_commit_seq_past(4)
         for sequence_id in (1, 2, 3):
             txn = engine.begin()
             for table_id in TABLE_IDS:

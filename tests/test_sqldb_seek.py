@@ -177,20 +177,28 @@ class TestSeekEqualsScanMax:
         assert checked
 
 
+def _commit_manifest(engine, table_id):
+    """Commit one Manifests row of ``table_id``, stamped as the FE does:
+    from the pre-install hook, under the commit lock."""
+    txn = engine.begin()
+    txn.set_pre_install_hook(
+        lambda seq: system_tables.insert_manifest(
+            txn, table_id, f"m{seq}", seq, txn.txid, 0.0, "p"
+        )
+    )
+    txn.commit()
+
+
 class TestSeekSerializable:
     @pytest.mark.parametrize("other_table_id", [1, 2])
     def test_a_concurrent_commit_to_the_table_fails_the_reader(self, other_table_id):
         """The seek reads one key range, but records the whole table: a
         commit to any row of it invalidates a serializable reader."""
         engine = SqlDbEngine()
-        setup = engine.begin()
-        system_tables.insert_manifest(setup, 1, "m1", 1, 1, 0.0, "p")
-        setup.commit()
+        _commit_manifest(engine, 1)
         reader = engine.begin(IsolationLevel.SERIALIZABLE)
         assert system_tables.latest_manifest(reader, 1)["sequence_id"] == 1
-        other = engine.begin()
-        system_tables.insert_manifest(other, other_table_id, "m9", 9, 2, 0.0, "p")
-        other.commit()
+        _commit_manifest(engine, other_table_id)
         system_tables.upsert_writeset(reader, 1)
         with pytest.raises(SerializationError):
             reader.commit()
@@ -199,8 +207,6 @@ class TestSeekSerializable:
         engine = SqlDbEngine()
         reader = engine.begin(IsolationLevel.SERIALIZABLE)
         assert system_tables.latest_checkpoint(reader, 1, 10) is None
-        other = engine.begin()
-        system_tables.insert_manifest(other, 1, "m9", 9, 2, 0.0, "p")
-        other.commit()
+        _commit_manifest(engine, 1)
         system_tables.upsert_writeset(reader, 1)
         assert reader.commit() is not None

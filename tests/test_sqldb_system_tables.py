@@ -47,6 +47,14 @@ class TestTables:
 
 
 class TestManifests:
+    @pytest.fixture
+    def engine(self):
+        # The rows below carry ids of commits that already happened, as a
+        # restored catalog's do: a new id is stamped only under the lock.
+        engine = SqlDbEngine()
+        engine.advance_commit_seq_past(10)
+        return engine
+
     def test_ordered_by_sequence(self, engine):
         txn = engine.begin()
         add_manifest(txn, 1, 3)

@@ -1,13 +1,15 @@
 """Tests for the catalog engine: MVCC visibility, conflicts, isolation."""
 
+import numpy as np
 import pytest
 
+from repro import Schema, Warehouse
 from repro.common.errors import (
     SerializationError,
     TransactionStateError,
     WriteConflictError,
 )
-from repro.sqldb import IsolationLevel, SqlDbEngine
+from repro.sqldb import IsolationLevel, SqlDbEngine, system_tables
 
 
 @pytest.fixture
@@ -362,3 +364,48 @@ class TestEngineState:
         commit_seq = txn.commit()
         assert captured == [commit_seq]
         assert engine.begin().get("S", (commit_seq,)) == {"seq": commit_seq}
+
+
+class TestManifestStamping:
+    """A new commit sequence exists only inside the commit lock, so a
+    ``Manifests`` row may carry one only when stamped there."""
+
+    @staticmethod
+    def stamp(txn, sequence_id):
+        system_tables.insert_manifest(txn, 1, "m", sequence_id, txn.txid, 0.0, "p")
+
+    def test_a_new_sequence_outside_the_lock_raises(self, engine):
+        txn = engine.begin()
+        with pytest.raises(AssertionError, match="outside the commit lock"):
+            self.stamp(txn, engine.last_commit_seq + 1)
+
+    def test_the_pre_install_hook_stamps_under_the_lock(self, engine):
+        txn = engine.begin()
+        txn.set_pre_install_hook(lambda seq: self.stamp(txn, seq))
+        commit_seq = txn.commit()
+        rows = system_tables.manifests_for_table(engine.begin(), 1)
+        assert [row["sequence_id"] for row in rows] == [commit_seq]
+
+    def test_historical_sequences_need_no_lock(self, engine):
+        # A zero-copy clone re-inserts rows it read: ids already committed.
+        first = engine.begin()
+        first.put("T", (1,), {})
+        seq = first.commit()
+        clone = engine.begin()
+        self.stamp(clone, seq)
+        clone.commit()
+
+    def test_every_fe_commit_stamps_its_manifests_under_the_lock(self):
+        # Fails on every commit if the FE stamps rows with
+        # ``last_commit_seq + 1`` before taking the lock.
+        dw = Warehouse(auto_optimize=False)
+        session = dw.session()
+        schema = Schema.of(("id", "int64"), ("v", "float64"))
+        for name in ("a", "b"):
+            session.create_table(name, schema)
+        session.begin()
+        for name in ("a", "b"):
+            session.insert(name, {"id": np.arange(3), "v": np.zeros(3)})
+        commit_seq = session.commit()
+        assert session.table_snapshot("a").sequence_id == commit_seq
+        assert session.table_snapshot("b").sequence_id == commit_seq

@@ -8,7 +8,9 @@ days (``date.toordinal()``), and every statement runs on both:
   literals rewritten to those integers for SQLite;
 * the four statement shapes of the ``sql_point_lookup`` workload, over
   50 seeded keys each, against a warehouse with that workload's small
-  row groups, ANALYZEd tables and indexes.
+  row groups, ANALYZEd tables and indexes: the first key of each shape
+  is bound, the other 49 are served from the plan cache, and one key
+  per shape runs again cold after the cache is cleared.
 
 The two results must agree row for row — in order when the statement
 orders its rows, as sorted rows otherwise — and column for column in
@@ -208,6 +210,9 @@ def point_lookups(tables, seed: int = 0):
 def test_point_lookups_match_sqlite(tables, indexed, sqlite):
     statements = list(point_lookups(tables))
     assert len(statements) == 4 * KEYS_PER_SHAPE
+    cache = indexed.session._context.plan_cache
+    cache.clear()
+    hits, misses = cache.hits.value, cache.misses.value
     empty = 0
     for sql in statements:
         got = indexed.execute(sql)
@@ -215,6 +220,15 @@ def test_point_lookups_match_sqlite(tables, indexed, sqlite):
         assert_same_result(got, sqlite, sql)
     # Customers without orders: empty results, whose dtypes are checked too.
     assert 0 < empty < len(statements)
+    # Each shape is bound once; every later key is served from the cache.
+    assert cache.misses.value - misses == 4
+    assert cache.hits.value - hits == len(statements) - 4
+    # One key per shape again, cold: bound afresh, and still sqlite's answer.
+    cache.clear()
+    for sql in statements[:4]:
+        assert_same_result(indexed.execute(sql), sqlite, sql)
+    assert cache.misses.value - misses == 8
+    assert cache.hits.value - hits == len(statements) - 4
 
 
 class TestTheRule:
