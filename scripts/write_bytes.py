@@ -17,8 +17,10 @@ written once).  A "line" is one action's compact JSON inside its block's
 array; its bytes count one separator.  Last come the data files' chunk
 bytes as stored (compressed), with chunk counts, split by chunk encoding
 (RAW, FOR, DICT, PLAIN, DEC) and by column type; footers, magic and
-trailers are not counted there.  The counts and bytes repeat exactly for
-a seed.
+trailers are not counted there, but in the line before: data-file bytes
+split into chunks, footers and framing (the magic at both ends, the
+footer length and crc32).  The counts and bytes repeat exactly for a
+seed.
 
     python scripts/write_bytes.py tpch_power --seed 0 --quick
 """
@@ -84,6 +86,8 @@ class WriteLog:
         #: column type.
         self.chunks: Counter = Counter()
         self.chunk_bytes: Counter = Counter()
+        #: Data-file bytes by part: chunks, footer, framing.
+        self.data_parts: Counter = Counter()
 
     def record(self, path: str, data: bytes) -> None:
         """Attribute one ``put`` or staged block."""
@@ -114,6 +118,10 @@ class WriteLog:
             for key in (ENCODINGS[tag[0]], type_):
                 self.chunks[key] += 1
                 self.chunk_bytes[key] += length
+        chunks = sum(meta.lengths)
+        self.data_parts["chunks"] += chunks
+        self.data_parts["footer"] += len(meta.footer)
+        self.data_parts["framing"] += len(data) - chunks - len(meta.footer)
 
 
 def measure(workload_name: str, seed: int, quick: bool) -> Tuple[WriteLog, List[str]]:
@@ -181,6 +189,11 @@ def main() -> int:
         print(
             f"{kind}s: {inflated:,} B of JSON stored as {stored:,} B ({ratio:.1%})"
         )
+    _table(
+        "data-file bytes by part (files, bytes, share, bytes per file)",
+        {part: (log.writes["data"], log.data_parts[part]) for part in log.data_parts},
+        log.bytes["data"],
+    )
     chunk_total = sum(log.chunk_bytes[name] for name in ENCODINGS.values())
     splits = (("encoding", ENCODINGS.values()), ("column type", SUPPORTED_TYPES))
     for title, keys in splits:

@@ -77,9 +77,14 @@ SWEEP_HIT_PLAN: Dict[str, int] = {
 }
 
 #: Runs beyond the one per site: (site, op) arms the site only as op
-#: starts.  ``commit`` commits a transaction that wrote both tables; the
-#: ``*_on_*`` ops run the STO inline from a user statement.
+#: starts; ``after OP`` arms it in an INSERT run right after an auto-commit
+#: OP whose commit was acknowledged.  ``commit`` commits a transaction that
+#: wrote both tables; the ``*_on_*`` ops run the STO inline from a user
+#: statement.  ``after update_point`` crashes while that UPDATE's manifest
+#: is still its table's newest and not checkpointed, so recovery must
+#: serve its values, which its row count cannot tell from the old ones.
 STEP_RUNS: Tuple[Tuple[str, str], ...] = (
+    ("fe.commit.before_validation", "after update_point"),
     ("fe.commit.after_sqldb_commit", "commit"),
     ("fe.commit.after_writesets", "commit"),
     ("fe.commit.before_validation", "commit"),
@@ -257,6 +262,11 @@ class Driver:
         #: Ops "completed", "faulted" (raised an injected fault) and "lost"
         #: (lost first-committer-wins).
         self.outcomes: Counter = Counter()
+        #: The (op, session) running, and the last one whose own
+        #: auto-commit the model applied (("", 0) when the last op
+        #: committed nothing by itself).
+        self.running: Tuple[str, int] = ("", 0)
+        self.acknowledged: Tuple[str, int] = ("", 0)
 
     def ops(self) -> Dict[str, Tuple[int, Callable[[int], None]]]:
         """Every op by name: (weight, body taking the session index)."""
@@ -285,9 +295,9 @@ class Driver:
     def draw(self) -> Tuple[str, int]:
         """The next (op, session) whose precondition holds: ``commit`` and
         ``rollback`` need an open transaction; ``begin``, ``analyze``,
-        ``create_index`` and ``checkpoint_on_commit`` an idle session;
-        ``age_and_gc`` no open transaction at all (GC protects nothing a
-        transaction older than retention reads)."""
+        ``create_index`` and ``checkpoint_on_commit`` an idle session.
+        ``age_and_gc`` may age an open transaction past retention: GC
+        keeps what its snapshot reads."""
         table = self.ops()
         names = list(table)
         weights = [weight for weight, __ in table.values()]
@@ -296,8 +306,6 @@ class Driver:
         while True:
             name = self.rng.choices(names, weights)[0]
             sid = self.rng.randrange(2)
-            if name == "age_and_gc" and self.model.txns:
-                continue
             if name not in needs_txn:
                 return name, sid
             for candidate in (sid, 1 - sid):
@@ -308,6 +316,7 @@ class Driver:
         """Run one op in session ``sid`` (inside the ``during`` context),
         then check both tables."""
         self.step_no += 1
+        self.running, self.acknowledged = (name, sid), ("", 0)
         try:
             with during or nullcontext():
                 self.ops()[name][1](sid)
@@ -372,6 +381,8 @@ class Driver:
     def _apply(self, delta: Dict[str, Rows], rewrote: Set[str]) -> None:
         self.model.committed = self.model.after(delta)
         self.rewrites.update(rewrote)
+        if any(delta.values()):
+            self.acknowledged = self.running
 
     def _write(self, sid: int, table: str, changes: Rows, statement, matched=None) -> None:
         """Run one DML statement in session ``sid`` and the model: inside
@@ -642,18 +653,22 @@ class Driver:
     def run_until_crash(
         self, controller: ChaosController, site: str, op: Optional[str] = None
     ) -> str:
-        """Run up to 400 ops with ``site`` armed while each op (or
-        each op named ``op``) runs; the checks run unarmed.  Returns
-        ``"step:op"`` of the crash caught, or "" if none was (the site
-        never fired, a handler swallowed it, or a check failed first).
-        The driver, not product code, catches :class:`SimulatedCrash`: it
-        plays the supervisor observing the process die."""
+        """Run up to 400 ops with ``site`` armed while each op (or each
+        op named ``op``) runs; the checks run unarmed.  For ``after OP``,
+        the op after each acknowledged auto-commit ``OP`` is an INSERT in
+        the same session, run armed.  Returns ``"step:op"`` of the crash
+        caught, or "" if none was (the site never fired, a handler
+        swallowed it, or a check failed first).  The driver, not product
+        code, catches :class:`SimulatedCrash`: it plays the supervisor
+        observing the process die."""
         for __ in range(400):
             if self.problems or controller.crashes:
                 return ""
-            name, sid = self.draw()
+            after = op == f"after {self.acknowledged[0]}"
+            name, sid = ("insert", self.acknowledged[1]) if after else self.draw()
+            armed = after or op in (None, name)
             try:
-                self.step(name, sid, self._armed(controller, site) if op in (None, name) else None)
+                self.step(name, sid, self._armed(controller, site) if armed else None)
             except SimulatedCrash as crash:
                 self.crashes_caught.append(crash.site)
                 return f"{self.step_no}:{name}"
@@ -961,6 +976,8 @@ class SiteResult:
     @property
     def label(self) -> str:
         """The site, and the op it was armed in if any."""
+        if self.op.startswith("after "):
+            return f"{self.site} {self.op}"
         return f"{self.site} in {self.op}" if self.op else self.site
 
     def summary(self) -> str:

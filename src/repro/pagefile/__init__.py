@@ -11,7 +11,7 @@ actually requires of the format is:
   without rewriting it (merge-on-read, Section 2.1).
 
 ``pagefile`` implements exactly that: a footer-indexed binary format
-(revision ``RPF2``) whose column chunks are dictionary-, frame-of-
+(revision ``RPF3``) whose column chunks are dictionary-, frame-of-
 reference- or plain-text-encoded under zlib, per-row-group zone maps in a
 flat binary footer, and a compressed bitmap deletion-vector file.
 Because the files are immutable, a deployment keeps the decompressed

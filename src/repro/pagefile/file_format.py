@@ -1,31 +1,42 @@
-"""The binary layout of a page file (format revision ``RPF2``).
+"""The binary layout of a page file (format revision ``RPF3``).
 
 Layout (all little-endian)::
 
     +----------------------------------------------+
-    | magic "RPF2" (4 bytes)                       |
+    | magic "RPF3" (4 bytes)                       |
     | row group 0: column chunks, in schema order  |
     | row group 1: ...                             |
     | footer (flat binary, below)                  |
     | footer length (uint32), footer crc32 (uint32)|
-    | magic "RPF2" (4 bytes)                       |
+    | magic "RPF3" (4 bytes)                       |
     +----------------------------------------------+
 
 The footer is flat arrays, not an object tree, so opening a file is a
 fixed handful of calls whatever the number of chunks::
 
-    header   uint32 columns C, uint32 row groups G, uint64 rows
+    header   uint16 columns C, uint32 row groups G, uint8 layout width W
     types    uint8[C]      index into the supported type names
     names    text block of C strings (see repro.pagefile.encoding)
-    layout   int64[G + 2GC + C], one array after the other:
+    layout   G + GC + C unsigned integers of W bytes (1, 2, 4 or 8: the
+             narrowest that holds the largest), one array after the other:
              rows[G]       row count of each row group
-             offsets[G*C]  chunk offsets, row group by row group
-             lengths[G*C]  chunk lengths, likewise
-             zones[C]      where each column's zone map starts
+             lengths[G*C]  chunk lengths, row group by row group
+             zones[C]      where each column's zone map starts, counted
+                           from the end of the layout
     zone maps, one per column:
-             uint8[G] known, then minimum[G] and maximum[G] in the
-             column's type — for strings one text block of the G minima
+             uint8[G] known, then minimum[G] and maximum[G]: for int64
+             an int64 reference (the smallest bound), a width byte and
+             each bound minus the reference in the narrowest unsigned
+             width (1, 2, 4 or 8 bytes); for float64 and bool the
+             column's type; for strings one text block of the G minima
              followed by the G maxima
+
+Nothing is stored that the rest determines.  Chunks are contiguous from
+the magic, so chunk ``i`` starts at ``4 + sum(lengths[:i])`` and the
+lengths must add up to exactly the footer's start; the file's row count
+is ``sum(rows)``, and a chunk whose payload holds another row count fails
+to decode.  Most files a warehouse writes are trickle inserts of a few
+rows, whose footer is most of the file: narrow integers keep it small.
 
 The layout block is read with one ``struct.unpack_from`` (Python ints are
 what the reader indexes and slices with, and for the one- or two-group
@@ -48,7 +59,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from operator import add
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -59,13 +70,16 @@ from repro.pagefile.encoding import decode_text, encode_column, encode_text
 from repro.pagefile.schema import SUPPORTED_TYPES, Schema
 from repro.pagefile.stats import ColumnStats
 
-MAGIC = b"RPF2"
+MAGIC = b"RPF3"
 DEFAULT_ROW_GROUP_SIZE = 65_536
 
-_HEADER = struct.Struct("<IIQ")  # columns, row groups, rows
+_HEADER = struct.Struct("<HIB")  # columns, row groups, layout width
 _TRAILER = struct.Struct("<II4s")  # footer length, footer crc32, magic
+_INT_ZONE = struct.Struct("<qB")  # int64 zone map: reference, width
 #: ``struct`` codes of the fixed-width zone-map bounds, by field type.
-_BOUND_CODES = {"int64": "q", "float64": "d", "bool": "?"}
+_BOUND_CODES = {"float64": "d", "bool": "?"}
+#: ``struct`` code of an unsigned integer, by width in bytes.
+_UINT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 #: One row group's ``(minimum, maximum)`` of a column; ``(None, None)``
 #: when unknown (an empty chunk, or floats that are all NaN).
@@ -145,19 +159,47 @@ class PageFile:
             known = footer[start : start + groups]
             if len(known) != groups:
                 raise FileFormatError("truncated")
-            code = _BOUND_CODES.get(self.types[position])
-            if code is None:
+            type_ = self.types[position]
+            reference = 0
+            if type_ == "int64":
+                reference, width = _INT_ZONE.unpack_from(footer, start + groups)
+                bounds = _unpack_uints(
+                    footer, start + groups + _INT_ZONE.size, 2 * groups, width
+                )
+            elif type_ == "string":
                 bounds = decode_text(footer, start + groups, 2 * groups)[0]
             else:
+                code = _BOUND_CODES[type_]
                 bounds = struct.unpack_from(f"<{2 * groups}{code}", footer, start + groups)
         except (struct.error, UnicodeDecodeError, FileFormatError) as exc:
             raise FileFormatError(
                 f"{self.origin}corrupt zone map of column {column!r} ({exc})"
             ) from None
+        if reference:
+            bounds = [reference + bound for bound in bounds]
         return [
             (lo, hi) if flag else (None, None)
             for flag, lo, hi in zip(known, bounds[:groups], bounds[groups:])
         ]
+
+
+def _width_of(limit: int) -> int:
+    """The narrowest unsigned width, in bytes, holding ``limit``."""
+    return 1 if limit < 1 << 8 else 2 if limit < 1 << 16 else 4 if limit < 1 << 32 else 8
+
+
+def _pack_uints(values: List[int]) -> Tuple[int, bytes]:
+    """``values`` in the narrowest unsigned width: ``(width, bytes)``."""
+    width = _width_of(max(values, default=0))
+    return width, struct.pack(f"<{len(values)}{_UINT_CODES[width]}", *values)
+
+
+def _unpack_uints(data: bytes, at: int, count: int, width: int) -> Tuple[int, ...]:
+    """``count`` unsigned integers of ``width`` bytes at ``at``."""
+    code = _UINT_CODES.get(width)
+    if code is None:
+        raise FileFormatError(f"unsupported integer width {width}")
+    return struct.unpack_from(f"<{count}{code}", data, at)
 
 
 def write_page_file(
@@ -171,7 +213,6 @@ def write_page_file(
         raise ValueError("row_group_size must be positive")
     body = bytearray(MAGIC)
     group_rows: List[int] = []
-    offsets: List[int] = []
     lengths: List[int] = []
     zone_maps: List[List[ColumnStats]] = [[] for _ in schema]
     starts = range(0, num_rows, row_group_size) if num_rows else [0]
@@ -180,23 +221,22 @@ def write_page_file(
         group_rows.append(stop - start)
         for fld, zone_map in zip(schema, zone_maps):
             payload, stats = encode_column(fld, columns[fld.name][start:stop])
-            offsets.append(len(body))
             lengths.append(len(payload))
             zone_map.append(stats)
             body.extend(payload)
     types = [fld.type for fld in schema]
-    sections = [
-        _HEADER.pack(len(types), len(group_rows), num_rows),
-        bytes(map(SUPPORTED_TYPES.index, types)),
-        encode_text(schema.names),
-    ]
     maps = [_encode_zone_map(*pair) for pair in zip(types, zone_maps)]
-    layout = group_rows + offsets + lengths
-    at = sum(map(len, sections)) + 8 * (len(layout) + len(maps))
-    for encoded in maps:
-        layout.append(at)
-        at += len(encoded)
-    footer = b"".join(sections + [struct.pack(f"<{len(layout)}q", *layout)] + maps)
+    zones = list(accumulate(map(len, maps[:-1]), initial=0)) if maps else []
+    width, layout = _pack_uints(group_rows + lengths + zones)
+    footer = b"".join(
+        [
+            _HEADER.pack(len(types), len(group_rows), width),
+            bytes(map(SUPPORTED_TYPES.index, types)),
+            encode_text(schema.names),
+            layout,
+        ]
+        + maps
+    )
     body.extend(footer)
     body.extend(_TRAILER.pack(len(footer), zlib.crc32(footer), MAGIC))
     return bytes(body)
@@ -207,6 +247,10 @@ def _encode_zone_map(type_: str, zone_map: List[ColumnStats]) -> bytes:
     blank = "" if type_ == "string" else 0
     bounds = [blank if stats.minimum is None else stats.minimum for stats in zone_map]
     bounds += [blank if stats.maximum is None else stats.maximum for stats in zone_map]
+    if type_ == "int64":
+        reference = min(bounds)
+        width, packed = _pack_uints([bound - reference for bound in bounds])
+        return known + _INT_ZONE.pack(reference, width) + packed
     if type_ == "string":
         return known + encode_text(bounds)
     return known + struct.pack(f"<{len(bounds)}{_BOUND_CODES[type_]}", *bounds)
@@ -259,40 +303,43 @@ def checked_footer(data: bytes, origin: str = "") -> Tuple[bytes, int]:
 
 
 def _parse_footer(footer: bytes, body_end: int, origin: str) -> PageFile:
-    columns, groups, num_rows = _HEADER.unpack_from(footer)
+    columns, groups, width = _HEADER.unpack_from(footer)
     codes = footer[_HEADER.size : _HEADER.size + columns]
     names, at = decode_text(footer, _HEADER.size + columns, columns)
     positions = {name: position for position, name in enumerate(names)}
     if len(positions) != columns or max(codes, default=0) >= len(SUPPORTED_TYPES):
         raise FileFormatError(f"bad schema: names {names}, type codes {list(codes)}")
     chunks = groups * columns
-    layout = struct.unpack_from(f"<{groups + 2 * chunks + columns}q", footer, at)
+    layout = _unpack_uints(footer, at, groups + chunks + columns, width)
     group_rows = layout[:groups]
-    offsets = layout[groups : groups + chunks]
-    lengths = layout[groups + chunks : groups + 2 * chunks]
-    if min(layout, default=0) < 0:
-        raise FileFormatError("negative row count, chunk offset or chunk length")
-    if sum(group_rows) != num_rows:
+    lengths = layout[groups : groups + chunks]
+    # Chunks are contiguous from the magic to the footer, none empty (a
+    # zlib stream never is), so every chunk starts before the footer and
+    # no chunk-cache key of a parsed file equals the key its footer is
+    # cached under.
+    offsets = tuple(accumulate(lengths, initial=len(MAGIC)))
+    if offsets[-1] != body_end:
         raise FileFormatError(
-            f"row groups hold {sum(group_rows)} rows, header says {num_rows}"
+            f"chunk lengths add up to {offsets[-1] - len(MAGIC)} bytes where "
+            f"the file body holds {body_end - len(MAGIC)}"
         )
-    # Every chunk starts before the footer, so no chunk-cache key of a
-    # parsed file equals the key its footer is cached under.
-    if chunks and (
-        min(offsets) < len(MAGIC)
-        or max(offsets) >= body_end
-        or max(map(add, offsets, lengths)) > body_end
-    ):
-        raise FileFormatError(f"a chunk lies outside the file body [4, {body_end})")
+    if 0 in lengths:
+        raise FileFormatError("an empty chunk")
+    zones_at = at + width * len(layout)
+    zones = tuple(zones_at + zone for zone in layout[groups + chunks :])
+    if max(zones, default=0) > len(footer):
+        raise FileFormatError(
+            f"a zone map starts at byte {max(zones)} of a {len(footer)}-byte footer"
+        )
     return PageFile(
         names=tuple(names),
         types=tuple(SUPPORTED_TYPES[code] for code in codes),
-        num_rows=num_rows,
+        num_rows=sum(group_rows),
         group_rows=group_rows,
-        offsets=offsets,
+        offsets=offsets[:-1],
         lengths=lengths,
         positions=MappingProxyType(positions),
         origin=origin,
         footer=footer,
-        _zones=layout[groups + 2 * chunks :],
+        _zones=zones,
     )

@@ -2,17 +2,27 @@
 
 GC reconstructs every table's state from its full manifest list and sorts
 data/DV files into an *active* set (live files, and removed files still
-within retention) and an *inactive* set (removed files past retention).
-Zero-copy clones create shared lineage, so the sets are accumulated across
-all tables and a file in any active set is always retained.
+needed by a readable snapshot) and an *inactive* set (removed files no
+readable snapshot needs).  Zero-copy clones create shared lineage, so the
+sets are accumulated across all tables and a file in any active set is
+always retained.
+
+One horizon decides what is readable: ``min(now - retention, the oldest
+open transaction's begin)``.  ``AS OF`` reads inside retention and every
+open transaction's snapshot are at or after it.  Below it, and only
+below it, GC expires a tombstone, truncates the manifest log and drops a
+checkpoint.  Per table it keeps the newest checkpoint at or before the
+state at the horizon and the manifest row that checkpoint covers: every
+readable state replays from there, and the row anchors the edge for
+``AS OF`` and ``clone_table(as_of=)``.
 
 A snapshot only carries the tombstones inside retention as of the table's
 last commit (:meth:`repro.lst.snapshot.TableSnapshot.apply_manifest`), so
 the inactive set holds just the removals that expired *since* that
 commit.  A file whose tombstone already expired at replay is in neither
-set and falls to the orphan rule below, which deletes it: its creator
-committed before the file was removed a full retention period ago, so
-only a transaction open since before that can still delay it.
+set and falls to the orphan rule below, which deletes it — unless an open
+transaction's snapshot still holds it: each of those snapshots is kept
+whole.
 
 Files on storage in neither set are either private files of in-flight
 transactions or leftovers of aborted/failed ones.  The paper's rule
@@ -33,6 +43,7 @@ from typing import Dict, List, Set
 from repro.chaos.crashpoints import crashpoint
 from repro.common.errors import SimulatedCrash
 from repro.fe.context import ServiceContext
+from repro.lst.snapshot import TableSnapshot
 from repro.sqldb import system_tables as catalog
 
 
@@ -57,9 +68,24 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
     now = context.clock.now
     retention = context.config.sto.retention_period_s
     min_active_ts = context.sqldb.min_active_begin_ts()
+    #: The commit sequence each open transaction reads tables as of.
+    readers = {txn.begin_seq for txn in context.sqldb.active_transactions}
+
+    def below_horizon(stamp: float) -> bool:
+        """Whether ``stamp`` is below the horizon ``min(now - retention,
+        min_active_ts)``: no read inside retention and no open
+        transaction's snapshot sees the state before it."""
+        return stamp + retention <= now and (
+            min_active_ts is None or stamp < min_active_ts
+        )
 
     active: Set[str] = set()
     inactive: Set[str] = set()
+
+    def keep_files(snapshot: TableSnapshot) -> None:
+        active.update(info.path for info in snapshot.files.values())
+        active.update(info.path for info in snapshot.dvs.values())
+
     stale_checkpoints = []  # (table_id, sequence_id, path)
     stale_manifests = []  # (table_id, sequence_id)
     manifest_refs: Dict[str, int] = {}
@@ -75,25 +101,24 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
                 manifest_refs[row["manifest_path"]] = (
                     manifest_refs.get(row["manifest_path"], 0) + 1
                 )
-            # Manifest-log truncation: manifests fully covered by a
-            # checkpoint and older than the retention period can never be
-            # needed for any readable snapshot again.  (Clones share
-            # manifest files, so the blob itself is only deleted once no
-            # table references it — reference counts below.)
-            newest_ckpt = catalog.latest_checkpoint(
-                txn, table_id, context.sqldb.last_commit_seq
+            # The state at the horizon is the newest manifest committed
+            # below it (else the truncation mark).  Every read at or after
+            # the horizon replays from the newest checkpoint at or before
+            # that state, so it is kept, with the manifest row it covers
+            # (the anchor ``AS OF`` and clones resolve the edge to); GC
+            # may drop the manifests and checkpoints older than it.
+            at_horizon = max(
+                (row["sequence_id"] for row in rows if below_horizon(row["committed_at"])),
+                default=catalog.truncated_through(txn, table_id),
             )
+            base = catalog.latest_checkpoint(txn, table_id, at_horizon)
+            base_seq = 0 if base is None else base["sequence_id"]
             newest_seq = rows[-1]["sequence_id"] if rows else 0
             for row in rows:
-                covered = (
-                    newest_ckpt is not None
-                    and row["sequence_id"] <= newest_ckpt["sequence_id"]
-                    # The newest manifest row is the table's visibility
-                    # anchor (it defines the current sequence); it is
-                    # never truncated.
-                    and row["sequence_id"] < newest_seq
-                )
-                if covered and row["committed_at"] + retention <= now:
+                # Manifest-log truncation.  (Clones share manifest files,
+                # so the blob itself is only deleted once no table
+                # references it — reference counts below.)
+                if row["sequence_id"] < base_seq:
                     stale_manifests.append((table_id, row["sequence_id"]))
                     manifest_unrefs[row["manifest_path"]] = (
                         manifest_unrefs.get(row["manifest_path"], 0) + 1
@@ -101,26 +126,30 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
                 else:
                     active.add(row["manifest_path"])
             if rows:
-                snapshot = context.cache.get(table_id, rows[-1]["sequence_id"])
-                active.update(info.path for info in snapshot.files.values())
-                active.update(info.path for info in snapshot.dvs.values())
+                snapshot = context.cache.get(table_id, newest_seq)
+                keep_files(snapshot)
                 for tomb in snapshot.tombstones:
-                    if tomb.removed_at + retention <= now:
+                    if below_horizon(tomb.removed_at):
                         inactive.add(tomb.path)
                     else:
                         active.add(tomb.path)
+                # Each open transaction's snapshot stays whole, even once
+                # replay has dropped a tombstone its reads still need.
+                pinned = {
+                    max((r["sequence_id"] for r in rows if r["sequence_id"] <= seq), default=0)
+                    for seq in readers
+                }
+                for seq in sorted(pinned - {0, newest_seq}):
+                    keep_files(context.cache.get(table_id, seq))
             # Secondary indexes: the catalog row pins the current index
             # blob; superseded blobs (a rebuild writes a new path) fall
             # through to the orphan rule below.
             for row in catalog.indexes_for_table(txn, table_id):
                 active.add(row["path"])
-            # Checkpoints: a checkpoint superseded by a newer one and
-            # older than the retention period can never serve a readable
-            # snapshot again.
-            checkpoints = catalog.checkpoints_for_table(txn, table_id)
-            for index, ckpt in enumerate(checkpoints):
-                superseded = index + 1 < len(checkpoints)
-                if superseded and ckpt["created_at"] + retention <= now:
+            # Checkpoints older than the one at the horizon can never
+            # serve a readable snapshot again.
+            for ckpt in catalog.checkpoints_for_table(txn, table_id):
+                if ckpt["sequence_id"] < base_seq:
                     inactive.add(ckpt["path"])
                     stale_checkpoints.append(
                         (table_id, ckpt["sequence_id"], ckpt["path"])

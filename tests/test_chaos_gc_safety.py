@@ -23,6 +23,7 @@ def aged(config):
     session = dw.session()
     table_id = session.create_table("t", SCHEMA, distribution_column="id")
     session.insert("t", batch(0, 200))
+    session.insert("t", batch(200, 20))
     session.delete("t", BinOp("<", Col("id"), Lit(20)))
     dw.sto.run_compaction(table_id)  # removed files become tombstones
     dw.sto.run_checkpoint(table_id)

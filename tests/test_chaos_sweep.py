@@ -16,6 +16,7 @@ from repro.chaos.harness import (
     Driver,
     run_site,
 )
+from repro.chaos.recovery import RecoveryManager
 from repro.sqldb import system_tables
 from repro.sto import orchestrator
 
@@ -42,7 +43,7 @@ class TestCrashSweep:
         assert result.ok, "\n".join(problems)
         for site in result.sites:
             assert site.crashed_at_step, f"{site.label} never fired"
-            if site.op:
+            if site.op and not site.op.startswith("after "):
                 assert site.crashed_at_step.endswith(f":{site.op}")
             assert site.recovery is not None
 
@@ -53,7 +54,7 @@ class TestCrashSweep:
         }
         assert {site for site, op in STEP_RUNS if op == "commit"} == commit_path
         ops = Driver(seed=0).ops()
-        assert {op for __, op in STEP_RUNS} <= set(ops)
+        assert {op.removeprefix("after ") for __, op in STEP_RUNS} <= set(ops)
 
     def test_swallowed_crash_fails_the_site(self, monkeypatch):
         # A handler on the crash path that turns the crash into a return:
@@ -180,6 +181,30 @@ class TestTheModelCatches:
         driver.battery()
         driver.finish()
         assert not driver.problems, "\n".join(driver.problems)
+
+    def test_the_sweep_alone_catches_a_lost_update(self, monkeypatch):
+        # Recovery forgets a table's newest manifest when it changed
+        # values but no row count: only a crash right after an
+        # acknowledged UPDATE, before anything newer lands, shows it.
+        real = RecoveryManager._resolve_in_doubt
+
+        def forgetting(manager, report):
+            real(manager, report)
+            context = manager._context
+            txn = context.sqldb.begin()
+            for table in system_tables.list_tables(txn):
+                rows = system_tables.manifests_for_table(txn, table["table_id"])
+                live = [context.cache.get(table["table_id"], row["sequence_id"]).live_rows
+                        for row in rows[-2:]]
+                if len(live) == 2 and live[0] == live[1]:
+                    txn.delete(system_tables.MANIFESTS, (table["table_id"], rows[-1]["sequence_id"]))
+            txn.commit()
+
+        monkeypatch.setattr(RecoveryManager, "_resolve_in_doubt", forgetting)
+        result = run_crash_sweep(seed=0, sites=["fe.commit.before_validation"])
+        failed = {run.label: run.problems for run in result.failures}
+        assert "fe.commit.before_validation after update_point" in failed
+        assert "wrong v" in failed["fe.commit.before_validation after update_point"][0]
 
     def test_the_crashed_commit_may_land_whole_or_not_at_all(self, sweep):
         # after_install lands the commit (recovery finds it installed);

@@ -41,7 +41,7 @@ from repro.storage import integrity
 from repro.storage.integrity import CHECKSUM_KEY
 from repro.telemetry.metrics import MetricsRegistry
 from tests.conftest import small_config
-from tests.test_pagefile_format import _reseal
+from tests.test_pagefile_format import _FOOTER_HEADER, _layout_at, _reseal, _set_layout
 
 KIB = ENTRY_OVERHEAD_BYTES
 
@@ -284,6 +284,17 @@ def parses(monkeypatch):
     return calls
 
 
+def _one_more(index):
+    """A ``_reseal`` patch adding one to layout entry ``index``."""
+
+    def patch(footer):
+        at, width = _layout_at(footer)
+        entry = footer[at + index * width : at + (index + 1) * width]
+        _set_layout(index, int.from_bytes(entry, "little") + 1)(footer)
+
+    return patch
+
+
 class TestFooterParsedOncePerBlob:
     def test_one_parse_per_path_and_etag(self, parses):
         dw = _loaded()
@@ -311,17 +322,18 @@ class TestFooterParsedOncePerBlob:
         [
             # Footer crc32 broken: one footer byte flipped, trailer kept.
             (lambda data: data[:-20] + bytes([data[-20] ^ 1]) + data[-19:], "crc32"),
-            # Trailer resealed over a footer whose header lies about rows.
+            # Trailer resealed over a footer whose first row group claims
+            # a row more than its chunks hold: caught as they decode.
             (
-                lambda data: _reseal(
-                    data, lambda footer: struct.pack_into("<Q", footer, 8, 10**6)
-                ),
-                "header says 1000000",
+                lambda data: _reseal(data, _one_more(0)),
+                "truncated|rows need",
             ),
+            # Trailer resealed over a first chunk running into the next.
+            (lambda data: _reseal(data, _one_more(1)), "add up to"),
             # Trailer resealed over an unknown column type code.
             (
                 lambda data: _reseal(
-                    data, lambda footer: footer.__setitem__(16, 9)
+                    data, lambda footer: footer.__setitem__(_FOOTER_HEADER.size, 9)
                 ),
                 "bad schema",
             ),
@@ -338,8 +350,8 @@ class TestFooterParsedOncePerBlob:
         blob = warm.store.get(info.path)
         cache = warm.context.chunk_cache
         cached = PageFileReader(blob.data, info.path, cache, blob.etag).meta
-        with pytest.raises(FileFormatError, match=f"{info.path}: .*{match}"):
-            PageFileReader(damage(blob.data), info.path, cache, blob.etag)
+        with pytest.raises(FileFormatError, match=f"{info.path}: .*({match})"):
+            PageFileReader(damage(blob.data), info.path, cache, blob.etag).read()
         assert PageFileReader(blob.data, info.path, cache, blob.etag).meta is cached
 
 

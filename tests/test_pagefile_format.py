@@ -170,7 +170,7 @@ class TestPruning:
         assert len(out["id"]) == 20
 
 
-# -- RPF2: every type x every shape round-trips, values, dtypes and zone maps ---------
+# -- RPF3: every type x every shape round-trips, values, dtypes and zone maps ---------
 
 VALUES = {
     "int64": st.integers(-(2**63), 2**63 - 1),
@@ -491,6 +491,40 @@ def _reseal(data, patch):
     return data[:start] + bytes(footer) + trailer.pack(len(footer), zlib.crc32(footer), magic)
 
 
+#: The RPF3 footer header: columns, row groups, layout width.
+_FOOTER_HEADER = struct.Struct("<HIB")
+
+
+def _layout_at(footer):
+    """Where the layout block of ``footer`` starts, and its width."""
+    columns, __, width = _FOOTER_HEADER.unpack_from(footer)
+    __, at = encoding.decode_text(bytes(footer), _FOOTER_HEADER.size + columns, columns)
+    return at, width
+
+
+def _set_layout(index, value):
+    """A ``_reseal`` patch writing ``value`` into layout entry ``index``
+    (rows, then lengths, then zone starts), in the layout's width."""
+
+    def patch(footer):
+        at, width = _layout_at(footer)
+        footer[at + index * width : at + (index + 1) * width] = value.to_bytes(
+            width, "little"
+        )
+
+    return patch
+
+
+def _zone_map_at(footer, column):
+    """Where the zone map of schema position ``column`` starts."""
+    columns, groups, __ = _FOOTER_HEADER.unpack_from(footer)
+    at, width = _layout_at(footer)
+    entries = groups + groups * columns + columns
+    zone = groups + groups * columns + column
+    start = int.from_bytes(footer[at + zone * width : at + (zone + 1) * width], "little")
+    return at + entries * width + start
+
+
 class TestMalformedFiles:
     @given(st.data())
     @settings(max_examples=400, deadline=None)
@@ -625,25 +659,29 @@ class TestMalformedFiles:
             read_footer(bytes(data), source="blob.rpf")
 
     def test_chunk_outside_file_body(self):
+        # RPF3 stores no offsets: chunks run contiguously from the magic,
+        # so lengths that do not add up to the body put a chunk into the
+        # footer (or leave bytes no chunk holds).
         data = write_page_file(Schema.of(("c", "int64")), {"c": np.arange(4)})
-        layout_at = read_footer(data)  # one group, one column: rows, offset, length, zone
-        assert layout_at.offsets == (len(MAGIC),)
-
-        def patch(footer):
-            at = footer.index(struct.pack("<3q", 4, len(MAGIC), layout_at.lengths[0]))
-            struct.pack_into("<q", footer, at + 16, 10**6)
-
-        with pytest.raises(FileFormatError, match="blob.rpf.*outside the file body"):
-            read_footer(_reseal(data, patch), source="blob.rpf")
+        meta = read_footer(data)
+        assert meta.offsets == (len(MAGIC),)
+        for length in (meta.lengths[0] + 1, meta.lengths[0] - 1, 255):
+            damaged = _reseal(data, _set_layout(1, length))
+            with pytest.raises(FileFormatError, match="blob.rpf: .*add up to"):
+                read_footer(damaged, source="blob.rpf")
 
     def test_row_groups_disagree_with_header(self):
+        # RPF3 has no row count in its header (it is the sum of the row
+        # groups'): a row group claiming more or fewer rows than its
+        # chunks hold fails as the chunks decode.
         data = write_page_file(Schema.of(("c", "int64")), {"c": np.arange(4)})
-
-        def patch(footer):
-            struct.pack_into("<Q", footer, 8, 5)
-
-        with pytest.raises(FileFormatError, match="hold 4 rows, header says 5"):
-            read_footer(_reseal(data, patch))
+        for rows in (3, 5):
+            reader = PageFileReader(_reseal(data, _set_layout(0, rows)), "blob.rpf")
+            assert reader.num_rows == rows
+            with pytest.raises(
+                FileFormatError, match="blob.rpf: column 'c': .*(truncated|rows need)"
+            ):
+                reader.read()
 
     def test_unknown_type_code_and_duplicate_names(self):
         data = write_page_file(
@@ -652,7 +690,7 @@ class TestMalformedFiles:
         )
 
         def bad_type(footer):
-            footer[16] = 9
+            footer[_FOOTER_HEADER.size] = 9
 
         def same_names(footer):
             footer[footer.index(b"ab")] = ord("b")
@@ -660,6 +698,70 @@ class TestMalformedFiles:
         for patch in (bad_type, same_names):
             with pytest.raises(FileFormatError, match="bad schema"):
                 read_footer(_reseal(data, patch))
+
+    @pytest.mark.parametrize("width", [0, 3, 16])
+    def test_unknown_layout_width(self, width):
+        data = write_page_file(SCHEMA, make_columns(3))
+
+        def patch(footer):
+            footer[_FOOTER_HEADER.size - 1] = width
+
+        with pytest.raises(FileFormatError, match=f"blob.rpf: .*width {width}"):
+            read_footer(_reseal(data, patch), source="blob.rpf")
+
+    def test_empty_chunk(self):
+        # Lengths that add up, but one chunk is empty: it would start at
+        # the footer, whose offset keys the parsed footer in the cache.
+        data = write_page_file(
+            Schema.of(("a", "int64"), ("b", "int64")),
+            {"a": np.arange(2), "b": np.arange(2)},
+        )
+        first, second = read_footer(data).lengths
+        damaged = _reseal(
+            _reseal(data, _set_layout(1, first + second)), _set_layout(2, 0)
+        )
+        with pytest.raises(FileFormatError, match="blob.rpf: .*an empty chunk"):
+            read_footer(damaged, source="blob.rpf")
+
+    def test_zone_map_starts_past_the_footer(self):
+        data = write_page_file(Schema.of(("c", "int64")), {"c": np.arange(4)})
+        damaged = _reseal(data, _set_layout(2, 200))
+        with pytest.raises(FileFormatError, match="blob.rpf: .*zone map starts"):
+            read_footer(damaged, source="blob.rpf")
+
+    @pytest.mark.parametrize("width", [0, 3, 5])
+    def test_bad_int64_zone_map_width(self, width):
+        data = write_page_file(Schema.of(("c", "int64")), {"c": np.arange(4)})
+
+        def patch(footer):
+            footer[_zone_map_at(footer, 0) + 1 + 8] = width  # known[1], reference
+
+        reader = PageFileReader(_reseal(data, patch), source="blob.rpf")
+        with pytest.raises(
+            FileFormatError, match=f"blob.rpf: corrupt zone map of column 'c'.*width {width}"
+        ):
+            reader.read(prune=[("c", ">", 1)])
+        assert reader.read()["c"].tolist() == [0, 1, 2, 3]  # unpruned reads need none
+
+    def test_truncated_int64_zone_map_reference(self):
+        data = write_page_file(Schema.of(("c", "int64")), {"c": np.arange(4)})
+
+        def patch(footer):
+            del footer[_zone_map_at(footer, 0) + 1 + 3 :]  # known[1], 3 of 8 bytes
+
+        reader = PageFileReader(_reseal(data, patch), source="blob.rpf")
+        with pytest.raises(FileFormatError, match="blob.rpf: corrupt zone map of column 'c'"):
+            reader.read(prune=[("c", "<", 2)])
+
+    def test_a_one_row_file_is_mostly_chunks(self):
+        # A trickle insert: three columns, one row, ids below 256.
+        schema = Schema.of(("id", "int64"), ("acct", "int64"), ("v", "float64"))
+        data = write_page_file(
+            schema, {"id": np.array([7]), "acct": np.array([3]), "v": np.array([2.5])}
+        )
+        meta = read_footer(data)
+        assert (len(data), len(meta.footer)) == (128, 73)
+        assert meta.zone_map("id") == [(7, 7)] and meta.zone_map("v") == [(2.5, 2.5)]
 
     def test_legacy_magic_is_not_read(self):
         data = write_page_file(SCHEMA, make_columns(3))

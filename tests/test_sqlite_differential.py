@@ -22,6 +22,16 @@ equal.  What the page files store is therefore checked against an engine
 that never read them: every float column goes through the ``DEC`` chunk
 encoding here, and a self-comparison would miss a mistake in it.
 
+Last, hypothesis writes single-table statements ``SELECT … WHERE … ORDER
+BY … [LIMIT n]`` over a table of clustered ``int64`` keys and day
+numbers, ties and the two ``int64`` extremes included, in small row
+groups, so zone maps (and the page files' frame-of-reference ``int64``
+zone maps) prune: ``=``, ``<``, ``>=``, ``BETWEEN`` and ``IN`` on the key
+and on dates (``DATE`` literals or bare day numbers).  Each statement
+runs cold and again after a literal variant of it warmed the plan cache
+(a hit whenever the variant's plan was stored); a string literal against either
+column must raise :class:`~repro.common.errors.PlanError` both ways.
+
 Budget: the whole module runs in under 10 s on a 2-core container.
 """
 
@@ -31,10 +41,15 @@ import sqlite3
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchmarks.e2e.workloads.sql_point_lookup import INDEXES, RANGE_DAYS
-from repro import SqlSession, Warehouse
+from repro import Schema, SqlSession, Warehouse
+from repro.common.errors import PlanError
 from repro.engine.batch import num_rows
+from repro.sql.lexer import tokenize
+from repro.sql.plan_cache import Shape
 from repro.workloads.tpch import TPCH_SQL_QUERIES
 from repro.workloads.tpch.generator import TpchGenerator
 from repro.workloads.tpch.schema import TPCH_DISTRIBUTION, TPCH_SCHEMAS
@@ -258,3 +273,143 @@ class TestTheRule:
         sql = "SELECT c_custkey FROM customer WHERE c_custkey = -1"
         with pytest.raises(AssertionError):
             assert_same_result({"c_custkey": np.array([], dtype=object)}, sqlite, sql)
+
+
+# -- generated single-table statements -------------------------------------------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+#: The first day of the generated dates (1995-01-01).
+FIRST_DAY = datetime.date(1995, 1, 1).toordinal()
+KEYED_SCHEMA = Schema.of(("id", "int64"), ("k", "int64"), ("d", "int64"), ("v", "float64"))
+
+
+def keyed_batches():
+    """Four inserts, each a sorted run of keys with ties (every key three
+    times) and of dates (every day twice); the first and last hold the
+    ``int64`` extremes."""
+    for batch in range(4):
+        ids = np.arange(batch * 150, (batch + 1) * 150, dtype=np.int64)
+        keys = batch * 1_000 + (ids % 150) // 3 * 7
+        if batch == 0:
+            keys[:3] = INT64_MIN
+        if batch == 3:
+            keys[-3:] = INT64_MAX
+        yield {
+            "id": ids,
+            "k": keys,
+            "d": FIRST_DAY + batch * 100 + (ids % 150) // 2,
+            "v": np.round((ids % 11) * 0.25 - 1.0, 2),
+        }
+
+
+@pytest.fixture(scope="module")
+def keyed():
+    """The generated table ``h`` in a warehouse (distributed on ``id``, 32-row
+    row groups) and in SQLite."""
+    config = small_config()
+    config.row_group_size = 32
+    dw = Warehouse(config=config, auto_optimize=False)
+    session = dw.session()
+    session.create_table("h", KEYED_SCHEMA, distribution_column="id")
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE h (id INTEGER, k INTEGER, d INTEGER, v REAL)")
+    for batch in keyed_batches():
+        session.insert("h", batch)
+        rows = zip(*(batch[name].tolist() for name in KEYED_SCHEMA.names))
+        db.executemany("INSERT INTO h VALUES (?, ?, ?, ?)", rows)
+    yield SqlSession(dw.session()), db
+    db.close()
+
+
+STORED_KEYS = sorted({k for batch in keyed_batches() for k in batch["k"].tolist()})
+
+
+def _keys():
+    return st.one_of(
+        st.sampled_from(STORED_KEYS),
+        st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX, 0, -1]),
+        st.integers(-50, 3_200),
+        st.integers(INT64_MIN, INT64_MAX),
+    )
+
+
+def _days():
+    return st.integers(FIRST_DAY - 20, FIRST_DAY + 420)
+
+
+def _literal(column, value, dates_as_text):
+    if column == "d" and dates_as_text:
+        return f"DATE '{datetime.date.fromordinal(value).isoformat()}'"
+    return str(value)
+
+
+@st.composite
+def conjuncts(draw, column):
+    """One ``column`` predicate: a template with ``{}`` per literal, and
+    the literal values."""
+    values = _keys() if column == "k" else _days()
+    op = draw(st.sampled_from(["=", "<", ">=", "BETWEEN", "IN"]))
+    if op == "BETWEEN":
+        return f"{column} BETWEEN {{}} AND {{}}", [draw(values), draw(values)]
+    if op == "IN":
+        items = draw(st.lists(values, min_size=1, max_size=4))
+        return f"{column} IN ({', '.join('{}' for __ in items)})", items
+    return f"{column} {op} {{}}", [draw(values)]
+
+
+@st.composite
+def statements(draw):
+    """``(template, columns, literals, variant literals)``: one statement
+    shape and two literal sets for it."""
+    names = draw(st.lists(st.sampled_from(["k", "d"]), min_size=1, max_size=2))
+    parts = [draw(conjuncts(column)) for column in names]
+    order = draw(st.sampled_from(["k", "d", "v", "id"]))
+    direction = draw(st.sampled_from(["", " DESC"]))
+    limit = draw(st.one_of(st.none(), st.integers(0, 25)))
+    where = " AND ".join(template for template, __ in parts)
+    template = (
+        f"SELECT id, k, d, v FROM h WHERE {where} ORDER BY {order}{direction}, id"
+        + ("" if limit is None else f" LIMIT {limit}")
+    )
+    columns = [column for column, (__, values) in zip(names, parts) for __ in values]
+    literals = [value for __, values in parts for value in values]
+    variant = [draw(_keys() if column == "k" else _days()) for column in columns]
+    return template, columns, literals, variant
+
+
+def _render(template, columns, literals, dates_as_text):
+    return template.format(*(
+        _literal(column, value, dates_as_text) for column, value in zip(columns, literals)
+    ))
+
+
+@given(statements(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_generated_statements_match_sqlite(keyed, case, dates_as_text, data):
+    sql_session, db = keyed
+    template, columns, literals, variant = case
+    sql = _render(template, columns, literals, dates_as_text)
+    warm = _render(template, columns, variant, dates_as_text)
+    cache = sql_session.session._context.plan_cache
+    cache.clear()
+    assert_same_result(sql_session.execute(sql), db, sql)  # cold
+    cache.clear()
+    sql_session.execute(warm)
+    # When the variant's plan was stored under the case's own shape (see
+    # repro.sql.plan_cache), the case is served from it unless one of its
+    # literals is a constant there.
+    shape = Shape.of(tokenize(sql))
+    stored = cache._entries.get(shape.key) if shape.cacheable else None
+    hits = cache.hits.value
+    assert_same_result(sql_session.execute(sql), db, sql)  # after its variant
+    if stored is not None and not set(shape.literals) & stored.constants:
+        assert cache.hits.value == hits + 1, sql
+    # A string where a key or a date belongs is a plan error, cold or warm.
+    wrong = data.draw(st.integers(0, len(literals) - 1), label="wrong literal")
+    mistyped = template.format(*(
+        "'x'" if at == wrong else _literal(column, value, dates_as_text)
+        for at, (column, value) in enumerate(zip(columns, literals))
+    ))
+    for __ in range(2):
+        with pytest.raises(PlanError):
+            sql_session.execute(mistyped)

@@ -235,12 +235,6 @@ class TestGcAfterExpiry:
         dw.context.cache.invalidate()
         assert dw.session().query(count(), as_of=edge)["n"][0] == 100
 
-    @pytest.mark.xfail(
-        raises=CheckpointLostError,
-        strict=True,
-        reason="GC truncates the manifest in effect at the retention edge "
-        "when the newest checkpoint is newer than the edge (ROADMAP)",
-    )
     def test_as_of_at_the_retention_edge_after_truncation(self, dw):
         session = dw.session()
         session.insert("t", ids(100))
@@ -255,3 +249,43 @@ class TestGcAfterExpiry:
         dw.clock.advance(edge + RETENTION_S - 0.5 - dw.clock.now)
         dw.context.cache.invalidate()
         assert dw.session().query(count(), as_of=edge)["n"][0] == 100
+
+    def test_clone_as_of_the_retention_edge_after_truncation(self, dw):
+        session = dw.session()
+        session.insert("t", ids(100))
+        dw.sto.run_checkpoint(table_id(dw))
+        dw.clock.advance(10.0)
+        edge = dw.clock.now
+        dw.clock.advance(10.0)
+        remove_files(dw, session)
+        dw.clock.advance(edge + RETENTION_S - 5.0 - dw.clock.now)
+        session.insert("t", ids(10, start=1000))
+        dw.sto.run_checkpoint(table_id(dw))
+        dw.sto.run_gc()
+        dw.clock.advance(edge + RETENTION_S - 0.5 - dw.clock.now)
+        session.clone_table("t", "t_edge", as_of=edge)
+        dw.context.cache.invalidate()
+        assert dw.session().query(count("t_edge"))["n"][0] == 100
+
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_an_open_transaction_keeps_its_snapshot_past_retention(self, dw, checkpointed):
+        writer, reader = dw.session(), dw.session()
+        writer.insert("t", ids(100))
+        reader.begin()
+        assert reader.query(count())["n"][0] == 100
+        removed = remove_files(dw, writer)
+        for step in range(3):
+            dw.clock.advance(RETENTION_S / 2 + 1.0)
+            writer.insert("t", ids(10, start=1000 + 10 * step))
+            if checkpointed:
+                dw.sto.run_checkpoint(table_id(dw))
+            dw.sto.run_gc()
+        assert all(dw.store.exists(path) for path in removed)
+        dw.context.cache.invalidate()
+        try:
+            assert reader.query(count())["n"][0] == 100
+        except CheckpointLostError as exc:
+            pytest.fail(f"GC truncated what an open transaction reads: {exc}")
+        reader.commit()
+        report = dw.sto.run_gc()
+        assert removed <= set(report.deleted_expired) | set(report.deleted_orphans)
