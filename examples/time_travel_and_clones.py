@@ -83,8 +83,7 @@ def main() -> None:
 
     # The accident's files are unreferenced now; GC reclaims them.
     report = dw.sto.run_gc()
-    print(f"garbage collection removed {report.deleted_total} unreferenced files "
-          f"({len(report.deleted_orphans)} orphans)")
+    print(f"garbage collection removed {report.deleted_total} unreferenced files")
 
 
 if __name__ == "__main__":

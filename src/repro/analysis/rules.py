@@ -192,7 +192,6 @@ FROZEN_TYPES = {
     "RemoveDataFile",
     "AddDeletionVector",
     "RemoveDeletionVector",
-    "Tombstone",
     "TableSnapshot",
     "Checkpoint",
     "PageFile",
@@ -223,7 +222,7 @@ def _annotation_names(node: Optional[ast.AST]) -> Set[str]:
 class FrozenMutationRule(Rule):
     """Committed LST structures are immutable.
 
-    Manifest actions, snapshots, tombstones, checkpoints, and page-file
+    Manifest actions, snapshots, checkpoints, and page-file
     footers are shared across readers at different sequence ids; mutating
     one in place corrupts every snapshot that references it.  The rule
     flags attribute assignment and ``object.__setattr__`` on variables it

@@ -46,9 +46,10 @@ from repro.common.errors import (
 )
 from repro.engine.expressions import BinOp, Col, Lit, and_
 from repro.engine.planner import TableScan
-from repro.lst.checkpoint import Checkpoint
+from repro.lst.snapshot import TableSnapshot
 from repro.pagefile.schema import Schema
 from repro.sqldb import system_tables as catalog
+from repro.sto.gc import creation_stamp
 from repro.warehouse.warehouse import Warehouse
 
 #: Schema shared by every workload table.
@@ -699,8 +700,7 @@ class Driver:
         self.check(0, "cold read")
         self.problems.extend(_check_gc_safety(self.warehouse))
         self.check(1, "after gc")
-        for table_id in self.table_ids.values():
-            self.problems.extend(_check_tombstones_bounded(self.context, table_id))
+        self.problems.extend(check_storage_bounded(self.context))
         return counts
 
     def finish(self) -> None:
@@ -813,7 +813,7 @@ def _check_gc_safety(warehouse: Warehouse) -> List[str]:
     context = warehouse.context
     protected = _referenced_paths(context, live_only=True)
     first = warehouse.sto.run_gc()
-    deleted = set(first.deleted_expired) | set(first.deleted_orphans)
+    deleted = set(first.deleted)
     for path in sorted(deleted & protected):
         problems.append(f"gc deleted a live snapshot file: {path}")
     # Truncation may have shrunk the catalog; everything it still
@@ -822,10 +822,10 @@ def _check_gc_safety(warehouse: Warehouse) -> List[str]:
         if not context.store.exists(path):
             problems.append(f"gc left a dangling reference: {path}")
     second = warehouse.sto.run_gc()
-    if second.deleted_orphans:
+    if second.deleted:
         problems.append(
-            "orphans did not converge to zero: second GC pass deleted "
-            f"{sorted(second.deleted_orphans)}"
+            "gc did not converge: a second pass with nothing changed deleted "
+            f"{sorted(second.deleted)}"
         )
     if second.retained_recent:
         problems.append(
@@ -835,49 +835,50 @@ def _check_gc_safety(warehouse: Warehouse) -> List[str]:
     return problems
 
 
-def _check_tombstones_bounded(context, table_id: int) -> List[str]:
-    """Neither the newest snapshot nor the newest checkpoint of a table may
-    hold a tombstone past retention as of the last commit it reflects.
+def check_storage_bounded(context) -> List[str]:
+    """No data or DV blob older than GC's horizon outlives the last GC
+    unless a readable state names it.
 
-    For the checkpoint that commit is its manifest's while the catalog
-    still has it; once truncated, the checkpoint's newest removal stands
-    in (an earlier instant, so the check only gets weaker).
+    The readable states of a table are the state at the horizon (its
+    newest manifest committed below it) and the state after each later
+    manifest; clones share files, so the states of every table count.
+    This replays them one by one rather than asking GC for its keep set.
     """
+    now, retention = context.clock.now, context.config.sto.retention_period_s
+    oldest_begin = context.sqldb.min_active_begin_ts()
+
+    def below(stamp: float) -> bool:
+        """``stamp`` is below ``min(now - retention, oldest_begin)``."""
+        return stamp + retention <= now and (oldest_begin is None or stamp < oldest_begin)
+
+    readable: Set[str] = set()
     txn = context.sqldb.begin()
     try:
-        last = catalog.latest_manifest(txn, table_id)
-        newest = catalog.latest_checkpoint(
-            txn, table_id, context.sqldb.last_commit_seq
-        )
-        covered = newest and txn.get(
-            catalog.MANIFESTS, (table_id, newest["sequence_id"])
-        )
+        for table_id in _catalog_tables(context).values():
+            rows = catalog.manifests_for_table(txn, table_id)
+            if not rows:
+                continue
+            at_horizon = max(
+                (r["sequence_id"] for r in rows if below(r["committed_at"])),
+                default=catalog.truncated_through(txn, table_id),
+            )
+            states = [context.cache.get(table_id, at_horizon) if at_horizon else TableSnapshot()]
+            tail = context.cache.load_manifests(table_id, at_horizon, rows[-1]["sequence_id"])
+            for seq, __, actions in tail:
+                states.append(states[-1].apply_manifest(actions, seq))
+            for state in states:
+                readable.update(i.path for i in state.files.values())
+                readable.update(i.path for i in state.dvs.values())
     finally:
         txn.abort()
-    held = []
-    if last is not None:
-        snapshot = context.cache.get(table_id, last["sequence_id"])
-        held.append(("snapshot", snapshot, last["committed_at"]))
-    if newest is not None:
-        blob = context.store.get(newest["path"])
-        snapshot = Checkpoint.from_bytes(blob.data, newest["path"]).snapshot
-        as_of = (
-            covered["committed_at"]
-            if covered
-            else max((t.removed_at for t in snapshot.tombstones), default=0.0)
-        )
-        held.append(("checkpoint", snapshot, as_of))
-    retention = context.config.sto.retention_period_s
     problems = []
-    for what, snapshot, as_of in held:
-        expired = sum(
-            1 for t in snapshot.tombstones if t.removed_at + retention <= as_of
-        )
-        if expired:
+    for blob in context.store.list(f"internal/{context.database}/tables/"):
+        stamp = creation_stamp(blob)
+        kind = blob.path.rsplit("/", 2)[-2]
+        if kind in ("data", "dv") and below(stamp) and blob.path not in readable:
             problems.append(
-                f"unbounded history: {expired} of the newest {what}'s "
-                f"{len(snapshot.tombstones)} tombstones (table {table_id} @ "
-                f"{snapshot.sequence_id}) are past retention"
+                f"unbounded storage: {blob.path} (stamped {stamp}) is below "
+                "the GC horizon and no readable state names it"
             )
     return problems
 

@@ -3,13 +3,16 @@
 The ``Manifests`` catalog table holds *names*; the manifest *contents*
 live in the object store.  This module bridges the two for the BE snapshot
 cache: loading committed manifests for a sequence range and loading the
-newest checkpoint at or below a sequence.
+newest checkpoint at or below a sequence.  Garbage collection reads a
+table's log tail through the same manifest loader
+(``SnapshotCache.load_manifests``) to find the files it adds.
 
-A checkpoint is an acceleration only while the manifests it covers are
-still in the log.  Garbage collection truncates covered manifests once
-they are past retention (and records how far, ``Truncations``); from then
-on the checkpoint is the source of truth for that prefix, and losing it
-is losing the table's state rather than a reason to replay.
+A checkpoint holds a table's live files and DVs only, and is an
+acceleration only while the manifests it covers are still in the log.
+Garbage collection truncates covered manifests once they are below its
+horizon (and records how far, ``Truncations``); from then on the
+checkpoint is the source of truth for that prefix, and losing it is
+losing the table's state rather than a reason to replay.
 """
 
 from __future__ import annotations
@@ -112,6 +115,4 @@ def make_snapshot_cache(context: "ServiceContext") -> SnapshotCache:
             )
         return snapshot
 
-    return SnapshotCache(
-        load_manifests, load_checkpoint, context.config.sto.retention_period_s
-    )
+    return SnapshotCache(load_manifests, load_checkpoint)

@@ -301,7 +301,6 @@ def _prune_snapshot(
         sequence_id=snapshot.sequence_id,
         files=kept,
         dvs={name: dv for name, dv in snapshot.dvs.items() if name in kept},
-        tombstones=snapshot.tombstones,
     )
 
 

@@ -179,12 +179,7 @@ class PolarisTransaction:
         state = self._writes.get(table_id)
         if state is None or not state.actions:
             return snapshot
-        return snapshot.apply_manifest(
-            state.actions,
-            snapshot.sequence_id + 1,
-            self._context.clock.now,
-            self._context.config.sto.retention_period_s,
-        )
+        return snapshot.apply_manifest(state.actions, snapshot.sequence_id + 1)
 
     # -- write phase: manifest assembly ------------------------------------------
 

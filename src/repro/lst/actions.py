@@ -153,8 +153,7 @@ class RemoveDataFile:
     """The transaction logically removes a data file (delete/compaction).
 
     Only the name travels: the table's live descriptor already holds
-    everything else about the file (path, zone maps, checksum), and
-    replay takes the path for the tombstone from there.
+    everything else about the file (path, zone maps, checksum).
     """
 
     name: str

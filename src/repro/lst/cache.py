@@ -14,10 +14,12 @@ beside it (:meth:`SnapshotCache.derived`): computed on first use, shared
 by every later reader of that ``(table_id, sequence_id)``, and dropped
 with the entry.  The snapshot object itself is never written to.
 
-Every replay applies one tombstone retention (the deployment's
-``sto.retention_period_s``), so an extended snapshot, a checkpoint-based
-one and a cold full replay at the same sequence are equal, tombstones
-included.
+An extended snapshot, a checkpoint-based one and a cold full replay at
+the same sequence are equal: a snapshot is the live files and DVs only,
+a pure function of the manifests up to its sequence.  So when garbage
+collection truncates a table's log below some mark, only that table's
+entries below the mark can no longer be rebuilt the way they were, and
+only those are dropped (:meth:`SnapshotCache.invalidate`).
 
 Losing the cache is always safe: it can be rebuilt from the manifest log.
 Hit/miss counters feed the concurrency benchmarks (Figure 12's slowdown is
@@ -78,14 +80,12 @@ class SnapshotCache:
         self,
         load_manifests: ManifestLoader,
         load_checkpoint: CheckpointLoader,
-        retention: float,
         max_versions_per_table: int = 8,
     ) -> None:
-        self._load_manifests = load_manifests
+        #: The manifest loader replay reads through; garbage collection
+        #: reads a table's log tail with it too.
+        self.load_manifests = load_manifests
         self._load_checkpoint = load_checkpoint
-        # Tombstone retention every replay applies (``math.inf`` keeps the
-        # full removal history).
-        self._retention = retention
         self._max_versions = max_versions_per_table
         self._entries: Dict[int, Dict[int, _Entry]] = {}
         self.stats = CacheStats()
@@ -135,12 +135,19 @@ class SnapshotCache:
             value = entry.derived[name] = compute()
             return value
 
-    def invalidate(self, table_id: Optional[int] = None) -> None:
-        """Drop cached snapshots (all tables, or one) — e.g. on node restart."""
+    def invalidate(
+        self, table_id: Optional[int] = None, below: Optional[int] = None
+    ) -> None:
+        """Drop cached snapshots: all tables (e.g. on node restart), one
+        table, or one table's snapshots at sequences below ``below``."""
         if table_id is None:
             self._entries.clear()
-        else:
+        elif below is None:
             self._entries.pop(table_id, None)
+        else:
+            versions = self._entries.get(table_id, {})
+            for seq in [seq for seq in versions if seq < below]:
+                del versions[seq]
 
     # -- internals -----------------------------------------------------------
 
@@ -158,13 +165,11 @@ class SnapshotCache:
     ) -> TableSnapshot:
         if base.sequence_id >= sequence_id:
             return base
-        manifests = self._load_manifests(table_id, base.sequence_id, sequence_id)
+        manifests = self.load_manifests(table_id, base.sequence_id, sequence_id)
         self.stats.manifests_replayed += len(manifests)
         snapshot = base
-        for seq, committed_at, actions in manifests:
-            snapshot = snapshot.apply_manifest(
-                actions, seq, committed_at, self._retention
-            )
+        for seq, __, actions in manifests:
+            snapshot = snapshot.apply_manifest(actions, seq)
         return snapshot
 
     def _remember(

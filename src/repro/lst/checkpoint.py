@@ -3,11 +3,12 @@
 A checkpoint is a single file holding the fully reconciled table state as
 of a sequence id.  Readers load the newest checkpoint at or below their
 snapshot sequence and replay only the manifest tail — bounding
-reconstruction cost regardless of table age.  Because a snapshot carries
-only the tombstones inside retention, so does its checkpoint: the file
-holds one retention window of removals, not the table's whole history.
-It writes each removal as a bare path, grouped by the commit that made
-it (:meth:`~repro.lst.snapshot.TableSnapshot.to_dict`).
+reconstruction cost regardless of table age.  A checkpoint holds the
+live files and DVs and nothing else: no record of what was removed, so
+its size follows the table's live file count, not its age.  Garbage
+collection needs no removal history (:mod:`repro.sto.gc` keeps files by
+reachability from the log), and a document that still carries a
+``tombstones`` key is rejected as :class:`FileFormatError`.
 
 On disk a checkpoint is one frame of the metadata codec
 (:mod:`repro.lst.codec`, the manifests' codec) holding its compact JSON

@@ -47,8 +47,7 @@ MEM_LEVEL = 8
 #: most common template (``add_file``) sits at the end, nearest the data.
 PRESET = (
     b'{"sequence_id":,"created_at":,"snapshot":{"sequence_id":,"files":[],'
-    b'"dvs":[],"tombstones":[{"removed_at":,"removed_seq":,'
-    b'"data":["internal//tables//data/.rpf"],"dv":[]}]},"mixed":true}}['
+    b'"dvs":[]},"mixed":true}}['
     b'{"action":"remove_dv","name":".rdv","target_file":".rpf"},'
     b'{"action":"remove_file","name":".rpf"},'
     b'{"action":"add_dv","dv":{"name":".rdv","path":"internal//tables//dv/.rdv",'

@@ -369,7 +369,6 @@ class QueryOptimizer:
             sequence_id=snapshot.sequence_id,
             files=kept,
             dvs={n: dv for n, dv in snapshot.dvs.items() if n in kept},
-            tombstones=snapshot.tombstones,
         )
 
     def _load_index(self, row: Dict[str, Any]) -> SortedRunIndex:

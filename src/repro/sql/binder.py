@@ -5,6 +5,13 @@ compilation (Section 3.3): it resolves names against the catalog, pushes
 single-table predicates (and zone-map prune conjuncts) down into the
 scans, plans a left-deep join tree in FROM order, and lowers aggregates,
 HAVING, ORDER BY and LIMIT onto the plan algebra.
+
+**Integer literals are ``int64``.**  Integer literal arithmetic (``+``,
+``-``, ``*`` of integer literals, a unary minus included) is folded here,
+exactly, in Python integers, into one literal.  A literal, or a folded
+result, outside ``int64`` rejects the statement with :class:`PlanError`.
+SQLite would go on in REAL; this engine evaluates integers as ``int64``
+and refuses rather than wrap or compare against a rounded value.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ from repro.sql.lexer import SqlSyntaxError
 _AGG_MAP = {"SUM": "sum", "MIN": "min", "MAX": "max", "AVG": "avg"}
 _PRUNABLE_OPS = {"==", "<", "<=", ">", ">="}
 _COMPARISON_OPS = _PRUNABLE_OPS | {"!="}
+_FOLDED_OPS = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__}
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class Binder:
@@ -365,8 +374,13 @@ class Binder:
                 self._resolve_owner(expr, tables)
             return Col(expr.name)
         if isinstance(expr, SLiteral):
+            if type(expr.value) is int:
+                _int64(expr.value, str(expr.value))
             return Lit(expr.value)
         if isinstance(expr, SBin):
+            folded = _folded(expr)
+            if folded is not None:
+                return Lit(folded)
             if expr.op in _COMPARISON_OPS and not aggs_ok:
                 self._check_comparable(expr.left, expr.right, tables)
             return BinOp(
@@ -385,6 +399,9 @@ class Binder:
             like = Like(self._bind_expr(expr.arg, tables, aggs_ok), expr.pattern)
             return Not(like) if expr.negated else like
         if isinstance(expr, SIn):
+            for value in expr.values:
+                if type(value) is int:
+                    _int64(value, str(value))
             if not aggs_ok:
                 for value in expr.values:
                     self._check_comparable(expr.arg, SLiteral(value), tables)
@@ -479,6 +496,26 @@ class Binder:
                 out.append((conjunct.arg.name, "<=", conjunct.high.value))
             return out
         return []
+
+
+def _folded(expr) -> Optional[int]:
+    """The value of integer literal arithmetic, computed in Python ints
+    (None if ``expr`` is anything else); a result outside ``int64``
+    raises :class:`PlanError` (see the module doc)."""
+    if isinstance(expr, SLiteral):
+        return expr.value if type(expr.value) is int else None
+    if not (isinstance(expr, SBin) and expr.op in _FOLDED_OPS):
+        return None
+    left, right = _folded(expr.left), _folded(expr.right)
+    if left is None or right is None:
+        return None
+    return _int64(_FOLDED_OPS[expr.op](left, right), f"{left} {expr.op} {right}")
+
+
+def _int64(value: int, what: str) -> int:
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise PlanError(f"integer literal {what} is outside int64")
+    return value
 
 
 def _flatten_and(expr) -> List:

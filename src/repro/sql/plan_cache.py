@@ -15,16 +15,19 @@ the caller's transaction).  An entry remembers the commit sequence of the
 newest install into ``Tables`` read *before* binding, and is used only
 while that sequence is unchanged; recovery and restore clear the cache.
 
-**Where literals go.**  The binder copies a literal into exactly two
-places: a :class:`~repro.engine.expressions.Lit` and the constant of a
-``TableScan.prune`` triple.  A plan is stored only when every literal
-token is found in such a *slot* by ``(type, value)`` and the literals are
-pairwise unequal, so each slot belongs to exactly one token.  A literal
-that lands anywhere else (``LIMIT``, ``IN`` lists, ``LIKE`` patterns,
-``SUBSTRING`` bounds, ``DATE`` strings) has no slot, so such statements
-always compile.  The binder merges aggregates by ``==``, so a variant
-whose literals equal each other, or equal a constant the plan holds that
-no token produced (``TRUE``, the ``0`` of a unary minus), compiles too.
+**Where literals go.**  A unary minus and the integer after it are one
+literal, as the binder folds them.  The binder copies a literal into
+exactly two places: a :class:`~repro.engine.expressions.Lit` and the
+constant of a ``TableScan.prune`` triple.  A plan is stored only when
+every literal token is found in such a *slot* by ``(type, value)`` and
+the literals are pairwise unequal, so each slot belongs to exactly one
+token.  A literal that lands anywhere else (``LIMIT``, ``IN`` lists,
+``LIKE`` patterns, ``SUBSTRING`` bounds, ``DATE`` strings) has no slot,
+so such statements always compile, and so does a statement with an
+integer literal outside ``int64`` (the binder rejects it).  The binder
+merges aggregates by ``==``, so a variant whose literals equal each
+other, or equal a constant the plan holds that no token produced
+(``TRUE``, the ``0`` of a unary minus), compiles too.
 
 The cache is process memory, one per
 :class:`~repro.fe.context.ServiceContext`, LRU over :data:`CAPACITY`
@@ -69,18 +72,25 @@ class Shape:
             return None
         key: List[Any] = []
         literals: List[Any] = []
-        for token in tokens:
+        for at, token in enumerate(tokens):
             if token.kind == "number" or token.kind == "string":
                 value = literal_of(token)
+                if type(value) is int and _unary_minus(tokens, at - 1):
+                    # The binder folds ``-5`` into the literal -5.
+                    key.pop()
+                    value = -value
                 literals.append(value)
                 key.append(type(value))
             else:
                 key.append(token.value)
         # A set merges 1, 1.0 and True as the binder's ``==`` does.  A
         # unary minus binds as ``0 - x``: its ``0`` would pass for a
-        # literal 0 in the slot search.
-        cacheable = len(set(literals)) == len(literals) and not (
-            "-" in key and 0 in literals
+        # literal 0 in the slot search.  An integer outside int64 must
+        # reach the binder, which rejects it.
+        cacheable = (
+            len(set(literals)) == len(literals)
+            and not ("-" in key and 0 in literals)
+            and all(-(2**63) <= v < 2**63 for v in literals if type(v) is int)
         )
         return cls(tuple(key), tuple(literals), cacheable)
 
@@ -164,6 +174,24 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every entry (process restart: the cache is process memory)."""
         self._entries.clear()
+
+
+#: Tokens after which a ``-`` is binary: those that end an operand.
+_OPERAND_ENDS = {"number", "string", "ident"}
+
+
+def _unary_minus(tokens: List[Token], at: int) -> bool:
+    """Whether ``tokens[at]`` is a unary minus."""
+    if at < 0 or tokens[at].kind != "op" or tokens[at].value != "-":
+        return False
+    if at == 0:
+        return True
+    before = tokens[at - 1]
+    return not (
+        before.kind in _OPERAND_ENDS
+        or (before.kind == "op" and before.value == ")")
+        or (before.kind == "keyword" and before.value in ("TRUE", "FALSE", "END", "NULL"))
+    )
 
 
 def _map_slots(node: Any, fn: Callable[[Any], Any]) -> Any:

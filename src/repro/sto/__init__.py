@@ -7,9 +7,8 @@ statistics) and runs background operations without user intervention:
   fragmentation from deletes) in their own snapshot-isolated transaction;
 * :mod:`checkpointer` — collapse manifest prefixes into checkpoint files
   once a table accumulates enough manifests;
-* :mod:`gc` — garbage-collect unreferenced files: aborted-transaction
-  orphans and retention-expired removed files, with shared-lineage (clone)
-  awareness;
+* :mod:`gc` — garbage-collect what no table's log inside retention
+  reaches (removed files, aborted-transaction orphans), across clones;
 * :mod:`publisher` — publish committed snapshots as Delta-format metadata
   for other engines (Section 5.4);
 * :mod:`health` — the storage-health timeline behind Figure 10.

@@ -1,38 +1,33 @@
-"""Garbage collection (Section 5.3).
+"""Garbage collection (Section 5.3): keep what the log reaches.
 
-GC reconstructs every table's state from its full manifest list and sorts
-data/DV files into an *active* set (live files, and removed files still
-needed by a readable snapshot) and an *inactive* set (removed files no
-readable snapshot needs).  Zero-copy clones create shared lineage, so the
-sets are accumulated across all tables and a file in any active set is
-always retained.
+One horizon H decides what is readable: ``min(now - retention, the
+oldest open transaction's begin)``.  Every ``AS OF`` read inside
+retention and every open transaction's snapshot is at or after H.  For
+each table GC takes the state at H — the newest manifest committed
+below it, else the truncation mark — and builds the table's *keep set*:
 
-One horizon decides what is readable: ``min(now - retention, the oldest
-open transaction's begin)``.  ``AS OF`` reads inside retention and every
-open transaction's snapshot are at or after it.  Below it, and only
-below it, GC expires a tombstone, truncates the manifest log and drops a
-checkpoint.  Per table it keeps the newest checkpoint at or before the
-state at the horizon and the manifest row that checkpoint covers: every
-readable state replays from there, and the row anchors the edge for
-``AS OF`` and ``clone_table(as_of=)``.
+* every data file and DV live in the state at H;
+* every data file and DV added by a manifest committed after H.
 
-A snapshot only carries the tombstones inside retention as of the table's
-last commit (:meth:`repro.lst.snapshot.TableSnapshot.apply_manifest`), so
-the inactive set holds just the removals that expired *since* that
-commit.  A file whose tombstone already expired at replay is in neither
-set and falls to the orphan rule below, which deletes it — unless an open
-transaction's snapshot still holds it: each of those snapshots is kept
-whole.
+A readable state is the state at H with the tail's manifests applied up
+to some point, so it names only files of the keep set.  Zero-copy clones
+share files, so the keep sets of all tables are taken together.  A data
+or DV blob in no keep set is deleted once its creation stamp (its
+creator transaction's begin, else its creation time) is older than the
+oldest open transaction's begin: that is the paper's orphan rule, and
+it covers a file removed before H, an aborted transaction's leftovers
+and a compaction's losing output alike.  A blob stamped later may be
+the private file of a transaction still running, and stays.
 
-Files on storage in neither set are either private files of in-flight
-transactions or leftovers of aborted/failed ones.  The paper's rule
-distinguishes them by the creation stamp: a file stamped before the
-minimum begin timestamp of every currently executing transaction cannot
-belong to any of them and is safe to delete.
-
-Truncating a table's manifest log is recorded in ``Truncations``: from
-then on its checkpoint, not replay, is the record of the truncated
-prefix (:mod:`repro.fe.manifest_io`).
+Below H GC also truncates the manifest log and drops checkpoints.  Per
+table it keeps the newest checkpoint at or before the state at H and the
+manifest row that checkpoint covers: every readable state replays from
+there, and the row anchors the edge for ``AS OF`` and
+``clone_table(as_of=)``.  Truncating a table's log is recorded in
+``Truncations``: from then on its checkpoint, not replay, is the record
+of the truncated prefix (:mod:`repro.fe.manifest_io`).  The manifest and
+checkpoint blobs whose catalog rows a pass removes are deleted in the
+same pass.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ from typing import Dict, List, Set
 from repro.chaos.crashpoints import crashpoint
 from repro.common.errors import SimulatedCrash
 from repro.fe.context import ServiceContext
+from repro.lst.actions import AddDataFile, AddDeletionVector
 from repro.lst.snapshot import TableSnapshot
 from repro.sqldb import system_tables as catalog
 
@@ -52,15 +48,16 @@ class GcReport:
     """What one garbage-collection run did."""
 
     scanned: int = 0
+    #: Blobs some table still reaches (a keep set, the log, an index).
     active: int = 0
-    deleted_expired: List[str] = field(default_factory=list)
-    deleted_orphans: List[str] = field(default_factory=list)
+    deleted: List[str] = field(default_factory=list)
+    #: Unreached blobs stamped at or after the oldest open begin.
     retained_recent: List[str] = field(default_factory=list)
 
     @property
     def deleted_total(self) -> int:
         """Total files physically deleted."""
-        return len(self.deleted_expired) + len(self.deleted_orphans)
+        return len(self.deleted)
 
 
 def run_garbage_collection(context: ServiceContext) -> GcReport:
@@ -68,8 +65,6 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
     now = context.clock.now
     retention = context.config.sto.retention_period_s
     min_active_ts = context.sqldb.min_active_begin_ts()
-    #: The commit sequence each open transaction reads tables as of.
-    readers = {txn.begin_seq for txn in context.sqldb.active_transactions}
 
     def below_horizon(stamp: float) -> bool:
         """Whether ``stamp`` is below the horizon ``min(now - retention,
@@ -80,12 +75,8 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
         )
 
     active: Set[str] = set()
-    inactive: Set[str] = set()
-
-    def keep_files(snapshot: TableSnapshot) -> None:
-        active.update(info.path for info in snapshot.files.values())
-        active.update(info.path for info in snapshot.dvs.values())
-
+    # Manifest and checkpoint blobs whose catalog rows this pass removes.
+    dropped: Set[str] = set()
     stale_checkpoints = []  # (table_id, sequence_id, path)
     stale_manifests = []  # (table_id, sequence_id)
     manifest_refs: Dict[str, int] = {}
@@ -113,7 +104,6 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
             )
             base = catalog.latest_checkpoint(txn, table_id, at_horizon)
             base_seq = 0 if base is None else base["sequence_id"]
-            newest_seq = rows[-1]["sequence_id"] if rows else 0
             for row in rows:
                 # Manifest-log truncation.  (Clones share manifest files,
                 # so the blob itself is only deleted once no table
@@ -126,21 +116,7 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
                 else:
                     active.add(row["manifest_path"])
             if rows:
-                snapshot = context.cache.get(table_id, newest_seq)
-                keep_files(snapshot)
-                for tomb in snapshot.tombstones:
-                    if below_horizon(tomb.removed_at):
-                        inactive.add(tomb.path)
-                    else:
-                        active.add(tomb.path)
-                # Each open transaction's snapshot stays whole, even once
-                # replay has dropped a tombstone its reads still need.
-                pinned = {
-                    max((r["sequence_id"] for r in rows if r["sequence_id"] <= seq), default=0)
-                    for seq in readers
-                }
-                for seq in sorted(pinned - {0, newest_seq}):
-                    keep_files(context.cache.get(table_id, seq))
+                active |= _keep_set(context, table_id, at_horizon, rows[-1]["sequence_id"])
             # Secondary indexes: the catalog row pins the current index
             # blob; superseded blobs (a rebuild writes a new path) fall
             # through to the orphan rule below.
@@ -150,7 +126,7 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
             # serve a readable snapshot again.
             for ckpt in catalog.checkpoints_for_table(txn, table_id):
                 if ckpt["sequence_id"] < base_seq:
-                    inactive.add(ckpt["path"])
+                    dropped.add(ckpt["path"])
                     stale_checkpoints.append(
                         (table_id, ckpt["sequence_id"], ckpt["path"])
                     )
@@ -163,10 +139,7 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
     # table has truncated it.
     for path, removed in manifest_unrefs.items():
         if removed >= manifest_refs.get(path, 0):
-            inactive.add(path)
-        else:
-            active.add(path)
-    inactive -= active
+            dropped.add(path)
 
     if stale_checkpoints or stale_manifests:
         crashpoint("sto.gc.before_catalog_cleanup")
@@ -187,13 +160,10 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
             if cleanup.state.value == "active":
                 cleanup.abort()
             raise
-        if stale_manifests:
-            # Cached snapshots may straddle the truncated prefix; drop them
-            # so every future reconstruction starts from a checkpoint.
-            context.cache.invalidate()
-
-    # Shared lineage: active wins over inactive.
-    inactive -= active
+        # A cached snapshot below a table's truncation mark would extend
+        # over manifests that are gone; one at or above it stays valid.
+        for table_id, sequence_id in truncated.items():
+            context.cache.invalidate(table_id, below=sequence_id)
 
     report = GcReport()
 
@@ -201,34 +171,42 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
         """Physically delete one blob (the crash-prone step of the scan)."""
         crashpoint("sto.gc.mid_delete")
         context.store.delete(path)
+        report.deleted.append(path)
 
     prefix = f"internal/{context.database}/tables/"
     for blob in list(context.store.list(prefix)):
         report.scanned += 1
         if blob.path in active:
             report.active += 1
-            continue
-        if blob.path in inactive:
+        elif blob.path in dropped:
             delete_blob(blob.path)
-            report.deleted_expired.append(blob.path)
-            continue
-        # Neither set: in-flight private file or aborted-transaction orphan.
-        created = _creation_stamp(blob)
-        if min_active_ts is None or created < min_active_ts:
+        elif min_active_ts is None or creation_stamp(blob) < min_active_ts:
+            # Reached by no table, and no running transaction can own it.
             delete_blob(blob.path)
-            report.deleted_orphans.append(blob.path)
         else:
             report.retained_recent.append(blob.path)
-    context.bus.publish(
-        "gc.completed",
-        deleted=report.deleted_total,
-        orphans=len(report.deleted_orphans),
-        expired=len(report.deleted_expired),
-    )
+    context.bus.publish("gc.completed", deleted=report.deleted_total)
     return report
 
 
-def _creation_stamp(blob) -> float:
+def _keep_set(
+    context: ServiceContext, table_id: int, at_horizon: int, newest: int
+) -> Set[str]:
+    """The data files and DVs a readable state of ``table_id`` may name:
+    those live in the state at the horizon and those its log tail adds."""
+    snapshot = context.cache.get(table_id, at_horizon) if at_horizon else TableSnapshot()
+    keep = {info.path for info in snapshot.files.values()}
+    keep.update(info.path for info in snapshot.dvs.values())
+    for __, __, actions in context.cache.load_manifests(table_id, at_horizon, newest):
+        for action in actions:
+            if isinstance(action, AddDataFile):
+                keep.add(action.file.path)
+            elif isinstance(action, AddDeletionVector):
+                keep.add(action.dv.path)
+    return keep
+
+
+def creation_stamp(blob) -> float:
     """The GC timestamp of a blob: creator txn begin time, else creation time."""
     stamp = blob.metadata.get("creator_begin_ts")
     if stamp is not None:

@@ -181,8 +181,8 @@ class TestFrozenMutation:
     def test_flags_object_setattr_bypass(self):
         findings = run(
             """\
-            def poke(tomb: Tombstone):
-                object.__setattr__(tomb, "path", "x")
+            def poke(info: DataFileInfo):
+                object.__setattr__(info, "path", "x")
             """,
             "frozen-mutation",
         )

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Schema, Warehouse
 from repro.chaos import ChaosController, RecoveryManager, SimulatedCrash
+from repro.chaos.harness import check_storage_bounded
 from repro.engine.expressions import BinOp, Col, Lit
 from repro.sqldb import system_tables as catalog
 
@@ -25,10 +26,11 @@ def aged(config):
     session.insert("t", batch(0, 200))
     session.insert("t", batch(200, 20))
     session.delete("t", BinOp("<", Col("id"), Lit(20)))
-    dw.sto.run_compaction(table_id)  # removed files become tombstones
+    dw.sto.run_compaction(table_id)  # removes the rewritten files
     dw.sto.run_checkpoint(table_id)
-    # Age everything past retention so tombstones and stale metadata are
-    # GC-eligible, then add fresh (well within retention) state on top.
+    # Age everything past retention so the removed files fall out of every
+    # keep set and stale metadata is GC-eligible, then add fresh (well
+    # within retention) state on top.
     dw.clock.advance(config.sto.retention_period_s + 60.0)
     session.insert("t", batch(1000, 50))
     return dw, session, table_id
@@ -62,7 +64,7 @@ class TestGcCrashSafety:
 
         RecoveryManager(dw.context, sto=dw.sto).recover()
         report = dw.sto.run_gc()
-        deleted = set(report.deleted_expired) | set(report.deleted_orphans)
+        deleted = set(report.deleted)
         assert not deleted & protected
         for path in protected:
             assert dw.store.exists(path), path
@@ -92,6 +94,7 @@ class TestGcCrashSafety:
                 dw.sto.run_gc()
         RecoveryManager(dw.context, sto=dw.sto).recover()
         dw.sto.run_gc()
+        assert check_storage_bounded(dw.context) == []
         second = dw.sto.run_gc()
-        assert second.deleted_orphans == []
+        assert second.deleted == []
         assert second.retained_recent == []

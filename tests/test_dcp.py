@@ -1,7 +1,5 @@
 """Tests for the DCP: cells, DAGs, scheduling, retry, elasticity, WLM."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -50,7 +48,7 @@ class TestCells:
         snap = TableSnapshot().apply_manifest(
             [AddDataFile(df("a", dist=0)), AddDataFile(df("b", dist=1)),
              AddDataFile(df("c", dist=0))],
-            1, 0.0, math.inf,
+            1,
         )
         cells = cells_for_snapshot(7, snap, distributions=2)
         assert len(cells) == 2
@@ -64,8 +62,7 @@ class TestCells:
 
     def test_cell_metrics(self):
         snap = TableSnapshot().apply_manifest(
-            [AddDataFile(df("a", rows=5)), AddDataFile(df("b", rows=7))], 1, 0.0,
-            math.inf,
+            [AddDataFile(df("a", rows=5)), AddDataFile(df("b", rows=7))], 1
         )
         cell = cells_for_snapshot(7, snap, 1)[0]
         assert cell.num_rows == 12

@@ -83,7 +83,7 @@ class TestTaskRetry:
         }
         orphans = on_disk - live
         report = dw.sto.run_gc()
-        assert orphans <= set(report.deleted_orphans)
+        assert orphans <= set(report.deleted)
         assert dw.session().query(count())["n"][0] == 100
 
 

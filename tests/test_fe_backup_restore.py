@@ -103,6 +103,6 @@ def test_restore_then_gc_reclaims_unreferenced(dw):
     orphaned = newer_files - restored_files
     assert orphaned
     report = dw.sto.run_gc()
-    assert set(report.deleted_orphans) >= orphaned
+    assert set(report.deleted) >= orphaned
     # Restored table still fully readable.
     assert dw.session().query(count("t"))["n"][0] == 10

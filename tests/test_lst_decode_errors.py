@@ -12,7 +12,6 @@ its document (:func:`~repro.lst.checkpoint.encode_document` /
 """
 
 import json
-import math
 import zlib
 
 import pytest
@@ -196,18 +195,27 @@ def test_malformed_checkpoint_frames(frame):
         Checkpoint.from_bytes(frame(GOOD_CHECKPOINT), CHECKPOINT)
 
 
+#: One removing commit's group as the tombstone format wrote it.
+OLD_GROUP = {"removed_at": 2.0, "removed_seq": 6, "data": ["p/a"], "dv": ["p/d", "p/e"]}
+
+
 def _group_with(key, value):
+    """GOOD_CHECKPOINT in the tombstone format: one group, ``key`` set to
+    ``value``."""
     raw = decode_document(GOOD_CHECKPOINT)
-    [group] = raw["snapshot"]["tombstones"]
-    group[key] = value
+    raw["snapshot"]["tombstones"] = [dict(OLD_GROUP, **{key: value})]
     return encode_document(raw)
 
 
-def test_checkpoint_groups_tombstones_by_commit():
-    [group] = decode_document(GOOD_CHECKPOINT)["snapshot"]["tombstones"]
-    assert group == {
-        "removed_at": 2.0, "removed_seq": 6, "data": ["p/a"], "dv": ["p/d", "p/e"]
-    }
+def test_a_checkpoint_with_a_tombstones_key_is_rejected():
+    raw = decode_document(GOOD_CHECKPOINT)
+    assert set(raw["snapshot"]) == {"sequence_id", "files", "dvs"}
+    raw["snapshot"]["tombstones"] = [OLD_GROUP]
+    with pytest.raises(FileFormatError, match=f"{CHECKPOINT}.*tombstones"):
+        Checkpoint.from_bytes(encode_document(raw), CHECKPOINT)
+    raw["snapshot"]["tombstones"] = []
+    with pytest.raises(FileFormatError, match=f"{CHECKPOINT}.*tombstones"):
+        Checkpoint.from_bytes(encode_document(raw), CHECKPOINT)
 
 
 @pytest.mark.parametrize(
@@ -220,6 +228,8 @@ def test_checkpoint_groups_tombstones_by_commit():
     ],
 )
 def test_listed_malformed_tombstone_groups(key, value):
+    """A checkpoint in the tombstone format is rejected, never half-read,
+    whatever its groups hold."""
     with pytest.raises(FileFormatError, match=CHECKPOINT):
         Checkpoint.from_bytes(_group_with(key, value), CHECKPOINT)
 
@@ -350,6 +360,6 @@ def test_type_confused_removals_fail_decode_or_replay_cleanly(data):
         assert MANIFEST in str(exc)
         return
     try:
-        BASE.apply_manifest(actions, 6, 2.0, math.inf)
+        BASE.apply_manifest(actions, 6)
     except FileFormatError:
         pass

@@ -1,7 +1,5 @@
 """Tests for snapshot reconstruction and checkpoints."""
 
-import math
-
 import pytest
 
 from repro.common.errors import FileFormatError
@@ -36,14 +34,14 @@ class TestReplay:
 
     def test_add_files(self):
         snap = TableSnapshot().apply_manifest(
-            [AddDataFile(df("a", 5)), AddDataFile(df("b", 7))], 1, 0.0, math.inf
+            [AddDataFile(df("a", 5)), AddDataFile(df("b", 7))], 1
         )
         assert snap.live_rows == 12
         assert snap.sequence_id == 1
 
     def test_apply_is_persistent(self):
         base = TableSnapshot()
-        base.apply_manifest([AddDataFile(df("a"))], 1, 0.0, math.inf)
+        base.apply_manifest([AddDataFile(df("a"))], 1)
         assert base.live_rows == 0  # original untouched
 
     def test_dv_reduces_live_rows(self):
@@ -63,15 +61,13 @@ class TestReplay:
         assert snap.live_rows == 5
         assert snap.dv_for("a").name == "d2"
 
-    def test_remove_file_creates_tombstone(self):
+    def test_remove_file_leaves_no_record(self):
         snap = replay([
             (1, 0.0, [AddDataFile(df("a"))]),
             (2, 9.0, [RemoveDataFile("a")]),
         ])
         assert snap.live_rows == 0
-        assert len(snap.tombstones) == 1
-        assert snap.tombstones[0].removed_at == 9.0
-        assert snap.tombstones[0].removed_seq == 2
+        assert snap.to_dict() == {"sequence_id": 2, "files": [], "dvs": []}
 
     def test_remove_file_retires_its_dv(self):
         snap = replay([
@@ -79,47 +75,45 @@ class TestReplay:
             (2, 1.0, [RemoveDataFile("a")]),
         ])
         assert snap.dv_for("a") is None
-        kinds = sorted(t.kind for t in snap.tombstones)
-        assert kinds == ["data", "dv"]
+        assert snap.dvs == {}
 
-    def test_tombstone_paths_come_from_the_live_descriptors(self):
+    def test_removes_drop_exactly_what_they_name(self):
         snap = replay([
             (1, 0.0, [AddDataFile(df("a")), AddDataFile(df("b")),
                       AddDeletionVector(dv("da", "a")),
                       AddDeletionVector(dv("db", "b"))]),
             (2, 1.0, [RemoveDataFile("a"), RemoveDeletionVector("db", "b")]),
         ])
-        assert [(t.kind, t.path) for t in snap.tombstones] == [
-            ("data", "p/a"), ("dv", "p/da"), ("dv", "p/db"),
-        ]
+        assert set(snap.files) == {"b"}
+        assert snap.dvs == {}
 
     def test_duplicate_add_rejected(self):
-        snap = TableSnapshot().apply_manifest([AddDataFile(df("a"))], 1, 0.0, math.inf)
+        snap = TableSnapshot().apply_manifest([AddDataFile(df("a"))], 1)
         with pytest.raises(FileFormatError, match="duplicate add"):
-            snap.apply_manifest([AddDataFile(df("a"))], 2, 1.0, math.inf)
+            snap.apply_manifest([AddDataFile(df("a"))], 2)
 
     def test_remove_unknown_file_rejected(self):
         with pytest.raises(FileFormatError, match="unknown data file"):
             TableSnapshot().apply_manifest(
-                [RemoveDataFile("ghost")], 1, 0.0, math.inf
+                [RemoveDataFile("ghost")], 1
             )
 
     def test_dv_on_unknown_file_rejected(self):
         with pytest.raises(FileFormatError, match="unknown data file"):
             TableSnapshot().apply_manifest(
-                [AddDeletionVector(dv("d", "ghost"))], 1, 0.0, math.inf
+                [AddDeletionVector(dv("d", "ghost"))], 1
             )
 
     def test_double_dv_without_remove_rejected(self):
         snap = replay([(1, 0.0, [AddDataFile(df("a")), AddDeletionVector(dv("d1", "a"))])])
         with pytest.raises(FileFormatError, match="already has a DV"):
-            snap.apply_manifest([AddDeletionVector(dv("d2", "a"))], 2, 1.0, math.inf)
+            snap.apply_manifest([AddDeletionVector(dv("d2", "a"))], 2)
 
     def test_remove_wrong_dv_rejected(self):
         snap = replay([(1, 0.0, [AddDataFile(df("a")), AddDeletionVector(dv("d1", "a"))])])
         with pytest.raises(FileFormatError, match="unknown DV"):
             snap.apply_manifest(
-                [RemoveDeletionVector("other", "a")], 2, 1.0, math.inf
+                [RemoveDeletionVector("other", "a")], 2
             )
 
     def test_replay_skips_already_applied(self):
@@ -157,22 +151,21 @@ class TestCheckpointEquivalence:
         assert resumed.files == full.files
         assert resumed.dvs == full.dvs
         assert resumed.sequence_id == full.sequence_id
-        assert resumed.tombstones == full.tombstones
 
-    def test_one_commit_is_one_group_with_data_before_dvs(self):
+    def test_a_checkpoint_holds_only_the_live_state(self):
         snap = replay([
             (1, 0.0, [AddDataFile(df("a")), AddDataFile(df("b")),
                       AddDeletionVector(dv("da", "a")),
                       AddDeletionVector(dv("db", "b"))]),
-            (2, 1.5, [RemoveDataFile("a"), RemoveDataFile("b")]),
+            (2, 1.5, [RemoveDataFile("a")]),
         ])
-        assert [t.path for t in snap.tombstones] == ["p/a", "p/b", "p/da", "p/db"]
-        assert snap.to_dict()["tombstones"] == [{
-            "removed_at": 1.5, "removed_seq": 2,
-            "data": ["p/a", "p/b"], "dv": ["p/da", "p/db"],
-        }]
+        assert snap.to_dict() == {
+            "sequence_id": 2,
+            "files": [df("b").to_dict()],
+            "dvs": [dv("db", "b").to_dict()],
+        }
         restored = Checkpoint.from_bytes(Checkpoint.of(snap, 0.0).to_bytes())
-        assert restored.snapshot.tombstones == snap.tombstones
+        assert restored.snapshot == snap
 
     def test_checkpoint_serialization_roundtrip(self):
         snap = replay(self.manifests())

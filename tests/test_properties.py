@@ -11,7 +11,6 @@ Covered invariants:
 plus deletion-vector algebra and page-file roundtrips.
 """
 
-import math
 
 import numpy as np
 import pytest
@@ -151,7 +150,7 @@ def manifest_histories(draw):
             live[name] = None
         elif choice == 1:
             # One commit may retire several files (as compaction does),
-            # some with a DV: its tombstones form one checkpoint group.
+            # some with a DV.
             names = draw(
                 st.lists(st.sampled_from(sorted(live)), min_size=1, unique=True)
             )
@@ -184,7 +183,6 @@ def test_checkpoint_equivalence(history, cut):
     resumed = replay(history[cut:], base=restored)
     assert resumed.files == full.files
     assert resumed.dvs == full.dvs
-    assert resumed.tombstones == full.tombstones
 
 
 @given(manifest_histories())
@@ -209,7 +207,7 @@ def test_reconcile_net_actions_replayable(history):
     # Keep only actions about private (this-transaction) objects: the
     # histories above start from empty, so everything is private.
     net, orphans = reconcile_actions(all_actions)
-    snapshot = TableSnapshot().apply_manifest(net, 1, 0.0, math.inf)
+    snapshot = TableSnapshot().apply_manifest(net, 1)
     live_paths = {f.path for f in snapshot.files.values()}
     live_paths |= {d.path for d in snapshot.dvs.values()}
     # Orphans are disjoint from what the manifest still references.
@@ -241,7 +239,7 @@ def transaction_statements(draw):
         if draw(st.booleans()):
             live[name] = f"cd{name}"
             base_actions.append(AddDeletionVector(_dv(live[name], name)))
-    base = TableSnapshot().apply_manifest(base_actions, 1, 0.0, math.inf)
+    base = TableSnapshot().apply_manifest(base_actions, 1)
     counter = 0
 
     def new_file():
@@ -297,7 +295,7 @@ def flush_context():
 def test_appending_and_rewriting_commit_the_same_table(flush_context, case):
     """A statement that cancels none of its transaction's writes appends
     its blocks; the committed manifest then replays exactly as the
-    reconciled one would — files, DVs, tombstones (in order) and stats.
+    reconciled one would — files, DVs and stats.
     A statement that does cancel one takes the rewrite path, which
     returns every orphan reconciliation finds."""
     base, statements = case
@@ -325,11 +323,10 @@ def test_appending_and_rewriting_commit_the_same_table(flush_context, case):
     assert sorted(returned) == sorted(orphans)
     if not orphans and len(net) == len(appended):
         assert committed == appended
-    ours = base.apply_manifest(committed, 2, 1.0, math.inf)
-    theirs = base.apply_manifest(net, 2, 1.0, math.inf)
+    ours = base.apply_manifest(committed, 2)
+    theirs = base.apply_manifest(net, 2)
     assert ours.files == theirs.files
     assert ours.dvs == theirs.dvs
-    assert ours.tombstones == theirs.tombstones
     sto = StoConfig()
     assert collect_stats(1, ours, sto) == collect_stats(1, theirs, sto)
 

@@ -1,7 +1,5 @@
 """Property-based tests for Z-ordering, the snapshot cache, and scheduling."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,7 +83,6 @@ def test_cache_any_access_pattern_matches_replay(total, accesses, max_versions):
     cache = SnapshotCache(
         load_manifests,
         lambda t, s: None,
-        math.inf,
         max_versions_per_table=max_versions,
     )
     for seq in accesses:

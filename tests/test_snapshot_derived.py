@@ -12,7 +12,6 @@ snapshot implies is derived once per snapshot without ever going stale.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import pytest
@@ -180,7 +179,7 @@ class TestSnapshotDerivedValues:
 class TestSnapshotCacheDerived:
     def _cache(self):
         return SnapshotCache(
-            lambda table_id, lo, hi: [], lambda table_id, seq: None, math.inf
+            lambda table_id, lo, hi: [], lambda table_id, seq: None
         )
 
     def test_computed_once_per_cached_snapshot(self):

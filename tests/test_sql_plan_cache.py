@@ -332,10 +332,12 @@ class TestAlwaysCompiles:
         assert run(sql, text.format("4, 5"))[1] is None
 
     def test_unary_minus_zero_is_not_cached(self, loaded):
-        """``-x`` binds as ``0 - x``: a literal 0 beside it is ambiguous."""
+        """``-bal`` binds as ``0 - bal``: a literal 0 beside it is
+        ambiguous.  (``-5`` is folded into one literal, so it is not.)"""
         sql = SqlSession(loaded.session())
         sql.session._context.plan_cache.clear()
-        text = "SELECT id FROM acct WHERE bal > -{} AND id < {}"
+        assert cacheable("SELECT id FROM acct WHERE bal > -5 AND id < 0")
+        text = "SELECT id FROM acct WHERE -bal < {} AND id < {}"
         assert not cacheable(text.format(5, 0))
         sql.execute(text.format(5, 7))
         assert check_against_compile(sql, text.format(5, 0)) is None

@@ -27,7 +27,11 @@ BY … [LIMIT n]`` over a table of clustered ``int64`` keys and day
 numbers, ties and the two ``int64`` extremes included, in small row
 groups, so zone maps (and the page files' frame-of-reference ``int64``
 zone maps) prune: ``=``, ``<``, ``>=``, ``BETWEEN`` and ``IN`` on the key
-and on dates (``DATE`` literals or bare day numbers).  Each statement
+and on dates (``DATE`` literals or bare day numbers).  A key literal may
+lie just outside ``int64`` or be written as the sum of two; where the
+literal or the sum is outside ``int64`` the statement must raise
+:class:`~repro.common.errors.PlanError` (SQLite's answer is in REAL, see
+:mod:`repro.sql.binder`), otherwise match SQLite.  Each statement
 runs cold and again after a literal variant of it warmed the plan cache
 (a hit whenever the variant's plan was stored); a string literal against either
 column must raise :class:`~repro.common.errors.PlanError` both ways.
@@ -330,6 +334,18 @@ def _keys():
         st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX, 0, -1]),
         st.integers(-50, 3_200),
         st.integers(INT64_MIN, INT64_MAX),
+        # Just outside int64.
+        st.sampled_from([INT64_MIN - 2, INT64_MIN - 1, INT64_MAX + 1, INT64_MAX + 2]),
+    )
+
+
+def _sums():
+    """A key written as the sum of two ``int64`` literals, ``(a, b)``."""
+    edge = st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX])
+    return st.one_of(
+        st.tuples(edge, st.integers(-2, 2)),
+        st.tuples(st.integers(INT64_MIN, INT64_MAX), st.integers(INT64_MIN, INT64_MAX)),
+        st.tuples(st.integers(-50, 3_200), st.integers(-50, 50)),
     )
 
 
@@ -338,20 +354,33 @@ def _days():
 
 
 def _literal(column, value, dates_as_text):
+    if isinstance(value, tuple):
+        return f"{value[0]} + {value[1]}"
     if column == "d" and dates_as_text:
         return f"DATE '{datetime.date.fromordinal(value).isoformat()}'"
     return str(value)
 
 
+def _outside_int64(literals):
+    """Whether a literal, or a sum of two, is outside ``int64``: the
+    binder's ``PlanError``, where SQLite goes on in REAL (the rule of
+    :mod:`repro.sql.binder`)."""
+    return any(
+        not INT64_MIN <= (sum(value) if isinstance(value, tuple) else value) <= INT64_MAX
+        for value in literals
+    )
+
+
 @st.composite
 def conjuncts(draw, column):
     """One ``column`` predicate: a template with ``{}`` per literal, and
-    the literal values."""
-    values = _keys() if column == "k" else _days()
+    the literal values (a key may be a sum, except in an ``IN`` list)."""
+    values = st.one_of(_keys(), _sums()) if column == "k" else _days()
     op = draw(st.sampled_from(["=", "<", ">=", "BETWEEN", "IN"]))
     if op == "BETWEEN":
         return f"{column} BETWEEN {{}} AND {{}}", [draw(values), draw(values)]
     if op == "IN":
+        values = _keys() if column == "k" else values
         items = draw(st.lists(values, min_size=1, max_size=4))
         return f"{column} IN ({', '.join('{}' for __ in items)})", items
     return f"{column} {op} {{}}", [draw(values)]
@@ -390,18 +419,26 @@ def test_generated_statements_match_sqlite(keyed, case, dates_as_text, data):
     template, columns, literals, variant = case
     sql = _render(template, columns, literals, dates_as_text)
     warm = _render(template, columns, variant, dates_as_text)
+
+    def matches_sqlite(text, values):
+        if _outside_int64(values):
+            with pytest.raises(PlanError, match="outside int64"):
+                sql_session.execute(text)
+        else:
+            assert_same_result(sql_session.execute(text), db, text)
+
     cache = sql_session.session._context.plan_cache
     cache.clear()
-    assert_same_result(sql_session.execute(sql), db, sql)  # cold
+    matches_sqlite(sql, literals)  # cold
     cache.clear()
-    sql_session.execute(warm)
+    matches_sqlite(warm, variant)
     # When the variant's plan was stored under the case's own shape (see
     # repro.sql.plan_cache), the case is served from it unless one of its
     # literals is a constant there.
     shape = Shape.of(tokenize(sql))
     stored = cache._entries.get(shape.key) if shape.cacheable else None
     hits = cache.hits.value
-    assert_same_result(sql_session.execute(sql), db, sql)  # after its variant
+    matches_sqlite(sql, literals)  # after its variant
     if stored is not None and not set(shape.literals) & stored.constants:
         assert cache.hits.value == hits + 1, sql
     # A string where a key or a date belongs is a plan error, cold or warm.

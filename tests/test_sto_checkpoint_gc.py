@@ -100,15 +100,14 @@ class TestGarbageCollection:
         private = writer._txn.private_file_paths()
         writer.rollback()
         report = dw.sto.run_gc()
-        assert set(report.deleted_orphans) >= set(private)
+        assert set(report.deleted) >= set(private)
         assert not any(dw.store.exists(p) for p in private)
 
     def test_live_files_never_collected(self, dw, session):
         session.insert("t", ids(10))
         live = {f.path for f in session.table_snapshot("t").files.values()}
         report = dw.sto.run_gc()
-        assert not (set(report.deleted_expired) & live)
-        assert not (set(report.deleted_orphans) & live)
+        assert not (set(report.deleted) & live)
         assert dw.session().query(count())["n"][0] == 10
 
     def test_in_flight_txn_files_retained(self, dw, session):
@@ -128,7 +127,7 @@ class TestGarbageCollection:
         # Merge-on-read delete keeps files; force removal via compaction.
         dw.sto.run_compaction(table_id(dw))
         report = dw.sto.run_gc()
-        assert not (set(report.deleted_expired) & old)
+        assert not (set(report.deleted) & old)
         assert all(dw.store.exists(p) for p in old)
 
     def test_removed_files_collected_after_retention(self, dw, session):
@@ -138,7 +137,7 @@ class TestGarbageCollection:
         dw.sto.run_compaction(table_id(dw))
         dw.clock.advance(dw.config.sto.retention_period_s + 1.0)
         report = dw.sto.run_gc()
-        assert old <= set(report.deleted_expired)
+        assert old <= set(report.deleted)
         assert dw.session().query(count())["n"][0] == 50
 
     def test_clone_shared_lineage_protects_files(self, dw, session):
@@ -150,8 +149,8 @@ class TestGarbageCollection:
         dw.sto.run_compaction(table_id(dw))
         dw.clock.advance(dw.config.sto.retention_period_s + 1.0)
         report = dw.sto.run_gc()
-        # Shared files are in t's inactive set but t2's active set: retained.
-        assert not (shared & set(report.deleted_expired))
+        # t no longer reaches the shared files, but t2 does: retained.
+        assert not (shared & set(report.deleted))
         assert dw.session().query(count("t2"))["n"][0] == 100
 
     def test_gc_publishes_event(self, dw, session):

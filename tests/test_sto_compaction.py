@@ -118,8 +118,7 @@ class TestCompaction:
         # Rewritten files logically removed but physically present.
         assert all(dw.store.exists(p) for p in old_paths)
         snapshot = session.table_snapshot("t")
-        tomb_paths = {t.path for t in snapshot.tombstones}
-        assert old_paths <= tomb_paths
+        assert not old_paths & {f.path for f in snapshot.files.values()}
 
     def test_compaction_conflicts_with_user_delete(self, dw, session):
         """The paper's caveat: compaction can conflict with user txns."""

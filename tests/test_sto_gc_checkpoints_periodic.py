@@ -41,7 +41,7 @@ class TestCheckpointRetention:
         checkpoints = make_checkpoints(dw, 3)
         dw.clock.advance(dw.config.sto.retention_period_s + 1)
         report = dw.sto.run_gc()
-        deleted = set(report.deleted_expired)
+        deleted = set(report.deleted)
         assert checkpoints[0].path in deleted
         assert checkpoints[1].path in deleted
         assert checkpoints[2].path not in deleted  # newest stays
@@ -58,7 +58,7 @@ class TestCheckpointRetention:
     def test_recent_checkpoints_retained(self, dw):
         checkpoints = make_checkpoints(dw, 3)
         report = dw.sto.run_gc()  # no time has passed
-        deleted = set(report.deleted_expired)
+        deleted = set(report.deleted)
         assert not deleted.intersection(c.path for c in checkpoints)
 
     def test_table_readable_after_checkpoint_gc(self, dw):
