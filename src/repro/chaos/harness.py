@@ -46,10 +46,9 @@ from repro.common.errors import (
 )
 from repro.engine.expressions import BinOp, Col, Lit, and_
 from repro.engine.planner import TableScan
-from repro.lst.snapshot import TableSnapshot
 from repro.pagefile.schema import Schema
 from repro.sqldb import system_tables as catalog
-from repro.sto.gc import creation_stamp
+from repro.sto.gc import creation_stamp, horizon_test, sequence_at_horizon, state_at
 from repro.warehouse.warehouse import Warehouse
 
 #: Schema shared by every workload table.
@@ -842,15 +841,10 @@ def check_storage_bounded(context) -> List[str]:
     The readable states of a table are the state at the horizon (its
     newest manifest committed below it) and the state after each later
     manifest; clones share files, so the states of every table count.
-    This replays them one by one rather than asking GC for its keep set.
+    This replays them one by one rather than asking GC for its keep set;
+    the horizon itself is GC's (:func:`repro.sto.gc.horizon_test`).
     """
-    now, retention = context.clock.now, context.config.sto.retention_period_s
-    oldest_begin = context.sqldb.min_active_begin_ts()
-
-    def below(stamp: float) -> bool:
-        """``stamp`` is below ``min(now - retention, oldest_begin)``."""
-        return stamp + retention <= now and (oldest_begin is None or stamp < oldest_begin)
-
+    below = horizon_test(context, context.sqldb.min_active_begin_ts())
     readable: Set[str] = set()
     txn = context.sqldb.begin()
     try:
@@ -858,11 +852,8 @@ def check_storage_bounded(context) -> List[str]:
             rows = catalog.manifests_for_table(txn, table_id)
             if not rows:
                 continue
-            at_horizon = max(
-                (r["sequence_id"] for r in rows if below(r["committed_at"])),
-                default=catalog.truncated_through(txn, table_id),
-            )
-            states = [context.cache.get(table_id, at_horizon) if at_horizon else TableSnapshot()]
+            at_horizon = sequence_at_horizon(txn, table_id, rows, below)
+            states = [state_at(context, table_id, at_horizon)]
             tail = context.cache.load_manifests(table_id, at_horizon, rows[-1]["sequence_id"])
             for seq, __, actions in tail:
                 states.append(states[-1].apply_manifest(actions, seq))

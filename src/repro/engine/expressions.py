@@ -145,8 +145,6 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
             raise PlanError(
                 f"unknown column {expr.name!r}; have {sorted(batch)}"
             ) from None
-    if isinstance(expr, BinOp) and expr.op == "-":
-        expr = _negative_literal(expr)
     if isinstance(expr, Lit):
         return _broadcast(expr.value, rows)
     if isinstance(expr, BinOp):
@@ -223,7 +221,6 @@ def _broadcast(value: Any, rows: int) -> np.ndarray:
 #: The numpy scalar type of each Python scalar, as :func:`_broadcast`
 #: types its column.
 _SCALAR_TYPES = {bool: np.bool_, int: np.int64, float: np.float64}
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _operand(expr: Expr, batch: Batch, rows: int) -> Any:
@@ -236,19 +233,6 @@ def _operand(expr: Expr, batch: Batch, rows: int) -> Any:
         cast = _SCALAR_TYPES.get(type(value))
         return value if cast is None else cast(value)
     return _eval(expr, batch, rows)
-
-
-def _negative_literal(expr: BinOp) -> Expr:
-    """``a - b`` of two ``int`` literals as one literal: SQL's unary minus
-    binds as ``0 - x``, and ``-9223372036854775808`` is an ``int64`` whose
-    magnitude is not.  Anything else is returned as it is."""
-    left, right = expr.left, expr.right
-    if not (isinstance(left, Lit) and isinstance(right, Lit)):
-        return expr
-    if type(left.value) is not int or type(right.value) is not int:
-        return expr
-    value = left.value - right.value
-    return Lit(value) if _INT64_MIN <= value <= _INT64_MAX else expr
 
 
 def _per_entry(values: np.ndarray, compute: Any) -> np.ndarray:

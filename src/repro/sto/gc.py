@@ -33,7 +33,7 @@ same pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.chaos.crashpoints import crashpoint
 from repro.common.errors import SimulatedCrash
@@ -62,18 +62,8 @@ class GcReport:
 
 def run_garbage_collection(context: ServiceContext) -> GcReport:
     """Run one GC pass over the deployment's internal storage."""
-    now = context.clock.now
-    retention = context.config.sto.retention_period_s
     min_active_ts = context.sqldb.min_active_begin_ts()
-
-    def below_horizon(stamp: float) -> bool:
-        """Whether ``stamp`` is below the horizon ``min(now - retention,
-        min_active_ts)``: no read inside retention and no open
-        transaction's snapshot sees the state before it."""
-        return stamp + retention <= now and (
-            min_active_ts is None or stamp < min_active_ts
-        )
-
+    below_horizon = horizon_test(context, min_active_ts)
     active: Set[str] = set()
     # Manifest and checkpoint blobs whose catalog rows this pass removes.
     dropped: Set[str] = set()
@@ -92,16 +82,12 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
                 manifest_refs[row["manifest_path"]] = (
                     manifest_refs.get(row["manifest_path"], 0) + 1
                 )
-            # The state at the horizon is the newest manifest committed
-            # below it (else the truncation mark).  Every read at or after
-            # the horizon replays from the newest checkpoint at or before
-            # that state, so it is kept, with the manifest row it covers
-            # (the anchor ``AS OF`` and clones resolve the edge to); GC
-            # may drop the manifests and checkpoints older than it.
-            at_horizon = max(
-                (row["sequence_id"] for row in rows if below_horizon(row["committed_at"])),
-                default=catalog.truncated_through(txn, table_id),
-            )
+            # Every read at or after the horizon replays from the newest
+            # checkpoint at or before the state at the horizon, so it is
+            # kept, with the manifest row it covers (the anchor ``AS OF``
+            # and clones resolve the edge to); GC may drop the manifests
+            # and checkpoints older than it.
+            at_horizon = sequence_at_horizon(txn, table_id, rows, below_horizon)
             base = catalog.latest_checkpoint(txn, table_id, at_horizon)
             base_seq = 0 if base is None else base["sequence_id"]
             for row in rows:
@@ -116,7 +102,10 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
                 else:
                     active.add(row["manifest_path"])
             if rows:
-                active |= _keep_set(context, table_id, at_horizon, rows[-1]["sequence_id"])
+                tail = context.cache.load_manifests(
+                    table_id, at_horizon, rows[-1]["sequence_id"]
+                )
+                active |= keep_set(state_at(context, table_id, at_horizon), tail)
             # Secondary indexes: the catalog row pins the current index
             # blob; superseded blobs (a rebuild writes a new path) fall
             # through to the orphan rule below.
@@ -189,15 +178,46 @@ def run_garbage_collection(context: ServiceContext) -> GcReport:
     return report
 
 
-def _keep_set(
-    context: ServiceContext, table_id: int, at_horizon: int, newest: int
-) -> Set[str]:
-    """The data files and DVs a readable state of ``table_id`` may name:
-    those live in the state at the horizon and those its log tail adds."""
-    snapshot = context.cache.get(table_id, at_horizon) if at_horizon else TableSnapshot()
-    keep = {info.path for info in snapshot.files.values()}
-    keep.update(info.path for info in snapshot.dvs.values())
-    for __, __, actions in context.cache.load_manifests(table_id, at_horizon, newest):
+def horizon_test(
+    context: ServiceContext, min_active_ts: Optional[float]
+) -> Callable[[float], bool]:
+    """Whether a stamp is below the horizon ``min(now - retention,
+    min_active_ts)``: no read inside retention and no open transaction's
+    snapshot sees the state before it."""
+    now = context.clock.now
+    retention = context.config.sto.retention_period_s
+
+    def below_horizon(stamp: float) -> bool:
+        return stamp + retention <= now and (
+            min_active_ts is None or stamp < min_active_ts
+        )
+
+    return below_horizon
+
+
+def sequence_at_horizon(
+    txn, table_id: int, rows: List[dict], below_horizon: Callable[[float], bool]
+) -> int:
+    """The sequence of a table's state at the horizon: its newest manifest
+    (of ``rows``) committed below it, else its truncation mark."""
+    return max(
+        (row["sequence_id"] for row in rows if below_horizon(row["committed_at"])),
+        default=catalog.truncated_through(txn, table_id),
+    )
+
+
+def state_at(context: ServiceContext, table_id: int, sequence: int) -> TableSnapshot:
+    """``table_id``'s snapshot at ``sequence`` (empty before its first)."""
+    return context.cache.get(table_id, sequence) if sequence else TableSnapshot()
+
+
+def keep_set(state_at_horizon: TableSnapshot, tail: Iterable[tuple]) -> Set[str]:
+    """The data files and DVs a readable state may name: those live in the
+    state at the horizon and those its log ``tail`` (``(sequence,
+    committed_at, actions)`` after the horizon) adds."""
+    keep = {info.path for info in state_at_horizon.files.values()}
+    keep.update(info.path for info in state_at_horizon.dvs.values())
+    for __, __, actions in tail:
         for action in actions:
             if isinstance(action, AddDataFile):
                 keep.add(action.file.path)

@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 from repro import Aggregate, BinOp, Col, Lit, Schema, TableScan, Warehouse
 from repro.chaos.harness import check_storage_bounded
 from repro.common.errors import CheckpointLostError
-from repro.lst import AddDataFile, AddDeletionVector, Checkpoint, replay
+from repro.lst import Checkpoint, replay
 from repro.sqldb import system_tables as catalog
+from repro.sto.gc import keep_set
 from tests.conftest import small_config
 from tests.test_properties import manifest_histories
 
@@ -60,18 +61,6 @@ def timed_histories(draw):
 
 def paths(snapshot):
     return {f.path for f in snapshot.files.values()} | {d.path for d in snapshot.dvs.values()}
-
-
-def keep_set(state_at_horizon, tail):
-    """GC's rule: what the state at the horizon holds plus what the tail adds."""
-    keep = paths(state_at_horizon)
-    for __, __, actions in tail:
-        for action in actions:
-            if isinstance(action, AddDataFile):
-                keep.add(action.file.path)
-            elif isinstance(action, AddDeletionVector):
-                keep.add(action.dv.path)
-    return keep
 
 
 def split(history, horizon):
