@@ -63,7 +63,7 @@ def run(seed: int) -> Warehouse:
     gateway.run()
 
     ids = np.arange(100, 120, dtype=np.int64)
-    with ChaosController(seed=seed).arm("fe.commit.after_writesets"):
+    with ChaosController().arm("fe.commit.after_writesets"):
         try:
             dw.session().insert("t", {"id": ids, "v": ids * 1.0})
         except SimulatedCrash:

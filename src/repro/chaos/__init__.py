@@ -4,16 +4,17 @@ Three pieces:
 
 * :mod:`repro.chaos.crashpoints` — registered crash sites instrumented
   through the FE commit/write paths, the SQL DB commit, and every STO
-  job; a seeded :class:`ChaosController` kills the "process" at any site
-  deterministically or on a random schedule.
+  job; a :class:`ChaosController` kills the "process" at the n-th hit of
+  any site.
 * :mod:`repro.chaos.recovery` — :class:`RecoveryManager` models process
   restart: aborts in-doubt transactions, reconciles catalog vs object
   store, discards stale staged blocks, and idempotently completes
   post-commit publish steps.
 * :mod:`repro.chaos.harness` — the one seeded randomized driver: a
   two-session op stream checked against a dict model after every op,
-  under storage and task faults (:func:`run_driver`) or crashed at every
-  registered site and recovered (``python -m repro.chaos --sweep``).
+  under storage and task faults (:func:`run_driver`) or crashed at a
+  seeded sample of its crashpoint hits and recovered
+  (``python -m repro.chaos --sweep``).
 
 This module keeps its imports light: only the crashpoint primitives load
 eagerly (the instrumented engine modules import them), while the recovery

@@ -7,7 +7,7 @@ storage-fault case, ``tests/test_chaos_sweep.py::TestLongevity``.
 
 Usage::
 
-    python -m repro.chaos --sweep [--seed N]          # crash everywhere
+    python -m repro.chaos --sweep [--seed N]          # crash every site, sampled
     python -m repro.chaos --sweep --double-crash      # crash recovery too
     python -m repro.chaos --site fe.commit.after_sqldb_commit
     python -m repro.chaos --corruption                # rot every blob kind
@@ -33,7 +33,7 @@ def _run_list() -> int:
 
 
 def _run_sweep(seed: int, sites: Optional[List[str]], double_crash: bool) -> int:
-    """Run the crash sweep and report one line per site."""
+    """Run the crash sweep and report one line per crash."""
     if sites:
         unknown = sorted(set(sites) - set(CRASHPOINTS))
         recovery_only = sorted(set(sites) & set(RECOVERY_SITES))
@@ -61,12 +61,12 @@ def _run_sweep(seed: int, sites: Optional[List[str]], double_crash: bool) -> int
         print(line)
     failures = result.failures
     if failures:
-        print(f"\n{len(failures)} site(s) failed:", file=sys.stderr)
+        print(f"\n{len(failures)} crash(es) failed:", file=sys.stderr)
         for site in failures:
             for problem in site.problems:
                 print(f"  {site.label}: {problem}", file=sys.stderr)
         return 1
-    print(f"\n{len(result.sites)} site(s) crashed and recovered cleanly")
+    print(f"\n{len(result.sites)} crash(es) recovered cleanly")
     return 0
 
 
@@ -110,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--sweep",
         action="store_true",
-        help="crash at every registered crashpoint and verify recovery",
+        help="crash a seeded sample of crashpoint hits covering every site; verify recovery",
     )
     parser.add_argument(
         "--site",

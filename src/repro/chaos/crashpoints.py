@@ -5,8 +5,8 @@ the FE commit/write paths, the SQL DB commit, and every STO job call
 :func:`crashpoint` at the instants where a real process death would be
 most damaging.  With no controller installed the call is a single global
 read — production code paths pay effectively nothing.  A test or the
-chaos harness installs a :class:`ChaosController`, arms a site (or a
-seeded random schedule), and the next matching call raises
+chaos harness installs a :class:`ChaosController` and arms the n-th hit
+of a site, and that call raises
 :class:`~repro.common.errors.SimulatedCrash`, which unwinds past every
 normal error handler (it subclasses ``BaseException``) — exactly like a
 process that stopped executing mid-protocol.
@@ -23,7 +23,6 @@ the harness because a handler on the way swallowed it.
 
 from __future__ import annotations
 
-from random import Random
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.common.errors import SimulatedCrash
@@ -169,28 +168,16 @@ def active_controller() -> "Optional[ChaosController]":
 class ChaosController:
     """Decides, per crashpoint hit, whether the process dies there.
 
-    Two firing modes, combinable:
-
-    * **armed sites** — :meth:`arm` schedules a deterministic crash at the
-      N-th hit of one named site (default: the next hit);
-    * **random schedule** — ``crash_rate`` kills at each hit with the
-      given probability from a PRNG seeded by ``seed``, so a "random"
-      chaos run is exactly repeatable.
-
-    Install with :meth:`install` (or use the instance as a context
-    manager); only one controller can be active at a time.
+    :meth:`arm` schedules a deterministic crash at the N-th hit of one
+    named site (default: the next hit), and every hit is counted in
+    :attr:`hits`.  Install with :meth:`install` (or use the instance as a
+    context manager); only one controller can be active at a time.
+    ``seed`` is accepted and unused, for callers written when the
+    controller also had a seeded random schedule (``benchmarks/e2e``).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        crash_rate: float = 0.0,
-        telemetry: "Optional[Telemetry]" = None,
-    ) -> None:
-        self.seed = seed
-        self.crash_rate = crash_rate
+    def __init__(self, seed: int = 0, telemetry: "Optional[Telemetry]" = None) -> None:
         self.telemetry = telemetry
-        self._rng = Random(seed)
         #: site -> remaining hits before it fires (armed sites only).
         self._armed: Dict[str, int] = {}
         #: site -> times the site was reached while installed.
@@ -207,10 +194,6 @@ class ChaosController:
             raise ValueError("hits must be >= 1")
         self._armed[site] = hits
         return self
-
-    def disarm(self, site: str) -> None:
-        """Cancel a pending armed crash at ``site`` (no-op if not armed)."""
-        self._armed.pop(site, None)
 
     # -- installation ------------------------------------------------------
 
@@ -240,7 +223,7 @@ class ChaosController:
     # -- firing ------------------------------------------------------------
 
     def on_crashpoint(self, name: str) -> None:
-        """Count a hit at ``name`` and crash if armed/scheduled to."""
+        """Count a hit at ``name`` and crash if armed to."""
         self._require_registered(name)
         self.hits[name] = self.hits.get(name, 0) + 1
         remaining = self._armed.get(name)
@@ -250,8 +233,6 @@ class ChaosController:
                 self._crash(name)
             else:
                 self._armed[name] = remaining - 1
-        if self.crash_rate > 0 and self._rng.random() < self.crash_rate:
-            self._crash(name)
 
     def _crash(self, site: str) -> None:
         self.crashes.append(site)

@@ -9,8 +9,9 @@ driver").  On that one stream:
 * :func:`run_driver` is the oracle run and the fault soak: storage faults
   (``config.storage.transient_failure_rate``) and task faults
   (``repro.dcp.scheduler.TASK_FAILURE_RATE``) are its two parameters.
-* :func:`run_crash_sweep` crashes a fresh deployment at every registered
-  site (:func:`run_site`), recovers it with a
+* :func:`run_crash_sweep` runs the stream once and, before each op its
+  seeded sample picked, forks one child that crashes at a hit of a site
+  inside that op, recovers with a
   :class:`~repro.chaos.recovery.RecoveryManager`, and runs the integrity
   battery: both tables equal the committed state or that state plus the
   commit in flight, jointly; no lost commit or torn snapshot; GC is
@@ -25,7 +26,12 @@ summaries, which is what makes a crash reproducible from its CLI line.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import sys
+import threading
+import traceback
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -76,28 +82,16 @@ SWEEP_HIT_PLAN: Dict[str, int] = {
     "service.dispatch.after_execute": 2,
 }
 
-#: Runs beyond the one per site: (site, op) arms the site only as op
-#: starts; ``after OP`` arms it in an INSERT run right after an auto-commit
-#: OP whose commit was acknowledged.  ``commit`` commits a transaction that
-#: wrote both tables; the ``*_on_*`` ops run the STO inline from a user
-#: statement.  ``after update_point`` crashes while that UPDATE's manifest
-#: is still its table's newest and not checkpointed, so recovery must
-#: serve its values, which its row count cannot tell from the old ones.
-STEP_RUNS: Tuple[Tuple[str, str], ...] = (
-    ("fe.commit.before_validation", "after update_point"),
-    ("fe.commit.after_sqldb_commit", "commit"),
-    ("fe.commit.after_writesets", "commit"),
-    ("fe.commit.before_validation", "commit"),
-    ("sqldb.commit.after_install", "commit"),
-    ("sqldb.commit.after_validate", "commit"),
-    ("sqldb.commit.after_validate", "age_and_gc"),
-    ("sqldb.commit.after_validate", "checkpoint"),
-    ("sto.checkpoint.after_blob_put", "checkpoint_on_commit"),
-    ("sto.checkpoint.before_blob_put", "checkpoint_on_commit"),
-    ("sto.compaction.after_commit", "compact_on_scan"),
-    ("sto.compaction.before_commit", "compact_on_scan"),
-    ("sto.compaction.before_commit", "compact_on_tick"),
-)
+#: Sites the driver reaches; the crash sweep's sample crashes each of them.
+DRIVER_SITES = tuple(site for site in WORKLOAD_SITES if not site.startswith("service."))
+#: The commit-path sites: the sample crashes each inside ``commit``, the
+#: commit of a transaction that wrote both tables.
+COMMIT_PATH_SITES = tuple(s for s in DRIVER_SITES if s.startswith(("fe.commit.", "sqldb.commit.")))
+
+#: Ops in the stream the crash sweep runs per seed, and the crashes it
+#: draws beyond one per site, each in a (site, op) stratum of its own.
+SWEEP_OPS = 240
+SWEEP_EXTRA = 8
 
 
 def chaos_config(seed: int = 0) -> PolarisConfig:
@@ -257,16 +251,9 @@ class Driver:
         self.next_id = 0
         self.step_no = 0
         self.problems: List[str] = []
-        #: Sites of the crashes :meth:`run_until_crash` caught, in order.
-        self.crashes_caught: List[str] = []
         #: Ops "completed", "faulted" (raised an injected fault) and "lost"
         #: (lost first-committer-wins).
         self.outcomes: Counter = Counter()
-        #: The (op, session) running, and the last one whose own
-        #: auto-commit the model applied (("", 0) when the last op
-        #: committed nothing by itself).
-        self.running: Tuple[str, int] = ("", 0)
-        self.acknowledged: Tuple[str, int] = ("", 0)
 
     def ops(self) -> Dict[str, Tuple[int, Callable[[int], None]]]:
         """Every op by name: (weight, body taking the session index)."""
@@ -316,7 +303,6 @@ class Driver:
         """Run one op in session ``sid`` (inside the ``during`` context),
         then check both tables."""
         self.step_no += 1
-        self.running, self.acknowledged = (name, sid), ("", 0)
         try:
             with during or nullcontext():
                 self.ops()[name][1](sid)
@@ -381,8 +367,6 @@ class Driver:
     def _apply(self, delta: Dict[str, Rows], rewrote: Set[str]) -> None:
         self.model.committed = self.model.after(delta)
         self.rewrites.update(rewrote)
-        if any(delta.values()):
-            self.acknowledged = self.running
 
     def _write(self, sid: int, table: str, changes: Rows, statement, matched=None) -> None:
         """Run one DML statement in session ``sid`` and the model: inside
@@ -640,45 +624,13 @@ class Driver:
         self.context.clock.advance(self.config.sto.retention_period_s + 60.0)
         self.warehouse.sto.run_gc()
 
-    # -- crash, restart, battery ---------------------------------------------
+    # -- restart, battery --------------------------------------------------
 
-    @contextmanager
-    def _armed(self, controller: ChaosController, site: str) -> Iterator[None]:
-        controller.arm(site)
-        try:
-            yield
-        finally:
-            controller.disarm(site)
-
-    def run_until_crash(
-        self, controller: ChaosController, site: str, op: Optional[str] = None
-    ) -> str:
-        """Run up to 400 ops with ``site`` armed while each op (or each
-        op named ``op``) runs; the checks run unarmed.  For ``after OP``,
-        the op after each acknowledged auto-commit ``OP`` is an INSERT in
-        the same session, run armed.  Returns ``"step:op"`` of the crash
-        caught, or "" if none was (the site never fired, a handler
-        swallowed it, or a check failed first).  The driver, not product
-        code, catches :class:`SimulatedCrash`: it plays the supervisor
-        observing the process die."""
-        for __ in range(400):
-            if self.problems or controller.crashes:
-                return ""
-            after = op == f"after {self.acknowledged[0]}"
-            name, sid = ("insert", self.acknowledged[1]) if after else self.draw()
-            armed = after or op in (None, name)
-            try:
-                self.step(name, sid, self._armed(controller, site) if armed else None)
-            except SimulatedCrash as crash:
-                self.crashes_caught.append(crash.site)
-                return f"{self.step_no}:{name}"
-        return ""
-
-    def restart(self, double_crash: bool = False, seed: int = 0) -> RecoveryReport:
+    def restart(self, double_crash: bool = False) -> RecoveryReport:
         """Recover after a crash: both sessions and their transactions
         died, and the commit in flight, if any, is in doubt."""
         if double_crash:
-            report, problems = _recover_with_crashes(self.context, self.warehouse.sto, seed)
+            report, problems = _recover_with_crashes(self.context, self.warehouse.sto)
             self.problems.extend(problems)
         else:
             report = RecoveryManager(self.context, sto=self.warehouse.sto, strict=False).recover()
@@ -898,9 +850,7 @@ def _swallowed(controller: ChaosController, caught: Sequence[str]) -> List[str]:
     ]
 
 
-def _recover_with_crashes(
-    context, sto, seed: int
-) -> Tuple[RecoveryReport, List[str]]:
+def _recover_with_crashes(context, sto) -> Tuple[RecoveryReport, List[str]]:
     """Crash recovery itself at every ``recovery.*`` site, then finish.
 
     The double-crash scenario: the process died mid-protocol, the restart
@@ -922,9 +872,7 @@ def _recover_with_crashes(
     for site in RECOVERY_SITES:
         crashes = 0
         while True:
-            controller = ChaosController(
-                seed=seed, telemetry=context.telemetry
-            ).arm(site, hits=crashes + 1)
+            controller = ChaosController(telemetry=context.telemetry).arm(site, hits=crashes + 1)
             caught: List[str] = []
             with controller:
                 try:
@@ -948,41 +896,36 @@ def _recover_with_crashes(
 
 @dataclass
 class SiteResult:
-    """Outcome of crashing at one site and recovering."""
+    """Outcome of one crash and the recovery after it."""
 
     site: str
-    #: ``"step:op"`` of the crash ("gateway" for a gateway site, "" if
+    #: The step the crash fired in ("gateway" for a gateway site, "" if
     #: none reached the harness).
-    crashed_at_step: str
-    recovery: Optional[RecoveryReport]
+    crashed_at_step: str = ""
+    recovery: Optional[RecoveryReport] = None
     problems: List[str] = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
-    #: The op the site was armed in ("" = every op).
+    #: The op the site was armed in and the hit inside it that was armed
+    #: ("" and 0 outside the driver).
     op: str = ""
+    hit: int = 0
 
     @property
     def ok(self) -> bool:
-        """Whether every invariant held for this site."""
+        """Whether every invariant held for this crash."""
         return not self.problems
 
     @property
     def label(self) -> str:
-        """The site, and the op it was armed in if any."""
-        if self.op.startswith("after "):
-            return f"{self.site} {self.op}"
-        return f"{self.site} in {self.op}" if self.op else self.site
+        """The site, and the op and hit it was armed at if any."""
+        return f"{self.site} in {self.op}#{self.hit}" if self.op else self.site
 
     def summary(self) -> str:
-        """One deterministic line describing this site's outcome."""
+        """One deterministic line describing this crash's outcome."""
         rec = self.recovery
-        repaired = (
-            "-"
-            if rec is None
-            else (
-                f"c{rec.in_doubt_committed}/a{rec.in_doubt_aborted}"
-                f"/s{rec.staged_blocks_discarded}/p{rec.publishes_completed}"
-                f"/g{rec.scavenged.get('gateway', 0)}"
-            )
+        repaired = "-" if rec is None else (
+            f"c{rec.in_doubt_committed}/a{rec.in_doubt_aborted}/s{rec.staged_blocks_discarded}"
+            f"/p{rec.publishes_completed}/g{rec.scavenged.get('gateway', 0)}"
         )
         counts = ",".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         status = "ok" if self.ok else f"FAIL({len(self.problems)})"
@@ -1057,7 +1000,7 @@ def run_gateway_site(
             lambda session: session.table_snapshot("ingest").live_rows,
         )
 
-    controller = ChaosController(seed=seed, telemetry=context.telemetry).arm(
+    controller = ChaosController(telemetry=context.telemetry).arm(
         site, hits=SWEEP_HIT_PLAN.get(site, 1)
     )
     caught: List[str] = []
@@ -1072,10 +1015,7 @@ def run_gateway_site(
             caught.append(crash.site)
 
     result = SiteResult(
-        site=site,
-        crashed_at_step="gateway" if caught else "",
-        recovery=None,
-        problems=_swallowed(controller, caught),
+        site, "gateway" if caught else "", problems=_swallowed(controller, caught)
     )
     if not controller.crashes:
         result.problems.append(
@@ -1095,9 +1035,7 @@ def run_gateway_site(
     in_flight = len(gateway.requests_with_status("queued", "running"))
 
     if double_crash:
-        report, recovery_problems = _recover_with_crashes(
-            context, warehouse.sto, seed
-        )
+        report, recovery_problems = _recover_with_crashes(context, warehouse.sto)
         result.problems.extend(recovery_problems)
     else:
         report = RecoveryManager(
@@ -1168,52 +1106,104 @@ def run_gateway_site(
     return result
 
 
+#: Where the stream hits each site inside its ops: (site, op) -> a
+#: (step, hits in that step's op) pair per step whose op hit it.
+Strata = Dict[Tuple[str, str], List[Tuple[int, int]]]
 
-def run_site(
-    site: str,
-    seed: int = 0,
-    double_crash: bool = False,
-    op: Optional[str] = None,
-) -> SiteResult:
-    """Crash one fresh deployment at ``site``, recover, check invariants.
 
-    The driver's stream runs with ``site`` armed as each op (or each op
-    named ``op``) starts, until it fires.  With ``double_crash`` the
-    restart is crashed too: recovery is re-run with each ``recovery.*``
-    site armed in turn (dying mid-pass every time) before the final clean
-    pass the battery is checked against.  The stream then continues for
-    eight more ops.
-    """
-    if site.startswith("recovery."):
-        raise ValueError(
-            f"{site} only fires inside a recovery pass; use double_crash "
-            "mode (--double-crash), which crashes recovery at every "
-            "recovery.* site"
-        )
-    if site.startswith("service."):
-        return run_gateway_site(site, seed, double_crash=double_crash)
-    driver = Driver(seed)
-    controller = ChaosController(seed=seed, telemetry=driver.context.telemetry)
-    with controller:
-        crashed_at = driver.run_until_crash(controller, site, op)
-    result = SiteResult(
-        site=site,
-        crashed_at_step=crashed_at,
-        recovery=None,
-        problems=_swallowed(controller, driver.crashes_caught),
-        op=op or "",
-    )
+def count_hits(seed: int) -> Tuple[Strata, List[str]]:
+    """The strata of the seed's stream of :data:`SWEEP_OPS` ops, counted by
+    a controller installed while each op runs, and the stream's problems."""
+    driver, controller = Driver(seed), ChaosController()
+    strata: Strata = {}
+    for step in range(1, SWEEP_OPS + 1):
+        if driver.problems:
+            break
+        name, sid = driver.draw()
+        before = Counter(controller.hits)
+        driver.step(name, sid, controller)
+        for site, hits in (Counter(controller.hits) - before).items():
+            strata.setdefault((site, name), []).append((step, hits))
+    return strata, driver.problems
+
+
+def sample_crashes(seed: int, strata: Strata) -> List[Tuple[int, str, str, int]]:
+    """The seed's crashes as (step, site, op, hit), in stream order: one
+    per driver site in a random stratum of it (``commit`` for a
+    commit-path site), then :data:`SWEEP_EXTRA` in strata no crash is in
+    yet, each at a random hit.  Drawing strata before hits keeps a site
+    hit a thousand times from swamping the sample."""
+    rng = random.Random(f"sweep:{seed}")
+    keys = sorted(strata)
+
+    def crash_in(key: Tuple[str, str]) -> Tuple[int, str, str, int]:
+        step, hits = rng.choice(strata[key])
+        return step, key[0], key[1], rng.randint(1, hits)
+
+    plan = []
+    for site in DRIVER_SITES:
+        ops = [op for name, op in keys if name == site]
+        ops = [op for op in ops if op == "commit"] if site in COMMIT_PATH_SITES else ops
+        if ops:
+            plan.append(crash_in((site, rng.choice(ops))))
+    crashed = {(site, op) for __, site, op, __ in plan}
+    rest = [key for key in keys if key not in crashed]
+    plan += [crash_in(key) for key in rng.sample(rest, min(SWEEP_EXTRA, len(rest)))]
+    return sorted(plan)
+
+
+def _crash(driver: Driver, sid: int, result: SiteResult, double_crash: bool) -> None:
+    """Crash at ``result``'s hit inside its op, restart, then run the
+    battery, eight more ops and the SI check."""
+    controller = ChaosController(telemetry=driver.context.telemetry)
+    caught: List[str] = []
+    try:
+        driver.step(result.op, sid, controller.arm(result.site, hits=result.hit))
+    except SimulatedCrash as crash:
+        caught.append(crash.site)
+        result.crashed_at_step = str(driver.step_no)
+    result.problems.extend(_swallowed(controller, caught))
     if not controller.crashes:
-        result.problems.append(
-            f"{site}: armed but never fired — the driver no longer "
-            "reaches this site"
-        )
-    if crashed_at:
-        result.recovery = driver.restart(double_crash, seed)
+        result.problems.append(f"{result.label}: armed but never fired in step {driver.step_no}")
+    if caught:
+        result.recovery = driver.restart(double_crash)
         result.counts = driver.battery()
         driver.run(8)
     driver.finish()
     result.problems.extend(driver.problems)
+
+
+def _forked(driver: Driver, sid: int, result: SiteResult, double_crash: bool) -> SiteResult:
+    """:func:`_crash` in a forked child, which reports ``result`` through
+    a pipe; the parent waits for it.  A child that exits nonzero or
+    reports nothing fails ``result``."""
+    if threading.active_count() > 1:
+        raise RuntimeError("the crash sweep forks, so it must run single-threaded")
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            _crash(driver, sid, result, double_crash)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        except BaseException:
+            traceback.print_exc()  # onto the parent's stderr
+            sys.stderr.flush()
+            raise
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        report = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0 and report:
+        return pickle.loads(report)
+    result.problems.append(
+        f"the crash child exited with status {status} and {'a partial' if report else 'no'} report"
+    )
     return result
 
 
@@ -1222,22 +1212,45 @@ def run_crash_sweep(
     sites: Optional[Sequence[str]] = None,
     double_crash: bool = False,
 ) -> ChaosSweepResult:
-    """Crash at every workload-reachable site and verify recovery.
+    """Crash the seed's stream at each hit :func:`sample_crashes` picked
+    from :func:`count_hits`, and each gateway site once; verify recovery.
 
-    One run per site, then the :data:`STEP_RUNS` of those sites.
-    ``recovery.*`` sites are excluded from the default enumeration (they
-    only fire inside a recovery pass); pass ``double_crash=True`` to
-    additionally crash recovery itself at every one of them per run.
+    The stream runs once more, and before each picked op one forked child
+    crashes inside it (:func:`_forked`).  ``sites`` keeps the crashes at
+    those sites, so ``sites=[X]`` reruns the sweep's lines for ``X``.  A
+    driver site no op hits fails.  ``double_crash`` also crashes each
+    recovery at every ``recovery.*`` site.
     """
     targets = list(sites) if sites is not None else list(WORKLOAD_SITES)
+    unknown = sorted(set(targets) - set(WORKLOAD_SITES))
+    if unknown:
+        raise ValueError(f"not workload sites (recovery.* fire only in recovery): {unknown}")
     result = ChaosSweepResult(seed=seed)
+    driven = [site for site in targets if site in DRIVER_SITES]
+    plan: Dict[int, List[Tuple[str, int]]] = {}
+    if driven:
+        strata, problems = count_hits(seed)
+        if problems:
+            result.sites.append(SiteResult("stream", problems=problems))
+        for step, site, __, hit in sample_crashes(seed, strata):
+            if site in driven:
+                plan.setdefault(step, []).append((site, hit))
+    crashed = {site for crashes in plan.values() for site, __ in crashes}
+    for site in sorted(set(driven) - crashed):
+        ops = "commit" if site in COMMIT_PATH_SITES else "op"
+        result.sites.append(SiteResult(site, problems=[
+            f"{site}: no {ops} of the {SWEEP_OPS}-op stream of seed {seed} hits it"
+        ]))
+    driver = Driver(seed)
+    for step in range(1, max(plan, default=0) + 1):
+        name, sid = driver.draw()
+        for site, hit in plan.get(step, ()):
+            crash = SiteResult(site, op=name, hit=hit)
+            result.sites.append(_forked(driver, sid, crash, double_crash))
+        driver.step(name, sid)
     for site in targets:
-        result.sites.append(run_site(site, seed, double_crash=double_crash))
-    for site, op in STEP_RUNS:
-        if site in targets:
-            result.sites.append(
-                run_site(site, seed, double_crash=double_crash, op=op)
-            )
+        if site not in DRIVER_SITES:
+            result.sites.append(run_gateway_site(site, seed, double_crash))
     return result
 
 

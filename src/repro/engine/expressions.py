@@ -174,7 +174,7 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
     if isinstance(expr, InList):
         values = _eval(expr.arg, batch, rows)
         if values.dtype.kind in ("i", "u", "f", "b"):
-            return np.isin(values, expr.values)
+            return np.isin(values, [_scalar(value) for value in expr.values])
         allowed = frozenset(expr.values)
         return _per_entry(
             values,
@@ -214,8 +214,9 @@ def _eval(expr: Expr, batch: Batch, rows: int) -> np.ndarray:
 def _broadcast(value: Any, rows: int) -> np.ndarray:
     """A bare literal as a column: a ``str`` in ``object`` dtype, anything
     else in the dtype numpy gives the value itself — ``int64`` /
-    ``float64`` / ``bool`` for Python and numpy scalars alike."""
-    return np.full(rows, value, dtype=object if isinstance(value, str) else None)
+    ``float64`` / ``bool`` for Python and numpy scalars alike (an integer
+    outside ``int64`` is a :class:`PlanError`, see :func:`_scalar`)."""
+    return np.full(rows, _scalar(value), dtype=object if isinstance(value, str) else None)
 
 
 #: The numpy scalar type of each Python scalar, as :func:`_broadcast`
@@ -223,15 +224,25 @@ def _broadcast(value: Any, rows: int) -> np.ndarray:
 _SCALAR_TYPES = {bool: np.bool_, int: np.int64, float: np.float64}
 
 
+def _scalar(value: Any) -> Any:
+    """A literal typed as its column would be (a bare Python ``2`` would
+    leave an ``int32`` column ``int32``; ``np.int64(2)`` promotes it
+    exactly as the ``int64`` column did).  An integer outside ``int64``
+    is a :class:`PlanError`: numpy would raise, or compare in float64."""
+    cast = _SCALAR_TYPES.get(type(value))
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except OverflowError:
+        raise PlanError(f"integer literal {value} is outside int64") from None
+
+
 def _operand(expr: Expr, batch: Batch, rows: int) -> Any:
     """A ``BinOp`` operand: a literal stays a scalar for the ufunc to
-    broadcast, typed as its column would be (a bare Python ``2`` would
-    leave an ``int32`` column ``int32``; ``np.int64(2)`` promotes it
-    exactly as the ``int64`` column did)."""
+    broadcast (:func:`_scalar`)."""
     if isinstance(expr, Lit):
-        value = expr.value
-        cast = _SCALAR_TYPES.get(type(value))
-        return value if cast is None else cast(value)
+        return _scalar(expr.value)
     return _eval(expr, batch, rows)
 
 

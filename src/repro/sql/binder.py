@@ -12,10 +12,20 @@ exactly, in Python integers, into one literal.  A literal, or a folded
 result, outside ``int64`` rejects the statement with :class:`PlanError`.
 SQLite would go on in REAL; this engine evaluates integers as ``int64``
 and refuses rather than wrap or compare against a rounded value.
+
+**An ``int64`` column meets a float literal exactly.**  A comparison of
+an ``int64`` column with a float literal (negated or not, in ``BETWEEN``
+and ``IN`` too) is lowered here to the comparison with an integer that
+keeps the same rows, or to ``TRUE``/``FALSE``: ``k < 2.5`` is ``k < 3``,
+``k = 2.5`` is ``FALSE``, and ``k < 9223372036854775807.0`` (the double
+2**63) is ``TRUE``, as SQLite compares.  The row filter and the zone-map
+prune see the same integer.  The plan API keeps numpy's rule: there an
+``int64`` column meets a float literal in float64.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
@@ -63,6 +73,7 @@ from repro.sql.lexer import SqlSyntaxError
 _AGG_MAP = {"SUM": "sum", "MIN": "min", "MAX": "max", "AVG": "avg"}
 _PRUNABLE_OPS = {"==", "<", "<=", ">", ">="}
 _COMPARISON_OPS = _PRUNABLE_OPS | {"!="}
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 _FOLDED_OPS = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__}
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -383,6 +394,9 @@ class Binder:
                 return Lit(folded)
             if expr.op in _COMPARISON_OPS and not aggs_ok:
                 self._check_comparable(expr.left, expr.right, tables)
+                exact = self._exact(expr, tables)
+                if exact is not expr:
+                    return self._bind_expr(exact, tables)
             return BinOp(
                 expr.op,
                 self._bind_expr(expr.left, tables, aggs_ok),
@@ -402,20 +416,21 @@ class Binder:
             for value in expr.values:
                 if type(value) is int:
                     _int64(value, str(value))
+            values = expr.values
             if not aggs_ok:
-                for value in expr.values:
+                for value in values:
                     self._check_comparable(expr.arg, SLiteral(value), tables)
-            inlist = InList(self._bind_expr(expr.arg, tables, aggs_ok), expr.values)
+                if self._is_int64(expr.arg, tables):
+                    # A float that is no int64 integer matches no row.
+                    values = tuple(
+                        _integral(value) if type(value) is float else value
+                        for value in values
+                        if type(value) is not float or _integral(value) is not None
+                    )
+            inlist = InList(self._bind_expr(expr.arg, tables, aggs_ok), values)
             return Not(inlist) if expr.negated else inlist
         if isinstance(expr, SBetween):
-            if not aggs_ok:
-                self._check_comparable(expr.arg, expr.low, tables)
-                self._check_comparable(expr.arg, expr.high, tables)
-            arg = self._bind_expr(expr.arg, tables, aggs_ok)
-            return and_(
-                BinOp(">=", arg, self._bind_expr(expr.low, tables, aggs_ok)),
-                BinOp("<=", arg, self._bind_expr(expr.high, tables, aggs_ok)),
-            )
+            return self._bind_expr(_between(expr), tables, aggs_ok)
         if isinstance(expr, SCase):
             return Case(
                 self._bind_expr(expr.cond, tables, aggs_ok),
@@ -448,6 +463,37 @@ class Binder:
         if None in sides or sides[0][0] == sides[1][0]:
             return
         raise PlanError(f"cannot compare {sides[0][1]} with {sides[1][1]}")
+
+    def _is_int64(self, expr, tables) -> bool:
+        """Whether ``expr`` is an ``int64`` column."""
+        if not isinstance(expr, SColumn):
+            return False
+        owner = self._resolve_owner(expr, tables)
+        return self._schemas[owner].field(expr.name).type == "int64"
+
+    def _exact(self, expr: SBin, tables) -> Any:
+        """``expr`` (a comparison) lowered to an exact one when it compares
+        an ``int64`` column with a float literal (see the module doc);
+        otherwise ``expr`` itself."""
+        column, op, value = expr.left, expr.op, _float_of(expr.right)
+        if value is None:
+            column, op, value = expr.right, _FLIPPED[op], _float_of(expr.left)
+        if value is None or not self._is_int64(column, tables):
+            return expr
+        if op in ("==", "!="):
+            integral = _integral(value)
+            if integral is None:
+                return SLiteral(op == "!=")
+            return SBin(op, column, SLiteral(integral))
+        # Over the integers, k < v is k < ceil(v) and k <= v is
+        # k <= floor(v), and so on; infinities clamp beyond int64.
+        bounded = min(max(value, -(2.0**64)), 2.0**64)
+        limit = math.ceil(bounded) if op in ("<", ">=") else math.floor(bounded)
+        if limit > _INT64_MAX:
+            return SLiteral(op in ("<", "<="))
+        if limit < _INT64_MIN:
+            return SLiteral(op in (">", ">="))
+        return SBin(op, column, SLiteral(limit))
 
     def _typed(self, expr, tables) -> Optional[Tuple[bool, str]]:
         """``(yields strings, how a type error names it)`` for ``expr``;
@@ -482,19 +528,16 @@ class Binder:
     def _prune_of(self, conjunct, tables) -> List[Tuple[str, str, Any]]:
         """Extract zone-map conjuncts (col op literal) from a predicate."""
         if isinstance(conjunct, SBin) and conjunct.op in _PRUNABLE_OPS:
+            conjunct = self._exact(conjunct, tables)  # a TRUE/FALSE prunes nothing
+        if isinstance(conjunct, SBin) and conjunct.op in _PRUNABLE_OPS:
             left, right = conjunct.left, conjunct.right
             if isinstance(left, SColumn) and isinstance(right, SLiteral):
                 return [(left.name, conjunct.op, right.value)]
             if isinstance(left, SLiteral) and isinstance(right, SColumn):
-                flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
-                return [(right.name, flipped[conjunct.op], left.value)]
-        if isinstance(conjunct, SBetween) and isinstance(conjunct.arg, SColumn):
-            out = []
-            if isinstance(conjunct.low, SLiteral):
-                out.append((conjunct.arg.name, ">=", conjunct.low.value))
-            if isinstance(conjunct.high, SLiteral):
-                out.append((conjunct.arg.name, "<=", conjunct.high.value))
-            return out
+                return [(right.name, _FLIPPED[conjunct.op], left.value)]
+        if isinstance(conjunct, SBetween):
+            low, high = _between(conjunct).args
+            return self._prune_of(low, tables) + self._prune_of(high, tables)
         return []
 
 
@@ -510,6 +553,28 @@ def _folded(expr) -> Optional[int]:
     if left is None or right is None:
         return None
     return _int64(_FOLDED_OPS[expr.op](left, right), f"{left} {expr.op} {right}")
+
+
+def _between(expr: SBetween) -> SBool:
+    """``arg BETWEEN low AND high`` as ``arg >= low AND arg <= high``."""
+    return SBool("and", (SBin(">=", expr.arg, expr.low), SBin("<=", expr.arg, expr.high)))
+
+
+def _float_of(expr) -> Optional[float]:
+    """The value of a float literal, or of a negated one (None if
+    ``expr`` is anything else)."""
+    negated = isinstance(expr, SBin) and expr.op == "-" and expr.left == SLiteral(0)
+    literal = expr.right if negated else expr
+    if isinstance(literal, SLiteral) and type(literal.value) is float:
+        return -literal.value if negated else literal.value
+    return None
+
+
+def _integral(value: float) -> Optional[int]:
+    """The ``int64`` integer equal to ``value``, or None."""
+    if value.is_integer() and -(2.0**63) <= value < 2.0**63:
+        return int(value)
+    return None
 
 
 def _int64(value: int, what: str) -> int:

@@ -55,7 +55,7 @@ class TestGcCrashSafety:
         dw, session, table_id = aged
         protected, rows_before = live_paths(dw, table_id)
 
-        controller = ChaosController(seed=0).arm("sto.gc.mid_delete", hits=2)
+        controller = ChaosController().arm("sto.gc.mid_delete", hits=2)
         with controller:
             with pytest.raises(SimulatedCrash):
                 dw.sto.run_gc()
@@ -73,7 +73,7 @@ class TestGcCrashSafety:
     def test_gc_crashed_before_cleanup_commit_loses_no_metadata(self, aged):
         dw, session, table_id = aged
         __, rows_before = live_paths(dw, table_id)
-        controller = ChaosController(seed=0).arm("sto.gc.before_catalog_cleanup")
+        controller = ChaosController().arm("sto.gc.before_catalog_cleanup")
         with controller:
             with pytest.raises(SimulatedCrash):
                 dw.sto.run_gc()
@@ -88,7 +88,7 @@ class TestGcCrashSafety:
 
     def test_rerun_gc_converges_to_zero_orphans(self, aged):
         dw, session, table_id = aged
-        controller = ChaosController(seed=0).arm("sto.gc.mid_delete")
+        controller = ChaosController().arm("sto.gc.mid_delete")
         with controller:
             with pytest.raises(SimulatedCrash):
                 dw.sto.run_gc()
@@ -98,3 +98,22 @@ class TestGcCrashSafety:
         second = dw.sto.run_gc()
         assert second.deleted == []
         assert second.retained_recent == []
+
+
+class TestStoCatalogCommitCrash:
+    """A crash inside the catalog commit of the checkpointer or of GC
+    passes their rollback handlers and reaches the caller.  The crash
+    sweep reaches these commits only when its sample lands there."""
+
+    @pytest.mark.parametrize("site", ["sqldb.commit.after_validate", "sqldb.commit.after_install"])
+    @pytest.mark.parametrize("job", ["checkpoint", "gc"])
+    def test_the_crash_reaches_the_caller(self, aged, job, site):
+        dw, __, table_id = aged
+        __, rows_before = live_paths(dw, table_id)
+        run = dw.sto.run_gc if job == "gc" else lambda: dw.sto.run_checkpoint(table_id)
+        controller = ChaosController().arm(site)
+        with controller, pytest.raises(SimulatedCrash):
+            run()
+        assert controller.crashes == [site]
+        assert not RecoveryManager(dw.context, sto=dw.sto).recover().missing_manifests
+        assert dw.session().table_snapshot("t").live_rows == rows_before

@@ -55,7 +55,7 @@ def collecting(config):
 
 def crash_at(dw, site, thunk, hits=1):
     """Run ``thunk`` with ``site`` armed; assert the crash fired."""
-    controller = ChaosController(seed=0).arm(site, hits=hits)
+    controller = ChaosController().arm(site, hits=hits)
     with controller:
         with pytest.raises(SimulatedCrash):
             thunk()
@@ -243,7 +243,7 @@ class TestIdempotence:
         for site in RECOVERY_SITES:
             hits = 2 if site == "recovery.participant.after_scavenge" else 1
             for hit in range(1, hits + 1):
-                controller = ChaosController(seed=0).arm(site, hits=hit)
+                controller = ChaosController().arm(site, hits=hit)
                 with controller:
                     with pytest.raises(SimulatedCrash):
                         manager.recover()
@@ -262,7 +262,7 @@ class TestIdempotence:
             gateway.submit("acme", "transactional", lambda session: None)
         sql = SqlSession(dw.session())
         insert = "INSERT INTO t (id, v) VALUES (1, 1.0)"
-        with ChaosController(seed=0).arm("fe.write.before_manifest_flush"):
+        with ChaosController().arm("fe.write.before_manifest_flush"):
             with pytest.raises(SimulatedCrash):
                 with tel.waiting("storage_retry"):
                     dw.context.clock.advance(1.0)
@@ -288,7 +288,7 @@ class TestIdempotence:
 
         for name, participant in list(dw.context.participants.items()):
             dw.context.participants[name] = Counting(name, participant)
-        report, problems = _recover_with_crashes(dw.context, dw.sto, seed=0)
+        report, problems = _recover_with_crashes(dw.context, dw.sto)
         assert not problems
         assert report.clean  # the final pass found nothing left
         assert discarded == {"querystore": 1, "waits": 1, "gateway": 3}
@@ -325,7 +325,7 @@ class TestIdempotence:
 
         fake.inflight_count = 1
         site = "recovery.participant.after_scavenge"
-        controller = ChaosController(seed=0).arm(site)
+        controller = ChaosController().arm(site)
         with controller:
             with pytest.raises(SimulatedCrash):
                 manager.recover()

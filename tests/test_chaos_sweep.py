@@ -1,5 +1,7 @@
 """Tests for the crash sweep on the randomized driver."""
 
+import os
+
 import pytest
 
 from repro.chaos import (
@@ -9,14 +11,18 @@ from repro.chaos import (
     run_crash_sweep,
     run_driver,
 )
+from repro.chaos.__main__ import main
 from repro.chaos.harness import (
+    COMMIT_PATH_SITES,
+    DRIVER_SITES,
     RECOVERY_SITES,
-    STEP_RUNS,
+    SWEEP_EXTRA,
+    SWEEP_OPS,
     WORKLOAD_SITES,
     Driver,
-    run_site,
 )
 from repro.chaos.recovery import RecoveryManager
+from repro.fe import optimizer_path
 from repro.sqldb import system_tables
 from repro.sto import orchestrator
 
@@ -33,7 +39,6 @@ def lines_of(result, sites):
 class TestCrashSweep:
     def test_full_sweep_crashes_and_recovers_every_site(self, sweep):
         result = sweep
-        assert len(result.sites) == len(WORKLOAD_SITES) + len(STEP_RUNS)
         assert set(WORKLOAD_SITES) | set(RECOVERY_SITES) == set(CRASHPOINTS)
         problems = [
             f"{site.label}: {problem}"
@@ -41,20 +46,28 @@ class TestCrashSweep:
             for problem in site.problems
         ]
         assert result.ok, "\n".join(problems)
+        driven = [run for run in result.sites if run.op]
+        # One crash per driver site, the rest each in a (site, op) stratum
+        # of its own, then one per gateway site.
+        assert {run.site for run in driven} == set(DRIVER_SITES)
+        assert len({(run.site, run.op) for run in driven}) == len(DRIVER_SITES) + SWEEP_EXTRA
+        assert len(driven) == len(DRIVER_SITES) + SWEEP_EXTRA
+        gateway = [run.site for run in result.sites if not run.op]
+        assert sorted(gateway) == sorted(set(WORKLOAD_SITES) - set(DRIVER_SITES))
         for site in result.sites:
             assert site.crashed_at_step, f"{site.label} never fired"
-            if site.op and not site.op.startswith("after "):
-                assert site.crashed_at_step.endswith(f":{site.op}")
             assert site.recovery is not None
 
-    def test_every_commit_path_site_crashes_the_two_table_commit(self):
-        commit_path = {
-            site for site in WORKLOAD_SITES
-            if site.startswith(("fe.commit.", "sqldb.commit."))
+    def test_every_commit_path_site_crashes_the_two_table_commit(self, sweep):
+        assert set(COMMIT_PATH_SITES) == {
+            "fe.commit.before_validation",
+            "fe.commit.after_writesets",
+            "fe.commit.after_sqldb_commit",
+            "sqldb.commit.after_validate",
+            "sqldb.commit.after_install",
         }
-        assert {site for site, op in STEP_RUNS if op == "commit"} == commit_path
-        ops = Driver(seed=0).ops()
-        assert {op.removeprefix("after ") for __, op in STEP_RUNS} <= set(ops)
+        in_commit = {run.site for run in sweep.sites if run.op == "commit"}
+        assert set(COMMIT_PATH_SITES) <= in_commit
 
     def test_swallowed_crash_fails_the_site(self, monkeypatch):
         # A handler on the crash path that turns the crash into a return:
@@ -69,24 +82,52 @@ class TestCrashSweep:
                 return None
 
         monkeypatch.setattr(orchestrator, "run_checkpoint", swallowing)
-        site = "sto.checkpoint.before_blob_put"
-        result = run_crash_sweep(seed=0, sites=[site])
-        assert [run.op for run in result.sites] == ["", "checkpoint_on_commit"]
+        sites = ["sto.checkpoint.after_blob_put", "sto.checkpoint.before_blob_put"]
+        result = run_crash_sweep(seed=0, sites=sites)
+        assert {run.op for run in result.sites} == {"checkpoint", "checkpoint_on_commit"}
         for run in result.sites:
             assert run.crashed_at_step == ""
             assert run.problems == [
-                f"crash raised at {site} but swallowed before it reached "
+                f"crash raised at {run.site} but swallowed before it reached "
                 "the harness"
             ]
 
-    def test_sweep_is_deterministic(self, sweep):
-        subset = ["fe.commit.after_sqldb_commit", "sto.publish.before_log_write"]
-        again = run_crash_sweep(seed=0, sites=subset).summary()
-        assert again == lines_of(sweep, subset)
+    def test_sweep_is_deterministic(self, sweep, capsys):
+        # Two runs of a seed print identical lines, and a run restricted
+        # to some sites prints exactly the sweep's lines for them.
+        subset = ["fe.commit.after_sqldb_commit", "fe.analyze.before_stats_put"]
+        assert main(["--sweep", "--seed", "0", "--site", subset[0], "--site", subset[1]]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:-2] == lines_of(sweep, subset)
+        assert len(printed) == 4
 
     def test_single_site_runner_matches_sweep(self, sweep):
-        site = "fe.write.after_manifest_flush"
-        assert [run_site(site, seed=0).summary()] == lines_of(sweep, [site])
+        site = "sqldb.commit.after_validate"
+        assert run_crash_sweep(seed=0, sites=[site]).summary() == lines_of(sweep, [site])
+
+    def test_a_child_that_dies_without_reporting_fails_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(Driver, "restart", lambda driver, double_crash=False: os._exit(3))
+        result = run_crash_sweep(seed=0, sites=["fe.commit.after_sqldb_commit"])
+        assert [run.problems for run in result.sites] == [
+            ["the crash child exited with status 3 and no report"]
+        ]
+        assert not result.ok
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child outlives the sweep
+
+    def test_a_site_no_op_hits_fails_the_sweep(self, monkeypatch):
+        # ANALYZE no longer passes its crash site.
+        monkeypatch.setattr(optimizer_path, "crashpoint", lambda name: None)
+        site = "fe.analyze.before_stats_put"
+        result = run_crash_sweep(seed=0, sites=[site])
+        assert [run.problems for run in result.sites] == [
+            [f"{site}: no op of the {SWEEP_OPS}-op stream of seed 0 hits it"]
+        ]
+
+
+@pytest.fixture(scope="module")
+def double_crash():
+    return run_crash_sweep(seed=0, sites=["fe.commit.after_sqldb_commit"], double_crash=True)
 
 
 class TestDoubleCrash:
@@ -99,25 +140,23 @@ class TestDoubleCrash:
             "recovery.staged.after_discard",
         )
 
-    def test_double_crash_workload_site_recovers(self):
-        result = run_site(
-            "fe.commit.after_sqldb_commit", seed=0, double_crash=True, op="commit"
-        )
-        assert result.ok, "\n".join(result.problems)
+    def test_double_crash_workload_site_recovers(self, double_crash):
+        assert [run.label for run in double_crash.sites] == [
+            "fe.commit.after_sqldb_commit in commit#1"
+        ]
+        assert double_crash.ok, "\n".join(double_crash.sites[0].problems)
 
     def test_double_crash_gateway_site_recovers(self):
-        result = run_site("service.admit.after_enqueue", seed=0, double_crash=True)
-        assert result.ok, "\n".join(result.problems)
+        result = run_crash_sweep(seed=0, sites=["service.admit.after_enqueue"], double_crash=True)
+        assert result.ok, "\n".join(result.sites[0].problems)
 
-    def test_double_crash_is_deterministic(self):
-        site = "sto.checkpoint.after_blob_put"
-        first = run_site(site, seed=5, double_crash=True).summary()
-        second = run_site(site, seed=5, double_crash=True).summary()
-        assert first == second
+    def test_double_crash_is_deterministic(self, double_crash):
+        again = run_crash_sweep(seed=0, sites=["fe.commit.after_sqldb_commit"], double_crash=True)
+        assert again.summary() == double_crash.summary()
 
     def test_recovery_site_cannot_be_armed_directly(self):
         with pytest.raises(ValueError):
-            run_site("recovery.staged.after_discard", seed=0)
+            run_crash_sweep(seed=0, sites=["recovery.staged.after_discard"])
 
 
 class TestWorkloadOracle:
@@ -174,7 +213,7 @@ class TestTheModelCatches:
         driver.op_insert(0, "events")
         driver._touch_events(0)
         assert not driver.problems
-        controller = ChaosController(seed=0).arm("fe.commit.before_validation")
+        controller = ChaosController().arm("fe.commit.before_validation")
         with controller, pytest.raises(SimulatedCrash):
             driver.op_insert(0, "orders")
         driver.restart()
@@ -184,8 +223,11 @@ class TestTheModelCatches:
 
     def test_the_sweep_alone_catches_a_lost_update(self, monkeypatch):
         # Recovery forgets a table's newest manifest when it changed
-        # values but no row count: only a crash right after an
-        # acknowledged UPDATE, before anything newer lands, shows it.
+        # values but no row count: only a crash while an UPDATE is its
+        # table's newest manifest shows it.  The sample crashes each
+        # commit-path site inside a two-table commit, whose write to
+        # events is an UPDATE: after_install lands it, so a recovery that
+        # forgets it leaves neither the state before nor the one after.
         real = RecoveryManager._resolve_in_doubt
 
         def forgetting(manager, report):
@@ -201,17 +243,16 @@ class TestTheModelCatches:
             txn.commit()
 
         monkeypatch.setattr(RecoveryManager, "_resolve_in_doubt", forgetting)
-        result = run_crash_sweep(seed=0, sites=["fe.commit.before_validation"])
-        failed = {run.label: run.problems for run in result.failures}
-        assert "fe.commit.before_validation after update_point" in failed
-        assert "wrong v" in failed["fe.commit.before_validation after update_point"][0]
+        result = run_crash_sweep(seed=0, sites=["sqldb.commit.after_install"])
+        failed = [run.problems for run in result.failures if run.op == "commit"]
+        assert failed and "wrong v" in failed[0][0]
 
     def test_the_crashed_commit_may_land_whole_or_not_at_all(self, sweep):
         # after_install lands the commit (recovery finds it installed);
         # before_validation loses it.  Both are states the model allows.
-        runs = {run.label: run for run in sweep.sites}
-        landed = runs["sqldb.commit.after_install in commit"]
-        lost = runs["fe.commit.before_validation in commit"]
+        runs = {run.site: run for run in sweep.sites if run.op == "commit"}
+        landed = runs["sqldb.commit.after_install"]
+        lost = runs["fe.commit.before_validation"]
         assert landed.ok and lost.ok
         assert landed.recovery.in_doubt_committed == 1
         assert lost.recovery.in_doubt_committed == 0

@@ -24,7 +24,7 @@ def loaded(config):
 
 
 def crash_at(dw, site, thunk):
-    controller = ChaosController(seed=0).arm(site)
+    controller = ChaosController().arm(site)
     with controller:
         with pytest.raises(SimulatedCrash):
             thunk()

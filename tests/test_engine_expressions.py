@@ -303,6 +303,25 @@ class TestLiteralTyping:
         out = evaluate(BinOp(">", Lit("banana"), Col("s")), BATCH)
         assert out.tolist() == [True, False, False, False]
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            BinOp("<", Col("k"), Lit(2**63)),
+            BinOp("+", Lit(-(2**63) - 1), Col("k")),
+            # numpy would compare this list in float64, matching 2**63 - 1.
+            InList(Col("k"), (-(2**63), 2**63)),
+            # A bare literal would become a uint64 column.
+            Case(BinOp("<", Col("k"), Lit(6)), Lit(2**63), Col("k")),
+        ],
+        ids=["comparison", "arithmetic", "in-list", "bare"],
+    )
+    def test_an_integer_literal_outside_int64_is_a_plan_error(self, expr):
+        batch = {"k": np.array([5, 2**53 + 1, 2**63 - 1], dtype=np.int64)}
+        with pytest.raises(PlanError, match="outside int64"):
+            evaluate(expr, batch)
+        edges = InList(Col("k"), (-(2**63), 2**63 - 1))
+        assert evaluate(edges, batch).tolist() == [False, False, True]
+
 
 # -- dictionary hints -----------------------------------------------------------------
 

@@ -71,7 +71,7 @@ def test_a_leased_gateway_session_is_in_flight():
 
 
 def crash_an_insert(dw):
-    with ChaosController(seed=0).arm("fe.write.before_manifest_flush"):
+    with ChaosController().arm("fe.write.before_manifest_flush"):
         with pytest.raises(SimulatedCrash):
             dw.session().sql("INSERT INTO t (id, v) VALUES (1, 1.0)")
 

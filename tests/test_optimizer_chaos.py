@@ -24,7 +24,7 @@ def loaded(warehouse, session):
 
 
 def crash_at(site, thunk):
-    controller = ChaosController(seed=0).arm(site)
+    controller = ChaosController().arm(site)
     with controller:
         with pytest.raises(SimulatedCrash):
             thunk()

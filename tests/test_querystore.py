@@ -402,7 +402,7 @@ class TestCrashHygiene:
         insert_text = "INSERT INTO t (id, v) VALUES (1, 1.0)"
         insert_hash = fingerprint(insert_text)
 
-        controller = ChaosController(seed=0).arm("fe.write.before_manifest_flush")
+        controller = ChaosController().arm("fe.write.before_manifest_flush")
         with controller:
             with pytest.raises(SimulatedCrash):
                 sql.execute(insert_text)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Warehouse
 from repro.chaos.crashpoints import CRASHPOINTS
-from repro.chaos.harness import chaos_config, run_gateway_site, run_site
+from repro.chaos.harness import chaos_config, run_crash_sweep, run_gateway_site
 from repro.chaos.recovery import RecoveryManager
 from repro.service import Gateway
 from repro.service import gateway as service_gateway
@@ -31,10 +31,10 @@ def test_crash_mid_queue_recovers_clean(site):
 
 
 @pytest.mark.parametrize("site", SERVICE_SITES)
-def test_run_site_routes_service_sites_to_the_gateway_harness(site):
-    summary = run_site(site, seed=0).summary()
-    assert summary == run_gateway_site(site, seed=0).summary()
-    assert f"/g" in summary
+def test_the_sweep_routes_gateway_sites(site):
+    summary = run_crash_sweep(seed=0, sites=[site]).summary()
+    assert summary == [run_gateway_site(site, seed=0).summary()]
+    assert "/g" in summary[0]
 
 
 def test_gateway_site_summary_is_deterministic():

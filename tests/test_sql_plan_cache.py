@@ -319,9 +319,12 @@ class TestAlwaysCompiles:
         sql.session._context.plan_cache.clear()
         assert run(sql, CUSTOMER_BY_KEY.format(5))[1] is None
         assert run(sql, CUSTOMER_BY_KEY.format("5.0"))[1] is None
-        assert run(sql, CUSTOMER_BY_KEY.format("6.0"))[1] is not None
         assert run(sql, CUSTOMER_BY_KEY.format(6))[1] is not None
-        assert check_against_compile(sql, CUSTOMER_BY_KEY.format("7.0")) is not None
+        # The binder lowers a float against the int64 key to an integer,
+        # which is no slot of the float token: such a statement compiles
+        # every time (float columns cache floats: SHAPES["float"]).
+        assert run(sql, CUSTOMER_BY_KEY.format("6.0"))[1] is None
+        assert check_against_compile(sql, CUSTOMER_BY_KEY.format("7.0")) is None
 
     def test_in_lists_of_other_arity_miss(self, loaded):
         sql = SqlSession(loaded.session())

@@ -31,7 +31,9 @@ and on dates (``DATE`` literals or bare day numbers).  A key literal may
 lie just outside ``int64`` or be written as the sum of two; where the
 literal or the sum is outside ``int64`` the statement must raise
 :class:`~repro.common.errors.PlanError` (SQLite's answer is in REAL, see
-:mod:`repro.sql.binder`), otherwise match SQLite.  Each statement
+:mod:`repro.sql.binder`), otherwise match SQLite.  A key literal may
+also be a float, around 2**53 and 2**63 or between small keys, which
+both engines compare with the ``int64`` key exactly.  Each statement
 runs cold and again after a literal variant of it warmed the plan cache
 (a hit whenever the variant's plan was stored); a string literal against either
 column must raise :class:`~repro.common.errors.PlanError` both ways.
@@ -290,12 +292,15 @@ KEYED_SCHEMA = Schema.of(("id", "int64"), ("k", "int64"), ("d", "int64"), ("v", 
 def keyed_batches():
     """Four inserts, each a sorted run of keys with ties (every key three
     times) and of dates (every day twice); the first and last hold the
-    ``int64`` extremes."""
+    ``int64`` extremes, and the middle two end on either side of 2**53,
+    past which float64 no longer holds every integer."""
     for batch in range(4):
         ids = np.arange(batch * 150, (batch + 1) * 150, dtype=np.int64)
         keys = batch * 1_000 + (ids % 150) // 3 * 7
         if batch == 0:
             keys[:3] = INT64_MIN
+        if batch in (1, 2):
+            keys[-3:] = 2**53 - 1 if batch == 1 else 2**53 + 1
         if batch == 3:
             keys[-3:] = INT64_MAX
         yield {
@@ -349,6 +354,16 @@ def _sums():
     )
 
 
+def _floats():
+    """A float literal for ``k``: 2**53 and ±2**63, onto which float64
+    rounds a stored key, their neighbours, or a value between small keys."""
+    return st.one_of(
+        st.sampled_from([2.0**53, 2.0**63, -(2.0**63)]),
+        st.sampled_from([2.0**53 - 1, 2.0**53 + 2, 2.0**63 - 1024, -(2.0**53)]),
+        st.integers(-50, 3_200).map(lambda key: key + 0.5),
+    )
+
+
 def _days():
     return st.integers(FIRST_DAY - 20, FIRST_DAY + 420)
 
@@ -356,6 +371,8 @@ def _days():
 def _literal(column, value, dates_as_text):
     if isinstance(value, tuple):
         return f"{value[0]} + {value[1]}"
+    if isinstance(value, float):
+        return f"{value:.1f}"  # every generated float, digit for digit
     if column == "d" and dates_as_text:
         return f"DATE '{datetime.date.fromordinal(value).isoformat()}'"
     return str(value)
@@ -368,19 +385,40 @@ def _outside_int64(literals):
     return any(
         not INT64_MIN <= (sum(value) if isinstance(value, tuple) else value) <= INT64_MAX
         for value in literals
+        if not isinstance(value, float)
     )
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        "k = 9007199254740992.0",  # 2**53: float64 would match 2**53 + 1
+        "k > 9007199254740992.0",  # float64 would drop 2**53 + 1
+        "k < 9223372036854775807.0",  # the double 2**63: every key
+        "k >= -9223372036854775808.0",
+        "k < -9223372036854775808.0",
+        "k BETWEEN 9007199254740991.0 AND 9223372036854775807.0",
+        "k IN (9007199254740992.0, 9223372036854775808.0, 7.0, 7.5)",
+        "k NOT IN (9007199254740992.0, 7.0)",
+        "k <= 7.5 AND k > -1.5",
+    ],
+)
+def test_float_literals_meet_int64_keys_exactly(keyed, where):
+    sql_session, db = keyed
+    text = f"SELECT id, k FROM h WHERE {where} ORDER BY id"
+    assert_same_result(sql_session.execute(text), db, text)
 
 
 @st.composite
 def conjuncts(draw, column):
     """One ``column`` predicate: a template with ``{}`` per literal, and
     the literal values (a key may be a sum, except in an ``IN`` list)."""
-    values = st.one_of(_keys(), _sums()) if column == "k" else _days()
+    values = st.one_of(_keys(), _sums(), _floats()) if column == "k" else _days()
     op = draw(st.sampled_from(["=", "<", ">=", "BETWEEN", "IN"]))
     if op == "BETWEEN":
         return f"{column} BETWEEN {{}} AND {{}}", [draw(values), draw(values)]
     if op == "IN":
-        values = _keys() if column == "k" else values
+        values = st.one_of(_keys(), _floats()) if column == "k" else values
         items = draw(st.lists(values, min_size=1, max_size=4))
         return f"{column} IN ({', '.join('{}' for __ in items)})", items
     return f"{column} {op} {{}}", [draw(values)]

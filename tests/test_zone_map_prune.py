@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import PlanError
 from repro.dcp.cells import Placement, distribution_of
 from repro.engine.expressions import BinOp, Col, Lit, evaluate
 from repro.fe.read_path import _prune_snapshot
@@ -183,7 +184,7 @@ def engine_equal(values, literal):
     (None when the engine refuses the comparison)."""
     try:
         return evaluate(BinOp("==", Col("k"), Lit(literal)), {"k": values})
-    except (OverflowError, TypeError):
+    except (PlanError, TypeError):
         return None
 
 
