@@ -12,8 +12,10 @@ kind (data, dv, manifest, checkpoint, index, other), then the manifest
 JSON bytes per action kind (``add_file``, ``remove_file``, ``add_dv``,
 ``remove_dv``) with their line counts, the manifest and checkpoint bytes
 as stored (deflate frames, ``repro.lst.codec``) and as inflated JSON,
-and the ``add_file`` lines written per data file (1.0 when each is
-written once).  A "line" is one action's compact JSON inside its block's
+the manifest and checkpoint JSON bytes by descriptor field (``name``,
+``path``, ``target_file``, ``checksum``, ``column_stats``, and the rest:
+keys, numbers, brackets), and the ``add_file`` lines written per data
+file (1.0 when each is written once).  A "line" is one action's compact JSON inside its block's
 array; its bytes count one separator.  Last come the data files' chunk
 bytes as stored (compressed), with chunk counts, split by chunk encoding
 (RAW, FOR, DICT, PLAIN, DEC) and by column type; footers, magic and
@@ -55,6 +57,10 @@ KINDS = (
     ("index", "/_indexes/"),
 )
 
+#: Descriptor fields whose JSON bytes are counted one by one; a remove
+#: action's ``name`` and ``target_file`` count too.
+FIELDS = ("name", "path", "target_file", "checksum", "column_stats")
+
 #: Chunk encoding tag -> name (``repro.pagefile.encoding``).
 ENCODINGS = {
     getattr(encoding, name): name for name in ("RAW", "FOR", "DICT", "PLAIN", "DEC")
@@ -88,6 +94,8 @@ class WriteLog:
         self.chunk_bytes: Counter = Counter()
         #: Data-file bytes by part: chunks, footer, framing.
         self.data_parts: Counter = Counter()
+        #: Manifest and checkpoint JSON bytes by (blob kind, field).
+        self.field_bytes: Counter = Counter()
 
     def record(self, path: str, data: bytes) -> None:
         """Attribute one ``put`` or staged block."""
@@ -100,12 +108,28 @@ class WriteLog:
             return
         for payload in decode_frames(data, f"{kind} {path}"):
             self.inflated[kind] += len(payload)
-            if kind == "manifest":
-                for action in json.loads(payload):
-                    name = action.get("action", "?")
-                    line = json.dumps(action, separators=(",", ":"))
-                    self.action_bytes[name] += len(line) + 1
-                    self.action_lines[name] += 1
+            self.field_bytes[kind, "rest"] += len(payload)
+            document = json.loads(payload)
+            if kind == "checkpoint":
+                snapshot = document["snapshot"]
+                for entry in snapshot["files"] + snapshot["dvs"]:
+                    self.record_fields(kind, entry)
+                continue
+            for action in document:
+                name = action.get("action", "?")
+                line = json.dumps(action, separators=(",", ":"))
+                self.action_bytes[name] += len(line) + 1
+                self.action_lines[name] += 1
+                self.record_fields(kind, action.get("file") or action.get("dv") or action)
+
+    def record_fields(self, kind: str, descriptor: Dict) -> None:
+        """Move the bytes of ``descriptor``'s counted fields (``"key":value``
+        and one separator each) out of ``kind``'s rest."""
+        for key in FIELDS:
+            if key in descriptor:
+                pair = json.dumps({key: descriptor[key]}, separators=(",", ":"))
+                self.field_bytes[kind, key] += len(pair) - 1
+                self.field_bytes[kind, "rest"] -= len(pair) - 1
 
     def record_chunks(self, path: str, data: bytes) -> None:
         """Attribute each chunk of data file ``data`` to its encoding (the
@@ -189,6 +213,14 @@ def main() -> int:
         print(
             f"{kind}s: {inflated:,} B of JSON stored as {stored:,} B ({ratio:.1%})"
         )
+    print("manifest and checkpoint JSON bytes by descriptor field (bytes, share)")
+    for field in FIELDS + ("rest",):
+        cells = [
+            f"{kind} {log.field_bytes[kind, field]:>10,} B "
+            f"{log.field_bytes[kind, field] / (log.inflated[kind] or 1):>6.1%}"
+            for kind in ("manifest", "checkpoint")
+        ]
+        print(f"  {field:<12} " + "   ".join(cells))
     _table(
         "data-file bytes by part (files, bytes, share, bytes per file)",
         {part: (log.writes["data"], log.data_parts[part]) for part in log.data_parts},

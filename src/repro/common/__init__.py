@@ -13,15 +13,15 @@ from repro.common.errors import (
     TransactionAbortedError,
     WriteConflictError,
 )
-from repro.common.ids import GuidGenerator, MonotonicSequence
+from repro.common.ids import MonotonicSequence, TransactionNames
 
 __all__ = [
-    "GuidGenerator",
     "MonotonicSequence",
     "PolarisConfig",
     "PolarisError",
     "SimulatedClock",
     "StorageError",
     "TransactionAbortedError",
+    "TransactionNames",
     "WriteConflictError",
 ]

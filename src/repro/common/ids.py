@@ -1,36 +1,19 @@
 """Deterministic identifier generation.
 
-The production system uses GUIDs for transaction-manifest file names and
-monotonically increasing sequence ids for commit ordering (Section 3.1 of the
-paper).  For reproducibility, all ids here come from seeded generators: two
-runs with the same seed produce the same ids, which keeps tests and
-benchmarks deterministic.
+Commits are ordered by monotonically increasing sequence ids (Section 3.1
+of the paper), and transactions, tasks, nodes and tables get theirs from
+the same kind of sequence.  Everything a transaction writes is named
+after it (:class:`TransactionNames`): its manifest ``{txid:x}``, its data
+and deletion-vector files and staged manifest blocks ``{txid:x}.{n:x}``
+with ``n`` drawn fresh for every put.  Transaction ids never repeat in
+one deployment's store, so neither do these names, and no name carries
+randomness: two runs with the same seed write the same names (DESIGN.md
+"File names").
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-
-
-class GuidGenerator:
-    """Produce GUID-shaped strings from a seeded PRNG.
-
-    The strings look like real GUIDs (``8-4-4-4-12`` hex groups) but are
-    fully deterministic given the seed.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def next(self) -> str:
-        """Return the next GUID-shaped string."""
-        raw = self._rng.getrandbits(128)
-        hexstr = f"{raw:032x}"
-        return (
-            f"{hexstr[0:8]}-{hexstr[8:12]}-{hexstr[12:16]}"
-            f"-{hexstr[16:20]}-{hexstr[20:32]}"
-        )
 
 
 class MonotonicSequence:
@@ -53,3 +36,22 @@ class MonotonicSequence:
     def last(self) -> int:
         """The most recently issued value (``start - 1`` if none yet)."""
         return self._last
+
+
+class TransactionNames:
+    """The names one transaction writes under.
+
+    ``manifest`` is the transaction's manifest name (one manifest per
+    transaction per table, each under its own table's root);
+    :meth:`next` is ``{txid:x}.{n:x}`` with a fresh ordinal ``n`` on every
+    call, for a file put or a staged block.  A retried put draws a new
+    name, so it never meets a blob an earlier attempt may have left.
+    """
+
+    def __init__(self, txid: int) -> None:
+        self.manifest = f"{txid:x}"
+        self._ordinals = itertools.count()
+
+    def next(self) -> str:
+        """A name no earlier call returned: ``{txid:x}.{n:x}``."""
+        return f"{self.manifest}.{next(self._ordinals):x}"

@@ -72,6 +72,9 @@ def restore_backup(
     # New commits must continue strictly above every restored sequence id,
     # or snapshot reconstruction would see history run backwards.
     engine.advance_commit_seq_past(max_sequence_id)
+    # Files are named after their writer's txid: a restarted txid sequence
+    # would name new files like ones already in the store.
+    engine.advance_txid_past(context.sqldb.last_txid)
     context.sqldb = engine
     # Fresh engine means fresh visibility: cached snapshots may reference
     # rolled-back history, and plans and statistics are keyed on install

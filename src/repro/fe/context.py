@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Tupl
 from repro.common.clock import SimulatedClock
 from repro.common.config import PolarisConfig
 from repro.common.events import EventBus
-from repro.common.ids import GuidGenerator, MonotonicSequence
+from repro.common.ids import MonotonicSequence
 from repro.dcp.autoscaler import Autoscaler
 from repro.dcp.costmodel import CostModel
 from repro.dcp.scheduler import Scheduler
@@ -82,13 +82,13 @@ class ServiceContext:
     autoscaler: Autoscaler
     cost_model: CostModel
     cache: SnapshotCache
-    guids: GuidGenerator
     bus: EventBus
     #: Span tracing + metrics for the whole deployment.
     telemetry: Telemetry
     #: Decompressed column chunks of the immutable data files this
     #: deployment has scanned (process memory, like ``cache``; per
-    #: context because etags and GUID paths repeat across stores).
+    #: context because etags and file names repeat across stores: every
+    #: deployment restarts their sequences).
     chunk_cache: ChunkCache
     #: Resolves ``sys.dm_*`` system-view names (attached after
     #: construction, like the cache — it subscribes to the bus).
@@ -169,7 +169,6 @@ class ServiceContext:
             autoscaler=Autoscaler(config.dcp),
             cost_model=cost_model,
             cache=None,  # type: ignore[arg-type]  -- set just below
-            guids=GuidGenerator(seed=config.seed),
             bus=bus,
             telemetry=telemetry,
             participants=participants,

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from repro.chaos.crashpoints import crashpoint
 from repro.common.errors import SimulatedCrash, TransactionStateError
+from repro.common.ids import TransactionNames
 from repro.fe.catalog import describe_table
 from repro.fe.context import ServiceContext
 from repro.lst.actions import Action
@@ -87,7 +88,9 @@ class PolarisTransaction:
             raise ValueError(f"unknown isolation level {name!r}")
         self.isolation = level
         self.root: SqlDbTransaction = context.sqldb.begin(level)
-        self.guid = context.guids.next()
+        #: Names of everything this transaction writes: its manifests,
+        #: files and staged blocks (DESIGN.md "File names").
+        self.names = TransactionNames(self.root.txid)
         self._writes: Dict[int, TableWriteState] = {}
         self.retries = 0
         #: Root telemetry span covering the whole transaction (None when
@@ -188,7 +191,7 @@ class PolarisTransaction:
         self._require_active()
         state = self._writes.get(table_id)
         if state is None:
-            name = self._context.guids.next()
+            name = self.names.manifest
             state = TableWriteState(
                 table_id=table_id,
                 manifest_name=name,
@@ -202,9 +205,7 @@ class PolarisTransaction:
     def manifest_writer(self, table_id: int) -> BlockBlobClient:
         """A block-blob client BE tasks use to stage manifest blocks."""
         state = self.write_state(table_id)
-        return BlockBlobClient(
-            self._context.store, state.manifest_path, self._context.guids
-        )
+        return BlockBlobClient(self._context.store, state.manifest_path, self.names)
 
     def flush_insert(
         self, table_id: int, new_block_ids: List[str], new_actions: List[Action]
@@ -251,9 +252,7 @@ class PolarisTransaction:
             self.flush_insert(table_id, new_block_ids, new_actions)
             return orphans
         state.actions = net
-        writer = BlockBlobClient(
-            self._context.store, state.manifest_path, self._context.guids
-        )
+        writer = BlockBlobClient(self._context.store, state.manifest_path, self.names)
         block_id = with_retries(
             lambda: writer.write_block(encode_actions(net)),
             telemetry=self._context.telemetry,

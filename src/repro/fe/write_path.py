@@ -97,7 +97,7 @@ def _write_data_file(
         else:
             order = zorder_permutation(columns, sort_column)
         columns = {name: values[order] for name, values in columns.items()}
-    name = context.guids.next() + ".rpf"
+    name = txn.names.next() + ".rpf"
     path = paths.data_file_path(context.database, table_id, name)
     data = write_page_file(
         schema, columns, row_group_size=context.config.row_group_size
@@ -155,7 +155,7 @@ def _write_dv_file(
     vector: DeletionVector,
 ) -> DeletionVectorInfo:
     """Write one private deletion-vector file."""
-    name = context.guids.next() + ".rdv"
+    name = txn.names.next() + ".rdv"
     path = paths.dv_file_path(context.database, table_id, name)
     data = vector.to_bytes()
     blob = context.store.put(path, data, metadata=_file_stamp(txn))

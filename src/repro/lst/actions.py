@@ -8,22 +8,34 @@ deletion-vector file.  Updates are a deletion (DV change) plus an insertion
 An add carries the file's whole descriptor; a remove only names the file
 it retires (and, for a DV, the data file it is attached to), since the
 table that replays it already holds that descriptor.
+
+A descriptor's wire form stores no path.  A file lives under its owner
+table's root, by kind and name (:mod:`repro.storage.paths`), and the
+blob holding the descriptor lies under that root too, so the reader
+derives the path from the blob's own (``from_dict(raw, database,
+table_id)``).  Only a checkpoint entry for a file another table owns (a
+clone's inherited files) names that table, as ``"table"``.  A descriptor
+that carries a ``path`` is malformed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
+
+from repro.storage import paths
 
 
 @dataclass(frozen=True)
 class DataFileInfo:
     """Descriptor of one immutable data file as recorded in manifests."""
 
-    #: Unique file name (a GUID plus extension); also the conflict unit for
-    #: file-granularity conflict detection.
+    #: File name, ``{txid:x}.{n:x}.rpf`` (:class:`~repro.common.ids.TransactionNames`),
+    #: unique in the store; also the conflict unit for file-granularity
+    #: conflict detection.
     name: str
-    #: Full object-store path.
+    #: Full object-store path: the owner table's ``data/`` folder plus
+    #: :attr:`name`.  Derived on read, never stored (module doc).
     path: str
     #: Physical row count in the file.
     num_rows: int
@@ -58,11 +70,11 @@ class DataFileInfo:
                 return lo, hi
         return None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (manifest wire format)."""
-        out = {
+    def to_dict(self, table: Optional[int] = None) -> Dict[str, Any]:
+        """JSON-serializable form (wire format): no path, and ``table``
+        (the owner) only when given (module doc)."""
+        out: Dict[str, Any] = {
             "name": self.name,
-            "path": self.path,
             "num_rows": self.num_rows,
             "size_bytes": self.size_bytes,
             "distribution": self.distribution,
@@ -71,17 +83,23 @@ class DataFileInfo:
         }
         if self.mixed:
             out["mixed"] = True
+        if table is not None:
+            out["table"] = table
         return out
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "DataFileInfo":
-        """Inverse of :meth:`to_dict`."""
+    def from_dict(
+        cls, raw: Dict[str, Any], database: str, table_id: int
+    ) -> "DataFileInfo":
+        """Inverse of :meth:`to_dict`, read from a blob under the root of
+        ``table_id`` in ``database``."""
         # The writer puts the marker only on mixed files, and only as true.
         if raw.get("mixed", True) is not True:
             raise ValueError(f"mixed must be true when present, not {raw['mixed']!r}")
+        name = _text(raw, "name")
         return cls(
-            name=_text(raw, "name"),
-            path=raw["path"],
+            name=name,
+            path=paths.data_file_path(database, _owner(raw, table_id), name),
             num_rows=raw["num_rows"],
             size_bytes=raw["size_bytes"],
             distribution=raw["distribution"],
@@ -97,9 +115,10 @@ class DataFileInfo:
 class DeletionVectorInfo:
     """Descriptor of one immutable deletion-vector file."""
 
-    #: Unique DV file name.
+    #: DV file name, ``{txid:x}.{n:x}.rdv`` (see :attr:`DataFileInfo.name`).
     name: str
-    #: Full object-store path.
+    #: Full object-store path: the owner table's ``dv/`` folder plus
+    #: :attr:`name`.  Derived on read, never stored (module doc).
     path: str
     #: Name of the data file whose rows this DV marks deleted.
     target_file: str
@@ -111,23 +130,30 @@ class DeletionVectorInfo:
     #: blob metadata (see :attr:`DataFileInfo.checksum`).
     checksum: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (manifest wire format)."""
-        return {
+    def to_dict(self, table: Optional[int] = None) -> Dict[str, Any]:
+        """JSON-serializable form (wire format): no path, and ``table``
+        (the owner) only when given (module doc)."""
+        out: Dict[str, Any] = {
             "name": self.name,
-            "path": self.path,
             "target_file": self.target_file,
             "cardinality": self.cardinality,
             "size_bytes": self.size_bytes,
             "checksum": self.checksum,
         }
+        if table is not None:
+            out["table"] = table
+        return out
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "DeletionVectorInfo":
-        """Inverse of :meth:`to_dict`."""
+    def from_dict(
+        cls, raw: Dict[str, Any], database: str, table_id: int
+    ) -> "DeletionVectorInfo":
+        """Inverse of :meth:`to_dict`, read from a blob under the root of
+        ``table_id`` in ``database``."""
+        name = _text(raw, "name")
         return cls(
-            name=_text(raw, "name"),
-            path=raw["path"],
+            name=name,
+            path=paths.dv_file_path(database, _owner(raw, table_id), name),
             target_file=_text(raw, "target_file"),
             cardinality=raw["cardinality"],
             size_bytes=raw["size_bytes"],
@@ -196,18 +222,33 @@ class RemoveDeletionVector:
 Action = Union[AddDataFile, RemoveDataFile, AddDeletionVector, RemoveDeletionVector]
 
 
-def action_from_dict(raw: Dict[str, Any]) -> Action:
-    """Parse one serialized action."""
+def action_from_dict(raw: Dict[str, Any], database: str, table_id: int) -> Action:
+    """Parse one serialized action of a manifest under the root of
+    ``table_id`` in ``database``."""
     kind = raw.get("action")
     if kind == AddDataFile.kind:
-        return AddDataFile(DataFileInfo.from_dict(raw["file"]))
+        return AddDataFile(DataFileInfo.from_dict(raw["file"], database, table_id))
     if kind == RemoveDataFile.kind:
         return RemoveDataFile(_text(raw, "name"))
     if kind == AddDeletionVector.kind:
-        return AddDeletionVector(DeletionVectorInfo.from_dict(raw["dv"]))
+        return AddDeletionVector(
+            DeletionVectorInfo.from_dict(raw["dv"], database, table_id)
+        )
     if kind == RemoveDeletionVector.kind:
         return RemoveDeletionVector(_text(raw, "name"), _text(raw, "target_file"))
     raise ValueError(f"unknown manifest action {kind!r}")
+
+
+def _owner(raw: Dict[str, Any], table_id: int) -> int:
+    """The table owning the file ``raw`` describes: its ``"table"`` when
+    written (never the reading table's own id), else ``table_id``.  A
+    stored ``path`` is rejected: paths are derived (module doc)."""
+    if "path" in raw:
+        raise ValueError("a descriptor stores no path; it is derived")
+    owner = raw.get("table", table_id)
+    if type(owner) is not int or ("table" in raw and owner == table_id):
+        raise ValueError(f"table must be another table's id, not {owner!r}")
+    return owner
 
 
 def _text(raw: Dict[str, Any], key: str) -> str:

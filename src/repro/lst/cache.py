@@ -93,9 +93,10 @@ class SnapshotCache:
     def get(self, table_id: int, sequence_id: int) -> TableSnapshot:
         """Return the snapshot of ``table_id`` as of ``sequence_id``."""
         versions = self._entries.setdefault(table_id, {})
-        exact = versions.get(sequence_id)
+        exact = versions.pop(sequence_id, None)
         if exact is not None:
             self.stats.hits += 1
+            versions[sequence_id] = exact  # now the most recently used
             return exact.snapshot
 
         ancestor = self._best_ancestor(versions, sequence_id)
@@ -175,10 +176,15 @@ class SnapshotCache:
     def _remember(
         self, versions: Dict[int, _Entry], snapshot: TableSnapshot
     ) -> None:
-        entry = versions.get(snapshot.sequence_id)
+        """Keep ``snapshot`` as the table's most recently used entry and
+        evict the least recently used beyond the bound.  Recency, not
+        age: garbage collection asks for the state at its horizon, the
+        oldest entry, on every pass."""
+        entry = versions.pop(snapshot.sequence_id, None)
         if entry is None or entry.snapshot is not snapshot:
             # An extension that found nothing to replay hands back its
             # cached ancestor; keep that entry's derived values.
-            versions[snapshot.sequence_id] = _Entry(snapshot)
+            entry = _Entry(snapshot)
+        versions[snapshot.sequence_id] = entry
         while len(versions) > self._max_versions:
-            del versions[min(versions)]
+            del versions[next(iter(versions))]

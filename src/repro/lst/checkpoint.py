@@ -35,6 +35,7 @@ from typing import Any, Dict
 from repro.common.errors import FileFormatError
 from repro.lst.codec import decode_frames, encode_frame
 from repro.lst.snapshot import TableSnapshot
+from repro.storage import paths
 
 
 def encode_document(document: Any) -> bytes:
@@ -63,18 +64,19 @@ class Checkpoint:
     #: Simulated time the checkpoint was written (drives Figure 11).
     created_at: float
 
-    def to_bytes(self) -> bytes:
-        """Serialize the checkpoint to its file form."""
+    def to_bytes(self, path: str) -> bytes:
+        """Serialize the checkpoint to its file form, to be stored at
+        ``path`` (its entries' paths derive from that blob's table root)."""
         payload: Dict[str, Any] = {
             "sequence_id": self.sequence_id,
             "created_at": self.created_at,
-            "snapshot": self.snapshot.to_dict(),
+            "snapshot": self.snapshot.to_dict(*paths.table_of(path)),
         }
         return encode_document(payload)
 
     @classmethod
-    def from_bytes(cls, data: bytes, path: str = "<checkpoint>") -> "Checkpoint":
-        """Parse a checkpoint file.
+    def from_bytes(cls, data: bytes, path: str) -> "Checkpoint":
+        """Parse the checkpoint blob at ``path``.
 
         Malformed bytes raise :class:`FileFormatError` naming ``path``.
         """
@@ -83,7 +85,9 @@ class Checkpoint:
             checkpoint = cls(
                 sequence_id=raw["sequence_id"],
                 created_at=float(raw["created_at"]),
-                snapshot=TableSnapshot.from_dict(raw["snapshot"]),
+                snapshot=TableSnapshot.from_dict(
+                    raw["snapshot"], *paths.table_of(path)
+                ),
             )
         except (
             ValueError, LookupError, TypeError, AttributeError, ArithmeticError

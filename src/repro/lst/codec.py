@@ -14,8 +14,9 @@ back frame by frame, whatever blocks were committed together.
 A manifest block holds one to a few actions (about 400 B of JSON), far
 too little for deflate to learn the keys from.  ``PRESET`` primes every
 stream with what every block spells: the action and descriptor key
-templates and the path fragments.  It holds no table id, database or
-column name, so one dictionary serves every table.  It is part of the
+templates and the file extensions.  It holds no table id, database or
+column name, so one dictionary serves every table; descriptors store no
+path for it to hold (:mod:`repro.lst.actions`).  It is part of the
 format: a frame decodes only with the dictionary it was written with
 (``tests/test_lst_codec.py`` holds a golden frame).
 
@@ -47,12 +48,12 @@ MEM_LEVEL = 8
 #: most common template (``add_file``) sits at the end, nearest the data.
 PRESET = (
     b'{"sequence_id":,"created_at":,"snapshot":{"sequence_id":,"files":[],'
-    b'"dvs":[]},"mixed":true}}['
+    b'"dvs":[]},"table":,"mixed":true}}['
     b'{"action":"remove_dv","name":".rdv","target_file":".rpf"},'
     b'{"action":"remove_file","name":".rpf"},'
-    b'{"action":"add_dv","dv":{"name":".rdv","path":"internal//tables//dv/.rdv",'
+    b'{"action":"add_dv","dv":{"name":".rdv",'
     b'"target_file":".rpf","cardinality":1,"size_bytes":2,"checksum":"crc32:"}},'
-    b'{"action":"add_file","file":{"name":".rpf","path":"internal//tables//data/.rpf",'
+    b'{"action":"add_file","file":{"name":".rpf",'
     b'"num_rows":,"size_bytes":,"distribution":,"column_stats":[["",0,],["",0.0,.0]],'
     b'"checksum":"crc32:"}}]'
 )

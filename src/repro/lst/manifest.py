@@ -32,6 +32,7 @@ from repro.lst.actions import (
     action_from_dict,
 )
 from repro.lst.codec import decode_frames, encode_frame
+from repro.storage import paths
 
 
 def encode_actions(actions: List[Action]) -> bytes:
@@ -40,18 +41,20 @@ def encode_actions(actions: List[Action]) -> bytes:
     return encode_frame(json.dumps(document, separators=(",", ":")).encode("utf-8"))
 
 
-def decode_manifest(data: bytes, path: str = "<manifest>") -> List[Action]:
-    """Parse a full manifest file (any concatenation of encoded blocks).
+def decode_manifest(data: bytes, path: str) -> List[Action]:
+    """Parse the manifest blob at ``path`` (any concatenation of encoded
+    blocks); its descriptors' paths derive from ``path``'s table root.
 
     Malformed bytes raise :class:`FileFormatError` naming ``path``.
     """
+    database, table_id = paths.table_of(path)
     actions: List[Action] = []
     for payload in decode_frames(data, f"manifest {path}"):
         try:
             block = json.loads(payload)
             if type(block) is not list:
                 raise TypeError(f"a block holds {type(block).__name__}, not a list")
-            actions.extend(action_from_dict(raw) for raw in block)
+            actions.extend(action_from_dict(raw, database, table_id) for raw in block)
         except (
             ValueError, LookupError, TypeError, AttributeError, ArithmeticError
         ) as exc:

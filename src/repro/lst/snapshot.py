@@ -27,6 +27,7 @@ from repro.lst.actions import (
     RemoveDataFile,
     RemoveDeletionVector,
 )
+from repro.storage import paths
 
 
 @dataclass
@@ -113,25 +114,35 @@ class TableSnapshot:
 
     # -- serialization (for checkpoints) --------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (used by checkpoint files)."""
+    def to_dict(self, database: str, table_id: int) -> Dict[str, Any]:
+        """JSON-serializable form of table ``table_id``'s snapshot (used by
+        its checkpoint files): an entry for a file under another table's
+        root names that table (:mod:`repro.lst.actions`)."""
+        root = paths.table_root(database, table_id) + "/"
+
+        def owner(path: str) -> Optional[int]:
+            return None if path.startswith(root) else paths.table_of(path)[1]
+
         return {
             "sequence_id": self.sequence_id,
-            "files": [f.to_dict() for f in self.files.values()],
-            "dvs": [dv.to_dict() for dv in self.dvs.values()],
+            "files": [f.to_dict(owner(f.path)) for f in self.files.values()],
+            "dvs": [dv.to_dict(owner(dv.path)) for dv in self.dvs.values()],
         }
 
     @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "TableSnapshot":
+    def from_dict(
+        cls, raw: Dict[str, Any], database: str, table_id: int
+    ) -> "TableSnapshot":
         """Inverse of :meth:`to_dict`; any other key (a ``tombstones``
         list, say) raises ``ValueError``."""
         if set(raw) != _KEYS:
             raise ValueError(f"snapshot keys {sorted(raw)} are not {sorted(_KEYS)}")
         files = {
-            item["name"]: DataFileInfo.from_dict(item) for item in raw["files"]
+            item["name"]: DataFileInfo.from_dict(item, database, table_id)
+            for item in raw["files"]
         }
         dvs = {
-            item["target_file"]: DeletionVectorInfo.from_dict(item)
+            item["target_file"]: DeletionVectorInfo.from_dict(item, database, table_id)
             for item in raw["dvs"]
         }
         return cls(sequence_id=raw["sequence_id"], files=files, dvs=dvs)

@@ -20,13 +20,17 @@ keeps the same rows, or to ``TRUE``/``FALSE``: ``k < 2.5`` is ``k < 3``,
 ``k = 2.5`` is ``FALSE``, and ``k < 9223372036854775807.0`` (the double
 2**63) is ``TRUE``, as SQLite compares.  The row filter and the zone-map
 prune see the same integer.  The plan API keeps numpy's rule: there an
-``int64`` column meets a float literal in float64.
+``int64`` column meets a float literal in float64.  In ``HAVING`` the
+same holds for a group key, a name the ``GROUP BY`` lists: an aggregate
+whose select-list alias names a group key is renamed inside the plan, so
+the key keeps its name there, as SQLite resolves it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
 from repro.engine.expressions import (
@@ -215,8 +219,12 @@ class Binder:
             if isinstance(item.expr, SFunc) and item.expr.name in _AGG_MAP | {
                 "COUNT": "count"
             }:
-                aggs[name] = self._bind_aggregate(item.expr, tables)
-                post_outputs[name] = Col(name)
+                # An alias naming a group key must not hide that key from
+                # HAVING or the other outputs: the aggregate is renamed.
+                column = name if name not in group_keys else f"__agg{len(aggs)}__"
+                aggs[column] = self._bind_aggregate(item.expr, tables)
+                post_outputs[name] = Col(column)
+                needs_post |= column != name
                 continue
             # An expression over aggregates/keys: lower the aggregates it
             # contains, then compute the expression in a post-projection.
@@ -227,10 +235,9 @@ class Binder:
             raise SqlSyntaxError("GROUP BY query without aggregates or keys")
         plan = Aggregate(plan, tuple(group_keys), aggs)
         if stmt.having is not None:
+            having = self._lower_nested_aggregates(stmt.having, aggs, tables)
             having = self._bind_expr(
-                self._lower_nested_aggregates(stmt.having, aggs, tables),
-                tables,
-                aggs_ok=True,
+                self._exact_keys(having, set(group_keys), tables), tables, aggs_ok=True
             )
             plan = Filter(plan, having)
         if needs_post or set(post_outputs) != set(group_keys) | set(aggs):
@@ -420,13 +427,7 @@ class Binder:
             if not aggs_ok:
                 for value in values:
                     self._check_comparable(expr.arg, SLiteral(value), tables)
-                if self._is_int64(expr.arg, tables):
-                    # A float that is no int64 integer matches no row.
-                    values = tuple(
-                        _integral(value) if type(value) is float else value
-                        for value in values
-                        if type(value) is not float or _integral(value) is not None
-                    )
+                values = self._exact_values(expr, tables)
             inlist = InList(self._bind_expr(expr.arg, tables, aggs_ok), values)
             return Not(inlist) if expr.negated else inlist
         if isinstance(expr, SBetween):
@@ -495,6 +496,37 @@ class Binder:
             return SLiteral(op in (">", ">="))
         return SBin(op, column, SLiteral(limit))
 
+    def _exact_values(self, expr: SIn, tables) -> Tuple[Any, ...]:
+        """``expr``'s list, each float lowered to the ``int64`` integer it
+        equals when ``expr`` tests an ``int64`` column; a float that is
+        no such integer matches no row and goes."""
+        if not self._is_int64(expr.arg, tables):
+            return expr.values
+        return tuple(
+            _integral(value) if type(value) is float else value
+            for value in expr.values
+            if type(value) is not float or _integral(value) is not None
+        )
+
+    def _exact_keys(self, expr, keys: AbstractSet[str], tables) -> Any:
+        """A HAVING clause with its comparisons of a group key (a name in
+        ``keys``) lowered as WHERE's are (:meth:`_exact`)."""
+        if isinstance(expr, SBetween):
+            expr = _between(expr)
+        if isinstance(expr, SBool):
+            return SBool(
+                expr.op, tuple(self._exact_keys(a, keys, tables) for a in expr.args)
+            )
+        if isinstance(expr, SNot):
+            return SNot(self._exact_keys(expr.arg, keys, tables))
+        if isinstance(expr, SIn) and _names(expr.arg, keys):
+            return replace(expr, values=self._exact_values(expr, tables))
+        if isinstance(expr, SBin) and expr.op in _COMPARISON_OPS and (
+            _names(expr.left, keys) or _names(expr.right, keys)
+        ):
+            return self._exact(expr, tables)
+        return expr
+
     def _typed(self, expr, tables) -> Optional[Tuple[bool, str]]:
         """``(yields strings, how a type error names it)`` for ``expr``;
         None where the binder does not type it (NULL, a nested comparison)."""
@@ -553,6 +585,11 @@ def _folded(expr) -> Optional[int]:
     if left is None or right is None:
         return None
     return _int64(_FOLDED_OPS[expr.op](left, right), f"{left} {expr.op} {right}")
+
+
+def _names(expr, keys: AbstractSet[str]) -> bool:
+    """Whether ``expr`` is a column named in ``keys``."""
+    return isinstance(expr, SColumn) and expr.name in keys
 
 
 def _between(expr: SBetween) -> SBool:

@@ -129,6 +129,21 @@ class SqlDbEngine:
             self._commit_seq.next()
 
     @property
+    def last_txid(self) -> int:
+        """The most recently issued transaction id."""
+        return self._txid_seq.last
+
+    def advance_txid_past(self, txid: int) -> None:
+        """Fast-forward the transaction ids beyond ``txid``.
+
+        Used by restore: everything a transaction writes is named after
+        its id (:class:`~repro.common.ids.TransactionNames`), so a rebuilt
+        catalog over the same store must never hand out an id again.
+        """
+        while self._txid_seq.last <= txid:
+            self._txid_seq.next()
+
+    @property
     def active_transactions(self) -> List[SqlDbTransaction]:
         """Currently executing transactions."""
         return list(self._active.values())

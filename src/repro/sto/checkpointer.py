@@ -71,7 +71,7 @@ def run_checkpoint(
     checkpoint = Checkpoint.of(snapshot, created_at)
     path = paths.checkpoint_path(context.database, table_id, top_seq)
     crashpoint("sto.checkpoint.before_blob_put")
-    context.store.put(path, checkpoint.to_bytes())
+    context.store.put(path, checkpoint.to_bytes(path))
     crashpoint("sto.checkpoint.after_blob_put")
 
     txn = context.sqldb.begin()

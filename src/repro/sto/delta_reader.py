@@ -72,8 +72,8 @@ def _file_key(path: str) -> str:
     """Normalize data-file references to the unique file name.
 
     The publisher emits full paths for data files and bare target-file
-    names for deletion-vector attachments; file names are globally unique
-    GUIDs, so the basename is a stable join key.
+    names for deletion-vector attachments; no two files in a store share
+    a name (DESIGN.md "File names"), so the basename is a stable join key.
     """
     return path.rsplit("/", 1)[-1]
 

@@ -387,7 +387,7 @@ def _repair_checkpoint(
     try:
         context.cache.invalidate(table_id)
         snapshot = context.cache.get(table_id, row["sequence_id"])
-        data = Checkpoint.of(snapshot, context.clock.now).to_bytes()
+        data = Checkpoint.of(snapshot, context.clock.now).to_bytes(row["path"])
         _retrying(
             context,
             "scrub_repair",

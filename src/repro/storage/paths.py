@@ -7,10 +7,25 @@ metadata goes to a user-accessible location.
 
 from __future__ import annotations
 
+import re
+from typing import Tuple
+
+#: A path under a table's root: ``internal/<database>/tables/<id>/...``.
+_UNDER_TABLE_ROOT = re.compile(r"internal/(.+)/tables/(\d+)/")
+
 
 def table_root(database: str, table_id: int) -> str:
     """Internal root folder for a table's data and physical metadata."""
     return f"internal/{database}/tables/{table_id}"
+
+
+def table_of(path: str) -> Tuple[str, int]:
+    """``(database, table_id)`` of the table root ``path`` lies under;
+    ``ValueError`` for a path under none."""
+    match = _UNDER_TABLE_ROOT.match(path)
+    if match is None:
+        raise ValueError(f"{path!r} is under no table root")
+    return match.group(1), int(match.group(2))
 
 
 def data_file_path(database: str, table_id: int, file_name: str) -> str:

@@ -22,9 +22,13 @@ from repro.chaos.harness import (
     Driver,
 )
 from repro.chaos.recovery import RecoveryManager
+from repro.engine.expressions import BinOp, Col, Lit
+from repro.engine.planner import TableScan
 from repro.fe import optimizer_path
+from repro.lst.checkpoint import decode_document
 from repro.sqldb import system_tables
 from repro.sto import orchestrator
+from repro.storage.object_store import ObjectStore
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +190,54 @@ class TestLongevity:
             return driver.outcomes, driver.context.store.faults.injected, driver.problems
 
         assert fingerprint() == fingerprint()
+
+    def test_every_file_put_goes_to_a_fresh_path(self, monkeypatch):
+        """Storage faults, task retries, crash restarts and a clone: no
+        data or DV put ever targets a path an earlier put named, landed
+        or not (files are named ``{txid:x}.{n:x}``, ``n`` fresh per put)."""
+        puts = []
+        real_put = ObjectStore.put
+
+        def recorded(self, path, data, *args, **kwargs):
+            if "/data/" in path or "/dv/" in path:
+                puts.append(path)
+            return real_put(self, path, data, *args, **kwargs)
+
+        monkeypatch.setattr(ObjectStore, "put", recorded)
+        driver = Driver(seed=5, storage_failure_rate=0.05)
+        for site in ("fe.write.after_manifest_flush", "fe.commit.after_sqldb_commit"):
+            driver.run(40)
+            with driver.context.store.faults.paused():
+                for sid in sorted(driver.model.txns):
+                    driver.step("commit", sid)
+                with ChaosController().arm(site), pytest.raises(SimulatedCrash):
+                    driver.op_insert(0, "orders")
+                driver.restart()
+                driver.battery()
+        driver.run(40)
+        assert not driver.problems, "\n".join(driver.problems)
+        # The clone is written past the driver's model, which knows its
+        # two tables only.
+        session = driver.warehouse.session()
+        clone = session.clone_table("orders", "copy")
+        batch = driver._fresh(40)
+        with driver.context.store.faults.paused():
+            session.insert("copy", batch)
+            session.delete("copy", BinOp("<", Col("id"), Lit(60)))
+            checkpoint = driver.warehouse.sto.run_checkpoint(clone)
+            assert driver.warehouse.sto.run_compaction(clone).files_created
+        assert driver.context.store.faults.injected > 0
+        assert len(puts) == len(set(puts)) > 100
+        # A cold read replays from the clone's checkpoint, whose entries
+        # for the files it shares with orders name that table, and then
+        # the compaction.
+        document = decode_document(driver.context.store.get(checkpoint.path).data)
+        owners = {f.get("table") for f in document["snapshot"]["files"]}
+        assert owners == {None, driver.table_ids["orders"]}
+        driver.context.cache.invalidate()
+        got = session.query(TableScan("copy", ("id",)))["id"].tolist()
+        orders = set(driver.model.committed["orders"]) | set(batch["id"].tolist())
+        assert sorted(got) == sorted(i for i in orders if i >= 60)
 
 
 class TestTheModelCatches:

@@ -1,29 +1,33 @@
 """Tests for id generation."""
 
-from repro.common.ids import GuidGenerator, MonotonicSequence
+from repro.common.ids import MonotonicSequence, TransactionNames
 
 
-def test_guid_shape():
-    guid = GuidGenerator(seed=1).next()
-    parts = guid.split("-")
-    assert [len(p) for p in parts] == [8, 4, 4, 4, 12]
-    assert all(c in "0123456789abcdef-" for c in guid)
+def test_names_are_txid_and_ordinal_in_hex():
+    names = TransactionNames(0x186A5)
+    assert names.manifest == "186a5"
+    assert [names.next() for _ in range(3)] == ["186a5.0", "186a5.1", "186a5.2"]
+    for _ in range(13):
+        names.next()
+    assert names.next() == "186a5.10"
 
 
-def test_guid_deterministic_per_seed():
-    a = GuidGenerator(seed=3)
-    b = GuidGenerator(seed=3)
+def test_names_repeat_for_the_same_txid():
+    a = TransactionNames(100_000)
+    b = TransactionNames(100_000)
     assert [a.next() for _ in range(5)] == [b.next() for _ in range(5)]
 
 
-def test_guid_differs_across_seeds():
-    assert GuidGenerator(seed=1).next() != GuidGenerator(seed=2).next()
+def test_names_differ_across_txids():
+    names = {TransactionNames(txid).next() for txid in range(100_000, 100_100)}
+    assert len(names) == 100
 
 
-def test_guid_unique_within_generator():
-    gen = GuidGenerator(seed=0)
-    guids = [gen.next() for _ in range(1000)]
-    assert len(set(guids)) == 1000
+def test_names_unique_within_transaction():
+    names = TransactionNames(100_000)
+    drawn = [names.next() for _ in range(1000)]
+    assert len(set(drawn)) == 1000
+    assert names.manifest not in drawn
 
 
 def test_sequence_is_strictly_increasing():

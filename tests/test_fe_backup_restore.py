@@ -5,6 +5,8 @@ import pytest
 
 from repro import Aggregate, BinOp, Col, Lit, Schema, TableScan, Warehouse
 from repro.common.errors import TransactionStateError
+from repro.sqldb import system_tables as catalog
+from repro.storage.object_store import ObjectStore
 from tests.conftest import small_config
 
 
@@ -106,3 +108,45 @@ def test_restore_then_gc_reclaims_unreferenced(dw):
     assert set(report.deleted) >= orphaned
     # Restored table still fully readable.
     assert dw.session().query(count("t"))["n"][0] == 10
+
+
+def test_writes_after_restoring_an_older_backup_get_fresh_names(dw, monkeypatch):
+    """Files, manifests and staged blocks are named after their writer's
+    txid: a restore keeps the txid sequence going, so nothing written
+    after it can meet a name written before it."""
+    written = []
+    put, stage_block = ObjectStore.put, ObjectStore.stage_block
+
+    def recorded_put(self, path, data, *args, **kwargs):
+        written.append(path)
+        return put(self, path, data, *args, **kwargs)
+
+    def recorded_stage_block(self, path, block_id, data):
+        written.append(f"{path}#{block_id}")
+        return stage_block(self, path, block_id, data)
+
+    monkeypatch.setattr(ObjectStore, "put", recorded_put)
+    monkeypatch.setattr(ObjectStore, "stage_block", recorded_stage_block)
+    old = dw.backup()
+    session = dw.session()
+    session.insert("t", ids(20, start=100))
+    session.update("t", BinOp("<", Col("id"), Lit(5)), {"v": Lit(1.0)})
+    before = set(written) | {blob.path for blob in dw.store.list("internal/")}
+    del written[:]
+
+    dw.restore(old)
+    session = dw.session()
+    session.insert("t", ids(20, start=200))
+    session.update("t", BinOp("<", Col("id"), Lit(5)), {"v": Lit(2.0)})
+    session.delete("t", BinOp(">=", Col("id"), Lit(215)))
+    txn = dw.context.sqldb.begin()
+    try:
+        table_id = catalog.find_table_by_name(txn, "t")["table_id"]
+    finally:
+        txn.abort()
+    assert dw.sto.run_compaction(table_id).files_created
+
+    names = {path.rsplit("/", 1)[-1] for path in before}
+    assert written and not set(written) & before
+    assert not {path.rsplit("/", 1)[-1] for path in written} & names
+    assert dw.session().query(count("t"))["n"][0] == 10 + 15

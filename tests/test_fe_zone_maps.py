@@ -39,10 +39,12 @@ class TestFileStats:
 
     def test_stats_survive_serialization(self):
         info = DataFileInfo(
-            name="f", path="p/f", num_rows=10, size_bytes=80, distribution=0,
+            name="f", path="internal/dw/tables/7/data/f", num_rows=10,
+            size_bytes=80, distribution=0,
             column_stats=(("id", 0, 9), ("name", "a", "z")),
         )
-        parsed = DataFileInfo.from_dict(info.to_dict())
+        parsed = DataFileInfo.from_dict(info.to_dict(), "dw", 7)
+        assert parsed == info
         assert parsed.stats_for("id") == (0, 9)
         assert parsed.stats_for("name") == ("a", "z")
         assert parsed.stats_for("ghost") is None

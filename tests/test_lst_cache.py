@@ -116,6 +116,21 @@ def test_eviction_keeps_newest():
     assert cache.stats.hits == 1
 
 
+def test_eviction_drops_the_least_recently_used():
+    """An old state read again and again (GC's horizon) stays cached while
+    newer ones come and go."""
+    log = three_manifest_log()
+    cache = log.cache(max_versions_per_table=2)
+    cache.get(1, 1)
+    cache.get(1, 2)
+    cache.get(1, 1)  # a hit: 1 is now the most recently used
+    cache.get(1, 3)  # evicts 2
+    cache.get(1, 1)
+    assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+    cache.get(1, 2)  # extends 1, the closest cached ancestor
+    assert cache.stats.incremental_extensions == 3
+
+
 def test_invalidate_all():
     log = three_manifest_log()
     cache = log.cache()

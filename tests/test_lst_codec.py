@@ -38,8 +38,8 @@ from repro.lst.codec import HEADER, PRESET, decode_frames
 BLOB = "internal/dw/tables/1001/_manifests/golden.json"
 
 GOLDEN_FILE = DataFileInfo(
-    name="5f0c3a2e-1b7d-4c9a-8e21-0d6f4b9a7c13.rpf",
-    path="internal/dw/tables/1001/data/5f0c3a2e-1b7d-4c9a-8e21-0d6f4b9a7c13.rpf",
+    name="186b3.4.rpf",
+    path="internal/dw/tables/1001/data/186b3.4.rpf",
     num_rows=250,
     size_bytes=595,
     distribution=3,
@@ -47,15 +47,14 @@ GOLDEN_FILE = DataFileInfo(
     checksum="crc32:891a4f33",
 )
 GOLDEN_ACTIONS = [
-    RemoveDataFile("9a1e7c44-2b3d-4f60-a8c1-e5d2f7b40916.rpf"),
+    RemoveDataFile("186a9.0.rpf"),
     AddDataFile(GOLDEN_FILE),
 ]
 #: ``encode_actions(GOLDEN_ACTIONS)`` as this format writes it.
 GOLDEN = bytes.fromhex(
-    "82000000fceb289b95d23b0e03310804d0bba4361218b0cd71f0af4a9febc79b288a36"
-    "f216692847a3376ca63a839bd3c84d0462e50e321382974630b4c799aba051da8fb207"
-    "d0898d3d0ea09a575e3387322201f634a59ae7467c81d41f1f2642a437d51f715fcea8"
-    "781655d35f54dea8aeff0f1cc84c0fdbeaf75b584d16f0eb6e8d8b91cb643eac9f"
+    "4d0000001e668893c312c4a8016568619668a967803dbcb03b1fa825c958cf04c31746"
+    "a606a81e31b53445f78b3116cf00d38d8eb18ea1a5a529c84b4989394a3a8606207f81"
+    "49ac5eb3b0344c3449333606791100"
 )
 
 
@@ -68,11 +67,11 @@ def test_the_golden_frame_decodes():
 
 
 def test_the_dictionary_is_pinned():
-    assert (len(PRESET), zlib.crc32(PRESET)) == (519, 0xDBD2BBB0)
+    assert (len(PRESET), zlib.crc32(PRESET)) == (456, 0xAB126B62)
 
 
 def test_the_dictionary_names_no_table_database_or_column():
-    for name in (b"1001", b"/dw/", b'"id"', b'"bal"'):
+    for name in (b"1001", b"/dw/", b'"id"', b'"bal"', b"path", b"internal/"):
         assert name not in PRESET
 
 
@@ -90,27 +89,29 @@ def test_no_bytes_are_no_frames():
     assert decode_manifest(b"", BLOB) == []
 
 
-guids = st.uuids().map(str)
+names = st.builds(
+    lambda txid, n: f"{txid:x}.{n:x}", st.integers(100_000, 2**40), st.integers(0, 2**20)
+)
 
 
 @st.composite
 def actions(draw):
-    name = draw(guids) + ".rpf"
+    name = draw(names) + ".rpf"
     kind = draw(st.sampled_from(["add_file", "remove_file", "add_dv", "remove_dv"]))
     if kind == "remove_file":
         return RemoveDataFile(name)
-    dv_name = draw(guids) + ".rdv"
+    dv_name = draw(names) + ".rdv"
     if kind == "remove_dv":
         return RemoveDeletionVector(dv_name, name)
     if kind == "add_dv":
         return AddDeletionVector(DeletionVectorInfo(
-            name=dv_name, path=f"internal/db/tables/7/dv/{dv_name}",
+            name=dv_name, path=f"internal/dw/tables/1001/dv/{dv_name}",
             target_file=name, cardinality=draw(st.integers(1, 10**6)),
             size_bytes=draw(st.integers(0, 10**6)), checksum="crc32:0a0b0c0d",
         ))
     low = draw(st.integers(-(2**40), 2**40))
     return AddDataFile(DataFileInfo(
-        name=name, path=f"internal/db/tables/7/data/{name}",
+        name=name, path=f"internal/dw/tables/1001/data/{name}",
         num_rows=draw(st.integers(0, 10**6)), size_bytes=draw(st.integers(0, 10**9)),
         distribution=draw(st.integers(-1, 63)),
         column_stats=(("k", low, low + draw(st.integers(0, 100))),

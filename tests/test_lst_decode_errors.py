@@ -33,6 +33,7 @@ from repro.lst import (
 )
 from repro.lst.checkpoint import decode_document, encode_document
 from repro.lst.codec import HEADER, decode_frames, encode_frame
+from repro.storage import paths
 
 MANIFEST = "internal/dw/tables/1001/_manifests/m.json"
 CHECKPOINT = "internal/dw/tables/1001/_checkpoints/6.json"
@@ -40,14 +41,14 @@ CHECKPOINT = "internal/dw/tables/1001/_checkpoints/6.json"
 
 def _file(name):
     return DataFileInfo(
-        name=name, path=f"p/{name}", num_rows=10, size_bytes=80,
+        name=name, path=paths.data_file_path("dw", 1001, name), num_rows=10, size_bytes=80,
         distribution=1, column_stats=(("id", 0, 9),), checksum="crc32:00000000",
     )
 
 
 def _dv(name, target):
     return DeletionVectorInfo(
-        name=name, path=f"p/{name}", target_file=target, cardinality=2,
+        name=name, path=paths.dv_file_path("dw", 1001, name), target_file=target, cardinality=2,
         size_bytes=8, checksum="crc32:00000000",
     )
 
@@ -65,7 +66,9 @@ REMOVALS = [RemoveDataFile("a"), RemoveDeletionVector("e", "c")]
 BASE = replay([(5, 1.0, ACTIONS)])
 GOOD_MANIFEST = encode_actions(ACTIONS)
 GOOD_REMOVALS = encode_actions(REMOVALS)
-GOOD_CHECKPOINT = Checkpoint.of(replay([(6, 2.0, REMOVALS)], base=BASE), 3.0).to_bytes()
+GOOD_CHECKPOINT = Checkpoint.of(
+    replay([(6, 2.0, REMOVALS)], base=BASE), 3.0
+).to_bytes(CHECKPOINT)
 
 
 def block_of(data):
@@ -255,6 +258,42 @@ def test_a_mixed_marker_other_than_true_is_rejected(value):
     line["file"]["mixed"] = True
     (action,) = decode_manifest(framed([line]), MANIFEST)
     assert action.file.mixed and action.file.to_dict() == line["file"]
+
+
+@pytest.mark.parametrize("kind, line", [("file", 0), ("dv", 3)])
+def test_a_descriptor_that_stores_a_path_is_rejected(kind, line):
+    [raw] = block_of(encode_actions([ACTIONS[line]]))
+    raw[kind]["path"] = getattr(ACTIONS[line], kind).path
+    with pytest.raises(FileFormatError, match=f"{MANIFEST}.*path"):
+        decode_manifest(framed([raw]), MANIFEST)
+    document = decode_document(GOOD_CHECKPOINT)
+    entry = document["snapshot"][kind + "s"][0]
+    entry["path"] = paths.data_file_path("dw", 1001, entry["name"])
+    with pytest.raises(FileFormatError, match=f"{CHECKPOINT}.*path"):
+        Checkpoint.from_bytes(encode_document(document), CHECKPOINT)
+
+
+def test_a_file_of_another_table_is_named_by_its_table():
+    """A clone's checkpoint names the owner of each inherited file; the
+    path derives from that table's root, and the own id is never written."""
+    inherited = DataFileInfo(
+        name="a", path=paths.data_file_path("dw", 1001, "a"), num_rows=1,
+        size_bytes=8, distribution=0,
+    )
+    own_dv = DeletionVectorInfo(
+        name="d", path=paths.dv_file_path("dw", 1002, "d"), target_file="a",
+        cardinality=1, size_bytes=8,
+    )
+    clone = replay([(4, 1.0, [AddDataFile(inherited), AddDeletionVector(own_dv)])])
+    at = "internal/dw/tables/1002/_checkpoints/4.json"
+    data = Checkpoint.of(clone, 0.0).to_bytes(at)
+    document = decode_document(data)
+    [file], [dv] = document["snapshot"]["files"], document["snapshot"]["dvs"]
+    assert file["table"] == 1001 and "table" not in dv
+    assert Checkpoint.from_bytes(data, at).snapshot == clone
+    file["table"] = 1002
+    with pytest.raises(FileFormatError, match=at):
+        Checkpoint.from_bytes(encode_document(document), at)
 
 
 def test_dv_descriptor_missing_its_checksum_is_rejected():

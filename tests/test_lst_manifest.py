@@ -14,18 +14,23 @@ from repro.lst import (
     reconcile_actions,
 )
 from repro.lst.actions import action_from_dict
+from repro.storage import paths
+
+#: The blob the wire-format tests decode: table 1001's manifest.
+BLOB = paths.manifest_path("dw", 1001, "186a0")
 
 
 def df(name, rows=10, dist=0):
     return DataFileInfo(
-        name=name, path=f"p/{name}", num_rows=rows, size_bytes=rows * 8,
+        name=name, path=paths.data_file_path("dw", 1001, name), num_rows=rows,
+        size_bytes=rows * 8,
         distribution=dist,
     )
 
 
 def dv(name, target, cardinality=2):
     return DeletionVectorInfo(
-        name=name, path=f"p/{name}", target_file=target,
+        name=name, path=paths.dv_file_path("dw", 1001, name), target_file=target,
         cardinality=cardinality, size_bytes=64,
     )
 
@@ -38,22 +43,22 @@ class TestWireFormat:
             AddDeletionVector(dv("d1", "f1")),
             RemoveDeletionVector("d0", "f1"),
         ]
-        assert decode_manifest(encode_actions(actions)) == actions
+        assert decode_manifest(encode_actions(actions), BLOB) == actions
 
     def test_block_concatenation(self):
         """The manifest is the concatenation of independently encoded blocks."""
         block1 = encode_actions([AddDataFile(df("f1"))])
         block2 = encode_actions([AddDataFile(df("f2"))])
-        actions = decode_manifest(block1 + block2)
+        actions = decode_manifest(block1 + block2, BLOB)
         assert [a.file.name for a in actions] == ["f1", "f2"]
 
     def test_empty_manifest(self):
-        assert decode_manifest(b"") == []
-        assert decode_manifest(encode_actions([])) == []
+        assert decode_manifest(b"", BLOB) == []
+        assert decode_manifest(encode_actions([]), BLOB) == []
 
     def test_unknown_action_rejected(self):
         with pytest.raises(ValueError, match="unknown manifest action"):
-            action_from_dict({"action": "mystery"})
+            action_from_dict({"action": "mystery"}, "dw", 1001)
 
 
 class TestReconcile:
@@ -68,7 +73,7 @@ class TestReconcile:
             [AddDataFile(df("f1")), RemoveDataFile("f1")]
         )
         assert net == []
-        assert orphans == ["p/f1"]
+        assert orphans == [paths.data_file_path("dw", 1001, "f1")]
 
     def test_remove_of_committed_file_kept(self):
         net, orphans = reconcile_actions([RemoveDataFile("old")])
@@ -81,7 +86,7 @@ class TestReconcile:
         second = AddDeletionVector(dv("d2", "f", cardinality=5))
         net, orphans = reconcile_actions([first, second])
         assert net == [second]
-        assert orphans == ["p/d1"]
+        assert orphans == [paths.dv_file_path("dw", 1001, "d1")]
 
     def test_remove_committed_dv_kept_with_new_add(self):
         """Delete on a file with an existing committed DV: remove + add."""
@@ -98,7 +103,7 @@ class TestReconcile:
             [AddDeletionVector(dv("d1", "f")), RemoveDeletionVector("d1", "f")]
         )
         assert net == []
-        assert orphans == ["p/d1"]
+        assert orphans == [paths.dv_file_path("dw", 1001, "d1")]
 
     def test_dv_on_removed_file_dropped(self):
         """A DV targeting a file the txn itself removes is pointless."""
@@ -106,7 +111,7 @@ class TestReconcile:
             [AddDeletionVector(dv("d1", "old")), RemoveDataFile("old")]
         )
         assert net == [RemoveDataFile("old")]
-        assert orphans == ["p/d1"]
+        assert orphans == [paths.dv_file_path("dw", 1001, "d1")]
 
     def test_removes_ordered_before_adds(self):
         net, __ = reconcile_actions(
@@ -132,4 +137,4 @@ class TestReconcile:
         assert AddDataFile(df("f1", rows=100)) in net
         assert AddDeletionVector(dv("d2", "f1", cardinality=7)) in net
         assert len(net) == 2
-        assert orphans == ["p/d1"]
+        assert orphans == [paths.dv_file_path("dw", 1001, "d1")]

@@ -14,15 +14,21 @@ from repro.lst import (
     TableSnapshot,
     replay,
 )
+from repro.storage import paths
+
+#: Every descriptor here lives under table 1001 of ``dw``; the
+#: checkpoints are that table's.
+CHECKPOINT = paths.checkpoint_path("dw", 1001, 1)
 
 
 def df(name, rows=10):
-    return DataFileInfo(name=name, path=f"p/{name}", num_rows=rows,
+    return DataFileInfo(name=name, path=paths.data_file_path("dw", 1001, name), num_rows=rows,
                         size_bytes=rows * 8, distribution=0)
 
 
 def dv(name, target, cardinality=2):
-    return DeletionVectorInfo(name=name, path=f"p/{name}", target_file=target,
+    return DeletionVectorInfo(name=name, path=paths.dv_file_path("dw", 1001, name),
+                              target_file=target,
                               cardinality=cardinality, size_bytes=64)
 
 
@@ -67,7 +73,7 @@ class TestReplay:
             (2, 9.0, [RemoveDataFile("a")]),
         ])
         assert snap.live_rows == 0
-        assert snap.to_dict() == {"sequence_id": 2, "files": [], "dvs": []}
+        assert snap.to_dict("dw", 1001) == {"sequence_id": 2, "files": [], "dvs": []}
 
     def test_remove_file_retires_its_dv(self):
         snap = replay([
@@ -146,7 +152,7 @@ class TestCheckpointEquivalence:
         full = replay(manifests)
         prefix = replay(manifests[:cut])
         checkpoint = Checkpoint.of(prefix, created_at=99.0)
-        restored = Checkpoint.from_bytes(checkpoint.to_bytes()).snapshot
+        restored = Checkpoint.from_bytes(checkpoint.to_bytes(CHECKPOINT), CHECKPOINT).snapshot
         resumed = replay(manifests[cut:], base=restored)
         assert resumed.files == full.files
         assert resumed.dvs == full.dvs
@@ -159,18 +165,19 @@ class TestCheckpointEquivalence:
                       AddDeletionVector(dv("db", "b"))]),
             (2, 1.5, [RemoveDataFile("a")]),
         ])
-        assert snap.to_dict() == {
+        assert snap.to_dict("dw", 1001) == {
             "sequence_id": 2,
             "files": [df("b").to_dict()],
             "dvs": [dv("db", "b").to_dict()],
         }
-        restored = Checkpoint.from_bytes(Checkpoint.of(snap, 0.0).to_bytes())
+        data = Checkpoint.of(snap, 0.0).to_bytes(CHECKPOINT)
+        restored = Checkpoint.from_bytes(data, CHECKPOINT)
         assert restored.snapshot == snap
 
     def test_checkpoint_serialization_roundtrip(self):
         snap = replay(self.manifests())
         ckpt = Checkpoint.of(snap, created_at=12.5)
-        parsed = Checkpoint.from_bytes(ckpt.to_bytes())
+        parsed = Checkpoint.from_bytes(ckpt.to_bytes(CHECKPOINT), CHECKPOINT)
         assert parsed.sequence_id == 5
         assert parsed.created_at == 12.5
         assert parsed.snapshot.live_rows == snap.live_rows

@@ -38,7 +38,7 @@ CHECKPOINT_DEFLATED = 0.32
 MANIFEST_DEFLATED = 0.40
 #: Every key of a hash-placed file's ``add_file`` descriptor, in order.
 ADD_FILE_KEYS = [
-    "name", "path", "num_rows", "size_bytes", "distribution", "column_stats",
+    "name", "num_rows", "size_bytes", "distribution", "column_stats",
     "checksum",
 ]
 #: The bytes a mixed file's descriptor adds to that, and all it adds.
@@ -123,7 +123,7 @@ def test_remove_lines_and_checkpoint_tombstones_stay_within_budget():
         assert set(action) == REMOVE_KEYS[action["action"]], action
 
     data = dw.store.get(checkpoint_row["path"]).data
-    snapshot = Checkpoint.from_bytes(data).snapshot
+    snapshot = Checkpoint.from_bytes(data, checkpoint_row["path"]).snapshot
     entries = len(snapshot.files) + len(snapshot.dvs)
     # Compaction removed far more files than it left live.
     assert 0 < entries < len(removals) / 4

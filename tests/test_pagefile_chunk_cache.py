@@ -499,7 +499,7 @@ class TestLifecycle:
         assert {name: values.tolist() for name, values in second.items()} == expected
 
     def test_each_warehouse_has_its_own_cache(self):
-        # Same seed, same GUID paths, same etags: a shared cache would
+        # Same seed, same file paths, same etags: a shared cache would
         # serve one warehouse the other's chunks.
         a, b = _loaded(), _loaded()
         assert [f.path for f in _files(a)] == [f.path for f in _files(b)]

@@ -39,7 +39,13 @@ from repro.lst import (
 from repro.pagefile import DeletionVector, PageFileReader, Schema, write_page_file
 from repro.sqldb import SqlDbEngine
 from repro.storage import ObjectStore
+from repro.storage.paths import checkpoint_path, data_file_path, dv_file_path, manifest_path
 from tests.conftest import small_config
+
+#: Generated descriptors live under table 1 of database ``dw``: their
+#: paths are what decoding these blobs of that table derives.
+MANIFEST = manifest_path("dw", 1, "186a0")
+CHECKPOINT = checkpoint_path("dw", 1, 1)
 
 # -- deletion vectors -----------------------------------------------------------
 
@@ -128,7 +134,10 @@ def test_pagefile_dv_filtering_matches_mask(n, deleted, row_group_size):
 
 def _files(names):
     return [
-        DataFileInfo(name=n, path=f"p/{n}", num_rows=10, size_bytes=80, distribution=0)
+        DataFileInfo(
+            name=n, path=data_file_path("dw", 1, n), num_rows=10, size_bytes=80,
+            distribution=0,
+        )
         for n in names
     ]
 
@@ -161,7 +170,8 @@ def manifest_histories(draw):
             name = draw(st.sampled_from(sorted(live)))
             counter += 1
             new_dv = DeletionVectorInfo(
-                name=f"d{counter}", path=f"p/d{counter}", target_file=name,
+                name=f"d{counter}", path=dv_file_path("dw", 1, f"d{counter}"),
+                target_file=name,
                 cardinality=1, size_bytes=8,
             )
             if live[name] is not None:
@@ -179,7 +189,8 @@ def test_checkpoint_equivalence(history, cut):
     cut = min(cut, len(history))
     full = replay(history)
     prefix = replay(history[:cut])
-    restored = Checkpoint.from_bytes(Checkpoint.of(prefix, 0.0).to_bytes()).snapshot
+    data = Checkpoint.of(prefix, 0.0).to_bytes(CHECKPOINT)
+    restored = Checkpoint.from_bytes(data, CHECKPOINT).snapshot
     resumed = replay(history[cut:], base=restored)
     assert resumed.files == full.files
     assert resumed.dvs == full.dvs
@@ -195,7 +206,7 @@ def test_replay_deterministic(history):
 @settings(max_examples=50, deadline=None)
 def test_manifest_wire_roundtrip(history):
     for __, __, actions in history:
-        assert decode_manifest(encode_actions(actions)) == actions
+        assert decode_manifest(encode_actions(actions), MANIFEST) == actions
 
 
 @given(manifest_histories())
@@ -216,7 +227,8 @@ def test_reconcile_net_actions_replayable(history):
 
 def _dv(name, target):
     return DeletionVectorInfo(
-        name=name, path=f"p/{name}", target_file=target, cardinality=1, size_bytes=8
+        name=name, path=dv_file_path("dw", 1, name), target_file=target,
+        cardinality=1, size_bytes=8,
     )
 
 
@@ -312,7 +324,7 @@ def test_appending_and_rewriting_commit_the_same_table(flush_context, case):
                 returned.extend(txn.flush_rewrite(1, ids, actions))
         state = txn.write_state(1)
         committed = decode_manifest(
-            flush_context.store.get(state.manifest_path).data
+            flush_context.store.get(state.manifest_path).data, state.manifest_path
         )
     finally:
         txn.rollback()

@@ -409,6 +409,35 @@ def test_float_literals_meet_int64_keys_exactly(keyed, where):
     assert_same_result(sql_session.execute(text), db, text)
 
 
+@pytest.mark.parametrize(
+    "having",
+    [
+        "k > 9007199254740992.0",  # float64 would drop 2**53 + 1
+        "k = 9007199254740992.0 OR k = 14.0",  # float64 would keep 2**53 + 1
+        "k < 9223372036854775807.0",  # the double 2**63: every key
+        "k BETWEEN 9007199254740991.0 AND 9223372036854775807.0",
+        "k IN (9007199254740992.0, 7.0, 7.5)",
+        "NOT k <= 9007199254740992.0 AND COUNT(*) > 2.5",
+    ],
+)
+def test_float_literals_meet_int64_group_keys_exactly(keyed, having):
+    sql_session, db = keyed
+    text = f"SELECT k, COUNT(*) AS n FROM h GROUP BY k HAVING {having} ORDER BY k"
+    assert_same_result(sql_session.execute(text), db, text)
+
+
+def test_a_group_key_is_told_from_an_alias_of_its_name(keyed):
+    """``k`` in HAVING is the group key, not the aggregate the select list
+    calls ``k``: SQLite resolves a column before an alias."""
+    sql_session, db = keyed
+    text = (
+        "SELECT k AS key, SUM(v) AS k FROM h GROUP BY k "
+        "HAVING k > 9007199254740992.0 ORDER BY key"
+    )
+    assert_same_result(sql_session.execute(text), db, text)
+    assert sql_session.execute(text)["key"].tolist() == [2**53 + 1, INT64_MAX]
+
+
 @st.composite
 def conjuncts(draw, column):
     """One ``column`` predicate: a template with ``{}`` per literal, and

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import StorageConfig
 from repro.common.errors import TransientStorageError
-from repro.common.ids import GuidGenerator
+from repro.common.ids import TransactionNames
 from repro.storage import BlockBlobClient, ObjectStore
 from repro.storage import failures as storage_failures
 
@@ -61,7 +61,7 @@ class TestFaultInjection:
 class TestBlockBlobClient:
     def test_write_block_stages_and_remembers(self):
         store = ObjectStore()
-        client = BlockBlobClient(store, "m", GuidGenerator(seed=0))
+        client = BlockBlobClient(store, "m", TransactionNames(100_000))
         bid = client.write_block(b"data")
         assert client.written_block_ids == [bid]
         store.commit_block_list("m", [bid])
@@ -70,9 +70,9 @@ class TestBlockBlobClient:
     def test_two_clients_do_not_interfere(self):
         """Two BE nodes staging concurrently against one manifest."""
         store = ObjectStore()
-        guids = GuidGenerator(seed=0)
-        a = BlockBlobClient(store, "m", guids)
-        b = BlockBlobClient(store, "m", guids)
+        names = TransactionNames(100_000)
+        a = BlockBlobClient(store, "m", names)
+        b = BlockBlobClient(store, "m", names)
         ida = a.write_block(b"A")
         idb = b.write_block(b"B")
         store.commit_block_list("m", [ida, idb])
@@ -81,10 +81,10 @@ class TestBlockBlobClient:
     def test_abandoned_attempt_blocks_discarded(self):
         """A restarted task's first-attempt blocks never become visible."""
         store = ObjectStore()
-        guids = GuidGenerator(seed=0)
-        attempt1 = BlockBlobClient(store, "m", guids)
+        names = TransactionNames(100_000)
+        attempt1 = BlockBlobClient(store, "m", names)
         attempt1.write_block(b"garbage")
-        attempt2 = BlockBlobClient(store, "m", guids)
+        attempt2 = BlockBlobClient(store, "m", names)
         good = attempt2.write_block(b"good")
         store.commit_block_list("m", [good])
         assert store.get("m").data == b"good"

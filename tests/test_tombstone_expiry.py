@@ -29,7 +29,7 @@ from repro.lst import Checkpoint, replay
 from repro.sqldb import system_tables as catalog
 from repro.sto.gc import keep_set
 from tests.conftest import small_config
-from tests.test_properties import manifest_histories
+from tests.test_properties import CHECKPOINT, manifest_histories
 
 
 # -- replay ---------------------------------------------------------------------
@@ -77,7 +77,8 @@ def test_checkpoint_plus_tail_equals_full_replay_with_expiry(timed):
     history, horizon = timed
     before, tail = split(history, horizon)
     at_horizon = replay(before)
-    restored = Checkpoint.from_bytes(Checkpoint.of(at_horizon, 0.0).to_bytes()).snapshot
+    data = Checkpoint.of(at_horizon, 0.0).to_bytes(CHECKPOINT)
+    restored = Checkpoint.from_bytes(data, CHECKPOINT).snapshot
     assert restored == at_horizon
     full = replay(history)
     assert replay(tail, base=restored) == full
@@ -309,6 +310,29 @@ class TestGcAfterExpiry:
         reader.commit()
         report = dw.sto.run_gc()
         assert removed <= set(report.deleted)
+
+    def test_gc_held_by_an_open_transaction_keeps_its_horizon_state_cached(self, dw):
+        """The horizon stands still while a transaction is open, so every
+        pass asks for the same state: it stays cached, the least recently
+        used entry going instead, though newer states outnumber the bound."""
+        writer, reader = dw.session(), dw.session()
+        writer.insert("t", ids(100))
+        dw.clock.advance(1.0)
+        reader.begin()
+        assert reader.query(count())["n"][0] == 100
+        for step in range(10):
+            writer.insert("t", ids(10, start=1000 + 10 * step))
+            writer.query(count())  # caches the newest state
+        dw.clock.advance(RETENTION_S + 1.0)
+        dw.sto.run_gc()
+        stats = dw.context.cache.stats
+        for step in range(3):
+            writer.insert("t", ids(10, start=2000 + 10 * step))
+            writer.query(count())
+            misses, hits = stats.misses, stats.hits
+            dw.sto.run_gc()
+            assert (stats.misses, stats.hits) == (misses, hits + 1)
+        reader.commit()
 
 
 # -- generated histories ------------------------------------------------------------
